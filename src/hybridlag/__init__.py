@@ -18,11 +18,11 @@ from .errors import (BracketInvalid, ChartSingularity, DirectionRejected,
                      HybridLagError, IntegrationFailure, InvalidReset,
                      InvalidStart, NegativeDiscriminant, NoConvergence,
                      NotInvariant, ParseError, SingularHessian, ZenoSuspected)
-from .hybrid import (Arc, Event, Guard, HybridEquivalenceReport, HybridFlow,
-                     HybridSystem, ResetMap, SimOptions,
+from .hybrid import (Arc, Event, FlowEquivalenceReport, Guard,
+                     HybridEquivalenceReport, HybridFlow, HybridSystem,
+                     ResetMap, SimOptions, check_flow_equivalence,
                      check_hybrid_equivalence, locate_event, simulate)
-from .lagrangian import (CoState, FlowEquivalenceReport, LagrangianSystem,
-                         State, check_flow_equivalence)
+from .lagrangian import CoState, LagrangianSystem, State
 from .models import MODEL_IDS, SCENARIO_IDS, ModelBundle, build_model
 from .reduction import (CyclicStructure, ReconstructedFlow,
                         ReducedHybridSystem, momentum_map, project,

@@ -53,9 +53,6 @@ def main(argv=None) -> int:
     run_p.add_argument("--mode", help="mode override")
     run_p.add_argument("--horizon", type=float, help="horizon override")
     run_p.add_argument("--out", help="output directory override")
-    run_p.add_argument("--seedless", action="store_true",
-                       help="accepted for interface stability; runs contain "
-                            "no randomness and are always deterministic")
     args = parser.parse_args(argv)
 
     doc = {}

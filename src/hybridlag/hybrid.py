@@ -1,13 +1,21 @@
 """Execution of hybrid flows: continuous arcs separated by guard-triggered
 resets.
 
-Each arc is integrated with the adaptive Dormand-Prince stepper. After
-every accepted step the guard function is sampled on the step's dense
-output (endpoints plus `scan_points` interior points); a sign change from
-non-positive to positive brackets a candidate crossing, which is refined
-in time with Brent's method on the interpolant. A crossing counts as an
-impact only where the admissibility (direction) function is >= 0;
-crossings with negative direction are skipped and integration continues.
+Every run in the package goes through one loop, `_execute`: full and
+reduced runs, resequenced runs, the momentum-side runs of the
+equivalence checks, and `locate_event`. Each arc is integrated with the
+adaptive Dormand-Prince stepper. After every accepted step the guard
+function is sampled on the step's dense output (endpoints plus
+SCAN_POINTS interior points); a sign change from non-positive to
+positive brackets a candidate crossing, which is refined in time with
+Brent's method on the interpolant. A crossing counts as an impact only
+where the admissibility (direction) function is >= 0; crossings with
+negative direction are skipped and integration continues.
+
+The loop runs in a mode (rhs, guard, direction, reset). The reset
+returns the post-impact state together with the mode of the next arc,
+so a run can change its dynamics at an impact; resequenced runs use this
+to rebuild the reduced system at the post-impact momentum.
 
 Two safeguards shape the behaviour in impact-accumulation regimes:
 
@@ -20,7 +28,7 @@ Two safeguards shape the behaviour in impact-accumulation regimes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Union
 
 import numpy as np
@@ -29,7 +37,6 @@ from scipy.optimize import brentq
 
 from .errors import (BracketInvalid, DirectionRejected, IntegrationFailure,
                      InvalidReset, InvalidStart, ZenoSuspected)
-from .integrate import integrate_smooth
 from .lagrangian import CoState, LagrangianSystem, State
 
 TERM_HORIZON = "horizon_reached"
@@ -41,6 +48,7 @@ BRENT_RTOL = 1e-15   # relative time tolerance floor for root refinement
 REFINE_XTOL = 1e-13  # refine events well past event_tol: dwell comparisons
                      # against min_dwell must not hinge on localization noise
 ARM_TOL = 1e-12      # guard value below which an arc counts as interior
+SCAN_POINTS = 8      # interior dense-output guard samples per accepted step
 
 
 @dataclass(frozen=True)
@@ -77,6 +85,9 @@ class HybridSystem:
 class SimOptions:
     """Knobs for hybrid execution.
 
+    Every post-impact state is validated: it must keep t, be finite and
+    not immediately re-trigger the guard (InvalidReset otherwise).
+
     Attributes:
         rtol, atol, max_step: integrator step control.
         event_tol: time localization of impacts (root refinement xtol).
@@ -86,14 +97,11 @@ class SimOptions:
             ``zeno_suspected``.
         max_impacts: impact cap; reaching it terminates with
             ``max_impacts``.
-        scan_points: interior dense-output samples per accepted step.
         post_impact_step_factor: ceiling on the step size of the arc
             following an impact, as a multiple of the previous dwell
             (None disables the ceiling).
         guard_jump_bound: when finite, |dg| > bound * h across one step
             raises IntegrationFailure (guard continuity check).
-        validate_resets: verify post-impact states are finite, preserve
-            time, and do not immediately re-trigger.
         strict: raise ZenoSuspected / IntegrationFailure instead of
             returning a flow with the corresponding termination.
     """
@@ -105,10 +113,8 @@ class SimOptions:
     guard_tol: float = 1e-8
     min_dwell: float = 1e-9
     max_impacts: int = 10000
-    scan_points: int = 8
     post_impact_step_factor: Optional[float] = 1.0
     guard_jump_bound: float = np.inf
-    validate_resets: bool = True
     strict: bool = False
 
 
@@ -171,12 +177,14 @@ class HybridFlow:
 # generic packed-coordinates execution loop
 # ---------------------------------------------------------------------------
 
-def _execute(rhs, gfun, dfun, reset_packed, t0, y0, t_end, opts: SimOptions):
+def _execute(mode, t0, y0, t_end, opts: SimOptions):
     """Drive the hybrid loop in packed coordinates.
 
-    gfun/dfun: (t, y) -> float. reset_packed: (tau, y_pre) -> y_post,
-    performing its own validation. Returns (arcs, raw_events,
-    termination) where raw events are (tau, y_pre, y_post, residual).
+    mode: (rhs, gfun, dfun, reset) with gfun/dfun: (t, y) -> float and
+    reset: (tau, y_pre) -> (y_post, next_mode), performing its own
+    validation; the arc after the impact runs in next_mode. Returns
+    (arcs, raw_events, termination) where raw events are
+    (tau, y_pre, y_post, residual).
     """
     t = float(t0)
     y = np.asarray(y0, float).copy()
@@ -184,9 +192,9 @@ def _execute(rhs, gfun, dfun, reset_packed, t0, y0, t_end, opts: SimOptions):
     raw_events = []
     termination = None
     prev_dwell = None
-    n_interior = max(1, opts.scan_points)
 
     while True:
+        rhs, gfun, dfun, reset = mode
         max_step = opts.max_step
         if prev_dwell is not None and opts.post_impact_step_factor is not None:
             ceiling = max(opts.post_impact_step_factor * prev_dwell,
@@ -215,7 +223,7 @@ def _execute(rhs, gfun, dfun, reset_packed, t0, y0, t_end, opts: SimOptions):
                     raise IntegrationFailure(
                         f"guard jump {dg:.3e} over step {step_h:.3e} "
                         f"exceeds continuity bound")
-            ts = np.linspace(solver.t_old, solver.t, n_interior + 2)
+            ts = np.linspace(solver.t_old, solver.t, SCAN_POINTS + 2)
             gs = np.array([gfun(tt, dense(tt)) for tt in ts])
             for i in range(len(ts) - 1):
                 if not armed and gs[i] < -ARM_TOL:
@@ -264,7 +272,7 @@ def _execute(rhs, gfun, dfun, reset_packed, t0, y0, t_end, opts: SimOptions):
             raise IntegrationFailure(
                 f"guard residual {residual:.3e} at located impact exceeds "
                 f"tolerance; event refinement failed")
-        ypost = reset_packed(tau, ypre)
+        ypost, mode = reset(tau, ypre)
         raw_events.append((tau, ypre.copy(), ypost.copy(), residual))
         prev_dwell = tau - (raw_events[-2][0] if len(raw_events) > 1 else t0)
 
@@ -327,6 +335,26 @@ def simulate(hs: HybridSystem, s0: State, t_end: float,
     """
     opts = opts or SimOptions()
     n = hs.system.dim
+    gfun, dfun = _packed_guard(hs)
+    y0 = hs.system.pack(s0)
+    _check_start(gfun, dfun, s0.t, y0, opts)
+
+    def reset(tau, ypre):
+        pre = State(tau, ypre[:n], ypre[n:])
+        post = hs.reset.apply(pre)
+        _validate_reset(pre, post, gfun, dfun)
+        return hs.system.pack(post), mode
+
+    mode = (hs.system.rhs, gfun, dfun, reset)
+    arcs, raw, termination = _execute(mode, s0.t, y0, t_end, opts)
+    flow = HybridFlow(arcs, _events(raw, n), termination, opts)
+    _maybe_raise(flow, opts)
+    return flow
+
+
+def _packed_guard(hs: HybridSystem):
+    """Guard surface and direction of `hs` on packed (t, y) states."""
+    n = hs.system.dim
 
     def gfun(t, y):
         return hs.guard.surface(State(t, y[:n], y[n:]))
@@ -334,8 +362,14 @@ def simulate(hs: HybridSystem, s0: State, t_end: float,
     def dfun(t, y):
         return hs.guard.direction(State(t, y[:n], y[n:]))
 
-    g0 = gfun(s0.t, hs.system.pack(s0))
-    d0 = dfun(s0.t, hs.system.pack(s0))
+    return gfun, dfun
+
+
+def _check_start(gfun, dfun, t, y, opts: SimOptions):
+    """Raise InvalidStart unless (t, y) is strictly inside the guard or on
+    it and leaving."""
+    g0 = gfun(t, y)
+    d0 = dfun(t, y)
     slope0 = max(1.0, abs(d0))
     if g0 > opts.guard_tol * slope0 or (abs(g0) <= opts.guard_tol * slope0
                                         and g0 > -ARM_TOL and d0 >= 0.0):
@@ -343,31 +377,24 @@ def simulate(hs: HybridSystem, s0: State, t_end: float,
             f"initial state has g={g0:.3e}, d={d0:.3e}; start strictly "
             f"inside the admissible region or leaving the guard")
 
-    def reset_packed(tau, ypre):
-        pre = State(tau, ypre[:n], ypre[n:])
-        post = hs.reset.apply(pre)
-        if opts.validate_resets:
-            _validate_reset(hs, pre, post, gfun, dfun, n)
-        return hs.system.pack(post)
 
-    arcs, raw, termination = _execute(hs.system.rhs, gfun, dfun, reset_packed,
-                                      s0.t, hs.system.pack(s0), t_end, opts)
-    events = [Event(tau, State(tau, ypre[:n], ypre[n:]),
-                    State(tau, ypost[:n], ypost[n:]), res)
-              for tau, ypre, ypost, res in raw]
-    flow = HybridFlow(arcs, events, termination, opts)
-    _maybe_raise(flow, opts)
-    return flow
+def _events(raw, n):
+    """Event records of raw executor events on n-dimensional states."""
+    return [Event(tau, State(tau, ypre[:n], ypre[n:]),
+                  State(tau, ypost[:n], ypost[n:]), res)
+            for tau, ypre, ypost, res in raw]
 
 
-def _validate_reset(hs, pre: State, post: State, gfun, dfun, n):
+def _validate_reset(pre: State, post: State, gfun, dfun):
+    """Check a post-impact state against the guard it continues under."""
     if post.t != pre.t:
         raise InvalidReset(
             f"reset changed time {pre.t!r} -> {post.t!r}; resets must "
             f"preserve t")
     if not post.is_finite():
         raise InvalidReset("reset produced a non-finite state")
-    ypost = hs.system.pack(post)
+    n = post.q.size
+    ypost = np.concatenate([post.q, post.v])
     d_post = dfun(post.t, ypost)
     if d_post <= 0.0:
         return
@@ -396,49 +423,44 @@ def _maybe_raise(flow: HybridFlow, opts: SimOptions):
             f"integrator step collapse at t={flow.t_final:.6g}", flow=flow)
 
 
-def locate_event(hs: HybridSystem, bracket, opts: Optional[SimOptions] = None,
-                 scan_samples: int = 64) -> State:
-    """Locate the guard crossing between two states on one arc.
+def locate_event(hs: HybridSystem, bracket,
+                 opts: Optional[SimOptions] = None) -> State:
+    """Locate the first guard crossing between two states on one arc.
 
-    The arc is re-integrated from the left state to the right state's
-    time; the crossing is bracketed on a dense sample of the guard and
-    refined with Brent's method. Raises BracketInvalid when no crossing
-    exists, DirectionRejected when the crossing has negative direction.
+    The arc is executed from the left state up to the right state's time,
+    stopping at the first upward crossing of the guard whatever its
+    direction. A left state exactly on the guard is its own crossing.
+    Raises BracketInvalid when no crossing exists, DirectionRejected when
+    the crossing has negative direction.
     """
     opts = opts or SimOptions()
     sa, sb = bracket
     if sb.t < sa.t:
         raise BracketInvalid("bracket must satisfy sa.t <= sb.t")
     n = hs.system.dim
+    gfun, dfun = _packed_guard(hs)
+    ya = hs.system.pack(sa)
+    ga = gfun(sa.t, ya)
+    if ga == 0.0:
+        # the scan arms only once the guard drops below -ARM_TOL
+        tau, y = sa.t, ya
+    else:
+        def stop(tau, y):
+            return y, mode
 
-    def gfun(t, y):
-        return hs.guard.surface(State(t, y[:n], y[n:]))
-
-    sol = integrate_smooth(hs.system.rhs, sa.t, hs.system.pack(sa), sb.t,
-                           rtol=opts.rtol, atol=opts.atol,
-                           max_step=opts.max_step)
-    ts = np.linspace(sa.t, sb.t, scan_samples + 1)
-    gs = np.array([gfun(tt, sol(tt)) for tt in ts])
-    pair = None
-    for i in range(len(ts) - 1):
-        if gs[i] <= 0.0 and gs[i + 1] > 0.0:
-            pair = (ts[i], ts[i + 1])
-            break
-    if pair is None:
-        if gs[0] <= 0.0 < gs[-1]:
-            pair = (ts[0], ts[-1])
-        else:
+        # |d| admits every crossing and keeps the residual check's slope
+        mode = (hs.system.rhs, gfun, lambda t, y: abs(dfun(t, y)), stop)
+        arcs, raw, termination = _execute(mode, sa.t, ya, sb.t,
+                                          replace(opts, max_impacts=1))
+        if termination == TERM_FAILURE:
+            raise IntegrationFailure(
+                f"integrator step collapse at t={arcs[-1].t_end:.6g}")
+        if not raw:
             raise BracketInvalid(
                 f"no sign change of the guard in [{sa.t:.6g}, {sb.t:.6g}] "
-                f"(g: {gs[0]:.3e} -> {gs[-1]:.3e})")
-    ga = gfun(pair[0], sol(pair[0]))
-    if ga == 0.0:
-        tau = pair[0]
-    else:
-        tau = float(brentq(lambda tt: gfun(tt, sol(tt)), pair[0], pair[1],
-                           xtol=min(opts.event_tol, REFINE_XTOL),
-                           rtol=BRENT_RTOL))
-    y = sol(tau)
+                f"(g: {ga:.3e} -> "
+                f"{gfun(sb.t, arcs[-1].states[-1]):.3e})")
+        tau, y = raw[0][0], raw[0][1]
     pre = State(tau, y[:n], y[n:])
     if hs.guard.direction(pre) < 0.0:
         raise DirectionRejected(
@@ -501,9 +523,10 @@ def check_hybrid_equivalence(hs: HybridSystem, s0: State, t_end: float,
         return s
 
     def rhs_h(t, y):
-        s = to_state(t, y)
-        dp = np.asarray(sys.dL_dq(s.t, s.q, s.v), float)
-        return np.concatenate([s.v, dp])
+        dq, dp = sys.hamiltonian_field(CoState(t, y[:n], y[n:]),
+                                       v0=warm["v"])
+        warm["v"] = dq
+        return np.concatenate([dq, dp])
 
     def gfun_h(t, y):
         return hs.guard.surface(to_state(t, y))
@@ -517,12 +540,13 @@ def check_hybrid_equivalence(hs: HybridSystem, s0: State, t_end: float,
         if post.t != pre.t:
             raise InvalidReset("conjugated reset must preserve t")
         cs = sys.legendre(post)
-        return np.concatenate([cs.q, cs.p])
+        return np.concatenate([cs.q, cs.p]), mode_h
 
+    mode_h = (rhs_h, gfun_h, dfun_h, reset_h)
     cs0 = sys.legendre(s0)
-    arcs_h, raw_h, term_h = _execute(rhs_h, gfun_h, dfun_h, reset_h,
-                                     cs0.t, np.concatenate([cs0.q, cs0.p]),
-                                     t_end, opts)
+    arcs_h, raw_h, term_h = _execute(mode_h, cs0.t,
+                                     np.concatenate([cs0.q, cs0.p]), t_end,
+                                     opts)
 
     worst = 0.0
     for arc_l, arc_h in zip(flow_l.arcs, arcs_h):
@@ -554,3 +578,46 @@ def check_hybrid_equivalence(hs: HybridSystem, s0: State, t_end: float,
     return HybridEquivalenceReport(passed, worst, ev_delta, n_l, n_h,
                                    (flow_l.termination, term_h), tol,
                                    event_time_tol)
+
+
+@dataclass
+class FlowEquivalenceReport:
+    """Outcome of the velocity-side vs momentum-side flow comparison."""
+
+    passed: bool
+    max_discrepancy: float
+    tol: float
+    t_span: tuple
+
+    def __str__(self):
+        status = "pass" if self.passed else "FAIL"
+        return (f"flow equivalence: {status} "
+                f"(max discrepancy {self.max_discrepancy:.3e}, tol {self.tol:.1e}, "
+                f"t in [{self.t_span[0]:.3g}, {self.t_span[1]:.3g}])")
+
+
+def check_flow_equivalence(sys: LagrangianSystem, s0: State, t_end: float,
+                           tol: float = 1e-6) -> FlowEquivalenceReport:
+    """Integrate both evolution fields and compare them under the fiber
+    derivative.
+
+    This is `check_hybrid_equivalence` on `sys` under a guard that never
+    triggers, with default step control on both sides. The report holds
+    the maximum over the union of both step grids of the componentwise
+    difference between the mapped velocity-side state and the
+    momentum-side state.
+    """
+    if t_end < s0.t:
+        raise ValueError("t_end must be >= s0.t")
+    rep = check_hybrid_equivalence(_inert_hybrid(sys), s0, t_end, tol=tol,
+                                   grid_per_arc=0)
+    return FlowEquivalenceReport(rep.passed, rep.max_state_discrepancy, tol,
+                                 (s0.t, t_end))
+
+
+def _inert_hybrid(system: LagrangianSystem) -> HybridSystem:
+    """`system` under a guard that never triggers and an identity reset."""
+    return HybridSystem(system=system,
+                        guard=Guard(surface=lambda s: -1.0,
+                                    direction=lambda s: -1.0),
+                        reset=ResetMap(apply=lambda s: s))

@@ -26,7 +26,6 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import NoConvergence, SingularHessian
-from .integrate import DEFAULT_ATOL, DEFAULT_RTOL, integrate_smooth
 
 FD_STEP = 1e-6
 NEWTON_TOL = 1e-12
@@ -238,64 +237,3 @@ class LagrangianSystem:
         dq, dv = self.evolution_field(self.unpack(t, y))
         return np.concatenate([dq, dv])
 
-
-@dataclass
-class FlowEquivalenceReport:
-    """Outcome of the velocity-side vs momentum-side flow comparison."""
-
-    passed: bool
-    max_discrepancy: float
-    tol: float
-    t_span: tuple
-    grid_size: int
-
-    def __str__(self):
-        status = "pass" if self.passed else "FAIL"
-        return (f"flow equivalence: {status} "
-                f"(max discrepancy {self.max_discrepancy:.3e}, tol {self.tol:.1e}, "
-                f"t in [{self.t_span[0]:.3g}, {self.t_span[1]:.3g}])")
-
-
-def check_flow_equivalence(sys: LagrangianSystem, s0: State, t_end: float,
-                           tol: float = 1e-6, rtol: float = DEFAULT_RTOL,
-                           atol: float = DEFAULT_ATOL) -> FlowEquivalenceReport:
-    """Integrate both evolution fields and compare them under the fiber
-    derivative.
-
-    The velocity-side field is integrated from s0 and the momentum-side
-    field from its fiber-derivative image, with identical step control.
-    The report holds the maximum over the union of both step grids of
-    the componentwise difference between the mapped velocity-side state
-    and the momentum-side state. Assumes no guard crossings occur.
-    """
-    if t_end < s0.t:
-        raise ValueError("t_end must be >= s0.t")
-    if t_end == s0.t:
-        return FlowEquivalenceReport(True, 0.0, tol, (s0.t, t_end), 1)
-
-    sol_l = integrate_smooth(sys.rhs, s0.t, sys.pack(s0), t_end,
-                             rtol=rtol, atol=atol)
-
-    cs0 = sys.legendre(s0)
-    warm = {"v": s0.v.copy()}
-
-    def rhs_h(t, y):
-        cs = CoState(t, y[:sys.dim], y[sys.dim:])
-        dq, dp = sys.hamiltonian_field(cs, v0=warm["v"])
-        warm["v"] = dq
-        return np.concatenate([dq, dp])
-
-    sol_h = integrate_smooth(rhs_h, cs0.t, np.concatenate([cs0.q, cs0.p]),
-                             t_end, rtol=rtol, atol=atol)
-
-    grid = np.union1d(sol_l.times, sol_h.times)
-    worst = 0.0
-    for t in grid:
-        yl = sol_l(t)
-        yh = sol_h(t)
-        mapped = sys.legendre(sys.unpack(t, yl))
-        worst = max(worst,
-                    float(np.max(np.abs(mapped.q - yh[:sys.dim]))),
-                    float(np.max(np.abs(mapped.p - yh[sys.dim:]))))
-    return FlowEquivalenceReport(worst <= tol, worst, tol, (s0.t, t_end),
-                                 len(grid))

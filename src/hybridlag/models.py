@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import billiard
-from .hybrid import Guard, HybridSystem, ResetMap
+from .hybrid import HybridSystem, _inert_hybrid
 from .lagrangian import LagrangianSystem, State
 from .reduction import CyclicStructure
 
@@ -30,10 +30,6 @@ class ModelBundle:
     hybrid: HybridSystem
     cyclic: Optional[CyclicStructure] = None
     default_initial: Optional[State] = None
-
-
-def _inert_guard() -> Guard:
-    return Guard(surface=lambda s: -1.0, direction=lambda s: -1.0)
 
 
 def free_particle() -> LagrangianSystem:
@@ -74,15 +70,13 @@ def build_model(model_id: str,
                            default_initial=start)
     if model_id == "free-particle":
         sys = free_particle()
-        hs = HybridSystem(system=sys, guard=_inert_guard(),
-                          reset=ResetMap(apply=lambda s: s))
+        hs = _inert_hybrid(sys)
         return ModelBundle(model_id, sys, hs,
                            default_initial=State(0.0, np.zeros(2),
                                                  np.array([1.0, 0.0])))
     if model_id == "harmonic-1d":
         sys = harmonic_1d()
-        hs = HybridSystem(system=sys, guard=_inert_guard(),
-                          reset=ResetMap(apply=lambda s: s))
+        hs = _inert_hybrid(sys)
         return ModelBundle(model_id, sys, hs,
                            default_initial=State(0.0, np.array([1.0]),
                                                  np.zeros(1)))

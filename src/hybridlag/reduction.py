@@ -26,29 +26,35 @@ dL/dtheta_dot = mu, the derivative of the eliminated velocity drops out
 derivatives are the full ones restricted to the embedded state with the
 cyclic components removed; no differencing through the solver is needed.
 
-Impacts that change the momentum are handled by the resequencing run:
-after each impact the cyclic coordinate is reconstructed, the full reset
-is applied to the reconstructed pre-impact state, and a fresh reduced
-system is built at the post-impact momentum.
+Impacts that change the momentum are handled by the resequencing run, a
+single executor run whose reset switches mode (the hybrid Routhian
+reduction of Ames & Sastry, ACC 2006): at each impact the pre-impact
+shape state is lifted at cyclic angle 0, the full reset is applied
+there, and the next arc runs in the reduced system rebuilt at the
+post-impact momentum. The cyclic angle is reconstructed once the run
+ends, over all arcs, each at its own momentum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import NoConvergence, NotInvariant
-from .hybrid import (TERM_MAX_IMPACTS, TERM_ZENO, Arc, Event, Guard,
-                     HybridFlow, HybridSystem, ResetMap, SimOptions,
-                     _maybe_raise, simulate)
+from .hybrid import (Arc, Event, Guard, HybridFlow, HybridSystem, ResetMap,
+                     SimOptions, _check_start, _events, _execute,
+                     _maybe_raise, _packed_guard, _validate_reset)
+# perfbench/tracing.py wraps reduction.simulate, so the name stays here
+from .hybrid import simulate  # noqa: F401
 from .lagrangian import FD_STEP, LagrangianSystem, State
 
 CYCLIC_SOLVE_TOL = 1e-12
 CYCLIC_SOLVE_MAXITER = 50
 DEFAULT_SHIFTS = (0.5, -1.3, 2.0 * math.pi, 17.0)
+PANELS_PER_STEP = 8  # Simpson panels per integrator step in reconstruction
 
 
 @dataclass(frozen=True)
@@ -200,15 +206,13 @@ class ReducedHybridSystem:
 class ReconstructedFlow:
     """A reduced flow together with the rebuilt cyclic coordinate.
 
-    theta/theta_dot are aligned with each arc's step grid; fine holds the
-    (times, theta, theta_dot) quadrature grids actually integrated.
-    mu_sequence lists the momentum value active on each arc.
+    theta/theta_dot are aligned with each arc's step grid; mu_sequence
+    lists the momentum value active on each arc.
     """
 
     reduced: HybridFlow
     theta: List[np.ndarray]
     theta_dot: List[np.ndarray]
-    fine: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(repr=False)
     mu_sequence: List[Tuple[int, float]] = field(default_factory=list)
     theta_start: float = 0.0
     max_momentum_residual: float = 0.0
@@ -262,8 +266,8 @@ def routhian(cs: CyclicStructure, mu: float,
                             condition_bound=sys.condition_bound)
 
 
-def reduce(cs: CyclicStructure, mu: float, validate: bool = True,
-           closed_form: bool = True) -> ReducedHybridSystem:
+def reduce(cs: CyclicStructure, mu: float,
+           validate: bool = True) -> ReducedHybridSystem:
     """Build the reduced hybrid system at momentum mu.
 
     The reduced guard evaluates the full guard on the embedded state (at
@@ -284,7 +288,7 @@ def reduce(cs: CyclicStructure, mu: float, validate: bool = True,
         post = cs.full.reset.apply(cs.embed(s.t, s.q, s.v, mu))
         return cs.project_state(post)
 
-    shape = HybridSystem(system=routhian(cs, mu, closed_form=closed_form),
+    shape = HybridSystem(system=routhian(cs, mu),
                          guard=Guard(surface=g_red, direction=d_red),
                          reset=ResetMap(apply=reset_red))
     return ReducedHybridSystem(shape=shape, mu=mu, parent=cs)
@@ -316,7 +320,7 @@ class _ProjectedInterpolant:
 
 
 def reconstruct(cs: CyclicStructure, red: HybridFlow, mu0: float,
-                theta0: float, panels_per_step: int = 8) -> ReconstructedFlow:
+                theta0: float) -> ReconstructedFlow:
     """Rebuild the cyclic coordinate along a reduced flow at constant
     momentum (the momentum-preserving case).
 
@@ -324,47 +328,43 @@ def reconstruct(cs: CyclicStructure, red: HybridFlow, mu0: float,
     solved cyclic velocity on a refinement of the integrator grid, and is
     continuous across impacts (impacts leave the configuration alone).
     """
-    mus = [mu0] * len(red.arcs)
-    theta, theta_dot, fine, resid = _reconstruct_arcs(cs, red.arcs, mus,
-                                                      theta0, panels_per_step)
-    mu_seq = [(k, mu0) for k in range(len(red.arcs))]
-    return ReconstructedFlow(red, theta, theta_dot, fine, mu_seq, theta0,
-                             resid)
+    n_arcs = len(red.arcs)
+    theta, theta_dot, resid = _reconstruct_arcs(
+        cs, red.arcs, [mu0] * n_arcs, [theta0] + [0.0] * (n_arcs - 1))
+    return ReconstructedFlow(red, theta, theta_dot,
+                             [(k, mu0) for k in range(n_arcs)], theta0, resid)
 
 
 def _reconstruct_arcs(cs: CyclicStructure, arcs: Sequence[Arc],
-                      mus: Sequence[float], theta0: float,
-                      panels_per_step: int):
+                      mus: Sequence[float], jumps: Sequence[float]):
+    """Cyclic angle and velocity on each arc's step grid.
+
+    Arc k is integrated at momentum mus[k], starting from the angle the
+    previous arc ended at plus jumps[k] (jumps[0] is the start angle).
+    Returns (theta per arc, theta_dot per arc, worst momentum residual).
+    """
     m = cs.dim_reduced
-    theta_arcs, theta_dot_arcs, fine_arcs = [], [], []
-    acc = theta0
+    stride = 2 * PANELS_PER_STEP
+    theta_arcs, theta_dot_arcs = [], []
+    acc = 0.0
     worst = 0.0
-    for arc, mu in zip(arcs, mus):
+    for arc, mu, jump in zip(arcs, mus, jumps):
         times = arc.times
-        fine = [times[0]]
-        anchors = [0]
-        for i in range(len(times) - 1):
-            if times[i + 1] > times[i]:
-                seg = np.linspace(times[i], times[i + 1],
-                                  2 * panels_per_step + 1)
-                fine.extend(seg[1:])
-            anchors.append(len(fine) - 1)
-        fine = np.asarray(fine)
+        fine = np.concatenate(
+            [times[:1]] + [np.linspace(a, b, stride + 1)[1:]
+                           for a, b in zip(times[:-1], times[1:])])
         thd = np.empty_like(fine)
         for k, t in enumerate(fine):
             y = arc(t)
             thd[k] = cs.solve_cyclic_velocity(t, y[:m], y[m:], mu)
+        # Simpson pairs advance on the even indices, so every stride-th
+        # point (a step-grid time) carries the angle
         th = np.empty_like(fine)
-        th[0] = acc
+        th[0] = acc + jump
         for k in range(0, len(fine) - 2, 2):
             h = fine[k + 2] - fine[k]
             seg = h / 6.0 * (thd[k] + 4.0 * thd[k + 1] + thd[k + 2])
-            # trapezoid for the interior half-point; quadrature advances on
-            # full Simpson pairs
-            th[k + 1] = th[k] + (fine[k + 1] - fine[k]) * 0.5 * (thd[k] + thd[k + 1])
             th[k + 2] = th[k] + seg
-        if len(fine) % 2 == 0 and len(fine) > 1:
-            th[-1] = th[-2] + (fine[-1] - fine[-2]) * 0.5 * (thd[-2] + thd[-1])
         acc = th[-1]
         # verify the rebuilt full states sit on the momentum level set
         for k in (0, len(fine) // 2, len(fine) - 1):
@@ -372,87 +372,57 @@ def _reconstruct_arcs(cs: CyclicStructure, arcs: Sequence[Arc],
             s_full = State(fine[k], cs.insert(y[:m], th[k]),
                            cs.insert(y[m:], thd[k]))
             worst = max(worst, abs(cs.momentum_value(s_full) - mu))
-        idx = np.asarray(anchors)
-        theta_arcs.append(th[idx])
-        theta_dot_arcs.append(thd[idx])
-        fine_arcs.append((fine, th, thd))
-    return theta_arcs, theta_dot_arcs, fine_arcs, worst
+        theta_arcs.append(th[::stride].copy())
+        theta_dot_arcs.append(thd[::stride].copy())
+    return theta_arcs, theta_dot_arcs, worst
 
 
 def simulate_resequenced(cs: CyclicStructure, s0: State, t_end: float,
-                         opts: Optional[SimOptions] = None,
-                         panels_per_step: int = 8,
-                         validate: bool = True,
-                         closed_form: bool = True) -> ReconstructedFlow:
-    """Run the reduced dynamics with momentum rebuilt after every impact.
+                         opts: Optional[SimOptions] = None
+                         ) -> ReconstructedFlow:
+    """Run the reduced dynamics with the momentum rebuilt after every
+    impact.
 
-    Pipeline per leg: simulate the current reduced system until its next
-    impact; reconstruct the cyclic coordinate up to the impact time; lift
-    the pre-impact state and apply the full reset there; read the new
-    momentum off the post state; rebuild the reduced system and continue.
-    For momentum-preserving resets the momentum sequence is constant and
-    the run coincides with reducing once and simulating.
+    One executor run on the reduced system at the start momentum. Its
+    reset lifts the pre-impact shape state at cyclic angle 0, applies the
+    full reset there, reads the new momentum off the post state, validates
+    that state against the reduced system rebuilt at the new momentum, and
+    continues in that system. The cyclic angle is then reconstructed over
+    all arcs, carrying any angle jump the resets make. For
+    momentum-preserving resets the momentum sequence is constant and the
+    run coincides with reducing once and simulating.
     """
     opts = opts or SimOptions()
     ci = cs.cyclic_index
-    mu = cs.momentum_value(s0)
-    theta_acc = float(s0.q[ci])
-    t = s0.t
-    x = cs.drop(s0.q)
-    xdot = cs.drop(s0.v)
+    m = cs.dim_reduced
+    mus = [cs.momentum_value(s0)]
+    jumps = [float(s0.q[ci])]
 
-    arcs: List[Arc] = []
-    events: List[Event] = []
-    theta_arcs: List[np.ndarray] = []
-    theta_dot_arcs: List[np.ndarray] = []
-    fine_arcs = []
-    mu_seq: List[Tuple[int, float]] = []
-    worst_resid = 0.0
-    termination = None
-    leg_opts = replace(opts, max_impacts=1, strict=False)
-    first = True
+    def mode_at(mu, validate=False):
+        shape = reduce(cs, mu, validate=validate).shape
+        gfun, dfun = _packed_guard(shape)
 
-    while True:
-        red = reduce(cs, mu, validate=(validate and first),
-                     closed_form=closed_form)
-        first = False
-        leg = simulate(red.shape, State(t, x, xdot), t_end, leg_opts)
-        arc = leg.arcs[0]
-        th_a, thd_a, fine_a, resid = _reconstruct_arcs(cs, [arc], [mu],
-                                                       theta_acc,
-                                                       panels_per_step)
-        arcs.append(arc)
-        theta_arcs += th_a
-        theta_dot_arcs += thd_a
-        fine_arcs += fine_a
-        mu_seq.append((len(arcs) - 1, mu))
-        worst_resid = max(worst_resid, resid)
-        theta_acc = float(th_a[0][-1])
+        def reset(tau, ypre):
+            pre = State(tau, ypre[:m], ypre[m:])
+            post_full = cs.full.reset.apply(cs.embed(tau, pre.q, pre.v, mu))
+            mu_next = cs.momentum_value(post_full)
+            post = cs.project_state(post_full)
+            nxt = mode_at(mu_next)
+            _validate_reset(pre, post, nxt[1], nxt[2])
+            mus.append(mu_next)
+            jumps.append(float(post_full.q[ci]))
+            return np.concatenate([post.q, post.v]), nxt
 
-        if not leg.events:
-            termination = leg.termination
-            break
-        ev = leg.events[0]
-        if events and ev.tau - events[-1].tau < opts.min_dwell:
-            termination = TERM_ZENO
-            break
-        # lift the pre-impact state at the reconstructed angle and apply
-        # the full reset there; the post momentum drives the next leg
-        pre_full = cs.embed(ev.tau, ev.pre.q, ev.pre.v, mu, theta=theta_acc)
-        post_full = cs.full.reset.apply(pre_full)
-        mu_next = cs.momentum_value(post_full)
-        post_red = cs.project_state(post_full)
-        events.append(Event(ev.tau, ev.pre, post_red, ev.guard_residual))
-        theta_acc = float(post_full.q[ci])
-        if len(events) >= opts.max_impacts:
-            termination = TERM_MAX_IMPACTS
-            break
-        t = ev.tau
-        x = post_red.q
-        xdot = post_red.v
-        mu = mu_next
+        return shape.system.rhs, gfun, dfun, reset
 
-    reduced_flow = HybridFlow(arcs, events, termination, opts)
-    _maybe_raise(reduced_flow, opts)
-    return ReconstructedFlow(reduced_flow, theta_arcs, theta_dot_arcs,
-                             fine_arcs, mu_seq, float(s0.q[ci]), worst_resid)
+    mode = mode_at(mus[0], validate=True)
+    start = cs.project_state(s0)
+    y0 = np.concatenate([start.q, start.v])
+    _check_start(mode[1], mode[2], s0.t, y0, opts)
+    arcs, raw, termination = _execute(mode, s0.t, y0, t_end, opts)
+    reduced = HybridFlow(arcs, _events(raw, m), termination, opts)
+    _maybe_raise(reduced, opts)
+    mus = mus[:len(arcs)]
+    theta, theta_dot, resid = _reconstruct_arcs(cs, arcs, mus, jumps)
+    return ReconstructedFlow(reduced, theta, theta_dot, list(enumerate(mus)),
+                             float(s0.q[ci]), resid)

@@ -13,9 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import billiard
-from .hybrid import SimOptions, check_hybrid_equivalence, simulate
+from .hybrid import (SimOptions, check_flow_equivalence,
+                     check_hybrid_equivalence, simulate)
 from .io import events_header, trajectory_header
-from .lagrangian import State, check_flow_equivalence
+from .lagrangian import State
 from .models import MODEL_IDS, build_model
 from .reduction import momentum_map
 

@@ -29,6 +29,7 @@ import hybridlag as hl
 from hybridlag import cli
 
 from conftest import sample_states
+from oracles import C025_IMPACT_COUNT
 
 HORIZON = 10.0
 CORE_RADIUS = 0.1
@@ -344,6 +345,25 @@ def test_criterion_7_halving_fixture():
     worst = max(abs(mus[k + 1] / mus[k] - 0.5) for k in range(len(mus) - 1))
     ok = report("criterion 7 halving fixture mu ratios", worst <= 1e-12,
                 f"{len(mus) - 1} impacts, max |ratio - 1/2| {worst:.2e}")
+    assert ok
+
+
+def test_criterion_7_elastic_resequencing_into_zeno(reduction_runs):
+    # resequencing keeps the post-impact step ceiling, so it tracks the
+    # reduce-once run through the impact accumulation
+    sc = hl.get_scenario("paper-c025")
+    _, reduced, _, _ = reduction_runs["paper-c025"]
+    rs = hl.simulate_resequenced(hl.polar_cyclic(sc.params),
+                                 sc.initial_polar, HORIZON)
+    terms = (rs.reduced.termination, reduced.termination)
+    counts = (len(rs.reduced.events), len(reduced.events))
+    m = min(counts)
+    evd = float(np.max(np.abs(rs.reduced.event_times()[:m]
+                              - reduced.event_times()[:m])))
+    ok = report("criterion 7 elastic resequencing into the Zeno regime",
+                terms == ("zeno_suspected",) * 2
+                and counts == (C025_IMPACT_COUNT,) * 2 and evd <= 1e-9,
+                f"terminations {terms}, impacts {counts}, event dt {evd:.2e}")
     assert ok
 
 

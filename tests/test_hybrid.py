@@ -244,6 +244,16 @@ def test_locate_event_bracket_invalid(unit_wall_hybrid):
         hl.locate_event(unit_wall_hybrid, (sa, sb))
 
 
+def test_locate_event_left_state_on_rising_guard(unit_wall_hybrid):
+    # a left state exactly on the guard and moving out is its own crossing
+    sa = hl.State(1.0, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    sb = hl.State(1.5, np.array([1.5, 0.0]), np.array([1.0, 0.0]))
+    assert unit_wall_hybrid.guard.surface(sa) == 0.0
+    ev = hl.locate_event(unit_wall_hybrid, (sa, sb))
+    assert ev.t == sa.t
+    assert np.array_equal(ev.q, sa.q) and np.array_equal(ev.v, sa.v)
+
+
 # ---------------------------------------------------------------------------
 # hybrid correspondence of the two phase-space pictures
 # ---------------------------------------------------------------------------

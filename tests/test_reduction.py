@@ -380,6 +380,19 @@ def test_resequenced_halving_fixture(cyc025, scenario):
         assert mus[k + 1] / mus[k] == pytest.approx(0.5, abs=1e-12)
 
 
+def test_resequenced_rejects_retriggering_reset(cyc025, scenario):
+    # halves the angular velocity but keeps the outward radial velocity,
+    # so the post-impact state runs straight back through the wall
+    def no_bounce(s):
+        return hl.State(s.t, s.q.copy(), np.array([s.v[0], 0.5 * s.v[1]]))
+
+    fixture = dataclasses.replace(
+        cyc025, full=dataclasses.replace(
+            cyc025.full, reset=hl.ResetMap(apply=no_bounce)))
+    with pytest.raises(hl.InvalidReset):
+        hl.simulate_resequenced(fixture, scenario.initial_polar, 5.0)
+
+
 def test_resequenced_no_impacts(cyc025, scenario):
     rs = hl.simulate_resequenced(cyc025, scenario.initial_polar, 0.05)
     assert len(rs.mu_sequence) == 1

@@ -318,10 +318,13 @@ def polar_cyclic(p: BilliardParams) -> CyclicStructure:
     def momentum(s: State) -> float:
         return math.exp(c * s.t / m) * m * s.q[0]**2 * s.v[1]
 
+    # the polar guard reads only t, r and rdot, so it is its own reduced
+    # form at every momentum
     return CyclicStructure(full=polar_hybrid(p), cyclic_index=1,
                            momentum=momentum,
                            cyclic_velocity_solver=solver,
                            routhian_factory=lambda mu: routhian_closed(p, mu),
+                           reduced_guard_factory=lambda mu: guard_polar(p),
                            sample_states=states,
                            guard_sample_states=guard_states)
 
@@ -343,7 +346,8 @@ def analytic_arc(p: BilliardParams, s0: State, dt: float) -> State:
 
 
 class _FlightInterpolant:
-    """Packed closed-form flight state as a function of absolute time."""
+    """Packed closed-form flight state as a function of absolute time;
+    an array of times gives one column per time."""
 
     def __init__(self, p: BilliardParams, t0, q0, v0):
         self.p = p
@@ -352,6 +356,12 @@ class _FlightInterpolant:
         self.v0 = np.asarray(v0, float)
 
     def __call__(self, t):
+        if np.ndim(t) > 0:
+            t = np.asarray(t, float)
+            out = np.empty((2 * self.q0.size, t.size))
+            for i, tt in enumerate(t):
+                out[:, i] = self(tt)
+            return out
         s = analytic_arc(self.p, State(self.t0, self.q0, self.v0), t - self.t0)
         return np.concatenate([s.q, s.v])
 

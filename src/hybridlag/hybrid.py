@@ -4,13 +4,14 @@ resets.
 Every run in the package goes through one loop, `_execute`: full and
 reduced runs, resequenced runs, the momentum-side runs of the
 equivalence checks, and `locate_event`. Each arc is integrated with the
-adaptive Dormand-Prince stepper. After every accepted step the guard
-function is sampled on the step's dense output (endpoints plus
-SCAN_POINTS interior points); a sign change from non-positive to
-positive brackets a candidate crossing, which is refined in time with
-Brent's method on the interpolant. A crossing counts as an impact only
-where the admissibility (direction) function is >= 0; crossings with
-negative direction are skipped and integration continues.
+adaptive Dormand-Prince stepper. After every accepted step the step's
+dense output is evaluated once, as one array call at the endpoints plus
+SCAN_POINTS interior times, and the guard is sampled on those states; a
+sign change from non-positive to positive brackets a candidate crossing,
+which is refined in time with Brent's method on the interpolant. A
+crossing counts as an impact only where the admissibility (direction)
+function is >= 0; crossings with negative direction are skipped and
+integration continues.
 
 The loop runs in a mode (rhs, guard, direction, reset). The reset
 returns the post-impact state together with the mode of the next arc,
@@ -120,13 +121,20 @@ class SimOptions:
 
 @dataclass
 class Arc:
-    """One continuous piece of a hybrid flow."""
+    """One continuous piece of a hybrid flow.
+
+    The interpolant follows the contract of scipy's OdeSolution: a
+    scalar time gives the packed state, shape (2n,); a 1-D array of k
+    times gives the states as columns, shape (2n, k). Column i agrees
+    with the scalar call at the i-th time, up to rounding in the last
+    bit for dense-output arcs.
+    """
 
     t_start: float
     t_end: float
     times: np.ndarray                  # accepted step grid incl. endpoints
     states: np.ndarray                 # packed states on `times`
-    interpolant: Callable[[float], np.ndarray] = field(repr=False)
+    interpolant: Callable[..., np.ndarray] = field(repr=False)
 
     def __call__(self, t):
         return self.interpolant(t)
@@ -215,16 +223,17 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
                 break
             dense = solver.dense_output()
             segments.append(dense)
+            ts = np.linspace(solver.t_old, solver.t, SCAN_POINTS + 2)
+            ys = dense(ts)
+            gs = np.array([gfun(tt, y) for tt, y in zip(ts, ys.T)])
             if np.isfinite(opts.guard_jump_bound):
+                # dense(t_old) is y_old exactly, so gs[0] is the guard there
                 step_h = solver.t - solver.t_old
-                dg = abs(gfun(solver.t, solver.y)
-                         - gfun(solver.t_old, dense(solver.t_old)))
+                dg = abs(gfun(solver.t, solver.y) - gs[0])
                 if dg > opts.guard_jump_bound * max(step_h, 1e-300):
                     raise IntegrationFailure(
                         f"guard jump {dg:.3e} over step {step_h:.3e} "
                         f"exceeds continuity bound")
-            ts = np.linspace(solver.t_old, solver.t, SCAN_POINTS + 2)
-            gs = np.array([gfun(tt, dense(tt)) for tt in ts])
             for i in range(len(ts) - 1):
                 if not armed and gs[i] < -ARM_TOL:
                     armed = True
@@ -303,9 +312,21 @@ def _close_arc(times, states, segments, t_end):
         # an event truncates the last segment; clamp queries to the arc
         interp = _ClampedSolution(sol, times[0], t_end)
     else:
-        y0 = states[0]
-        interp = lambda t: y0.copy()
+        interp = _ConstantInterpolant(states[0])
     return Arc(times[0], t_end, times, states, interp)
+
+
+class _ConstantInterpolant:
+    """Interpolant of an arc that took no step: its start state at every
+    time."""
+
+    def __init__(self, y0):
+        self._y0 = y0
+
+    def __call__(self, t):
+        if np.ndim(t) == 0:
+            return self._y0.copy()
+        return np.repeat(self._y0[:, None], np.size(t), axis=1)
 
 
 class _ClampedSolution:

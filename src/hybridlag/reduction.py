@@ -13,7 +13,9 @@ dL/dtheta_dot = mu (this requires the relation to be solvable in
 theta_dot: regularity in the group velocity). The reduced guard and
 reset are the full ones evaluated at an arbitrary cyclic angle, which is
 well defined exactly because of the invariance/equivariance conditions
-that `CyclicStructure.validate` samples.
+that `CyclicStructure.validate` samples. A structure may carry a closed
+form of the reduced guard, which then replaces the evaluation on the
+embedded state; `validate` checks it against that evaluation.
 
 Only the product-of-shape-space-and-circle (or line) setting with the
 flat connection is implemented; several cyclic coordinates are handled
@@ -32,7 +34,9 @@ reduction of Ames & Sastry, ACC 2006): at each impact the pre-impact
 shape state is lifted at cyclic angle 0, the full reset is applied
 there, and the next arc runs in the reduced system rebuilt at the
 post-impact momentum. The cyclic angle is reconstructed once the run
-ends, over all arcs, each at its own momentum.
+ends, over all arcs, each at its own momentum: each arc's interpolant is
+evaluated once on the whole quadrature grid, and the cyclic velocity
+solved there is integrated by composite Simpson quadrature.
 """
 
 from __future__ import annotations
@@ -71,6 +75,11 @@ class CyclicStructure:
             momentum relation is used when absent.
         routhian_factory: optional closed-form reduced system builder
             mu -> LagrangianSystem of dimension n-1.
+        reduced_guard_factory: optional closed-form reduced guard builder
+            mu -> Guard on shape-space states; `reduce` uses it in place
+            of the full guard on the embedded state. `validate` checks it
+            against that embedded guard on every sample state, at the
+            sample's own momentum.
         sample_states: states used by `validate` for the invariance
             checks of the Lagrangian and guard.
         guard_sample_states: on-guard states used by `validate` for the
@@ -85,6 +94,7 @@ class CyclicStructure:
     cyclic_velocity_solver: Optional[Callable[[float, np.ndarray, np.ndarray,
                                                float], float]] = None
     routhian_factory: Optional[Callable[[float], LagrangianSystem]] = None
+    reduced_guard_factory: Optional[Callable[[float], Guard]] = None
     sample_states: Sequence[State] = ()
     guard_sample_states: Sequence[State] = ()
     shift_amounts: Sequence[float] = DEFAULT_SHIFTS
@@ -103,10 +113,14 @@ class CyclicStructure:
         return self.full.system.dim - 1
 
     def drop(self, vec: np.ndarray) -> np.ndarray:
-        return np.delete(np.asarray(vec, float), self.cyclic_index)
+        vec = np.asarray(vec, float)
+        ci = self.cyclic_index
+        return np.concatenate([vec[:ci], vec[ci + 1:]])
 
     def insert(self, vec: np.ndarray, value: float) -> np.ndarray:
-        return np.insert(np.asarray(vec, float), self.cyclic_index, value)
+        vec = np.asarray(vec, float)
+        ci = self.cyclic_index
+        return np.concatenate([vec[:ci], [float(value)], vec[ci:]])
 
     def shift(self, s: State, amount: float) -> State:
         q = s.q.copy()
@@ -161,13 +175,24 @@ class CyclicStructure:
 
     def validate(self, tol: float = 1e-10):
         """Check cyclic invariance of L, the guard and the reset on the
-        attached sample states. Raises NotInvariant on failure."""
+        attached sample states, and the closed-form reduced guard, when
+        there is one, against the full guard. Raises NotInvariant on
+        failure."""
         sys = self.full.system
         guard = self.full.guard
         for s in self.sample_states:
             base_l = sys.lagrangian(s.t, s.q, s.v)
             base_g = guard.surface(s)
             base_d = guard.direction(s)
+            if self.reduced_guard_factory is not None:
+                red = self.reduced_guard_factory(self.momentum_value(s))
+                x = self.project_state(s)
+                if (abs(red.surface(x) - base_g) > tol * max(1.0, abs(base_g))
+                        or abs(red.direction(x) - base_d)
+                        > tol * max(1.0, abs(base_d))):
+                    raise NotInvariant(
+                        f"closed-form reduced guard disagrees with the full "
+                        f"guard at t={s.t:.6g}")
             scale = max(1.0, abs(base_l))
             for a in self.shift_amounts:
                 sh = self.shift(s, a)
@@ -270,26 +295,31 @@ def reduce(cs: CyclicStructure, mu: float,
            validate: bool = True) -> ReducedHybridSystem:
     """Build the reduced hybrid system at momentum mu.
 
-    The reduced guard evaluates the full guard on the embedded state (at
-    cyclic angle 0, which the validated invariance makes immaterial); the
-    reduced reset applies the full reset there and projects. Raises
-    NotInvariant when the sampled symmetry checks fail.
+    The reduced guard is the structure's closed form when it has one;
+    otherwise it evaluates the full guard on the embedded state (at
+    cyclic angle 0, which the validated invariance makes immaterial). The
+    reduced reset applies the full reset on the embedded state and
+    projects. Raises NotInvariant when the sampled checks fail.
     """
     if validate:
         cs.validate()
 
-    def g_red(s: State) -> float:
-        return cs.full.guard.surface(cs.embed(s.t, s.q, s.v, mu))
+    if cs.reduced_guard_factory is not None:
+        guard = cs.reduced_guard_factory(mu)
+    else:
+        def g_red(s: State) -> float:
+            return cs.full.guard.surface(cs.embed(s.t, s.q, s.v, mu))
 
-    def d_red(s: State) -> float:
-        return cs.full.guard.direction(cs.embed(s.t, s.q, s.v, mu))
+        def d_red(s: State) -> float:
+            return cs.full.guard.direction(cs.embed(s.t, s.q, s.v, mu))
+
+        guard = Guard(surface=g_red, direction=d_red)
 
     def reset_red(s: State) -> State:
         post = cs.full.reset.apply(cs.embed(s.t, s.q, s.v, mu))
         return cs.project_state(post)
 
-    shape = HybridSystem(system=routhian(cs, mu),
-                         guard=Guard(surface=g_red, direction=d_red),
+    shape = HybridSystem(system=routhian(cs, mu), guard=guard,
                          reset=ResetMap(apply=reset_red))
     return ReducedHybridSystem(shape=shape, mu=mu, parent=cs)
 
@@ -316,7 +346,7 @@ class _ProjectedInterpolant:
         self._cols = cols
 
     def __call__(self, t):
-        return np.delete(self._parent(t), self._cols)
+        return np.delete(self._parent(t), self._cols, axis=0)
 
 
 def reconstruct(cs: CyclicStructure, red: HybridFlow, mu0: float,
@@ -353,10 +383,9 @@ def _reconstruct_arcs(cs: CyclicStructure, arcs: Sequence[Arc],
         fine = np.concatenate(
             [times[:1]] + [np.linspace(a, b, stride + 1)[1:]
                            for a, b in zip(times[:-1], times[1:])])
-        thd = np.empty_like(fine)
-        for k, t in enumerate(fine):
-            y = arc(t)
-            thd[k] = cs.solve_cyclic_velocity(t, y[:m], y[m:], mu)
+        ys = arc(fine)
+        thd = np.array([cs.solve_cyclic_velocity(t, y[:m], y[m:], mu)
+                        for t, y in zip(fine, ys.T)])
         # Simpson pairs advance on the even indices, so every stride-th
         # point (a step-grid time) carries the angle
         th = np.empty_like(fine)
@@ -368,9 +397,8 @@ def _reconstruct_arcs(cs: CyclicStructure, arcs: Sequence[Arc],
         acc = th[-1]
         # verify the rebuilt full states sit on the momentum level set
         for k in (0, len(fine) // 2, len(fine) - 1):
-            y = arc(fine[k])
-            s_full = State(fine[k], cs.insert(y[:m], th[k]),
-                           cs.insert(y[m:], thd[k]))
+            s_full = State(fine[k], cs.insert(ys[:m, k], th[k]),
+                           cs.insert(ys[m:, k], thd[k]))
             worst = max(worst, abs(cs.momentum_value(s_full) - mu))
         theta_arcs.append(th[::stride].copy())
         theta_dot_arcs.append(thd[::stride].copy())

@@ -190,6 +190,101 @@ def test_guard_continuity_bound_triggers():
         hl.simulate(jumpy, center_start(), 2.0, opts)
 
 
+def test_scan_evaluates_dense_output_once_per_step(monkeypatch):
+    # the scan makes one array call per accepted step; every other dense
+    # evaluation belongs to a refinement: its left end, each Brent
+    # iterate and the pre-impact state
+    from hybridlag import hybrid
+
+    counts = dict(steps=0, dense=0, brent_evals=0, refines=0)
+
+    class CountedDense:
+        def __init__(self, inner):
+            self._inner = inner
+
+        def __getattr__(self, name):
+            return getattr(self._inner, name)
+
+        def __call__(self, t):
+            counts["dense"] += 1
+            return self._inner(t)
+
+    class CountedRK45(hybrid.RK45):
+        def step(self):
+            msg = super().step()
+            if self.status != "failed":
+                counts["steps"] += 1
+            return msg
+
+        def dense_output(self):
+            return CountedDense(super().dense_output())
+
+    brentq = hybrid.brentq
+
+    def counted_brentq(f, a, b, *args, **kwargs):
+        def counted(x, *fargs):
+            counts["brent_evals"] += 1
+            return f(x, *fargs)
+        counts["refines"] += 1
+        return brentq(counted, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(hybrid, "RK45", CountedRK45)
+    monkeypatch.setattr(hybrid, "brentq", counted_brentq)
+    sc = hl.get_scenario("paper-c025")
+    flow = hl.simulate(hl.polar_hybrid(sc.params), sc.initial_polar, 2.0)
+    assert flow.events and counts["refines"] >= len(flow.events)
+    assert counts["dense"] == (counts["steps"] + counts["brent_evals"]
+                               + 2 * counts["refines"])
+
+
+# ---------------------------------------------------------------------------
+# the array contract of arc interpolants
+# ---------------------------------------------------------------------------
+
+def _simulated_polar_arc():
+    sc = hl.get_scenario("paper-c025")
+    return hl.simulate(hl.polar_hybrid(sc.params), sc.initial_polar,
+                       2.0).arcs[1]
+
+
+def _zero_step_arc():
+    flow = hl.simulate(hl.cartesian_hybrid(static_billiard()),
+                       center_start(), 0.0)
+    return flow.arcs[0]
+
+
+def _projected_arc():
+    sc = hl.get_scenario("paper-c025")
+    cyc = hl.polar_cyclic(sc.params)
+    flow = hl.simulate(cyc.full, sc.initial_polar, 2.0)
+    return hl.project(cyc, flow).arcs[1]
+
+
+def _reference_arc():
+    sc = hl.get_scenario("paper-c025")
+    return hl.reference_flow(sc.params, sc.initial_cartesian, 2.0).arcs[1]
+
+
+@pytest.mark.parametrize("build, dim, exact", [
+    (_simulated_polar_arc, 2, False),
+    (_zero_step_arc, 2, True),
+    (_projected_arc, 1, False),
+    (_reference_arc, 2, True),
+], ids=["simulated", "zero-step", "projected", "reference"])
+def test_arc_interpolant_array_contract(build, dim, exact):
+    arc = build()
+    ts = np.linspace(arc.t_start, arc.t_end, 7)
+    cols = arc(ts)
+    assert cols.shape == (2 * dim, ts.size)
+    for i, t in enumerate(ts):
+        y = arc(t)
+        assert y.shape == (2 * dim,)
+        if exact:
+            assert np.array_equal(cols[:, i], y)
+        else:
+            assert np.max(np.abs(cols[:, i] - y)) <= 1e-15 * np.max(np.abs(y))
+
+
 # ---------------------------------------------------------------------------
 # locate_event
 # ---------------------------------------------------------------------------

@@ -190,6 +190,29 @@ def test_reduce_rejects_non_equivariant_reset(cyc025):
         hl.reduce(cs, -0.9)
 
 
+def test_reduce_rejects_wrong_closed_form_guard(cyc025):
+    wall, rate = hl.static_wall(1.0)
+    other = hl.guard_polar(hl.BilliardParams(c=0.25, wall=wall,
+                                             wall_rate=rate))
+    cs = dataclasses.replace(cyc025, reduced_guard_factory=lambda mu: other)
+    with pytest.raises(hl.NotInvariant):
+        hl.reduce(cs, -0.9)
+
+
+def test_closed_form_guard_run_matches_embedded_guard(cyc025, scenario):
+    mu = hl.momentum_map(cyc025, scenario.initial_polar)
+    s0r = cyc025.project_state(scenario.initial_polar)
+    embedded = dataclasses.replace(cyc025, reduced_guard_factory=None)
+    closed = hl.simulate(hl.reduce(cyc025, mu).shape, s0r, 3.0)
+    generic = hl.simulate(hl.reduce(embedded, mu).shape, s0r, 3.0)
+    assert closed.events
+    assert np.array_equal(closed.event_times(), generic.event_times())
+    assert len(closed.arcs) == len(generic.arcs)
+    for arc_c, arc_g in zip(closed.arcs, generic.arcs):
+        assert np.array_equal(arc_c.times, arc_g.times)
+        assert np.array_equal(arc_c.states, arc_g.states)
+
+
 def test_reduce_free_particle_zero_momentum():
     # radial free motion: with mu = 0 the reduced system is force-free
     wall, rate = hl.static_wall(100.0)
@@ -254,7 +277,8 @@ def test_reconstruct_constant_radius_closed_form(cyc025):
     times = np.linspace(0.0, 2.0, 9)
     states = np.column_stack([np.full(9, r0), np.zeros(9)])
     arc = hl.Arc(0.0, 2.0, times, states,
-                 lambda t: np.array([r0, 0.0]))
+                 lambda t: np.array([np.full(np.shape(t), r0),
+                                     np.zeros(np.shape(t))]))
     flow = hl.HybridFlow([arc], [], "horizon_reached", hl.SimOptions())
     rec = hl.reconstruct(cyc, flow, mu, theta0)
     expected = theta0 + mu * 2.0 / (r0 * r0)

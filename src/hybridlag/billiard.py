@@ -182,15 +182,15 @@ def polar_system(p: BilliardParams) -> LagrangianSystem:
 def guard_cartesian(p: BilliardParams) -> Guard:
     f, fdot = p.wall, p.wall_rate
 
-    def surface(s: State) -> float:
-        return float(s.q @ s.q) - f(s.t)
+    def surface(t, q, v) -> float:
+        return float(q @ q) - f(t)
 
     if p.direction_mode == "co-moving":
-        def direction(s: State) -> float:
-            return 2.0 * float(s.q @ s.v) - fdot(s.t)
+        def direction(t, q, v) -> float:
+            return 2.0 * float(q @ v) - fdot(t)
     else:
-        def direction(s: State) -> float:
-            return float(s.q @ s.v)
+        def direction(t, q, v) -> float:
+            return float(q @ v)
 
     return Guard(surface=surface, direction=direction)
 
@@ -198,15 +198,15 @@ def guard_cartesian(p: BilliardParams) -> Guard:
 def guard_polar(p: BilliardParams) -> Guard:
     f, fdot = p.wall, p.wall_rate
 
-    def surface(s: State) -> float:
-        return s.q[0]**2 - f(s.t)
+    def surface(t, q, v) -> float:
+        return q[0]**2 - f(t)
 
     if p.direction_mode == "co-moving":
-        def direction(s: State) -> float:
-            return 2.0 * s.q[0] * s.v[0] - fdot(s.t)
+        def direction(t, q, v) -> float:
+            return 2.0 * q[0] * v[0] - fdot(t)
     else:
-        def direction(s: State) -> float:
-            return s.q[0] * s.v[0]
+        def direction(t, q, v) -> float:
+            return q[0] * v[0]
 
     return Guard(surface=surface, direction=direction)
 
@@ -315,13 +315,9 @@ def polar_cyclic(p: BilliardParams) -> CyclicStructure:
     def solver(t, x, xdot, mu):
         return math.exp(-c * t / m) * mu / (m * x[0] ** 2)
 
-    def momentum(s: State) -> float:
-        return math.exp(c * s.t / m) * m * s.q[0]**2 * s.v[1]
-
     # the polar guard reads only t, r and rdot, so it is its own reduced
     # form at every momentum
     return CyclicStructure(full=polar_hybrid(p), cyclic_index=1,
-                           momentum=momentum,
                            cyclic_velocity_solver=solver,
                            routhian_factory=lambda mu: routhian_closed(p, mu),
                            reduced_guard_factory=lambda mu: guard_polar(p),
@@ -384,8 +380,9 @@ def reference_flow(p: BilliardParams, s0: State, t_end: float,
     guard = guard_cartesian(p)
     reset = reset_cartesian(p)
 
-    g0 = guard.surface(s0)
-    if g0 > opts.guard_tol * max(1.0, abs(guard.direction(s0))):
+    g0 = guard.surface(s0.t, s0.q, s0.v)
+    if g0 > opts.guard_tol * max(1.0, abs(guard.direction(s0.t, s0.q,
+                                                          s0.v))):
         raise InvalidStart(f"reference start outside the wall (g={g0:.3e})")
     t, q, v = s0.t, s0.q.copy(), s0.v.copy()
     arcs: List[Arc] = []
@@ -406,7 +403,7 @@ def reference_flow(p: BilliardParams, s0: State, t_end: float,
         tau = _next_crossing(phi, dphi, t, t_end, opts.event_tol)
         if tau is not None:
             y = flight(tau)
-            if guard.direction(State(tau, y[:2], y[2:])) < 0.0:
+            if guard.direction(tau, y[:2], y[2:]) < 0.0:
                 # inadmissible crossing: the flight leaves the region and,
                 # by convexity, never returns on this arc
                 tau = None
@@ -424,7 +421,8 @@ def reference_flow(p: BilliardParams, s0: State, t_end: float,
         y = flight(tau)
         pre = State(tau, y[:2], y[2:])
         post = reset.apply(pre)
-        events.append(Event(tau, pre, post, abs(guard.surface(pre))))
+        events.append(Event(tau, pre, post,
+                            abs(guard.surface(tau, pre.q, pre.v))))
         if len(events) >= opts.max_impacts:
             termination = TERM_MAX_IMPACTS
             break

@@ -30,7 +30,7 @@ Two safeguards shape the behaviour in impact-accumulation regimes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Optional
 
 import numpy as np
 from scipy.integrate import RK45, OdeSolution
@@ -56,14 +56,18 @@ SCAN_POINTS = 8      # interior dense-output guard samples per accepted step
 class Guard:
     """Switching surface: zero set of `surface` filtered by `direction`.
 
-    surface: signed scalar g(state); the admissible region is g < 0 and
-        impacts occur on upward crossings of g = 0.
-    direction: admissibility d(state); a crossing is an impact iff
+    Both functions are defined on the extended space R x TQ and take
+    (t, q, v) -> float, like the Lagrangian. The executor calls them on
+    views of its packed state, which they must not modify.
+
+    surface: signed scalar g(t, q, v); the admissible region is g < 0
+        and impacts occur on upward crossings of g = 0.
+    direction: admissibility d(t, q, v); a crossing is an impact iff
         d >= 0 there (closed inequality: grazing counts).
     """
 
-    surface: Callable[[State], float]
-    direction: Callable[[State], float]
+    surface: Callable[[float, np.ndarray, np.ndarray], float]
+    direction: Callable[[float, np.ndarray, np.ndarray], float]
 
 
 @dataclass(frozen=True)
@@ -139,17 +143,14 @@ class Arc:
     def __call__(self, t):
         return self.interpolant(t)
 
-    def contains(self, t, slack=1e-12):
-        return self.t_start - slack <= t <= self.t_end + slack
-
 
 @dataclass
 class Event:
     """Record of one impact."""
 
     tau: float
-    pre: Union[State, CoState]
-    post: Union[State, CoState]
+    pre: State
+    post: State
     guard_residual: float
 
 
@@ -167,16 +168,6 @@ class HybridFlow:
     def t_final(self):
         return self.arcs[-1].t_end if self.arcs else None
 
-    def arc_at(self, t):
-        for k, arc in enumerate(self.arcs):
-            if arc.contains(t):
-                return k
-        raise ValueError(f"t={t} outside the executed flow")
-
-    def eval(self, t):
-        """Packed state at time t (first arc containing t)."""
-        return self.arcs[self.arc_at(t)](t)
-
     def event_times(self):
         return np.array([e.tau for e in self.events])
 
@@ -188,7 +179,8 @@ class HybridFlow:
 def _execute(mode, t0, y0, t_end, opts: SimOptions):
     """Drive the hybrid loop in packed coordinates.
 
-    mode: (rhs, gfun, dfun, reset) with gfun/dfun: (t, y) -> float and
+    mode: (rhs, gfun, dfun, reset) with rhs: (t, y) -> y',
+    gfun/dfun: (t, q, v) -> float on the halves of y, and
     reset: (tau, y_pre) -> (y_post, next_mode), performing its own
     validation; the arc after the impact runs in next_mode. Returns
     (arcs, raw_events, termination) where raw events are
@@ -196,6 +188,7 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
     """
     t = float(t0)
     y = np.asarray(y0, float).copy()
+    n = y.size // 2
     arcs: List[Arc] = []
     raw_events = []
     termination = None
@@ -210,7 +203,7 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
             max_step = min(max_step, ceiling)
         solver = RK45(rhs, t, y, t_bound=t_end, rtol=opts.rtol,
                       atol=opts.atol, max_step=max_step)
-        armed = gfun(t, y) < -ARM_TOL
+        armed = gfun(t, y[:n], y[n:]) < -ARM_TOL
         arc_times = [t]
         arc_states = [y.copy()]
         segments = []
@@ -225,11 +218,12 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
             segments.append(dense)
             ts = np.linspace(solver.t_old, solver.t, SCAN_POINTS + 2)
             ys = dense(ts)
-            gs = np.array([gfun(tt, y) for tt, y in zip(ts, ys.T)])
+            gs = np.array([gfun(tt, yy[:n], yy[n:])
+                           for tt, yy in zip(ts, ys.T)])
             if np.isfinite(opts.guard_jump_bound):
                 # dense(t_old) is y_old exactly, so gs[0] is the guard there
                 step_h = solver.t - solver.t_old
-                dg = abs(gfun(solver.t, solver.y) - gs[0])
+                dg = abs(gfun(solver.t, solver.y[:n], solver.y[n:]) - gs[0])
                 if dg > opts.guard_jump_bound * max(step_h, 1e-300):
                     raise IntegrationFailure(
                         f"guard jump {dg:.3e} over step {step_h:.3e} "
@@ -238,10 +232,10 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
                 if not armed and gs[i] < -ARM_TOL:
                     armed = True
                 if armed and gs[i] <= 0.0 and gs[i + 1] > 0.0:
-                    tau = _refine_crossing(gfun, dense, ts[i], ts[i + 1],
-                                           opts.event_tol)
+                    tau = _refine_crossing(gfun, dense, n, ts[i], ts[i + 1],
+                                           gs[i], opts.event_tol)
                     ypre = dense(tau)
-                    if dfun(tau, ypre) >= 0.0:
+                    if dfun(tau, ypre[:n], ypre[n:]) >= 0.0:
                         hit = (tau, ypre)
                         break
                     # inadmissible crossing: trajectory exits; rescan later
@@ -275,8 +269,8 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
             termination = TERM_ZENO
             break
 
-        residual = abs(gfun(tau, ypre))
-        slope = max(1.0, abs(dfun(tau, ypre)))
+        residual = abs(gfun(tau, ypre[:n], ypre[n:]))
+        slope = max(1.0, abs(dfun(tau, ypre[:n], ypre[n:])))
         if residual > opts.guard_tol * slope:
             raise IntegrationFailure(
                 f"guard residual {residual:.3e} at located impact exceeds "
@@ -293,13 +287,19 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
     return arcs, raw_events, termination
 
 
-def _refine_crossing(gfun, dense, ta, tb, event_tol):
-    """Locate the sign change of g(dense(t)) in [ta, tb]."""
-    ga = gfun(ta, dense(ta))
+def _refine_crossing(gfun, dense, n, ta, tb, ga, event_tol):
+    """Locate the sign change of g(dense(t)) in [ta, tb], where dense(t)
+    packs n coordinates and n velocities and ga is the scan's guard value
+    at ta."""
     if ga == 0.0:
         return ta
-    return float(brentq(lambda tt: gfun(tt, dense(tt)), ta, tb,
-                        xtol=min(event_tol, REFINE_XTOL), rtol=BRENT_RTOL))
+
+    def g(tt):
+        y = dense(tt)
+        return gfun(tt, y[:n], y[n:])
+
+    return float(brentq(g, ta, tb, xtol=min(event_tol, REFINE_XTOL),
+                        rtol=BRENT_RTOL))
 
 
 def _close_arc(times, states, segments, t_end):
@@ -356,9 +356,8 @@ def simulate(hs: HybridSystem, s0: State, t_end: float,
     """
     opts = opts or SimOptions()
     n = hs.system.dim
-    gfun, dfun = _packed_guard(hs)
-    y0 = hs.system.pack(s0)
-    _check_start(gfun, dfun, s0.t, y0, opts)
+    gfun, dfun = hs.guard.surface, hs.guard.direction
+    _check_start(gfun, dfun, s0, opts)
 
     def reset(tau, ypre):
         pre = State(tau, ypre[:n], ypre[n:])
@@ -367,30 +366,26 @@ def simulate(hs: HybridSystem, s0: State, t_end: float,
         return hs.system.pack(post), mode
 
     mode = (hs.system.rhs, gfun, dfun, reset)
-    arcs, raw, termination = _execute(mode, s0.t, y0, t_end, opts)
+    arcs, raw, termination = _execute(mode, s0.t, hs.system.pack(s0), t_end,
+                                      opts)
     flow = HybridFlow(arcs, _events(raw, n), termination, opts)
     _maybe_raise(flow, opts)
     return flow
 
 
-def _packed_guard(hs: HybridSystem):
-    """Guard surface and direction of `hs` on packed (t, y) states."""
-    n = hs.system.dim
-
-    def gfun(t, y):
-        return hs.guard.surface(State(t, y[:n], y[n:]))
-
-    def dfun(t, y):
-        return hs.guard.direction(State(t, y[:n], y[n:]))
-
-    return gfun, dfun
+def _check_finite(s: State):
+    """Raise InvalidStart unless every component of s is finite."""
+    if not s.is_finite():
+        raise InvalidStart(f"initial state is not finite (t={s.t!r}, "
+                           f"q={s.q.tolist()}, v={s.v.tolist()})")
 
 
-def _check_start(gfun, dfun, t, y, opts: SimOptions):
-    """Raise InvalidStart unless (t, y) is strictly inside the guard or on
-    it and leaving."""
-    g0 = gfun(t, y)
-    d0 = dfun(t, y)
+def _check_start(gfun, dfun, s: State, opts: SimOptions):
+    """Raise InvalidStart unless s is finite and strictly inside the guard
+    or on it and leaving."""
+    _check_finite(s)
+    g0 = gfun(s.t, s.q, s.v)
+    d0 = dfun(s.t, s.q, s.v)
     slope0 = max(1.0, abs(d0))
     if g0 > opts.guard_tol * slope0 or (abs(g0) <= opts.guard_tol * slope0
                                         and g0 > -ARM_TOL and d0 >= 0.0):
@@ -414,18 +409,15 @@ def _validate_reset(pre: State, post: State, gfun, dfun):
             f"preserve t")
     if not post.is_finite():
         raise InvalidReset("reset produced a non-finite state")
-    n = post.q.size
-    ypost = np.concatenate([post.q, post.v])
-    d_post = dfun(post.t, ypost)
+    t, q, v = post.t, post.q, post.v
+    d_post = dfun(t, q, v)
     if d_post <= 0.0:
         return
     # direction still non-negative: accept only if the state moves off
     # the guard inward over an infinitesimal free step
-    eps = 1e-7 * max(1.0, abs(post.t))
-    probe = ypost.copy()
-    probe[:n] = probe[:n] + eps * probe[n:]
-    g_now = gfun(post.t, ypost)
-    g_probe = gfun(post.t + eps, probe)
+    eps = 1e-7 * max(1.0, abs(t))
+    g_now = gfun(t, q, v)
+    g_probe = gfun(t + eps, q + eps * v, v)
     if g_probe >= g_now - 1e-14:
         raise InvalidReset(
             f"post-impact state re-triggers the guard (d={d_post:.3e}, "
@@ -459,9 +451,9 @@ def locate_event(hs: HybridSystem, bracket,
     if sb.t < sa.t:
         raise BracketInvalid("bracket must satisfy sa.t <= sb.t")
     n = hs.system.dim
-    gfun, dfun = _packed_guard(hs)
+    gfun, dfun = hs.guard.surface, hs.guard.direction
     ya = hs.system.pack(sa)
-    ga = gfun(sa.t, ya)
+    ga = gfun(sa.t, sa.q, sa.v)
     if ga == 0.0:
         # the scan arms only once the guard drops below -ARM_TOL
         tau, y = sa.t, ya
@@ -470,24 +462,24 @@ def locate_event(hs: HybridSystem, bracket,
             return y, mode
 
         # |d| admits every crossing and keeps the residual check's slope
-        mode = (hs.system.rhs, gfun, lambda t, y: abs(dfun(t, y)), stop)
+        mode = (hs.system.rhs, gfun, lambda t, q, v: abs(dfun(t, q, v)),
+                stop)
         arcs, raw, termination = _execute(mode, sa.t, ya, sb.t,
                                           replace(opts, max_impacts=1))
         if termination == TERM_FAILURE:
             raise IntegrationFailure(
                 f"integrator step collapse at t={arcs[-1].t_end:.6g}")
         if not raw:
+            y = arcs[-1].states[-1]
             raise BracketInvalid(
                 f"no sign change of the guard in [{sa.t:.6g}, {sb.t:.6g}] "
-                f"(g: {ga:.3e} -> "
-                f"{gfun(sb.t, arcs[-1].states[-1]):.3e})")
+                f"(g: {ga:.3e} -> {gfun(sb.t, y[:n], y[n:]):.3e})")
         tau, y = raw[0][0], raw[0][1]
-    pre = State(tau, y[:n], y[n:])
-    if hs.guard.direction(pre) < 0.0:
+    d = dfun(tau, y[:n], y[n:])
+    if d < 0.0:
         raise DirectionRejected(
-            f"crossing at t={tau:.9g} has direction "
-            f"{hs.guard.direction(pre):.3e} < 0")
-    return pre
+            f"crossing at t={tau:.9g} has direction {d:.3e} < 0")
+    return State(tau, y[:n], y[n:])
 
 
 # ---------------------------------------------------------------------------
@@ -538,10 +530,9 @@ def check_hybrid_equivalence(hs: HybridSystem, s0: State, t_end: float,
 
     warm = {"v": s0.v.copy()}
 
-    def to_state(t, y):
-        s = sys.inverse_legendre(CoState(t, y[:n], y[n:]), v0=warm["v"])
-        warm["v"] = s.v
-        return s
+    def velocity(t, q, p):
+        warm["v"] = sys._velocity(t, q, p, v0=warm["v"])
+        return warm["v"]
 
     def rhs_h(t, y):
         dq, dp = sys.hamiltonian_field(CoState(t, y[:n], y[n:]),
@@ -549,14 +540,15 @@ def check_hybrid_equivalence(hs: HybridSystem, s0: State, t_end: float,
         warm["v"] = dq
         return np.concatenate([dq, dp])
 
-    def gfun_h(t, y):
-        return hs.guard.surface(to_state(t, y))
+    def gfun_h(t, q, p):
+        return hs.guard.surface(t, q, velocity(t, q, p))
 
-    def dfun_h(t, y):
-        return hs.guard.direction(to_state(t, y))
+    def dfun_h(t, q, p):
+        return hs.guard.direction(t, q, velocity(t, q, p))
 
     def reset_h(tau, ypre):
-        pre = to_state(tau, ypre)
+        q = ypre[:n]
+        pre = State(tau, q.copy(), velocity(tau, q, ypre[n:]))
         post = hs.reset.apply(pre)
         if post.t != pre.t:
             raise InvalidReset("conjugated reset must preserve t")
@@ -582,10 +574,10 @@ def check_hybrid_equivalence(hs: HybridSystem, s0: State, t_end: float,
         for t in grid:
             yl = arc_l(t)
             yh = arc_h(t)
-            mapped = sys.legendre(State(t, yl[:n], yl[n:]))
+            p = sys.dL_dv(t, yl[:n], yl[n:])
             worst = max(worst,
-                        float(np.max(np.abs(mapped.q - yh[:n]))),
-                        float(np.max(np.abs(mapped.p - yh[n:]))))
+                        float(np.max(np.abs(yl[:n] - yh[:n]))),
+                        float(np.max(np.abs(p - yh[n:]))))
 
     n_l = len(flow_l.events)
     n_h = len(raw_h)
@@ -639,6 +631,6 @@ def check_flow_equivalence(sys: LagrangianSystem, s0: State, t_end: float,
 def _inert_hybrid(system: LagrangianSystem) -> HybridSystem:
     """`system` under a guard that never triggers and an identity reset."""
     return HybridSystem(system=system,
-                        guard=Guard(surface=lambda s: -1.0,
-                                    direction=lambda s: -1.0),
+                        guard=Guard(surface=lambda t, q, v: -1.0,
+                                    direction=lambda t, q, v: -1.0),
                         reset=ResetMap(apply=lambda s: s))

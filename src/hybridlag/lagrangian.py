@@ -104,45 +104,57 @@ class LagrangianSystem:
 
     # -- second derivatives by finite differences ----------------------
 
-    def velocity_hessian(self, s: State) -> np.ndarray:
+    def velocity_hessian(self, t, q, v) -> np.ndarray:
         """W[i, j] = d(dL/dv_i)/dv_j by central differences."""
-        h = FD_STEP * max(1.0, float(np.max(np.abs(s.v))))
+        h = FD_STEP * max(1.0, float(np.max(np.abs(v))))
         W = np.empty((self.dim, self.dim))
         for j in range(self.dim):
-            vp = s.v.copy(); vp[j] += h
-            vm = s.v.copy(); vm[j] -= h
-            W[:, j] = (self.dL_dv(s.t, s.q, vp) - self.dL_dv(s.t, s.q, vm)) / (2*h)
+            vp = v.copy(); vp[j] += h
+            vm = v.copy(); vm[j] -= h
+            W[:, j] = (self.dL_dv(t, q, vp) - self.dL_dv(t, q, vm)) / (2*h)
         return W
 
-    def _mixed_qv(self, s: State) -> np.ndarray:
+    def _mixed_qv(self, t, q, v) -> np.ndarray:
         """M[i, j] = d(dL/dv_i)/dq_j by central differences."""
-        h = FD_STEP * max(1.0, float(np.max(np.abs(s.q))))
+        h = FD_STEP * max(1.0, float(np.max(np.abs(q))))
         M = np.empty((self.dim, self.dim))
         for j in range(self.dim):
-            qp = s.q.copy(); qp[j] += h
-            qm = s.q.copy(); qm[j] -= h
-            M[:, j] = (self.dL_dv(s.t, qp, s.v) - self.dL_dv(s.t, qm, s.v)) / (2*h)
+            qp = q.copy(); qp[j] += h
+            qm = q.copy(); qm[j] -= h
+            M[:, j] = (self.dL_dv(t, qp, v) - self.dL_dv(t, qm, v)) / (2*h)
         return M
 
-    def _mixed_tv(self, s: State) -> np.ndarray:
+    def _mixed_tv(self, t, q, v) -> np.ndarray:
         """d(dL/dv)/dt by central differences."""
-        h = FD_STEP * max(1.0, abs(s.t))
-        return (self.dL_dv(s.t + h, s.q, s.v)
-                - self.dL_dv(s.t - h, s.q, s.v)) / (2*h)
+        h = FD_STEP * max(1.0, abs(t))
+        return (self.dL_dv(t + h, q, v) - self.dL_dv(t - h, q, v)) / (2*h)
 
-    def _factor_hessian(self, s: State):
-        W = self.velocity_hessian(s)
+    def _factor_hessian(self, t, q, v):
+        W = self.velocity_hessian(t, q, v)
         try:
             lu, piv = lu_factor(W)
         except Exception as exc:
             raise SingularHessian(f"velocity Hessian not factorizable at "
-                                  f"t={s.t:.6g}") from exc
+                                  f"t={t:.6g}") from exc
         diag = np.abs(np.diag(lu))
         if diag.min() == 0.0 or diag.max() / diag.min() > self.condition_bound:
             raise SingularHessian(
                 f"velocity Hessian condition estimate exceeds "
-                f"{self.condition_bound:.1e} at t={s.t:.6g}")
+                f"{self.condition_bound:.1e} at t={t:.6g}")
         return lu, piv
+
+    def _accelerations(self, t, q, v) -> np.ndarray:
+        """Accelerations solving the Euler-Lagrange equations at (t, q, v).
+
+        Raises SingularHessian when hyperregularity is lost.
+        """
+        if self.acceleration is not None:
+            return np.atleast_1d(np.asarray(self.acceleration(t, q, v),
+                                            float))
+        lu_piv = self._factor_hessian(t, q, v)
+        rhs = (self.dL_dq(t, q, v) - self._mixed_qv(t, q, v) @ v
+               - self._mixed_tv(t, q, v))
+        return lu_solve(lu_piv, rhs)
 
     # -- operations -----------------------------------------------------
 
@@ -152,13 +164,7 @@ class LagrangianSystem:
         dq = v; dv solves the Euler-Lagrange equations at (t, q, v).
         Raises SingularHessian when hyperregularity is lost.
         """
-        if self.acceleration is not None:
-            return s.v.copy(), np.atleast_1d(
-                np.asarray(self.acceleration(s.t, s.q, s.v), float))
-        lu_piv = self._factor_hessian(s)
-        rhs = (self.dL_dq(s.t, s.q, s.v) - self._mixed_qv(s) @ s.v
-               - self._mixed_tv(s))
-        return s.v.copy(), lu_solve(lu_piv, rhs)
+        return s.v.copy(), self._accelerations(s.t, s.q, s.v)
 
     def energy(self, s: State) -> float:
         """E = <dL/dv, v> - L at the state."""
@@ -177,16 +183,19 @@ class LagrangianSystem:
         residual is driven below NEWTON_TOL * max(1, |p|). Raises
         NoConvergence after NEWTON_MAXITER iterations.
         """
+        return State(cs.t, cs.q.copy(), self._velocity(cs.t, cs.q, cs.p, v0))
+
+    def _velocity(self, t, q, p, v0=None) -> np.ndarray:
+        """The Newton solve of `inverse_legendre`, on (t, q, p)."""
         v = np.zeros(self.dim) if v0 is None else np.asarray(v0, float).copy()
-        tol = NEWTON_TOL * max(1.0, float(np.max(np.abs(cs.p))))
+        tol = NEWTON_TOL * max(1.0, float(np.max(np.abs(p))))
         for _ in range(NEWTON_MAXITER):
-            r = self.dL_dv(cs.t, cs.q, v) - cs.p
+            r = self.dL_dv(t, q, v) - p
             if np.max(np.abs(r)) <= tol:
-                return State(cs.t, cs.q.copy(), v)
-            lu_piv = self._factor_hessian(State(cs.t, cs.q, v))
-            v = v - lu_solve(lu_piv, r)
+                return v
+            v = v - lu_solve(self._factor_hessian(t, q, v), r)
         raise NoConvergence(
-            f"inverse fiber derivative did not converge at t={cs.t:.6g}")
+            f"inverse fiber derivative did not converge at t={t:.6g}")
 
     def hamiltonian_field(self, cs: CoState, v0=None):
         """(dq, dp) of the momentum-side evolution field.
@@ -195,8 +204,8 @@ class LagrangianSystem:
         evaluated at the recovered velocity; no differencing of any
         Hamiltonian. `v0` warm-starts the velocity recovery.
         """
-        s = self.inverse_legendre(cs, v0=v0)
-        return s.v.copy(), np.asarray(self.dL_dq(s.t, s.q, s.v), float).copy()
+        v = self._velocity(cs.t, cs.q, cs.p, v0)
+        return v, np.asarray(self.dL_dq(cs.t, cs.q, v), float).copy()
 
     # -- self-checks ------------------------------------------------------
 
@@ -229,11 +238,7 @@ class LagrangianSystem:
     def pack(self, s: State) -> np.ndarray:
         return np.concatenate([s.q, s.v])
 
-    def unpack(self, t: float, y: np.ndarray) -> State:
-        return State(t, y[:self.dim], y[self.dim:])
-
     def rhs(self, t, y):
         """Packed evolution field y' = (v, a) for the ODE integrator."""
-        dq, dv = self.evolution_field(self.unpack(t, y))
-        return np.concatenate([dq, dv])
-
+        q, v = y[:self.dim], y[self.dim:]
+        return np.concatenate([v, self._accelerations(t, q, v)])

@@ -10,12 +10,14 @@ Fixing the momentum value mu turns the n-dimensional system into an
 
 with the cyclic velocity recovered from the momentum relation
 dL/dtheta_dot = mu (this requires the relation to be solvable in
-theta_dot: regularity in the group velocity). The reduced guard and
-reset are the full ones evaluated at an arbitrary cyclic angle, which is
-well defined exactly because of the invariance/equivariance conditions
-that `CyclicStructure.validate` samples. A structure may carry a closed
-form of the reduced guard, which then replaces the evaluation on the
-embedded state; `validate` checks it against that evaluation.
+theta_dot: regularity in the group velocity). The reduced guard takes
+(t, x, xdot) like the Routhian: it evaluates the full guard at the lift
+of (x, xdot) to the momentum level set at cyclic angle 0, and the reduced
+reset applies the full reset there and projects. Angle 0 stands for every
+angle because of the invariance/equivariance conditions that
+`CyclicStructure.validate` samples. A structure may carry a closed form
+of the reduced guard, which then replaces the evaluation on the lift;
+`validate` checks it against the full guard.
 
 Only the product-of-shape-space-and-circle (or line) setting with the
 flat connection is implemented; several cyclic coordinates are handled
@@ -47,10 +49,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import NoConvergence, NotInvariant
+from .errors import InvalidStart, NoConvergence, NotInvariant
 from .hybrid import (Arc, Event, Guard, HybridFlow, HybridSystem, ResetMap,
-                     SimOptions, _check_start, _events, _execute,
-                     _maybe_raise, _packed_guard, _validate_reset)
+                     SimOptions, _check_finite, _check_start, _events,
+                     _execute, _maybe_raise, _validate_reset)
 # perfbench/tracing.py wraps reduction.simulate, so the name stays here
 from .hybrid import simulate  # noqa: F401
 from .lagrangian import FD_STEP, LagrangianSystem, State
@@ -67,18 +69,17 @@ class CyclicStructure:
 
     Attributes:
         full: the hybrid system being reduced (dimension n).
-        cyclic_index: index of the cyclic coordinate in [0, n).
-        momentum: optional override for the conserved quantity; defaults
-            to the cyclic component of dL/dv.
+        cyclic_index: index of the cyclic coordinate in [0, n); the
+            conserved momentum is the cyclic component of dL/dv.
         cyclic_velocity_solver: optional closed form
             (t, x, xdot, mu) -> theta_dot; a scalar Newton solve on the
             momentum relation is used when absent.
         routhian_factory: optional closed-form reduced system builder
             mu -> LagrangianSystem of dimension n-1.
         reduced_guard_factory: optional closed-form reduced guard builder
-            mu -> Guard on shape-space states; `reduce` uses it in place
-            of the full guard on the embedded state. `validate` checks it
-            against that embedded guard on every sample state, at the
+            mu -> Guard on shape-space (t, x, xdot); `reduce` uses it in
+            place of the full guard on the lifted state. `validate` checks
+            it against the full guard on every sample state, at the
             sample's own momentum.
         sample_states: states used by `validate` for the invariance
             checks of the Lagrangian and guard.
@@ -90,7 +91,6 @@ class CyclicStructure:
 
     full: HybridSystem
     cyclic_index: int
-    momentum: Optional[Callable[[State], float]] = None
     cyclic_velocity_solver: Optional[Callable[[float, np.ndarray, np.ndarray,
                                                float], float]] = None
     routhian_factory: Optional[Callable[[float], LagrangianSystem]] = None
@@ -130,17 +130,15 @@ class CyclicStructure:
     def project_state(self, s: State) -> State:
         return State(s.t, self.drop(s.q), self.drop(s.v))
 
-    def embed(self, t: float, x: np.ndarray, xdot: np.ndarray, mu: float,
-              theta: float = 0.0) -> State:
-        """Lift a shape-space point to the momentum-mu level set."""
+    def embed(self, t: float, x: np.ndarray, xdot: np.ndarray, mu: float):
+        """Lift a shape-space point to the momentum-mu level set at cyclic
+        angle 0; returns the full (q, v)."""
         theta_dot = self.solve_cyclic_velocity(t, x, xdot, mu)
-        return State(t, self.insert(x, theta), self.insert(xdot, theta_dot))
+        return self.insert(x, 0.0), self.insert(xdot, theta_dot)
 
     # -- momentum and cyclic velocity --------------------------------------
 
     def momentum_value(self, s: State) -> float:
-        if self.momentum is not None:
-            return float(self.momentum(s))
         sys = self.full.system
         return float(sys.dL_dv(s.t, s.q, s.v)[self.cyclic_index])
 
@@ -182,13 +180,14 @@ class CyclicStructure:
         guard = self.full.guard
         for s in self.sample_states:
             base_l = sys.lagrangian(s.t, s.q, s.v)
-            base_g = guard.surface(s)
-            base_d = guard.direction(s)
+            base_g = guard.surface(s.t, s.q, s.v)
+            base_d = guard.direction(s.t, s.q, s.v)
             if self.reduced_guard_factory is not None:
                 red = self.reduced_guard_factory(self.momentum_value(s))
-                x = self.project_state(s)
-                if (abs(red.surface(x) - base_g) > tol * max(1.0, abs(base_g))
-                        or abs(red.direction(x) - base_d)
+                x, xdot = self.drop(s.q), self.drop(s.v)
+                if (abs(red.surface(s.t, x, xdot) - base_g)
+                        > tol * max(1.0, abs(base_g))
+                        or abs(red.direction(s.t, x, xdot) - base_d)
                         > tol * max(1.0, abs(base_d))):
                     raise NotInvariant(
                         f"closed-form reduced guard disagrees with the full "
@@ -200,9 +199,11 @@ class CyclicStructure:
                     raise NotInvariant(
                         f"Lagrangian varies along the cyclic shift by more "
                         f"than {tol:g} at t={s.t:.6g}")
-                if abs(guard.surface(sh) - base_g) > tol * max(1.0, abs(base_g)):
+                if (abs(guard.surface(sh.t, sh.q, sh.v) - base_g)
+                        > tol * max(1.0, abs(base_g))):
                     raise NotInvariant("guard surface is not cyclic-invariant")
-                if abs(guard.direction(sh) - base_d) > tol * max(1.0, abs(base_d)):
+                if (abs(guard.direction(sh.t, sh.q, sh.v) - base_d)
+                        > tol * max(1.0, abs(base_d))):
                     raise NotInvariant("guard direction is not cyclic-invariant")
         reset = self.full.reset
         for s in self.guard_sample_states:
@@ -223,8 +224,6 @@ class ReducedHybridSystem:
     """Hybrid system on the shape space at one momentum value."""
 
     shape: HybridSystem
-    mu: float
-    parent: CyclicStructure
 
 
 @dataclass
@@ -239,7 +238,6 @@ class ReconstructedFlow:
     theta: List[np.ndarray]
     theta_dot: List[np.ndarray]
     mu_sequence: List[Tuple[int, float]] = field(default_factory=list)
-    theta_start: float = 0.0
     max_momentum_residual: float = 0.0
 
 
@@ -273,17 +271,14 @@ def routhian(cs: CyclicStructure, mu: float,
     ci = cs.cyclic_index
 
     def lag(t, x, xdot):
-        s = cs.embed(t, x, xdot, mu)
-        return (sys.lagrangian(s.t, s.q, s.v)
-                - mu * s.v[ci])
+        q, v = cs.embed(t, x, xdot, mu)
+        return sys.lagrangian(t, q, v) - mu * v[ci]
 
     def dq(t, x, xdot):
-        s = cs.embed(t, x, xdot, mu)
-        return cs.drop(sys.dL_dq(s.t, s.q, s.v))
+        return cs.drop(sys.dL_dq(t, *cs.embed(t, x, xdot, mu)))
 
     def dv(t, x, xdot):
-        s = cs.embed(t, x, xdot, mu)
-        return cs.drop(sys.dL_dv(s.t, s.q, s.v))
+        return cs.drop(sys.dL_dv(t, *cs.embed(t, x, xdot, mu)))
 
     names = tuple(nm for i, nm in enumerate(sys.coordinate_names) if i != ci)
     return LagrangianSystem(dim=cs.dim_reduced, lagrangian=lag, dL_dq=dq,
@@ -296,32 +291,35 @@ def reduce(cs: CyclicStructure, mu: float,
     """Build the reduced hybrid system at momentum mu.
 
     The reduced guard is the structure's closed form when it has one;
-    otherwise it evaluates the full guard on the embedded state (at
-    cyclic angle 0, which the validated invariance makes immaterial). The
-    reduced reset applies the full reset on the embedded state and
-    projects. Raises NotInvariant when the sampled checks fail.
+    otherwise it evaluates the full guard on the lifted state (at cyclic
+    angle 0, which the validated invariance makes immaterial). The
+    reduced reset applies the full reset on the lifted state and
+    projects. Raises InvalidStart when mu is not finite (the momentum of
+    a non-finite state) and NotInvariant when the sampled checks fail.
     """
+    if not math.isfinite(mu):
+        raise InvalidStart(f"momentum {mu!r} is not finite")
     if validate:
         cs.validate()
 
     if cs.reduced_guard_factory is not None:
         guard = cs.reduced_guard_factory(mu)
     else:
-        def g_red(s: State) -> float:
-            return cs.full.guard.surface(cs.embed(s.t, s.q, s.v, mu))
+        def g_red(t, x, xdot):
+            return cs.full.guard.surface(t, *cs.embed(t, x, xdot, mu))
 
-        def d_red(s: State) -> float:
-            return cs.full.guard.direction(cs.embed(s.t, s.q, s.v, mu))
+        def d_red(t, x, xdot):
+            return cs.full.guard.direction(t, *cs.embed(t, x, xdot, mu))
 
         guard = Guard(surface=g_red, direction=d_red)
 
     def reset_red(s: State) -> State:
-        post = cs.full.reset.apply(cs.embed(s.t, s.q, s.v, mu))
+        post = cs.full.reset.apply(State(s.t, *cs.embed(s.t, s.q, s.v, mu)))
         return cs.project_state(post)
 
     shape = HybridSystem(system=routhian(cs, mu), guard=guard,
                          reset=ResetMap(apply=reset_red))
-    return ReducedHybridSystem(shape=shape, mu=mu, parent=cs)
+    return ReducedHybridSystem(shape=shape)
 
 
 def project(cs: CyclicStructure, flow: HybridFlow) -> HybridFlow:
@@ -357,12 +355,15 @@ def reconstruct(cs: CyclicStructure, red: HybridFlow, mu0: float,
     theta is obtained per arc by composite Simpson quadrature of the
     solved cyclic velocity on a refinement of the integrator grid, and is
     continuous across impacts (impacts leave the configuration alone).
+    Raises InvalidStart when theta0 is not finite.
     """
+    if not math.isfinite(theta0):
+        raise InvalidStart(f"start angle {theta0!r} is not finite")
     n_arcs = len(red.arcs)
     theta, theta_dot, resid = _reconstruct_arcs(
         cs, red.arcs, [mu0] * n_arcs, [theta0] + [0.0] * (n_arcs - 1))
     return ReconstructedFlow(red, theta, theta_dot,
-                             [(k, mu0) for k in range(n_arcs)], theta0, resid)
+                             [(k, mu0) for k in range(n_arcs)], resid)
 
 
 def _reconstruct_arcs(cs: CyclicStructure, arcs: Sequence[Arc],
@@ -421,6 +422,7 @@ def simulate_resequenced(cs: CyclicStructure, s0: State, t_end: float,
     run coincides with reducing once and simulating.
     """
     opts = opts or SimOptions()
+    _check_finite(s0)
     ci = cs.cyclic_index
     m = cs.dim_reduced
     mus = [cs.momentum_value(s0)]
@@ -428,11 +430,12 @@ def simulate_resequenced(cs: CyclicStructure, s0: State, t_end: float,
 
     def mode_at(mu, validate=False):
         shape = reduce(cs, mu, validate=validate).shape
-        gfun, dfun = _packed_guard(shape)
+        gfun, dfun = shape.guard.surface, shape.guard.direction
 
         def reset(tau, ypre):
             pre = State(tau, ypre[:m], ypre[m:])
-            post_full = cs.full.reset.apply(cs.embed(tau, pre.q, pre.v, mu))
+            post_full = cs.full.reset.apply(
+                State(tau, *cs.embed(tau, pre.q, pre.v, mu)))
             mu_next = cs.momentum_value(post_full)
             post = cs.project_state(post_full)
             nxt = mode_at(mu_next)
@@ -445,12 +448,12 @@ def simulate_resequenced(cs: CyclicStructure, s0: State, t_end: float,
 
     mode = mode_at(mus[0], validate=True)
     start = cs.project_state(s0)
-    y0 = np.concatenate([start.q, start.v])
-    _check_start(mode[1], mode[2], s0.t, y0, opts)
-    arcs, raw, termination = _execute(mode, s0.t, y0, t_end, opts)
+    _check_start(mode[1], mode[2], start, opts)
+    arcs, raw, termination = _execute(
+        mode, s0.t, np.concatenate([start.q, start.v]), t_end, opts)
     reduced = HybridFlow(arcs, _events(raw, m), termination, opts)
     _maybe_raise(reduced, opts)
     mus = mus[:len(arcs)]
     theta, theta_dot, resid = _reconstruct_arcs(cs, arcs, mus, jumps)
     return ReconstructedFlow(reduced, theta, theta_dot, list(enumerate(mus)),
-                             float(s0.q[ci]), resid)
+                             resid)

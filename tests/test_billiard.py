@@ -124,20 +124,20 @@ def test_routhian_closed_form_value():
 
 def test_guard_inside_value():
     g = hl.guard_cartesian(hl.BilliardParams(c=0.25))
-    assert g.surface(mk_state(0.0, [0.25, 0.5], [0, 0])) == \
-        pytest.approx(-0.6875, abs=1e-15)
+    s = mk_state(0.0, [0.25, 0.5], [0, 0])
+    assert g.surface(s.t, s.q, s.v) == pytest.approx(-0.6875, abs=1e-15)
 
 
 def test_guard_zero_on_wall():
     g = hl.guard_cartesian(hl.BilliardParams())
-    assert g.surface(mk_state(0.0, [1.0, 0.0], [0, 0])) == \
-        pytest.approx(0.0, abs=1e-15)
+    s = mk_state(0.0, [1.0, 0.0], [0, 0])
+    assert g.surface(s.t, s.q, s.v) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_guard_tangential_static_direction_zero():
     g = hl.guard_cartesian(static_params())
     s = mk_state(0.0, [1.0, 0.0], [0.0, 1.0])
-    assert g.direction(s) == 0.0  # impact by the closed inequality
+    assert g.direction(s.t, s.q, s.v) == 0.0  # impact by the closed inequality
 
 
 def test_direction_modes_differ_for_shrinking_wall():
@@ -271,12 +271,12 @@ def test_analytic_arc_matches_integrator():
     sys = hl.cartesian_system(sc.params)
     s0 = sc.initial_cartesian
     hs = hl.HybridSystem(system=sys,
-                         guard=hl.Guard(surface=lambda s: -1.0,
-                                        direction=lambda s: -1.0),
+                         guard=hl.Guard(surface=lambda t, q, v: -1.0,
+                                        direction=lambda t, q, v: -1.0),
                          reset=hl.ResetMap(apply=lambda s: s))
     flow = hl.simulate(hs, s0, s0.t + 1.0)
     assert not flow.events
-    sol = flow.eval
+    sol = flow.arcs[0]
     for t in np.linspace(0.0, 1.0, 11):
         ref = hl.analytic_arc(sc.params, s0, t)
         y = sol(s0.t + t)

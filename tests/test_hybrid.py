@@ -59,9 +59,10 @@ def test_flow_invariants(unit_wall_hybrid):
         assert arc.t_start <= arc.t_end
     for i, ev in enumerate(flow.events):
         # impact lies on the guard and is admissible
-        assert abs(guard.surface(ev.pre)) <= 1e-8 * max(
-            1.0, abs(guard.direction(ev.pre)))
-        assert guard.direction(ev.pre) >= 0.0
+        pre = ev.pre
+        assert abs(guard.surface(pre.t, pre.q, pre.v)) <= 1e-8 * max(
+            1.0, abs(guard.direction(pre.t, pre.q, pre.v)))
+        assert guard.direction(pre.t, pre.q, pre.v) >= 0.0
         # stored post state is exactly the reset image
         again = reset.apply(ev.pre)
         assert np.array_equal(again.q, ev.post.q)
@@ -78,7 +79,7 @@ def test_guard_sign_bounded_along_arcs(unit_wall_hybrid):
     g = unit_wall_hybrid.guard.surface
     for arc in flow.arcs:
         for t, y in zip(arc.times, arc.states):
-            assert g(hl.State(t, y[:2], y[2:])) <= 1e-8
+            assert g(t, y[:2], y[2:]) <= 1e-8
 
 
 def test_event_times_strictly_increase(unit_wall_hybrid):
@@ -111,6 +112,19 @@ def test_invalid_start_on_guard_entering(unit_wall_hybrid):
         hl.simulate(unit_wall_hybrid,
                     hl.State(0.0, np.array([1.0, 0.0]), np.array([1.0, 0.0])),
                     1.0)
+
+
+@pytest.mark.parametrize("chart", ["cartesian", "polar"])
+@pytest.mark.parametrize("part", ["q", "v"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_start_is_invalid_start(chart, part, bad):
+    sc = hl.get_scenario("paper-c025")
+    hs = getattr(hl, f"{chart}_hybrid")(sc.params)
+    s0 = getattr(sc, f"initial_{chart}")
+    vec = getattr(s0, part).copy()
+    vec[0] = bad
+    with pytest.raises(hl.InvalidStart, match="not finite"):
+        hl.simulate(hs, dataclasses.replace(s0, **{part: vec}), 1.0)
 
 
 def test_start_on_guard_leaving_is_accepted(unit_wall_hybrid):
@@ -182,9 +196,9 @@ def test_guard_continuity_bound_triggers():
     hs = hl.cartesian_hybrid(params)
     jumpy = dataclasses.replace(
         hs, guard=hl.Guard(
-            surface=lambda s: s.q[0]**2 + s.q[1]**2 - (1.0 if s.t < 0.5
-                                                       else 100.0),
-            direction=lambda s: 1.0))
+            surface=lambda t, q, v: q[0]**2 + q[1]**2 - (1.0 if t < 0.5
+                                                         else 100.0),
+            direction=lambda t, q, v: 1.0))
     opts = hl.SimOptions(guard_jump_bound=1.0)
     with pytest.raises(hl.IntegrationFailure):
         hl.simulate(jumpy, center_start(), 2.0, opts)
@@ -192,8 +206,8 @@ def test_guard_continuity_bound_triggers():
 
 def test_scan_evaluates_dense_output_once_per_step(monkeypatch):
     # the scan makes one array call per accepted step; every other dense
-    # evaluation belongs to a refinement: its left end, each Brent
-    # iterate and the pre-impact state
+    # evaluation belongs to a refinement: each Brent iterate and the
+    # pre-impact state (the left end's guard value comes from the scan)
     from hybridlag import hybrid
 
     counts = dict(steps=0, dense=0, brent_evals=0, refines=0)
@@ -234,7 +248,7 @@ def test_scan_evaluates_dense_output_once_per_step(monkeypatch):
     flow = hl.simulate(hl.polar_hybrid(sc.params), sc.initial_polar, 2.0)
     assert flow.events and counts["refines"] >= len(flow.events)
     assert counts["dense"] == (counts["steps"] + counts["brent_evals"]
-                               + 2 * counts["refines"])
+                               + counts["refines"])
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +299,42 @@ def test_arc_interpolant_array_contract(build, dim, exact):
             assert np.max(np.abs(cols[:, i] - y)) <= 1e-15 * np.max(np.abs(y))
 
 
+def test_runs_build_states_per_impact_not_per_sample(monkeypatch):
+    # State is the API edge: the executor samples the guard and the RHS
+    # on its packed arrays, so a run builds States per impact and per arc
+    # (reset arguments, Event records, reconstruction checks), never per
+    # step or guard sample
+    sc = hl.get_scenario("paper-c025")
+    cyc = hl.polar_cyclic(sc.params)
+    red = hl.reduce(cyc, hl.momentum_map(cyc, sc.initial_polar))
+    s0r = cyc.project_state(sc.initial_polar)
+    # no symmetry samples: the one-time validation is not part of the run
+    bare = dataclasses.replace(cyc, sample_states=(), guard_sample_states=())
+    runs = {
+        "polar": lambda: hl.simulate(hl.polar_hybrid(sc.params),
+                                     sc.initial_polar, 10.0),
+        "reduced": lambda: hl.simulate(red.shape, s0r, 10.0),
+        "cartesian": lambda: hl.simulate(hl.cartesian_hybrid(sc.params),
+                                         sc.initial_cartesian, 10.0),
+        "resequenced": lambda: hl.simulate_resequenced(
+            bare, sc.initial_polar, 10.0).reduced,
+    }
+    built = [0]
+    post_init = hl.State.__post_init__
+
+    def counting(self):
+        built[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(hl.State, "__post_init__", counting)
+    for name, run in runs.items():
+        built[0] = 0
+        flow = run()
+        assert len(flow.events) == 41, name
+        assert built[0] <= 6 * (len(flow.events) + len(flow.arcs)), \
+            (name, built[0])
+
+
 # ---------------------------------------------------------------------------
 # locate_event
 # ---------------------------------------------------------------------------
@@ -292,8 +342,8 @@ def test_arc_interpolant_array_contract(build, dim, exact):
 def test_locate_event_linear_in_time():
     sys = hl.build_model("free-particle").system
     hs = hl.HybridSystem(system=sys,
-                         guard=hl.Guard(surface=lambda s: s.t - 1.0,
-                                        direction=lambda s: 1.0),
+                         guard=hl.Guard(surface=lambda t, q, v: t - 1.0,
+                                        direction=lambda t, q, v: 1.0),
                          reset=hl.ResetMap(apply=lambda s: s))
     sa = hl.State(0.9, np.zeros(2), np.array([1.0, 0.0]))
     sb = hl.State(1.1, np.array([0.2, 0.0]), np.array([1.0, 0.0]))
@@ -306,7 +356,7 @@ def test_locate_event_billiard_crossing(unit_wall_hybrid):
     sb = hl.State(1.5, np.array([1.5, 0.0]), np.array([1.0, 0.0]))
     ev = hl.locate_event(unit_wall_hybrid, (sa, sb))
     assert ev.t == pytest.approx(1.0, abs=1e-9)
-    assert abs(unit_wall_hybrid.guard.surface(ev)) <= 1e-9
+    assert abs(unit_wall_hybrid.guard.surface(ev.t, ev.q, ev.v)) <= 1e-9
 
 
 def test_locate_event_grazing_direction_zero_accepted(unit_wall_hybrid):
@@ -314,7 +364,7 @@ def test_locate_event_grazing_direction_zero_accepted(unit_wall_hybrid):
     hs = dataclasses.replace(
         unit_wall_hybrid,
         guard=dataclasses.replace(unit_wall_hybrid.guard,
-                                  direction=lambda s: 0.0))
+                                  direction=lambda t, q, v: 0.0))
     sa = hl.State(0.5, np.array([0.5, 0.0]), np.array([1.0, 0.0]))
     sb = hl.State(1.5, np.array([1.5, 0.0]), np.array([1.0, 0.0]))
     ev = hl.locate_event(hs, (sa, sb))
@@ -325,7 +375,7 @@ def test_locate_event_direction_rejected(unit_wall_hybrid):
     hs = dataclasses.replace(
         unit_wall_hybrid,
         guard=dataclasses.replace(unit_wall_hybrid.guard,
-                                  direction=lambda s: -1.0))
+                                  direction=lambda t, q, v: -1.0))
     sa = hl.State(0.5, np.array([0.5, 0.0]), np.array([1.0, 0.0]))
     sb = hl.State(1.5, np.array([1.5, 0.0]), np.array([1.0, 0.0]))
     with pytest.raises(hl.DirectionRejected):
@@ -343,7 +393,7 @@ def test_locate_event_left_state_on_rising_guard(unit_wall_hybrid):
     # a left state exactly on the guard and moving out is its own crossing
     sa = hl.State(1.0, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
     sb = hl.State(1.5, np.array([1.5, 0.0]), np.array([1.0, 0.0]))
-    assert unit_wall_hybrid.guard.surface(sa) == 0.0
+    assert unit_wall_hybrid.guard.surface(sa.t, sa.q, sa.v) == 0.0
     ev = hl.locate_event(unit_wall_hybrid, (sa, sb))
     assert ev.t == sa.t
     assert np.array_equal(ev.q, sa.q) and np.array_equal(ev.v, sa.v)

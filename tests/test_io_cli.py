@@ -175,6 +175,22 @@ def test_cli_invalid_model_errors(tmp_path):
     assert "flipper" in record["message"]
 
 
+@pytest.mark.parametrize("model, mode, initial_q", [
+    ("billiard-cartesian", "full", "[NaN, 0.1]"),
+    ("billiard-polar", "reduced", "[0.5, NaN]"),
+])
+def test_cli_non_finite_start_errors(tmp_path, model, mode, initial_q):
+    out = str(tmp_path / "out")
+    cfg = tmp_path / "nan.json"
+    cfg.write_text(f'{{"model": "{model}", "mode": "{mode}", "horizon": 1, '
+                   f'"initial_q": {initial_q}, "initial_v": [1.0, 0.5]}}')
+    code = run_cli("run", "--config", str(cfg), "--out", out)
+    assert code == 1
+    record = json.loads(open(os.path.join(out, "error.json")).read())
+    assert record["error"] == "InvalidStart"
+    assert "not finite" in record["message"]
+
+
 def test_cli_reduced_mode_outputs_theta(tmp_path):
     out = str(tmp_path / "out")
     code = run_cli("run", "--model", "billiard-polar", "--scenario",

@@ -18,12 +18,12 @@ def mk_state(t, q, v):
 def smooth_flow(sys, s0, t_end):
     """Hybrid run of `sys` under a guard that never triggers."""
     hs = hl.HybridSystem(system=sys,
-                         guard=hl.Guard(surface=lambda s: -1.0,
-                                        direction=lambda s: -1.0),
+                         guard=hl.Guard(surface=lambda t, q, v: -1.0,
+                                        direction=lambda t, q, v: -1.0),
                          reset=hl.ResetMap(apply=lambda s: s))
     flow = hl.simulate(hs, s0, t_end)
     assert not flow.events and flow.termination == "horizon_reached"
-    return flow.eval
+    return flow.arcs[0]
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,25 @@ def test_momentum_zero_angular_velocity(cyc025):
     assert hl.momentum_map(cyc025, mk_state(1.0, [0.7, 0.2], [1.5, 0.0])) == 0.0
 
 
+@pytest.mark.parametrize("index", [0, 1, 2, 3])
+def test_non_finite_start_is_invalid_start(cyc025, scenario, index):
+    # components r, theta, rdot, thetadot. The resequenced run checks the
+    # whole start. The reduce-once pipeline fails at `reduce` when the
+    # momentum is not finite (r, thetadot), at `simulate` on the
+    # projected start (rdot), and at `reconstruct` on the start angle
+    # (theta).
+    y = np.concatenate([scenario.initial_polar.q, scenario.initial_polar.v])
+    y[index] = np.nan
+    s0 = mk_state(0.0, y[:2], y[2:])
+    with pytest.raises(hl.InvalidStart, match="not finite"):
+        hl.simulate_resequenced(cyc025, s0, 1.0)
+    with pytest.raises(hl.InvalidStart, match="not finite"):
+        mu = hl.momentum_map(cyc025, s0)
+        red = hl.reduce(cyc025, mu)
+        flow = hl.simulate(red.shape, cyc025.project_state(s0), 1.0)
+        hl.reconstruct(cyc025, flow, mu, s0.q[1])
+
+
 def test_momentum_exponential_weight(cyc025):
     # at t = m ln 2 / c the weight doubles the kinetic momentum
     t = math.log(2.0) / 0.25
@@ -87,8 +106,8 @@ def test_solve_cyclic_velocity_degenerate_raises():
         dL_dq=lambda t, q, v: np.zeros(2),
         dL_dv=lambda t, q, v: np.array([v[0], 1.0]))
     hs = hl.HybridSystem(system=sys,
-                         guard=hl.Guard(surface=lambda s: -1.0,
-                                        direction=lambda s: -1.0),
+                         guard=hl.Guard(surface=lambda t, q, v: -1.0,
+                                        direction=lambda t, q, v: -1.0),
                          reset=hl.ResetMap(apply=lambda s: s))
     cs = hl.CyclicStructure(full=hs, cyclic_index=1)
     with pytest.raises(hl.NoConvergence):
@@ -139,10 +158,10 @@ def test_reduce_guard_is_radial_wall(cyc025, scenario):
     red = hl.reduce(cyc025, mu)
     p = hl.BilliardParams(c=0.25)
     s = mk_state(0.4, [0.8], [1.1])
-    assert red.shape.guard.surface(s) == pytest.approx(
+    assert red.shape.guard.surface(s.t, s.q, s.v) == pytest.approx(
         0.8**2 - p.wall(0.4), abs=1e-14)
     # admissibility matches the co-moving radial condition
-    assert red.shape.guard.direction(s) == pytest.approx(
+    assert red.shape.guard.direction(s.t, s.q, s.v) == pytest.approx(
         2 * 0.8 * 1.1 - p.wall_rate(0.4), abs=1e-13)
 
 
@@ -432,8 +451,8 @@ def test_iterated_reduction_free_3d():
     # free 1-D motion in x, and the eliminated velocities are constants.
     def make_hs(sys):
         return hl.HybridSystem(system=sys,
-                               guard=hl.Guard(surface=lambda s: -1.0,
-                                              direction=lambda s: -1.0),
+                               guard=hl.Guard(surface=lambda t, q, v: -1.0,
+                                              direction=lambda t, q, v: -1.0),
                                reset=hl.ResetMap(apply=lambda s: s))
 
     free3 = hl.LagrangianSystem(

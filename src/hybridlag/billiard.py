@@ -36,16 +36,15 @@ stepping, so it is an independent oracle for the whole hybrid pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ChartSingularity, InvalidStart, NegativeDiscriminant
 from .hybrid import (TERM_HORIZON, TERM_MAX_IMPACTS, TERM_ZENO, Arc,
                      Event, Guard, HybridFlow, HybridSystem, ResetMap,
-                     SimOptions)
+                     SimOptions, _along, _next_crossing)
 from .lagrangian import LagrangianSystem, State
 from .reduction import CyclicStructure
 
@@ -330,15 +329,19 @@ def polar_cyclic(p: BilliardParams) -> CyclicStructure:
 # ---------------------------------------------------------------------------
 
 def analytic_arc(p: BilliardParams, s0: State, dt: float) -> State:
-    """Damped free flight from s0 over dt (no impact in between):
-    v(t) = v0 exp(-c dt/m), q(t) = q0 + (m/c) v0 (1 - exp(-c dt/m));
-    straight uniform motion when c = 0.
-    """
+    """Damped free flight from s0 over dt (no impact in between)."""
+    q, v = _flight(p, s0.q, s0.v, dt)
+    return State(s0.t + dt, q, v)
+
+
+def _flight(p: BilliardParams, q0, v0, dt):
+    """(q, v) after a damped free flight over dt: q0 + (m/c) v0 (1 - e)
+    and v0 e with e = exp(-c dt/m), or uniform motion when c = 0. Starts
+    of shape (n, 1) and k steps dt give (n, k) columns."""
     if p.c == 0.0:
-        return State(s0.t + dt, s0.q + dt * s0.v, s0.v.copy())
-    decay = math.exp(-p.c * dt / p.m)
-    return State(s0.t + dt, s0.q + (p.m / p.c) * s0.v * (1.0 - decay),
-                 s0.v * decay)
+        return q0 + dt * v0, v0 * np.ones_like(dt)
+    decay = np.exp(-p.c * dt / p.m)
+    return q0 + (p.m / p.c) * v0 * (1.0 - decay), v0 * decay
 
 
 class _FlightInterpolant:
@@ -352,14 +355,11 @@ class _FlightInterpolant:
         self.v0 = np.asarray(v0, float)
 
     def __call__(self, t):
-        if np.ndim(t) > 0:
-            t = np.asarray(t, float)
-            out = np.empty((2 * self.q0.size, t.size))
-            for i, tt in enumerate(t):
-                out[:, i] = self(tt)
-            return out
-        s = analytic_arc(self.p, State(self.t0, self.q0, self.v0), t - self.t0)
-        return np.concatenate([s.q, s.v])
+        dt = np.asarray(t, float) - self.t0
+        shape = (-1,) + (1,) * dt.ndim
+        q, v = _flight(self.p, self.q0.reshape(shape),
+                       self.v0.reshape(shape), dt)
+        return np.concatenate([q, v])
 
 
 def reference_flow(p: BilliardParams, s0: State, t_end: float,
@@ -367,17 +367,17 @@ def reference_flow(p: BilliardParams, s0: State, t_end: float,
                    grid_per_arc: int = 33) -> HybridFlow:
     """Exact piecewise reference run of the Cartesian billiard.
 
-    Flights are closed-form; the next impact is the first root of
-    phi(t) = |q(t)|^2 - f(t), which is convex along each flight for these
-    walls, so the interior minimum is bracketed through phi' and the root
-    refined with Brent's method. Resets, admissibility and the
-    min_dwell / max_impacts termination rules mirror the executor, making
-    the result directly comparable to `simulate` while sharing none of
-    its numerics.
+    Flights are closed-form; the next impact is the first root of the
+    guard phi(t) = |q(t)|^2 - f(t) along the flight, which is convex for
+    these walls, found by the executor's crossing rule for arcs that start
+    on the guard (`hybrid._next_crossing`) with the co-moving direction as
+    phi'. Resets, admissibility and the min_dwell / max_impacts
+    termination rules mirror the executor, making the result directly
+    comparable to `simulate` while sharing none of its ODE stepping.
     """
     opts = opts or SimOptions()
-    f, fdot = p.wall, p.wall_rate
     guard = guard_cartesian(p)
+    rate = guard_cartesian(replace(p, direction_mode="co-moving")).direction
     reset = reset_cartesian(p)
 
     g0 = guard.surface(s0.t, s0.q, s0.v)
@@ -391,16 +391,9 @@ def reference_flow(p: BilliardParams, s0: State, t_end: float,
 
     while True:
         flight = _FlightInterpolant(p, t, q, v)
-
-        def phi(s):
-            y = flight(s)
-            return float(y[:2] @ y[:2]) - f(s)
-
-        def dphi(s):
-            y = flight(s)
-            return 2.0 * float(y[:2] @ y[2:]) - fdot(s)
-
-        tau = _next_crossing(phi, dphi, t, t_end, opts.event_tol)
+        tau = _next_crossing(_along(guard.surface, flight, 2),
+                             _along(rate, flight, 2), t, t_end,
+                             opts.event_tol)
         if tau is not None:
             y = flight(tau)
             if guard.direction(tau, y[:2], y[2:]) < 0.0:
@@ -409,7 +402,7 @@ def reference_flow(p: BilliardParams, s0: State, t_end: float,
                 tau = None
         arc_end = tau if tau is not None else t_end
         times = np.linspace(t, arc_end, grid_per_arc)
-        states = np.array([flight(tt) for tt in times])
+        states = flight(times).T
         arcs.append(Arc(t, arc_end, times, states, flight))
 
         if tau is None:
@@ -476,42 +469,3 @@ def get_scenario(scenario_id: str) -> PaperScenario:
         if sc.scenario_id == scenario_id:
             return sc
     raise KeyError(f"unknown scenario id {scenario_id!r}")
-
-
-def _next_crossing(phi, dphi, t0, t_end, event_tol):
-    """First upward root of a convex phi with phi(t0) <= 0 on (t0, t_end]."""
-    if t_end <= t0:
-        return None
-    if dphi(t0) >= 0.0:
-        # heading out from the start: at most one root ahead
-        if phi(t_end) <= 0.0:
-            return None
-        if phi(t0) >= 0.0:
-            # grazing exit at round-off level: the wall recaptures at once
-            return t0
-        lo = t0
-    else:
-        # phi decreases first; expand a bracket for the zero of dphi
-        left = t0
-        h = max(1e-12, 1e-12 * abs(t0))
-        right = None
-        while t0 + h < t_end:
-            if dphi(t0 + h) > 0.0:
-                right = t0 + h
-                break
-            left = t0 + h
-            h *= 2.0
-        if right is None:
-            if dphi(t_end) <= 0.0:
-                # still heading inward at the horizon: phi stays negative
-                return None
-            right = t_end
-        t_min = float(brentq(dphi, left, right, xtol=1e-15, rtol=1e-15))
-        if phi(t_min) >= 0.0:
-            # dip never measurably re-enters: the wall caught the state
-            return t_min
-        if phi(t_end) <= 0.0:
-            return None
-        lo = t_min
-    return float(brentq(phi, lo, t_end, xtol=min(event_tol, 1e-14),
-                        rtol=1e-15))

@@ -18,9 +18,11 @@ returns the post-impact state together with the mode of the next arc,
 so a run can change its dynamics at an impact; resequenced runs use this
 to rebuild the reduced system at the post-impact momentum.
 
-Two safeguards shape the behaviour in impact-accumulation regimes:
+Three rules shape the behaviour in impact-accumulation regimes:
 
-* the step ceiling of the arc following an impact is limited to the
+* an arc that starts on the guard and leaves it is armed at once; a dip
+  below the guard within its first scan interval goes to `_next_crossing`;
+* the step size of the arc following an impact is capped at the
   previous dwell time, so geometrically accumulating impacts stay
   resolvable by the fixed-resolution scan;
 * a run terminates with ``zeno_suspected`` when two impacts fall within
@@ -63,7 +65,8 @@ class Guard:
     surface: signed scalar g(t, q, v); the admissible region is g < 0
         and impacts occur on upward crossings of g = 0.
     direction: admissibility d(t, q, v); a crossing is an impact iff
-        d >= 0 there (closed inequality: grazing counts).
+        d >= 0 there (closed inequality: grazing counts). On arcs that
+        start on the guard, d is also read as the rate dg/dt.
     """
 
     surface: Callable[[float, np.ndarray, np.ndarray], float]
@@ -102,9 +105,6 @@ class SimOptions:
             ``zeno_suspected``.
         max_impacts: impact cap; reaching it terminates with
             ``max_impacts``.
-        post_impact_step_factor: ceiling on the step size of the arc
-            following an impact, as a multiple of the previous dwell
-            (None disables the ceiling).
         guard_jump_bound: when finite, |dg| > bound * h across one step
             raises IntegrationFailure (guard continuity check).
         strict: raise ZenoSuspected / IntegrationFailure instead of
@@ -118,7 +118,6 @@ class SimOptions:
     guard_tol: float = 1e-8
     min_dwell: float = 1e-9
     max_impacts: int = 10000
-    post_impact_step_factor: Optional[float] = 1.0
     guard_jump_bound: float = np.inf
     strict: bool = False
 
@@ -192,18 +191,20 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
     arcs: List[Arc] = []
     raw_events = []
     termination = None
-    prev_dwell = None
+    max_step = opts.max_step
 
     while True:
         rhs, gfun, dfun, reset = mode
-        max_step = opts.max_step
-        if prev_dwell is not None and opts.post_impact_step_factor is not None:
-            ceiling = max(opts.post_impact_step_factor * prev_dwell,
-                          4.0 * opts.min_dwell)
-            max_step = min(max_step, ceiling)
         solver = RK45(rhs, t, y, t_bound=t_end, rtol=opts.rtol,
                       atol=opts.atol, max_step=max_step)
-        armed = gfun(t, y[:n], y[n:]) < -ARM_TOL
+        if not np.all(np.isfinite(solver.f)):
+            # scipy would reject every step of a NaN step size forever
+            raise IntegrationFailure(
+                f"right-hand side is not finite at the arc start t={t:.6g}")
+        g0 = gfun(t, y[:n], y[n:])
+        # leaving the guard: its dip below g = 0 may not reach a scan sample
+        on_guard = g0 >= -ARM_TOL and dfun(t, y[:n], y[n:]) < 0.0
+        armed = g0 < -ARM_TOL or on_guard
         arc_times = [t]
         arc_states = [y.copy()]
         segments = []
@@ -231,15 +232,26 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
             for i in range(len(ts) - 1):
                 if not armed and gs[i] < -ARM_TOL:
                     armed = True
-                if armed and gs[i] <= 0.0 and gs[i + 1] > 0.0:
-                    tau = _refine_crossing(gfun, dense, n, ts[i], ts[i + 1],
-                                           gs[i], opts.event_tol)
-                    ypre = dense(tau)
-                    if dfun(tau, ypre[:n], ypre[n:]) >= 0.0:
-                        hit = (tau, ypre)
-                        break
-                    # inadmissible crossing: trajectory exits; rescan later
-                    # pairs for a subsequent re-entry crossing
+                tau = None
+                if on_guard and i == 0 and gs[1] > 0.0:
+                    # the whole dip below the guard lies in this interval
+                    tau = _next_crossing(_along(gfun, dense, n),
+                                         _along(dfun, dense, n), ts[0], ts[1],
+                                         opts.event_tol)
+                elif armed and gs[i] <= 0.0 and gs[i + 1] > 0.0:
+                    tau = ts[i] if gs[i] == 0.0 else float(brentq(
+                        _along(gfun, dense, n), ts[i], ts[i + 1],
+                        xtol=min(opts.event_tol, REFINE_XTOL),
+                        rtol=BRENT_RTOL))
+                if tau is None:
+                    continue
+                ypre = dense(tau)
+                if dfun(tau, ypre[:n], ypre[n:]) >= 0.0:
+                    hit = (tau, ypre)
+                    break
+                # inadmissible crossing: trajectory exits; rescan later
+                # pairs for a subsequent re-entry crossing
+            on_guard = False
             if hit is not None:
                 break
             if arc_times[-1] != solver.t:
@@ -277,7 +289,8 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
                 f"tolerance; event refinement failed")
         ypost, mode = reset(tau, ypre)
         raw_events.append((tau, ypre.copy(), ypost.copy(), residual))
-        prev_dwell = tau - (raw_events[-2][0] if len(raw_events) > 1 else t0)
+        last = raw_events[-2][0] if len(raw_events) > 1 else t0
+        max_step = min(opts.max_step, tau - last)
 
         if len(raw_events) >= opts.max_impacts:
             termination = TERM_MAX_IMPACTS
@@ -287,19 +300,53 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
     return arcs, raw_events, termination
 
 
-def _refine_crossing(gfun, dense, n, ta, tb, ga, event_tol):
-    """Locate the sign change of g(dense(t)) in [ta, tb], where dense(t)
-    packs n coordinates and n velocities and ga is the scan's guard value
-    at ta."""
-    if ga == 0.0:
-        return ta
-
-    def g(tt):
+def _along(fun, dense, n):
+    """fun(t, q, v) along a dense output of n-dimensional states."""
+    def f(tt):
         y = dense(tt)
-        return gfun(tt, y[:n], y[n:])
+        return fun(tt, y[:n], y[n:])
 
-    return float(brentq(g, ta, tb, xtol=min(event_tol, REFINE_XTOL),
-                        rtol=BRENT_RTOL))
+    return f
+
+
+def _next_crossing(phi, dphi, t0, t_end, event_tol):
+    """First upward root of a convex phi with phi(t0) <= 0 (to round-off)
+    on [t0, t_end], where dphi is its rate."""
+    if t_end <= t0:
+        return None
+    if dphi(t0) >= 0.0:
+        # heading out from the start: at most one root ahead
+        if phi(t_end) <= 0.0:
+            return None
+        if phi(t0) >= 0.0:
+            # grazing exit at round-off level: the wall recaptures at once
+            return t0
+        lo = t0
+    else:
+        # phi decreases first; expand a bracket for the zero of dphi
+        left = t0
+        h = max(1e-12, 1e-12 * abs(t0))
+        right = None
+        while t0 + h < t_end:
+            if dphi(t0 + h) > 0.0:
+                right = t0 + h
+                break
+            left = t0 + h
+            h *= 2.0
+        if right is None:
+            if dphi(t_end) <= 0.0:
+                # still heading inward at the end: phi stays negative
+                return None
+            right = t_end
+        t_min = float(brentq(dphi, left, right, xtol=1e-15, rtol=1e-15))
+        if phi(t_min) >= 0.0:
+            # dip never measurably re-enters: the wall caught the state
+            return t_min
+        if phi(t_end) <= 0.0:
+            return None
+        lo = t_min
+    return float(brentq(phi, lo, t_end, xtol=min(event_tol, 1e-14),
+                        rtol=1e-15))
 
 
 def _close_arc(times, states, segments, t_end):

@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -38,3 +41,20 @@ def sample_states(rng, model_id, count, dim=2):
         v = rng.uniform(-3.0, 3.0, size=q.size)
         out.append(hl.State(t, q, v))
     return out
+
+
+@contextlib.contextmanager
+def no_hang(seconds):
+    """Fail the enclosed block if it runs longer than `seconds` of wall
+    time, so that a regression into an endless loop fails the test
+    instead of stalling the suite (main thread, POSIX only)."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -2,6 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import no_hang
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hybridlag as hl
 
@@ -161,17 +164,78 @@ def test_zeno_termination_on_collapsing_wall():
     assert dwells[-1] <= 1e-8  # the accumulation was actually resolved
 
 
-def test_uncapped_steps_lose_the_accumulation():
-    # without the post-impact step ceiling the fixed-resolution scan
-    # eventually misses the shrinking guard dip: the run coasts to the
-    # horizon with fewer impacts than the resolved accumulation has
-    sc = hl.get_scenario("paper-c025")
-    opts = hl.SimOptions(post_impact_step_factor=None)
-    flow = hl.simulate(hl.cartesian_hybrid(sc.params), sc.initial_cartesian,
-                       10.0, opts)
-    assert flow.termination == "horizon_reached"
-    assert flow.t_final == 10.0
-    assert 10 <= len(flow.events) < 41
+# Runs whose arcs start on the guard with a dip below it shorter than one
+# scan interval; before such arcs were armed from their start, all but the
+# paper run missed impacts (0 of 50 from on and just outside the wall, 4 of
+# 7, and 6 of 11 after crawling to the horizon). The sweep starts are cases
+# 0 and 27 of the benchmark's seed-1 cartesian-sweep.
+PAPER_C025 = hl.get_scenario("paper-c025")
+ORACLE_RUNS = {
+    "grazing-static-wall": (static_billiard(), (1.0, 0.0), (-1e-4, 1.0),
+                            0.01, 50),
+    # g = 1e-10 at the start: accepted as on the guard, within guard_tol
+    "grazing-just-outside": (static_billiard(), (1.00000000005, 0.0),
+                             (-1e-4, 1.0), 0.01, 50),
+    "sweep-000": (hl.BilliardParams(c=0.06421726735278491),
+                  (-0.45291046761709836, -0.3188799724696672),
+                  (-0.0673930368899194, 0.046451316399299614), 10.0, 7),
+    "sweep-027": (hl.BilliardParams(c=0.14102475566792697),
+                  (-0.491880191368867, -0.28676075711268867),
+                  (-0.0781942307831347, 0.3227087147363463), 10.0, 11),
+    "paper-c025": (PAPER_C025.params, PAPER_C025.initial_cartesian.q,
+                   PAPER_C025.initial_cartesian.v, 10.0, 41),
+}
+
+
+def assert_matches_oracle(params, s0, t_end):
+    """simulate agrees with reference_flow on the impact count and on
+    every impact time (1e-8), and a rerun is bit-identical."""
+    with no_hang(10):
+        flow = hl.simulate(hl.cartesian_hybrid(params), s0, t_end)
+        again = hl.simulate(hl.cartesian_hybrid(params), s0, t_end)
+    ref = hl.reference_flow(params, s0, t_end)
+    assert len(flow.events) == len(ref.events), \
+        (flow.termination, ref.termination)
+    assert flow.termination == ref.termination
+    if ref.events:
+        assert np.max(np.abs(flow.event_times()
+                             - ref.event_times())) <= 1e-8
+    assert np.array_equal(again.event_times(), flow.event_times())
+    assert all(np.array_equal(a.states, b.states)
+               for a, b in zip(again.arcs, flow.arcs))
+    return flow
+
+
+@pytest.mark.parametrize("name", ORACLE_RUNS)
+def test_arcs_starting_on_the_guard_match_oracle(name):
+    params, q0, v0, t_end, impacts = ORACLE_RUNS[name]
+    s0 = hl.State(0.0, np.array(q0), np.array(v0))
+    flow = assert_matches_oracle(params, s0, t_end)
+    assert len(flow.events) == impacts
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(c=st.floats(0.05, 0.3), speed=st.floats(0.0, 3.0),
+       r=st.floats(0.2, 0.9), angle=st.floats(-np.pi, np.pi),
+       turn=st.floats(-np.pi, np.pi))
+def test_random_starts_on_closing_wall_match_oracle(c, speed, r, angle,
+                                                    turn):
+    # the benchmark sweep's ranges, on the paper wall through its collapse
+    s0 = hl.State(0.0, r * np.array([np.cos(angle), np.sin(angle)]),
+                  speed * np.array([np.cos(angle + turn),
+                                    np.sin(angle + turn)]))
+    assert_matches_oracle(hl.BilliardParams(c=c), s0, 10.0)
+
+
+def test_non_finite_field_at_arc_start_raises():
+    # scipy's stepper would take a NaN step size and reject it forever
+    bundle = hl.build_model("harmonic-1d")
+    sys = dataclasses.replace(bundle.system,
+                              acceleration=lambda t, q, v: q * np.nan)
+    hs = dataclasses.replace(bundle.hybrid, system=sys)
+    s0 = hl.State(0.0, np.array([1.0]), np.array([0.5]))
+    with no_hang(10), pytest.raises(hl.IntegrationFailure, match="not finite"):
+        hl.simulate(hs, s0, 1.0)
 
 
 def test_reset_must_preserve_time(unit_wall_hybrid):
@@ -318,6 +382,8 @@ def test_runs_build_states_per_impact_not_per_sample(monkeypatch):
                                          sc.initial_cartesian, 10.0),
         "resequenced": lambda: hl.simulate_resequenced(
             bare, sc.initial_polar, 10.0).reduced,
+        "reference": lambda: hl.reference_flow(sc.params,
+                                               sc.initial_cartesian, 10.0),
     }
     built = [0]
     post_init = hl.State.__post_init__

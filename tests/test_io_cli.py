@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from conftest import no_hang
 
 import hybridlag as hl
 from hybridlag import cli
@@ -188,6 +189,20 @@ def test_cli_non_finite_start_errors(tmp_path, model, mode, initial_q):
     assert code == 1
     record = json.loads(open(os.path.join(out, "error.json")).read())
     assert record["error"] == "InvalidStart"
+    assert "not finite" in record["message"]
+
+
+def test_cli_non_finite_field_errors(tmp_path):
+    # the polar field is NaN off the chart (r <= 0), here at a finite start
+    out = str(tmp_path / "out")
+    cfg = tmp_path / "off_chart.json"
+    cfg.write_text('{"model": "billiard-polar", "mode": "full", "horizon": 1, '
+                   '"initial_q": [-0.5, 0.0], "initial_v": [0.1, 0.1]}')
+    with no_hang(10):
+        code = run_cli("run", "--config", str(cfg), "--out", out)
+    assert code == 1
+    record = json.loads(open(os.path.join(out, "error.json")).read())
+    assert record["error"] == "IntegrationFailure"
     assert "not finite" in record["message"]
 
 

@@ -312,7 +312,11 @@ def polar_cyclic(p: BilliardParams) -> CyclicStructure:
     states, guard_states = _validation_states(p)
 
     def solver(t, x, xdot, mu):
-        return math.exp(-c * t / m) * mu / (m * x[0] ** 2)
+        # x[0] is r, or the row of r over columns. np.exp may differ from
+        # math.exp in the last bit; single points (the lifts inside
+        # resets) keep math.exp, so impact times do not depend on it
+        decay = math.exp(-c * t / m) if np.ndim(t) == 0 else np.exp(-c * t / m)
+        return decay * mu / (m * x[0] ** 2)
 
     # the polar guard reads only t, r and rdot, so it is its own reduced
     # form at every momentum

@@ -173,7 +173,7 @@ def _run(config: RunConfig) -> int:
             flow = rec.reduced
         _write_flow(config, flow, rec)
         record.update(_flow_record(flow))
-        record["mu_sequence"] = [mu for _, mu in rec.mu_sequence]
+        record["mu_sequence"] = rec.mu_sequence
         record["max_momentum_residual"] = rec.max_momentum_residual
         write_json(os.path.join(config.out, "run.json"), record)
         return 0
@@ -247,7 +247,6 @@ def _compare(config: RunConfig, bundle):
     if m:
         event_delta = float(np.max(np.abs(projected.event_times()[:m]
                                           - reduced.event_times()[:m])))
-    sup_all = 0.0
     sup_core = 0.0
     arc_sups = []
     for arc_p, arc_r in zip(projected.arcs, reduced.arcs):
@@ -257,22 +256,16 @@ def _compare(config: RunConfig, bundle):
             arc_sups.append(0.0)
             continue
         grid = np.linspace(lo, hi, 65)
-        sup_arc = 0.0
-        for t in grid:
-            yp = arc_p(t)
-            yr = arc_r(t)
-            d = float(np.max(np.abs(yp - yr)))
-            sup_arc = max(sup_arc, d)
-            if yp[0] >= COMPARE_CORE_RADIUS:
-                sup_core = max(sup_core, d)
-        arc_sups.append(sup_arc)
-        sup_all = max(sup_all, sup_arc)
-    theta_delta = 0.0
-    for k, ev in enumerate(reduced.events):
-        if k < len(full.arcs):
-            theta_full = full.arcs[k](ev.tau)[1]
-            theta_delta = max(theta_delta,
-                              abs(float(rec.theta[k][-1]) - float(theta_full)))
+        yp = arc_p(grid)
+        d = np.max(np.abs(yp - arc_r(grid)), axis=0)
+        arc_sups.append(float(np.max(d)))
+        sup_core = max(sup_core, float(np.max(
+            d, where=yp[0] >= COMPARE_CORE_RADIUS, initial=0.0)))
+    sup_all = max(arc_sups, default=0.0)
+    # the angle at each impact: the end of the reduced arc before it
+    theta_delta = max([abs(float(th[-1]) - float(arc(ev.tau)[1]))
+                       for th, ev, arc in zip(rec.theta, reduced.events,
+                                              full.arcs)], default=0.0)
     passed = (n_f == n_r and event_delta <= COMPARE_EVENT_TOL
               and sup_core <= COMPARE_STATE_TOL)
     return {

@@ -40,7 +40,7 @@ from scipy.optimize import brentq
 
 from .errors import (BracketInvalid, DirectionRejected, IntegrationFailure,
                      InvalidReset, InvalidStart, ZenoSuspected)
-from .lagrangian import CoState, LagrangianSystem, State
+from .lagrangian import LagrangianSystem, State
 
 TERM_HORIZON = "horizon_reached"
 TERM_MAX_IMPACTS = "max_impacts"
@@ -52,6 +52,9 @@ REFINE_XTOL = 1e-13  # refine events well past event_tol: dwell comparisons
                      # against min_dwell must not hinge on localization noise
 ARM_TOL = 1e-12      # guard value below which an arc counts as interior
 SCAN_POINTS = 8      # interior dense-output guard samples per accepted step
+# scan sample i of a step [a, b] is i * ((b - a) / (SCAN_POINTS + 1)) + a,
+# the arithmetic of np.linspace(a, b, SCAN_POINTS + 2)
+_SCAN_INDEX = np.arange(SCAN_POINTS + 2, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -217,7 +220,9 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
                 break
             dense = solver.dense_output()
             segments.append(dense)
-            ts = np.linspace(solver.t_old, solver.t, SCAN_POINTS + 2)
+            ts = (_SCAN_INDEX * ((solver.t - solver.t_old) / (SCAN_POINTS + 1))
+                  + solver.t_old)
+            ts[-1] = solver.t
             ys = dense(ts)
             gs = np.array([gfun(tt, yy[:n], yy[n:])
                            for tt, yy in zip(ts, ys.T)])
@@ -582,8 +587,7 @@ def check_hybrid_equivalence(hs: HybridSystem, s0: State, t_end: float,
         return warm["v"]
 
     def rhs_h(t, y):
-        dq, dp = sys.hamiltonian_field(CoState(t, y[:n], y[n:]),
-                                       v0=warm["v"])
+        dq, dp = sys.hamiltonian_field(t, y[:n], y[n:], v0=warm["v"])
         warm["v"] = dq
         return np.concatenate([dq, dp])
 
@@ -618,13 +622,11 @@ def check_hybrid_equivalence(hs: HybridSystem, s0: State, t_end: float,
             np.union1d(arc_l.times[(arc_l.times >= lo) & (arc_l.times <= hi)],
                        arc_h.times[(arc_h.times >= lo) & (arc_h.times <= hi)]),
             np.linspace(lo, hi, grid_per_arc))
-        for t in grid:
-            yl = arc_l(t)
-            yh = arc_h(t)
-            p = sys.dL_dv(t, yl[:n], yl[n:])
-            worst = max(worst,
-                        float(np.max(np.abs(yl[:n] - yh[:n]))),
-                        float(np.max(np.abs(p - yh[n:]))))
+        yl, yh = arc_l(grid), arc_h(grid)
+        p = np.column_stack([sys.dL_dv(t, yl[:n, i], yl[n:, i])
+                             for i, t in enumerate(grid)])
+        worst = max(worst, float(np.max(np.abs(yl[:n] - yh[:n]))),
+                    float(np.max(np.abs(p - yh[n:]))))
 
     n_l = len(flow_l.events)
     n_h = len(raw_h)

@@ -62,10 +62,6 @@ class CoState:
         object.__setattr__(self, "q", np.atleast_1d(np.asarray(self.q, float)))
         object.__setattr__(self, "p", np.atleast_1d(np.asarray(self.p, float)))
 
-    def is_finite(self):
-        return (np.isfinite(self.t) and np.all(np.isfinite(self.q))
-                and np.all(np.isfinite(self.p)))
-
 
 @dataclass(frozen=True)
 class LagrangianSystem:
@@ -197,19 +193,19 @@ class LagrangianSystem:
         raise NoConvergence(
             f"inverse fiber derivative did not converge at t={t:.6g}")
 
-    def hamiltonian_field(self, cs: CoState, v0=None):
-        """(dq, dp) of the momentum-side evolution field.
+    def hamiltonian_field(self, t, q, p, v0=None):
+        """(dq, dp) of the momentum-side evolution field at (t, q, p).
 
         Uses the exact identities dq = v(t, q, p) and dp = dL/dq
         evaluated at the recovered velocity; no differencing of any
         Hamiltonian. `v0` warm-starts the velocity recovery.
         """
-        v = self._velocity(cs.t, cs.q, cs.p, v0)
-        return v, np.asarray(self.dL_dq(cs.t, cs.q, v), float).copy()
+        v = self._velocity(t, q, p, v0)
+        return v, np.asarray(self.dL_dq(t, q, v), float).copy()
 
     # -- self-checks ------------------------------------------------------
 
-    def derivative_consistency(self, states, rel_tol=1e-6):
+    def derivative_consistency(self, states):
         """Compare dL_dq/dL_dv against central differences of L.
 
         Returns the maximal relative deviation over `states`; raises

@@ -36,16 +36,17 @@ reduction of Ames & Sastry, ACC 2006): at each impact the pre-impact
 shape state is lifted at cyclic angle 0, the full reset is applied
 there, and the next arc runs in the reduced system rebuilt at the
 post-impact momentum. The cyclic angle is reconstructed once the run
-ends, over all arcs, each at its own momentum: each arc's interpolant is
-evaluated once on the whole quadrature grid, and the cyclic velocity
-solved there is integrated by composite Simpson quadrature.
+ends, over all arcs, each at its own momentum. Each arc is read as
+columns: its interpolant and the cyclic-velocity solver are called once
+on the whole quadrature grid, and composite Simpson quadrature sums the
+result; no `State` is built per grid point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -72,8 +73,11 @@ class CyclicStructure:
         cyclic_index: index of the cyclic coordinate in [0, n); the
             conserved momentum is the cyclic component of dL/dv.
         cyclic_velocity_solver: optional closed form
-            (t, x, xdot, mu) -> theta_dot; a scalar Newton solve on the
-            momentum relation is used when absent.
+            (t, x, xdot, mu) -> theta_dot with the array contract of
+            `Arc.interpolant`: a scalar t with (m,) vectors gives a
+            float, (k,) times with (m, k) columns give (k,). A Newton
+            solve on the momentum relation, per column, is used when
+            absent.
         routhian_factory: optional closed-form reduced system builder
             mu -> LagrangianSystem of dimension n-1.
         reduced_guard_factory: optional closed-form reduced guard builder
@@ -138,15 +142,22 @@ class CyclicStructure:
 
     # -- momentum and cyclic velocity --------------------------------------
 
-    def momentum_value(self, s: State) -> float:
-        sys = self.full.system
-        return float(sys.dL_dv(s.t, s.q, s.v)[self.cyclic_index])
+    def momentum_value(self, t: float, q: np.ndarray, v: np.ndarray) -> float:
+        """The cyclic component of dL/dv at (t, q, v)."""
+        return float(self.full.system.dL_dv(t, q, v)[self.cyclic_index])
 
-    def solve_cyclic_velocity(self, t: float, x: np.ndarray,
-                              xdot: np.ndarray, mu: float) -> float:
-        """Recover theta_dot from the momentum relation at (t, x, xdot)."""
+    def solve_cyclic_velocity(self, t, x, xdot, mu):
+        """Recover theta_dot from the momentum relation at (t, x, xdot):
+        a float at a scalar t, (k,) values at (k,) times and (m, k)
+        columns (one call of the closed form, or Newton per column)."""
         if self.cyclic_velocity_solver is not None:
-            return float(self.cyclic_velocity_solver(t, x, xdot, mu))
+            theta_dot = self.cyclic_velocity_solver(t, x, xdot, mu)
+            return (float(theta_dot) if np.ndim(t) == 0
+                    else np.asarray(theta_dot, float))
+        if np.ndim(t) > 0:
+            return np.array([self.solve_cyclic_velocity(tt, x[:, i],
+                                                        xdot[:, i], mu)
+                             for i, tt in enumerate(t)])
         sys = self.full.system
         ci = self.cyclic_index
         q = self.insert(x, 0.0)
@@ -183,7 +194,7 @@ class CyclicStructure:
             base_g = guard.surface(s.t, s.q, s.v)
             base_d = guard.direction(s.t, s.q, s.v)
             if self.reduced_guard_factory is not None:
-                red = self.reduced_guard_factory(self.momentum_value(s))
+                red = self.reduced_guard_factory(momentum_map(self, s))
                 x, xdot = self.drop(s.q), self.drop(s.v)
                 if (abs(red.surface(s.t, x, xdot) - base_g)
                         > tol * max(1.0, abs(base_g))
@@ -230,14 +241,14 @@ class ReducedHybridSystem:
 class ReconstructedFlow:
     """A reduced flow together with the rebuilt cyclic coordinate.
 
-    theta/theta_dot are aligned with each arc's step grid; mu_sequence
-    lists the momentum value active on each arc.
+    theta/theta_dot are aligned with each arc's step grid; mu_sequence[k]
+    is the momentum value active on arc k.
     """
 
     reduced: HybridFlow
     theta: List[np.ndarray]
     theta_dot: List[np.ndarray]
-    mu_sequence: List[Tuple[int, float]] = field(default_factory=list)
+    mu_sequence: List[float] = field(default_factory=list)
     max_momentum_residual: float = 0.0
 
 
@@ -247,10 +258,10 @@ class ReconstructedFlow:
 
 def momentum_map(cs: CyclicStructure, s: State) -> float:
     """Conserved quantity of the cyclic symmetry at a full state."""
-    return cs.momentum_value(s)
+    return cs.momentum_value(s.t, s.q, s.v)
 
 
-def solve_cyclic_velocity(cs: CyclicStructure, t, x, xdot, mu) -> float:
+def solve_cyclic_velocity(cs: CyclicStructure, t, x, xdot, mu):
     return cs.solve_cyclic_velocity(t, np.asarray(x, float),
                                     np.asarray(xdot, float), mu)
 
@@ -329,22 +340,17 @@ def project(cs: CyclicStructure, flow: HybridFlow) -> HybridFlow:
     cols = np.array([ci, n + ci])
     arcs = []
     for arc in flow.arcs:
-        parent = arc.interpolant
         arcs.append(Arc(arc.t_start, arc.t_end, arc.times.copy(),
                         np.delete(arc.states, cols, axis=1),
-                        _ProjectedInterpolant(parent, cols)))
+                        _projected(arc.interpolant, cols)))
     events = [Event(e.tau, cs.project_state(e.pre), cs.project_state(e.post),
                     e.guard_residual) for e in flow.events]
     return HybridFlow(arcs, events, flow.termination, flow.options)
 
 
-class _ProjectedInterpolant:
-    def __init__(self, parent, cols):
-        self._parent = parent
-        self._cols = cols
-
-    def __call__(self, t):
-        return np.delete(self._parent(t), self._cols, axis=0)
+def _projected(parent, cols):
+    """`parent` with the rows `cols` removed, for scalar and array t."""
+    return lambda t: np.delete(parent(t), cols, axis=0)
 
 
 def reconstruct(cs: CyclicStructure, red: HybridFlow, mu0: float,
@@ -362,8 +368,7 @@ def reconstruct(cs: CyclicStructure, red: HybridFlow, mu0: float,
     n_arcs = len(red.arcs)
     theta, theta_dot, resid = _reconstruct_arcs(
         cs, red.arcs, [mu0] * n_arcs, [theta0] + [0.0] * (n_arcs - 1))
-    return ReconstructedFlow(red, theta, theta_dot,
-                             [(k, mu0) for k in range(n_arcs)], resid)
+    return ReconstructedFlow(red, theta, theta_dot, [mu0] * n_arcs, resid)
 
 
 def _reconstruct_arcs(cs: CyclicStructure, arcs: Sequence[Arc],
@@ -372,36 +377,36 @@ def _reconstruct_arcs(cs: CyclicStructure, arcs: Sequence[Arc],
 
     Arc k is integrated at momentum mus[k], starting from the angle the
     previous arc ended at plus jumps[k] (jumps[0] is the start angle).
-    Returns (theta per arc, theta_dot per arc, worst momentum residual).
+    Each arc is evaluated once on its quadrature grid and the cyclic
+    velocity is solved there in one call. Returns (theta per arc,
+    theta_dot per arc, worst momentum residual).
     """
     m = cs.dim_reduced
     stride = 2 * PANELS_PER_STEP
+    panel_points = np.arange(stride + 1, dtype=float)
     theta_arcs, theta_dot_arcs = [], []
     acc = 0.0
     worst = 0.0
     for arc, mu, jump in zip(arcs, mus, jumps):
-        times = arc.times
-        fine = np.concatenate(
-            [times[:1]] + [np.linspace(a, b, stride + 1)[1:]
-                           for a, b in zip(times[:-1], times[1:])])
+        # each step [a, b] split as np.linspace(a, b, stride + 1) does
+        a, b = arc.times[:-1, None], arc.times[1:, None]
+        grid = panel_points * ((b - a) / stride) + a
+        grid[:, -1] = b[:, 0]
+        fine = np.concatenate([arc.times[:1], grid[:, 1:].ravel()])
         ys = arc(fine)
-        thd = np.array([cs.solve_cyclic_velocity(t, y[:m], y[m:], mu)
-                        for t, y in zip(fine, ys.T)])
-        # Simpson pairs advance on the even indices, so every stride-th
-        # point (a step-grid time) carries the angle
-        th = np.empty_like(fine)
-        th[0] = acc + jump
-        for k in range(0, len(fine) - 2, 2):
-            h = fine[k + 2] - fine[k]
-            seg = h / 6.0 * (thd[k] + 4.0 * thd[k + 1] + thd[k + 2])
-            th[k + 2] = th[k] + seg
+        thd = cs.solve_cyclic_velocity(fine, ys[:m], ys[m:], mu)
+        # th[j] is the angle at fine[2 j], after j Simpson panels; every
+        # PANELS_PER_STEP-th one lies on the step grid
+        h = fine[2::2] - fine[:-2:2]
+        seg = h / 6.0 * (thd[:-2:2] + 4.0 * thd[1:-1:2] + thd[2::2])
+        th = np.cumsum(np.concatenate([[acc + jump], seg]))
         acc = th[-1]
         # verify the rebuilt full states sit on the momentum level set
         for k in (0, len(fine) // 2, len(fine) - 1):
-            s_full = State(fine[k], cs.insert(ys[:m, k], th[k]),
-                           cs.insert(ys[m:, k], thd[k]))
-            worst = max(worst, abs(cs.momentum_value(s_full) - mu))
-        theta_arcs.append(th[::stride].copy())
+            q = cs.insert(ys[:m, k], th[k // 2])
+            v = cs.insert(ys[m:, k], thd[k])
+            worst = max(worst, abs(cs.momentum_value(fine[k], q, v) - mu))
+        theta_arcs.append(th[::PANELS_PER_STEP].copy())
         theta_dot_arcs.append(thd[::stride].copy())
     return theta_arcs, theta_dot_arcs, worst
 
@@ -425,7 +430,7 @@ def simulate_resequenced(cs: CyclicStructure, s0: State, t_end: float,
     _check_finite(s0)
     ci = cs.cyclic_index
     m = cs.dim_reduced
-    mus = [cs.momentum_value(s0)]
+    mus = [momentum_map(cs, s0)]
     jumps = [float(s0.q[ci])]
 
     def mode_at(mu, validate=False):
@@ -436,7 +441,7 @@ def simulate_resequenced(cs: CyclicStructure, s0: State, t_end: float,
             pre = State(tau, ypre[:m], ypre[m:])
             post_full = cs.full.reset.apply(
                 State(tau, *cs.embed(tau, pre.q, pre.v, mu)))
-            mu_next = cs.momentum_value(post_full)
+            mu_next = momentum_map(cs, post_full)
             post = cs.project_state(post_full)
             nxt = mode_at(mu_next)
             _validate_reset(pre, post, nxt[1], nxt[2])
@@ -455,5 +460,4 @@ def simulate_resequenced(cs: CyclicStructure, s0: State, t_end: float,
     _maybe_raise(reduced, opts)
     mus = mus[:len(arcs)]
     theta, theta_dot, resid = _reconstruct_arcs(cs, arcs, mus, jumps)
-    return ReconstructedFlow(reduced, theta, theta_dot, list(enumerate(mus)),
-                             resid)
+    return ReconstructedFlow(reduced, theta, theta_dot, mus, resid)

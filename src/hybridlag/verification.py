@@ -92,7 +92,7 @@ def check_momentum_conservation(scenario, opts=None):
                     opts or SimOptions())
     worst = 0.0
     for arc in flow.arcs:
-        J = np.array([momentum_map(cyc, State(t, y[:2], y[2:]))
+        J = np.array([cyc.momentum_value(t, y[:2], y[2:])
                       for t, y in zip(arc.times, arc.states)])
         worst = max(worst, float(np.max(np.abs(J - J[0]))))
     jump = 0.0

@@ -310,7 +310,7 @@ def test_criterion_7_elastic_degeneracy():
     cyc = hl.polar_cyclic(sc.params)
     mu = hl.momentum_map(cyc, sc.initial_polar)
     rs = hl.simulate_resequenced(cyc, sc.initial_polar, 5.0)
-    mus = np.array([m for _, m in rs.mu_sequence])
+    mus = np.array(rs.mu_sequence)
     const_ok = float(np.max(np.abs(mus - mus[0]))) <= 1e-12 * abs(mus[0])
 
     red = hl.reduce(cyc, mu)
@@ -341,7 +341,7 @@ def test_criterion_7_halving_fixture():
         cyc, full=dataclasses.replace(cyc.full,
                                       reset=hl.ResetMap(apply=halved)))
     rs = hl.simulate_resequenced(fixture, sc.initial_polar, 5.0)
-    mus = [m for _, m in rs.mu_sequence]
+    mus = rs.mu_sequence
     worst = max(abs(mus[k + 1] / mus[k] - 0.5) for k in range(len(mus) - 1))
     ok = report("criterion 7 halving fixture mu ratios", worst <= 1e-12,
                 f"{len(mus) - 1} impacts, max |ratio - 1/2| {worst:.2e}")

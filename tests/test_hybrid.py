@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hybridlag as hl
+from hybridlag import verification
 
 
 def static_billiard(c=0.0, radius_sq=1.0, **kw):
@@ -366,12 +367,15 @@ def test_arc_interpolant_array_contract(build, dim, exact):
 def test_runs_build_states_per_impact_not_per_sample(monkeypatch):
     # State is the API edge: the executor samples the guard and the RHS
     # on its packed arrays, so a run builds States per impact and per arc
-    # (reset arguments, Event records, reconstruction checks), never per
-    # step or guard sample
+    # (reset arguments, Event records), never per step or guard sample;
+    # the passes after a run read arcs as columns and build none per
+    # grid point either
     sc = hl.get_scenario("paper-c025")
     cyc = hl.polar_cyclic(sc.params)
-    red = hl.reduce(cyc, hl.momentum_map(cyc, sc.initial_polar))
+    mu = hl.momentum_map(cyc, sc.initial_polar)
+    red = hl.reduce(cyc, mu)
     s0r = cyc.project_state(sc.initial_polar)
+    rflow = hl.simulate(red.shape, s0r, 10.0)
     # no symmetry samples: the one-time validation is not part of the run
     bare = dataclasses.replace(cyc, sample_states=(), guard_sample_states=())
     runs = {
@@ -385,20 +389,35 @@ def test_runs_build_states_per_impact_not_per_sample(monkeypatch):
         "reference": lambda: hl.reference_flow(sc.params,
                                                sc.initial_cartesian, 10.0),
     }
-    built = [0]
-    post_init = hl.State.__post_init__
+    built = {hl.State: 0, hl.CoState: 0}
 
-    def counting(self):
-        built[0] += 1
-        post_init(self)
+    for cls in built:
+        def count(self, cls=cls, init=cls.__post_init__):
+            built[cls] += 1
+            init(self)
 
-    monkeypatch.setattr(hl.State, "__post_init__", counting)
+        monkeypatch.setattr(cls, "__post_init__", count)
     for name, run in runs.items():
-        built[0] = 0
+        built[hl.State] = 0
         flow = run()
         assert len(flow.events) == 41, name
-        assert built[0] <= 6 * (len(flow.events) + len(flow.arcs)), \
-            (name, built[0])
+        assert built[hl.State] <= 6 * (len(flow.events) + len(flow.arcs)), \
+            (name, built[hl.State])
+    built[hl.State] = 0
+    hl.reconstruct(cyc, rflow, mu, float(sc.initial_polar.q[1]))
+    assert built[hl.State] == 0
+    # one polar run (the same 41 impacts) plus the check on its step grid
+    built[hl.State] = 0
+    assert verification.check_momentum_conservation(sc)["passed"]
+    assert built[hl.State] <= 6 * (len(rflow.events) + len(rflow.arcs)), \
+        built[hl.State]
+    # the momentum side builds a CoState at the start and per impact only
+    built[hl.CoState] = 0
+    rep = hl.check_hybrid_equivalence(hl.cartesian_hybrid(sc.params),
+                                      sc.initial_cartesian, 10.0)
+    assert rep.events_momentum_side == 41
+    assert built[hl.CoState] == rep.events_momentum_side + 1, \
+        built[hl.CoState]
 
 
 # ---------------------------------------------------------------------------

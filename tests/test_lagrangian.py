@@ -152,22 +152,21 @@ def test_legendre_round_trip(model_id, rng):
 
 def test_hamiltonian_field_billiard():
     sys = hl.cartesian_system(BILLIARD)
-    dq, dp = sys.hamiltonian_field(hl.CoState(0.0, np.array([0.25, 0.5]),
-                                              np.array([2.8, 1.8])))
+    dq, dp = sys.hamiltonian_field(0.0, np.array([0.25, 0.5]),
+                                   np.array([2.8, 1.8]))
     assert np.allclose(dq, [2.8, 1.8], atol=1e-12)
     assert np.allclose(dp, 0.0, atol=1e-15)
 
 
 def test_hamiltonian_field_rest_point():
     sys = hl.build_model("free-particle").system
-    dq, dp = sys.hamiltonian_field(hl.CoState(0.0, np.zeros(2), np.zeros(2)))
+    dq, dp = sys.hamiltonian_field(0.0, np.zeros(2), np.zeros(2))
     assert np.allclose(dq, 0.0) and np.allclose(dp, 0.0)
 
 
 def test_hamiltonian_field_harmonic():
     sys = hl.build_model("harmonic-1d").system
-    dq, dp = sys.hamiltonian_field(hl.CoState(0.0, np.array([1.0]),
-                                              np.array([0.0])))
+    dq, dp = sys.hamiltonian_field(0.0, np.array([1.0]), np.array([0.0]))
     assert dq[0] == pytest.approx(0.0, abs=1e-13)
     assert dp[0] == pytest.approx(-1.0, rel=1e-13)
 

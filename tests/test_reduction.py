@@ -97,6 +97,28 @@ def test_solve_cyclic_velocity_newton_path(cyc025, rng):
         assert newton == pytest.approx(closed, abs=1e-11)
 
 
+@pytest.mark.parametrize("closed_form", [True, False],
+                         ids=["closed-form", "newton"])
+def test_solve_cyclic_velocity_on_columns(cyc025, rng, closed_form):
+    # the array contract of Arc.interpolant: (k,) times with (m, k)
+    # columns give (k,) velocities, column i agreeing with the scalar call
+    # (the closed form may differ in the last bit, as np.exp does)
+    cs = cyc025 if closed_form else dataclasses.replace(
+        cyc025, cyclic_velocity_solver=None)
+    ts = rng.uniform(0.0, 3.0, 9)
+    x = rng.uniform(0.3, 1.3, (1, 9))
+    xdot = rng.uniform(-2.0, 2.0, (1, 9))
+    cols = cs.solve_cyclic_velocity(ts, x, xdot, -0.95)
+    assert cols.shape == (9,)
+    for i, t in enumerate(ts):
+        thd = cs.solve_cyclic_velocity(t, x[:, i], xdot[:, i], -0.95)
+        assert isinstance(thd, float)
+        if closed_form:
+            assert abs(cols[i] - thd) <= 1e-15 * abs(thd)
+        else:
+            assert cols[i] == thd
+
+
 def test_solve_cyclic_velocity_degenerate_raises():
     # Lagrangian linear in the cyclic velocity: momentum relation has no
     # solution (not regular in the group velocity)
@@ -374,9 +396,26 @@ def test_reconstruct_tracks_full_flow(cyc025, scenario):
 # resequencing
 # ---------------------------------------------------------------------------
 
+def test_reconstruct_solves_cyclic_velocity_once_per_arc(cyc025, scenario):
+    mu = hl.momentum_map(cyc025, scenario.initial_polar)
+    flow = hl.simulate(hl.reduce(cyc025, mu).shape,
+                       cyc025.project_state(scenario.initial_polar), 10.0)
+    solver = cyc025.cyclic_velocity_solver
+    calls = [0]
+
+    def counted(t, x, xdot, mu):
+        calls[0] += 1
+        return solver(t, x, xdot, mu)
+
+    counting = dataclasses.replace(cyc025, cyclic_velocity_solver=counted)
+    hl.reconstruct(counting, flow, mu, float(scenario.initial_polar.q[1]))
+    assert len(flow.arcs) == 42
+    assert calls[0] == len(flow.arcs)
+
+
 def test_resequenced_elastic_constant_momentum(cyc025, scenario):
     rs = hl.simulate_resequenced(cyc025, scenario.initial_polar, 5.0)
-    mus = np.array([mu for _, mu in rs.mu_sequence])
+    mus = np.array(rs.mu_sequence)
     assert np.max(np.abs(mus - mus[0])) <= 1e-12 * abs(mus[0])
     assert rs.reduced.termination == "horizon_reached"
 
@@ -417,7 +456,7 @@ def test_resequenced_halving_fixture(cyc025, scenario):
         cyc025, full=dataclasses.replace(
             base, reset=hl.ResetMap(apply=damped_angular)))
     rs = hl.simulate_resequenced(fixture, scenario.initial_polar, 5.0)
-    mus = [mu for _, mu in rs.mu_sequence]
+    mus = rs.mu_sequence
     assert len(mus) >= 4
     for k in range(len(mus) - 1):
         assert mus[k + 1] / mus[k] == pytest.approx(0.5, abs=1e-12)

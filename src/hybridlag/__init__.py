@@ -26,8 +26,7 @@ from .lagrangian import CoState, LagrangianSystem, State
 from .models import MODEL_IDS, SCENARIO_IDS, ModelBundle, build_model
 from .reduction import (CyclicStructure, ReconstructedFlow,
                         ReducedHybridSystem, momentum_map, project,
-                        reconstruct, reduce, routhian, simulate_resequenced,
-                        solve_cyclic_velocity)
+                        reconstruct, reduce, routhian, simulate_resequenced)
 
 __version__ = "0.1.0"
 
@@ -47,5 +46,5 @@ __all__ = [
     "polar_cyclic", "polar_hybrid", "polar_system", "polar_to_cartesian",
     "project", "reconstruct", "reduce", "reference_flow", "reset_cartesian",
     "reset_polar", "routhian", "routhian_closed", "simulate",
-    "simulate_resequenced", "solve_cyclic_velocity", "static_wall",
+    "simulate_resequenced", "static_wall",
 ]

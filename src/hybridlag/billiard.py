@@ -49,6 +49,7 @@ from .lagrangian import LagrangianSystem, State
 from .reduction import CyclicStructure
 
 DISCRIMINANT_CLAMP = 1e-12
+REFERENCE_GRID = 33  # sample times per arc of a reference flow
 
 
 def default_wall(t):
@@ -82,9 +83,9 @@ class BilliardParams:
     r_min: float = 1e-8
 
     def __post_init__(self):
-        if self.m <= 0:
+        if not self.m > 0:
             raise ValueError("mass must be positive")
-        if self.c < 0:
+        if not self.c >= 0:
             raise ValueError("dissipation coefficient must be >= 0")
         if self.direction_mode not in ("co-moving", "outward"):
             raise ValueError(f"unknown direction_mode {self.direction_mode!r}")
@@ -367,8 +368,7 @@ class _FlightInterpolant:
 
 
 def reference_flow(p: BilliardParams, s0: State, t_end: float,
-                   opts: Optional[SimOptions] = None,
-                   grid_per_arc: int = 33) -> HybridFlow:
+                   opts: Optional[SimOptions] = None) -> HybridFlow:
     """Exact piecewise reference run of the Cartesian billiard.
 
     Flights are closed-form; the next impact is the first root of the
@@ -405,7 +405,7 @@ def reference_flow(p: BilliardParams, s0: State, t_end: float,
                 # by convexity, never returns on this arc
                 tau = None
         arc_end = tau if tau is not None else t_end
-        times = np.linspace(t, arc_end, grid_per_arc)
+        times = np.linspace(t, arc_end, REFERENCE_GRID)
         states = flight(times).T
         arcs.append(Arc(t, arc_end, times, states, flight))
 

@@ -28,8 +28,9 @@ import numpy as np
 from . import __version__, billiard
 from .errors import HybridLagError, ParseError
 from .hybrid import simulate
-from .io import (SCHEMA_VERSION, RunConfig, config_from_dict,
-                 write_events_csv, write_json, write_trajectory_csv)
+from .io import (CONFIG_KEYS, SCHEMA_VERSION, RunConfig, config_from_dict,
+                 load_document, write_events_csv, write_json,
+                 write_trajectory_csv)
 from .lagrangian import State
 from .models import build_model
 from .reduction import momentum_map, project, reconstruct, reduce, \
@@ -55,26 +56,16 @@ def main(argv=None) -> int:
     run_p.add_argument("--out", help="output directory override")
     args = parser.parse_args(argv)
 
-    doc = {}
+    overrides = {key: value for key, value in vars(args).items()
+                 if key in CONFIG_KEYS and value is not None}
+    doc = overrides
     try:
-        if args.config:
-            with open(args.config) as fh:
-                text = fh.read()
-            loaded = json.loads(text)
-            # accept both a bare config and a run.json wrapper
-            doc = loaded.get("config", loaded) if isinstance(loaded, dict) \
-                else loaded
-            if not isinstance(doc, dict):
-                raise ParseError("configuration must be a JSON object")
-        for key in ("model", "scenario", "mode", "out"):
-            val = getattr(args, key)
-            if val is not None:
-                doc[key] = val
-        if args.horizon is not None:
-            doc["horizon"] = args.horizon
+        text = _read_config(args.config) if args.config else "{}"
+        doc = {**load_document(text), **overrides}
         config = config_from_dict(doc)
-    except (OSError, json.JSONDecodeError, HybridLagError) as exc:
-        _emit_error(doc.get("out", "."), exc)
+    except HybridLagError as exc:
+        out = doc.get("out")
+        _emit_error(out if isinstance(out, str) else ".", exc)
         return 2
 
     try:
@@ -82,6 +73,15 @@ def main(argv=None) -> int:
     except HybridLagError as exc:
         _emit_error(config.out, exc)
         return 1
+
+
+def _read_config(path):
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read configuration {path!r}: "
+                         f"{exc}") from exc
 
 
 def _emit_error(out_dir, exc):
@@ -96,26 +96,18 @@ def _emit_error(out_dir, exc):
         pass
 
 
-def _params_from_config(config: RunConfig) -> billiard.BilliardParams:
-    base = {}
-    if config.scenario is not None:
-        sc = billiard.get_scenario(config.scenario)
-        base = {"c": sc.params.c, "m": sc.params.m}
-    if config.c is not None:
-        base["c"] = config.c
-    if config.m is not None:
-        base["m"] = config.m
-    if config.direction_mode is not None:
-        base["direction_mode"] = config.direction_mode
-    if config.polar_reset_sign is not None:
-        base["polar_reset_sign"] = config.polar_reset_sign
-    return billiard.BilliardParams(**base)
-
-
 def _initial_state(config: RunConfig, bundle) -> State:
     if config.initial_q is not None or config.initial_v is not None:
-        if config.initial_q is None or config.initial_v is None:
-            raise ParseError("initial_q and initial_v must be given together")
+        dim = bundle.system.dim
+        for key in ("initial_q", "initial_v"):
+            vec = getattr(config, key)
+            if vec is None:
+                raise ParseError("initial_q and initial_v must be given "
+                                 "together", key=key)
+            if len(vec) != dim:
+                raise ParseError(f"{key} has {len(vec)} entries; model "
+                                 f"{config.model!r} has dimension {dim}",
+                                 key=key)
         t0 = config.initial_t if config.initial_t is not None else 0.0
         return State(t0, np.asarray(config.initial_q, float),
                      np.asarray(config.initial_v, float))
@@ -135,8 +127,7 @@ def _initial_state(config: RunConfig, bundle) -> State:
 
 def _run(config: RunConfig) -> int:
     os.makedirs(config.out, exist_ok=True)
-    params = _params_from_config(config)
-    bundle = build_model(config.model, params)
+    bundle = build_model(config.model, config.params)
     record = {
         "schema_version": SCHEMA_VERSION,
         "package_version": __version__,
@@ -189,7 +180,7 @@ def _run(config: RunConfig) -> int:
         if config.scenario is None:
             raise ParseError("verify mode needs a scenario")
         sc0 = billiard.get_scenario(config.scenario)
-        sc = billiard.PaperScenario(sc0.scenario_id, params,
+        sc = billiard.PaperScenario(sc0.scenario_id, config.params,
                                     sc0.initial_polar,
                                     horizon=min(config.horizon, sc0.horizon))
         checks = run_verification(sc, opts=config.options)

@@ -402,14 +402,15 @@ def simulate(hs: HybridSystem, s0: State, t_end: float,
     """Execute the hybrid flow of `hs` from s0 up to t_end.
 
     The start state must be admissible: strictly inside the guard, or on
-    it with negative direction (leaving). Returns a HybridFlow whose
-    termination is one of horizon_reached, max_impacts, zeno_suspected or
-    integration_failure; in strict mode the last three raise instead.
+    it with negative direction (leaving); t_end must not precede s0.t.
+    Returns a HybridFlow whose termination is one of horizon_reached,
+    max_impacts, zeno_suspected or integration_failure; in strict mode
+    the last three raise instead.
     """
     opts = opts or SimOptions()
     n = hs.system.dim
     gfun, dfun = hs.guard.surface, hs.guard.direction
-    _check_start(gfun, dfun, s0, opts)
+    _check_start(gfun, dfun, s0, t_end, opts)
 
     def reset(tau, ypre):
         pre = State(tau, ypre[:n], ypre[n:])
@@ -432,10 +433,13 @@ def _check_finite(s: State):
                            f"q={s.q.tolist()}, v={s.v.tolist()})")
 
 
-def _check_start(gfun, dfun, s: State, opts: SimOptions):
-    """Raise InvalidStart unless s is finite and strictly inside the guard
-    or on it and leaving."""
+def _check_start(gfun, dfun, s: State, t_end: float, opts: SimOptions):
+    """Raise InvalidStart unless s is finite, t_end does not precede s.t,
+    and s is strictly inside the guard or on it and leaving."""
     _check_finite(s)
+    if not t_end >= s.t:
+        raise InvalidStart(f"t_end={t_end!r} precedes the start time "
+                           f"t={s.t!r}; runs go forward in time")
     g0 = gfun(s.t, s.q, s.v)
     d0 = dfun(s.t, s.q, s.v)
     slope0 = max(1.0, abs(d0))

@@ -8,13 +8,15 @@ JSON keys), which is what makes repeated runs byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import FrozenSet, NamedTuple, Optional
 
 import numpy as np
 
+from .billiard import BilliardParams, get_scenario
 from .errors import ParseError
 from .hybrid import HybridFlow, SimOptions
+from .models import MODEL_IDS, SCENARIO_IDS
 from .reduction import ReconstructedFlow
 
 SCHEMA_VERSION = 1
@@ -138,37 +140,53 @@ def _render(obj, out, level):
 
 MODES = ("full", "reduced", "resequenced", "compare", "verify")
 
-_CONFIG_KEYS = {
-    "model": str,
-    "scenario": str,
-    "mode": str,
-    "horizon": float,
-    "out": str,
-    "rtol": float,
-    "atol": float,
-    "max_step": float,
-    "event_tol": float,
-    "guard_tol": float,
-    "min_dwell": float,
-    "max_impacts": int,
-    "initial_t": float,
-    "initial_q": list,
-    "initial_v": list,
-    "m": float,
-    "c": float,
-    "direction_mode": str,
-    "polar_reset_sign": str,
-    "write_trajectory": bool,
-    "write_events": bool,
-}
 
-_POSITIVE_KEYS = ("horizon", "rtol", "atol", "max_step", "event_tol",
-                  "guard_tol", "min_dwell")
+class Setting(NamedTuple):
+    """One configuration key: its JSON type, where its value goes
+    ("run": a RunConfig field; "options" or "params": a field of that
+    RunConfig attribute), whether it is required, and the values legal
+    here. Parameter values are checked by BilliardParams."""
+
+    kind: type
+    dest: str = "run"
+    required: bool = False
+    choices: tuple = ()
+    positive: bool = False
+
+
+CONFIG_KEYS = {
+    "model": Setting(str, required=True, choices=MODEL_IDS),
+    "scenario": Setting(str, choices=SCENARIO_IDS),
+    "mode": Setting(str, required=True, choices=MODES),
+    "horizon": Setting(float, required=True, positive=True),
+    "out": Setting(str),
+    "initial_t": Setting(float),
+    "initial_q": Setting(list),
+    "initial_v": Setting(list),
+    "write_trajectory": Setting(bool),
+    "write_events": Setting(bool),
+    "rtol": Setting(float, "options", positive=True),
+    "atol": Setting(float, "options", positive=True),
+    "max_step": Setting(float, "options", positive=True),
+    "event_tol": Setting(float, "options", positive=True),
+    "guard_tol": Setting(float, "options", positive=True),
+    "min_dwell": Setting(float, "options", positive=True),
+    "max_impacts": Setting(int, "options", positive=True),
+    "m": Setting(float, "params"),
+    "c": Setting(float, "params"),
+    "direction_mode": Setting(str, "params"),
+    "polar_reset_sign": Setting(str, "params"),
+}
 
 
 @dataclass
 class RunConfig:
-    """Validated description of one CLI run."""
+    """Validated description of one CLI run.
+
+    `params` are the scenario's billiard parameters (the defaults without
+    a scenario) with the document's overrides applied; `param_keys` names
+    the overridden ones, which are all that `to_record` echoes of them.
+    """
 
     model: str
     mode: str
@@ -178,118 +196,89 @@ class RunConfig:
     initial_t: Optional[float] = None
     initial_q: Optional[list] = None
     initial_v: Optional[list] = None
-    m: Optional[float] = None
-    c: Optional[float] = None
-    direction_mode: Optional[str] = None
-    polar_reset_sign: Optional[str] = None
     write_trajectory: bool = True
     write_events: bool = True
     options: SimOptions = field(default_factory=SimOptions)
+    params: BilliardParams = field(default_factory=BilliardParams)
+    param_keys: FrozenSet[str] = frozenset()
 
     def to_record(self) -> dict:
-        rec = {
-            "model": self.model,
-            "mode": self.mode,
-            "horizon": self.horizon,
-            "out": self.out,
-            "write_trajectory": self.write_trajectory,
-            "write_events": self.write_events,
-            "rtol": self.options.rtol,
-            "atol": self.options.atol,
-            "event_tol": self.options.event_tol,
-            "guard_tol": self.options.guard_tol,
-            "min_dwell": self.options.min_dwell,
-            "max_impacts": self.options.max_impacts,
-        }
-        if np.isfinite(self.options.max_step):
-            rec["max_step"] = self.options.max_step
-        for key in ("scenario", "initial_t", "initial_q", "initial_v", "m",
-                    "c", "direction_mode", "polar_reset_sign"):
-            val = getattr(self, key)
-            if val is not None:
-                rec[key] = val
+        """The configuration document of this run: every run setting and
+        option that is set and finite, and the overridden parameters."""
+        rec = {}
+        for key, setting in CONFIG_KEYS.items():
+            if setting.dest == "params" and key not in self.param_keys:
+                continue
+            value = getattr(self if setting.dest == "run"
+                            else getattr(self, setting.dest), key)
+            if value is None or (isinstance(value, float)
+                                 and not np.isfinite(value)):
+                continue
+            rec[key] = value
         return rec
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse a flat JSON document into a RunConfig.
+    """Parse a JSON configuration into a RunConfig.
 
-    Unknown keys are rejected; values are type- and range-checked;
-    defaults follow the module defaults. Raises ParseError with the
-    offending key.
+    The text is a flat configuration object or a run.json record, whose
+    "config" object is used. Unknown keys are rejected; values are type-
+    and range-checked; defaults follow the module defaults. Raises
+    ParseError with the offending key.
     """
+    return config_from_dict(load_document(text))
+
+
+def load_document(text: str) -> dict:
+    """The flat configuration object in `text`: the text itself or the
+    "config" object of a run.json record."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column "
                          f"{exc.colno}: {exc.msg}") from exc
+    if isinstance(doc, dict):
+        doc = doc.get("config", doc)
     if not isinstance(doc, dict):
         raise ParseError("configuration must be a JSON object")
-    return config_from_dict(doc)
+    return doc
 
 
 def config_from_dict(doc: dict) -> RunConfig:
-    from .models import MODEL_IDS, SCENARIO_IDS
-
+    values = {"run": {}, "options": {}, "params": {}}
     for key, value in doc.items():
-        if key not in _CONFIG_KEYS:
+        if key not in CONFIG_KEYS:
             raise ParseError(f"unknown configuration key {key!r}", key=key)
-        want = _CONFIG_KEYS[key]
-        if want is float and isinstance(value, (int, float)) \
-                and not isinstance(value, bool):
-            continue
-        if want is int and isinstance(value, int) and not isinstance(value, bool):
-            continue
-        if not isinstance(value, want) or (want is not bool
-                                           and isinstance(value, bool)):
-            raise ParseError(f"key {key!r} expects {want.__name__}, got "
-                             f"{type(value).__name__}", key=key)
-    for key in ("model", "mode", "horizon"):
-        if key not in doc:
+        setting = CONFIG_KEYS[key]
+        values[setting.dest][key] = _checked(key, value, setting)
+    for key, setting in CONFIG_KEYS.items():
+        if setting.required and key not in doc:
             raise ParseError(f"missing required key {key!r}", key=key)
-    for key in _POSITIVE_KEYS:
-        if key in doc and not doc[key] > 0:
-            raise ParseError(f"key {key!r} must be positive", key=key)
-    if "max_impacts" in doc and doc["max_impacts"] < 1:
-        raise ParseError("key 'max_impacts' must be >= 1", key="max_impacts")
-    if doc["mode"] not in MODES:
-        raise ParseError(f"unknown mode {doc['mode']!r}; expected one of "
-                         f"{MODES}", key="mode")
-    if doc["model"] not in MODEL_IDS:
-        raise ParseError(f"unknown model id {doc['model']!r}; expected one "
-                         f"of {MODEL_IDS}", key="model")
-    if "scenario" in doc and doc["scenario"] not in SCENARIO_IDS:
-        raise ParseError(f"unknown scenario id {doc['scenario']!r}; expected "
-                         f"one of {SCENARIO_IDS}", key="scenario")
-    if "direction_mode" in doc and doc["direction_mode"] not in (
-            "co-moving", "outward"):
-        raise ParseError("direction_mode must be 'co-moving' or 'outward'",
-                         key="direction_mode")
-    if "polar_reset_sign" in doc and doc["polar_reset_sign"] not in (
-            "inward", "chart"):
-        raise ParseError("polar_reset_sign must be 'inward' or 'chart'",
-                         key="polar_reset_sign")
-    for key in ("initial_q", "initial_v"):
-        if key in doc:
-            if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       for v in doc[key]):
-                raise ParseError(f"key {key!r} must be a list of numbers",
-                                 key=key)
+    run = values["run"]
+    params = (get_scenario(run["scenario"]).params if "scenario" in run
+              else BilliardParams())
+    for key, value in values["params"].items():
+        try:
+            params = replace(params, **{key: value})
+        except ValueError as exc:
+            raise ParseError(f"key {key!r}: {exc}", key=key) from exc
+    return RunConfig(**run, options=SimOptions(**values["options"]),
+                     params=params, param_keys=frozenset(values["params"]))
 
-    opts = SimOptions()
-    for attr in ("rtol", "atol", "max_step", "event_tol", "guard_tol",
-                 "min_dwell", "max_impacts"):
-        if attr in doc:
-            setattr(opts, attr, type(getattr(opts, attr))(doc[attr]))
-    return RunConfig(
-        model=doc["model"], mode=doc["mode"], horizon=float(doc["horizon"]),
-        scenario=doc.get("scenario"), out=doc.get("out", "."),
-        initial_t=(float(doc["initial_t"]) if "initial_t" in doc else None),
-        initial_q=doc.get("initial_q"), initial_v=doc.get("initial_v"),
-        m=(float(doc["m"]) if "m" in doc else None),
-        c=(float(doc["c"]) if "c" in doc else None),
-        direction_mode=doc.get("direction_mode"),
-        polar_reset_sign=doc.get("polar_reset_sign"),
-        write_trajectory=doc.get("write_trajectory", True),
-        write_events=doc.get("write_events", True),
-        options=opts)
+
+def _checked(key, value, setting: Setting):
+    """`value` in the setting's type, after its type and range checks."""
+    kind = setting.kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(
+            value, (int, float) if kind is float else kind):
+        raise ParseError(f"key {key!r} expects {kind.__name__}, got "
+                         f"{type(value).__name__}", key=key)
+    if kind is list and not all(isinstance(v, (int, float))
+                                and not isinstance(v, bool) for v in value):
+        raise ParseError(f"key {key!r} must be a list of numbers", key=key)
+    if setting.positive and not value > 0:
+        raise ParseError(f"key {key!r} must be positive", key=key)
+    if setting.choices and value not in setting.choices:
+        raise ParseError(f"unknown {key} {value!r}; expected one of "
+                         f"{setting.choices}", key=key)
+    return kind(value) if kind in (int, float) else value

@@ -30,7 +30,7 @@ from .errors import NoConvergence, SingularHessian
 FD_STEP = 1e-6
 NEWTON_TOL = 1e-12
 NEWTON_MAXITER = 50
-DEFAULT_CONDITION_BOUND = 1e8
+CONDITION_BOUND = 1e8  # on the velocity-Hessian condition estimate
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,9 @@ class LagrangianSystem:
             accelerations. When absent the accelerations are solved
             numerically from the Euler-Lagrange equations.
         coordinate_names: labels, metadata only.
-        condition_bound: reject states where a cheap estimate of the
-            velocity-Hessian condition number exceeds this bound.
+
+    States where a cheap estimate of the velocity-Hessian condition
+    number exceeds CONDITION_BOUND are rejected with SingularHessian.
 
     Instances are immutable and safe to share between concurrent runs.
     """
@@ -89,7 +90,6 @@ class LagrangianSystem:
     acceleration: Optional[Callable[[float, np.ndarray, np.ndarray],
                                     np.ndarray]] = None
     coordinate_names: Sequence[str] = field(default=())
-    condition_bound: float = DEFAULT_CONDITION_BOUND
 
     def __post_init__(self):
         if self.dim < 1:
@@ -133,10 +133,10 @@ class LagrangianSystem:
             raise SingularHessian(f"velocity Hessian not factorizable at "
                                   f"t={t:.6g}") from exc
         diag = np.abs(np.diag(lu))
-        if diag.min() == 0.0 or diag.max() / diag.min() > self.condition_bound:
+        if diag.min() == 0.0 or diag.max() / diag.min() > CONDITION_BOUND:
             raise SingularHessian(
                 f"velocity Hessian condition estimate exceeds "
-                f"{self.condition_bound:.1e} at t={t:.6g}")
+                f"{CONDITION_BOUND:.1e} at t={t:.6g}")
         return lu, piv
 
     def _accelerations(self, t, q, v) -> np.ndarray:

@@ -18,10 +18,6 @@ from .hybrid import HybridSystem, _inert_hybrid
 from .lagrangian import LagrangianSystem, State
 from .reduction import CyclicStructure
 
-MODEL_IDS = ("billiard-cartesian", "billiard-polar", "free-particle",
-             "harmonic-1d")
-SCENARIO_IDS = ("paper-c025", "paper-c010")
-
 
 @dataclass(frozen=True)
 class ModelBundle:
@@ -54,30 +50,43 @@ def harmonic_1d() -> LagrangianSystem:
         coordinate_names=("q",))
 
 
+def _cartesian_billiard(p: billiard.BilliardParams):
+    start = billiard.get_scenario("paper-c025").initial_cartesian
+    return billiard.cartesian_hybrid(p), None, start
+
+
+def _polar_billiard(p: billiard.BilliardParams):
+    start = billiard.get_scenario("paper-c025").initial_polar
+    return billiard.polar_hybrid(p), billiard.polar_cyclic(p), start
+
+
+def _free_particle(p: billiard.BilliardParams):
+    start = State(0.0, np.zeros(2), np.array([1.0, 0.0]))
+    return _inert_hybrid(free_particle()), None, start
+
+
+def _harmonic_1d(p: billiard.BilliardParams):
+    start = State(0.0, np.array([1.0]), np.zeros(1))
+    return _inert_hybrid(harmonic_1d()), None, start
+
+
+# model id -> builder (params -> hybrid system, cyclic structure, default
+# start); verify reports list the models in this order
+_BUILDERS = {
+    "billiard-cartesian": _cartesian_billiard,
+    "billiard-polar": _polar_billiard,
+    "free-particle": _free_particle,
+    "harmonic-1d": _harmonic_1d,
+}
+MODEL_IDS = tuple(_BUILDERS)
+SCENARIO_IDS = tuple(sc.scenario_id for sc in billiard.paper_scenarios())
+
+
 def build_model(model_id: str,
                 params: Optional[billiard.BilliardParams] = None) -> ModelBundle:
     """Instantiate a built-in model; `params` applies to the billiards."""
-    p = params or billiard.BilliardParams()
-    if model_id == "billiard-cartesian":
-        hs = billiard.cartesian_hybrid(p)
-        start = billiard.get_scenario("paper-c025").initial_cartesian
-        return ModelBundle(model_id, hs.system, hs, default_initial=start)
-    if model_id == "billiard-polar":
-        hs = billiard.polar_hybrid(p)
-        cyc = billiard.polar_cyclic(p)
-        start = billiard.get_scenario("paper-c025").initial_polar
-        return ModelBundle(model_id, hs.system, hs, cyclic=cyc,
-                           default_initial=start)
-    if model_id == "free-particle":
-        sys = free_particle()
-        hs = _inert_hybrid(sys)
-        return ModelBundle(model_id, sys, hs,
-                           default_initial=State(0.0, np.zeros(2),
-                                                 np.array([1.0, 0.0])))
-    if model_id == "harmonic-1d":
-        sys = harmonic_1d()
-        hs = _inert_hybrid(sys)
-        return ModelBundle(model_id, sys, hs,
-                           default_initial=State(0.0, np.array([1.0]),
-                                                 np.zeros(1)))
-    raise KeyError(f"unknown model id {model_id!r}")
+    if model_id not in _BUILDERS:
+        raise KeyError(f"unknown model id {model_id!r}")
+    hs, cyclic, start = _BUILDERS[model_id](params or billiard.BilliardParams())
+    return ModelBundle(model_id, hs.system, hs, cyclic=cyclic,
+                       default_initial=start)

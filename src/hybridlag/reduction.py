@@ -60,7 +60,8 @@ from .lagrangian import FD_STEP, LagrangianSystem, State
 
 CYCLIC_SOLVE_TOL = 1e-12
 CYCLIC_SOLVE_MAXITER = 50
-DEFAULT_SHIFTS = (0.5, -1.3, 2.0 * math.pi, 17.0)
+DEFAULT_SHIFTS = (0.5, -1.3, 2.0 * math.pi, 17.0)  # cyclic shifts in validate
+INVARIANCE_TOL = 1e-10  # relative tolerance of the checks in validate
 PANELS_PER_STEP = 8  # Simpson panels per integrator step in reconstruction
 
 
@@ -90,7 +91,6 @@ class CyclicStructure:
         guard_sample_states: on-guard states used by `validate` for the
             reset equivariance check (the reset formula need only be
             evaluable there).
-        shift_amounts: cyclic shifts applied during sampling.
     """
 
     full: HybridSystem
@@ -101,7 +101,6 @@ class CyclicStructure:
     reduced_guard_factory: Optional[Callable[[float], Guard]] = None
     sample_states: Sequence[State] = ()
     guard_sample_states: Sequence[State] = ()
-    shift_amounts: Sequence[float] = DEFAULT_SHIFTS
 
     def __post_init__(self):
         n = self.full.system.dim
@@ -182,11 +181,12 @@ class CyclicStructure:
 
     # -- sampled symmetry checks -------------------------------------------
 
-    def validate(self, tol: float = 1e-10):
+    def validate(self):
         """Check cyclic invariance of L, the guard and the reset on the
-        attached sample states, and the closed-form reduced guard, when
-        there is one, against the full guard. Raises NotInvariant on
-        failure."""
+        attached sample states under the DEFAULT_SHIFTS, and the
+        closed-form reduced guard, when there is one, against the full
+        guard, each to INVARIANCE_TOL. Raises NotInvariant on failure."""
+        tol = INVARIANCE_TOL
         sys = self.full.system
         guard = self.full.guard
         for s in self.sample_states:
@@ -204,7 +204,7 @@ class CyclicStructure:
                         f"closed-form reduced guard disagrees with the full "
                         f"guard at t={s.t:.6g}")
             scale = max(1.0, abs(base_l))
-            for a in self.shift_amounts:
+            for a in DEFAULT_SHIFTS:
                 sh = self.shift(s, a)
                 if abs(sys.lagrangian(sh.t, sh.q, sh.v) - base_l) > tol * scale:
                     raise NotInvariant(
@@ -219,7 +219,7 @@ class CyclicStructure:
         reset = self.full.reset
         for s in self.guard_sample_states:
             base = reset.apply(s)
-            for a in self.shift_amounts:
+            for a in DEFAULT_SHIFTS:
                 mapped = reset.apply(self.shift(s, a))
                 expected = self.shift(base, a)
                 err = max(float(np.max(np.abs(mapped.q - expected.q))),
@@ -261,11 +261,6 @@ def momentum_map(cs: CyclicStructure, s: State) -> float:
     return cs.momentum_value(s.t, s.q, s.v)
 
 
-def solve_cyclic_velocity(cs: CyclicStructure, t, x, xdot, mu):
-    return cs.solve_cyclic_velocity(t, np.asarray(x, float),
-                                    np.asarray(xdot, float), mu)
-
-
 def routhian(cs: CyclicStructure, mu: float,
              closed_form: bool = True) -> LagrangianSystem:
     """Reduced Lagrangian system at momentum mu.
@@ -293,8 +288,7 @@ def routhian(cs: CyclicStructure, mu: float,
 
     names = tuple(nm for i, nm in enumerate(sys.coordinate_names) if i != ci)
     return LagrangianSystem(dim=cs.dim_reduced, lagrangian=lag, dL_dq=dq,
-                            dL_dv=dv, coordinate_names=names,
-                            condition_bound=sys.condition_bound)
+                            dL_dv=dv, coordinate_names=names)
 
 
 def reduce(cs: CyclicStructure, mu: float,
@@ -453,7 +447,7 @@ def simulate_resequenced(cs: CyclicStructure, s0: State, t_end: float,
 
     mode = mode_at(mus[0], validate=True)
     start = cs.project_state(s0)
-    _check_start(mode[1], mode[2], start, opts)
+    _check_start(mode[1], mode[2], start, t_end, opts)
     arcs, raw, termination = _execute(
         mode, s0.t, np.concatenate([start.q, start.v]), t_end, opts)
     reduced = HybridFlow(arcs, _events(raw, m), termination, opts)

@@ -21,12 +21,14 @@ from .models import MODEL_IDS, build_model
 from .reduction import momentum_map
 
 _SAMPLE_SEED = 911
+SAMPLE_COUNT = 100  # sampled states per model in the pointwise checks
+CORRESPONDENCE_HORIZON = 5.0  # cap on the hybrid-correspondence horizon
 
 
-def _sample_states(model_id, count=100):
+def _sample_states(model_id):
     rng = np.random.default_rng(_SAMPLE_SEED)
     states = []
-    for _ in range(count):
+    for _ in range(SAMPLE_COUNT):
         t = float(rng.uniform(0.0, 4.0))
         if model_id == "billiard-polar":
             q = np.array([rng.uniform(0.3, 1.3), rng.uniform(-3.0, 3.0)])
@@ -39,11 +41,11 @@ def _sample_states(model_id, count=100):
     return states
 
 
-def check_derivative_consistency(params=None, count=100):
+def check_derivative_consistency(params=None):
     worst, worst_model = 0.0, None
     for mid in MODEL_IDS:
         bundle = build_model(mid, params)
-        dev = bundle.system.derivative_consistency(_sample_states(mid, count))
+        dev = bundle.system.derivative_consistency(_sample_states(mid))
         if dev > worst:
             worst, worst_model = dev, mid
     return {"check": "derivative_consistency", "passed": worst <= 1e-6,
@@ -51,12 +53,12 @@ def check_derivative_consistency(params=None, count=100):
             "detail": f"worst model: {worst_model}"}
 
 
-def check_legendre_roundtrip(params=None, count=100):
+def check_legendre_roundtrip(params=None):
     worst = 0.0
     for mid in MODEL_IDS:
         bundle = build_model(mid, params)
         sys = bundle.system
-        for s in _sample_states(mid, count):
+        for s in _sample_states(mid):
             back = sys.inverse_legendre(sys.legendre(s), v0=s.v + 0.1)
             worst = max(worst, float(np.max(np.abs(back.v - s.v))))
     return {"check": "legendre_roundtrip", "passed": worst <= 1e-10,
@@ -75,12 +77,11 @@ def check_flow_equivalence_models(params=None, tol=1e-6):
             "measured": worst, "bound": tol, "detail": " ".join(detail)}
 
 
-def check_hybrid_correspondence(scenario, horizon=5.0, tol=1e-6,
-                                opts=None):
+def check_hybrid_correspondence(scenario, tol=1e-6, opts=None):
     hs = billiard.cartesian_hybrid(scenario.params)
-    rep = check_hybrid_equivalence(hs, scenario.initial_cartesian,
-                                   min(horizon, scenario.horizon), tol=tol,
-                                   opts=opts)
+    rep = check_hybrid_equivalence(
+        hs, scenario.initial_cartesian,
+        min(CORRESPONDENCE_HORIZON, scenario.horizon), tol=tol, opts=opts)
     return {"check": "hybrid_correspondence", "passed": rep.passed,
             "measured": rep.max_state_discrepancy, "bound": tol,
             "detail": str(rep)}
@@ -152,14 +153,13 @@ def check_csv_schema():
             "bound": 0.0, "detail": ",".join(traj)}
 
 
-def run_verification(scenario, opts=None, horizon_correspondence=5.0):
+def run_verification(scenario, opts=None):
     """Run every check against one scenario; returns the record list."""
     return [
         check_derivative_consistency(scenario.params),
         check_legendre_roundtrip(scenario.params),
         check_flow_equivalence_models(scenario.params),
-        check_hybrid_correspondence(scenario, horizon_correspondence,
-                                    opts=opts),
+        check_hybrid_correspondence(scenario, opts=opts),
         check_momentum_conservation(scenario, opts=opts),
         check_arc_oracle_agreement(scenario, opts=opts),
         check_chart_impact_agreement(scenario, opts=opts),

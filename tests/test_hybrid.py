@@ -118,6 +118,15 @@ def test_invalid_start_on_guard_entering(unit_wall_hybrid):
                     1.0)
 
 
+def test_horizon_before_start_is_invalid_start():
+    # raised before any step: the stepper would otherwise integrate
+    # backward and fail in the dense-output bookkeeping
+    sc = hl.get_scenario("paper-c025")
+    s0 = dataclasses.replace(sc.initial_cartesian, t=2.0)
+    with pytest.raises(hl.InvalidStart, match="precedes the start time"):
+        hl.simulate(hl.cartesian_hybrid(sc.params), s0, 1.0)
+
+
 @pytest.mark.parametrize("chart", ["cartesian", "polar"])
 @pytest.mark.parametrize("part", ["q", "v"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -73,12 +73,89 @@ def test_parse_config_invalid_json():
         parse_config("{not json")
 
 
+# run.json "config" echoes, frozen from the output of earlier releases:
+# every key set (ints given for float keys), and a scenario alone (no
+# parameter keys echoed)
+ECHO_EVERY_KEY = {
+    "model": "billiard-polar", "scenario": "paper-c010", "mode": "full",
+    "horizon": 3, "out": "runs/all", "rtol": 1e-9, "atol": 1,
+    "max_step": 2, "event_tol": 1e-12, "guard_tol": 1e-7,
+    "min_dwell": 5e-10, "max_impacts": 50, "initial_t": 0,
+    "initial_q": [0.5, 1], "initial_v": [1.25, -3], "m": 2, "c": 0,
+    "direction_mode": "outward", "polar_reset_sign": "chart",
+    "write_trajectory": False, "write_events": True}
+ECHO_EVERY_KEY_TEXT = """{
+  "atol": 1,
+  "c": 0,
+  "direction_mode": "outward",
+  "event_tol": 9.9999999999999998e-13,
+  "guard_tol": 9.9999999999999995e-08,
+  "horizon": 3,
+  "initial_q": [
+    0.5,
+    1
+  ],
+  "initial_t": 0,
+  "initial_v": [
+    1.25,
+    -3
+  ],
+  "m": 2,
+  "max_impacts": 50,
+  "max_step": 2,
+  "min_dwell": 5.0000000000000003e-10,
+  "mode": "full",
+  "model": "billiard-polar",
+  "out": "runs/all",
+  "polar_reset_sign": "chart",
+  "rtol": 1.0000000000000001e-09,
+  "scenario": "paper-c010",
+  "write_events": true,
+  "write_trajectory": false
+}"""
+ECHO_SCENARIO_ONLY = {"model": "billiard-cartesian", "scenario": "paper-c025",
+                      "mode": "reduced", "horizon": 10}
+ECHO_SCENARIO_ONLY_TEXT = """{
+  "atol": 1e-10,
+  "event_tol": 1e-10,
+  "guard_tol": 1e-08,
+  "horizon": 10,
+  "max_impacts": 10000,
+  "min_dwell": 1.0000000000000001e-09,
+  "mode": "reduced",
+  "model": "billiard-cartesian",
+  "out": ".",
+  "rtol": 1e-10,
+  "scenario": "paper-c025",
+  "write_events": true,
+  "write_trajectory": true
+}"""
+
+
+@pytest.mark.parametrize("doc, text", [
+    (ECHO_EVERY_KEY, ECHO_EVERY_KEY_TEXT),
+    (ECHO_SCENARIO_ONLY, ECHO_SCENARIO_ONLY_TEXT),
+], ids=["every-key", "scenario-only"])
+def test_config_echo_is_frozen(doc, text):
+    cfg = parse_config(json.dumps(doc))
+    assert dumps_record(cfg.to_record()) == text
+    # the echo is itself a configuration of the same run
+    assert parse_config(text) == cfg
+
+
+def test_config_params_apply_overrides_to_the_scenario():
+    cfg = parse_config(json.dumps(ECHO_EVERY_KEY))
+    assert cfg.params == hl.BilliardParams(m=2.0, c=0.0,
+                                           direction_mode="outward",
+                                           polar_reset_sign="chart")
+    assert cfg.options.max_step == 2.0 and cfg.options.max_impacts == 50
+
+
 def test_scenario_sets_parameters_and_start():
     cfg = config_from_dict({"model": "billiard-polar", "mode": "full",
                             "horizon": 1.0, "scenario": "paper-c010"})
-    params = cli._params_from_config(cfg)
-    assert params.c == 0.10
-    bundle = hl.build_model("billiard-polar", params)
+    assert cfg.params.c == 0.10
+    bundle = hl.build_model("billiard-polar", cfg.params)
     s0 = cli._initial_state(cfg, bundle)
     assert np.allclose(s0.q, [0.5590, 1.1071], atol=0)
     assert np.allclose(s0.v, [2.8621, -3.0400], atol=0)
@@ -135,6 +212,75 @@ def test_csv_round_trip_values(tmp_path):
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def write_config(tmp_path, **doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def error_record(out):
+    return json.loads(open(os.path.join(out, "error.json")).read())
+
+
+@pytest.mark.parametrize("key, value", [
+    ("c", -1), ("m", 0), ("m", -2.5), ("direction_mode", "sideways"),
+    ("polar_reset_sign", "outward"),
+])
+def test_cli_illegal_parameter_is_parse_error(tmp_path, key, value):
+    out = str(tmp_path / "out")
+    cfg = write_config(tmp_path, model="billiard-cartesian", mode="full",
+                       horizon=1, scenario="paper-c025", **{key: value})
+    assert run_cli("run", "--config", cfg, "--out", out) == 2
+    record = error_record(out)
+    assert record["error"] == "ParseError"
+    assert record["key"] == key
+
+
+@pytest.mark.parametrize("initial_q, initial_v, key", [
+    ([0.1, 0.2, 0.3], [1, 0], "initial_q"),
+    ([0.1, 0.2], [1], "initial_v"),
+    ([0.1, 0.2], None, "initial_v"),
+], ids=["q-too-long", "v-too-short", "v-missing"])
+def test_cli_initial_state_of_wrong_dimension_is_parse_error(
+        tmp_path, initial_q, initial_v, key):
+    out = str(tmp_path / "out")
+    doc = {"model": "billiard-cartesian", "mode": "full", "horizon": 1,
+           "initial_q": initial_q}
+    if initial_v is not None:
+        doc["initial_v"] = initial_v
+    assert run_cli("run", "--config", write_config(tmp_path, **doc),
+                   "--out", out) == 1
+    record = error_record(out)
+    assert record["error"] == "ParseError"
+    assert record["key"] == key
+
+
+@pytest.mark.parametrize("mode", ["full", "resequenced"])
+def test_cli_initial_time_after_horizon_errors(tmp_path, mode):
+    out = str(tmp_path / "out")
+    cfg = write_config(tmp_path, model="billiard-polar", mode=mode,
+                       horizon=1, initial_t=2, initial_q=[0.5, 1.0],
+                       initial_v=[0.5, 0.5])
+    assert run_cli("run", "--config", cfg, "--out", out) == 1
+    record = error_record(out)
+    assert record["error"] == "InvalidStart"
+    assert "precedes the start time" in record["message"]
+
+
+@pytest.mark.parametrize("contents", ["{not json", None],
+                         ids=["bad-json", "missing-file"])
+def test_cli_unreadable_config_writes_error_to_out(tmp_path, monkeypatch,
+                                                   contents):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    if contents is not None:
+        cfg.write_text(contents)
+    out = str(tmp_path / "out")
+    assert run_cli("run", "--config", str(cfg), "--out", out) == 2
+    assert error_record(out)["error"] == "ParseError"
+    assert not os.path.exists(tmp_path / "error.json")
 
 
 def test_cli_full_run_writes_files(tmp_path):

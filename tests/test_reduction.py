@@ -35,6 +35,12 @@ def test_momentum_zero_angular_velocity(cyc025):
     assert hl.momentum_map(cyc025, mk_state(1.0, [0.7, 0.2], [1.5, 0.0])) == 0.0
 
 
+def test_resequenced_horizon_before_start_is_invalid_start(cyc025, scenario):
+    s0 = dataclasses.replace(scenario.initial_polar, t=2.0)
+    with pytest.raises(hl.InvalidStart, match="precedes the start time"):
+        hl.simulate_resequenced(cyc025, s0, 1.0)
+
+
 @pytest.mark.parametrize("index", [0, 1, 2, 3])
 def test_non_finite_start_is_invalid_start(cyc025, scenario, index):
     # components r, theta, rdot, thetadot. The resequenced run checks the
@@ -72,17 +78,19 @@ def test_momentum_equals_cyclic_momentum_component(cyc025, rng):
 
 
 def test_solve_cyclic_velocity_inverts_momentum(cyc025):
-    thd = hl.solve_cyclic_velocity(cyc025, 0.0, [0.5590], [2.8621],
-                                   -0.94994224)
+    thd = cyc025.solve_cyclic_velocity(0.0, np.array([0.5590]),
+                                       np.array([2.8621]), -0.94994224)
     assert thd == pytest.approx(-3.0400, abs=1e-10)
 
 
 def test_solve_cyclic_velocity_zero(cyc025):
-    assert hl.solve_cyclic_velocity(cyc025, 1.3, [0.8], [0.1], 0.0) == 0.0
+    assert cyc025.solve_cyclic_velocity(1.3, np.array([0.8]),
+                                        np.array([0.1]), 0.0) == 0.0
 
 
 def test_solve_cyclic_velocity_plain_values(cyc025):
-    assert hl.solve_cyclic_velocity(cyc025, 0.0, [2.0], [0.0], 8.0) == \
+    assert cyc025.solve_cyclic_velocity(0.0, np.array([2.0]),
+                                        np.array([0.0]), 8.0) == \
         pytest.approx(2.0, rel=1e-13)
 
 
@@ -92,8 +100,9 @@ def test_solve_cyclic_velocity_newton_path(cyc025, rng):
         t = float(rng.uniform(0, 3))
         r = float(rng.uniform(0.3, 1.3))
         mu = float(rng.uniform(-2, 2))
-        closed = hl.solve_cyclic_velocity(cyc025, t, [r], [0.5], mu)
-        newton = hl.solve_cyclic_velocity(generic, t, [r], [0.5], mu)
+        x, xdot = np.array([r]), np.array([0.5])
+        closed = cyc025.solve_cyclic_velocity(t, x, xdot, mu)
+        newton = generic.solve_cyclic_velocity(t, x, xdot, mu)
         assert newton == pytest.approx(closed, abs=1e-11)
 
 

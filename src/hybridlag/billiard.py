@@ -142,7 +142,7 @@ def cartesian_system(p: BilliardParams) -> LagrangianSystem:
         return -(c / m) * v
 
     return LagrangianSystem(dim=2, lagrangian=lag, dL_dq=dq, dL_dv=dv,
-                            acceleration=acc, coordinate_names=("x", "y"))
+                            acceleration=acc)
 
 
 def polar_system(p: BilliardParams) -> LagrangianSystem:
@@ -172,7 +172,7 @@ def polar_system(p: BilliardParams) -> LagrangianSystem:
                          -2.0 * v[0] * v[1] / r - (c / m) * v[1]])
 
     return LagrangianSystem(dim=2, lagrangian=lag, dL_dq=dq, dL_dv=dv,
-                            acceleration=acc, coordinate_names=("r", "theta"))
+                            acceleration=acc)
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +214,9 @@ def guard_polar(p: BilliardParams) -> Guard:
 def reset_cartesian(p: BilliardParams) -> ResetMap:
     f, fdot = p.wall, p.wall_rate
 
-    def apply(s: State) -> State:
-        lam = (fdot(s.t) - 2.0 * float(s.q @ s.v)) / f(s.t)
-        return State(s.t, s.q.copy(), s.v + lam * s.q)
+    def apply(t, q, v):
+        lam = (fdot(t) - 2.0 * float(q @ v)) / f(t)
+        return q.copy(), v + lam * q
 
     return ResetMap(apply=apply)
 
@@ -225,21 +225,20 @@ def reset_polar(p: BilliardParams) -> ResetMap:
     f, fdot = p.wall, p.wall_rate
     chart_sign = p.polar_reset_sign == "chart"
 
-    def apply(s: State) -> State:
-        r = s.q[0]
-        rd = s.v[0]
-        ft, fd = f(s.t), fdot(s.t)
+    def apply(t, q, v):
+        r, rd = q[0], v[0]
+        ft, fd = f(t), fdot(t)
         a = (fd - 2.0 * r * rd) * r / ft
         rhs = rd * rd + (r / ft) * (fd - 2.0 * r * rd) * (2.0 * rd + a)
         if rhs < -DISCRIMINANT_CLAMP:
             raise NegativeDiscriminant(
-                f"radial reset discriminant {rhs:.3e} < 0 at t={s.t:.6g}")
+                f"radial reset discriminant {rhs:.3e} < 0 at t={t:.6g}")
         root = math.sqrt(max(rhs, 0.0))
         if chart_sign:
             rd_post = math.copysign(root, fd / r - rd) if root > 0.0 else 0.0
         else:
             rd_post = -root
-        return State(s.t, s.q.copy(), np.array([rd_post, s.v[1]]))
+        return q.copy(), np.array([rd_post, v[1]])
 
     return ResetMap(apply=apply)
 
@@ -287,7 +286,7 @@ def routhian_closed(p: BilliardParams, mu: float) -> LagrangianSystem:
                          - (c / m) * xd[0]])
 
     return LagrangianSystem(dim=1, lagrangian=lag, dL_dq=dq, dL_dv=dv,
-                            acceleration=acc, coordinate_names=("r",))
+                            acceleration=acc)
 
 
 def _validation_states(p: BilliardParams):
@@ -416,14 +415,13 @@ def reference_flow(p: BilliardParams, s0: State, t_end: float,
             termination = TERM_ZENO
             break
         y = flight(tau)
-        pre = State(tau, y[:2], y[2:])
-        post = reset.apply(pre)
-        events.append(Event(tau, pre, post,
-                            abs(guard.surface(tau, pre.q, pre.v))))
+        q, v = reset.apply(tau, y[:2], y[2:])
+        events.append(Event(tau, State(tau, y[:2], y[2:]), State(tau, q, v),
+                            abs(guard.surface(tau, y[:2], y[2:]))))
         if len(events) >= opts.max_impacts:
             termination = TERM_MAX_IMPACTS
             break
-        t, q, v = tau, post.q, post.v
+        t = tau
 
     return HybridFlow(arcs, events, termination, opts)
 

@@ -26,7 +26,7 @@ class InvalidStart(HybridLagError):
 
 class InvalidReset(HybridLagError):
     """A reset map produced an inadmissible post-impact state
-    (non-finite, time-shifted, or immediately re-triggering)."""
+    (non-finite, or immediately re-triggering the guard)."""
 
 
 class BracketInvalid(HybridLagError):

@@ -13,10 +13,11 @@ crossing counts as an impact only where the admissibility (direction)
 function is >= 0; crossings with negative direction are skipped and
 integration continues.
 
-The loop runs in a mode (rhs, guard, direction, reset). The reset
-returns the post-impact state together with the mode of the next arc,
-so a run can change its dynamics at an impact; resequenced runs use this
-to rebuild the reduced system at the post-impact momentum.
+The loop runs in a mode (rhs, guard, direction, reset) on packed arrays;
+`State` appears only at the API edge. The mode's reset returns the
+post-impact state together with the mode of the next arc, so a run can
+change its dynamics at an impact; resequenced runs use this to rebuild
+the reduced system at the post-impact momentum.
 
 Three rules shape the behaviour in impact-accumulation regimes:
 
@@ -32,7 +33,7 @@ Three rules shape the behaviour in impact-accumulation regimes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import RK45, OdeSolution
@@ -52,6 +53,8 @@ REFINE_XTOL = 1e-13  # refine events well past event_tol: dwell comparisons
                      # against min_dwell must not hinge on localization noise
 ARM_TOL = 1e-12      # guard value below which an arc counts as interior
 SCAN_POINTS = 8      # interior dense-output guard samples per accepted step
+EQUIVALENCE_TOL = 1e-6  # state bound of the velocity/momentum-side checks
+EVENT_TIME_TOL = 1e-8   # impact-time bound of check_hybrid_equivalence
 # scan sample i of a step [a, b] is i * ((b - a) / (SCAN_POINTS + 1)) + a,
 # the arithmetic of np.linspace(a, b, SCAN_POINTS + 2)
 _SCAN_INDEX = np.arange(SCAN_POINTS + 2, dtype=float)
@@ -78,9 +81,12 @@ class Guard:
 
 @dataclass(frozen=True)
 class ResetMap:
-    """Impact map applied to pre-impact states on the guard."""
+    """Impact map on the guard: apply(t, q, v) -> (q_post, v_post) at
+    the same t. Like the guard, it gets views of the executor's packed
+    state, which it must not modify."""
 
-    apply: Callable[[State], State]
+    apply: Callable[[float, np.ndarray, np.ndarray],
+                    Tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -96,8 +102,8 @@ class HybridSystem:
 class SimOptions:
     """Knobs for hybrid execution.
 
-    Every post-impact state is validated: it must keep t, be finite and
-    not immediately re-trigger the guard (InvalidReset otherwise).
+    Every post-impact state is validated: it must be finite and not
+    immediately re-trigger the guard (InvalidReset otherwise).
 
     Attributes:
         rtol, atol, max_step: integrator step control.
@@ -413,10 +419,9 @@ def simulate(hs: HybridSystem, s0: State, t_end: float,
     _check_start(gfun, dfun, s0, t_end, opts)
 
     def reset(tau, ypre):
-        pre = State(tau, ypre[:n], ypre[n:])
-        post = hs.reset.apply(pre)
-        _validate_reset(pre, post, gfun, dfun)
-        return hs.system.pack(post), mode
+        q, v = hs.reset.apply(tau, ypre[:n], ypre[n:])
+        _validate_reset(tau, q, v, gfun, dfun)
+        return np.concatenate([q, v]), mode
 
     mode = (hs.system.rhs, gfun, dfun, reset)
     arcs, raw, termination = _execute(mode, s0.t, hs.system.pack(s0), t_end,
@@ -457,15 +462,10 @@ def _events(raw, n):
             for tau, ypre, ypost, res in raw]
 
 
-def _validate_reset(pre: State, post: State, gfun, dfun):
-    """Check a post-impact state against the guard it continues under."""
-    if post.t != pre.t:
-        raise InvalidReset(
-            f"reset changed time {pre.t!r} -> {post.t!r}; resets must "
-            f"preserve t")
-    if not post.is_finite():
+def _validate_reset(t, q, v, gfun, dfun):
+    """Check a post-impact (t, q, v) against the guard it runs under."""
+    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(v))):
         raise InvalidReset("reset produced a non-finite state")
-    t, q, v = post.t, post.q, post.v
     d_post = dfun(t, q, v)
     if d_post <= 0.0:
         return
@@ -551,21 +551,16 @@ class HybridEquivalenceReport:
     max_event_time_delta: float
     events_velocity_side: int
     events_momentum_side: int
-    terminations: tuple
-    tol: float
-    event_time_tol: float
 
     def __str__(self):
         status = "pass" if self.passed else "FAIL"
         return (f"hybrid equivalence: {status} (state {self.max_state_discrepancy:.3e}"
-                f"/{self.tol:.1e}, events {self.events_velocity_side}"
+                f"/{EQUIVALENCE_TOL:.1e}, events {self.events_velocity_side}"
                 f"=={self.events_momentum_side}, event dt "
-                f"{self.max_event_time_delta:.3e}/{self.event_time_tol:.1e})")
+                f"{self.max_event_time_delta:.3e}/{EVENT_TIME_TOL:.1e})")
 
 
 def check_hybrid_equivalence(hs: HybridSystem, s0: State, t_end: float,
-                             tol: float = 1e-6,
-                             event_time_tol: float = 1e-8,
                              opts: Optional[SimOptions] = None,
                              grid_per_arc: int = 33) -> HybridEquivalenceReport:
     """Run the hybrid flow on both sides of the fiber derivative and
@@ -576,7 +571,8 @@ def check_hybrid_equivalence(hs: HybridSystem, s0: State, t_end: float,
     derivative, and its reset is the conjugated reset. The report holds
     the largest componentwise difference between the mapped velocity-side
     flow and the momentum-side flow over matched arcs, and the largest
-    difference between matched impact times.
+    difference between matched impact times; it passes when they are
+    within EQUIVALENCE_TOL and EVENT_TIME_TOL and the impact counts match.
     """
     opts = opts or SimOptions()
     n = hs.system.dim
@@ -603,16 +599,13 @@ def check_hybrid_equivalence(hs: HybridSystem, s0: State, t_end: float,
 
     def reset_h(tau, ypre):
         q = ypre[:n]
-        pre = State(tau, q.copy(), velocity(tau, q, ypre[n:]))
-        post = hs.reset.apply(pre)
-        if post.t != pre.t:
-            raise InvalidReset("conjugated reset must preserve t")
-        cs = sys.legendre(post)
-        return np.concatenate([cs.q, cs.p]), mode_h
+        q_post, v_post = hs.reset.apply(tau, q, velocity(tau, q, ypre[n:]))
+        p_post = sys.dL_dv(tau, q_post, v_post)
+        return np.concatenate([q_post, p_post]), mode_h
 
     mode_h = (rhs_h, gfun_h, dfun_h, reset_h)
     cs0 = sys.legendre(s0)
-    arcs_h, raw_h, term_h = _execute(mode_h, cs0.t,
+    arcs_h, raw_h, _ = _execute(mode_h, cs0.t,
                                      np.concatenate([cs0.q, cs0.p]), t_end,
                                      opts)
 
@@ -640,10 +633,9 @@ def check_hybrid_equivalence(hs: HybridSystem, s0: State, t_end: float,
                                        - np.array([e[0] for e in raw_h[:m]]))))
     else:
         ev_delta = 0.0
-    passed = (worst <= tol and n_l == n_h and ev_delta <= event_time_tol)
-    return HybridEquivalenceReport(passed, worst, ev_delta, n_l, n_h,
-                                   (flow_l.termination, term_h), tol,
-                                   event_time_tol)
+    passed = (worst <= EQUIVALENCE_TOL and n_l == n_h
+              and ev_delta <= EVENT_TIME_TOL)
+    return HybridEquivalenceReport(passed, worst, ev_delta, n_l, n_h)
 
 
 @dataclass
@@ -652,18 +644,17 @@ class FlowEquivalenceReport:
 
     passed: bool
     max_discrepancy: float
-    tol: float
     t_span: tuple
 
     def __str__(self):
         status = "pass" if self.passed else "FAIL"
-        return (f"flow equivalence: {status} "
-                f"(max discrepancy {self.max_discrepancy:.3e}, tol {self.tol:.1e}, "
+        return (f"flow equivalence: {status} (max discrepancy "
+                f"{self.max_discrepancy:.3e}, tol {EQUIVALENCE_TOL:.1e}, "
                 f"t in [{self.t_span[0]:.3g}, {self.t_span[1]:.3g}])")
 
 
-def check_flow_equivalence(sys: LagrangianSystem, s0: State, t_end: float,
-                           tol: float = 1e-6) -> FlowEquivalenceReport:
+def check_flow_equivalence(sys: LagrangianSystem, s0: State,
+                           t_end: float) -> FlowEquivalenceReport:
     """Integrate both evolution fields and compare them under the fiber
     derivative.
 
@@ -675,9 +666,9 @@ def check_flow_equivalence(sys: LagrangianSystem, s0: State, t_end: float,
     """
     if t_end < s0.t:
         raise ValueError("t_end must be >= s0.t")
-    rep = check_hybrid_equivalence(_inert_hybrid(sys), s0, t_end, tol=tol,
+    rep = check_hybrid_equivalence(_inert_hybrid(sys), s0, t_end,
                                    grid_per_arc=0)
-    return FlowEquivalenceReport(rep.passed, rep.max_state_discrepancy, tol,
+    return FlowEquivalenceReport(rep.passed, rep.max_state_discrepancy,
                                  (s0.t, t_end))
 
 
@@ -686,4 +677,4 @@ def _inert_hybrid(system: LagrangianSystem) -> HybridSystem:
     return HybridSystem(system=system,
                         guard=Guard(surface=lambda t, q, v: -1.0,
                                     direction=lambda t, q, v: -1.0),
-                        reset=ResetMap(apply=lambda s: s))
+                        reset=ResetMap(apply=lambda t, q, v: (q, v)))

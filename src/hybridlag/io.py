@@ -8,6 +8,7 @@ JSON keys), which is what makes repeated runs byte-identical.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, replace
 from typing import FrozenSet, NamedTuple, Optional
 
@@ -255,6 +256,9 @@ def config_from_dict(doc: dict) -> RunConfig:
         if setting.required and key not in doc:
             raise ParseError(f"missing required key {key!r}", key=key)
     run = values["run"]
+    if "initial_t" in run and not ("initial_q" in run or "initial_v" in run):
+        raise ParseError("initial_t applies only to a start given by "
+                         "initial_q and initial_v", key="initial_t")
     params = (get_scenario(run["scenario"]).params if "scenario" in run
               else BilliardParams())
     for key, value in values["params"].items():
@@ -276,6 +280,9 @@ def _checked(key, value, setting: Setting):
     if kind is list and not all(isinstance(v, (int, float))
                                 and not isinstance(v, bool) for v in value):
         raise ParseError(f"key {key!r} must be a list of numbers", key=key)
+    if kind is float and not abs(value) <= sys.float_info.max:
+        # JSON admits Infinity, NaN and ints past the float range
+        raise ParseError(f"key {key!r} must be a finite number", key=key)
     if setting.positive and not value > 0:
         raise ParseError(f"key {key!r} must be positive", key=key)
     if setting.choices and value not in setting.choices:

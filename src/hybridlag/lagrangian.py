@@ -19,8 +19,8 @@ with a pivoted LU factorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -75,7 +75,6 @@ class LagrangianSystem:
         acceleration: optional closed-form (t, q, v) -> array of n
             accelerations. When absent the accelerations are solved
             numerically from the Euler-Lagrange equations.
-        coordinate_names: labels, metadata only.
 
     States where a cheap estimate of the velocity-Hessian condition
     number exceeds CONDITION_BOUND are rejected with SingularHessian.
@@ -89,14 +88,10 @@ class LagrangianSystem:
     dL_dv: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     acceleration: Optional[Callable[[float, np.ndarray, np.ndarray],
                                     np.ndarray]] = None
-    coordinate_names: Sequence[str] = field(default=())
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-        if not self.coordinate_names:
-            object.__setattr__(self, "coordinate_names",
-                               tuple(f"q{i+1}" for i in range(self.dim)))
 
     # -- second derivatives by finite differences ----------------------
 

@@ -21,7 +21,6 @@ from .reduction import CyclicStructure
 
 @dataclass(frozen=True)
 class ModelBundle:
-    model_id: str
     system: LagrangianSystem
     hybrid: HybridSystem
     cyclic: Optional[CyclicStructure] = None
@@ -35,8 +34,7 @@ def free_particle() -> LagrangianSystem:
         lagrangian=lambda t, q, v: 0.5 * float(v @ v),
         dL_dq=lambda t, q, v: np.zeros(2),
         dL_dv=lambda t, q, v: v.copy(),
-        acceleration=lambda t, q, v: np.zeros(2),
-        coordinate_names=("x", "y"))
+        acceleration=lambda t, q, v: np.zeros(2))
 
 
 def harmonic_1d() -> LagrangianSystem:
@@ -46,8 +44,7 @@ def harmonic_1d() -> LagrangianSystem:
         lagrangian=lambda t, q, v: 0.5 * float(v @ v) - 0.5 * float(q @ q),
         dL_dq=lambda t, q, v: -q.copy(),
         dL_dv=lambda t, q, v: v.copy(),
-        acceleration=lambda t, q, v: -q.copy(),
-        coordinate_names=("q",))
+        acceleration=lambda t, q, v: -q.copy())
 
 
 def _cartesian_billiard(p: billiard.BilliardParams):
@@ -88,5 +85,4 @@ def build_model(model_id: str,
     if model_id not in _BUILDERS:
         raise KeyError(f"unknown model id {model_id!r}")
     hs, cyclic, start = _BUILDERS[model_id](params or billiard.BilliardParams())
-    return ModelBundle(model_id, hs.system, hs, cyclic=cyclic,
-                       default_initial=start)
+    return ModelBundle(hs.system, hs, cyclic=cyclic, default_initial=start)

@@ -13,11 +13,12 @@ dL/dtheta_dot = mu (this requires the relation to be solvable in
 theta_dot: regularity in the group velocity). The reduced guard takes
 (t, x, xdot) like the Routhian: it evaluates the full guard at the lift
 of (x, xdot) to the momentum level set at cyclic angle 0, and the reduced
-reset applies the full reset there and projects. Angle 0 stands for every
-angle because of the invariance/equivariance conditions that
-`CyclicStructure.validate` samples. A structure may carry a closed form
-of the reduced guard, which then replaces the evaluation on the lift;
-`validate` checks it against the full guard.
+reset applies the full reset there and projects; it refuses an impact
+that changes the momentum. Angle 0 stands for every angle because of the
+invariance/equivariance conditions that `CyclicStructure.validate`
+samples. A structure may carry a closed form of the reduced guard, which
+then replaces the evaluation on the lift; `validate` checks it against
+the full guard.
 
 Only the product-of-shape-space-and-circle (or line) setting with the
 flat connection is implemented; several cyclic coordinates are handled
@@ -32,11 +33,11 @@ cyclic components removed; no differencing through the solver is needed.
 
 Impacts that change the momentum are handled by the resequencing run, a
 single executor run whose reset switches mode (the hybrid Routhian
-reduction of Ames & Sastry, ACC 2006): at each impact the pre-impact
-shape state is lifted at cyclic angle 0, the full reset is applied
-there, and the next arc runs in the reduced system rebuilt at the
-post-impact momentum. The cyclic angle is reconstructed once the run
-ends, over all arcs, each at its own momentum. Each arc is read as
+reduction of Ames & Sastry, ACC 2006): at each impact the full reset is
+applied at the lift, as in the reduced reset, and the next arc runs in
+the reduced system rebuilt at the post-impact momentum. The cyclic angle
+is reconstructed once the run ends, over all arcs, each at its own
+momentum. Each arc is read as
 columns: its interpolant and the cyclic-velocity solver are called once
 on the whole quadrature grid, and composite Simpson quadrature sums the
 result; no `State` is built per grid point.
@@ -125,10 +126,11 @@ class CyclicStructure:
         ci = self.cyclic_index
         return np.concatenate([vec[:ci], [float(value)], vec[ci:]])
 
-    def shift(self, s: State, amount: float) -> State:
-        q = s.q.copy()
+    def shift(self, q: np.ndarray, amount: float) -> np.ndarray:
+        """A copy of q with the cyclic angle moved by amount."""
+        q = np.array(q, float)
         q[self.cyclic_index] += amount
-        return State(s.t, q, s.v.copy())
+        return q
 
     def project_state(self, s: State) -> State:
         return State(s.t, self.drop(s.q), self.drop(s.v))
@@ -205,26 +207,25 @@ class CyclicStructure:
                         f"guard at t={s.t:.6g}")
             scale = max(1.0, abs(base_l))
             for a in DEFAULT_SHIFTS:
-                sh = self.shift(s, a)
-                if abs(sys.lagrangian(sh.t, sh.q, sh.v) - base_l) > tol * scale:
+                q = self.shift(s.q, a)
+                if abs(sys.lagrangian(s.t, q, s.v) - base_l) > tol * scale:
                     raise NotInvariant(
                         f"Lagrangian varies along the cyclic shift by more "
                         f"than {tol:g} at t={s.t:.6g}")
-                if (abs(guard.surface(sh.t, sh.q, sh.v) - base_g)
+                if (abs(guard.surface(s.t, q, s.v) - base_g)
                         > tol * max(1.0, abs(base_g))):
                     raise NotInvariant("guard surface is not cyclic-invariant")
-                if (abs(guard.direction(sh.t, sh.q, sh.v) - base_d)
+                if (abs(guard.direction(s.t, q, s.v) - base_d)
                         > tol * max(1.0, abs(base_d))):
                     raise NotInvariant("guard direction is not cyclic-invariant")
         reset = self.full.reset
         for s in self.guard_sample_states:
-            base = reset.apply(s)
+            q_post, v_post = reset.apply(s.t, s.q, s.v)
             for a in DEFAULT_SHIFTS:
-                mapped = reset.apply(self.shift(s, a))
-                expected = self.shift(base, a)
-                err = max(float(np.max(np.abs(mapped.q - expected.q))),
-                          float(np.max(np.abs(mapped.v - expected.v))))
-                if err > tol * max(1.0, float(np.max(np.abs(base.v)))):
+                q_sh, v_sh = reset.apply(s.t, self.shift(s.q, a), s.v)
+                err = max(float(np.max(np.abs(q_sh - self.shift(q_post, a)))),
+                          float(np.max(np.abs(v_sh - v_post))))
+                if err > tol * max(1.0, float(np.max(np.abs(v_post)))):
                     raise NotInvariant(
                         f"reset map is not equivariant under the cyclic "
                         f"shift (deviation {err:.3e})")
@@ -286,9 +287,8 @@ def routhian(cs: CyclicStructure, mu: float,
     def dv(t, x, xdot):
         return cs.drop(sys.dL_dv(t, *cs.embed(t, x, xdot, mu)))
 
-    names = tuple(nm for i, nm in enumerate(sys.coordinate_names) if i != ci)
     return LagrangianSystem(dim=cs.dim_reduced, lagrangian=lag, dL_dq=dq,
-                            dL_dv=dv, coordinate_names=names)
+                            dL_dv=dv)
 
 
 def reduce(cs: CyclicStructure, mu: float,
@@ -298,9 +298,10 @@ def reduce(cs: CyclicStructure, mu: float,
     The reduced guard is the structure's closed form when it has one;
     otherwise it evaluates the full guard on the lifted state (at cyclic
     angle 0, which the validated invariance makes immaterial). The
-    reduced reset applies the full reset on the lifted state and
-    projects. Raises InvalidStart when mu is not finite (the momentum of
-    a non-finite state) and NotInvariant when the sampled checks fail.
+    reduced reset is `_lifted_reset`, which must keep mu (to
+    INVARIANCE_TOL, relative). Raises InvalidStart when mu is not finite
+    (the momentum of a non-finite state) and NotInvariant when the
+    sampled checks fail or an impact changes the momentum.
     """
     if not math.isfinite(mu):
         raise InvalidStart(f"momentum {mu!r} is not finite")
@@ -318,13 +319,27 @@ def reduce(cs: CyclicStructure, mu: float,
 
         guard = Guard(surface=g_red, direction=d_red)
 
-    def reset_red(s: State) -> State:
-        post = cs.full.reset.apply(State(s.t, *cs.embed(s.t, s.q, s.v, mu)))
-        return cs.project_state(post)
+    def reset_red(t, x, xdot):
+        x_post, xdot_post, mu_post, _ = _lifted_reset(cs, mu, t, x, xdot)
+        if abs(mu_post - mu) > INVARIANCE_TOL * max(1.0, abs(mu)):
+            raise NotInvariant(
+                f"reset changed the momentum at t={t!r}: mu={mu!r}, "
+                f"mu_post={mu_post!r}; use simulate_resequenced")
+        return x_post, xdot_post
 
     shape = HybridSystem(system=routhian(cs, mu), guard=guard,
                          reset=ResetMap(apply=reset_red))
     return ReducedHybridSystem(shape=shape)
+
+
+def _lifted_reset(cs: CyclicStructure, mu: float, t, x, xdot):
+    """The full reset at the lift of (x, xdot) to momentum mu and cyclic
+    angle 0: (x_post, xdot_post, mu_post, theta_post), the projected post
+    state, its momentum and its cyclic angle."""
+    q_post, v_post = cs.full.reset.apply(t, *cs.embed(t, x, xdot, mu))
+    return (cs.drop(q_post), cs.drop(v_post),
+            cs.momentum_value(t, q_post, v_post),
+            float(q_post[cs.cyclic_index]))
 
 
 def project(cs: CyclicStructure, flow: HybridFlow) -> HybridFlow:
@@ -412,36 +427,32 @@ def simulate_resequenced(cs: CyclicStructure, s0: State, t_end: float,
     impact.
 
     One executor run on the reduced system at the start momentum. Its
-    reset lifts the pre-impact shape state at cyclic angle 0, applies the
-    full reset there, reads the new momentum off the post state, validates
-    that state against the reduced system rebuilt at the new momentum, and
-    continues in that system. The cyclic angle is then reconstructed over
-    all arcs, carrying any angle jump the resets make. For
+    reset applies the full reset at the lift (`_lifted_reset`), reads the
+    new momentum off the post state, validates that state against the
+    reduced system rebuilt at the new momentum, and continues in that
+    system. The cyclic angle is then reconstructed over all arcs,
+    carrying any angle jump the resets make. For
     momentum-preserving resets the momentum sequence is constant and the
     run coincides with reducing once and simulating.
     """
     opts = opts or SimOptions()
     _check_finite(s0)
-    ci = cs.cyclic_index
     m = cs.dim_reduced
     mus = [momentum_map(cs, s0)]
-    jumps = [float(s0.q[ci])]
+    jumps = [float(s0.q[cs.cyclic_index])]
 
     def mode_at(mu, validate=False):
         shape = reduce(cs, mu, validate=validate).shape
         gfun, dfun = shape.guard.surface, shape.guard.direction
 
         def reset(tau, ypre):
-            pre = State(tau, ypre[:m], ypre[m:])
-            post_full = cs.full.reset.apply(
-                State(tau, *cs.embed(tau, pre.q, pre.v, mu)))
-            mu_next = momentum_map(cs, post_full)
-            post = cs.project_state(post_full)
+            x, xdot, mu_next, theta = _lifted_reset(cs, mu, tau, ypre[:m],
+                                                    ypre[m:])
             nxt = mode_at(mu_next)
-            _validate_reset(pre, post, nxt[1], nxt[2])
+            _validate_reset(tau, x, xdot, nxt[1], nxt[2])
             mus.append(mu_next)
-            jumps.append(float(post_full.q[ci]))
-            return np.concatenate([post.q, post.v]), nxt
+            jumps.append(theta)
+            return np.concatenate([x, xdot]), nxt
 
         return shape.system.rhs, gfun, dfun, reset
 

@@ -5,7 +5,8 @@ the runner aggregates them. Bounds mirror the package-wide contracts:
 derivative consistency 1e-6, fiber-derivative round trip 1e-10, flow
 equivalence 1e-6, hybrid correspondence 1e-6 with event times 1e-8,
 momentum drift 1e-8 per arc, per-arc oracle agreement 1e-8, chart
-impact-time agreement 1e-8.
+impact-time agreement 1e-8. The scenario is simulated once in each
+chart; the momentum, oracle and chart checks read those two runs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import billiard
-from .hybrid import (SimOptions, check_flow_equivalence,
+from .hybrid import (EQUIVALENCE_TOL, SimOptions, check_flow_equivalence,
                      check_hybrid_equivalence, simulate)
 from .io import events_header, trajectory_header
 from .lagrangian import State
@@ -65,32 +66,31 @@ def check_legendre_roundtrip(params=None):
             "measured": worst, "bound": 1e-10, "detail": ""}
 
 
-def check_flow_equivalence_models(params=None, tol=1e-6):
+def check_flow_equivalence_models(params=None):
     worst, detail = 0.0, []
     for mid in MODEL_IDS:
         bundle = build_model(mid, params)
         s0 = bundle.default_initial
-        rep = check_flow_equivalence(bundle.system, s0, s0.t + 1.0, tol=tol)
+        rep = check_flow_equivalence(bundle.system, s0, s0.t + 1.0)
         worst = max(worst, rep.max_discrepancy)
         detail.append(f"{mid}:{rep.max_discrepancy:.2e}")
-    return {"check": "flow_equivalence", "passed": worst <= tol,
-            "measured": worst, "bound": tol, "detail": " ".join(detail)}
+    return {"check": "flow_equivalence", "passed": worst <= EQUIVALENCE_TOL,
+            "measured": worst, "bound": EQUIVALENCE_TOL,
+            "detail": " ".join(detail)}
 
 
-def check_hybrid_correspondence(scenario, tol=1e-6, opts=None):
+def check_hybrid_correspondence(scenario, opts=None):
     hs = billiard.cartesian_hybrid(scenario.params)
     rep = check_hybrid_equivalence(
         hs, scenario.initial_cartesian,
-        min(CORRESPONDENCE_HORIZON, scenario.horizon), tol=tol, opts=opts)
+        min(CORRESPONDENCE_HORIZON, scenario.horizon), opts=opts)
     return {"check": "hybrid_correspondence", "passed": rep.passed,
-            "measured": rep.max_state_discrepancy, "bound": tol,
+            "measured": rep.max_state_discrepancy, "bound": EQUIVALENCE_TOL,
             "detail": str(rep)}
 
 
-def check_momentum_conservation(scenario, opts=None):
+def check_momentum_conservation(scenario, flow):
     cyc = billiard.polar_cyclic(scenario.params)
-    flow = simulate(cyc.full, scenario.initial_polar, scenario.horizon,
-                    opts or SimOptions())
     worst = 0.0
     for arc in flow.arcs:
         J = np.array([cyc.momentum_value(t, y[:2], y[2:])
@@ -105,13 +105,10 @@ def check_momentum_conservation(scenario, opts=None):
             "detail": f"impact jump {jump:.2e} (bound 1e-12)"}
 
 
-def check_arc_oracle_agreement(scenario, opts=None):
-    """Each simulated arc against the closed-form flight from the arc's
-    own initial state (local comparison, no cross-impact accumulation)."""
+def check_arc_oracle_agreement(scenario, flow):
+    """Each arc of the Cartesian run `flow` against the closed-form flight
+    from the arc's own start (no cross-impact accumulation)."""
     p = scenario.params
-    hs = billiard.cartesian_hybrid(p)
-    flow = simulate(hs, scenario.initial_cartesian, scenario.horizon,
-                    opts or SimOptions())
     worst = 0.0
     for arc in flow.arcs:
         y0 = arc.states[0]
@@ -123,12 +120,7 @@ def check_arc_oracle_agreement(scenario, opts=None):
             "detail": f"{len(flow.arcs)} arcs"}
 
 
-def check_chart_impact_agreement(scenario, opts=None):
-    opts = opts or SimOptions()
-    flow_c = simulate(billiard.cartesian_hybrid(scenario.params),
-                      scenario.initial_cartesian, scenario.horizon, opts)
-    flow_p = simulate(billiard.polar_hybrid(scenario.params),
-                      scenario.initial_polar, scenario.horizon, opts)
+def check_chart_impact_agreement(flow_c, flow_p):
     same = len(flow_c.events) == len(flow_p.events)
     delta = 0.0
     if flow_c.events and flow_p.events:
@@ -155,13 +147,19 @@ def check_csv_schema():
 
 def run_verification(scenario, opts=None):
     """Run every check against one scenario; returns the record list."""
+    opts = opts or SimOptions()
+    p = scenario.params
+    flow_c = simulate(billiard.cartesian_hybrid(p), scenario.initial_cartesian,
+                      scenario.horizon, opts)
+    flow_p = simulate(billiard.polar_hybrid(p), scenario.initial_polar,
+                      scenario.horizon, opts)
     return [
-        check_derivative_consistency(scenario.params),
-        check_legendre_roundtrip(scenario.params),
-        check_flow_equivalence_models(scenario.params),
+        check_derivative_consistency(p),
+        check_legendre_roundtrip(p),
+        check_flow_equivalence_models(p),
         check_hybrid_correspondence(scenario, opts=opts),
-        check_momentum_conservation(scenario, opts=opts),
-        check_arc_oracle_agreement(scenario, opts=opts),
-        check_chart_impact_agreement(scenario, opts=opts),
+        check_momentum_conservation(scenario, flow_p),
+        check_arc_oracle_agreement(scenario, flow_c),
+        check_chart_impact_agreement(flow_c, flow_p),
         check_csv_schema(),
     ]

@@ -43,6 +43,11 @@ def sample_states(rng, model_id, count, dim=2):
     return out
 
 
+def reset_state(reset, s):
+    """The post-impact State of `reset` applied at the State s."""
+    return hl.State(s.t, *reset.apply(s.t, s.q, s.v))
+
+
 @contextlib.contextmanager
 def no_hang(seconds):
     """Fail the enclosed block if it runs longer than `seconds` of wall

@@ -28,7 +28,7 @@ import pytest
 import hybridlag as hl
 from hybridlag import cli
 
-from conftest import sample_states
+from conftest import reset_state, sample_states
 from oracles import C025_IMPACT_COUNT
 
 HORIZON = 10.0
@@ -201,7 +201,7 @@ def test_criterion_3_flow_equivalence():
     cases.append(("harmonic-1d", osc.system, osc.default_initial))
     worst = 0.0
     for name, sys, s0 in cases:
-        rep = hl.check_flow_equivalence(sys, s0, s0.t + 1.0, tol=1e-6)
+        rep = hl.check_flow_equivalence(sys, s0, s0.t + 1.0)
         worst = max(worst, rep.max_discrepancy)
         assert rep.passed, f"{name}: {rep}"
     assert report("criterion 3 flow equivalence (unit horizons, 1e-6)",
@@ -215,8 +215,7 @@ def test_criterion_3_flow_equivalence():
 def test_criterion_4_hybrid_correspondence():
     sc = hl.get_scenario("paper-c025")
     rep = hl.check_hybrid_equivalence(hl.cartesian_hybrid(sc.params),
-                                      sc.initial_cartesian, 5.0, tol=1e-6,
-                                      event_time_tol=1e-8)
+                                      sc.initial_cartesian, 5.0)
     ok = report("criterion 4 hybrid correspondence [0,5]", rep.passed,
                 str(rep))
     assert ok
@@ -332,10 +331,9 @@ def test_criterion_7_halving_fixture():
     cyc = hl.polar_cyclic(sc.params)
     polar_reset = cyc.full.reset
 
-    def halved(s):
-        post = polar_reset.apply(s)
-        return hl.State(post.t, post.q.copy(),
-                        np.array([post.v[0], 0.5 * post.v[1]]))
+    def halved(t, q, v):
+        q_post, v_post = polar_reset.apply(t, q, v)
+        return q_post, np.array([v_post[0], 0.5 * v_post[1]])
 
     fixture = dataclasses.replace(
         cyc, full=dataclasses.replace(cyc.full,
@@ -420,8 +418,8 @@ def test_criterion_8_reset_equivalence(rng):
         rd = float(rng.uniform(p.wall_rate(t) / (2 * r) + 1e-3, 3.0))
         thd = float(rng.uniform(-4.0, 4.0))
         s_pol = hl.State(t, np.array([r, theta]), np.array([rd, thd]))
-        mapped = hl.polar_to_cartesian(rp.apply(s_pol))
-        direct = rc.apply(hl.polar_to_cartesian(s_pol))
+        mapped = hl.polar_to_cartesian(reset_state(rp, s_pol))
+        direct = reset_state(rc, hl.polar_to_cartesian(s_pol))
         worst = max(worst, float(np.max(np.abs(mapped.q - direct.q))),
                     float(np.max(np.abs(mapped.v - direct.v))))
     ok = report("criterion 8 reset equivalence (1000 on-guard states)",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hybridlag as hl
+from conftest import reset_state
 
 from oracles import (C010_IMPACT_COUNT, C025_FIRST_IMPACT, C025_IMPACT_COUNT,
                      WALL_COLLAPSE_TIME, damped_flight)
@@ -159,15 +160,15 @@ def test_direction_modes_differ_for_shrinking_wall():
 
 def test_reset_cartesian_specular():
     r = hl.reset_cartesian(static_params())
-    post = r.apply(mk_state(0.0, [1.0, 0.0], [1.0, 0.0]))
-    assert np.allclose(post.v, [-1.0, 0.0], atol=1e-15)
-    assert np.array_equal(post.q, [1.0, 0.0])
+    q, v = r.apply(0.0, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    assert np.allclose(v, [-1.0, 0.0], atol=1e-15)
+    assert np.array_equal(q, [1.0, 0.0])
 
 
 def test_reset_cartesian_tangential_unchanged():
     r = hl.reset_cartesian(static_params())
-    post = r.apply(mk_state(0.0, [1.0, 0.0], [0.0, 1.0]))
-    assert np.allclose(post.v, [0.0, 1.0], atol=1e-15)
+    _, v = r.apply(0.0, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    assert np.allclose(v, [0.0, 1.0], atol=1e-15)
 
 
 def test_reset_cartesian_moving_wall():
@@ -175,21 +176,21 @@ def test_reset_cartesian_moving_wall():
     rate = lambda t: 0.5
     r = hl.reset_cartesian(hl.BilliardParams(c=0.0, wall=wall,
                                              wall_rate=rate))
-    post = r.apply(mk_state(0.0, [1.0, 0.0], [1.0, 0.0]))
-    assert post.v[0] == pytest.approx(-0.5, abs=1e-15)
+    _, v = r.apply(0.0, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    assert v[0] == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_reset_polar_specular():
     r = hl.reset_polar(static_params())
-    post = r.apply(mk_state(0.0, [1.0, 0.7], [1.0, 2.0]))
-    assert post.v[0] == pytest.approx(-1.0, abs=1e-14)
-    assert post.v[1] == 2.0  # angular velocity untouched
+    _, v = r.apply(0.0, np.array([1.0, 0.7]), np.array([1.0, 2.0]))
+    assert v[0] == pytest.approx(-1.0, abs=1e-14)
+    assert v[1] == 2.0  # angular velocity untouched
 
 
 def test_reset_polar_resting_state():
     r = hl.reset_polar(static_params())
-    post = r.apply(mk_state(0.0, [1.0, 0.0], [0.0, 1.0]))
-    assert post.v[0] == 0.0
+    _, v = r.apply(0.0, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    assert v[0] == 0.0
 
 
 def test_reset_equivalence_on_guard(rng):
@@ -207,9 +208,8 @@ def test_reset_equivalence_on_guard(rng):
         rd = float(rng.uniform(lo, 3.0))
         thd = float(rng.uniform(-4.0, 4.0))
         s_pol = mk_state(t, [r, theta], [rd, thd])
-        post_pol = rp.apply(s_pol)
-        post_car = rc.apply(hl.polar_to_cartesian(s_pol))
-        mapped = hl.polar_to_cartesian(post_pol)
+        post_car = reset_state(rc, hl.polar_to_cartesian(s_pol))
+        mapped = hl.polar_to_cartesian(reset_state(rp, s_pol))
         worst = max(worst, float(np.max(np.abs(mapped.q - post_car.q))),
                     float(np.max(np.abs(mapped.v - post_car.v))))
     assert worst <= 1e-10
@@ -226,14 +226,14 @@ def test_reset_polar_chart_sign_mode(rng):
     p_in = hl.BilliardParams(c=0.0, wall=wall, wall_rate=rate)
     p_ch = hl.BilliardParams(c=0.0, wall=wall, wall_rate=rate,
                              polar_reset_sign="chart")
-    post_in = hl.reset_polar(p_in).apply(s)
-    post_ch = hl.reset_polar(p_ch).apply(s)
+    _, v_in = hl.reset_polar(p_in).apply(s.t, s.q, s.v)
+    _, v_ch = hl.reset_polar(p_ch).apply(s.t, s.q, s.v)
     expected = rate(t) / r - rd
-    assert post_in.v[0] == pytest.approx(-abs(expected), abs=1e-14)
-    assert post_ch.v[0] == pytest.approx(expected, abs=1e-14)
+    assert v_in[0] == pytest.approx(-abs(expected), abs=1e-14)
+    assert v_ch[0] == pytest.approx(expected, abs=1e-14)
     mapped = hl.cartesian_to_polar(
-        hl.reset_cartesian(p_ch).apply(hl.polar_to_cartesian(s)))
-    assert post_ch.v[0] == pytest.approx(mapped.v[0], abs=1e-12)
+        reset_state(hl.reset_cartesian(p_ch), hl.polar_to_cartesian(s)))
+    assert v_ch[0] == pytest.approx(mapped.v[0], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +273,7 @@ def test_analytic_arc_matches_integrator():
     hs = hl.HybridSystem(system=sys,
                          guard=hl.Guard(surface=lambda t, q, v: -1.0,
                                         direction=lambda t, q, v: -1.0),
-                         reset=hl.ResetMap(apply=lambda s: s))
+                         reset=hl.ResetMap(apply=lambda t, q, v: (q, v)))
     flow = hl.simulate(hs, s0, s0.t + 1.0)
     assert not flow.events
     sol = flow.arcs[0]

@@ -68,9 +68,9 @@ def test_flow_invariants(unit_wall_hybrid):
             1.0, abs(guard.direction(pre.t, pre.q, pre.v)))
         assert guard.direction(pre.t, pre.q, pre.v) >= 0.0
         # stored post state is exactly the reset image
-        again = reset.apply(ev.pre)
-        assert np.array_equal(again.q, ev.post.q)
-        assert np.array_equal(again.v, ev.post.v)
+        q_post, v_post = reset.apply(ev.tau, pre.q, pre.v)
+        assert np.array_equal(q_post, ev.post.q)
+        assert np.array_equal(v_post, ev.post.v)
         # next arc starts at the post state
         nxt = flow.arcs[i + 1]
         assert nxt.times[0] == ev.tau
@@ -248,19 +248,10 @@ def test_non_finite_field_at_arc_start_raises():
         hl.simulate(hs, s0, 1.0)
 
 
-def test_reset_must_preserve_time(unit_wall_hybrid):
-    bad = dataclasses.replace(
-        unit_wall_hybrid,
-        reset=hl.ResetMap(apply=lambda s: hl.State(s.t + 0.1, s.q.copy(),
-                                                   -s.v)))
-    with pytest.raises(hl.InvalidReset):
-        hl.simulate(bad, center_start(), 2.0)
-
-
 def test_reset_retrigger_rejected(unit_wall_hybrid):
     # identity reset leaves the state exiting the guard: must be refused
-    bad = dataclasses.replace(unit_wall_hybrid,
-                              reset=hl.ResetMap(apply=lambda s: s))
+    bad = dataclasses.replace(
+        unit_wall_hybrid, reset=hl.ResetMap(apply=lambda t, q, v: (q, v)))
     with pytest.raises(hl.InvalidReset):
         hl.simulate(bad, center_start(), 2.0)
 
@@ -374,11 +365,11 @@ def test_arc_interpolant_array_contract(build, dim, exact):
 
 
 def test_runs_build_states_per_impact_not_per_sample(monkeypatch):
-    # State is the API edge: the executor samples the guard and the RHS
-    # on its packed arrays, so a run builds States per impact and per arc
-    # (reset arguments, Event records), never per step or guard sample;
-    # the passes after a run read arcs as columns and build none per
-    # grid point either
+    # State is the API edge: the executor calls the guard, the reset and
+    # the RHS on its packed arrays, so a run builds the two States of each
+    # Event record and nothing per step, guard sample or reset; the
+    # passes after a run read arcs as columns and build none per grid
+    # point either
     sc = hl.get_scenario("paper-c025")
     cyc = hl.polar_cyclic(sc.params)
     mu = hl.momentum_map(cyc, sc.initial_polar)
@@ -410,23 +401,30 @@ def test_runs_build_states_per_impact_not_per_sample(monkeypatch):
         built[hl.State] = 0
         flow = run()
         assert len(flow.events) == 41, name
-        assert built[hl.State] <= 6 * (len(flow.events) + len(flow.arcs)), \
-            (name, built[hl.State])
+        if name == "resequenced":
+            # it also projects its start state
+            assert built[hl.State] <= 2 * len(flow.events) + 1, \
+                built[hl.State]
+        else:
+            assert built[hl.State] == 2 * len(flow.events), \
+                (name, built[hl.State])
     built[hl.State] = 0
     hl.reconstruct(cyc, rflow, mu, float(sc.initial_polar.q[1]))
     assert built[hl.State] == 0
-    # one polar run (the same 41 impacts) plus the check on its step grid
+    # the momentum check on a polar run's step grid builds only the
+    # symmetry samples of the cyclic structure it makes
+    polar = runs["polar"]()
     built[hl.State] = 0
-    assert verification.check_momentum_conservation(sc)["passed"]
-    assert built[hl.State] <= 6 * (len(rflow.events) + len(rflow.arcs)), \
+    assert verification.check_momentum_conservation(sc, polar)["passed"]
+    assert built[hl.State] == (len(cyc.sample_states)
+                               + len(cyc.guard_sample_states)), \
         built[hl.State]
-    # the momentum side builds a CoState at the start and per impact only
+    # the momentum side builds one CoState, at the start
     built[hl.CoState] = 0
     rep = hl.check_hybrid_equivalence(hl.cartesian_hybrid(sc.params),
                                       sc.initial_cartesian, 10.0)
     assert rep.events_momentum_side == 41
-    assert built[hl.CoState] == rep.events_momentum_side + 1, \
-        built[hl.CoState]
+    assert built[hl.CoState] == 1, built[hl.CoState]
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +436,7 @@ def test_locate_event_linear_in_time():
     hs = hl.HybridSystem(system=sys,
                          guard=hl.Guard(surface=lambda t, q, v: t - 1.0,
                                         direction=lambda t, q, v: 1.0),
-                         reset=hl.ResetMap(apply=lambda s: s))
+                         reset=hl.ResetMap(apply=lambda t, q, v: (q, v)))
     sa = hl.State(0.9, np.zeros(2), np.array([1.0, 0.0]))
     sb = hl.State(1.1, np.array([0.2, 0.0]), np.array([1.0, 0.0]))
     ev = hl.locate_event(hs, (sa, sb))
@@ -498,8 +496,7 @@ def test_locate_event_left_state_on_rising_guard(unit_wall_hybrid):
 # ---------------------------------------------------------------------------
 
 def test_hybrid_equivalence_static_wall(unit_wall_hybrid):
-    rep = hl.check_hybrid_equivalence(unit_wall_hybrid, center_start(), 4.5,
-                                      tol=1e-6)
+    rep = hl.check_hybrid_equivalence(unit_wall_hybrid, center_start(), 4.5)
     assert rep.passed, str(rep)
     assert rep.events_velocity_side == rep.events_momentum_side == 2
 
@@ -508,14 +505,14 @@ def test_hybrid_equivalence_static_wall(unit_wall_hybrid):
 def test_hybrid_equivalence_moving_wall(sid):
     sc = hl.get_scenario(sid)
     hs = hl.cartesian_hybrid(sc.params)
-    rep = hl.check_hybrid_equivalence(hs, sc.initial_cartesian, 5.0, tol=1e-6)
+    rep = hl.check_hybrid_equivalence(hs, sc.initial_cartesian, 5.0)
     assert rep.passed, str(rep)
 
 
 def test_hybrid_equivalence_no_events_reduces_to_flow_check():
     sc = hl.get_scenario("paper-c025")
     hs = hl.cartesian_hybrid(sc.params)
-    rep = hl.check_hybrid_equivalence(hs, sc.initial_cartesian, 0.1, tol=1e-6)
+    rep = hl.check_hybrid_equivalence(hs, sc.initial_cartesian, 0.1)
     assert rep.passed
     assert rep.events_velocity_side == 0 == rep.events_momentum_side
     assert rep.max_event_time_delta == 0.0

@@ -54,6 +54,23 @@ def test_parse_config_unknown_key():
     assert err.value.key == "wavelength"
 
 
+@pytest.mark.parametrize("key", ["horizon", "initial_t", "rtol", "atol",
+                                 "max_step", "event_tol", "guard_tol",
+                                 "min_dwell", "m", "c"])
+@pytest.mark.parametrize("number", ["Infinity", "-Infinity", "NaN", "1e400",
+                                    "1" + "0" * 400],
+                         ids=["inf", "-inf", "nan", "1e400", "10**400"])
+def test_parse_config_non_finite_number(key, number):
+    # JSON admits these for every number key (max_impacts takes ints
+    # only); a run.json echo could not reproduce them
+    text = ('{"model": "billiard-polar", "mode": "full", "horizon": 3, '
+            '"initial_q": [0.5, 1.0], "initial_v": [0.5, 0.5], '
+            f'"{key}": {number}}}')
+    with pytest.raises(hl.ParseError) as err:
+        parse_config(text)
+    assert err.value.key == key
+
+
 def test_parse_config_negative_tolerance():
     with pytest.raises(hl.ParseError):
         parse_config('{"model": "billiard-cartesian", "mode": "full", '
@@ -267,6 +284,20 @@ def test_cli_initial_time_after_horizon_errors(tmp_path, mode):
     record = error_record(out)
     assert record["error"] == "InvalidStart"
     assert "precedes the start time" in record["message"]
+
+
+def test_cli_initial_time_without_initial_state_errors(tmp_path):
+    # the scenario's start has its own time; initial_t would be echoed in
+    # run.json without taking effect
+    out = str(tmp_path / "out")
+    cfg = write_config(tmp_path, model="billiard-polar",
+                       scenario="paper-c025", mode="full", horizon=3,
+                       initial_t=2)
+    assert run_cli("run", "--config", cfg, "--out", out) == 2
+    record = error_record(out)
+    assert record["error"] == "ParseError"
+    assert record["key"] == "initial_t"
+    assert not os.path.exists(os.path.join(out, "run.json"))
 
 
 @pytest.mark.parametrize("contents", ["{not json", None],

@@ -139,7 +139,7 @@ def test_solve_cyclic_velocity_degenerate_raises():
     hs = hl.HybridSystem(system=sys,
                          guard=hl.Guard(surface=lambda t, q, v: -1.0,
                                         direction=lambda t, q, v: -1.0),
-                         reset=hl.ResetMap(apply=lambda s: s))
+                         reset=hl.ResetMap(apply=lambda t, q, v: (q, v)))
     cs = hl.CyclicStructure(full=hs, cyclic_index=1)
     with pytest.raises(hl.NoConvergence):
         cs.solve_cyclic_velocity(0.0, np.array([0.0]), np.array([0.0]), 2.0)
@@ -205,12 +205,13 @@ def test_reduce_reset_matches_full_radial_part(cyc025, scenario, rng):
         t = float(rng.uniform(0, 3))
         r = math.sqrt(p.wall(t))
         rd = float(rng.uniform(0.1, 3.0))
-        post_red = red.shape.reset.apply(mk_state(t, [r], [rd]))
+        x_post, xdot_post = red.shape.reset.apply(t, np.array([r]),
+                                                  np.array([rd]))
         thd = cyc025.solve_cyclic_velocity(t, np.array([r]), np.array([rd]),
                                            mu)
-        post_full = rp.apply(mk_state(t, [r, 0.0], [rd, thd]))
-        assert post_red.v[0] == pytest.approx(post_full.v[0], abs=1e-13)
-        assert post_red.q[0] == r
+        _, v_post = rp.apply(t, np.array([r, 0.0]), np.array([rd, thd]))
+        assert xdot_post[0] == pytest.approx(v_post[0], abs=1e-13)
+        assert x_post[0] == r
 
 
 def test_reduce_rejects_non_invariant_lagrangian(cyc025):
@@ -233,8 +234,8 @@ def test_reduce_rejects_non_equivariant_reset(cyc025):
     base = cyc025.full
     broken = dataclasses.replace(
         base,
-        reset=hl.ResetMap(apply=lambda s: hl.State(
-            s.t, np.array([s.q[0], 0.5 * s.q[1]]), -s.v)))
+        reset=hl.ResetMap(apply=lambda t, q, v: (
+            np.array([q[0], 0.5 * q[1]]), -v)))
     cs = dataclasses.replace(cyc025, full=broken)
     with pytest.raises(hl.NotInvariant):
         hl.reduce(cs, -0.9)
@@ -451,31 +452,44 @@ def test_resequenced_elastic_matches_reduce_once(cyc025, scenario):
     assert th_delta <= 1e-9
 
 
+def halving_fixture(cyc):
+    """`cyc` with restitution on the angular component: the momentum
+    halves per impact."""
+    polar_reset = cyc.full.reset
+
+    def damped_angular(t, q, v):
+        q_post, v_post = polar_reset.apply(t, q, v)
+        return q_post, np.array([v_post[0], 0.5 * v_post[1]])
+
+    return dataclasses.replace(cyc, full=dataclasses.replace(
+        cyc.full, reset=hl.ResetMap(apply=damped_angular)))
+
+
 def test_resequenced_halving_fixture(cyc025, scenario):
-    # restitution on the angular component: the momentum halves per impact
-    base = cyc025.full
-    polar_reset = base.reset
-
-    def damped_angular(s):
-        post = polar_reset.apply(s)
-        return hl.State(post.t, post.q.copy(),
-                        np.array([post.v[0], 0.5 * post.v[1]]))
-
-    fixture = dataclasses.replace(
-        cyc025, full=dataclasses.replace(
-            base, reset=hl.ResetMap(apply=damped_angular)))
-    rs = hl.simulate_resequenced(fixture, scenario.initial_polar, 5.0)
+    rs = hl.simulate_resequenced(halving_fixture(cyc025),
+                                 scenario.initial_polar, 5.0)
     mus = rs.mu_sequence
     assert len(mus) >= 4
     for k in range(len(mus) - 1):
         assert mus[k + 1] / mus[k] == pytest.approx(0.5, abs=1e-12)
 
 
+def test_reduce_once_rejects_momentum_changing_reset(cyc025, scenario):
+    # the reduced system holds at one momentum; the halving reset leaves
+    # it at the first impact, so the reduced reset refuses it
+    fixture = halving_fixture(cyc025)
+    mu = hl.momentum_map(fixture, scenario.initial_polar)
+    red = hl.reduce(fixture, mu)
+    with pytest.raises(hl.NotInvariant, match="mu_post="):
+        hl.simulate(red.shape, fixture.project_state(scenario.initial_polar),
+                    5.0)
+
+
 def test_resequenced_rejects_retriggering_reset(cyc025, scenario):
     # halves the angular velocity but keeps the outward radial velocity,
     # so the post-impact state runs straight back through the wall
-    def no_bounce(s):
-        return hl.State(s.t, s.q.copy(), np.array([s.v[0], 0.5 * s.v[1]]))
+    def no_bounce(t, q, v):
+        return q.copy(), np.array([v[0], 0.5 * v[1]])
 
     fixture = dataclasses.replace(
         cyc025, full=dataclasses.replace(
@@ -501,15 +515,14 @@ def test_iterated_reduction_free_3d():
         return hl.HybridSystem(system=sys,
                                guard=hl.Guard(surface=lambda t, q, v: -1.0,
                                               direction=lambda t, q, v: -1.0),
-                               reset=hl.ResetMap(apply=lambda s: s))
+                               reset=hl.ResetMap(apply=lambda t, q, v: (q, v)))
 
     free3 = hl.LagrangianSystem(
         dim=3,
         lagrangian=lambda t, q, v: 0.5 * float(v @ v),
         dL_dq=lambda t, q, v: np.zeros(3),
         dL_dv=lambda t, q, v: v.copy(),
-        acceleration=lambda t, q, v: np.zeros(3),
-        coordinate_names=("x", "y", "z"))
+        acceleration=lambda t, q, v: np.zeros(3))
     rng = np.random.default_rng(7)
     samples3 = [hl.State(rng.uniform(0, 2), rng.uniform(-1, 1, 3),
                          rng.uniform(-2, 2, 3)) for _ in range(10)]

@@ -99,6 +99,7 @@ def _emit_error(out_dir, exc):
 def _initial_state(config: RunConfig, bundle) -> State:
     if config.initial_q is not None or config.initial_v is not None:
         dim = bundle.system.dim
+        q_v = []
         for key in ("initial_q", "initial_v"):
             vec = getattr(config, key)
             if vec is None:
@@ -108,9 +109,14 @@ def _initial_state(config: RunConfig, bundle) -> State:
                 raise ParseError(f"{key} has {len(vec)} entries; model "
                                  f"{config.model!r} has dimension {dim}",
                                  key=key)
+            try:
+                q_v.append(np.asarray(vec, float))
+            except OverflowError as exc:
+                # JSON integers have no bound; floats stop at ~1.8e308
+                raise ParseError(f"{key} holds an integer beyond the float "
+                                 f"range", key=key) from exc
         t0 = config.initial_t if config.initial_t is not None else 0.0
-        return State(t0, np.asarray(config.initial_q, float),
-                     np.asarray(config.initial_v, float))
+        return State(t0, *q_v)
     if config.scenario is not None:
         sc = billiard.get_scenario(config.scenario)
         if config.model == "billiard-polar":
@@ -153,15 +159,11 @@ def _run(config: RunConfig) -> int:
         cyc = bundle.cyclic
         s0 = _initial_state(config, bundle)
         if config.mode == "reduced":
-            mu0 = momentum_map(cyc, s0)
-            red = reduce(cyc, mu0)
-            s0_red = cyc.project_state(s0)
-            flow = simulate(red.shape, s0_red, config.horizon, config.options)
-            rec = reconstruct(cyc, flow, mu0, float(s0.q[cyc.cyclic_index]))
+            rec = _reduce_once(cyc, s0, config)
         else:
             rec = simulate_resequenced(cyc, s0, config.horizon,
                                        config.options)
-            flow = rec.reduced
+        flow = rec.reduced
         _write_flow(config, flow, rec)
         record.update(_flow_record(flow))
         record["mu_sequence"] = rec.mu_sequence
@@ -207,6 +209,16 @@ def _write_flow(config, flow, rec):
         write_events_csv(os.path.join(config.out, "events.csv"), flow)
 
 
+def _reduce_once(cyc, s0, config):
+    """Reduce at the start momentum, run the reduced system from the
+    projected start and reconstruct the cyclic angle along it."""
+    mu0 = momentum_map(cyc, s0)
+    red = reduce(cyc, mu0)
+    flow = simulate(red.shape, cyc.project_state(s0), config.horizon,
+                    config.options)
+    return reconstruct(cyc, flow, mu0, float(s0.q[cyc.cyclic_index]))
+
+
 def _flow_record(flow):
     return {
         "termination": flow.termination,
@@ -223,14 +235,10 @@ def _compare(config: RunConfig, bundle):
                          "coordinate (billiard-polar)")
     cyc = bundle.cyclic
     s0 = _initial_state(config, bundle)
-    opts = config.options
-    full = simulate(cyc.full, s0, config.horizon, opts)
+    full = simulate(cyc.full, s0, config.horizon, config.options)
     projected = project(cyc, full)
-    mu0 = momentum_map(cyc, s0)
-    red = reduce(cyc, mu0)
-    reduced = simulate(red.shape, cyc.project_state(s0), config.horizon,
-                       opts)
-    rec = reconstruct(cyc, reduced, mu0, float(s0.q[cyc.cyclic_index]))
+    rec = _reduce_once(cyc, s0, config)
+    reduced = rec.reduced
 
     n_f, n_r = len(projected.events), len(reduced.events)
     m = min(n_f, n_r)

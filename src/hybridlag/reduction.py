@@ -63,7 +63,7 @@ CYCLIC_SOLVE_TOL = 1e-12
 CYCLIC_SOLVE_MAXITER = 50
 DEFAULT_SHIFTS = (0.5, -1.3, 2.0 * math.pi, 17.0)  # cyclic shifts in validate
 INVARIANCE_TOL = 1e-10  # relative tolerance of the checks in validate
-PANELS_PER_STEP = 8  # Simpson panels per integrator step in reconstruction
+PANELS_PER_STEP = 16  # Simpson panels per integrator step in reconstruction
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,11 @@ where speeds reach ~1e4 and any two float64 pipelines decorrelate; those
 assertions fail there by construction (an absolute 1e-6 at speed 1e4 is
 relative 1e-10, at or below the integration tolerance itself, amplified
 ~2x per bounce across ~40 bounces). The same quantities restricted to
-the pre-collapse region (radius >= 0.1) sit at 1e-7..1e-8 and are
-printed alongside. See the repository notes for the full analysis.
+the pre-collapse region (radius >= 0.1) are printed alongside; there the
+oracle state error is ~1e-10, the projected-vs-reduced gap 2e-8..2e-7 and
+the reconstructed angle error 6e-9..2.4e-8, and the first and last are
+asserted by test_pre_collapse_accuracy. See the repository notes for the
+full analysis.
 """
 
 import dataclasses
@@ -298,6 +301,22 @@ def test_criterion_6_reconstruction(reduction_runs, sid):
         f"angle reconstruction delta {worst:.3e} > 1e-5 over [0,10]: "
         f"quadrature through the collapse micro-bounces integrates an "
         f"angular rate ~1/r^2; pre-collapse delta is {worst_core:.3e}")
+
+
+@pytest.mark.parametrize("sid", SCENARIO_IDS)
+def test_pre_collapse_accuracy(cart_runs, reduction_runs, sid):
+    # the figures the red sup-norm and angle checks print for the record
+    # before the collapse (|q| >= 0.1), held to bounds of their own
+    sim, ref, _ = cart_runs[sid]
+    state = _core_sup_cart(ref, sim)
+    _, reduced, rec, full = reduction_runs[sid]
+    angle = max(abs(float(rec.theta[k][-1]) - float(full.arcs[k](ev.tau)[1]))
+                for k, ev in enumerate(reduced.events)
+                if ev.pre.q[0] >= CORE_RADIUS)
+    ok = report(f"{sid} pre-collapse oracle state <= 1e-8 and angle <= 5e-8",
+                state <= 1e-8 and angle <= 5e-8,
+                f"state {state:.3e}, angle {angle:.3e}")
+    assert ok
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 from conftest import no_hang
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hybridlag as hl
@@ -197,12 +197,18 @@ ORACLE_RUNS = {
 }
 
 
-def assert_matches_oracle(params, s0, t_end):
-    """simulate agrees with reference_flow on the impact count and on
-    every impact time (1e-8), and a rerun is bit-identical."""
+def assert_matches_oracle(params, s0, t_end, polar=False):
+    """simulate, in the Cartesian or the polar chart, agrees with
+    reference_flow from the Cartesian s0 on the impact count, the
+    termination and every impact time (1e-8), and a rerun is
+    bit-identical."""
+    if polar:
+        hs, start = hl.polar_hybrid(params), hl.cartesian_to_polar(s0)
+    else:
+        hs, start = hl.cartesian_hybrid(params), s0
     with no_hang(10):
-        flow = hl.simulate(hl.cartesian_hybrid(params), s0, t_end)
-        again = hl.simulate(hl.cartesian_hybrid(params), s0, t_end)
+        flow = hl.simulate(hs, start, t_end)
+        again = hl.simulate(hs, start, t_end)
     ref = hl.reference_flow(params, s0, t_end)
     assert len(flow.events) == len(ref.events), \
         (flow.termination, ref.termination)
@@ -224,17 +230,48 @@ def test_arcs_starting_on_the_guard_match_oracle(name):
     assert len(flow.events) == impacts
 
 
+# the benchmark sweep's ranges, on the paper wall through its collapse
+CLOSING_WALL_STARTS = dict(c=st.floats(0.05, 0.3), speed=st.floats(0.0, 3.0),
+                           r=st.floats(0.2, 0.9),
+                           angle=st.floats(-np.pi, np.pi),
+                           turn=st.floats(-np.pi, np.pi))
+
+
+def closing_wall_start(speed, r, angle, turn):
+    return hl.State(0.0, r * np.array([np.cos(angle), np.sin(angle)]),
+                    speed * np.array([np.cos(angle + turn),
+                                      np.sin(angle + turn)]))
+
+
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(c=st.floats(0.05, 0.3), speed=st.floats(0.0, 3.0),
-       r=st.floats(0.2, 0.9), angle=st.floats(-np.pi, np.pi),
-       turn=st.floats(-np.pi, np.pi))
+@given(**CLOSING_WALL_STARTS)
 def test_random_starts_on_closing_wall_match_oracle(c, speed, r, angle,
                                                     turn):
-    # the benchmark sweep's ranges, on the paper wall through its collapse
-    s0 = hl.State(0.0, r * np.array([np.cos(angle), np.sin(angle)]),
-                  speed * np.array([np.cos(angle + turn),
-                                    np.sin(angle + turn)]))
-    assert_matches_oracle(hl.BilliardParams(c=c), s0, 10.0)
+    assert_matches_oracle(hl.BilliardParams(c=c),
+                          closing_wall_start(speed, r, angle, turn), 10.0)
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(**CLOSING_WALL_STARTS)
+def test_random_polar_starts_on_closing_wall_match_oracle(c, speed, r, angle,
+                                                          turn):
+    # the polar chart takes the widest steps. It cannot pass through the
+    # origin: starts with an angular momentum |q x v| of 1.5e-3 were seen
+    # to reach r_min before the collapse, where the chart raises
+    # ChartSingularity
+    assume(r * speed * abs(np.sin(turn)) >= 0.01)
+    assert_matches_oracle(hl.BilliardParams(c=c),
+                          closing_wall_start(speed, r, angle, turn), 10.0,
+                          polar=True)
+
+
+def test_paper_polar_run_takes_high_order_steps():
+    # DOP853 takes 1310 steps here and the Dormand-Prince 5(4) pair 6343;
+    # the bound catches a silent fall back to a low-order stepper
+    sc = hl.get_scenario("paper-c025")
+    flow = hl.simulate(hl.polar_hybrid(sc.params), sc.initial_polar, 10.0)
+    assert len(flow.events) == 41
+    assert sum(arc.times.size - 1 for arc in flow.arcs) <= 1500
 
 
 def test_non_finite_field_at_arc_start_raises():

@@ -274,6 +274,21 @@ def test_cli_initial_state_of_wrong_dimension_is_parse_error(
     assert record["key"] == key
 
 
+@pytest.mark.parametrize("key", ["initial_q", "initial_v"])
+def test_cli_initial_state_beyond_float_range_is_parse_error(tmp_path, key):
+    # JSON integers have no bound; float() of this one overflows
+    out = str(tmp_path / "out")
+    doc = {"model": "billiard-cartesian", "mode": "full", "horizon": 1,
+           "initial_q": [0.1, 0.0], "initial_v": [0.0, 1.0]}
+    doc[key] = [10**400, 0]
+    assert run_cli("run", "--config", write_config(tmp_path, **doc),
+                   "--out", out) == 1
+    record = error_record(out)
+    assert record["error"] == "ParseError"
+    assert record["key"] == key
+    assert not os.path.exists(os.path.join(out, "run.json"))
+
+
 @pytest.mark.parametrize("mode", ["full", "resequenced"])
 def test_cli_initial_time_after_horizon_errors(tmp_path, mode):
     out = str(tmp_path / "out")

@@ -161,15 +161,17 @@ def polar_system(p: BilliardParams) -> LagrangianSystem:
         return np.array([w * v[0], w * q[0]**2 * v[1]])
 
     def acc(t, q, v):
-        r = q[0]
+        # on Python floats: the same arithmetic as on numpy scalars, faster
+        r = float(q[0])
+        rd, thd = v.tolist()
         if r <= 0.0:
             # trial extrapolation left the chart: force step rejection
             return np.array([np.nan, np.nan])
         if r <= r_min:
             raise ChartSingularity(
                 f"trajectory reached r={r:.3e} <= r_min={r_min:.1e}")
-        return np.array([r * v[1]**2 - (c / m) * v[0],
-                         -2.0 * v[0] * v[1] / r - (c / m) * v[1]])
+        return np.array([r * thd**2 - (c / m) * rd,
+                         -2.0 * rd * thd / r - (c / m) * thd])
 
     return LagrangianSystem(dim=2, lagrangian=lag, dL_dq=dq, dL_dv=dv,
                             acceleration=acc)
@@ -276,14 +278,14 @@ def routhian_closed(p: BilliardParams, mu: float) -> LagrangianSystem:
         return np.array([math.exp(c * t / m) * m * xd[0]])
 
     def acc(t, x, xd):
-        r = x[0]
+        r = float(x[0])
         if r <= 0.0:
             return np.array([np.nan])
         if r <= r_min:
             raise ChartSingularity(
                 f"reduced trajectory reached r={r:.3e} <= r_min={r_min:.1e}")
         return np.array([mu * mu * math.exp(-2.0 * c * t / m) / (m * m * r**3)
-                         - (c / m) * xd[0]])
+                         - (c / m) * float(xd[0])])
 
     return LagrangianSystem(dim=1, lagrangian=lag, dL_dq=dq, dL_dv=dv,
                             acceleration=acc)

@@ -3,10 +3,14 @@ resets.
 
 Every run in the package goes through one loop, `_execute`: full and
 reduced runs, resequenced runs, the momentum-side runs of the
-equivalence checks, and `locate_event`. Each arc is integrated with
-scipy's DOP853, the adaptive Dormand-Prince 8(5,3) pair, whose 7th-order
-dense output costs 3 extra right-hand-side calls per accepted step
-(Hairer, Norsett & Wanner, Solving ODEs I, II.5-II.6). After every
+equivalence checks, and `locate_event`. Each arc is integrated with the
+adaptive Dormand-Prince 8(5,3) pair DOP853, whose 7th-order dense output
+costs 3 extra right-hand-side calls per accepted step (Hairer, Norsett &
+Wanner, Solving ODEs I, II.5-II.6). The step loop is the module's own:
+it takes its tableau from scipy's `DOP853` and repeats scipy's
+arithmetic operation for operation, so it reproduces scipy's steps and
+dense output bit for bit, but it calls the right-hand side directly,
+without the solver's wrapper layers. After every
 accepted step the step's dense output is evaluated once, as one array
 call at the endpoints plus SCAN_POINTS interior times, and the guard is
 sampled on those states; a sign change from non-positive to positive
@@ -29,18 +33,19 @@ Three rules shape the behaviour in impact-accumulation regimes:
   previous dwell time, so geometrically accumulating impacts stay
   resolvable by the fixed-resolution scan;
 * a run terminates with ``zeno_suspected`` when two impacts fall within
-  ``min_dwell`` of each other, or with ``max_impacts`` at the impact cap.
+  ``min_dwell`` of each other, or the step size collapses within
+  ``min_dwell`` of the last impact, and with ``max_impacts`` at the
+  impact cap.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-# the stepper keeps the name RK45: the benchmark's tracer subclasses it by name
-from scipy.integrate import DOP853 as RK45
-from scipy.integrate import OdeSolution
+from scipy.integrate import DOP853, OdeSolution
 from scipy.optimize import brentq
 
 from .errors import (BracketInvalid, DirectionRejected, IntegrationFailure,
@@ -139,7 +144,9 @@ class SimOptions:
 class Arc:
     """One continuous piece of a hybrid flow.
 
-    The interpolant follows the contract of scipy's OdeSolution: a
+    A simulated arc's interpolant is scipy's OdeSolution over the step
+    loop's DOP853 segments, clamped to the arc. Every interpolant
+    follows the contract of scipy's OdeSolution: a
     scalar time gives the packed state, shape (2n,); a 1-D array of k
     times gives the states as columns, shape (2n, k). Column i agrees
     with the scalar call at the i-th time, up to rounding in the last
@@ -182,6 +189,218 @@ class HybridFlow:
 
     def event_times(self):
         return np.array([e.tau for e in self.events])
+
+
+# ---------------------------------------------------------------------------
+# the DOP853 step loop
+# ---------------------------------------------------------------------------
+
+# scipy's step-size control (scipy.integrate._ivp.rk) and its rtol floor
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10
+_ERROR_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
+_RTOL_FLOOR = 100 * np.finfo(float).eps
+# stage s of a step or of its dense output: (s, coefficients, node). The
+# coefficients are views of scipy's own tables, as scipy's solver slices
+# them
+_STAGES = [(s, DOP853.A[s, :s], float(DOP853.C[s]))
+           for s in range(1, DOP853.n_stages)]
+_EXTRA_STAGES = [(s, a[:s], float(c)) for s, (a, c) in enumerate(
+    zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=DOP853.n_stages + 1)]
+
+
+def _rms(x):
+    """scipy's RMS norm, np.linalg.norm(x) / sqrt(x.size), as numpy
+    computes it for a vector."""
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
+
+
+# the name RK45 is the benchmark tracer's seam: it subclasses hybrid.RK45
+class RK45:
+    """DOP853 on one arc, forward in time.
+
+    The step loop of scipy's `DOP853` without its wrapper layers: its
+    initial-step choice, Runge-Kutta step, step-size control, 5/3 error
+    norm and 7th-order dense output, operation for operation on scipy's
+    tableau, so steps, states and interpolants agree with scipy's bit
+    for bit. `fun` is called directly, and `nfev` counts its calls: two
+    at construction (one on an empty interval), n_stages per attempt in
+    `step`, three in `dense_output`. As in scipy, rtol is raised to
+    100 eps, a non-finite y0 or a max_step <= 0 raises ValueError, a
+    step on a solver at t_bound is a degenerate one, and a step size
+    below 10 ulp(t) ends the arc with status "failed".
+    (`ndarray.dot` is `np.dot` without its dispatch layer.)
+    """
+
+    n_stages = DOP853.n_stages
+
+    def __init__(self, fun, t0, y0, t_bound, rtol, atol, max_step):
+        if max_step <= 0:
+            raise ValueError("`max_step` must be positive.")
+        if not np.isfinite(y0).all():
+            # its step sizes would be NaN, and every attempt rejected
+            raise ValueError(
+                "All components of the initial state `y0` must be finite.")
+        self.fun = fun
+        self.t_old = None
+        self.t = t0
+        self.y = y0
+        self.t_bound = t_bound
+        self.rtol = max(rtol, _RTOL_FLOOR)
+        self.atol = atol
+        self.max_step = max_step
+        self.status = "running"
+        self.f = fun(t0, y0)
+        self.nfev = 1
+        self.h_abs = self._initial_step()
+        self.K_extended = np.empty((DOP853.n_stages + 1 + len(_EXTRA_STAGES),
+                                    y0.size))
+        self.K = self.K_extended[:DOP853.n_stages + 1]
+
+    def _initial_step(self):
+        """scipy's select_initial_step (Hairer, Norsett & Wanner, II.4)."""
+        t0, y0, f0 = self.t, self.y, self.f
+        interval_length = abs(self.t_bound - t0)
+        if interval_length == 0.0:
+            return 0.0
+        scale = self.atol + np.abs(y0) * self.rtol
+        d0 = _rms(y0 / scale)
+        d1 = _rms(f0 / scale)
+        if d0 < 1e-5 or d1 < 1e-5:
+            h0 = 1e-6
+        else:
+            h0 = 0.01 * d0 / d1
+        h0 = min(h0, interval_length)
+        f1 = self.fun(t0 + h0, y0 + h0 * f0)
+        self.nfev += 1
+        d2 = _rms((f1 - f0) / scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
+        return min(100 * h0, h1, interval_length, self.max_step)
+
+    def step(self):
+        """Advance by one accepted step; set status to "finished" at
+        t_bound, or to "failed" when the step size falls below 10 ulp."""
+        t, y, K, fun = self.t, self.y, self.K, self.fun
+        t_bound = self.t_bound
+        if t == t_bound:
+            self.t_old = t
+            self.status = "finished"
+            return
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = self.h_abs
+        if h_abs > self.max_step:
+            h_abs = self.max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                self.status = "failed"
+                return
+            t_new = t + h_abs
+            if t_new - t_bound > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = self.f
+            for s, a, c in _STAGES:
+                K[s] = fun(t + c * h, y + K[:s].T.dot(a) * h)
+            y_new = y + h * K[:-1].T.dot(DOP853.B)
+            f_new = fun(t + h, y_new)
+            K[-1] = f_new
+            self.nfev += self.n_stages
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            err5 = K.T.dot(DOP853.E5) / scale
+            err3 = K.T.dot(DOP853.E3) / scale
+            err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
+            err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
+            if err5_norm_2 == 0 and err3_norm_2 == 0:
+                error_norm = 0.0
+            else:
+                denom = err5_norm_2 + 0.01 * err3_norm_2
+                error_norm = h_abs * err5_norm_2 / math.sqrt(denom * y.size)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR,
+                                 _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if step_rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            step_rejected = True
+        self.h_previous = h
+        self.t_old, self.y_old = t, y
+        self.t, self.y, self.f = t_new, y_new, f_new
+        self.h_abs = h_abs
+        if t_new - t_bound >= 0:
+            self.status = "finished"
+
+    def dense_output(self):
+        """Interpolant of the last step: scipy's DOP853 dense output."""
+        if self.t == self.t_old:
+            return _ConstantInterpolant(self.y, self.t)
+        K, h = self.K_extended, self.h_previous
+        t_old, y_old = self.t_old, self.y_old
+        for s, a, c in _EXTRA_STAGES:
+            K[s] = self.fun(t_old + c * h, y_old + K[:s].T.dot(a) * h)
+        self.nfev += len(_EXTRA_STAGES)
+        f_old = K[0]
+        delta_y = self.y - y_old
+        F = np.empty((3 + len(DOP853.D), y_old.size))
+        F[0] = delta_y
+        F[1] = h * f_old - delta_y
+        F[2] = 2 * delta_y - h * (self.f + f_old)
+        F[3:] = h * DOP853.D.dot(K)
+        return _StepInterpolant(t_old, self.t, y_old, F)
+
+
+class _StepInterpolant:
+    """DOP853's dense output on one step [t_old, t]: scipy's
+    Dop853DenseOutput, operation for operation. Callers read t_old, t,
+    t_min and t_max and call it; the tracer's proxy passes on nothing
+    else."""
+
+    def __init__(self, t_old, t, y_old, F):
+        self.t_old = self.t_min = t_old
+        self.t = self.t_max = t
+        self.h = t - t_old
+        self.F = F
+        self.y_old = y_old
+
+    def __call__(self, t):
+        if isinstance(t, float):
+            # one time, as refinement asks: the same operations on the
+            # 7 rows of F, on Python floats one component at a time,
+            # without numpy's per-call overhead
+            x = (t - self.t_old) / self.h
+            xm = 1 - x
+            return np.array([
+                ((((((((0.0 + f6) * x + f5) * xm + f4) * x + f3) * xm + f2)
+                    * x + f1) * xm + f0) * x + y0)
+                for f0, f1, f2, f3, f4, f5, f6, y0
+                in zip(*self.F.tolist(), self.y_old.tolist())])
+        t = np.asarray(t)
+        x = (t - self.t_old) / self.h
+        if t.ndim == 0:
+            y = np.zeros_like(self.y_old)
+        else:
+            x = x[:, None]
+            y = np.zeros((len(x), len(self.y_old)))
+        for i, f in enumerate(reversed(self.F)):
+            y += f
+            if i % 2 == 0:
+                y *= x
+            else:
+                y *= 1 - x
+        y += self.y_old
+        return y.T
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +495,10 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
         if failed:
             arcs.append(_close_arc(arc_times, arc_states, segments,
                                    arc_times[-1]))
-            termination = TERM_FAILURE
+            # a step collapse right after an impact is the impacts piling up
+            zeno = (raw_events
+                    and arc_times[-1] - raw_events[-1][0] < opts.min_dwell)
+            termination = TERM_ZENO if zeno else TERM_FAILURE
             break
 
         if hit is None:
@@ -374,16 +596,17 @@ def _close_arc(times, states, segments, t_end):
         # an event truncates the last segment; clamp queries to the arc
         interp = _ClampedSolution(sol, times[0], t_end)
     else:
-        interp = _ConstantInterpolant(states[0])
+        interp = _ConstantInterpolant(states[0], times[0])
     return Arc(times[0], t_end, times, states, interp)
 
 
 class _ConstantInterpolant:
-    """Interpolant of an arc that took no step: its start state at every
-    time."""
+    """Interpolant of an arc that took no step, or of a step on an empty
+    interval, at t: its start state at every time."""
 
-    def __init__(self, y0):
+    def __init__(self, y0, t):
         self._y0 = y0
+        self.t_old = self.t = self.t_min = self.t_max = t
 
     def __call__(self, t):
         if np.ndim(t) == 0:

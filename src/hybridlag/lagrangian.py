@@ -230,6 +230,13 @@ class LagrangianSystem:
         return np.concatenate([s.q, s.v])
 
     def rhs(self, t, y):
-        """Packed evolution field y' = (v, a) for the ODE integrator."""
+        """Packed evolution field y' = (v, a) for the ODE integrator.
+
+        A closed-form `acceleration` is called directly; it must return
+        an array of n floats.
+        """
         q, v = y[:self.dim], y[self.dim:]
-        return np.concatenate([v, self._accelerations(t, q, v)])
+        acc = self.acceleration
+        if acc is None:
+            return np.concatenate([v, self._accelerations(t, q, v)])
+        return np.concatenate([v, acc(t, q, v)])

@@ -63,6 +63,35 @@ def test_evolution_field_numeric_matches_closed_form(rng):
         assert np.allclose(dv_n, dv_c, atol=1e-7)
 
 
+@pytest.mark.parametrize("model", ["polar", "cartesian", "routhian"])
+def test_rhs_calls_closed_form_accelerations_bit_for_bit(model, rng):
+    # rhs calls a closed-form acceleration directly, and the billiard's
+    # closed forms compute on Python floats: both must leave every bit of
+    # the field as it was on numpy scalars
+    m, c, mu = BILLIARD.m, BILLIARD.c, 0.7
+    sys = {"polar": hl.polar_system(BILLIARD),
+           "cartesian": hl.cartesian_system(BILLIARD),
+           "routhian": hl.routhian_closed(BILLIARD, mu)}[model]
+    on_numpy_scalars = {
+        "polar": lambda t, q, v: np.array(
+            [q[0] * v[1]**2 - (c / m) * v[0],
+             -2.0 * v[0] * v[1] / q[0] - (c / m) * v[1]]),
+        "cartesian": lambda t, q, v: -(c / m) * v,
+        "routhian": lambda t, q, v: np.array(
+            [mu * mu * math.exp(-2.0 * c * t / m) / (m * m * q[0]**3)
+             - (c / m) * v[0]]),
+    }[model]
+    model_id = "billiard-cartesian" if model == "cartesian" else \
+        "billiard-polar"
+    n = sys.dim
+    for s in sample_states(rng, model_id, 200):
+        q, v = s.q[:n], s.v[:n]
+        rhs = sys.rhs(s.t, np.concatenate([q, v]))
+        assert np.array_equal(
+            rhs, np.concatenate([v, sys._accelerations(s.t, q, v)]))
+        assert np.array_equal(rhs[n:], on_numpy_scalars(s.t, q, v))
+
+
 def test_singular_hessian_detected():
     # L = v1^2/2 + v2^4/4: the velocity Hessian is diag(1, 3 v2^2),
     # whose pivot ratio blows past the bound as v2 -> 0

@@ -44,7 +44,7 @@ import numpy as np
 from .errors import ChartSingularity, InvalidStart, NegativeDiscriminant
 from .hybrid import (TERM_HORIZON, TERM_MAX_IMPACTS, TERM_ZENO, Arc,
                      Event, Guard, HybridFlow, HybridSystem, ResetMap,
-                     SimOptions, _along, _next_crossing)
+                     SimOptions, _along, _is_times, _next_crossing)
 from .lagrangian import LagrangianSystem, State
 from .reduction import CyclicStructure
 
@@ -139,7 +139,7 @@ def cartesian_system(p: BilliardParams) -> LagrangianSystem:
         return math.exp(c * t / m) * m * v
 
     def acc(t, q, v):
-        return -(c / m) * v
+        return [-(c / m) * vi for vi in v]
 
     return LagrangianSystem(dim=2, lagrangian=lag, dL_dq=dq, dL_dv=dv,
                             acceleration=acc)
@@ -161,17 +161,16 @@ def polar_system(p: BilliardParams) -> LagrangianSystem:
         return np.array([w * v[0], w * q[0]**2 * v[1]])
 
     def acc(t, q, v):
-        # on Python floats: the same arithmetic as on numpy scalars, faster
-        r = float(q[0])
-        rd, thd = v.tolist()
+        r = q[0]
+        rd, thd = v
         if r <= 0.0:
             # trial extrapolation left the chart: force step rejection
-            return np.array([np.nan, np.nan])
+            return [math.nan, math.nan]
         if r <= r_min:
             raise ChartSingularity(
                 f"trajectory reached r={r:.3e} <= r_min={r_min:.1e}")
-        return np.array([r * thd**2 - (c / m) * rd,
-                         -2.0 * rd * thd / r - (c / m) * thd])
+        return [r * thd**2 - (c / m) * rd,
+                -2.0 * rd * thd / r - (c / m) * thd]
 
     return LagrangianSystem(dim=2, lagrangian=lag, dL_dq=dq, dL_dv=dv,
                             acceleration=acc)
@@ -181,10 +180,20 @@ def polar_system(p: BilliardParams) -> LagrangianSystem:
 # guard and resets
 # ---------------------------------------------------------------------------
 
+def _wall_at(f, t):
+    """The scalar wall law f at t, or at each of an array of times."""
+    if _is_times(t):
+        return np.array([f(tt) for tt in t.tolist()])
+    return f(t)
+
+
 def guard_cartesian(p: BilliardParams) -> Guard:
     f, fdot = p.wall, p.wall_rate
 
-    def surface(t, q, v) -> float:
+    def surface(t, q, v):
+        if _is_times(t):
+            # vecdot sums each column as q @ q does, bit for bit
+            return np.vecdot(q, q, axis=0) - _wall_at(f, t)
         return float(q @ q) - f(t)
 
     if p.direction_mode == "co-moving":
@@ -200,8 +209,8 @@ def guard_cartesian(p: BilliardParams) -> Guard:
 def guard_polar(p: BilliardParams) -> Guard:
     f, fdot = p.wall, p.wall_rate
 
-    def surface(t, q, v) -> float:
-        return q[0]**2 - f(t)
+    def surface(t, q, v):
+        return q[0]**2 - _wall_at(f, t)
 
     if p.direction_mode == "co-moving":
         def direction(t, q, v) -> float:
@@ -278,14 +287,14 @@ def routhian_closed(p: BilliardParams, mu: float) -> LagrangianSystem:
         return np.array([math.exp(c * t / m) * m * xd[0]])
 
     def acc(t, x, xd):
-        r = float(x[0])
+        r = x[0]
         if r <= 0.0:
-            return np.array([np.nan])
+            return [math.nan]
         if r <= r_min:
             raise ChartSingularity(
                 f"reduced trajectory reached r={r:.3e} <= r_min={r_min:.1e}")
-        return np.array([mu * mu * math.exp(-2.0 * c * t / m) / (m * m * r**3)
-                         - (c / m) * float(xd[0])])
+        return [mu * mu * math.exp(-2.0 * c * t / m) / (m * m * r**3)
+                - (c / m) * xd[0]]
 
     return LagrangianSystem(dim=1, lagrangian=lag, dL_dq=dq, dL_dv=dv,
                             acceleration=acc)

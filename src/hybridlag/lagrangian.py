@@ -20,7 +20,7 @@ with a pivoted LU factorization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -72,9 +72,12 @@ class LagrangianSystem:
         lagrangian: L(t, q, v) -> float.
         dL_dq: (t, q, v) -> array of n partials in q.
         dL_dv: (t, q, v) -> array of n partials in v (the momenta).
-        acceleration: optional closed-form (t, q, v) -> array of n
-            accelerations. When absent the accelerations are solved
-            numerically from the Euler-Lagrange equations.
+        acceleration: optional closed form of the accelerations. It gets
+            q and v as lists of n Python floats and returns a list of n
+            floats, which spares the stepping loop numpy's per-call
+            overhead; it must not modify its arguments. When absent the
+            accelerations are solved numerically from the Euler-Lagrange
+            equations.
 
     States where a cheap estimate of the velocity-Hessian condition
     number exceeds CONDITION_BOUND are rejected with SingularHessian.
@@ -86,8 +89,8 @@ class LagrangianSystem:
     lagrangian: Callable[[float, np.ndarray, np.ndarray], float]
     dL_dq: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     dL_dv: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    acceleration: Optional[Callable[[float, np.ndarray, np.ndarray],
-                                    np.ndarray]] = None
+    acceleration: Optional[Callable[[float, List[float], List[float]],
+                                    List[float]]] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -140,8 +143,8 @@ class LagrangianSystem:
         Raises SingularHessian when hyperregularity is lost.
         """
         if self.acceleration is not None:
-            return np.atleast_1d(np.asarray(self.acceleration(t, q, v),
-                                            float))
+            return np.array(self.acceleration(t, q.tolist(), v.tolist()),
+                            float)
         lu_piv = self._factor_hessian(t, q, v)
         rhs = (self.dL_dq(t, q, v) - self._mixed_qv(t, q, v) @ v
                - self._mixed_tv(t, q, v))
@@ -232,11 +235,14 @@ class LagrangianSystem:
     def rhs(self, t, y):
         """Packed evolution field y' = (v, a) for the ODE integrator.
 
-        A closed-form `acceleration` is called directly; it must return
-        an array of n floats.
+        A closed-form `acceleration` is called directly, on the halves
+        of y as lists of Python floats.
         """
-        q, v = y[:self.dim], y[self.dim:]
         acc = self.acceleration
         if acc is None:
+            q, v = y[:self.dim], y[self.dim:]
             return np.concatenate([v, self._accelerations(t, q, v)])
-        return np.concatenate([v, acc(t, q, v)])
+        y = y.tolist()
+        dy = y[self.dim:]
+        dy.extend(acc(t, y[:self.dim], dy))
+        return np.array(dy)

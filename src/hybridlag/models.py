@@ -34,7 +34,7 @@ def free_particle() -> LagrangianSystem:
         lagrangian=lambda t, q, v: 0.5 * float(v @ v),
         dL_dq=lambda t, q, v: np.zeros(2),
         dL_dv=lambda t, q, v: v.copy(),
-        acceleration=lambda t, q, v: np.zeros(2))
+        acceleration=lambda t, q, v: [0.0, 0.0])
 
 
 def harmonic_1d() -> LagrangianSystem:
@@ -44,7 +44,7 @@ def harmonic_1d() -> LagrangianSystem:
         lagrangian=lambda t, q, v: 0.5 * float(v @ v) - 0.5 * float(q @ q),
         dL_dq=lambda t, q, v: -q.copy(),
         dL_dv=lambda t, q, v: v.copy(),
-        acceleration=lambda t, q, v: -q.copy())
+        acceleration=lambda t, q, v: [-x for x in q])
 
 
 def _cartesian_billiard(p: billiard.BilliardParams):

@@ -54,7 +54,7 @@ import numpy as np
 from .errors import InvalidStart, NoConvergence, NotInvariant
 from .hybrid import (Arc, Event, Guard, HybridFlow, HybridSystem, ResetMap,
                      SimOptions, _check_finite, _check_start, _events,
-                     _execute, _maybe_raise, _validate_reset)
+                     _execute, _is_times, _maybe_raise, _validate_reset)
 # perfbench/tracing.py wraps reduction.simulate, so the name stays here
 from .hybrid import simulate  # noqa: F401
 from .lagrangian import FD_STEP, LagrangianSystem, State
@@ -83,7 +83,8 @@ class CyclicStructure:
         routhian_factory: optional closed-form reduced system builder
             mu -> LagrangianSystem of dimension n-1.
         reduced_guard_factory: optional closed-form reduced guard builder
-            mu -> Guard on shape-space (t, x, xdot); `reduce` uses it in
+            mu -> Guard on shape-space (t, x, xdot), with the array
+            contract of `Guard.surface`; `reduce` uses it in
             place of the full guard on the lifted state. `validate` checks
             it against the full guard on every sample state, at the
             sample's own momentum.
@@ -297,7 +298,8 @@ def reduce(cs: CyclicStructure, mu: float,
 
     The reduced guard is the structure's closed form when it has one;
     otherwise it evaluates the full guard on the lifted state (at cyclic
-    angle 0, which the validated invariance makes immaterial). The
+    angle 0, which the validated invariance makes immaterial), one
+    column at a time on an array of times. The
     reduced reset is `_lifted_reset`, which must keep mu (to
     INVARIANCE_TOL, relative). Raises InvalidStart when mu is not finite
     (the momentum of a non-finite state) and NotInvariant when the
@@ -312,6 +314,9 @@ def reduce(cs: CyclicStructure, mu: float,
         guard = cs.reduced_guard_factory(mu)
     else:
         def g_red(t, x, xdot):
+            if _is_times(t):
+                return np.array([g_red(tt, x[:, i], xdot[:, i])
+                                 for i, tt in enumerate(t)])
             return cs.full.guard.surface(t, *cs.embed(t, x, xdot, mu))
 
         def d_red(t, x, xdot):

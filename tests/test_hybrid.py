@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -280,8 +281,8 @@ def test_paper_polar_run_takes_high_order_steps():
 def test_non_finite_field_at_arc_start_raises():
     # scipy's stepper would take a NaN step size and reject it forever
     bundle = hl.build_model("harmonic-1d")
-    sys = dataclasses.replace(bundle.system,
-                              acceleration=lambda t, q, v: q * np.nan)
+    sys = dataclasses.replace(
+        bundle.system, acceleration=lambda t, q, v: [math.nan] * len(q))
     hs = dataclasses.replace(bundle.hybrid, system=sys)
     s0 = hl.State(0.0, np.array([1.0]), np.array([0.5]))
     with no_hang(10), pytest.raises(hl.IntegrationFailure, match="not finite"):
@@ -296,26 +297,19 @@ def test_reset_retrigger_rejected(unit_wall_hybrid):
         hl.simulate(bad, center_start(), 2.0)
 
 
-def test_guard_continuity_bound_triggers():
-    params = static_billiard()
-    hs = hl.cartesian_hybrid(params)
-    jumpy = dataclasses.replace(
-        hs, guard=hl.Guard(
-            surface=lambda t, q, v: q[0]**2 + q[1]**2 - (1.0 if t < 0.5
-                                                         else 100.0),
-            direction=lambda t, q, v: 1.0))
-    opts = hl.SimOptions(guard_jump_bound=1.0)
-    with pytest.raises(hl.IntegrationFailure):
-        hl.simulate(jumpy, center_start(), 2.0, opts)
-
-
 def test_scan_evaluates_dense_output_once_per_step(monkeypatch):
-    # the scan makes one array call per accepted step; every other dense
-    # evaluation belongs to a refinement: each Brent iterate and the
-    # pre-impact state (the left end's guard value comes from the scan)
+    # the scan makes one array call of the dense output and one of the
+    # guard surface per accepted step. Every other dense evaluation
+    # belongs to a refinement: each Brent iterate and the pre-impact state
+    # (the left end's guard value comes from the scan). Every other
+    # surface call is scalar: the start check, one per arc start, one per
+    # Brent iterate, the residual of each impact, and those of reset
+    # validation and of the on-guard rule
     from hybridlag import hybrid
 
     counts = dict(steps=0, dense=0, brent_evals=0, refines=0)
+    surface = {"columns": 0}
+    where = ["loop"]
 
     class CountedDense:
         def __init__(self, inner):
@@ -338,6 +332,15 @@ def test_scan_evaluates_dense_output_once_per_step(monkeypatch):
         def dense_output(self):
             return CountedDense(super().dense_output())
 
+    def inside(label, fun):
+        def wrapped(*args, **kwargs):
+            where.append(label)
+            try:
+                return fun(*args, **kwargs)
+            finally:
+                where.pop()
+        return wrapped
+
     brentq = hybrid.brentq
 
     def counted_brentq(f, a, b, *args, **kwargs):
@@ -345,15 +348,31 @@ def test_scan_evaluates_dense_output_once_per_step(monkeypatch):
             counts["brent_evals"] += 1
             return f(x, *fargs)
         counts["refines"] += 1
-        return brentq(counted, a, b, *args, **kwargs)
+        return inside("brent", brentq)(counted, a, b, *args, **kwargs)
+
+    sc = hl.get_scenario("paper-c025")
+    hs = hl.polar_hybrid(sc.params)
+    g = hs.guard.surface
+
+    def counted_surface(t, q, v):
+        key = "columns" if np.ndim(t) else where[-1]
+        surface[key] = surface.get(key, 0) + 1
+        return g(t, q, v)
 
     monkeypatch.setattr(hybrid, "RK45", CountedRK45)
     monkeypatch.setattr(hybrid, "brentq", counted_brentq)
-    sc = hl.get_scenario("paper-c025")
-    flow = hl.simulate(hl.polar_hybrid(sc.params), sc.initial_polar, 2.0)
+    for name in ("_validate_reset", "_next_crossing"):
+        monkeypatch.setattr(hybrid, name, inside(name, getattr(hybrid, name)))
+    hs = dataclasses.replace(hs, guard=dataclasses.replace(
+        hs.guard, surface=counted_surface))
+    flow = hl.simulate(hs, sc.initial_polar, 2.0)
     assert flow.events and counts["refines"] >= len(flow.events)
     assert counts["dense"] == (counts["steps"] + counts["brent_evals"]
                                + counts["refines"])
+    assert surface.pop("columns") == counts["steps"]
+    assert surface.pop("brent") == counts["brent_evals"]
+    assert surface.pop("loop") == 1 + len(flow.arcs) + len(flow.events)
+    assert set(surface) <= {"_validate_reset", "_next_crossing"}
 
 
 # ---------------------------------------------------------------------------
@@ -488,24 +507,34 @@ def _reference_arc():
     return hl.reference_flow(sc.params, sc.initial_cartesian, 2.0).arcs[1]
 
 
-@pytest.mark.parametrize("build, dim, exact", [
-    (_simulated_polar_arc, 2, False),
-    (_zero_step_arc, 2, True),
-    (_projected_arc, 1, False),
-    (_reference_arc, 2, True),
-], ids=["simulated", "zero-step", "projected", "reference"])
-def test_arc_interpolant_array_contract(build, dim, exact):
+def _reduced_arc():
+    sc = hl.get_scenario("paper-c025")
+    cyc = hl.polar_cyclic(sc.params)
+    red = hl.reduce(cyc, hl.momentum_map(cyc, sc.initial_polar))
+    return hl.simulate(red.shape, cyc.project_state(sc.initial_polar),
+                       2.0).arcs[1]
+
+
+@pytest.mark.parametrize("build, dim", [
+    (_simulated_polar_arc, 2),
+    (_reduced_arc, 1),
+    (_zero_step_arc, 2),
+    (_projected_arc, 1),
+    (_reference_arc, 2),
+], ids=["simulated", "reduced", "zero-step", "projected", "reference"])
+def test_arc_interpolant_array_contract(build, dim):
+    # column i of an array call is the scalar call at time i, bit for bit
     arc = build()
-    ts = np.linspace(arc.t_start, arc.t_end, 7)
+    rng = np.random.default_rng(3)
+    ts = np.concatenate([np.linspace(arc.t_start, arc.t_end, 7),
+                         rng.uniform(arc.t_start, arc.t_end, 100)])
     cols = arc(ts)
     assert cols.shape == (2 * dim, ts.size)
     for i, t in enumerate(ts):
         y = arc(t)
         assert y.shape == (2 * dim,)
-        if exact:
-            assert np.array_equal(cols[:, i], y)
-        else:
-            assert np.max(np.abs(cols[:, i] - y)) <= 1e-15 * np.max(np.abs(y))
+        assert np.array_equal(cols[:, i], y)
+        assert np.array_equal(arc(float(t)), y)
 
 
 def test_runs_build_states_per_impact_not_per_sample(monkeypatch):
@@ -569,6 +598,101 @@ def test_runs_build_states_per_impact_not_per_sample(monkeypatch):
                                       sc.initial_cartesian, 10.0)
     assert rep.events_momentum_side == 41
     assert built[hl.CoState] == 1, built[hl.CoState]
+
+
+# ---------------------------------------------------------------------------
+# the array contract of guard surfaces
+# ---------------------------------------------------------------------------
+
+def _oscillating_wall():
+    return hl.BilliardParams(wall=lambda t: 1.0 + 0.3 * math.sin(3.0 * t),
+                             wall_rate=lambda t: 0.9 * math.cos(3.0 * t))
+
+
+def _reduced_guard(closed_form):
+    sc = hl.get_scenario("paper-c025")
+    cyc = hl.polar_cyclic(sc.params)
+    if not closed_form:
+        cyc = dataclasses.replace(cyc, reduced_guard_factory=None)
+    return hl.reduce(cyc, hl.momentum_map(cyc, sc.initial_polar)).shape.guard
+
+
+def _momentum_side_surface(hs):
+    # a fresh mode per call: its velocity solves are warm-started in order
+    from hybridlag import hybrid
+
+    return lambda: hybrid._momentum_mode(hs, [1.0, -0.5])[1]
+
+
+PAPER = hl.BilliardParams()
+# name -> (surface factory, chart of the sampled columns)
+_SURFACES = {
+    "polar": (lambda: hl.guard_polar(PAPER).surface, "polar"),
+    "polar-oscillating": (lambda: hl.guard_polar(_oscillating_wall()).surface,
+                          "polar"),
+    "cartesian": (lambda: hl.guard_cartesian(PAPER).surface, "cartesian"),
+    "cartesian-oscillating": (
+        lambda: hl.guard_cartesian(_oscillating_wall()).surface, "cartesian"),
+    "reduced-closed-form": (lambda: _reduced_guard(True).surface, "reduced"),
+    "reduced-embed": (lambda: _reduced_guard(False).surface, "reduced"),
+    "momentum-cartesian": (_momentum_side_surface(hl.cartesian_hybrid(PAPER)),
+                           "cartesian"),
+    "momentum-polar": (_momentum_side_surface(hl.polar_hybrid(PAPER)),
+                       "polar"),
+}
+
+
+def _columns(rng, chart, k):
+    """k random (q, v) columns of a chart: two (n, k) blocks."""
+    if chart == "polar":
+        q = np.stack([rng.uniform(0.3, 1.3, k), rng.uniform(-3.0, 3.0, k)])
+    elif chart == "reduced":
+        q = rng.uniform(0.3, 1.3, (1, k))
+    else:
+        q = rng.uniform(-1.5, 1.5, (2, k))
+    return q, rng.uniform(-3.0, 3.0, q.shape)
+
+
+@pytest.mark.parametrize("name", list(_SURFACES))
+def test_guard_surface_array_contract(name):
+    # (k,) times with (n, k) columns give (k,) values, entry i equal bit
+    # for bit to the scalar call on time i and column i
+    make, chart = _SURFACES[name]
+    rng = np.random.default_rng(11)
+    for k in (1, 10, 200):
+        ts = rng.uniform(0.0, 4.0, k)
+        q, v = _columns(rng, chart, k)
+        values = make()(ts, q, v)
+        assert isinstance(values, np.ndarray) and values.shape == (k,)
+        surface = make()
+        scalar = [surface(t, q[:, i], v[:, i]) for i, t in enumerate(ts)]
+        assert all(isinstance(g, float) for g in scalar)
+        assert np.array_equal(values, scalar)
+
+
+def test_momentum_side_guard_recovers_velocities_in_time_order():
+    # each velocity recovery is warm-started at the last one, so its last
+    # bits depend on the order of the calls: an array call must hand the
+    # guard the velocities that scalar calls in time order would
+    from hybridlag import hybrid
+
+    hs = hl.cartesian_hybrid(PAPER)
+    seen = []
+
+    def recorded(t, q, v):
+        seen.append(np.array(v, ndmin=2).reshape(2, -1))
+        return hs.guard.surface(t, q, v)
+
+    hs_rec = dataclasses.replace(hs, guard=dataclasses.replace(
+        hs.guard, surface=recorded))
+    rng = np.random.default_rng(5)
+    ts = np.sort(rng.uniform(0.0, 4.0, 200))
+    q, p = _columns(rng, "cartesian", ts.size)
+    hybrid._momentum_mode(hs_rec, [1.0, -0.5])[1](ts, q, p)
+    surface = hybrid._momentum_mode(hs_rec, [1.0, -0.5])[1]
+    for i, t in enumerate(ts):
+        surface(t, q[:, i], p[:, i])
+    assert np.array_equal(seen[0], np.hstack(seen[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hybridlag as hl
+from hybridlag import hybrid
 
 from conftest import sample_states
 from oracles import grad_central
@@ -17,10 +18,7 @@ def mk_state(t, q, v):
 
 def smooth_flow(sys, s0, t_end):
     """Hybrid run of `sys` under a guard that never triggers."""
-    hs = hl.HybridSystem(system=sys,
-                         guard=hl.Guard(surface=lambda t, q, v: -1.0,
-                                        direction=lambda t, q, v: -1.0),
-                         reset=hl.ResetMap(apply=lambda t, q, v: (q, v)))
+    hs = hybrid._inert_hybrid(sys)
     flow = hl.simulate(hs, s0, t_end)
     assert not flow.events and flow.termination == "horizon_reached"
     return flow.arcs[0]
@@ -65,9 +63,9 @@ def test_evolution_field_numeric_matches_closed_form(rng):
 
 @pytest.mark.parametrize("model", ["polar", "cartesian", "routhian"])
 def test_rhs_calls_closed_form_accelerations_bit_for_bit(model, rng):
-    # rhs calls a closed-form acceleration directly, and the billiard's
-    # closed forms compute on Python floats: both must leave every bit of
-    # the field as it was on numpy scalars
+    # rhs calls a closed-form acceleration directly, on lists of Python
+    # floats, and the billiard's closed forms compute on those floats:
+    # both must leave every bit of the field as it was on numpy scalars
     m, c, mu = BILLIARD.m, BILLIARD.c, 0.7
     sys = {"polar": hl.polar_system(BILLIARD),
            "cartesian": hl.cartesian_system(BILLIARD),
@@ -87,6 +85,10 @@ def test_rhs_calls_closed_form_accelerations_bit_for_bit(model, rng):
     for s in sample_states(rng, model_id, 200):
         q, v = s.q[:n], s.v[:n]
         rhs = sys.rhs(s.t, np.concatenate([q, v]))
+        acc = sys.acceleration(s.t, q.tolist(), v.tolist())
+        assert type(acc) is list and len(acc) == n
+        assert all(type(a) is float for a in acc)
+        assert np.array_equal(acc, on_numpy_scalars(s.t, q, v))
         assert np.array_equal(
             rhs, np.concatenate([v, sys._accelerations(s.t, q, v)]))
         assert np.array_equal(rhs[n:], on_numpy_scalars(s.t, q, v))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import hybridlag as hl
+from hybridlag import hybrid
 from oracles import simpson
 
 
@@ -136,10 +137,7 @@ def test_solve_cyclic_velocity_degenerate_raises():
         lagrangian=lambda t, q, v: 0.5 * v[0]**2 + v[1],
         dL_dq=lambda t, q, v: np.zeros(2),
         dL_dv=lambda t, q, v: np.array([v[0], 1.0]))
-    hs = hl.HybridSystem(system=sys,
-                         guard=hl.Guard(surface=lambda t, q, v: -1.0,
-                                        direction=lambda t, q, v: -1.0),
-                         reset=hl.ResetMap(apply=lambda t, q, v: (q, v)))
+    hs = hybrid._inert_hybrid(sys)
     cs = hl.CyclicStructure(full=hs, cyclic_index=1)
     with pytest.raises(hl.NoConvergence):
         cs.solve_cyclic_velocity(0.0, np.array([0.0]), np.array([0.0]), 2.0)
@@ -270,7 +268,7 @@ def test_reduce_free_particle_zero_momentum():
     p = hl.BilliardParams(c=0.0, wall=wall, wall_rate=rate)
     cyc = hl.polar_cyclic(p)
     red = hl.reduce(cyc, 0.0)
-    a = red.shape.system.acceleration(0.0, np.array([1.0]), np.array([0.5]))
+    a = red.shape.system.acceleration(0.0, [1.0], [0.5])
     assert a[0] == 0.0
 
 
@@ -511,23 +509,17 @@ def test_resequenced_no_impacts(cyc025, scenario):
 def test_iterated_reduction_free_3d():
     # L = |v|^2/2 on (x, y, z); y and z are cyclic. Reducing twice leaves
     # free 1-D motion in x, and the eliminated velocities are constants.
-    def make_hs(sys):
-        return hl.HybridSystem(system=sys,
-                               guard=hl.Guard(surface=lambda t, q, v: -1.0,
-                                              direction=lambda t, q, v: -1.0),
-                               reset=hl.ResetMap(apply=lambda t, q, v: (q, v)))
-
     free3 = hl.LagrangianSystem(
         dim=3,
         lagrangian=lambda t, q, v: 0.5 * float(v @ v),
         dL_dq=lambda t, q, v: np.zeros(3),
         dL_dv=lambda t, q, v: v.copy(),
-        acceleration=lambda t, q, v: np.zeros(3))
+        acceleration=lambda t, q, v: [0.0] * 3)
     rng = np.random.default_rng(7)
     samples3 = [hl.State(rng.uniform(0, 2), rng.uniform(-1, 1, 3),
                          rng.uniform(-2, 2, 3)) for _ in range(10)]
-    cs_z = hl.CyclicStructure(full=make_hs(free3), cyclic_index=2,
-                              sample_states=samples3,
+    cs_z = hl.CyclicStructure(full=hybrid._inert_hybrid(free3),
+                              cyclic_index=2, sample_states=samples3,
                               guard_sample_states=samples3)
     red_z = hl.reduce(cs_z, 0.75)
     assert red_z.shape.system.dim == 2

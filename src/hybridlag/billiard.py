@@ -41,7 +41,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .errors import ChartSingularity, InvalidStart, NegativeDiscriminant
+from .errors import (ChartSingularity, InvalidReset, InvalidStart,
+                     NegativeDiscriminant)
 from .hybrid import (TERM_HORIZON, TERM_MAX_IMPACTS, TERM_ZENO, Arc,
                      Event, Guard, HybridFlow, HybridSystem, ResetMap,
                      SimOptions, _along, _is_times, _next_crossing)
@@ -222,11 +223,22 @@ def guard_polar(p: BilliardParams) -> Guard:
     return Guard(surface=surface, direction=direction)
 
 
+def _open_wall(f, t):
+    """f(t), the squared wall radius a reset divides by; InvalidReset
+    where the wall has closed (f(t) <= 0), as at the paper wall's t*."""
+    ft = f(t)
+    if not ft > 0.0:
+        raise InvalidReset(f"no reset on a closed wall: f(t) = {ft!r} at "
+                           f"t={t!r}")
+    return ft
+
+
 def reset_cartesian(p: BilliardParams) -> ResetMap:
     f, fdot = p.wall, p.wall_rate
 
     def apply(t, q, v):
-        lam = (fdot(t) - 2.0 * float(q @ v)) / f(t)
+        ft = _open_wall(f, t)
+        lam = (fdot(t) - 2.0 * float(q @ v)) / ft
         return q.copy(), v + lam * q
 
     return ResetMap(apply=apply)
@@ -238,7 +250,7 @@ def reset_polar(p: BilliardParams) -> ResetMap:
 
     def apply(t, q, v):
         r, rd = q[0], v[0]
-        ft, fd = f(t), fdot(t)
+        ft, fd = _open_wall(f, t), fdot(t)
         a = (fd - 2.0 * r * rd) * r / ft
         rhs = rd * rd + (r / ft) * (fd - 2.0 * r * rd) * (2.0 * rd + a)
         if rhs < -DISCRIMINANT_CLAMP:

@@ -7,17 +7,19 @@ equivalence checks, and `locate_event`. Each arc is integrated with the
 adaptive Dormand-Prince 8(5,3) pair DOP853, whose 7th-order dense output
 costs 3 extra right-hand-side calls per accepted step (Hairer, Norsett &
 Wanner, Solving ODEs I, II.5-II.6). The step loop is the module's own:
-it takes its tableau from scipy's `DOP853` and repeats scipy's
-arithmetic operation for operation, so it reproduces scipy's steps and
-dense output bit for bit, but it calls the right-hand side directly,
-without the solver's wrapper layers. After every accepted step the
-step's dense output is evaluated once, as one array call at the
-endpoints plus SCAN_POINTS interior times, and the guard surface once on
-the resulting columns; a sign change from non-positive to positive
-brackets a candidate crossing, which is refined in time with Brent's
-method on the interpolant. A crossing counts as an impact only where the
-admissibility (direction) function is >= 0; crossings with negative
-direction are skipped and integration continues.
+it reads its tableau from `_dop853`, a copy of scipy's table, and
+repeats the arithmetic of scipy's `DOP853` operation for operation, so
+it reproduces scipy's steps and dense output bit for bit, but it calls
+the right-hand side directly, without the solver's wrapper layers.
+After every accepted step the step's dense output is evaluated once, as
+one array call at the endpoints plus SCAN_POINTS interior times, and the
+guard surface once on the resulting columns; a sign change from
+non-positive to positive brackets a candidate crossing, which is refined
+in time with Brent's method on the interpolant (`brentq`, scipy's C
+routine run operation for operation). A crossing counts as an impact
+only where the admissibility (direction) function is >= 0; crossings
+with negative direction are skipped and integration continues. The
+module imports nothing from scipy.
 
 The loop runs in a mode (rhs, guard, direction, reset) on packed arrays;
 `State` appears only at the API edge. The mode's reset returns the
@@ -41,13 +43,14 @@ Three rules shape the behaviour in impact-accumulation regimes:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import DOP853, OdeSolution
-from scipy.optimize import brentq
 
+from . import _dop853
 from .errors import (BracketInvalid, DirectionRejected, IntegrationFailure,
                      InvalidReset, InvalidStart, ZenoSuspected)
 from .lagrangian import LagrangianSystem, State
@@ -152,7 +155,7 @@ class SimOptions:
 class Arc:
     """One continuous piece of a hybrid flow.
 
-    A simulated arc's interpolant is scipy's OdeSolution over the step
+    A simulated arc's interpolant is an `_ArcInterpolant` over the step
     loop's DOP853 segments, clamped to the arc. Every interpolant
     follows the contract of scipy's OdeSolution: a
     scalar time gives the packed state, shape (2n,); a 1-D array of k
@@ -202,19 +205,28 @@ class HybridFlow:
 # the DOP853 step loop
 # ---------------------------------------------------------------------------
 
+# the tableau, sliced as scipy's DOP853 class slices it
+_N_STAGES = _dop853.N_STAGES
+_A = _dop853.A[:_N_STAGES, :_N_STAGES]
+_B = _dop853.B
+_C = _dop853.C[:_N_STAGES]
+_E3 = _dop853.E3
+_E5 = _dop853.E5
+_D = _dop853.D
+_A_EXTRA = _dop853.A[_N_STAGES + 1:]
+_C_EXTRA = _dop853.C[_N_STAGES + 1:]
+_ERROR_ESTIMATOR_ORDER = 7
 # scipy's step-size control (scipy.integrate._ivp.rk) and its rtol floor
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10
-_ERROR_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
+_ERROR_EXPONENT = -1 / (_ERROR_ESTIMATOR_ORDER + 1)
 _RTOL_FLOOR = 100 * np.finfo(float).eps
-# stage s of a step or of its dense output: (s, coefficients, node). The
-# coefficients are views of scipy's own tables, as scipy's solver slices
-# them
-_STAGES = [(s, DOP853.A[s, :s], float(DOP853.C[s]))
-           for s in range(1, DOP853.n_stages)]
+# stage s of a step or of its dense output: (s, coefficients, node), the
+# coefficients as views of the sliced tables
+_STAGES = [(s, _A[s, :s], float(_C[s])) for s in range(1, _N_STAGES)]
 _EXTRA_STAGES = [(s, a[:s], float(c)) for s, (a, c) in enumerate(
-    zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=DOP853.n_stages + 1)]
+    zip(_A_EXTRA, _C_EXTRA), start=_N_STAGES + 1)]
 
 
 def _rms(x):
@@ -229,7 +241,7 @@ class RK45:
 
     The step loop of scipy's `DOP853` without its wrapper layers: its
     initial-step choice, Runge-Kutta step, step-size control, 5/3 error
-    norm and 7th-order dense output, operation for operation on scipy's
+    norm and 7th-order dense output, operation for operation on the same
     tableau, so steps, states and interpolants agree with scipy's bit
     for bit. `fun` is called directly, and `nfev` counts its calls: two
     at construction (one on an empty interval), n_stages per attempt in
@@ -240,7 +252,7 @@ class RK45:
     (`ndarray.dot` is `np.dot` without its dispatch layer.)
     """
 
-    n_stages = DOP853.n_stages
+    n_stages = _N_STAGES
 
     def __init__(self, fun, t0, y0, t_bound, rtol, atol, max_step):
         if max_step <= 0:
@@ -261,9 +273,9 @@ class RK45:
         self.f = fun(t0, y0)
         self.nfev = 1
         self.h_abs = self._initial_step()
-        self.K_extended = np.empty((DOP853.n_stages + 1 + len(_EXTRA_STAGES),
+        self.K_extended = np.empty((_N_STAGES + 1 + len(_EXTRA_STAGES),
                                     y0.size))
-        self.K = self.K_extended[:DOP853.n_stages + 1]
+        self.K = self.K_extended[:_N_STAGES + 1]
 
     def _initial_step(self):
         """scipy's select_initial_step (Hairer, Norsett & Wanner, II.4)."""
@@ -316,13 +328,13 @@ class RK45:
             K[0] = self.f
             for s, a, c in _STAGES:
                 K[s] = fun(t + c * h, y + K[:s].T.dot(a) * h)
-            y_new = y + h * K[:-1].T.dot(DOP853.B)
+            y_new = y + h * K[:-1].T.dot(_B)
             f_new = fun(t + h, y_new)
             K[-1] = f_new
             self.nfev += self.n_stages
             scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-            err5 = K.T.dot(DOP853.E5) / scale
-            err3 = K.T.dot(DOP853.E3) / scale
+            err5 = K.T.dot(_E5) / scale
+            err3 = K.T.dot(_E3) / scale
             err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
             err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
             if err5_norm_2 == 0 and err3_norm_2 == 0:
@@ -360,11 +372,11 @@ class RK45:
         self.nfev += len(_EXTRA_STAGES)
         f_old = K[0]
         delta_y = self.y - y_old
-        F = np.empty((3 + len(DOP853.D), y_old.size))
+        F = np.empty((3 + len(_D), y_old.size))
         F[0] = delta_y
         F[1] = h * f_old - delta_y
         F[2] = 2 * delta_y - h * (self.f + f_old)
-        F[3:] = h * DOP853.D.dot(K)
+        F[3:] = h * _D.dot(K)
         return _StepInterpolant(t_old, self.t, y_old, F)
 
 
@@ -472,10 +484,10 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
                                          _along(dfun, dense, n), ts[0], ts[1],
                                          opts.event_tol)
                 elif armed and gs[i] <= 0.0 and gs[i + 1] > 0.0:
-                    tau = ts[i] if gs[i] == 0.0 else float(brentq(
+                    tau = ts[i] if gs[i] == 0.0 else brentq(
                         _along(gfun, dense, n), ts[i], ts[i + 1],
                         xtol=min(opts.event_tol, REFINE_XTOL),
-                        rtol=BRENT_RTOL))
+                        rtol=BRENT_RTOL)
                 if tau is None:
                     continue
                 ypre = dense(tau)
@@ -545,6 +557,82 @@ def _along(fun, dense, n):
     return f
 
 
+_BRENT_RTOL_MIN = 4 * np.finfo(float).eps   # scipy's floor and default
+
+
+# the name brentq is a seam: the benchmark tracer and the tests patch it
+def brentq(f, a, b, xtol=2e-12, rtol=_BRENT_RTOL_MIN, maxiter=100):
+    """Root of f in [a, b] by Brent's method (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4).
+
+    scipy's `optimize.brentq`: its C routine operation for operation on
+    Python floats, so the root is scipy's bit for bit. f is called on
+    floats and its values are taken as floats. As in scipy, f(a) and
+    f(b) of one sign, a NaN value of f, xtol <= 0 or rtol < 4 eps raise
+    ValueError, and no convergence in maxiter iterations raises
+    RuntimeError.
+    """
+    maxiter = operator.index(maxiter)
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENT_RTOL_MIN:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_RTOL_MIN:g})")
+
+    def value(x):
+        fx = float(f(x))
+        if fx != fx:
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             f"solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    # past the zero tests, the C routine's signbit(x) is x < 0
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
+                       f"value is {xcur:f}")
+
+
 def _next_crossing(phi, dphi, t0, t_end, event_tol):
     """First upward root of a convex phi with phi(t0) <= 0 (to round-off)
     on [t0, t_end], where dphi is its rate."""
@@ -574,26 +662,22 @@ def _next_crossing(phi, dphi, t0, t_end, event_tol):
                 # still heading inward at the end: phi stays negative
                 return None
             right = t_end
-        t_min = float(brentq(dphi, left, right, xtol=1e-15, rtol=1e-15))
+        t_min = brentq(dphi, left, right, xtol=1e-15, rtol=1e-15)
         if phi(t_min) >= 0.0:
             # dip never measurably re-enters: the wall caught the state
             return t_min
         if phi(t_end) <= 0.0:
             return None
         lo = t_min
-    return float(brentq(phi, lo, t_end, xtol=min(event_tol, 1e-14),
-                        rtol=1e-15))
+    return brentq(phi, lo, t_end, xtol=min(event_tol, 1e-14), rtol=1e-15)
 
 
 def _close_arc(times, states, segments, t_end):
     times = np.asarray(times)
     states = np.asarray(states)
     if segments:
-        sol = OdeSolution(np.concatenate([[times[0]],
-                                          [s.t_max for s in segments]]),
-                          segments)
         # an event truncates the last segment; clamp queries to the arc
-        interp = _ClampedSolution(sol, times[0], t_end)
+        interp = _ArcInterpolant(segments, times[0], t_end)
     else:
         interp = _ConstantInterpolant(states[0], times[0])
     return Arc(times[0], t_end, times, states, interp)
@@ -613,16 +697,41 @@ class _ConstantInterpolant:
         return np.repeat(self._y0[:, None], np.size(t), axis=1)
 
 
-class _ClampedSolution:
-    """OdeSolution restricted to the arc interval."""
+class _ArcInterpolant:
+    """The step segments of an arc [t0, t1] as one interpolant, with
+    scipy's OdeSolution rule on times clamped to the arc.
 
-    def __init__(self, sol, t0, t1):
-        self._sol = sol
+    Time t goes to segment searchsorted(breakpoints, t) - 1 (side
+    "left"), clamped to the first and last segment, so a breakpoint
+    belongs to the segment that ends there. An array of times is sorted,
+    evaluated one run of equal segments at a time, and put back in its
+    order. Only `t_max` is read from a segment besides calling it.
+    """
+
+    def __init__(self, segments, t0, t1):
+        self.segments = segments
+        self.breakpoints = np.array([t0] + [s.t_max for s in segments])
         self.t0 = t0
         self.t1 = t1
 
     def __call__(self, t):
-        return self._sol(np.clip(t, self.t0, self.t1))
+        t = np.asarray(np.clip(t, self.t0, self.t1))
+        last = len(self.segments) - 1
+        if t.ndim == 0:
+            ind = int(np.searchsorted(self.breakpoints, t))
+            return self.segments[min(max(ind - 1, 0), last)](t)
+        order = np.argsort(t)
+        reverse = np.empty_like(order)
+        reverse[order] = np.arange(order.shape[0])
+        t_sorted = t[order]
+        index = np.searchsorted(self.breakpoints, t_sorted) - 1
+        ys = []
+        start = 0
+        for ind, run in groupby(np.clip(index, 0, last).tolist()):
+            end = start + len(list(run))
+            ys.append(self.segments[ind](t_sorted[start:end]))
+            start = end
+        return np.hstack(ys)[:, reverse]
 
 
 # ---------------------------------------------------------------------------

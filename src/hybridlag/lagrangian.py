@@ -14,7 +14,8 @@ Accelerations are taken from `acceleration` when the model supplies a
 closed form; otherwise the velocity Hessian W = d2L/dv2 and the mixed
 second derivatives are assembled by central finite differences of dL/dv
 and the linear system W * a = dL/dq - (d2L/dvdq) v - d2L/dvdt is solved
-with a pivoted LU factorization.
+with a pivoted LU factorization from scipy.linalg, which is imported on
+first use. The same LU serves the Newton inverse of the fiber derivative.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import NoConvergence, SingularHessian
 
@@ -123,7 +123,13 @@ class LagrangianSystem:
         h = FD_STEP * max(1.0, abs(t))
         return (self.dL_dv(t + h, q, v) - self.dL_dv(t - h, q, v)) / (2*h)
 
-    def _factor_hessian(self, t, q, v):
+    def _solve_hessian(self, t, q, v, rhs):
+        """W^-1 rhs for the velocity Hessian W at (t, q, v), by a pivoted
+        LU. scipy.linalg is imported here, on first use, so that runs of
+        closed-form models do not load scipy. Raises SingularHessian when
+        hyperregularity is lost."""
+        from scipy.linalg import lu_factor, lu_solve
+
         W = self.velocity_hessian(t, q, v)
         try:
             lu, piv = lu_factor(W)
@@ -135,7 +141,7 @@ class LagrangianSystem:
             raise SingularHessian(
                 f"velocity Hessian condition estimate exceeds "
                 f"{CONDITION_BOUND:.1e} at t={t:.6g}")
-        return lu, piv
+        return lu_solve((lu, piv), rhs)
 
     def _accelerations(self, t, q, v) -> np.ndarray:
         """Accelerations solving the Euler-Lagrange equations at (t, q, v).
@@ -145,10 +151,9 @@ class LagrangianSystem:
         if self.acceleration is not None:
             return np.array(self.acceleration(t, q.tolist(), v.tolist()),
                             float)
-        lu_piv = self._factor_hessian(t, q, v)
         rhs = (self.dL_dq(t, q, v) - self._mixed_qv(t, q, v) @ v
                - self._mixed_tv(t, q, v))
-        return lu_solve(lu_piv, rhs)
+        return self._solve_hessian(t, q, v, rhs)
 
     # -- operations -----------------------------------------------------
 
@@ -187,7 +192,7 @@ class LagrangianSystem:
             r = self.dL_dv(t, q, v) - p
             if np.max(np.abs(r)) <= tol:
                 return v
-            v = v - lu_solve(self._factor_hessian(t, q, v), r)
+            v = v - self._solve_hessian(t, q, v, r)
         raise NoConvergence(
             f"inverse fiber derivative did not converge at t={t:.6g}")
 

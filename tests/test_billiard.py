@@ -236,6 +236,31 @@ def test_reset_polar_chart_sign_mode(rng):
     assert v_ch[0] == pytest.approx(mapped.v[0], abs=1e-12)
 
 
+# a Cartesian start whose third impact is located at the collapse time t*
+# itself, where the paper wall has closed (f(t*) = 0)
+COLLAPSE_IMPACT_C = 0.14393321358124805
+COLLAPSE_IMPACT_Q0 = (0.7734375, 0.0)
+COLLAPSE_IMPACT_V0 = (0.1413124436746325, 0.0)
+
+
+@pytest.mark.parametrize("reset", [hl.reset_cartesian, hl.reset_polar])
+def test_reset_on_closed_wall_is_invalid_reset(reset):
+    p = hl.BilliardParams(c=COLLAPSE_IMPACT_C)
+    assert p.wall(WALL_COLLAPSE_TIME) == 0.0
+    with pytest.raises(hl.InvalidReset, match="closed wall.*t=6.93147"):
+        reset(p).apply(WALL_COLLAPSE_TIME, np.array([0.0, 0.0]),
+                       np.array([1.0, 0.0]))
+
+
+def test_impact_at_wall_collapse_raises_typed_error():
+    # the run locates an impact at t*, where the reset would divide by
+    # f(t*) = 0; it must end in a HybridLagError, not a ZeroDivisionError
+    p = hl.BilliardParams(c=COLLAPSE_IMPACT_C)
+    s0 = mk_state(0.0, COLLAPSE_IMPACT_Q0, COLLAPSE_IMPACT_V0)
+    with pytest.raises(hl.InvalidReset, match="t=6.93147"):
+        hl.simulate(hl.cartesian_hybrid(p), s0, 10.0)
+
+
 # ---------------------------------------------------------------------------
 # analytic flight and the reference flow
 # ---------------------------------------------------------------------------

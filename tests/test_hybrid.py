@@ -479,6 +479,172 @@ def test_step_loop_rejects_what_scipy_rejects(max_step, y0, match):
                 max_step=max_step)
 
 
+def test_tableau_matches_scipy_dop853():
+    # the vendored table, sliced as scipy's DOP853 class slices its own
+    from scipy.integrate import DOP853
+
+    from hybridlag import hybrid
+
+    assert hybrid.RK45.n_stages == DOP853.n_stages
+    assert hybrid._ERROR_ESTIMATOR_ORDER == DOP853.error_estimator_order
+    for name in ("A", "B", "C", "E3", "E5", "D", "A_EXTRA", "C_EXTRA"):
+        ours, theirs = getattr(hybrid, "_" + name), getattr(DOP853, name)
+        assert ours.shape == theirs.shape, name
+        assert np.array_equal(ours, theirs), name
+
+
+# ---------------------------------------------------------------------------
+# Brent's method against scipy's brentq
+# ---------------------------------------------------------------------------
+
+def _recorded(f):
+    """f and the list of points it was called at."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+def _both_brentq(f, a, b, **kw):
+    """(root or exception type, evaluation points) of hybrid.brentq and
+    scipy.optimize.brentq on f over [a, b]."""
+    from scipy import optimize
+
+    from hybridlag import hybrid
+
+    out = []
+    for brentq in (hybrid.brentq, optimize.brentq):
+        g, calls = _recorded(f)
+        try:
+            out.append((brentq(g, a, b, **kw), calls))
+        except Exception as exc:
+            out.append((type(exc), calls))
+    return out
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(root=st.floats(0.0, 10.0), left=st.floats(1e-12, 1.0),
+       right=st.floats(1e-12, 1.0), scale=st.floats(1e-6, 1e4),
+       bend=st.floats(0.0, 50.0), wave=st.floats(0.0, 0.9),
+       sign=st.sampled_from([1.0, -1.0]), swap=st.booleans(),
+       xtol=st.sampled_from([1e-13, 1e-14, 1e-15]))
+def test_brentq_matches_scipy_bit_for_bit(root, left, right, scale, bend,
+                                          wave, sign, swap, xtol):
+    # a smooth monotone function with one root in a bracket of event
+    # times, at the tolerances the executor refines with
+    def f(x):
+        d = x - root
+        return sign * scale * (math.expm1(d) + bend * d ** 3
+                               + wave * math.sin(d))
+
+    a, b = root - left, root + right
+    if swap:
+        a, b = b, a
+    (ours, our_calls), (theirs, their_calls) = _both_brentq(
+        f, a, b, xtol=xtol, rtol=1e-15)
+    assert isinstance(ours, float)
+    assert ours == theirs and math.copysign(1.0, ours) == math.copysign(
+        1.0, theirs)
+    assert our_calls == their_calls
+
+
+@pytest.mark.parametrize("f, a, b, kw", [
+    (lambda x: (x - 0.5) ** 2 + 1.0, 0.0, 1.0, {}),           # no sign change
+    (lambda x: x - 0.5, 0.0, 0.25, {}),                       # root outside
+    (lambda x: math.nan if x > 0.6 else x - 0.5, 0.0, 1.0, {}),
+    (lambda x: math.tan(x), 1.0, 2.0, {"maxiter": 3}),
+    (lambda x: x - 0.5, 0.0, 1.0, {"xtol": 0.0}),
+    (lambda x: x - 0.5, 0.0, 1.0, {"rtol": 1e-16}),
+], ids=["no-sign-change", "root-outside", "nan", "maxiter", "xtol", "rtol"])
+def test_brentq_raises_like_scipy(f, a, b, kw):
+    (ours, our_calls), (theirs, their_calls) = _both_brentq(f, a, b, **kw)
+    assert isinstance(ours, type) and ours is theirs
+    assert our_calls == their_calls
+
+
+@pytest.mark.parametrize("f, a, b, expected", [
+    (lambda x: x - 0.5, 0.5, 1.0, 0.5),
+    (lambda x: x - 1.0, 0.5, 1.0, 1.0),
+    (lambda x: x * x - 2.0, 0.0, 2.0, None),
+], ids=["root-at-a", "root-at-b", "sqrt2"])
+def test_brentq_endpoint_roots_like_scipy(f, a, b, expected):
+    (ours, _), (theirs, _) = _both_brentq(f, a, b, xtol=1e-15, rtol=1e-15)
+    assert ours == theirs
+    if expected is not None:
+        assert ours == expected
+
+
+# ---------------------------------------------------------------------------
+# the arc interpolant against scipy's OdeSolution
+# ---------------------------------------------------------------------------
+
+def _event_arc():
+    # ends at an impact, inside its last step: the clamp matters
+    sc = hl.get_scenario("paper-c025")
+    flow = hl.simulate(hl.polar_hybrid(sc.params), sc.initial_polar, 2.0)
+    assert flow.events and flow.arcs[0].t_end == flow.events[0].tau
+    return flow.arcs[0]
+
+
+def _horizon_arc():
+    sc = hl.get_scenario("paper-c025")
+    return hl.simulate(hl.polar_hybrid(sc.params), sc.initial_polar,
+                       2.0).arcs[-1]
+
+
+@pytest.mark.parametrize("build", [_event_arc, _horizon_arc],
+                         ids=["event", "horizon"])
+def test_arc_interpolant_matches_scipy_ode_solution(build):
+    # OdeSolution over the same segments, on times clipped to the arc
+    from scipy.integrate import OdeSolution
+
+    arc = build()
+    interp = arc.interpolant
+    segments = interp.segments
+    breakpoints = np.concatenate([[arc.times[0]],
+                                  [s.t_max for s in segments]])
+    def clipped(sol):
+        return lambda t: sol(np.clip(t, arc.t_start, arc.t_end))
+
+    expected = clipped(OdeSolution(breakpoints, segments))
+
+    rng = np.random.default_rng(7)
+    span = arc.t_end - arc.t_start
+    inside = rng.uniform(arc.t_start, arc.t_end, 50)
+    on_breaks = breakpoints.copy()
+    outside = np.array([arc.t_start - 1.0, arc.t_start - 1e-12,
+                        arc.t_end + 1e-12, arc.t_end + span])
+    mixed = rng.permutation(np.concatenate([inside, on_breaks, outside,
+                                            inside[:5]]))
+    for t in [arc.t_start, arc.t_end, float(inside[0]),
+              float(breakpoints[len(breakpoints) // 2]), *outside.tolist()]:
+        assert np.array_equal(arc(t), expected(t)), t
+    for ts in (np.sort(inside), inside, on_breaks, outside, mixed):
+        got = arc(ts)
+        assert got.shape == (arc.states.shape[1], ts.size)
+        assert np.array_equal(got, expected(ts))
+
+    # adjacent DOP853 segments agree at their common breakpoint, so the
+    # segment rule shows only on segments that report their index
+    class Labelled:
+        def __init__(self, k, t_max):
+            self.k, self.t_max = k, t_max
+
+        def __call__(self, t):
+            return np.stack(np.broadcast_arrays(float(self.k), t))
+
+    fakes = [Labelled(k, s.t_max) for k, s in enumerate(segments)]
+    labelled = type(interp)(fakes, arc.t_start, arc.t_end)
+    expected = clipped(OdeSolution(breakpoints, fakes))
+    for ts in (on_breaks, mixed, outside):
+        assert np.array_equal(labelled(ts), expected(ts))
+    for t in on_breaks.tolist() + outside.tolist():
+        assert np.array_equal(labelled(t), expected(t))
+
+
 # ---------------------------------------------------------------------------
 # the array contract of arc interpolants
 # ---------------------------------------------------------------------------

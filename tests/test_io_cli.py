@@ -384,6 +384,21 @@ def test_cli_non_finite_start_errors(tmp_path, model, mode, initial_q):
     assert "not finite" in record["message"]
 
 
+def test_cli_impact_at_wall_collapse_errors(tmp_path):
+    # the run's third impact lands on the closed wall at t* = 10 ln 2
+    out = str(tmp_path / "out")
+    cfg = write_config(tmp_path, model="billiard-cartesian", mode="full",
+                       horizon=10, c=0.14393321358124805,
+                       initial_q=[0.7734375, 0.0],
+                       initial_v=[0.1413124436746325, 0.0])
+    with no_hang(10):
+        code = run_cli("run", "--config", cfg, "--out", out)
+    assert code == 1
+    record = error_record(out)
+    assert record["error"] == "InvalidReset"
+    assert "closed wall" in record["message"]
+
+
 def test_cli_non_finite_field_errors(tmp_path):
     # the polar field is NaN off the chart (r <= 0), here at a finite start
     out = str(tmp_path / "out")

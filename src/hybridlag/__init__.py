@@ -14,14 +14,14 @@ from .billiard import (BilliardParams, PaperScenario, analytic_arc,
                        polar_hybrid, polar_system, polar_to_cartesian,
                        reference_flow, reset_cartesian, reset_polar,
                        routhian_closed, static_wall)
-from .errors import (BracketInvalid, ChartSingularity, DirectionRejected,
-                     HybridLagError, IntegrationFailure, InvalidReset,
-                     InvalidStart, NegativeDiscriminant, NoConvergence,
-                     NotInvariant, ParseError, SingularHessian, ZenoSuspected)
+from .errors import (ChartSingularity, HybridLagError, IntegrationFailure,
+                     InvalidReset, InvalidStart, NegativeDiscriminant,
+                     NoConvergence, NotInvariant, ParseError,
+                     SingularHessian)
 from .hybrid import (Arc, Event, FlowEquivalenceReport, Guard,
                      HybridEquivalenceReport, HybridFlow, HybridSystem,
                      ResetMap, SimOptions, check_flow_equivalence,
-                     check_hybrid_equivalence, locate_event, simulate)
+                     check_hybrid_equivalence, simulate)
 from .lagrangian import CoState, LagrangianSystem, State
 from .models import MODEL_IDS, SCENARIO_IDS, ModelBundle, build_model
 from .reduction import (CyclicStructure, ReconstructedFlow,
@@ -31,20 +31,20 @@ from .reduction import (CyclicStructure, ReconstructedFlow,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arc", "BilliardParams", "BracketInvalid", "ChartSingularity", "CoState",
-    "CyclicStructure", "DirectionRejected", "Event", "FlowEquivalenceReport",
-    "Guard", "HybridEquivalenceReport", "HybridFlow", "HybridLagError",
+    "Arc", "BilliardParams", "ChartSingularity", "CoState",
+    "CyclicStructure", "Event", "FlowEquivalenceReport", "Guard",
+    "HybridEquivalenceReport", "HybridFlow", "HybridLagError",
     "HybridSystem", "IntegrationFailure", "InvalidReset", "InvalidStart",
     "LagrangianSystem", "MODEL_IDS", "ModelBundle", "NegativeDiscriminant",
     "NoConvergence", "NotInvariant", "PaperScenario", "ParseError",
     "ReconstructedFlow", "ReducedHybridSystem", "ResetMap", "SCENARIO_IDS",
-    "SimOptions", "SingularHessian", "State", "ZenoSuspected",
-    "analytic_arc", "build_model", "cartesian_hybrid", "cartesian_system",
+    "SimOptions", "SingularHessian", "State", "analytic_arc",
+    "build_model", "cartesian_hybrid", "cartesian_system",
     "cartesian_to_polar", "check_flow_equivalence",
     "check_hybrid_equivalence", "get_scenario", "guard_cartesian",
-    "guard_polar", "locate_event", "momentum_map", "paper_scenarios",
-    "polar_cyclic", "polar_hybrid", "polar_system", "polar_to_cartesian",
-    "project", "reconstruct", "reduce", "reference_flow", "reset_cartesian",
+    "guard_polar", "momentum_map", "paper_scenarios", "polar_cyclic",
+    "polar_hybrid", "polar_system", "polar_to_cartesian", "project",
+    "reconstruct", "reduce", "reference_flow", "reset_cartesian",
     "reset_polar", "routhian", "routhian_closed", "simulate",
     "simulate_resequenced", "static_wall",
 ]

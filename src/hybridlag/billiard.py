@@ -418,8 +418,7 @@ def reference_flow(p: BilliardParams, s0: State, t_end: float,
     while True:
         flight = _FlightInterpolant(p, t, q, v)
         tau = _next_crossing(_along(guard.surface, flight, 2),
-                             _along(rate, flight, 2), t, t_end,
-                             opts.event_tol)
+                             _along(rate, flight, 2), t, t_end)
         if tau is not None:
             y = flight(tau)
             if guard.direction(tau, y[:2], y[2:]) < 0.0:

@@ -1,8 +1,7 @@
 """Exception types raised across the package.
 
-Every error carries a human-readable message; some carry the partially
-computed object (e.g. a truncated flow) so callers can inspect how far a
-run got before it stopped.
+Every error carries a human-readable message; `ParseError` also names
+the configuration key it rejects.
 """
 
 
@@ -29,31 +28,10 @@ class InvalidReset(HybridLagError):
     (non-finite, or immediately re-triggering the guard)."""
 
 
-class BracketInvalid(HybridLagError):
-    """Event bracket contains no guard crossing."""
-
-
-class DirectionRejected(HybridLagError):
-    """A guard crossing exists but its admissibility function is
-    negative there; the crossing is not an impact."""
-
-
-class ZenoSuspected(HybridLagError):
-    """Impact accumulation detected (dwell below threshold or the impact
-    cap reached). Raised only in strict mode; carries the partial flow."""
-
-    def __init__(self, message, flow=None):
-        super().__init__(message)
-        self.flow = flow
-
-
 class IntegrationFailure(HybridLagError):
-    """Step-size collapse inside the continuous integrator. Raised only
-    in strict mode; carries the partial flow."""
-
-    def __init__(self, message, flow=None):
-        super().__init__(message)
-        self.flow = flow
+    """The continuous integration of an arc cannot go on: the right-hand
+    side is not finite at an arc start, or a located impact misses the
+    guard by more than its tolerance."""
 
 
 class NotInvariant(HybridLagError):

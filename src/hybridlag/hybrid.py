@@ -2,8 +2,8 @@
 resets.
 
 Every run in the package goes through one loop, `_execute`: full and
-reduced runs, resequenced runs, the momentum-side runs of the
-equivalence checks, and `locate_event`. Each arc is integrated with the
+reduced runs, resequenced runs and the momentum-side runs of the
+equivalence checks. Each arc is integrated with the
 adaptive Dormand-Prince 8(5,3) pair DOP853, whose 7th-order dense output
 costs 3 extra right-hand-side calls per accepted step (Hairer, Norsett &
 Wanner, Solving ODEs I, II.5-II.6). The step loop is the module's own:
@@ -15,11 +15,11 @@ After every accepted step the step's dense output is evaluated once, as
 one array call at the endpoints plus SCAN_POINTS interior times, and the
 guard surface once on the resulting columns; a sign change from
 non-positive to positive brackets a candidate crossing, which is refined
-in time with Brent's method on the interpolant (`brentq`, scipy's C
-routine run operation for operation). A crossing counts as an impact
-only where the admissibility (direction) function is >= 0; crossings
-with negative direction are skipped and integration continues. The
-module imports nothing from scipy.
+in time to REFINE_XTOL with Brent's method on the interpolant (`brentq`,
+scipy's C routine run operation for operation). A crossing counts as an
+impact only where the admissibility (direction) function is >= 0;
+crossings with negative direction are skipped and integration continues.
+The module imports nothing from scipy.
 
 The loop runs in a mode (rhs, guard, direction, reset) on packed arrays;
 `State` appears only at the API edge. The mode's reset returns the
@@ -44,15 +44,14 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from . import _dop853
-from .errors import (BracketInvalid, DirectionRejected, IntegrationFailure,
-                     InvalidReset, InvalidStart, ZenoSuspected)
+from .errors import IntegrationFailure, InvalidReset, InvalidStart
 from .lagrangian import LagrangianSystem, State
 
 TERM_HORIZON = "horizon_reached"
@@ -61,7 +60,7 @@ TERM_ZENO = "zeno_suspected"
 TERM_FAILURE = "integration_failure"
 
 BRENT_RTOL = 1e-15   # relative time tolerance floor for root refinement
-REFINE_XTOL = 1e-13  # refine events well past event_tol: dwell comparisons
+REFINE_XTOL = 1e-13  # time localization of impacts: dwell comparisons
                      # against min_dwell must not hinge on localization noise
 ARM_TOL = 1e-12      # guard value below which an arc counts as interior
 SCAN_POINTS = 8      # interior dense-output guard samples per accepted step
@@ -130,25 +129,20 @@ class SimOptions:
 
     Attributes:
         rtol, atol, max_step: integrator step control.
-        event_tol: time localization of impacts (root refinement xtol).
         guard_tol: bound on |g| at an accepted impact, scaled by the
             local guard slope max(1, |d|).
         min_dwell: two impacts closer than this terminate the run with
             ``zeno_suspected``.
         max_impacts: impact cap; reaching it terminates with
             ``max_impacts``.
-        strict: raise ZenoSuspected / IntegrationFailure instead of
-            returning a flow with the corresponding termination.
     """
 
     rtol: float = 1e-10
     atol: float = 1e-10
     max_step: float = np.inf
-    event_tol: float = 1e-10
     guard_tol: float = 1e-8
     min_dwell: float = 1e-9
     max_impacts: int = 10000
-    strict: bool = False
 
 
 @dataclass
@@ -382,9 +376,9 @@ class RK45:
 
 class _StepInterpolant:
     """DOP853's dense output on one step [t_old, t]: scipy's
-    Dop853DenseOutput, operation for operation. Callers read t_old, t,
-    t_min and t_max and call it; the tracer's proxy passes on nothing
-    else."""
+    Dop853DenseOutput, operation for operation, on one time or a 1-D
+    array of times. Callers read t_old, t, t_min and t_max and call it;
+    the tracer's proxy passes on nothing else."""
 
     def __init__(self, t_old, t, y_old, F):
         self.t_old = self.t_min = t_old
@@ -394,9 +388,10 @@ class _StepInterpolant:
         self.y_old = y_old
 
     def __call__(self, t):
-        if isinstance(t, float):
-            # one time, as refinement asks: the same operations on the
-            # 7 rows of F, on Python floats one component at a time,
+        if isinstance(t, float) or t.ndim == 0:
+            # one time (a float from refinement and the arc, a 0-d array
+            # from scipy's OdeSolution): the same operations on the 7
+            # rows of F, on Python floats one component at a time,
             # without numpy's per-call overhead
             x = (t - self.t_old) / self.h
             xm = 1 - x
@@ -405,13 +400,8 @@ class _StepInterpolant:
                     * x + f1) * xm + f0) * x + y0)
                 for f0, f1, f2, f3, f4, f5, f6, y0
                 in zip(*self.F.tolist(), self.y_old.tolist())])
-        t = np.asarray(t)
-        x = (t - self.t_old) / self.h
-        if t.ndim == 0:
-            y = np.zeros_like(self.y_old)
-        else:
-            x = x[:, None]
-            y = np.zeros((len(x), len(self.y_old)))
+        x = ((t - self.t_old) / self.h)[:, None]
+        y = np.zeros((len(x), len(self.y_old)))
         for i, f in enumerate(reversed(self.F)):
             y += f
             if i % 2 == 0:
@@ -481,13 +471,11 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
                 if on_guard and i == 0 and gs[1] > 0.0:
                     # the whole dip below the guard lies in this interval
                     tau = _next_crossing(_along(gfun, dense, n),
-                                         _along(dfun, dense, n), ts[0], ts[1],
-                                         opts.event_tol)
+                                         _along(dfun, dense, n), ts[0], ts[1])
                 elif armed and gs[i] <= 0.0 and gs[i + 1] > 0.0:
                     tau = ts[i] if gs[i] == 0.0 else brentq(
                         _along(gfun, dense, n), ts[i], ts[i + 1],
-                        xtol=min(opts.event_tol, REFINE_XTOL),
-                        rtol=BRENT_RTOL)
+                        xtol=REFINE_XTOL, rtol=BRENT_RTOL)
                 if tau is None:
                     continue
                 ypre = dense(tau)
@@ -633,7 +621,7 @@ def brentq(f, a, b, xtol=2e-12, rtol=_BRENT_RTOL_MIN, maxiter=100):
                        f"value is {xcur:f}")
 
 
-def _next_crossing(phi, dphi, t0, t_end, event_tol):
+def _next_crossing(phi, dphi, t0, t_end):
     """First upward root of a convex phi with phi(t0) <= 0 (to round-off)
     on [t0, t_end], where dphi is its rate."""
     if t_end <= t0:
@@ -669,7 +657,7 @@ def _next_crossing(phi, dphi, t0, t_end, event_tol):
         if phi(t_end) <= 0.0:
             return None
         lo = t_min
-    return brentq(phi, lo, t_end, xtol=min(event_tol, 1e-14), rtol=1e-15)
+    return brentq(phi, lo, t_end, xtol=1e-14, rtol=1e-15)
 
 
 def _close_arc(times, states, segments, t_end):
@@ -715,9 +703,10 @@ class _ArcInterpolant:
         self.t1 = t1
 
     def __call__(self, t):
-        t = np.asarray(np.clip(t, self.t0, self.t1))
+        t = np.clip(t, self.t0, self.t1)
         last = len(self.segments) - 1
         if t.ndim == 0:
+            t = float(t)
             ind = int(np.searchsorted(self.breakpoints, t))
             return self.segments[min(max(ind - 1, 0), last)](t)
         order = np.argsort(t)
@@ -745,8 +734,7 @@ def simulate(hs: HybridSystem, s0: State, t_end: float,
     The start state must be admissible: strictly inside the guard, or on
     it with negative direction (leaving); t_end must not precede s0.t.
     Returns a HybridFlow whose termination is one of horizon_reached,
-    max_impacts, zeno_suspected or integration_failure; in strict mode
-    the last three raise instead.
+    max_impacts, zeno_suspected or integration_failure.
     """
     opts = opts or SimOptions()
     n = hs.system.dim
@@ -761,9 +749,7 @@ def simulate(hs: HybridSystem, s0: State, t_end: float,
     mode = (hs.system.rhs, gfun, dfun, reset)
     arcs, raw, termination = _execute(mode, s0.t, hs.system.pack(s0), t_end,
                                       opts)
-    flow = HybridFlow(arcs, _events(raw, n), termination, opts)
-    _maybe_raise(flow, opts)
-    return flow
+    return HybridFlow(arcs, _events(raw, n), termination, opts)
 
 
 def _check_finite(s: State):
@@ -813,64 +799,6 @@ def _validate_reset(t, q, v, gfun, dfun):
         raise InvalidReset(
             f"post-impact state re-triggers the guard (d={d_post:.3e}, "
             f"g drift {g_probe - g_now:+.3e})")
-
-
-def _maybe_raise(flow: HybridFlow, opts: SimOptions):
-    if not opts.strict:
-        return
-    if flow.termination in (TERM_ZENO, TERM_MAX_IMPACTS):
-        raise ZenoSuspected(
-            f"terminated with {flow.termination} after "
-            f"{len(flow.events)} impacts", flow=flow)
-    if flow.termination == TERM_FAILURE:
-        raise IntegrationFailure(
-            f"integrator step collapse at t={flow.t_final:.6g}", flow=flow)
-
-
-def locate_event(hs: HybridSystem, bracket,
-                 opts: Optional[SimOptions] = None) -> State:
-    """Locate the first guard crossing between two states on one arc.
-
-    The arc is executed from the left state up to the right state's time,
-    stopping at the first upward crossing of the guard whatever its
-    direction. A left state exactly on the guard is its own crossing.
-    Raises BracketInvalid when no crossing exists, DirectionRejected when
-    the crossing has negative direction.
-    """
-    opts = opts or SimOptions()
-    sa, sb = bracket
-    if sb.t < sa.t:
-        raise BracketInvalid("bracket must satisfy sa.t <= sb.t")
-    n = hs.system.dim
-    gfun, dfun = hs.guard.surface, hs.guard.direction
-    ya = hs.system.pack(sa)
-    ga = gfun(sa.t, sa.q, sa.v)
-    if ga == 0.0:
-        # the scan arms only once the guard drops below -ARM_TOL
-        tau, y = sa.t, ya
-    else:
-        def stop(tau, y):
-            return y, mode
-
-        # |d| admits every crossing and keeps the residual check's slope
-        mode = (hs.system.rhs, gfun, lambda t, q, v: abs(dfun(t, q, v)),
-                stop)
-        arcs, raw, termination = _execute(mode, sa.t, ya, sb.t,
-                                          replace(opts, max_impacts=1))
-        if termination == TERM_FAILURE:
-            raise IntegrationFailure(
-                f"integrator step collapse at t={arcs[-1].t_end:.6g}")
-        if not raw:
-            y = arcs[-1].states[-1]
-            raise BracketInvalid(
-                f"no sign change of the guard in [{sa.t:.6g}, {sb.t:.6g}] "
-                f"(g: {ga:.3e} -> {gfun(sb.t, y[:n], y[n:]):.3e})")
-        tau, y = raw[0][0], raw[0][1]
-    d = dfun(tau, y[:n], y[n:])
-    if d < 0.0:
-        raise DirectionRejected(
-            f"crossing at t={tau:.9g} has direction {d:.3e} < 0")
-    return State(tau, y[:n], y[n:])
 
 
 # ---------------------------------------------------------------------------

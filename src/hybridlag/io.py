@@ -20,7 +20,7 @@ from .hybrid import HybridFlow, SimOptions
 from .models import MODEL_IDS, SCENARIO_IDS
 from .reduction import ReconstructedFlow
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def fmt(x) -> str:
@@ -169,7 +169,6 @@ CONFIG_KEYS = {
     "rtol": Setting(float, "options", positive=True),
     "atol": Setting(float, "options", positive=True),
     "max_step": Setting(float, "options", positive=True),
-    "event_tol": Setting(float, "options", positive=True),
     "guard_tol": Setting(float, "options", positive=True),
     "min_dwell": Setting(float, "options", positive=True),
     "max_impacts": Setting(int, "options", positive=True),

@@ -54,7 +54,7 @@ import numpy as np
 from .errors import InvalidStart, NoConvergence, NotInvariant
 from .hybrid import (Arc, Event, Guard, HybridFlow, HybridSystem, ResetMap,
                      SimOptions, _check_finite, _check_start, _events,
-                     _execute, _is_times, _maybe_raise, _validate_reset)
+                     _execute, _is_times, _validate_reset)
 # perfbench/tracing.py wraps reduction.simulate, so the name stays here
 from .hybrid import simulate  # noqa: F401
 from .lagrangian import FD_STEP, LagrangianSystem, State
@@ -467,7 +467,6 @@ def simulate_resequenced(cs: CyclicStructure, s0: State, t_end: float,
     arcs, raw, termination = _execute(
         mode, s0.t, np.concatenate([start.q, start.v]), t_end, opts)
     reduced = HybridFlow(arcs, _events(raw, m), termination, opts)
-    _maybe_raise(reduced, opts)
     mus = mus[:len(arcs)]
     theta, theta_dot, resid = _reconstruct_arcs(cs, arcs, mus, jumps)
     return ReconstructedFlow(reduced, theta, theta_dot, mus, resid)

@@ -156,11 +156,26 @@ def test_max_impacts_termination(unit_wall_hybrid):
     assert len(flow.events) == 3
 
 
-def test_strict_mode_raises_on_caps(unit_wall_hybrid):
-    opts = hl.SimOptions(max_impacts=2, strict=True)
-    with pytest.raises(hl.ZenoSuspected) as err:
-        hl.simulate(unit_wall_hybrid, center_start(), 10.0, opts)
-    assert len(err.value.flow.events) == 2
+def _with_direction(hs, value):
+    """`hs` with its guard's direction replaced by the constant value."""
+    return dataclasses.replace(
+        hs, guard=dataclasses.replace(hs.guard,
+                                      direction=lambda t, q, v: value))
+
+
+def test_grazing_direction_zero_is_an_impact(unit_wall_hybrid):
+    # closed inequality: a crossing with direction exactly 0 counts
+    flow = hl.simulate(_with_direction(unit_wall_hybrid, 0.0),
+                       center_start(), 1.5)
+    assert flow.events[0].tau == pytest.approx(1.0, abs=1e-9)
+
+
+def test_crossing_with_negative_direction_is_skipped(unit_wall_hybrid):
+    flow = hl.simulate(_with_direction(unit_wall_hybrid, -1.0),
+                       center_start(), 2.0)
+    assert flow.termination == "horizon_reached"
+    assert not flow.events
+    assert len(flow.arcs) == 1
 
 
 def test_zeno_termination_on_collapsing_wall():
@@ -859,80 +874,6 @@ def test_momentum_side_guard_recovers_velocities_in_time_order():
     for i, t in enumerate(ts):
         surface(t, q[:, i], p[:, i])
     assert np.array_equal(seen[0], np.hstack(seen[1:]))
-
-
-# ---------------------------------------------------------------------------
-# locate_event
-# ---------------------------------------------------------------------------
-
-def test_locate_event_linear_in_time():
-    sys = hl.build_model("free-particle").system
-    hs = hl.HybridSystem(system=sys,
-                         guard=hl.Guard(surface=lambda t, q, v: t - 1.0,
-                                        direction=lambda t, q, v: 1.0),
-                         reset=hl.ResetMap(apply=lambda t, q, v: (q, v)))
-    sa = hl.State(0.9, np.zeros(2), np.array([1.0, 0.0]))
-    sb = hl.State(1.1, np.array([0.2, 0.0]), np.array([1.0, 0.0]))
-    ev = hl.locate_event(hs, (sa, sb))
-    assert ev.t == pytest.approx(1.0, abs=1e-10)
-
-
-def test_locate_event_billiard_crossing(unit_wall_hybrid):
-    sa = hl.State(0.5, np.array([0.5, 0.0]), np.array([1.0, 0.0]))
-    sb = hl.State(1.5, np.array([1.5, 0.0]), np.array([1.0, 0.0]))
-    ev = hl.locate_event(unit_wall_hybrid, (sa, sb))
-    assert ev.t == pytest.approx(1.0, abs=1e-9)
-    assert abs(unit_wall_hybrid.guard.surface(ev.t, ev.q, ev.v)) <= 1e-9
-
-
-def test_locate_event_grazing_direction_zero_accepted(unit_wall_hybrid):
-    # closed inequality: an exactly-zero direction still counts
-    hs = dataclasses.replace(
-        unit_wall_hybrid,
-        guard=dataclasses.replace(unit_wall_hybrid.guard,
-                                  direction=lambda t, q, v: 0.0))
-    sa = hl.State(0.5, np.array([0.5, 0.0]), np.array([1.0, 0.0]))
-    sb = hl.State(1.5, np.array([1.5, 0.0]), np.array([1.0, 0.0]))
-    ev = hl.locate_event(hs, (sa, sb))
-    assert ev.t == pytest.approx(1.0, abs=1e-9)
-
-
-def test_locate_event_direction_rejected(unit_wall_hybrid):
-    hs = dataclasses.replace(
-        unit_wall_hybrid,
-        guard=dataclasses.replace(unit_wall_hybrid.guard,
-                                  direction=lambda t, q, v: -1.0))
-    sa = hl.State(0.5, np.array([0.5, 0.0]), np.array([1.0, 0.0]))
-    sb = hl.State(1.5, np.array([1.5, 0.0]), np.array([1.0, 0.0]))
-    with pytest.raises(hl.DirectionRejected):
-        hl.locate_event(hs, (sa, sb))
-
-
-def test_locate_event_bracket_invalid(unit_wall_hybrid):
-    sa = hl.State(0.0, np.zeros(2), np.array([0.1, 0.0]))
-    sb = hl.State(0.5, np.array([0.05, 0.0]), np.array([0.1, 0.0]))
-    with pytest.raises(hl.BracketInvalid):
-        hl.locate_event(unit_wall_hybrid, (sa, sb))
-
-
-def test_locate_event_left_state_on_rising_guard(unit_wall_hybrid):
-    # a left state exactly on the guard and moving out is its own crossing
-    sa = hl.State(1.0, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-    sb = hl.State(1.5, np.array([1.5, 0.0]), np.array([1.0, 0.0]))
-    assert unit_wall_hybrid.guard.surface(sa.t, sa.q, sa.v) == 0.0
-    ev = hl.locate_event(unit_wall_hybrid, (sa, sb))
-    assert ev.t == sa.t
-    assert np.array_equal(ev.q, sa.q) and np.array_equal(ev.v, sa.v)
-
-
-def test_locate_event_from_non_finite_state_raises():
-    # the Cartesian field ignores q, so a NaN position passes the RHS
-    # check; without the start check every step size would be NaN
-    hs = hl.cartesian_hybrid(static_billiard())
-    sa = hl.State(0.0, np.array([np.nan, 0.0]), np.array([1.0, 0.0]))
-    sb = hl.State(2.0, np.zeros(2), np.array([1.0, 0.0]))
-    with no_hang(10), pytest.raises(ValueError, match="finite"):
-        hl.locate_event(hs, (sa, sb))
 
 
 # ---------------------------------------------------------------------------

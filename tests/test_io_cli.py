@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -8,9 +10,13 @@ from conftest import no_hang
 
 import hybridlag as hl
 from hybridlag import cli
-from hybridlag.io import (config_from_dict, dumps_record, events_header, fmt,
-                          parse_config, trajectory_header,
-                          write_events_csv, write_trajectory_csv)
+from hybridlag.io import (CONFIG_KEYS, config_from_dict, dumps_record,
+                          events_header, fmt, parse_config,
+                          trajectory_header, write_events_csv,
+                          write_trajectory_csv)
+
+README = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "README.md")
 
 
 # ---------------------------------------------------------------------------
@@ -47,16 +53,40 @@ def test_parse_config_minimal_defaults():
     assert cfg.out == "."
 
 
+def test_every_run_option_is_a_config_key():
+    # a run option that no configuration can set is a knob nothing runs
+    options = {key for key, setting in CONFIG_KEYS.items()
+               if setting.dest == "options"}
+    assert {f.name for f in dataclasses.fields(hl.SimOptions)} == options
+
+
+def test_readme_config_table_lists_the_config_keys():
+    with open(README) as fh:
+        text = fh.read()
+    table = text[text.index("| key | type |"):]
+    table = table[:table.index("\n\n")]
+    keys = []
+    for row in table.splitlines()[2:]:
+        keys += re.findall(r"`([^`]+)`", row.split("|")[1])
+    assert len(keys) == len(set(keys))
+    assert set(keys) == set(CONFIG_KEYS)
+
+
 def test_parse_config_unknown_key():
-    with pytest.raises(hl.ParseError) as err:
-        parse_config('{"model": "billiard-cartesian", "mode": "full", '
-                     '"horizon": 1.0, "wavelength": 3}')
-    assert err.value.key == "wavelength"
+    base = {"model": "billiard-cartesian", "mode": "full", "horizon": 1.0}
+    # event_tol was a key up to schema 1; a schema-1 run.json echoing it
+    # no longer parses
+    for doc, key in (({**base, "wavelength": 3}, "wavelength"),
+                     ({"schema_version": 1,
+                       "config": {**base, "event_tol": 1e-10}}, "event_tol")):
+        with pytest.raises(hl.ParseError) as err:
+            parse_config(json.dumps(doc))
+        assert err.value.key == key
 
 
 @pytest.mark.parametrize("key", ["horizon", "initial_t", "rtol", "atol",
-                                 "max_step", "event_tol", "guard_tol",
-                                 "min_dwell", "m", "c"])
+                                 "max_step", "guard_tol", "min_dwell",
+                                 "m", "c"])
 @pytest.mark.parametrize("number", ["Infinity", "-Infinity", "NaN", "1e400",
                                     "1" + "0" * 400],
                          ids=["inf", "-inf", "nan", "1e400", "10**400"])
@@ -96,7 +126,7 @@ def test_parse_config_invalid_json():
 ECHO_EVERY_KEY = {
     "model": "billiard-polar", "scenario": "paper-c010", "mode": "full",
     "horizon": 3, "out": "runs/all", "rtol": 1e-9, "atol": 1,
-    "max_step": 2, "event_tol": 1e-12, "guard_tol": 1e-7,
+    "max_step": 2, "guard_tol": 1e-7,
     "min_dwell": 5e-10, "max_impacts": 50, "initial_t": 0,
     "initial_q": [0.5, 1], "initial_v": [1.25, -3], "m": 2, "c": 0,
     "direction_mode": "outward", "polar_reset_sign": "chart",
@@ -105,7 +135,6 @@ ECHO_EVERY_KEY_TEXT = """{
   "atol": 1,
   "c": 0,
   "direction_mode": "outward",
-  "event_tol": 9.9999999999999998e-13,
   "guard_tol": 9.9999999999999995e-08,
   "horizon": 3,
   "initial_q": [
@@ -134,7 +163,6 @@ ECHO_SCENARIO_ONLY = {"model": "billiard-cartesian", "scenario": "paper-c025",
                       "mode": "reduced", "horizon": 10}
 ECHO_SCENARIO_ONLY_TEXT = """{
   "atol": 1e-10,
-  "event_tol": 1e-10,
   "guard_tol": 1e-08,
   "horizon": 10,
   "max_impacts": 10000,
@@ -338,6 +366,7 @@ def test_cli_full_run_writes_files(tmp_path):
     for name in ("trajectory.csv", "events.csv", "run.json"):
         assert os.path.exists(os.path.join(out, name))
     record = json.loads(open(os.path.join(out, "run.json")).read())
+    assert record["schema_version"] == 2
     assert record["termination"] == "horizon_reached"
     assert record["n_events"] == 3
     assert record["config"]["model"] == "billiard-cartesian"

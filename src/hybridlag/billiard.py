@@ -41,11 +41,11 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .errors import (ChartSingularity, InvalidReset, InvalidStart,
-                     NegativeDiscriminant)
+from .errors import ChartSingularity, InvalidReset, NegativeDiscriminant
 from .hybrid import (TERM_HORIZON, TERM_MAX_IMPACTS, TERM_ZENO, Arc,
                      Event, Guard, HybridFlow, HybridSystem, ResetMap,
-                     SimOptions, _along, _is_times, _next_crossing)
+                     SimOptions, _along, _check_start, _is_times,
+                     _next_crossing)
 from .lagrangian import LagrangianSystem, State
 from .reduction import CyclicStructure
 
@@ -397,8 +397,10 @@ def reference_flow(p: BilliardParams, s0: State, t_end: float,
     guard phi(t) = |q(t)|^2 - f(t) along the flight, which is convex for
     these walls, found by the executor's crossing rule for arcs that start
     on the guard (`hybrid._next_crossing`) with the co-moving direction as
-    phi'. Resets, admissibility and the min_dwell / max_impacts
-    termination rules mirror the executor, making the result directly
+    phi'. The start rule (`hybrid._check_start`: InvalidStart unless s0 is
+    finite, t_end does not precede s0.t and s0 lies inside the wall or on
+    it and leaving), resets, admissibility and the min_dwell / max_impacts
+    termination rules are the executor's, making the result directly
     comparable to `simulate` while sharing none of its ODE stepping.
     """
     opts = opts or SimOptions()
@@ -406,10 +408,7 @@ def reference_flow(p: BilliardParams, s0: State, t_end: float,
     rate = guard_cartesian(replace(p, direction_mode="co-moving")).direction
     reset = reset_cartesian(p)
 
-    g0 = guard.surface(s0.t, s0.q, s0.v)
-    if g0 > opts.guard_tol * max(1.0, abs(guard.direction(s0.t, s0.q,
-                                                          s0.v))):
-        raise InvalidStart(f"reference start outside the wall (g={g0:.3e})")
+    _check_start(guard.surface, guard.direction, s0, t_end, opts)
     t, q, v = s0.t, s0.q.copy(), s0.v.copy()
     arcs: List[Arc] = []
     events: List[Event] = []
@@ -445,7 +444,7 @@ def reference_flow(p: BilliardParams, s0: State, t_end: float,
             break
         t = tau
 
-    return HybridFlow(arcs, events, termination, opts)
+    return HybridFlow(arcs, events, termination)
 
 
 # ---------------------------------------------------------------------------

@@ -241,11 +241,7 @@ def _compare(config: RunConfig, bundle):
     reduced = rec.reduced
 
     n_f, n_r = len(projected.events), len(reduced.events)
-    m = min(n_f, n_r)
-    event_delta = 0.0
-    if m:
-        event_delta = float(np.max(np.abs(projected.event_times()[:m]
-                                          - reduced.event_times()[:m])))
+    event_delta = projected.event_time_delta(reduced)
     sup_core = 0.0
     arc_sups = []
     for arc_p, arc_r in zip(projected.arcs, reduced.arcs):

@@ -180,12 +180,17 @@ class Event:
 @dataclass
 class HybridFlow:
     """Executed hybrid trajectory: ordered arcs and the impacts between
-    them, plus the reason the run stopped."""
+    them, plus the reason the run stopped.
+
+    Each arc runs from its first grid time to its last; arc k ends at the
+    time of event k, where arc k+1 starts. A run has one arc more than
+    events, except at the impact cap (``max_impacts``), where its last
+    arc ends at its last event.
+    """
 
     arcs: List[Arc]
     events: List[Event]
     termination: str
-    options: SimOptions
 
     @property
     def t_final(self):
@@ -193,6 +198,15 @@ class HybridFlow:
 
     def event_times(self):
         return np.array([e.tau for e in self.events])
+
+    def event_time_delta(self, other: "HybridFlow") -> float:
+        """Largest |difference| between the impact times of this flow and
+        `other`, over the impacts both have (0.0 when either has none)."""
+        m = min(len(self.events), len(other.events))
+        if not m:
+            return 0.0
+        return float(np.max(np.abs(self.event_times()[:m]
+                                   - other.event_times()[:m])))
 
 
 # ---------------------------------------------------------------------------
@@ -417,21 +431,21 @@ class _StepInterpolant:
 # ---------------------------------------------------------------------------
 
 def _execute(mode, t0, y0, t_end, opts: SimOptions):
-    """Drive the hybrid loop in packed coordinates.
+    """Drive the hybrid loop in packed coordinates and return its run.
 
     mode: (rhs, gfun, dfun, reset) with rhs: (t, y) -> y',
     gfun/dfun: a `Guard`'s surface and direction on the halves of y, and
     reset: (tau, y_pre) -> (y_post, next_mode), performing its own
-    validation; the arc after the impact runs in next_mode. Returns
-    (arcs, raw_events, termination) where raw events are
-    (tau, y_pre, y_post, residual).
+    validation; the arc after the impact runs in next_mode. Returns the
+    `HybridFlow`: its events' states split each packed y into its halves,
+    which are (q, v) for a velocity-side mode and (q, p) for the
+    momentum-side mode of `check_hybrid_equivalence`.
     """
     t = float(t0)
     y = np.asarray(y0, float).copy()
     n = y.size // 2
     arcs: List[Arc] = []
-    raw_events = []
-    termination = None
+    events: List[Event] = []
     max_step = opts.max_step
 
     while True:
@@ -491,31 +505,23 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
                 arc_times.append(solver.t)
                 arc_states.append(solver.y.copy())
 
+        if hit is not None:
+            tau, ypre = hit
+            arc_times.append(tau)
+            arc_states.append(ypre.copy())
+        arcs.append(_close_arc(arc_times, arc_states, segments))
+        # the arc's span since the last impact, or since the start
+        dwell = arc_times[-1] - (events[-1].tau if events else t0)
+        piled_up = bool(events) and dwell < opts.min_dwell
+
         if failed:
-            arcs.append(_close_arc(arc_times, arc_states, segments,
-                                   arc_times[-1]))
             # a step collapse right after an impact is the impacts piling up
-            zeno = (raw_events
-                    and arc_times[-1] - raw_events[-1][0] < opts.min_dwell)
-            termination = TERM_ZENO if zeno else TERM_FAILURE
-            break
-
+            return HybridFlow(arcs, events,
+                              TERM_ZENO if piled_up else TERM_FAILURE)
         if hit is None:
-            if arc_times[-1] != solver.t:
-                arc_times.append(solver.t)
-                arc_states.append(solver.y.copy())
-            arcs.append(_close_arc(arc_times, arc_states, segments, t_end))
-            termination = TERM_HORIZON
-            break
-
-        tau, ypre = hit
-        arc_times.append(tau)
-        arc_states.append(ypre.copy())
-        arcs.append(_close_arc(arc_times, arc_states, segments, tau))
-
-        if raw_events and tau - raw_events[-1][0] < opts.min_dwell:
-            termination = TERM_ZENO
-            break
+            return HybridFlow(arcs, events, TERM_HORIZON)
+        if piled_up:
+            return HybridFlow(arcs, events, TERM_ZENO)
 
         residual = abs(gfun(tau, ypre[:n], ypre[n:]))
         slope = max(1.0, abs(dfun(tau, ypre[:n], ypre[n:])))
@@ -524,16 +530,14 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
                 f"guard residual {residual:.3e} at located impact exceeds "
                 f"tolerance; event refinement failed")
         ypost, mode = reset(tau, ypre)
-        raw_events.append((tau, ypre.copy(), ypost.copy(), residual))
-        last = raw_events[-2][0] if len(raw_events) > 1 else t0
-        max_step = min(opts.max_step, tau - last)
+        pre, post = ypre.copy(), ypost.copy()
+        events.append(Event(tau, State(tau, pre[:n], pre[n:]),
+                            State(tau, post[:n], post[n:]), residual))
+        max_step = min(opts.max_step, dwell)
 
-        if len(raw_events) >= opts.max_impacts:
-            termination = TERM_MAX_IMPACTS
-            break
+        if len(events) >= opts.max_impacts:
+            return HybridFlow(arcs, events, TERM_MAX_IMPACTS)
         t, y = tau, ypost
-
-    return arcs, raw_events, termination
 
 
 def _along(fun, dense, n):
@@ -660,15 +664,17 @@ def _next_crossing(phi, dphi, t0, t_end):
     return brentq(phi, lo, t_end, xtol=1e-14, rtol=1e-15)
 
 
-def _close_arc(times, states, segments, t_end):
+def _close_arc(times, states, segments):
+    """The arc over the grid `times`, from its first time to its last."""
     times = np.asarray(times)
     states = np.asarray(states)
+    t_start, t_end = times[0], times[-1]
     if segments:
         # an event truncates the last segment; clamp queries to the arc
-        interp = _ArcInterpolant(segments, times[0], t_end)
+        interp = _ArcInterpolant(segments, t_start, t_end)
     else:
-        interp = _ConstantInterpolant(states[0], times[0])
-    return Arc(times[0], t_end, times, states, interp)
+        interp = _ConstantInterpolant(states[0], t_start)
+    return Arc(t_start, t_end, times, states, interp)
 
 
 class _ConstantInterpolant:
@@ -747,9 +753,7 @@ def simulate(hs: HybridSystem, s0: State, t_end: float,
         return np.concatenate([q, v]), mode
 
     mode = (hs.system.rhs, gfun, dfun, reset)
-    arcs, raw, termination = _execute(mode, s0.t, hs.system.pack(s0), t_end,
-                                      opts)
-    return HybridFlow(arcs, _events(raw, n), termination, opts)
+    return _execute(mode, s0.t, hs.system.pack(s0), t_end, opts)
 
 
 def _check_finite(s: State):
@@ -774,13 +778,6 @@ def _check_start(gfun, dfun, s: State, t_end: float, opts: SimOptions):
         raise InvalidStart(
             f"initial state has g={g0:.3e}, d={d0:.3e}; start strictly "
             f"inside the admissible region or leaving the guard")
-
-
-def _events(raw, n):
-    """Event records of raw executor events on n-dimensional states."""
-    return [Event(tau, State(tau, ypre[:n], ypre[n:]),
-                  State(tau, ypost[:n], ypost[n:]), res)
-            for tau, ypre, ypost, res in raw]
 
 
 def _validate_reset(t, q, v, gfun, dfun):
@@ -843,11 +840,12 @@ def check_hybrid_equivalence(hs: HybridSystem, s0: State, t_end: float,
 
     flow_l = simulate(hs, s0, t_end, opts)
     cs0 = sys.legendre(s0)
-    arcs_h, raw_h, _ = _execute(_momentum_mode(hs, s0.v), cs0.t,
-                                np.concatenate([cs0.q, cs0.p]), t_end, opts)
+    # its states hold (q, p); only its arcs and impact times are read
+    flow_h = _execute(_momentum_mode(hs, s0.v), cs0.t,
+                      np.concatenate([cs0.q, cs0.p]), t_end, opts)
 
     worst = 0.0
-    for arc_l, arc_h in zip(flow_l.arcs, arcs_h):
+    for arc_l, arc_h in zip(flow_l.arcs, flow_h.arcs):
         lo = max(arc_l.t_start, arc_h.t_start)
         hi = min(arc_l.t_end, arc_h.t_end)
         if hi < lo:
@@ -862,14 +860,8 @@ def check_hybrid_equivalence(hs: HybridSystem, s0: State, t_end: float,
         worst = max(worst, float(np.max(np.abs(yl[:n] - yh[:n]))),
                     float(np.max(np.abs(p - yh[n:]))))
 
-    n_l = len(flow_l.events)
-    n_h = len(raw_h)
-    if n_l and n_h:
-        m = min(n_l, n_h)
-        ev_delta = float(np.max(np.abs(flow_l.event_times()[:m]
-                                       - np.array([e[0] for e in raw_h[:m]]))))
-    else:
-        ev_delta = 0.0
+    n_l, n_h = len(flow_l.events), len(flow_h.events)
+    ev_delta = flow_l.event_time_delta(flow_h)
     passed = (worst <= EQUIVALENCE_TOL and n_l == n_h
               and ev_delta <= EVENT_TIME_TOL)
     return HybridEquivalenceReport(passed, worst, ev_delta, n_l, n_h)
@@ -941,10 +933,9 @@ def check_flow_equivalence(sys: LagrangianSystem, s0: State,
     triggers, with default step control on both sides. The report holds
     the maximum over the union of both step grids of the componentwise
     difference between the mapped velocity-side state and the
-    momentum-side state.
+    momentum-side state. A start `simulate` rejects (non-finite, or t_end
+    before s0.t) raises InvalidStart.
     """
-    if t_end < s0.t:
-        raise ValueError("t_end must be >= s0.t")
     rep = check_hybrid_equivalence(_inert_hybrid(sys), s0, t_end,
                                    grid_per_arc=0)
     return FlowEquivalenceReport(rep.passed, rep.max_state_discrepancy,

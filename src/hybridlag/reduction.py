@@ -53,8 +53,8 @@ import numpy as np
 
 from .errors import InvalidStart, NoConvergence, NotInvariant
 from .hybrid import (Arc, Event, Guard, HybridFlow, HybridSystem, ResetMap,
-                     SimOptions, _check_finite, _check_start, _events,
-                     _execute, _is_times, _validate_reset)
+                     SimOptions, _check_finite, _check_start, _execute,
+                     _is_times, _validate_reset)
 # perfbench/tracing.py wraps reduction.simulate, so the name stays here
 from .hybrid import simulate  # noqa: F401
 from .lagrangian import FD_STEP, LagrangianSystem, State
@@ -263,17 +263,15 @@ def momentum_map(cs: CyclicStructure, s: State) -> float:
     return cs.momentum_value(s.t, s.q, s.v)
 
 
-def routhian(cs: CyclicStructure, mu: float,
-             closed_form: bool = True) -> LagrangianSystem:
+def routhian(cs: CyclicStructure, mu: float) -> LagrangianSystem:
     """Reduced Lagrangian system at momentum mu.
 
-    Uses the registered closed-form factory when available (and
-    closed_form is not disabled); otherwise composes the full Lagrangian
-    with the cyclic-velocity solve. The composed first derivatives are
-    the full ones restricted to the embedding, which is exact on the
-    momentum level set.
+    Uses the registered closed-form factory when available; otherwise
+    composes the full Lagrangian with the cyclic-velocity solve. The
+    composed first derivatives are the full ones restricted to the
+    embedding, which is exact on the momentum level set.
     """
-    if closed_form and cs.routhian_factory is not None:
+    if cs.routhian_factory is not None:
         return cs.routhian_factory(mu)
     sys = cs.full.system
     ci = cs.cyclic_index
@@ -359,7 +357,7 @@ def project(cs: CyclicStructure, flow: HybridFlow) -> HybridFlow:
                         _projected(arc.interpolant, cols)))
     events = [Event(e.tau, cs.project_state(e.pre), cs.project_state(e.post),
                     e.guard_residual) for e in flow.events]
-    return HybridFlow(arcs, events, flow.termination, flow.options)
+    return HybridFlow(arcs, events, flow.termination)
 
 
 def _projected(parent, cols):
@@ -464,9 +462,8 @@ def simulate_resequenced(cs: CyclicStructure, s0: State, t_end: float,
     mode = mode_at(mus[0], validate=True)
     start = cs.project_state(s0)
     _check_start(mode[1], mode[2], start, t_end, opts)
-    arcs, raw, termination = _execute(
-        mode, s0.t, np.concatenate([start.q, start.v]), t_end, opts)
-    reduced = HybridFlow(arcs, _events(raw, m), termination, opts)
-    mus = mus[:len(arcs)]
-    theta, theta_dot, resid = _reconstruct_arcs(cs, arcs, mus, jumps)
+    reduced = _execute(mode, s0.t, np.concatenate([start.q, start.v]), t_end,
+                       opts)
+    mus = mus[:len(reduced.arcs)]
+    theta, theta_dot, resid = _reconstruct_arcs(cs, reduced.arcs, mus, jumps)
     return ReconstructedFlow(reduced, theta, theta_dot, mus, resid)

@@ -122,11 +122,7 @@ def check_arc_oracle_agreement(scenario, flow):
 
 def check_chart_impact_agreement(flow_c, flow_p):
     same = len(flow_c.events) == len(flow_p.events)
-    delta = 0.0
-    if flow_c.events and flow_p.events:
-        m = min(len(flow_c.events), len(flow_p.events))
-        delta = float(np.max(np.abs(flow_c.event_times()[:m]
-                                    - flow_p.event_times()[:m])))
+    delta = flow_c.event_time_delta(flow_p)
     return {"check": "chart_impact_agreement",
             "passed": same and delta <= 1e-8, "measured": delta,
             "bound": 1e-8,

@@ -55,28 +55,86 @@ def test_periodic_bounces_static_wall(unit_wall_hybrid):
                        atol=1e-8)
 
 
-def test_flow_invariants(unit_wall_hybrid):
-    flow = hl.simulate(unit_wall_hybrid, center_start(), 10.0)
-    reset = unit_wall_hybrid.reset
-    guard = unit_wall_hybrid.guard
-    for i, arc in enumerate(flow.arcs[:-1]):
-        assert arc.t_end == flow.arcs[i + 1].t_start
-        assert arc.t_start <= arc.t_end
+def _paper_c025(chart):
+    """The paper-c025 hybrid system and start in `chart`."""
+    sc = hl.get_scenario("paper-c025")
+    return (getattr(hl, f"{chart}_hybrid")(sc.params),
+            getattr(sc, f"initial_{chart}"))
+
+
+def _simulated(hs, s0, t_end, **opts):
+    return hl.simulate(hs, s0, t_end, hl.SimOptions(**opts)), hs
+
+
+def _resequenced_c025(t_end):
+    sc = hl.get_scenario("paper-c025")
+    rec = hl.simulate_resequenced(hl.polar_cyclic(sc.params),
+                                  sc.initial_polar, t_end)
+    # its reset switches to the system rebuilt at each post-impact momentum
+    return rec.reduced, None
+
+
+def _reference_c025(t_end):
+    sc = hl.get_scenario("paper-c025")
+    return (hl.reference_flow(sc.params, sc.initial_cartesian, t_end),
+            hl.cartesian_hybrid(sc.params))
+
+
+# every producer of a HybridFlow: id -> (run(unit_wall_hybrid) giving the
+# flow and the hybrid system whose guard and reset its impacts obey, or
+# None; horizon; termination)
+FLOW_RUNS = {
+    "unit-wall": (lambda hs: _simulated(hs, center_start(), 10.0), 10.0,
+                  "horizon_reached"),
+    "polar-c025": (lambda hs: _simulated(*_paper_c025("polar"), 10.0), 10.0,
+                   "zeno_suspected"),
+    "cartesian-c025": (lambda hs: _simulated(*_paper_c025("cartesian"), 3.0),
+                       3.0, "horizon_reached"),
+    "max-impacts": (lambda hs: _simulated(hs, center_start(), 10.0,
+                                          max_impacts=5), 10.0,
+                    "max_impacts"),
+    "resequenced-c025": (lambda hs: _resequenced_c025(10.0), 10.0,
+                         "zeno_suspected"),
+    "reference-c025": (lambda hs: _reference_c025(10.0), 10.0,
+                       "zeno_suspected"),
+    "empty-horizon": (lambda hs: _simulated(hs, center_start(), 0.0), 0.0,
+                      "horizon_reached"),
+}
+
+
+@pytest.mark.parametrize("run", list(FLOW_RUNS))
+def test_flow_invariants(unit_wall_hybrid, run):
+    make, t_end, termination = FLOW_RUNS[run]
+    flow, hs = make(unit_wall_hybrid)
+    assert flow.termination == termination
+    for arc in flow.arcs:
+        # an arc spans its grid, which never runs backwards
+        assert arc.t_start == arc.times[0] and arc.t_end == arc.times[-1]
+        assert np.all(np.diff(arc.times) >= 0.0)
+    # no arc follows the impact that reaches the cap
+    assert len(flow.arcs) == len(flow.events) + (termination != "max_impacts")
+    if termination == "horizon_reached":
+        assert flow.arcs[-1].t_end == t_end
     for i, ev in enumerate(flow.events):
+        # arc i ends and arc i + 1 starts at the impact, from its post state
+        assert flow.arcs[i].t_end == ev.tau
+        if i + 1 < len(flow.arcs):
+            nxt = flow.arcs[i + 1]
+            assert nxt.t_start == ev.tau
+            n = len(ev.post.q)
+            assert np.array_equal(nxt.states[0][:n], ev.post.q)
+            assert np.array_equal(nxt.states[0][n:], ev.post.v)
+        if hs is None:
+            continue
         # impact lies on the guard and is admissible
-        pre = ev.pre
+        pre, guard = ev.pre, hs.guard
         assert abs(guard.surface(pre.t, pre.q, pre.v)) <= 1e-8 * max(
             1.0, abs(guard.direction(pre.t, pre.q, pre.v)))
         assert guard.direction(pre.t, pre.q, pre.v) >= 0.0
         # stored post state is exactly the reset image
-        q_post, v_post = reset.apply(ev.tau, pre.q, pre.v)
+        q_post, v_post = hs.reset.apply(ev.tau, pre.q, pre.v)
         assert np.array_equal(q_post, ev.post.q)
         assert np.array_equal(v_post, ev.post.v)
-        # next arc starts at the post state
-        nxt = flow.arcs[i + 1]
-        assert nxt.times[0] == ev.tau
-        assert np.array_equal(nxt.states[0][:2], ev.post.q)
-        assert np.array_equal(nxt.states[0][2:], ev.post.v)
 
 
 def test_guard_sign_bounded_along_arcs(unit_wall_hybrid):
@@ -90,7 +148,7 @@ def test_guard_sign_bounded_along_arcs(unit_wall_hybrid):
 def test_event_times_strictly_increase(unit_wall_hybrid):
     flow = hl.simulate(unit_wall_hybrid, center_start(), 10.0)
     taus = flow.event_times()
-    assert np.all(np.diff(taus) >= flow.options.min_dwell)
+    assert np.all(np.diff(taus) >= hl.SimOptions().min_dwell)
 
 
 def test_determinism_identical_records(unit_wall_hybrid):
@@ -141,6 +199,34 @@ def test_non_finite_start_is_invalid_start(chart, part, bad):
         hl.simulate(hs, dataclasses.replace(s0, **{part: vec}), 1.0)
 
 
+def _oracle_and_executor(q, v, t_end):
+    """reference_flow and simulate on the paper-c025 Cartesian billiard
+    (wall |q|^2 = 1 at t = 0) from (0, q, v) to t_end."""
+    p = hl.get_scenario("paper-c025").params
+    s0 = hl.State(0.0, np.array(q), np.array(v))
+    return [lambda: hl.reference_flow(p, s0, t_end),
+            lambda: hl.simulate(hl.cartesian_hybrid(p), s0, t_end)]
+
+
+def _flow_check_backwards():
+    bundle = hl.build_model("harmonic-1d")
+    s0 = bundle.default_initial
+    return [lambda: hl.check_flow_equivalence(bundle.system, s0, s0.t - 1.0)]
+
+
+@pytest.mark.parametrize("entry_points", [
+    lambda: _oracle_and_executor((0.5, 0.1), (1.0, 0.0), -1.0),
+    lambda: _oracle_and_executor((np.nan, 0.1), (1.0, 0.0), 10.0),
+    lambda: _oracle_and_executor((1.0, 0.0), (1.0, 0.0), 10.0),
+    _flow_check_backwards,
+], ids=["oracle-backwards", "oracle-non-finite", "oracle-on-wall-heading-out",
+        "flow-check-backwards"])
+def test_bad_start_is_invalid_start_from_every_entry_point(entry_points):
+    for run in entry_points():
+        with pytest.raises(hl.InvalidStart):
+            run()
+
+
 def test_start_on_guard_leaving_is_accepted(unit_wall_hybrid):
     flow = hl.simulate(unit_wall_hybrid,
                        hl.State(0.0, np.array([1.0, 0.0]),
@@ -186,7 +272,7 @@ def test_zeno_termination_on_collapsing_wall():
     assert flow.termination == "zeno_suspected"
     assert flow.events[-1].tau == pytest.approx(6.9314718, abs=1e-4)
     dwells = np.diff(flow.event_times())
-    assert dwells[-1] >= flow.options.min_dwell
+    assert dwells[-1] >= hl.SimOptions().min_dwell
     assert dwells[-1] <= 1e-8  # the accumulation was actually resolved
 
 

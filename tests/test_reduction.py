@@ -154,13 +154,14 @@ def test_routhian_closed_form_value(cyc025):
 
 
 def test_routhian_generic_matches_closed_form(cyc025, rng):
+    composed = dataclasses.replace(cyc025, routhian_factory=None)
     for _ in range(100):
         mu = float(rng.uniform(-2.0, 2.0))
         t = float(rng.uniform(0.0, 4.0))
         r = float(rng.uniform(0.3, 1.5))
         rd = float(rng.uniform(-3.0, 3.0))
         closed = hl.routhian(cyc025, mu)
-        generic = hl.routhian(cyc025, mu, closed_form=False)
+        generic = hl.routhian(composed, mu)
         x, xd = np.array([r]), np.array([rd])
         assert generic.lagrangian(t, x, xd) == pytest.approx(
             closed.lagrangian(t, x, xd), abs=1e-9)
@@ -171,7 +172,7 @@ def test_routhian_generic_matches_closed_form(cyc025, rng):
 
 
 def test_routhian_zero_momentum_restricts_lagrangian(cyc025):
-    red = hl.routhian(cyc025, 0.0, closed_form=False)
+    red = hl.routhian(dataclasses.replace(cyc025, routhian_factory=None), 0.0)
     sys = cyc025.full.system
     t, x, xd = 0.7, np.array([0.9]), np.array([1.2])
     full_val = sys.lagrangian(t, np.array([0.9, 0.0]), np.array([1.2, 0.0]))
@@ -328,7 +329,7 @@ def test_reconstruct_constant_radius_closed_form(cyc025):
     arc = hl.Arc(0.0, 2.0, times, states,
                  lambda t: np.array([np.full(np.shape(t), r0),
                                      np.zeros(np.shape(t))]))
-    flow = hl.HybridFlow([arc], [], "horizon_reached", hl.SimOptions())
+    flow = hl.HybridFlow([arc], [], "horizon_reached")
     rec = hl.reconstruct(cyc, flow, mu, theta0)
     expected = theta0 + mu * 2.0 / (r0 * r0)
     assert rec.theta[0][-1] == pytest.approx(expected, abs=1e-12)

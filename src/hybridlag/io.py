@@ -125,8 +125,10 @@ def _render(obj, out, level):
             _render(v, out, level + 1)
             out.append(",\n" if i < len(seq) - 1 else "\n")
         out.append(pad + "]")
-    elif isinstance(obj, bool) or obj is None:
-        out.append(json.dumps(obj))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):

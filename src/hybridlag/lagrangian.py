@@ -14,8 +14,10 @@ Accelerations are taken from `acceleration` when the model supplies a
 closed form; otherwise the velocity Hessian W = d2L/dv2 and the mixed
 second derivatives are assembled by central finite differences of dL/dv
 and the linear system W * a = dL/dq - (d2L/dvdq) v - d2L/dvdt is solved
-with a pivoted LU factorization from scipy.linalg, which is imported on
-first use. The same LU serves the Newton inverse of the fiber derivative.
+with numpy.linalg.solve after a check of W's condition number. The same
+solve serves the Newton inverse of the fiber derivative. One kernel,
+`_central_differences`, holds the difference rule for every derivative
+taken here and in the reduction layer. The module needs only numpy.
 """
 
 from __future__ import annotations
@@ -30,7 +32,24 @@ from .errors import NoConvergence, SingularHessian
 FD_STEP = 1e-6
 NEWTON_TOL = 1e-12
 NEWTON_MAXITER = 50
-CONDITION_BOUND = 1e8  # on the velocity-Hessian condition estimate
+CONDITION_BOUND = 1e8  # on the velocity-Hessian condition number
+
+
+def _central_differences(f, x) -> np.ndarray:
+    """Central-difference derivatives of f at the point x (a sequence of
+    n floats), at the step h = max(1, |x|inf) * FD_STEP.
+
+    Entry [..., j] is (f(x + h e_j) - f(x - h e_j)) / 2h: an (m, n)
+    Jacobian for an f with (m,) values, an (n,) gradient for a scalar f.
+    """
+    x = np.asarray(x, float)
+    h = FD_STEP * max(1.0, float(np.max(np.abs(x))))
+    cols = []
+    for j in range(x.size):
+        xp = x.copy(); xp[j] += h
+        xm = x.copy(); xm[j] -= h
+        cols.append((f(xp) - f(xm)) / (2*h))
+    return np.stack(cols, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -79,8 +98,10 @@ class LagrangianSystem:
             accelerations are solved numerically from the Euler-Lagrange
             equations.
 
-    States where a cheap estimate of the velocity-Hessian condition
-    number exceeds CONDITION_BOUND are rejected with SingularHessian.
+    Where the velocity Hessian is solved (accelerations without a
+    closed form, and the inverse fiber derivative), states where it is
+    not finite or its condition number exceeds CONDITION_BOUND are
+    rejected with SingularHessian.
 
     Instances are immutable and safe to share between concurrent runs.
     """
@@ -100,48 +121,19 @@ class LagrangianSystem:
 
     def velocity_hessian(self, t, q, v) -> np.ndarray:
         """W[i, j] = d(dL/dv_i)/dv_j by central differences."""
-        h = FD_STEP * max(1.0, float(np.max(np.abs(v))))
-        W = np.empty((self.dim, self.dim))
-        for j in range(self.dim):
-            vp = v.copy(); vp[j] += h
-            vm = v.copy(); vm[j] -= h
-            W[:, j] = (self.dL_dv(t, q, vp) - self.dL_dv(t, q, vm)) / (2*h)
-        return W
-
-    def _mixed_qv(self, t, q, v) -> np.ndarray:
-        """M[i, j] = d(dL/dv_i)/dq_j by central differences."""
-        h = FD_STEP * max(1.0, float(np.max(np.abs(q))))
-        M = np.empty((self.dim, self.dim))
-        for j in range(self.dim):
-            qp = q.copy(); qp[j] += h
-            qm = q.copy(); qm[j] -= h
-            M[:, j] = (self.dL_dv(t, qp, v) - self.dL_dv(t, qm, v)) / (2*h)
-        return M
-
-    def _mixed_tv(self, t, q, v) -> np.ndarray:
-        """d(dL/dv)/dt by central differences."""
-        h = FD_STEP * max(1.0, abs(t))
-        return (self.dL_dv(t + h, q, v) - self.dL_dv(t - h, q, v)) / (2*h)
+        return _central_differences(lambda x: self.dL_dv(t, q, x), v)
 
     def _solve_hessian(self, t, q, v, rhs):
-        """W^-1 rhs for the velocity Hessian W at (t, q, v), by a pivoted
-        LU. scipy.linalg is imported here, on first use, so that runs of
-        closed-form models do not load scipy. Raises SingularHessian when
-        hyperregularity is lost."""
-        from scipy.linalg import lu_factor, lu_solve
-
+        """W^-1 rhs for the velocity Hessian W at (t, q, v). Raises
+        SingularHessian when W is not finite or its condition number
+        exceeds CONDITION_BOUND (hyperregularity is lost)."""
         W = self.velocity_hessian(t, q, v)
-        try:
-            lu, piv = lu_factor(W)
-        except Exception as exc:
-            raise SingularHessian(f"velocity Hessian not factorizable at "
-                                  f"t={t:.6g}") from exc
-        diag = np.abs(np.diag(lu))
-        if diag.min() == 0.0 or diag.max() / diag.min() > CONDITION_BOUND:
+        if not (np.all(np.isfinite(W))
+                and np.linalg.cond(W) <= CONDITION_BOUND):
             raise SingularHessian(
-                f"velocity Hessian condition estimate exceeds "
-                f"{CONDITION_BOUND:.1e} at t={t:.6g}")
-        return lu_solve((lu, piv), rhs)
+                f"velocity Hessian not finite or its condition number "
+                f"exceeds {CONDITION_BOUND:.1e} at t={t:.6g}")
+        return np.linalg.solve(W, rhs)
 
     def _accelerations(self, t, q, v) -> np.ndarray:
         """Accelerations solving the Euler-Lagrange equations at (t, q, v).
@@ -151,8 +143,10 @@ class LagrangianSystem:
         if self.acceleration is not None:
             return np.array(self.acceleration(t, q.tolist(), v.tolist()),
                             float)
-        rhs = (self.dL_dq(t, q, v) - self._mixed_qv(t, q, v) @ v
-               - self._mixed_tv(t, q, v))
+        rhs = (self.dL_dq(t, q, v)
+               - _central_differences(lambda x: self.dL_dv(t, x, v), q) @ v
+               - _central_differences(lambda x: self.dL_dv(x[0], q, v),
+                                      [t])[:, 0])
         return self._solve_hessian(t, q, v, rhs)
 
     # -- operations -----------------------------------------------------
@@ -216,20 +210,12 @@ class LagrangianSystem:
         """
         worst = 0.0
         for s in states:
-            scale = max(1.0, abs(self.lagrangian(s.t, s.q, s.v)))
-            hq = FD_STEP * max(1.0, float(np.max(np.abs(s.q))))
-            hv = FD_STEP * max(1.0, float(np.max(np.abs(s.v))))
-            for j in range(self.dim):
-                qp = s.q.copy(); qp[j] += hq
-                qm = s.q.copy(); qm[j] -= hq
-                fd = (self.lagrangian(s.t, qp, s.v)
-                      - self.lagrangian(s.t, qm, s.v)) / (2*hq)
-                worst = max(worst, abs(fd - self.dL_dq(s.t, s.q, s.v)[j]) / scale)
-                vp = s.v.copy(); vp[j] += hv
-                vm = s.v.copy(); vm[j] -= hv
-                fd = (self.lagrangian(s.t, s.q, vp)
-                      - self.lagrangian(s.t, s.q, vm)) / (2*hv)
-                worst = max(worst, abs(fd - self.dL_dv(s.t, s.q, s.v)[j]) / scale)
+            t, q, v = s.t, s.q, s.v
+            scale = max(1.0, abs(self.lagrangian(t, q, v)))
+            fd_q = _central_differences(lambda x: self.lagrangian(t, x, v), q)
+            fd_v = _central_differences(lambda x: self.lagrangian(t, q, x), v)
+            worst = max(worst, *(np.abs(fd_q - self.dL_dq(t, q, v)) / scale),
+                        *(np.abs(fd_v - self.dL_dv(t, q, v)) / scale))
         return worst
 
     # -- packing helpers used by the integrators --------------------------

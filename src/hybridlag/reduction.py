@@ -57,7 +57,7 @@ from .hybrid import (Arc, Event, Guard, HybridFlow, HybridSystem, ResetMap,
                      _is_times, _validate_reset)
 # perfbench/tracing.py wraps reduction.simulate, so the name stays here
 from .hybrid import simulate  # noqa: F401
-from .lagrangian import FD_STEP, LagrangianSystem, State
+from .lagrangian import LagrangianSystem, State, _central_differences
 
 CYCLIC_SOLVE_TOL = 1e-12
 CYCLIC_SOLVE_MAXITER = 50
@@ -170,11 +170,9 @@ class CyclicStructure:
             r = float(sys.dL_dv(t, q, v)[ci]) - mu
             if abs(r) <= tol:
                 return theta_dot
-            h = FD_STEP * max(1.0, abs(theta_dot))
-            vp = self.insert(xdot, theta_dot + h)
-            vm = self.insert(xdot, theta_dot - h)
-            slope = (float(sys.dL_dv(t, q, vp)[ci])
-                     - float(sys.dL_dv(t, q, vm)[ci])) / (2.0 * h)
+            slope = float(_central_differences(
+                lambda x: sys.dL_dv(t, q, self.insert(xdot, x[0]))[ci],
+                [theta_dot])[0])
             if slope == 0.0:
                 break
             theta_dot -= r / slope

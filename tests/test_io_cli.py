@@ -521,6 +521,10 @@ def test_cli_verify_mode(tmp_path, capsys):
     assert code == 0
     report = json.loads(open(os.path.join(out, "verify.json")).read())
     assert report["passed"] is True
+    # JSON booleans, not the strings "True"/"False", in both records
+    record = json.loads(open(os.path.join(out, "run.json")).read())
+    for checks in (report["checks"], record["checks"]):
+        assert all(c["passed"] is True for c in checks), checks
     names = {c["check"] for c in report["checks"]}
     assert {"derivative_consistency", "legendre_roundtrip",
             "flow_equivalence", "hybrid_correspondence",

@@ -106,6 +106,42 @@ def test_singular_hessian_detected():
         sys.evolution_field(mk_state(0.0, [0.0, 0.0], [1.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_hessian_is_singular(bad):
+    # dL/dv_2 jumps to a non-finite value for v2 > 0, so the difference
+    # column of the velocity Hessian is not finite: a typed SingularHessian,
+    # not numpy's LinAlgError, from both solves of the Hessian
+    sys = hl.LagrangianSystem(
+        dim=2,
+        lagrangian=lambda t, q, v: 0.5 * v[0]**2,
+        dL_dq=lambda t, q, v: np.zeros(2),
+        dL_dv=lambda t, q, v: np.array([v[0], bad if v[1] > 0 else 0.0]))
+    with pytest.raises(hl.SingularHessian):
+        sys.evolution_field(mk_state(0.0, [0.0, 0.0], [1.0, 0.0]))
+    with pytest.raises(hl.SingularHessian):
+        sys.inverse_legendre(hl.CoState(0.0, [0.0, 0.0], [1.0, 0.0]))
+
+
+def test_hessian_solve_matches_scipy_lu_bit_for_bit():
+    # the velocity-Hessian solve is numpy's gesv, scipy's reference is
+    # getrf then getrs: the same partially pivoted LU, so a change of
+    # either fails here instead of drifting the finite-difference runs
+    from scipy.linalg import lu_factor, lu_solve
+
+    rng = np.random.default_rng(20201)
+    for _ in range(2000):
+        n = int(rng.integers(1, 5))
+        A = rng.standard_normal((n, n))
+        M = A + A.T  # symmetric, indefinite: the LU still pivots
+        sys = hl.LagrangianSystem(
+            dim=n, lagrangian=lambda t, q, v: 0.5 * v @ M @ v,
+            dL_dq=lambda t, q, v: np.zeros(n), dL_dv=lambda t, q, v: M @ v)
+        q, v, b = rng.standard_normal((3, n))
+        ours = sys._solve_hessian(0.0, q, v, b)
+        ref = lu_solve(lu_factor(sys.velocity_hessian(0.0, q, v)), b)
+        assert ours.tobytes() == ref.tobytes(), (M, v, b)
+
+
 # ---------------------------------------------------------------------------
 # energy
 # ---------------------------------------------------------------------------

@@ -10,7 +10,12 @@ Wanner, Solving ODEs I, II.5-II.6). The step loop is the module's own:
 it reads its tableau from `_dop853`, a copy of scipy's table, and
 repeats the arithmetic of scipy's `DOP853` operation for operation, so
 it reproduces scipy's steps and dense output bit for bit, but it calls
-the right-hand side directly, without the solver's wrapper layers.
+the right-hand side directly, without the solver's wrapper layers, on a
+list of Python floats. Its elementwise arithmetic runs on Python floats,
+whose IEEE +, -, * and / give numpy's bits without numpy's per-call
+overhead on 2- and 4-element arrays; its tableau sums stay the numpy
+products scipy takes, since a BLAS sum need not add in a Python loop's
+order (see `RK45`).
 After every accepted step the step's dense output is evaluated once, as
 one array call at the endpoints plus SCAN_POINTS interior times, and the
 guard surface once on the resulting columns; a sign change from
@@ -251,12 +256,29 @@ class RK45:
     initial-step choice, Runge-Kutta step, step-size control, 5/3 error
     norm and 7th-order dense output, operation for operation on the same
     tableau, so steps, states and interpolants agree with scipy's bit
-    for bit. `fun` is called directly, and `nfev` counts its calls: two
-    at construction (one on an empty interval), n_stages per attempt in
-    `step`, three in `dense_output`. As in scipy, rtol is raised to
-    100 eps, a non-finite y0 or a max_step <= 0 raises ValueError, a
-    step on a solver at t_bound is a degenerate one, and a step size
-    below 10 ulp(t) ends the arc with status "failed".
+    for bit. `fun` is called directly, on a list of 2n Python floats
+    that it must not modify, and may return any sequence of 2n floats;
+    `nfev` counts its calls: two at construction (one on an empty
+    interval), n_stages per attempt in `step`, three in `dense_output`.
+    `y` is kept as a list of floats, `f` as `fun` returned it. As in
+    scipy, rtol is raised to 100 eps, a non-finite y0 or a
+    max_step <= 0 raises ValueError, a step on a solver at t_bound is a
+    degenerate one, and a step size below 10 ulp(t) ends the arc with
+    status "failed".
+
+    Each tableau sum (a stage's K[:s]^T a, the solution's K^T B, the
+    error estimates K^T E5 and K^T E3 with their norms, the dense
+    output's D K) is the numpy product scipy takes, on views of the
+    stage matrix built once per solver: a BLAS sum need not add in a
+    Python loop's order (a sequential Python sum differed from `dot` in
+    45,411 of the 132,000 stage sums of 3,000 standard-normal 4-column
+    stage matrices), so only numpy reproduces scipy's bits there. The
+    vector arithmetic between the sums (stage arguments, solution
+    update, error scale, the first three dense-output rows) runs on
+    Python floats, where IEEE +, -, * and / give numpy's bits without
+    its per-call overhead on 2- and 4-element arrays. The (4, 2n) block
+    h (D K) is scaled in one numpy call, and the initial-step choice,
+    once per arc, runs on arrays.
     (`ndarray.dot` is `np.dot` without its dispatch layer.)
     """
 
@@ -265,6 +287,7 @@ class RK45:
     def __init__(self, fun, t0, y0, t_bound, rtol, atol, max_step):
         if max_step <= 0:
             raise ValueError("`max_step` must be positive.")
+        y0 = np.asarray(y0, float)
         if not np.isfinite(y0).all():
             # its step sizes would be NaN, and every attempt rejected
             raise ValueError(
@@ -272,22 +295,28 @@ class RK45:
         self.fun = fun
         self.t_old = None
         self.t = t0
-        self.y = y0
+        self.y = y0.tolist()
         self.t_bound = t_bound
         self.rtol = max(rtol, _RTOL_FLOOR)
         self.atol = atol
         self.max_step = max_step
         self.status = "running"
-        self.f = fun(t0, y0)
+        self.f = fun(t0, self.y)
         self.nfev = 1
-        self.h_abs = self._initial_step()
-        self.K_extended = np.empty((_N_STAGES + 1 + len(_EXTRA_STAGES),
-                                    y0.size))
-        self.K = self.K_extended[:_N_STAGES + 1]
+        self.h_abs = self._initial_step(y0)
+        K = self.K_extended = np.empty(
+            (_N_STAGES + 1 + len(_EXTRA_STAGES), y0.size))
+        self.K = K[:_N_STAGES + 1]
+        # the transposed stage views the tableau sums are taken on
+        self._stage_sums = [(s, K[:s].T, a, c) for s, a, c in _STAGES]
+        self._extra_sums = [(s, K[:s].T, a, c) for s, a, c in _EXTRA_STAGES]
+        self._solution_sum = K[:_N_STAGES].T
+        self._error_sum = self.K.T
 
-    def _initial_step(self):
+    def _initial_step(self, y0):
         """scipy's select_initial_step (Hairer, Norsett & Wanner, II.4)."""
-        t0, y0, f0 = self.t, self.y, self.f
+        t0 = self.t
+        f0 = np.asarray(self.f, float)
         interval_length = abs(self.t_bound - t0)
         if interval_length == 0.0:
             return 0.0
@@ -299,9 +328,9 @@ class RK45:
         else:
             h0 = 0.01 * d0 / d1
         h0 = min(h0, interval_length)
-        f1 = self.fun(t0 + h0, y0 + h0 * f0)
+        f1 = self.fun(t0 + h0, (y0 + h0 * f0).tolist())
         self.nfev += 1
-        d2 = _rms((f1 - f0) / scale) / h0
+        d2 = _rms((np.asarray(f1, float) - f0) / scale) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
@@ -312,7 +341,7 @@ class RK45:
         """Advance by one accepted step; set status to "finished" at
         t_bound, or to "failed" when the step size falls below 10 ulp."""
         t, y, K, fun = self.t, self.y, self.K, self.fun
-        t_bound = self.t_bound
+        t_bound, rtol, atol = self.t_bound, self.rtol, self.atol
         if t == t_bound:
             self.t_old = t
             self.status = "finished"
@@ -323,6 +352,7 @@ class RK45:
             h_abs = self.max_step
         elif h_abs < min_step:
             h_abs = min_step
+        abs_y = [abs(v) for v in y]
         step_rejected = False
         while True:
             if h_abs < min_step:
@@ -334,22 +364,26 @@ class RK45:
             h = t_new - t
             h_abs = abs(h)
             K[0] = self.f
-            for s, a, c in _STAGES:
-                K[s] = fun(t + c * h, y + K[:s].T.dot(a) * h)
-            y_new = y + h * K[:-1].T.dot(_B)
+            for s, KT, a, c in self._stage_sums:
+                K[s] = fun(t + c * h, [v + d * h for v, d
+                                       in zip(y, KT.dot(a).tolist())])
+            y_new = [v + h * d for v, d
+                     in zip(y, self._solution_sum.dot(_B).tolist())]
             f_new = fun(t + h, y_new)
             K[-1] = f_new
             self.nfev += self.n_stages
-            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-            err5 = K.T.dot(_E5) / scale
-            err3 = K.T.dot(_E3) / scale
+            # np.maximum's rule: a NaN on either side is the maximum
+            scale = np.array([atol + (a if a > b or a != a else b) * rtol
+                              for a, b in zip(abs_y, map(abs, y_new))])
+            err5 = self._error_sum.dot(_E5) / scale
+            err3 = self._error_sum.dot(_E3) / scale
             err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
             err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
             if err5_norm_2 == 0 and err3_norm_2 == 0:
                 error_norm = 0.0
             else:
                 denom = err5_norm_2 + 0.01 * err3_norm_2
-                error_norm = h_abs * err5_norm_2 / math.sqrt(denom * y.size)
+                error_norm = h_abs * err5_norm_2 / math.sqrt(denom * len(y))
             if error_norm < 1:
                 if error_norm == 0:
                     factor = _MAX_FACTOR
@@ -372,58 +406,59 @@ class RK45:
     def dense_output(self):
         """Interpolant of the last step: scipy's DOP853 dense output."""
         if self.t == self.t_old:
-            return _ConstantInterpolant(self.y, self.t)
+            return _ConstantInterpolant(np.array(self.y), self.t)
         K, h = self.K_extended, self.h_previous
         t_old, y_old = self.t_old, self.y_old
-        for s, a, c in _EXTRA_STAGES:
-            K[s] = self.fun(t_old + c * h, y_old + K[:s].T.dot(a) * h)
+        for s, KT, a, c in self._extra_sums:
+            K[s] = self.fun(t_old + c * h, [v + d * h for v, d
+                                            in zip(y_old, KT.dot(a).tolist())])
         self.nfev += len(_EXTRA_STAGES)
-        f_old = K[0]
-        delta_y = self.y - y_old
-        F = np.empty((3 + len(_D), y_old.size))
-        F[0] = delta_y
-        F[1] = h * f_old - delta_y
-        F[2] = 2 * delta_y - h * (self.f + f_old)
-        F[3:] = h * _D.dot(K)
-        return _StepInterpolant(t_old, self.t, y_old, F)
+        # f at both ends as scipy reads them: rows of the stage matrix
+        f_old, f = K[0].tolist(), K[_N_STAGES].tolist()
+        delta_y = [a - b for a, b in zip(self.y, y_old)]
+        # rows F[0], F[1], F[2], the 4 rows h (D K), then y_old
+        coeffs = np.empty((len(_D) + 4, len(y_old)))
+        coeffs[0] = delta_y
+        coeffs[1] = [h * fo - d for fo, d in zip(f_old, delta_y)]
+        coeffs[2] = [2 * d - h * (fn + fo)
+                     for d, fn, fo in zip(delta_y, f, f_old)]
+        coeffs[3:-1] = h * _D.dot(K)
+        coeffs[-1] = y_old
+        return _StepInterpolant(t_old, self.t, coeffs)
+
+
+def _horner(cols, xs):
+    """scipy's Dop853DenseOutput sum on Python floats: for each column
+    (a component's 7 coefficients, then its y_old) and each (x, 1 - x)
+    of xs, in that order, the polynomial at the scaled time x."""
+    return [(((((((0.0 + f6) * x + f5) * xm + f4) * x + f3) * xm + f2) * x
+              + f1) * xm + f0) * x + y0
+            for f0, f1, f2, f3, f4, f5, f6, y0 in cols for x, xm in xs]
 
 
 class _StepInterpolant:
     """DOP853's dense output on one step [t_old, t]: scipy's
     Dop853DenseOutput, operation for operation, on one time or a 1-D
-    array of times. Callers read t_old, t, t_min and t_max and call it;
-    the tracer's proxy passes on nothing else."""
+    array of times. Its coefficient rows F and y_old are held as one
+    (8, 2n) array, and both kinds of call go through `_horner`. Callers
+    read t_old, t, t_min and t_max and call it; the tracer's proxy passes
+    on nothing else."""
 
-    def __init__(self, t_old, t, y_old, F):
+    def __init__(self, t_old, t, coeffs):
         self.t_old = self.t_min = t_old
         self.t = self.t_max = t
         self.h = t - t_old
-        self.F = F
-        self.y_old = y_old
+        self.coeffs = coeffs
 
     def __call__(self, t):
+        cols = self.coeffs.T.tolist()
         if isinstance(t, float) or t.ndim == 0:
-            # one time (a float from refinement and the arc, a 0-d array
-            # from scipy's OdeSolution): the same operations on the 7
-            # rows of F, on Python floats one component at a time,
-            # without numpy's per-call overhead
-            x = (t - self.t_old) / self.h
-            xm = 1 - x
-            return np.array([
-                ((((((((0.0 + f6) * x + f5) * xm + f4) * x + f3) * xm + f2)
-                    * x + f1) * xm + f0) * x + y0)
-                for f0, f1, f2, f3, f4, f5, f6, y0
-                in zip(*self.F.tolist(), self.y_old.tolist())])
-        x = ((t - self.t_old) / self.h)[:, None]
-        y = np.zeros((len(x), len(self.y_old)))
-        for i, f in enumerate(reversed(self.F)):
-            y += f
-            if i % 2 == 0:
-                y *= x
-            else:
-                y *= 1 - x
-        y += self.y_old
-        return y.T
+            # a float from refinement and the arc, a 0-d array from
+            # scipy's OdeSolution
+            x = (float(t) - self.t_old) / self.h
+            return np.array(_horner(cols, ((x, 1 - x),)))
+        xs = [(x, 1 - x) for x in ((t - self.t_old) / self.h).tolist()]
+        return np.array(_horner(cols, xs)).reshape(len(cols), len(xs))
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +468,8 @@ class _StepInterpolant:
 def _execute(mode, t0, y0, t_end, opts: SimOptions):
     """Drive the hybrid loop in packed coordinates and return its run.
 
-    mode: (rhs, gfun, dfun, reset) with rhs: (t, y) -> y',
+    mode: (rhs, gfun, dfun, reset) with rhs: (t, y) -> y', called on a
+    list of 2n floats and returning a sequence of 2n floats (see `RK45`),
     gfun/dfun: a `Guard`'s surface and direction on the halves of y, and
     reset: (tau, y_pre) -> (y_post, next_mode), performing its own
     validation; the arc after the impact runs in next_mode. Returns the
@@ -885,6 +921,7 @@ def _momentum_mode(hs: HybridSystem, v0):
         return warm["v"]
 
     def rhs_h(t, y):
+        y = np.asarray(y, float)
         dq, dp = sys.hamiltonian_field(t, y[:n], y[n:], v0=warm["v"])
         warm["v"] = dq
         return np.concatenate([dq, dp])

@@ -56,13 +56,15 @@ def write_trajectory_csv(path, flow: HybridFlow,
     reconstruction is passed its cyclic coordinate columns are appended."""
     n = flow.arcs[0].states.shape[1] // 2
     lines = [",".join(trajectory_header(n, with_theta=recon is not None))]
+    # one printf template per row: '%.17g' % x is fmt(x)
+    row = ",".join(["%.17g", "%d"]
+                   + ["%.17g"] * (2 * n + 2 * (recon is not None)))
     for k, arc in enumerate(flow.arcs):
-        for i, t in enumerate(arc.times):
-            row = [fmt(t), str(k)]
-            row += [fmt(x) for x in arc.states[i]]
-            if recon is not None:
-                row += [fmt(recon.theta[k][i]), fmt(recon.theta_dot[k][i])]
-            lines.append(",".join(row))
+        cols = [arc.times, arc.states]
+        if recon is not None:
+            cols += [recon.theta[k], recon.theta_dot[k]]
+        lines.extend(row % (t, k, *rest)
+                     for t, *rest in np.column_stack(cols).tolist())
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -72,12 +74,11 @@ def write_events_csv(path, flow: HybridFlow):
     else:
         n = flow.arcs[0].states.shape[1] // 2
     lines = [",".join(events_header(n))]
+    row = ",".join(["%.17g"] * (4 * n + 2))
     for e in flow.events:
-        row = ([fmt(e.tau)]
-               + [fmt(x) for x in e.pre.q] + [fmt(x) for x in e.pre.v]
-               + [fmt(x) for x in e.post.q] + [fmt(x) for x in e.post.v]
-               + [fmt(e.guard_residual)])
-        lines.append(",".join(row))
+        lines.append(row % tuple(np.concatenate(
+            [[e.tau], e.pre.q, e.pre.v, e.post.q, e.post.v,
+             [e.guard_residual]]).tolist()))
     _write_text(path, "\n".join(lines) + "\n")
 
 

@@ -226,14 +226,20 @@ class LagrangianSystem:
     def rhs(self, t, y):
         """Packed evolution field y' = (v, a) for the ODE integrator.
 
-        A closed-form `acceleration` is called directly, on the halves
-        of y as lists of Python floats.
+        y is the packed state (q, v) as a list of 2n Python floats, as
+        the step loop passes it, or as an array, as scipy's solvers do.
+        A closed-form `acceleration` is called directly on the halves of
+        y as lists and the field is returned as a list of Python floats;
+        without one, the accelerations are solved on arrays and the
+        field is an array.
         """
         acc = self.acceleration
         if acc is None:
+            y = np.asarray(y, float)
             q, v = y[:self.dim], y[self.dim:]
             return np.concatenate([v, self._accelerations(t, q, v)])
-        y = y.tolist()
+        if not isinstance(y, list):
+            y = y.tolist()
         dy = y[self.dim:]
         dy.extend(acc(t, y[:self.dim], dy))
-        return np.array(dy)
+        return dy

@@ -482,7 +482,9 @@ def test_scan_evaluates_dense_output_once_per_step(monkeypatch):
 
 def _assert_steps_like_scipy(ours, ref):
     """Step both solvers to the end and require bit-identical states,
-    RHS call counts, statuses and dense output at the scan times."""
+    RHS call counts, statuses and dense output at the scan times and at
+    five seeded interior times per step, each as one float and all as
+    one array."""
     from hybridlag import hybrid
 
     def same():
@@ -491,6 +493,7 @@ def _assert_steps_like_scipy(ours, ref):
         assert np.array_equal(ours.y, ref.y)
         assert np.array_equal(ours.f, ref.f)
 
+    rng = np.random.default_rng(5)
     same()
     steps = 0
     while ref.status == "running":
@@ -504,18 +507,23 @@ def _assert_steps_like_scipy(ours, ref):
         assert ours.nfev == ref.nfev
         assert ((mine.t_old, mine.t, mine.t_min, mine.t_max)
                 == (theirs.t_old, theirs.t, theirs.t_min, theirs.t_max))
-        ts = np.linspace(ref.t_old, ref.t, hybrid.SCAN_POINTS + 2)
-        assert np.array_equal(mine(ts), theirs(ts))
-        assert all(np.array_equal(mine(float(t)), theirs(t)) for t in ts)
+        for ts in (np.linspace(ref.t_old, ref.t, hybrid.SCAN_POINTS + 2),
+                   rng.uniform(ref.t_old, ref.t, 5)):
+            assert np.array_equal(mine(ts), theirs(ts))
+            assert all(np.array_equal(mine(float(t)), theirs(t)) for t in ts)
     return steps
 
 
 def _nan_after_half(t, y):
-    return -y if t < 0.5 else np.full_like(y, np.nan)
+    return [-v for v in y] if t < 0.5 else [math.nan] * len(y)
 
 
 def _step_loop_case(name):
-    """(fun, t0, y0, t_bound, max_step) of a named comparison run."""
+    """(fun, t0, y0, t_bound, max_step) of a named comparison run; each
+    call builds a fresh fun, so two solvers never share the warm start
+    of the momentum-side field."""
+    from hybridlag import hybrid
+
     sc = hl.get_scenario("paper-c025")
     polar = hl.polar_system(sc.params)
     y_polar = polar.pack(sc.initial_polar)
@@ -525,6 +533,19 @@ def _step_loop_case(name):
         red = hl.reduce(cyc, mu).shape.system
         s0 = cyc.project_state(sc.initial_polar)
         return red.rhs, 0.0, red.pack(s0), 10.0, np.inf
+    if name == "cartesian":
+        cart = hl.cartesian_system(sc.params)
+        return (cart.rhs, 0.0, cart.pack(sc.initial_cartesian), 10.0,
+                np.inf)
+    if name == "finite-difference":
+        # no closed form: differences of dL/dv and np.linalg.solve
+        numeric = dataclasses.replace(polar, acceleration=None)
+        return numeric.rhs, 0.0, y_polar, 10.0, np.inf
+    if name == "momentum-side":
+        hs = hl.polar_hybrid(sc.params)
+        cs0 = hs.system.legendre(sc.initial_polar)
+        rhs_h = hybrid._momentum_mode(hs, sc.initial_polar.v)[0]
+        return rhs_h, 0.0, np.concatenate([cs0.q, cs0.p]), 10.0, np.inf
     return {"paper-c025": (polar.rhs, 0.0, y_polar, 10.0, np.inf),
             "max-step": (polar.rhs, 0.0, y_polar, 2.0, 0.05),
             "empty-horizon": (polar.rhs, 0.0, y_polar, 0.0, np.inf),
@@ -535,7 +556,8 @@ def _step_loop_case(name):
 @pytest.mark.parametrize("name, status, steps", [
     ("paper-c025", "finished", 20), ("reduced", "finished", 20),
     ("max-step", "finished", 40), ("empty-horizon", "finished", 1),
-    ("nan-field", "failed", 10)])
+    ("nan-field", "failed", 10), ("cartesian", "finished", 5),
+    ("finite-difference", "finished", 20), ("momentum-side", "finished", 20)])
 def test_step_loop_reproduces_scipy_dop853(name, status, steps):
     # the executor's step loop repeats scipy's DOP853 arithmetic; a change
     # of scipy's arithmetic fails here instead of drifting the outputs
@@ -543,9 +565,11 @@ def test_step_loop_reproduces_scipy_dop853(name, status, steps):
 
     from hybridlag import hybrid
 
-    fun, t0, y0, t_bound, max_step = _step_loop_case(name)
-    solvers = [cls(fun, t0, y0, t_bound=t_bound, rtol=1e-10, atol=1e-10,
-                   max_step=max_step) for cls in (hybrid.RK45, DOP853)]
+    solvers = []
+    for cls in (hybrid.RK45, DOP853):
+        fun, t0, y0, t_bound, max_step = _step_loop_case(name)
+        solvers.append(cls(fun, t0, y0, t_bound=t_bound, rtol=1e-10,
+                           atol=1e-10, max_step=max_step))
     taken = _assert_steps_like_scipy(*solvers)
     assert solvers[0].status == status and taken >= steps
 

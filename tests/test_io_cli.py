@@ -24,9 +24,13 @@ README = os.path.join(os.path.dirname(os.path.dirname(
 # ---------------------------------------------------------------------------
 
 def test_fmt_round_trips_doubles(rng):
+    # the CSV writers' '%.17g' row templates write each float as fmt does
+    for x in (float("nan"), float("inf"), float("-inf"), 0.0, -0.0):
+        assert "%.17g" % x == fmt(x)
     for _ in range(200):
-        bits = rng.integers(0, 2**63, dtype=np.uint64)
+        bits = rng.integers(0, 2**64, dtype=np.uint64)
         x = struct.unpack("<d", struct.pack("<Q", bits))[0]
+        assert "%.17g" % x == fmt(x)
         if not np.isfinite(x):
             continue
         assert float(fmt(x)) == x
@@ -249,6 +253,32 @@ def test_csv_round_trip_values(tmp_path):
     assert float(row[0]) == pytest.approx(1.0, abs=1e-9)
     # post velocity columns hold the exact reset image
     assert float(row[7]) == flow.events[0].post.v[0]
+
+
+def test_csv_writers_write_fields_as_fmt(tmp_path):
+    # every field of both tables, the reconstruction's columns included,
+    # is fmt of its value (arc_index as an integer), in header order
+    sc = hl.get_scenario("paper-c025")
+    cyc = hl.polar_cyclic(sc.params)
+    mu0 = hl.momentum_map(cyc, sc.initial_polar)
+    flow = hl.simulate(hl.reduce(cyc, mu0).shape,
+                       cyc.project_state(sc.initial_polar), 3.0)
+    recon = hl.reconstruct(cyc, flow, mu0,
+                           float(sc.initial_polar.q[cyc.cyclic_index]))
+    assert flow.events
+    write_trajectory_csv(tmp_path / "t.csv", flow, recon)
+    write_events_csv(tmp_path / "e.csv", flow)
+    rows = [[fmt(t), str(k)] + [fmt(x) for x in arc.states[i]]
+            + [fmt(recon.theta[k][i]), fmt(recon.theta_dot[k][i])]
+            for k, arc in enumerate(flow.arcs)
+            for i, t in enumerate(arc.times)]
+    assert (tmp_path / "t.csv").read_text().splitlines()[1:] == [
+        ",".join(r) for r in rows]
+    rows = [[fmt(x) for x in [e.tau, *e.pre.q, *e.pre.v, *e.post.q,
+                              *e.post.v, e.guard_residual]]
+            for e in flow.events]
+    assert (tmp_path / "e.csv").read_text().splitlines()[1:] == [
+        ",".join(r) for r in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,13 @@ def test_rhs_calls_closed_form_accelerations_bit_for_bit(model, rng):
     n = sys.dim
     for s in sample_states(rng, model_id, 200):
         q, v = s.q[:n], s.v[:n]
-        rhs = sys.rhs(s.t, np.concatenate([q, v]))
+        y = np.concatenate([q, v])
+        rhs = sys.rhs(s.t, y)
+        # the step loop's call: a list in, a list of Python floats out
+        from_list = sys.rhs(s.t, y.tolist())
+        assert type(from_list) is list and len(from_list) == 2 * n
+        assert all(type(x) is float for x in from_list)
+        assert np.array_equal(from_list, rhs)
         acc = sys.acceleration(s.t, q.tolist(), v.tolist())
         assert type(acc) is list and len(acc) == n
         assert all(type(a) is float for a in acc)

@@ -24,6 +24,9 @@ in time to REFINE_XTOL with Brent's method on the interpolant (`brentq`,
 scipy's C routine run operation for operation). A crossing counts as an
 impact only where the admissibility (direction) function is >= 0;
 crossings with negative direction are skipped and integration continues.
+An arc keeps its dense output as one table of its steps' coefficient
+blocks, which the step loop hands over, and evaluates an array of times
+in one gathered numpy pass with the same bits (`_ArcInterpolant`).
 The module imports nothing from scipy.
 
 The loop runs in a mode (rhs, guard, direction, reset) on packed arrays;
@@ -50,7 +53,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -154,9 +156,11 @@ class SimOptions:
 class Arc:
     """One continuous piece of a hybrid flow.
 
-    A simulated arc's interpolant is an `_ArcInterpolant` over the step
-    loop's DOP853 segments, clamped to the arc. Every interpolant
-    follows the contract of scipy's OdeSolution: a
+    A simulated arc's interpolant is an `_ArcInterpolant`: one table of
+    the step loop's DOP853 coefficient blocks, with scipy's OdeSolution
+    segment rule, clamped to the arc; an array call is one gathered
+    evaluation. An arc that took no step has a constant interpolant.
+    Every interpolant follows the contract of scipy's OdeSolution: a
     scalar time gives the packed state, shape (2n,); a 1-D array of k
     times gives the states as columns, shape (2n, k). Column i equals
     the scalar call at the i-th time bit for bit.
@@ -404,8 +408,13 @@ class RK45:
             self.status = "finished"
 
     def dense_output(self):
-        """Interpolant of the last step: scipy's DOP853 dense output."""
+        """Interpolant of the last step: scipy's DOP853 dense output. Its
+        (8, 2n) coefficient block is also left in `_coeffs` (None for a
+        step on an empty interval), where the executor reads it for the
+        arc's table: a traced solver's dense output passes on no more
+        than a `_StepInterpolant`'s times and calls."""
         if self.t == self.t_old:
+            self._coeffs = None
             return _ConstantInterpolant(np.array(self.y), self.t)
         K, h = self.K_extended, self.h_previous
         t_old, y_old = self.t_old, self.y_old
@@ -424,6 +433,7 @@ class RK45:
                      for d, fn, fo in zip(delta_y, f, f_old)]
         coeffs[3:-1] = h * _D.dot(K)
         coeffs[-1] = y_old
+        self._coeffs = coeffs
         return _StepInterpolant(t_old, self.t, coeffs)
 
 
@@ -439,19 +449,22 @@ def _horner(cols, xs):
 class _StepInterpolant:
     """DOP853's dense output on one step [t_old, t]: scipy's
     Dop853DenseOutput, operation for operation, on one time or a 1-D
-    array of times. Its coefficient rows F and y_old are held as one
-    (8, 2n) array, and both kinds of call go through `_horner`. Callers
-    read t_old, t, t_min and t_max and call it; the tracer's proxy passes
-    on nothing else."""
+    array of times. Its (8, 2n) block of coefficient rows F and y_old is
+    turned into Python-float columns once, at construction, and both
+    kinds of call go through `_horner`: at the few times of a step's scan
+    and refinement, Python floats beat numpy's per-call overhead. An arc
+    keeps the blocks of its steps, not these objects (`_ArcInterpolant`).
+    Callers read t_old, t, t_min and t_max and call it; the tracer's
+    proxy passes on nothing else."""
 
     def __init__(self, t_old, t, coeffs):
         self.t_old = self.t_min = t_old
         self.t = self.t_max = t
         self.h = t - t_old
-        self.coeffs = coeffs
+        self._cols = coeffs.T.tolist()
 
     def __call__(self, t):
-        cols = self.coeffs.T.tolist()
+        cols = self._cols
         if isinstance(t, float) or t.ndim == 0:
             # a float from refinement and the arc, a 0-d array from
             # scipy's OdeSolution
@@ -498,7 +511,9 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
         armed = g0 < -ARM_TOL or on_guard
         arc_times = [t]
         arc_states = [y.copy()]
-        segments = []
+        # the arc's dense output: each step's coefficient block and end
+        breakpoints = [t]
+        blocks = []
         hit = None
         failed = False
         while solver.status == "running":
@@ -507,7 +522,9 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
                 failed = True
                 break
             dense = solver.dense_output()
-            segments.append(dense)
+            if solver._coeffs is not None:
+                blocks.append(solver._coeffs)
+                breakpoints.append(solver.t)
             ts = (_SCAN_INDEX * ((solver.t - solver.t_old) / (SCAN_POINTS + 1))
                   + solver.t_old)
             ts[-1] = solver.t
@@ -545,7 +562,7 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
             tau, ypre = hit
             arc_times.append(tau)
             arc_states.append(ypre.copy())
-        arcs.append(_close_arc(arc_times, arc_states, segments))
+        arcs.append(_close_arc(arc_times, arc_states, breakpoints, blocks))
         # the arc's span since the last impact, or since the start
         dwell = arc_times[-1] - (events[-1].tau if events else t0)
         piled_up = bool(events) and dwell < opts.min_dwell
@@ -700,14 +717,16 @@ def _next_crossing(phi, dphi, t0, t_end):
     return brentq(phi, lo, t_end, xtol=1e-14, rtol=1e-15)
 
 
-def _close_arc(times, states, segments):
-    """The arc over the grid `times`, from its first time to its last."""
+def _close_arc(times, states, breakpoints, blocks):
+    """The arc over the grid `times`, from its first time to its last,
+    whose steps end at breakpoints[1:] with coefficient blocks `blocks`."""
     times = np.asarray(times)
     states = np.asarray(states)
     t_start, t_end = times[0], times[-1]
-    if segments:
-        # an event truncates the last segment; clamp queries to the arc
-        interp = _ArcInterpolant(segments, t_start, t_end)
+    if blocks:
+        # an event truncates the last step; clamp queries to the arc
+        interp = _ArcInterpolant(np.array(blocks), np.array(breakpoints),
+                                 t_start, t_end)
     else:
         interp = _ConstantInterpolant(states[0], t_start)
     return Arc(t_start, t_end, times, states, interp)
@@ -728,41 +747,56 @@ class _ConstantInterpolant:
 
 
 class _ArcInterpolant:
-    """The step segments of an arc [t0, t1] as one interpolant, with
-    scipy's OdeSolution rule on times clamped to the arc.
+    """The dense output of an arc [t0, t1] of k steps as one table, with
+    scipy's OdeSolution segment rule on times clamped to the arc.
 
-    Time t goes to segment searchsorted(breakpoints, t) - 1 (side
-    "left"), clamped to the first and last segment, so a breakpoint
-    belongs to the segment that ends there. An array of times is sorted,
-    evaluated one run of equal segments at a time, and put back in its
-    order. Only `t_max` is read from a segment besides calling it.
+    `table` is (k, 8, 2n): block j holds step j's DOP853 coefficient rows
+    F and its y_old, as a `_StepInterpolant` does, and the step runs from
+    breakpoints[j] to breakpoints[j + 1]. Time t goes to step
+    searchsorted(breakpoints, t) - 1 (side "left"), clamped to the first
+    and last step, so a breakpoint belongs to the step that ends there.
+    A scalar call is `_horner` on that step's block. An array call is one
+    gathered evaluation: one searchsorted for all times, then `_horner`'s
+    sum in numpy on the coefficients gathered one row at a time, whose
+    elementwise IEEE arithmetic gives the scalar calls' bits; as on
+    Python floats, non-finite values raise no warning.
     """
 
-    def __init__(self, segments, t0, t1):
-        self.segments = segments
-        self.breakpoints = np.array([t0] + [s.t_max for s in segments])
+    def __init__(self, table, breakpoints, t0, t1):
+        self.table = table
+        self.breakpoints = breakpoints
         self.t0 = t0
         self.t1 = t1
 
     def __call__(self, t):
         t = np.clip(t, self.t0, self.t1)
-        last = len(self.segments) - 1
+        bp = self.breakpoints
+        last = len(bp) - 2
         if t.ndim == 0:
             t = float(t)
-            ind = int(np.searchsorted(self.breakpoints, t))
-            return self.segments[min(max(ind - 1, 0), last)](t)
-        order = np.argsort(t)
-        reverse = np.empty_like(order)
-        reverse[order] = np.arange(order.shape[0])
-        t_sorted = t[order]
-        index = np.searchsorted(self.breakpoints, t_sorted) - 1
-        ys = []
-        start = 0
-        for ind, run in groupby(np.clip(index, 0, last).tolist()):
-            end = start + len(list(run))
-            ys.append(self.segments[ind](t_sorted[start:end]))
-            start = end
-        return np.hstack(ys)[:, reverse]
+            j = min(max(int(np.searchsorted(bp, t)) - 1, 0), last)
+            t_old = float(bp[j])
+            x = (t - t_old) / (float(bp[j + 1]) - t_old)
+            return np.array(_horner(self.table[j].T.tolist(), ((x, 1 - x),)))
+        j = np.searchsorted(bp, t) - 1
+        np.clip(j, 0, last, out=j)
+        t_old = bp[j]
+        table = self.table
+
+        def row(r):
+            # coefficient row r at every time, as (2n, m) columns
+            return table[:, r].T.take(j, axis=1)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = (t - t_old) / (bp[j + 1] - t_old)
+            xm = 1 - x
+            y = row(6)
+            y += 0.0    # `_horner` starts at 0.0 + f6: -0.0 becomes 0.0
+            for r, z in ((5, x), (4, xm), (3, x), (2, xm), (1, x), (0, xm),
+                         (7, x)):
+                y *= z
+                y += row(r)
+        return y
 
 
 # ---------------------------------------------------------------------------

@@ -723,14 +723,21 @@ def _horizon_arc():
 @pytest.mark.parametrize("build", [_event_arc, _horizon_arc],
                          ids=["event", "horizon"])
 def test_arc_interpolant_matches_scipy_ode_solution(build):
-    # OdeSolution over the same segments, on times clipped to the arc
+    # OdeSolution over step interpolants rebuilt from the arc's table
+    # rows, on times clipped to the arc
     from scipy.integrate import OdeSolution
+
+    from hybridlag import hybrid
 
     arc = build()
     interp = arc.interpolant
-    segments = interp.segments
-    breakpoints = np.concatenate([[arc.times[0]],
-                                  [s.t_max for s in segments]])
+    table, breakpoints = interp.table, interp.breakpoints
+    assert breakpoints[0] == arc.times[0]
+    assert table.shape == (len(breakpoints) - 1, 8, arc.states.shape[1])
+    segments = [hybrid._StepInterpolant(a, b, block) for a, b, block
+                in zip(breakpoints[:-1].tolist(), breakpoints[1:].tolist(),
+                       table)]
+
     def clipped(sol):
         return lambda t: sol(np.clip(t, arc.t_start, arc.t_end))
 
@@ -752,8 +759,9 @@ def test_arc_interpolant_matches_scipy_ode_solution(build):
         assert got.shape == (arc.states.shape[1], ts.size)
         assert np.array_equal(got, expected(ts))
 
-    # adjacent DOP853 segments agree at their common breakpoint, so the
-    # segment rule shows only on segments that report their index
+    # adjacent DOP853 steps agree at their common breakpoint, so the
+    # segment rule shows only on segments that report their index: here
+    # a table whose block k evaluates to the constant k
     class Labelled:
         def __init__(self, k, t_max):
             self.k, self.t_max = k, t_max
@@ -762,12 +770,174 @@ def test_arc_interpolant_matches_scipy_ode_solution(build):
             return np.stack(np.broadcast_arrays(float(self.k), t))
 
     fakes = [Labelled(k, s.t_max) for k, s in enumerate(segments)]
-    labelled = type(interp)(fakes, arc.t_start, arc.t_end)
+    labels = np.zeros((len(segments), 8, 1))
+    labels[:, -1, 0] = np.arange(len(segments))
+    labelled = type(interp)(labels, breakpoints, arc.t_start, arc.t_end)
     expected = clipped(OdeSolution(breakpoints, fakes))
+    # row 0 of a fake is its label
     for ts in (on_breaks, mixed, outside):
-        assert np.array_equal(labelled(ts), expected(ts))
+        assert np.array_equal(labelled(ts), expected(ts)[:1])
     for t in on_breaks.tolist() + outside.tolist():
-        assert np.array_equal(labelled(t), expected(t))
+        assert np.array_equal(labelled(t), expected(t)[:1])
+
+
+# ---------------------------------------------------------------------------
+# the arc's coefficient table against the step interpolants of its run
+# ---------------------------------------------------------------------------
+
+def _with_step_interpolants(monkeypatch, run):
+    """run() with every solver keeping the dense outputs of its steps:
+    the flow, and per arc the `_StepInterpolant`s its steps made (the
+    executor starts one solver per arc)."""
+    from hybridlag import hybrid
+
+    solvers = []
+
+    class Recording(hybrid.RK45):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.steps = []
+            solvers.append(self)
+
+        def dense_output(self):
+            dense = super().dense_output()
+            self.steps.append(dense)
+            return dense
+
+    monkeypatch.setattr(hybrid, "RK45", Recording)
+    flow = run()
+    assert len(solvers) == len(flow.arcs)
+    return flow, [s.steps for s in solvers]
+
+
+def _c025_run(kind, t_end):
+    if kind != "reduced":
+        hs, s0 = _paper_c025(kind)
+        return lambda: hl.simulate(hs, s0, t_end)
+    sc = hl.get_scenario("paper-c025")
+    cyc = hl.polar_cyclic(sc.params)
+    red = hl.reduce(cyc, hl.momentum_map(cyc, sc.initial_polar))
+    return lambda: hl.simulate(red.shape, cyc.project_state(sc.initial_polar),
+                               t_end)
+
+
+@pytest.mark.parametrize("kind, t_end, index, dim, steps", [
+    ("polar", 2.0, 0, 2, None),
+    ("reduced", 2.0, 1, 1, None),
+    ("cartesian", 10.0, 1, 2, None),
+    ("cartesian", 10.0, 15, 2, 1),
+], ids=["polar", "reduced", "cartesian", "one-step"])
+def test_arc_table_matches_its_step_interpolants(monkeypatch, kind, t_end,
+                                                 index, dim, steps):
+    # each column of an arc's array call, and each scalar call, is the
+    # call of the run's own step interpolant at the time clipped to the
+    # arc, with a breakpoint going to the step that ends there
+    import bisect
+
+    flow, recorded = _with_step_interpolants(monkeypatch,
+                                             _c025_run(kind, t_end))
+    arc, own = flow.arcs[index], recorded[index]
+    if steps is not None:
+        assert len(own) == steps
+    assert len(own) > 0 and arc.interpolant.table.shape == (len(own), 8,
+                                                            2 * dim)
+    ends = [s.t for s in own]
+
+    def per_step(t):
+        t = min(max(t, float(arc.t_start)), float(arc.t_end))
+        return own[min(bisect.bisect_left(ends, t), len(own) - 1)](t)
+
+    rng = np.random.default_rng(13)
+    inside = np.sort(rng.uniform(arc.t_start, arc.t_end, 40))
+    on_breaks = np.array([own[0].t_old] + ends)
+    outside = np.array([arc.t_start - 1.0, arc.t_start - 1e-12,
+                        arc.t_end + 1e-12, arc.t_end + 1.0])
+    duplicates = np.repeat(inside[::8], 3)
+    unsorted = rng.permutation(np.concatenate([inside, on_breaks, outside,
+                                               duplicates]))
+    for ts in (inside, unsorted, duplicates, on_breaks, outside):
+        cols = arc(ts)
+        assert cols.shape == (2 * dim, ts.size)
+        for i, t in enumerate(ts.tolist()):
+            y = per_step(t)
+            assert np.array_equal(cols[:, i], y), (i, t)
+            assert np.array_equal(arc(t), y), t
+
+
+def test_arc_table_with_non_finite_coefficients_is_silent():
+    # numpy's arithmetic on inf and overflow gives the Python floats'
+    # bits (NaN in the same places) and, like them, no warning; an
+    # all -0.0 block sums to +0.0, as on Python floats
+    import warnings
+
+    from hybridlag import hybrid
+
+    rng = np.random.default_rng(17)
+    table = rng.standard_normal((3, 8, 3))
+    table[:, :, 2] = -0.0
+    table[0, 0, 1] = table[0, 7, 1] = 1.7e308   # overflows near x = 1
+    table[1, 4, 0] = math.inf                    # inf * 0 at x = 1
+    table[2, 0, 0], table[2, 7, 0] = math.inf, -math.inf
+    breakpoints = np.array([0.0, 0.5, 1.25, 2.0])
+    interp = hybrid._ArcInterpolant(table, breakpoints, 0.0, 2.0)
+    ts = np.concatenate([np.linspace(-0.5, 2.5, 31), breakpoints,
+                         [0.4999, 1.0, 1.9]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cols = interp(ts)
+    scalar = np.column_stack([interp(t) for t in ts.tolist()])
+    assert np.isnan(cols).any() and np.isinf(cols).any()
+    assert np.array_equal(cols, scalar, equal_nan=True)
+    numbers = ~np.isnan(cols)
+    assert np.array_equal(np.signbit(cols[numbers]),
+                          np.signbit(scalar[numbers]))
+    assert not np.signbit(cols[2]).any()
+
+
+def test_arcs_take_blocks_from_the_step_loop_not_its_dense_output(
+        monkeypatch):
+    # a traced solver's dense output is a proxy that passes on only the
+    # step's times and calls (as perfbench's tracer does); the arcs of a
+    # reduced run and of a resequenced run, and the angle rebuilt along
+    # them, come out the same under it
+    from hybridlag import hybrid
+
+    class Proxy:
+        def __init__(self, inner):
+            self._inner = inner
+            self.t_old, self.t = inner.t_old, inner.t
+            self.t_min, self.t_max = inner.t_min, inner.t_max
+
+        def __call__(self, t):
+            return self._inner(t)
+
+    class ProxiedRK45(hybrid.RK45):
+        def dense_output(self):
+            return Proxy(super().dense_output())
+
+    sc = hl.get_scenario("paper-c025")
+    cyc = hl.polar_cyclic(sc.params)
+    mu = hl.momentum_map(cyc, sc.initial_polar)
+    s0 = cyc.project_state(sc.initial_polar)
+
+    def runs():
+        rflow = hl.simulate(hl.reduce(cyc, mu).shape, s0, 10.0)
+        return (hl.reconstruct(cyc, rflow, mu, float(sc.initial_polar.q[1])),
+                hl.simulate_resequenced(cyc, sc.initial_polar, 10.0))
+
+    shipped = runs()
+    monkeypatch.setattr(hybrid, "RK45", ProxiedRK45)
+    proxied = runs()
+    for a, b in zip(shipped, proxied):
+        assert len(a.reduced.arcs) == len(b.reduced.arcs) > 1
+        for arc_a, arc_b in zip(a.reduced.arcs, b.reduced.arcs):
+            assert np.array_equal(arc_a.times, arc_b.times)
+            assert np.array_equal(arc_a.states, arc_b.states)
+            grid = np.linspace(arc_a.t_start, arc_a.t_end, 17)
+            assert np.array_equal(arc_a(grid), arc_b(grid))
+        for th_a, th_b in zip(a.theta + a.theta_dot, b.theta + b.theta_dot):
+            assert np.array_equal(th_a, th_b)
+        assert len(a.theta) == len(b.theta) == len(a.reduced.arcs)
 
 
 # ---------------------------------------------------------------------------

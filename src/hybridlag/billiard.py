@@ -6,23 +6,18 @@ the exponentially weighted kinetic Lagrangian
 
     L(t, q, v) = exp(c t / m) * m |v|^2 / 2.
 
-The wall is the circle |q|^2 = f(t); a crossing is an impact when the
-admissibility function is non-negative. Two admissibility conventions
-are provided:
-
-* ``co-moving`` (default): the particle approaches the wall in the
-  co-moving sense, d = 2 q.v - fdot >= 0. This equals d/dt(|q|^2 - f)
-  and is well defined for growing and shrinking walls alike.
-* ``outward``: the lab-frame condition q.v >= 0 (the particle heads
-  outward), which is only adequate when the wall grows.
-
-The elastic reset reflects the wall-normal velocity in the frame of the
-moving wall. In the polar chart the angular coordinate is cyclic, the
-damped angular momentum exp(ct/m) m r^2 thetadot is conserved between
-impacts, and the radial reset takes the inward square root by default
-(``polar_reset_sign='inward'``); ``'chart'`` instead matches the sign of
-the Cartesian reset image, which differs only for grazing impacts on a
-wall that grows faster than the particle recedes.
+The wall is the circle |q|^2 = f(t). A crossing is an impact when the
+particle approaches the wall in the co-moving sense,
+d = 2 q.v - fdot >= 0, the rate d/dt(|q|^2 - f) of the guard, which is
+well defined for growing and shrinking walls alike. The reset reflects
+the wall-normal velocity elastically in the frame of the moving wall.
+This is the contact law of time-dependent billiards (Koiller, Markarian,
+Kamphorst & de Carvalho, Nonlinearity 8, 1995). In the polar chart the
+angular coordinate is cyclic, the damped angular momentum
+exp(ct/m) m r^2 thetadot is conserved between impacts, and the radial
+reset is the image of the Cartesian reflection: the root of the energy
+balance with the sign of fdot/r - rdot. The chart ends at r <= R_MIN,
+where the polar and reduced accelerations raise ChartSingularity.
 
 The closed-form damped flight makes an exact piecewise reference flow
 possible: between impacts positions follow q(t) = q0 + (m/c) v0 (1 -
@@ -36,7 +31,7 @@ stepping, so it is an independent oracle for the whole hybrid pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -50,6 +45,7 @@ from .lagrangian import LagrangianSystem, State
 from .reduction import CyclicStructure
 
 DISCRIMINANT_CLAMP = 1e-12
+R_MIN = 1e-8  # radius at which the polar chart ends
 REFERENCE_GRID = 33  # sample times per arc of a reference flow
 
 
@@ -69,7 +65,8 @@ def static_wall(radius_sq=1.0):
 
 @dataclass(frozen=True)
 class BilliardParams:
-    """Physical and numerical parameters of the billiard.
+    """Physical parameters of the billiard: mass m, dissipation c, and
+    the squared wall radius f = wall(t) with its rate fdot = wall_rate(t).
 
     wall and wall_rate must be supplied together; the rate is never
     obtained by differencing the wall law.
@@ -79,20 +76,12 @@ class BilliardParams:
     c: float = 0.25
     wall: Callable[[float], float] = default_wall
     wall_rate: Callable[[float], float] = default_wall_rate
-    direction_mode: str = "co-moving"       # or "outward"
-    polar_reset_sign: str = "inward"        # or "chart"
-    r_min: float = 1e-8
 
     def __post_init__(self):
         if not self.m > 0:
             raise ValueError("mass must be positive")
         if not self.c >= 0:
             raise ValueError("dissipation coefficient must be >= 0")
-        if self.direction_mode not in ("co-moving", "outward"):
-            raise ValueError(f"unknown direction_mode {self.direction_mode!r}")
-        if self.polar_reset_sign not in ("inward", "chart"):
-            raise ValueError(f"unknown polar_reset_sign "
-                             f"{self.polar_reset_sign!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +136,8 @@ def cartesian_system(p: BilliardParams) -> LagrangianSystem:
 
 
 def polar_system(p: BilliardParams) -> LagrangianSystem:
-    """The same particle in the polar chart (r > r_min)."""
-    m, c, r_min = p.m, p.c, p.r_min
+    """The same particle in the polar chart (r > R_MIN)."""
+    m, c = p.m, p.c
 
     def lag(t, q, v):
         r = q[0]
@@ -167,9 +156,9 @@ def polar_system(p: BilliardParams) -> LagrangianSystem:
         if r <= 0.0:
             # trial extrapolation left the chart: force step rejection
             return [math.nan, math.nan]
-        if r <= r_min:
+        if r <= R_MIN:
             raise ChartSingularity(
-                f"trajectory reached r={r:.3e} <= r_min={r_min:.1e}")
+                f"trajectory reached r={r:.3e} <= r_min={R_MIN:.1e}")
         return [r * thd**2 - (c / m) * rd,
                 -2.0 * rd * thd / r - (c / m) * thd]
 
@@ -197,12 +186,8 @@ def guard_cartesian(p: BilliardParams) -> Guard:
             return np.vecdot(q, q, axis=0) - _wall_at(f, t)
         return float(q @ q) - f(t)
 
-    if p.direction_mode == "co-moving":
-        def direction(t, q, v) -> float:
-            return 2.0 * float(q @ v) - fdot(t)
-    else:
-        def direction(t, q, v) -> float:
-            return float(q @ v)
+    def direction(t, q, v) -> float:
+        return 2.0 * float(q @ v) - fdot(t)
 
     return Guard(surface=surface, direction=direction)
 
@@ -213,12 +198,8 @@ def guard_polar(p: BilliardParams) -> Guard:
     def surface(t, q, v):
         return q[0]**2 - _wall_at(f, t)
 
-    if p.direction_mode == "co-moving":
-        def direction(t, q, v) -> float:
-            return 2.0 * q[0] * v[0] - fdot(t)
-    else:
-        def direction(t, q, v) -> float:
-            return q[0] * v[0]
+    def direction(t, q, v) -> float:
+        return 2.0 * q[0] * v[0] - fdot(t)
 
     return Guard(surface=surface, direction=direction)
 
@@ -246,7 +227,6 @@ def reset_cartesian(p: BilliardParams) -> ResetMap:
 
 def reset_polar(p: BilliardParams) -> ResetMap:
     f, fdot = p.wall, p.wall_rate
-    chart_sign = p.polar_reset_sign == "chart"
 
     def apply(t, q, v):
         r, rd = q[0], v[0]
@@ -256,11 +236,8 @@ def reset_polar(p: BilliardParams) -> ResetMap:
         if rhs < -DISCRIMINANT_CLAMP:
             raise NegativeDiscriminant(
                 f"radial reset discriminant {rhs:.3e} < 0 at t={t:.6g}")
-        root = math.sqrt(max(rhs, 0.0))
-        if chart_sign:
-            rd_post = math.copysign(root, fd / r - rd) if root > 0.0 else 0.0
-        else:
-            rd_post = -root
+        # the sign of the Cartesian reflection's radial velocity fd/r - rd
+        rd_post = math.copysign(math.sqrt(max(rhs, 0.0)), fd / r - rd)
         return q.copy(), np.array([rd_post, v[1]])
 
     return ResetMap(apply=apply)
@@ -284,7 +261,7 @@ def routhian_closed(p: BilliardParams, mu: float) -> LagrangianSystem:
     """Closed-form reduced system on the radial line at momentum mu:
     L_mu(t, r, rdot) = exp(ct/m) m rdot^2 / 2 - mu^2 exp(-ct/m) / (2 m r^2).
     """
-    m, c, r_min = p.m, p.c, p.r_min
+    m, c = p.m, p.c
 
     def lag(t, x, xd):
         r = x[0]
@@ -302,9 +279,9 @@ def routhian_closed(p: BilliardParams, mu: float) -> LagrangianSystem:
         r = x[0]
         if r <= 0.0:
             return [math.nan]
-        if r <= r_min:
+        if r <= R_MIN:
             raise ChartSingularity(
-                f"reduced trajectory reached r={r:.3e} <= r_min={r_min:.1e}")
+                f"reduced trajectory reached r={r:.3e} <= r_min={R_MIN:.1e}")
         return [mu * mu * math.exp(-2.0 * c * t / m) / (m * m * r**3)
                 - (c / m) * xd[0]]
 
@@ -396,16 +373,16 @@ def reference_flow(p: BilliardParams, s0: State, t_end: float,
     Flights are closed-form; the next impact is the first root of the
     guard phi(t) = |q(t)|^2 - f(t) along the flight, which is convex for
     these walls, found by the executor's crossing rule for arcs that start
-    on the guard (`hybrid._next_crossing`) with the co-moving direction as
-    phi'. The start rule (`hybrid._check_start`: InvalidStart unless s0 is
-    finite, t_end does not precede s0.t and s0 lies inside the wall or on
-    it and leaving), resets, admissibility and the min_dwell / max_impacts
-    termination rules are the executor's, making the result directly
-    comparable to `simulate` while sharing none of its ODE stepping.
+    on the guard (`hybrid._next_crossing`) with the guard's direction,
+    its rate, as phi'. The start rule (`hybrid._check_start`: InvalidStart
+    unless s0 is finite, t_end does not precede s0.t and s0 lies inside
+    the wall or on it and leaving), resets, admissibility and the
+    min_dwell / max_impacts termination rules are the executor's, making
+    the result directly comparable to `simulate` while sharing none of
+    its ODE stepping.
     """
     opts = opts or SimOptions()
     guard = guard_cartesian(p)
-    rate = guard_cartesian(replace(p, direction_mode="co-moving")).direction
     reset = reset_cartesian(p)
 
     _check_start(guard.surface, guard.direction, s0, t_end, opts)
@@ -417,7 +394,7 @@ def reference_flow(p: BilliardParams, s0: State, t_end: float,
     while True:
         flight = _FlightInterpolant(p, t, q, v)
         tau = _next_crossing(_along(guard.surface, flight, 2),
-                             _along(rate, flight, 2), t, t_end)
+                             _along(guard.direction, flight, 2), t, t_end)
         if tau is not None:
             y = flight(tau)
             if guard.direction(tau, y[:2], y[2:]) < 0.0:
@@ -458,13 +435,11 @@ class PaperScenario:
     scenario_id: str
     params: BilliardParams
     initial_polar: State
-    initial_cartesian: State = field(default=None)
     horizon: float = 10.0
 
-    def __post_init__(self):
-        if self.initial_cartesian is None:
-            object.__setattr__(self, "initial_cartesian",
-                               polar_to_cartesian(self.initial_polar))
+    @property
+    def initial_cartesian(self) -> State:
+        return polar_to_cartesian(self.initial_polar)
 
     @property
     def momentum(self) -> float:

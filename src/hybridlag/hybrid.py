@@ -95,7 +95,8 @@ class Guard:
     direction: admissibility d(t, q, v) -> float, at single points only;
         a crossing is an impact iff d >= 0 there (closed inequality:
         grazing counts). On arcs that start on the guard, d is also read
-        as the rate dg/dt.
+        as the rate dg/dt of the surface along the flow; every built-in
+        guard's d is that rate.
     """
 
     surface: Callable[[float, np.ndarray, np.ndarray], float]
@@ -509,8 +510,6 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
         # leaving the guard: its dip below g = 0 may not reach a scan sample
         on_guard = g0 >= -ARM_TOL and dfun(t, y[:n], y[n:]) < 0.0
         armed = g0 < -ARM_TOL or on_guard
-        arc_times = [t]
-        arc_states = [y.copy()]
         # the arc's dense output: each step's coefficient block and end
         breakpoints = [t]
         blocks = []
@@ -554,17 +553,11 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
             on_guard = False
             if hit is not None:
                 break
-            if arc_times[-1] != solver.t:
-                arc_times.append(solver.t)
-                arc_states.append(solver.y.copy())
 
-        if hit is not None:
-            tau, ypre = hit
-            arc_times.append(tau)
-            arc_states.append(ypre.copy())
-        arcs.append(_close_arc(arc_times, arc_states, breakpoints, blocks))
+        t_arc, y_arc = hit if hit is not None else (solver.t, solver.y)
+        arcs.append(_close_arc(breakpoints, blocks, t_arc, y_arc))
         # the arc's span since the last impact, or since the start
-        dwell = arc_times[-1] - (events[-1].tau if events else t0)
+        dwell = t_arc - (events[-1].tau if events else t0)
         piled_up = bool(events) and dwell < opts.min_dwell
 
         if failed:
@@ -576,6 +569,7 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
         if piled_up:
             return HybridFlow(arcs, events, TERM_ZENO)
 
+        tau, ypre = hit
         residual = abs(gfun(tau, ypre[:n], ypre[n:]))
         slope = max(1.0, abs(dfun(tau, ypre[:n], ypre[n:])))
         if residual > opts.guard_tol * slope:
@@ -717,17 +711,21 @@ def _next_crossing(phi, dphi, t0, t_end):
     return brentq(phi, lo, t_end, xtol=1e-14, rtol=1e-15)
 
 
-def _close_arc(times, states, breakpoints, blocks):
-    """The arc over the grid `times`, from its first time to its last,
-    whose steps end at breakpoints[1:] with coefficient blocks `blocks`."""
-    times = np.asarray(times)
-    states = np.asarray(states)
+def _close_arc(breakpoints, blocks, t_end, y_end):
+    """The arc from breakpoints[0] to t_end, whose steps end at
+    breakpoints[1:] with coefficient blocks `blocks`, and y_end its state
+    at t_end. Its grid is each step's start, with the state at it (the
+    block's y_old row), then t_end."""
+    k = len(blocks)
+    times = np.array(breakpoints[:k] + [t_end])
     t_start, t_end = times[0], times[-1]
     if blocks:
-        # an event truncates the last step; clamp queries to the arc
-        interp = _ArcInterpolant(np.array(blocks), np.array(breakpoints),
-                                 t_start, t_end)
+        table = np.array(blocks)
+        states = np.vstack([table[:, -1], y_end])
+        # an event cuts the last step; clamp queries to the arc
+        interp = _ArcInterpolant(table, np.array(breakpoints), t_start, t_end)
     else:
+        states = np.array([y_end], float)
         interp = _ConstantInterpolant(states[0], t_start)
     return Arc(t_start, t_end, times, states, interp)
 

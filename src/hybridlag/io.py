@@ -20,7 +20,7 @@ from .hybrid import HybridFlow, SimOptions
 from .models import MODEL_IDS, SCENARIO_IDS
 from .reduction import ReconstructedFlow
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def fmt(x) -> str:
@@ -177,8 +177,6 @@ CONFIG_KEYS = {
     "max_impacts": Setting(int, "options", positive=True),
     "m": Setting(float, "params"),
     "c": Setting(float, "params"),
-    "direction_mode": Setting(str, "params"),
-    "polar_reset_sign": Setting(str, "params"),
 }
 
 

@@ -425,23 +425,35 @@ def _chart_core_sup(polar, cart):
     return sup
 
 
-def test_criterion_8_reset_equivalence(rng):
-    p = hl.BilliardParams(c=0.25)
+@pytest.mark.parametrize("wall", ["paper", "growing"])
+def test_criterion_8_reset_equivalence(wall, rng):
+    if wall == "paper":
+        p = hl.BilliardParams(c=0.25)
+    else:
+        # f = 1 + t outruns the slow reflections: for fdot/(2r) <= rdot <
+        # fdot/r the Cartesian reset sends the particle radially outward
+        p = hl.BilliardParams(c=0.25, wall=lambda t: 1.0 + t,
+                              wall_rate=lambda t: 1.0)
     rp = hl.reset_polar(p)
     rc = hl.reset_cartesian(p)
     worst = 0.0
+    outward = 0
     for _ in range(1000):
         t = float(rng.uniform(0.0, 6.0))
         r = math.sqrt(p.wall(t))
         theta = float(rng.uniform(-math.pi, math.pi))
         rd = float(rng.uniform(p.wall_rate(t) / (2 * r) + 1e-3, 3.0))
         thd = float(rng.uniform(-4.0, 4.0))
+        outward += rd < p.wall_rate(t) / r
         s_pol = hl.State(t, np.array([r, theta]), np.array([rd, thd]))
         mapped = hl.polar_to_cartesian(reset_state(rp, s_pol))
         direct = reset_state(rc, hl.polar_to_cartesian(s_pol))
         worst = max(worst, float(np.max(np.abs(mapped.q - direct.q))),
                     float(np.max(np.abs(mapped.v - direct.v))))
-    ok = report("criterion 8 reset equivalence (1000 on-guard states)",
+    if wall == "growing":
+        assert outward > 0
+    ok = report(f"criterion 8 reset equivalence, {wall} wall (1000 on-guard "
+                f"states, {outward} reflected outward)",
                 worst <= 1e-10, f"max {worst:.3e}")
     assert ok
 

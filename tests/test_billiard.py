@@ -29,8 +29,6 @@ def test_params_validation():
         hl.BilliardParams(m=0.0)
     with pytest.raises(ValueError):
         hl.BilliardParams(c=-0.1)
-    with pytest.raises(ValueError):
-        hl.BilliardParams(direction_mode="sideways")
 
 
 def test_default_wall_law():
@@ -141,17 +139,15 @@ def test_guard_tangential_static_direction_zero():
     assert g.direction(s.t, s.q, s.v) == 0.0  # impact by the closed inequality
 
 
-def test_direction_modes_differ_for_shrinking_wall():
+def test_shrinking_wall_catches_slow_inward_particle():
     # wall f = 4 - 2t overtakes a slow inward particle: the co-moving
-    # condition keeps the impact, the outward condition drops it
+    # direction 2 q.v - fdot counts the impact although q.v < 0
     wall = lambda t: 4.0 - 2.0 * t
     rate = lambda t: -2.0
     s0 = mk_state(0.0, [1.0, 0.0], [-0.1, 0.0])
-    for mode, expected_events in (("co-moving", 1), ("outward", 0)):
-        p = hl.BilliardParams(c=0.0, wall=wall, wall_rate=rate,
-                              direction_mode=mode)
-        flow = hl.simulate(hl.cartesian_hybrid(p), s0, 1.9)
-        assert len(flow.events) == expected_events, mode
+    p = hl.BilliardParams(c=0.0, wall=wall, wall_rate=rate)
+    flow = hl.simulate(hl.cartesian_hybrid(p), s0, 1.9)
+    assert len(flow.events) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -213,27 +209,6 @@ def test_reset_equivalence_on_guard(rng):
         worst = max(worst, float(np.max(np.abs(mapped.q - post_car.q))),
                     float(np.max(np.abs(mapped.v - post_car.v))))
     assert worst <= 1e-10
-
-
-def test_reset_polar_chart_sign_mode(rng):
-    # growing wall, grazing impact: the inward root and the chart image
-    # genuinely differ, and 'chart' mode follows the Cartesian reset
-    wall = lambda t: 1.0 + t
-    rate = lambda t: 1.0
-    t, r = 1.0, math.sqrt(2.0)
-    rd = 0.1  # slower than the wall: fd/r - rd > 0
-    s = mk_state(t, [r, 0.3], [rd, 1.0])
-    p_in = hl.BilliardParams(c=0.0, wall=wall, wall_rate=rate)
-    p_ch = hl.BilliardParams(c=0.0, wall=wall, wall_rate=rate,
-                             polar_reset_sign="chart")
-    _, v_in = hl.reset_polar(p_in).apply(s.t, s.q, s.v)
-    _, v_ch = hl.reset_polar(p_ch).apply(s.t, s.q, s.v)
-    expected = rate(t) / r - rd
-    assert v_in[0] == pytest.approx(-abs(expected), abs=1e-14)
-    assert v_ch[0] == pytest.approx(expected, abs=1e-14)
-    mapped = hl.cartesian_to_polar(
-        reset_state(hl.reset_cartesian(p_ch), hl.polar_to_cartesian(s)))
-    assert v_ch[0] == pytest.approx(mapped.v[0], abs=1e-12)
 
 
 # a Cartesian start whose third impact is located at the collapse time t*

@@ -1009,6 +1009,7 @@ def test_runs_build_states_per_impact_not_per_sample(monkeypatch):
     mu = hl.momentum_map(cyc, sc.initial_polar)
     red = hl.reduce(cyc, mu)
     s0r = cyc.project_state(sc.initial_polar)
+    s0c = sc.initial_cartesian
     rflow = hl.simulate(red.shape, s0r, 10.0)
     # no symmetry samples: the one-time validation is not part of the run
     bare = dataclasses.replace(cyc, sample_states=(), guard_sample_states=())
@@ -1017,11 +1018,10 @@ def test_runs_build_states_per_impact_not_per_sample(monkeypatch):
                                      sc.initial_polar, 10.0),
         "reduced": lambda: hl.simulate(red.shape, s0r, 10.0),
         "cartesian": lambda: hl.simulate(hl.cartesian_hybrid(sc.params),
-                                         sc.initial_cartesian, 10.0),
+                                         s0c, 10.0),
         "resequenced": lambda: hl.simulate_resequenced(
             bare, sc.initial_polar, 10.0).reduced,
-        "reference": lambda: hl.reference_flow(sc.params,
-                                               sc.initial_cartesian, 10.0),
+        "reference": lambda: hl.reference_flow(sc.params, s0c, 10.0),
     }
     built = {hl.State: 0, hl.CoState: 0}
 

@@ -78,11 +78,18 @@ def test_readme_config_table_lists_the_config_keys():
 
 def test_parse_config_unknown_key():
     base = {"model": "billiard-cartesian", "mode": "full", "horizon": 1.0}
-    # event_tol was a key up to schema 1; a schema-1 run.json echoing it
-    # no longer parses
+    # event_tol was a key up to schema 1, direction_mode and
+    # polar_reset_sign up to schema 2; a run.json echoing one no longer
+    # parses
     for doc, key in (({**base, "wavelength": 3}, "wavelength"),
                      ({"schema_version": 1,
-                       "config": {**base, "event_tol": 1e-10}}, "event_tol")):
+                       "config": {**base, "event_tol": 1e-10}}, "event_tol"),
+                     ({"schema_version": 2,
+                       "config": {**base, "direction_mode": "co-moving"}},
+                      "direction_mode"),
+                     ({"schema_version": 2,
+                       "config": {**base, "polar_reset_sign": "inward"}},
+                      "polar_reset_sign")):
         with pytest.raises(hl.ParseError) as err:
             parse_config(json.dumps(doc))
         assert err.value.key == key
@@ -133,12 +140,10 @@ ECHO_EVERY_KEY = {
     "max_step": 2, "guard_tol": 1e-7,
     "min_dwell": 5e-10, "max_impacts": 50, "initial_t": 0,
     "initial_q": [0.5, 1], "initial_v": [1.25, -3], "m": 2, "c": 0,
-    "direction_mode": "outward", "polar_reset_sign": "chart",
     "write_trajectory": False, "write_events": True}
 ECHO_EVERY_KEY_TEXT = """{
   "atol": 1,
   "c": 0,
-  "direction_mode": "outward",
   "guard_tol": 9.9999999999999995e-08,
   "horizon": 3,
   "initial_q": [
@@ -157,7 +162,6 @@ ECHO_EVERY_KEY_TEXT = """{
   "mode": "full",
   "model": "billiard-polar",
   "out": "runs/all",
-  "polar_reset_sign": "chart",
   "rtol": 1.0000000000000001e-09,
   "scenario": "paper-c010",
   "write_events": true,
@@ -194,9 +198,7 @@ def test_config_echo_is_frozen(doc, text):
 
 def test_config_params_apply_overrides_to_the_scenario():
     cfg = parse_config(json.dumps(ECHO_EVERY_KEY))
-    assert cfg.params == hl.BilliardParams(m=2.0, c=0.0,
-                                           direction_mode="outward",
-                                           polar_reset_sign="chart")
+    assert cfg.params == hl.BilliardParams(m=2.0, c=0.0)
     assert cfg.options.max_step == 2.0 and cfg.options.max_impacts == 50
 
 
@@ -300,8 +302,7 @@ def error_record(out):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("c", -1), ("m", 0), ("m", -2.5), ("direction_mode", "sideways"),
-    ("polar_reset_sign", "outward"),
+    ("c", -1), ("m", 0), ("m", -2.5),
 ])
 def test_cli_illegal_parameter_is_parse_error(tmp_path, key, value):
     out = str(tmp_path / "out")
@@ -396,7 +397,7 @@ def test_cli_full_run_writes_files(tmp_path):
     for name in ("trajectory.csv", "events.csv", "run.json"):
         assert os.path.exists(os.path.join(out, name))
     record = json.loads(open(os.path.join(out, "run.json")).read())
-    assert record["schema_version"] == 2
+    assert record["schema_version"] == 3
     assert record["termination"] == "horizon_reached"
     assert record["n_events"] == 3
     assert record["config"]["model"] == "billiard-cartesian"

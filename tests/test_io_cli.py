@@ -301,8 +301,11 @@ def error_record(out):
     return json.loads(open(os.path.join(out, "error.json")).read())
 
 
+# direction_mode and polar_reset_sign were keys up to schema 2; any value
+# of them is now an unknown key
 @pytest.mark.parametrize("key, value", [
-    ("c", -1), ("m", 0), ("m", -2.5),
+    ("c", -1), ("m", 0), ("m", -2.5), ("direction_mode", "sideways"),
+    ("polar_reset_sign", "outward"),
 ])
 def test_cli_illegal_parameter_is_parse_error(tmp_path, key, value):
     out = str(tmp_path / "out")

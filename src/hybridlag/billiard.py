@@ -37,8 +37,8 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .errors import ChartSingularity, InvalidReset, NegativeDiscriminant
-from .hybrid import (TERM_HORIZON, TERM_MAX_IMPACTS, TERM_ZENO, Arc,
-                     Event, Guard, HybridFlow, HybridSystem, ResetMap,
+from .hybrid import (MIN_DWELL, TERM_HORIZON, TERM_MAX_IMPACTS, TERM_ZENO,
+                     Arc, Event, Guard, HybridFlow, HybridSystem, ResetMap,
                      SimOptions, _along, _check_start, _is_times,
                      _next_crossing)
 from .lagrangian import LagrangianSystem, State
@@ -377,7 +377,7 @@ def reference_flow(p: BilliardParams, s0: State, t_end: float,
     its rate, as phi'. The start rule (`hybrid._check_start`: InvalidStart
     unless s0 is finite, t_end does not precede s0.t and s0 lies inside
     the wall or on it and leaving), resets, admissibility and the
-    min_dwell / max_impacts termination rules are the executor's, making
+    MIN_DWELL / max_impacts termination rules are the executor's, making
     the result directly comparable to `simulate` while sharing none of
     its ODE stepping.
     """
@@ -385,7 +385,7 @@ def reference_flow(p: BilliardParams, s0: State, t_end: float,
     guard = guard_cartesian(p)
     reset = reset_cartesian(p)
 
-    _check_start(guard.surface, guard.direction, s0, t_end, opts)
+    _check_start(guard.surface, guard.direction, s0, t_end)
     t, q, v = s0.t, s0.q.copy(), s0.v.copy()
     arcs: List[Arc] = []
     events: List[Event] = []
@@ -409,7 +409,7 @@ def reference_flow(p: BilliardParams, s0: State, t_end: float,
         if tau is None:
             termination = TERM_HORIZON
             break
-        if events and tau - events[-1].tau < opts.min_dwell:
+        if events and tau - events[-1].tau < MIN_DWELL:
             termination = TERM_ZENO
             break
         y = flight(tau)

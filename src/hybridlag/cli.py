@@ -202,11 +202,8 @@ def _run(config: RunConfig) -> int:
 
 
 def _write_flow(config, flow, rec):
-    if config.write_trajectory:
-        write_trajectory_csv(os.path.join(config.out, "trajectory.csv"),
-                             flow, rec)
-    if config.write_events:
-        write_events_csv(os.path.join(config.out, "events.csv"), flow)
+    write_trajectory_csv(os.path.join(config.out, "trajectory.csv"), flow, rec)
+    write_events_csv(os.path.join(config.out, "events.csv"), flow)
 
 
 def _reduce_once(cyc, s0, config):

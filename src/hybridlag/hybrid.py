@@ -41,11 +41,11 @@ Three rules shape the behaviour in impact-accumulation regimes:
   below the guard within its first scan interval goes to `_next_crossing`;
 * the step size of the arc following an impact is capped at the
   previous dwell time, so geometrically accumulating impacts stay
-  resolvable by the fixed-resolution scan;
+  resolvable by the fixed-resolution scan; the first arc's step size
+  has no cap;
 * a run terminates with ``zeno_suspected`` when two impacts fall within
-  ``min_dwell`` of each other, or the step size collapses within
-  ``min_dwell`` of the last impact, and with ``max_impacts`` at the
-  impact cap.
+  MIN_DWELL of each other, or the step size collapses within MIN_DWELL
+  of the last impact, and with ``max_impacts`` at the impact cap.
 """
 
 from __future__ import annotations
@@ -68,7 +68,10 @@ TERM_FAILURE = "integration_failure"
 
 BRENT_RTOL = 1e-15   # relative time tolerance floor for root refinement
 REFINE_XTOL = 1e-13  # time localization of impacts: dwell comparisons
-                     # against min_dwell must not hinge on localization noise
+                     # against MIN_DWELL must not hinge on localization noise
+GUARD_TOL = 1e-8     # bound on |g| at an impact or an on-guard start,
+                     # scaled by the local guard slope max(1, |d|)
+MIN_DWELL = 1e-9     # two impacts closer than this end a run as Zeno
 ARM_TOL = 1e-12      # guard value below which an arc counts as interior
 SCAN_POINTS = 8      # interior dense-output guard samples per accepted step
 EQUIVALENCE_TOL = 1e-6  # state bound of the velocity/momentum-side checks
@@ -130,26 +133,22 @@ class HybridSystem:
 
 @dataclass
 class SimOptions:
-    """Knobs for hybrid execution.
+    """Settings of a hybrid run.
 
-    Every post-impact state is validated: it must be finite and not
-    immediately re-trigger the guard (InvalidReset otherwise).
+    The guard and dwell tolerances are the module constants GUARD_TOL
+    and MIN_DWELL, and the step size is capped only after an impact, at
+    the previous dwell. Every post-impact state is validated: it must be
+    finite and not immediately re-trigger the guard (InvalidReset
+    otherwise).
 
     Attributes:
-        rtol, atol, max_step: integrator step control.
-        guard_tol: bound on |g| at an accepted impact, scaled by the
-            local guard slope max(1, |d|).
-        min_dwell: two impacts closer than this terminate the run with
-            ``zeno_suspected``.
+        rtol, atol: integrator step control.
         max_impacts: impact cap; reaching it terminates with
             ``max_impacts``.
     """
 
     rtol: float = 1e-10
     atol: float = 1e-10
-    max_step: float = np.inf
-    guard_tol: float = 1e-8
-    min_dwell: float = 1e-9
     max_impacts: int = 10000
 
 
@@ -496,7 +495,7 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
     n = y.size // 2
     arcs: List[Arc] = []
     events: List[Event] = []
-    max_step = opts.max_step
+    max_step = math.inf
 
     while True:
         rhs, gfun, dfun, reset = mode
@@ -558,7 +557,7 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
         arcs.append(_close_arc(breakpoints, blocks, t_arc, y_arc))
         # the arc's span since the last impact, or since the start
         dwell = t_arc - (events[-1].tau if events else t0)
-        piled_up = bool(events) and dwell < opts.min_dwell
+        piled_up = bool(events) and dwell < MIN_DWELL
 
         if failed:
             # a step collapse right after an impact is the impacts piling up
@@ -572,7 +571,7 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
         tau, ypre = hit
         residual = abs(gfun(tau, ypre[:n], ypre[n:]))
         slope = max(1.0, abs(dfun(tau, ypre[:n], ypre[n:])))
-        if residual > opts.guard_tol * slope:
+        if residual > GUARD_TOL * slope:
             raise IntegrationFailure(
                 f"guard residual {residual:.3e} at located impact exceeds "
                 f"tolerance; event refinement failed")
@@ -580,7 +579,7 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
         pre, post = ypre.copy(), ypost.copy()
         events.append(Event(tau, State(tau, pre[:n], pre[n:]),
                             State(tau, post[:n], post[n:]), residual))
-        max_step = min(opts.max_step, dwell)
+        max_step = dwell
 
         if len(events) >= opts.max_impacts:
             return HybridFlow(arcs, events, TERM_MAX_IMPACTS)
@@ -813,7 +812,7 @@ def simulate(hs: HybridSystem, s0: State, t_end: float,
     opts = opts or SimOptions()
     n = hs.system.dim
     gfun, dfun = hs.guard.surface, hs.guard.direction
-    _check_start(gfun, dfun, s0, t_end, opts)
+    _check_start(gfun, dfun, s0, t_end)
 
     def reset(tau, ypre):
         q, v = hs.reset.apply(tau, ypre[:n], ypre[n:])
@@ -831,7 +830,7 @@ def _check_finite(s: State):
                            f"q={s.q.tolist()}, v={s.v.tolist()})")
 
 
-def _check_start(gfun, dfun, s: State, t_end: float, opts: SimOptions):
+def _check_start(gfun, dfun, s: State, t_end: float):
     """Raise InvalidStart unless s is finite, t_end does not precede s.t,
     and s is strictly inside the guard or on it and leaving."""
     _check_finite(s)
@@ -841,8 +840,8 @@ def _check_start(gfun, dfun, s: State, t_end: float, opts: SimOptions):
     g0 = gfun(s.t, s.q, s.v)
     d0 = dfun(s.t, s.q, s.v)
     slope0 = max(1.0, abs(d0))
-    if g0 > opts.guard_tol * slope0 or (abs(g0) <= opts.guard_tol * slope0
-                                        and g0 > -ARM_TOL and d0 >= 0.0):
+    if g0 > GUARD_TOL * slope0 or (abs(g0) <= GUARD_TOL * slope0
+                                   and g0 > -ARM_TOL and d0 >= 0.0):
         raise InvalidStart(
             f"initial state has g={g0:.3e}, d={d0:.3e}; start strictly "
             f"inside the admissible region or leaving the guard")

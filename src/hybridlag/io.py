@@ -20,7 +20,7 @@ from .hybrid import HybridFlow, SimOptions
 from .models import MODEL_IDS, SCENARIO_IDS
 from .reduction import ReconstructedFlow
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def fmt(x) -> str:
@@ -167,13 +167,8 @@ CONFIG_KEYS = {
     "initial_t": Setting(float),
     "initial_q": Setting(list),
     "initial_v": Setting(list),
-    "write_trajectory": Setting(bool),
-    "write_events": Setting(bool),
     "rtol": Setting(float, "options", positive=True),
     "atol": Setting(float, "options", positive=True),
-    "max_step": Setting(float, "options", positive=True),
-    "guard_tol": Setting(float, "options", positive=True),
-    "min_dwell": Setting(float, "options", positive=True),
     "max_impacts": Setting(int, "options", positive=True),
     "m": Setting(float, "params"),
     "c": Setting(float, "params"),
@@ -197,25 +192,21 @@ class RunConfig:
     initial_t: Optional[float] = None
     initial_q: Optional[list] = None
     initial_v: Optional[list] = None
-    write_trajectory: bool = True
-    write_events: bool = True
     options: SimOptions = field(default_factory=SimOptions)
     params: BilliardParams = field(default_factory=BilliardParams)
     param_keys: FrozenSet[str] = frozenset()
 
     def to_record(self) -> dict:
         """The configuration document of this run: every run setting and
-        option that is set and finite, and the overridden parameters."""
+        option that is set, and the overridden parameters."""
         rec = {}
         for key, setting in CONFIG_KEYS.items():
             if setting.dest == "params" and key not in self.param_keys:
                 continue
             value = getattr(self if setting.dest == "run"
                             else getattr(self, setting.dest), key)
-            if value is None or (isinstance(value, float)
-                                 and not np.isfinite(value)):
-                continue
-            rec[key] = value
+            if value is not None:
+                rec[key] = value
         return rec
 
 
@@ -273,7 +264,7 @@ def config_from_dict(doc: dict) -> RunConfig:
 def _checked(key, value, setting: Setting):
     """`value` in the setting's type, after its type and range checks."""
     kind = setting.kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(
+    if isinstance(value, bool) or not isinstance(
             value, (int, float) if kind is float else kind):
         raise ParseError(f"key {key!r} expects {kind.__name__}, got "
                          f"{type(value).__name__}", key=key)

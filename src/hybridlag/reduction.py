@@ -459,7 +459,7 @@ def simulate_resequenced(cs: CyclicStructure, s0: State, t_end: float,
 
     mode = mode_at(mus[0], validate=True)
     start = cs.project_state(s0)
-    _check_start(mode[1], mode[2], start, t_end, opts)
+    _check_start(mode[1], mode[2], start, t_end)
     reduced = _execute(mode, s0.t, np.concatenate([start.q, start.v]), t_end,
                        opts)
     mus = mus[:len(reduced.arcs)]

@@ -191,23 +191,30 @@ def test_reset_polar_resting_state():
 
 def test_reset_equivalence_on_guard(rng):
     # polar and Cartesian resets agree under the chart map on admissible
-    # impact states (approaching in the co-moving sense)
-    p = hl.BilliardParams(c=0.25)
+    # impact states (approaching in the co-moving sense) of a breathing
+    # wall, which both grows and shrinks over its period
+    p = hl.BilliardParams(c=0.25, wall=lambda t: 1.0 + 0.3 * math.sin(3 * t),
+                          wall_rate=lambda t: 0.9 * math.cos(3 * t))
     rp = hl.reset_polar(p)
     rc = hl.reset_cartesian(p)
     worst = 0.0
+    growing = shrinking = 0
     for _ in range(1000):
-        t = float(rng.uniform(0.0, 6.0))
+        t = float(rng.uniform(0.0, 2 * math.pi / 3))
         r = math.sqrt(p.wall(t))
         theta = float(rng.uniform(-math.pi, math.pi))
-        lo = p.wall_rate(t) / (2.0 * r) + 1e-3
+        fd = p.wall_rate(t)
+        lo = fd / (2.0 * r) + 1e-3
         rd = float(rng.uniform(lo, 3.0))
         thd = float(rng.uniform(-4.0, 4.0))
+        growing += fd > 0
+        shrinking += fd < 0
         s_pol = mk_state(t, [r, theta], [rd, thd])
         post_car = reset_state(rc, hl.polar_to_cartesian(s_pol))
         mapped = hl.polar_to_cartesian(reset_state(rp, s_pol))
         worst = max(worst, float(np.max(np.abs(mapped.q - post_car.q))),
                     float(np.max(np.abs(mapped.v - post_car.v))))
+    assert growing > 0 and shrinking > 0
     assert worst <= 1e-10
 
 

@@ -146,9 +146,11 @@ def test_guard_sign_bounded_along_arcs(unit_wall_hybrid):
 
 
 def test_event_times_strictly_increase(unit_wall_hybrid):
+    from hybridlag import hybrid
+
     flow = hl.simulate(unit_wall_hybrid, center_start(), 10.0)
     taus = flow.event_times()
-    assert np.all(np.diff(taus) >= hl.SimOptions().min_dwell)
+    assert np.all(np.diff(taus) >= hybrid.MIN_DWELL)
 
 
 def test_determinism_identical_records(unit_wall_hybrid):
@@ -266,13 +268,15 @@ def test_crossing_with_negative_direction_is_skipped(unit_wall_hybrid):
 
 def test_zeno_termination_on_collapsing_wall():
     # the bundled moving wall closes at 10 ln 2; impacts accumulate there
+    from hybridlag import hybrid
+
     sc = hl.get_scenario("paper-c025")
     flow = hl.simulate(hl.cartesian_hybrid(sc.params), sc.initial_cartesian,
                        10.0)
     assert flow.termination == "zeno_suspected"
     assert flow.events[-1].tau == pytest.approx(6.9314718, abs=1e-4)
     dwells = np.diff(flow.event_times())
-    assert dwells[-1] >= hl.SimOptions().min_dwell
+    assert dwells[-1] >= hybrid.MIN_DWELL
     assert dwells[-1] <= 1e-8  # the accumulation was actually resolved
 
 
@@ -285,7 +289,7 @@ PAPER_C025 = hl.get_scenario("paper-c025")
 ORACLE_RUNS = {
     "grazing-static-wall": (static_billiard(), (1.0, 0.0), (-1e-4, 1.0),
                             0.01, 50),
-    # g = 1e-10 at the start: accepted as on the guard, within guard_tol
+    # g = 1e-10 at the start: accepted as on the guard, within GUARD_TOL
     "grazing-just-outside": (static_billiard(), (1.00000000005, 0.0),
                              (-1e-4, 1.0), 0.01, 50),
     "sweep-000": (hl.BilliardParams(c=0.06421726735278491),

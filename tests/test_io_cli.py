@@ -53,7 +53,6 @@ def test_parse_config_minimal_defaults():
                        '"horizon": 2.0}')
     assert cfg.options.rtol == 1e-10
     assert cfg.options.max_impacts == 10000
-    assert cfg.options.min_dwell == 1e-9
     assert cfg.out == "."
 
 
@@ -79,22 +78,23 @@ def test_readme_config_table_lists_the_config_keys():
 def test_parse_config_unknown_key():
     base = {"model": "billiard-cartesian", "mode": "full", "horizon": 1.0}
     # event_tol was a key up to schema 1, direction_mode and
-    # polar_reset_sign up to schema 2; a run.json echoing one no longer
-    # parses
-    for doc, key in (({**base, "wavelength": 3}, "wavelength"),
-                     ({"schema_version": 1,
-                       "config": {**base, "event_tol": 1e-10}}, "event_tol"),
-                     ({"schema_version": 2,
-                       "config": {**base, "direction_mode": "co-moving"}},
-                      "direction_mode"),
-                     ({"schema_version": 2,
-                       "config": {**base, "polar_reset_sign": "inward"}},
-                      "polar_reset_sign")):
+    # polar_reset_sign up to schema 2, and max_step, guard_tol, min_dwell,
+    # write_trajectory and write_events up to schema 3; a run.json
+    # echoing one no longer parses
+    removed = ((1, "event_tol", 1e-10), (2, "direction_mode", "co-moving"),
+               (2, "polar_reset_sign", "inward"), (3, "max_step", 2.0),
+               (3, "guard_tol", 1e-8), (3, "min_dwell", 1e-9),
+               (3, "write_trajectory", True), (3, "write_events", True))
+    for doc, key in [({**base, "wavelength": 3}, "wavelength")] + [
+            ({"schema_version": schema, "config": {**base, key: value}}, key)
+            for schema, key, value in removed]:
         with pytest.raises(hl.ParseError) as err:
             parse_config(json.dumps(doc))
         assert err.value.key == key
 
 
+# max_step, guard_tol and min_dwell were number keys up to schema 3; any
+# value of them is now an unknown key
 @pytest.mark.parametrize("key", ["horizon", "initial_t", "rtol", "atol",
                                  "max_step", "guard_tol", "min_dwell",
                                  "m", "c"])
@@ -118,6 +118,16 @@ def test_parse_config_negative_tolerance():
                      '"horizon": 1.0, "rtol": -1e-10}')
 
 
+@pytest.mark.parametrize("key", ["horizon", "max_impacts", "c", "scenario"])
+def test_parse_config_rejects_booleans(key):
+    # a JSON boolean is an int to Python; no key takes one
+    doc = {"model": "billiard-cartesian", "mode": "full", "horizon": 1.0,
+           key: True}
+    with pytest.raises(hl.ParseError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.key == key
+
+
 def test_parse_config_bad_mode_and_model():
     with pytest.raises(hl.ParseError):
         parse_config('{"model": "billiard-cartesian", "mode": "meditate", '
@@ -137,14 +147,11 @@ def test_parse_config_invalid_json():
 ECHO_EVERY_KEY = {
     "model": "billiard-polar", "scenario": "paper-c010", "mode": "full",
     "horizon": 3, "out": "runs/all", "rtol": 1e-9, "atol": 1,
-    "max_step": 2, "guard_tol": 1e-7,
-    "min_dwell": 5e-10, "max_impacts": 50, "initial_t": 0,
-    "initial_q": [0.5, 1], "initial_v": [1.25, -3], "m": 2, "c": 0,
-    "write_trajectory": False, "write_events": True}
+    "max_impacts": 50, "initial_t": 0,
+    "initial_q": [0.5, 1], "initial_v": [1.25, -3], "m": 2, "c": 0}
 ECHO_EVERY_KEY_TEXT = """{
   "atol": 1,
   "c": 0,
-  "guard_tol": 9.9999999999999995e-08,
   "horizon": 3,
   "initial_q": [
     0.5,
@@ -157,31 +164,23 @@ ECHO_EVERY_KEY_TEXT = """{
   ],
   "m": 2,
   "max_impacts": 50,
-  "max_step": 2,
-  "min_dwell": 5.0000000000000003e-10,
   "mode": "full",
   "model": "billiard-polar",
   "out": "runs/all",
   "rtol": 1.0000000000000001e-09,
-  "scenario": "paper-c010",
-  "write_events": true,
-  "write_trajectory": false
+  "scenario": "paper-c010"
 }"""
 ECHO_SCENARIO_ONLY = {"model": "billiard-cartesian", "scenario": "paper-c025",
                       "mode": "reduced", "horizon": 10}
 ECHO_SCENARIO_ONLY_TEXT = """{
   "atol": 1e-10,
-  "guard_tol": 1e-08,
   "horizon": 10,
   "max_impacts": 10000,
-  "min_dwell": 1.0000000000000001e-09,
   "mode": "reduced",
   "model": "billiard-cartesian",
   "out": ".",
   "rtol": 1e-10,
-  "scenario": "paper-c025",
-  "write_events": true,
-  "write_trajectory": true
+  "scenario": "paper-c025"
 }"""
 
 
@@ -199,7 +198,7 @@ def test_config_echo_is_frozen(doc, text):
 def test_config_params_apply_overrides_to_the_scenario():
     cfg = parse_config(json.dumps(ECHO_EVERY_KEY))
     assert cfg.params == hl.BilliardParams(m=2.0, c=0.0)
-    assert cfg.options.max_step == 2.0 and cfg.options.max_impacts == 50
+    assert cfg.options.max_impacts == 50
 
 
 def test_scenario_sets_parameters_and_start():
@@ -400,7 +399,7 @@ def test_cli_full_run_writes_files(tmp_path):
     for name in ("trajectory.csv", "events.csv", "run.json"):
         assert os.path.exists(os.path.join(out, name))
     record = json.loads(open(os.path.join(out, "run.json")).read())
-    assert record["schema_version"] == 3
+    assert record["schema_version"] == 4
     assert record["termination"] == "horizon_reached"
     assert record["n_events"] == 3
     assert record["config"]["model"] == "billiard-cartesian"

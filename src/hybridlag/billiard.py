@@ -39,8 +39,7 @@ import numpy as np
 from .errors import ChartSingularity, InvalidReset, NegativeDiscriminant
 from .hybrid import (MIN_DWELL, TERM_HORIZON, TERM_MAX_IMPACTS, TERM_ZENO,
                      Arc, Event, Guard, HybridFlow, HybridSystem, ResetMap,
-                     SimOptions, _along, _check_start, _is_times,
-                     _next_crossing)
+                     SimOptions, _along, _check_start, _is_times, brentq)
 from .lagrangian import LagrangianSystem, State
 from .reduction import CyclicStructure
 
@@ -171,7 +170,8 @@ def polar_system(p: BilliardParams) -> LagrangianSystem:
 # ---------------------------------------------------------------------------
 
 def _wall_at(f, t):
-    """The scalar wall law f at t, or at each of an array of times."""
+    """A scalar law f (the wall or its rate) at t, or at each of an array
+    of times."""
     if _is_times(t):
         return np.array([f(tt) for tt in t.tolist()])
     return f(t)
@@ -186,7 +186,9 @@ def guard_cartesian(p: BilliardParams) -> Guard:
             return np.vecdot(q, q, axis=0) - _wall_at(f, t)
         return float(q @ q) - f(t)
 
-    def direction(t, q, v) -> float:
+    def direction(t, q, v):
+        if _is_times(t):
+            return 2.0 * np.vecdot(q, v, axis=0) - _wall_at(fdot, t)
         return 2.0 * float(q @ v) - fdot(t)
 
     return Guard(surface=surface, direction=direction)
@@ -198,8 +200,8 @@ def guard_polar(p: BilliardParams) -> Guard:
     def surface(t, q, v):
         return q[0]**2 - _wall_at(f, t)
 
-    def direction(t, q, v) -> float:
-        return 2.0 * q[0] * v[0] - fdot(t)
+    def direction(t, q, v):
+        return 2.0 * q[0] * v[0] - _wall_at(fdot, t)
 
     return Guard(surface=surface, direction=direction)
 
@@ -366,14 +368,52 @@ class _FlightInterpolant:
         return np.concatenate([q, v])
 
 
+def _next_crossing(phi, dphi, t0, t_end):
+    """First upward root of a convex phi with phi(t0) <= 0 (to round-off)
+    on [t0, t_end], where dphi is its rate."""
+    if t_end <= t0:
+        return None
+    if dphi(t0) >= 0.0:
+        # heading out from the start: at most one root ahead
+        if phi(t_end) <= 0.0:
+            return None
+        if phi(t0) >= 0.0:
+            # grazing exit at round-off level: the wall recaptures at once
+            return t0
+        lo = t0
+    else:
+        # phi decreases first; expand a bracket for the zero of dphi
+        left = t0
+        h = max(1e-12, 1e-12 * abs(t0))
+        right = None
+        while t0 + h < t_end:
+            if dphi(t0 + h) > 0.0:
+                right = t0 + h
+                break
+            left = t0 + h
+            h *= 2.0
+        if right is None:
+            if dphi(t_end) <= 0.0:
+                # still heading inward at the end: phi stays negative
+                return None
+            right = t_end
+        t_min = brentq(dphi, left, right, xtol=1e-15, rtol=1e-15)
+        if phi(t_min) >= 0.0:
+            # dip never measurably re-enters: the wall caught the state
+            return t_min
+        if phi(t_end) <= 0.0:
+            return None
+        lo = t_min
+    return brentq(phi, lo, t_end, xtol=1e-14, rtol=1e-15)
+
+
 def reference_flow(p: BilliardParams, s0: State, t_end: float,
                    opts: Optional[SimOptions] = None) -> HybridFlow:
     """Exact piecewise reference run of the Cartesian billiard.
 
     Flights are closed-form; the next impact is the first root of the
     guard phi(t) = |q(t)|^2 - f(t) along the flight, which is convex for
-    these walls, found by the executor's crossing rule for arcs that start
-    on the guard (`hybrid._next_crossing`) with the guard's direction,
+    these walls, found by `_next_crossing` with the guard's direction,
     its rate, as phi'. The start rule (`hybrid._check_start`: InvalidStart
     unless s0 is finite, t_end does not precede s0.t and s0 lies inside
     the wall or on it and leaving), resets, admissibility and the

@@ -18,12 +18,13 @@ products scipy takes, since a BLAS sum need not add in a Python loop's
 order (see `RK45`).
 After every accepted step the step's dense output is evaluated once, as
 one array call at the endpoints plus SCAN_POINTS interior times, and the
-guard surface once on the resulting columns; a sign change from
-non-positive to positive brackets a candidate crossing, which is refined
-in time to REFINE_XTOL with Brent's method on the interpolant (`brentq`,
-scipy's C routine run operation for operation). A crossing counts as an
-impact only where the admissibility (direction) function is >= 0;
-crossings with negative direction are skipped and integration continues.
+guard surface g and its rate d once each on the resulting columns. One
+rule on these (g, d) samples brackets the crossings, including those
+between two samples (`_scan`), which are refined in time to REFINE_XTOL
+with Brent's method on the interpolant (`brentq`, scipy's C routine run
+operation for operation). A crossing counts as an impact only where
+d >= 0, and never at the arc's start; crossings with negative d are
+skipped and integration continues.
 An arc keeps its dense output as one table of its steps' coefficient
 blocks, which the step loop hands over, and evaluates an array of times
 in one gathered numpy pass with the same bits (`_ArcInterpolant`).
@@ -35,14 +36,12 @@ post-impact state together with the mode of the next arc, so a run can
 change its dynamics at an impact; resequenced runs use this to rebuild
 the reduced system at the post-impact momentum.
 
-Three rules shape the behaviour in impact-accumulation regimes:
+Two rules shape the behaviour in impact-accumulation regimes:
 
-* an arc that starts on the guard and leaves it is armed at once; a dip
-  below the guard within its first scan interval goes to `_next_crossing`;
 * the step size of the arc following an impact is capped at the
-  previous dwell time, so geometrically accumulating impacts stay
-  resolvable by the fixed-resolution scan; the first arc's step size
-  has no cap;
+  previous dwell time; without the cap, the first step of each such arc
+  spans its whole flight, and its extrema and crossings cost about twice
+  the refinement work. The first arc's step size has no cap;
 * a run terminates with ``zeno_suspected`` when two impacts fall within
   MIN_DWELL of each other, or the step size collapses within MIN_DWELL
   of the last impact, and with ``max_impacts`` at the impact cap.
@@ -72,8 +71,8 @@ REFINE_XTOL = 1e-13  # time localization of impacts: dwell comparisons
 GUARD_TOL = 1e-8     # bound on |g| at an impact or an on-guard start,
                      # scaled by the local guard slope max(1, |d|)
 MIN_DWELL = 1e-9     # two impacts closer than this end a run as Zeno
-ARM_TOL = 1e-12      # guard value below which an arc counts as interior
-SCAN_POINTS = 8      # interior dense-output guard samples per accepted step
+ARM_TOL = 1e-12      # guard value above which a start counts as on it
+SCAN_POINTS = 1      # interior dense-output guard samples per accepted step
 EQUIVALENCE_TOL = 1e-6  # state bound of the velocity/momentum-side checks
 EVENT_TIME_TOL = 1e-8   # impact-time bound of check_hybrid_equivalence
 # scan sample i of a step [a, b] is i * ((b - a) / (SCAN_POINTS + 1)) + a,
@@ -95,11 +94,11 @@ class Guard:
         (k,) times with (n, k) columns give (k,) values, entry i equal
         bit for bit to the scalar call on time i and column i. The scan
         makes one such call per accepted step.
-    direction: admissibility d(t, q, v) -> float, at single points only;
-        a crossing is an impact iff d >= 0 there (closed inequality:
-        grazing counts). On arcs that start on the guard, d is also read
-        as the rate dg/dt of the surface along the flow; every built-in
-        guard's d is that rate.
+    direction: the rate d = dg/dt of the surface along the flow, with
+        the surface's array contract; the scan makes one such call per
+        accepted step and reads the extrema of g off its sign changes. A
+        crossing is an impact iff d >= 0 there (closed inequality:
+        grazing counts).
     """
 
     surface: Callable[[float, np.ndarray, np.ndarray], float]
@@ -136,10 +135,10 @@ class SimOptions:
     """Settings of a hybrid run.
 
     The guard and dwell tolerances are the module constants GUARD_TOL
-    and MIN_DWELL, and the step size is capped only after an impact, at
-    the previous dwell. Every post-impact state is validated: it must be
-    finite and not immediately re-trigger the guard (InvalidReset
-    otherwise).
+    and MIN_DWELL, the scan takes SCAN_POINTS interior samples per step,
+    and the step size is capped only after an impact, at the previous
+    dwell. Every post-impact state is validated: it must be finite and
+    not immediately re-trigger the guard (InvalidReset otherwise).
 
     Attributes:
         rtol, atol: integrator step control.
@@ -483,7 +482,8 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
 
     mode: (rhs, gfun, dfun, reset) with rhs: (t, y) -> y', called on a
     list of 2n floats and returning a sequence of 2n floats (see `RK45`),
-    gfun/dfun: a `Guard`'s surface and direction on the halves of y, and
+    gfun/dfun: a `Guard`'s surface and direction on the halves of y (on
+    columns for an array of times), and
     reset: (tau, y_pre) -> (y_post, next_mode), performing its own
     validation; the arc after the impact runs in next_mode. Returns the
     `HybridFlow`: its events' states split each packed y into its halves,
@@ -505,16 +505,12 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
             # scipy would reject every step of a NaN step size forever
             raise IntegrationFailure(
                 f"right-hand side is not finite at the arc start t={t:.6g}")
-        g0 = gfun(t, y[:n], y[n:])
-        # leaving the guard: its dip below g = 0 may not reach a scan sample
-        on_guard = g0 >= -ARM_TOL and dfun(t, y[:n], y[n:]) < 0.0
-        armed = g0 < -ARM_TOL or on_guard
         # the arc's dense output: each step's coefficient block and end
         breakpoints = [t]
         blocks = []
         hit = None
         failed = False
-        while solver.status == "running":
+        while hit is None and solver.status == "running":
             solver.step()
             if solver.status == "failed":
                 failed = True
@@ -527,31 +523,10 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
                   + solver.t_old)
             ts[-1] = solver.t
             ys = dense(ts)
-            # the sign tests below run on Python floats
-            gs = gfun(ts, ys[:n], ys[n:]).tolist()
-            for i in range(len(ts) - 1):
-                if not armed and gs[i] < -ARM_TOL:
-                    armed = True
-                tau = None
-                if on_guard and i == 0 and gs[1] > 0.0:
-                    # the whole dip below the guard lies in this interval
-                    tau = _next_crossing(_along(gfun, dense, n),
-                                         _along(dfun, dense, n), ts[0], ts[1])
-                elif armed and gs[i] <= 0.0 and gs[i + 1] > 0.0:
-                    tau = ts[i] if gs[i] == 0.0 else brentq(
-                        _along(gfun, dense, n), ts[i], ts[i + 1],
-                        xtol=REFINE_XTOL, rtol=BRENT_RTOL)
-                if tau is None:
-                    continue
-                ypre = dense(tau)
-                if dfun(tau, ypre[:n], ypre[n:]) >= 0.0:
-                    hit = (tau, ypre)
-                    break
-                # inadmissible crossing: trajectory exits; rescan later
-                # pairs for a subsequent re-entry crossing
-            on_guard = False
-            if hit is not None:
-                break
+            # the scan rule runs on Python floats
+            hit = _scan(dense, n, gfun, dfun, t, ts.tolist(),
+                        gfun(ts, ys[:n], ys[n:]).tolist(),
+                        dfun(ts, ys[:n], ys[n:]).tolist())
 
         t_arc, y_arc = hit if hit is not None else (solver.t, solver.y)
         arcs.append(_close_arc(breakpoints, blocks, t_arc, y_arc))
@@ -584,6 +559,55 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
         if len(events) >= opts.max_impacts:
             return HybridFlow(arcs, events, TERM_MAX_IMPACTS)
         t, y = tau, ypost
+
+
+def _scan(dense, n, gfun, dfun, start, ts, gs, ds):
+    """The first impact of an accepted step as (tau, y_pre), or None.
+
+    dense is the step's dense output, ts its scan samples, gs and ds the
+    guard g and its rate d there, and start the time the arc starts. One
+    rule reads each interval [a, b] between two samples:
+
+    * an arc's first interval, where d goes from - to + and g(b) > 0:
+      the crossing follows the minimum of g. Where g >= 0 there, the arc
+      left the guard without measurably getting inside, and the wall
+      catches it at the minimum;
+    * d from + to - with g(a), g(b) <= 0: where g > 0 at the maximum,
+      the crossing precedes it;
+    * otherwise, g(a) <= 0 < g(b) brackets the crossing.
+
+    Extrema are located with Brent on d, crossings with Brent on g. A
+    crossing is an impact where d >= 0, except at the start itself;
+    otherwise the scan goes on. A strike between two samples is missed
+    only where g has two maxima between them.
+    """
+    g, d = _along(gfun, dense, n), _along(dfun, dense, n)
+    for a, b, ga, gb, da, db in zip(ts, ts[1:], gs, gs[1:], ds, ds[1:]):
+        if a == start and da < 0.0 < db and gb > 0.0:
+            t_min = _refine(d, a, b)
+            tau = _refine(g, t_min, b) if g(t_min) < 0.0 else t_min
+        elif da > 0.0 > db and ga <= 0.0 and gb <= 0.0:
+            t_max = _refine(d, a, b)
+            if g(t_max) <= 0.0:
+                continue
+            tau = _refine(g, a, t_max)
+        elif ga <= 0.0 < gb:
+            tau = _refine(g, a, b)
+        else:
+            continue
+        if tau == start:
+            continue
+        y = dense(tau)
+        if dfun(tau, y[:n], y[n:]) >= 0.0:
+            return tau, y
+        # inadmissible crossing: the trajectory exits; scan on for a
+        # re-entry
+    return None
+
+
+def _refine(f, a, b):
+    """The root of f in [a, b], to REFINE_XTOL."""
+    return brentq(f, a, b, xtol=REFINE_XTOL, rtol=BRENT_RTOL)
 
 
 def _along(fun, dense, n):
@@ -669,45 +693,6 @@ def brentq(f, a, b, xtol=2e-12, rtol=_BRENT_RTOL_MIN, maxiter=100):
         fcur = value(xcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
                        f"value is {xcur:f}")
-
-
-def _next_crossing(phi, dphi, t0, t_end):
-    """First upward root of a convex phi with phi(t0) <= 0 (to round-off)
-    on [t0, t_end], where dphi is its rate."""
-    if t_end <= t0:
-        return None
-    if dphi(t0) >= 0.0:
-        # heading out from the start: at most one root ahead
-        if phi(t_end) <= 0.0:
-            return None
-        if phi(t0) >= 0.0:
-            # grazing exit at round-off level: the wall recaptures at once
-            return t0
-        lo = t0
-    else:
-        # phi decreases first; expand a bracket for the zero of dphi
-        left = t0
-        h = max(1e-12, 1e-12 * abs(t0))
-        right = None
-        while t0 + h < t_end:
-            if dphi(t0 + h) > 0.0:
-                right = t0 + h
-                break
-            left = t0 + h
-            h *= 2.0
-        if right is None:
-            if dphi(t_end) <= 0.0:
-                # still heading inward at the end: phi stays negative
-                return None
-            right = t_end
-        t_min = brentq(dphi, left, right, xtol=1e-15, rtol=1e-15)
-        if phi(t_min) >= 0.0:
-            # dip never measurably re-enters: the wall caught the state
-            return t_min
-        if phi(t_end) <= 0.0:
-            return None
-        lo = t_min
-    return brentq(phi, lo, t_end, xtol=1e-14, rtol=1e-15)
 
 
 def _close_arc(breakpoints, blocks, t_end, y_end):
@@ -940,8 +925,9 @@ def _momentum_mode(hs: HybridSystem, v0):
 
     Every velocity recovery is a Newton solve warm-started at the last
     velocity found, first at v0, so the mode's results depend on the
-    order of its calls; an array call of the guard surface solves its
-    columns in time order, as scalar calls along the arc would.
+    order of its calls; an array call of the guard surface or direction
+    solves its columns in time order, as scalar calls along the arc
+    would.
     """
     n = hs.system.dim
     sys = hs.system
@@ -957,15 +943,15 @@ def _momentum_mode(hs: HybridSystem, v0):
         warm["v"] = dq
         return np.concatenate([dq, dp])
 
-    def gfun_h(t, q, p):
-        if not _is_times(t):
-            return hs.guard.surface(t, q, velocity(t, q, p))
-        v = np.column_stack([velocity(tt, q[:, i], p[:, i])
-                             for i, tt in enumerate(t)])
-        return hs.guard.surface(t, q, v)
-
-    def dfun_h(t, q, p):
-        return hs.guard.direction(t, q, velocity(t, q, p))
+    def on_momenta(fun):
+        """A guard function fun(t, q, v) as a function of (t, q, p)."""
+        def f(t, q, p):
+            if not _is_times(t):
+                return fun(t, q, velocity(t, q, p))
+            v = np.column_stack([velocity(tt, q[:, i], p[:, i])
+                                 for i, tt in enumerate(t)])
+            return fun(t, q, v)
+        return f
 
     def reset_h(tau, ypre):
         q = ypre[:n]
@@ -973,7 +959,8 @@ def _momentum_mode(hs: HybridSystem, v0):
         p_post = sys.dL_dv(tau, q_post, v_post)
         return np.concatenate([q_post, p_post]), mode_h
 
-    mode_h = (rhs_h, gfun_h, dfun_h, reset_h)
+    mode_h = (rhs_h, on_momenta(hs.guard.surface),
+              on_momenta(hs.guard.direction), reset_h)
     return mode_h
 
 
@@ -1018,6 +1005,5 @@ def _never(t, q, v):
 def _inert_hybrid(system: LagrangianSystem) -> HybridSystem:
     """`system` under a guard that never triggers and an identity reset."""
     return HybridSystem(system=system,
-                        guard=Guard(surface=_never,
-                                    direction=lambda t, q, v: -1.0),
+                        guard=Guard(surface=_never, direction=_never),
                         reset=ResetMap(apply=lambda t, q, v: (q, v)))

@@ -83,8 +83,8 @@ class CyclicStructure:
         routhian_factory: optional closed-form reduced system builder
             mu -> LagrangianSystem of dimension n-1.
         reduced_guard_factory: optional closed-form reduced guard builder
-            mu -> Guard on shape-space (t, x, xdot), with the array
-            contract of `Guard.surface`; `reduce` uses it in
+            mu -> Guard on shape-space (t, x, xdot), whose surface and
+            direction have the array contract of `Guard`; `reduce` uses it in
             place of the full guard on the lifted state. `validate` checks
             it against the full guard on every sample state, at the
             sample's own momentum.
@@ -293,9 +293,10 @@ def reduce(cs: CyclicStructure, mu: float,
     """Build the reduced hybrid system at momentum mu.
 
     The reduced guard is the structure's closed form when it has one;
-    otherwise it evaluates the full guard on the lifted state (at cyclic
-    angle 0, which the validated invariance makes immaterial), one
-    column at a time on an array of times. The
+    otherwise it evaluates the full guard's surface and direction on the
+    lifted state (at cyclic angle 0, which the validated invariance makes
+    immaterial), one column at a time, in time order, on an array of
+    times. The
     reduced reset is `_lifted_reset`, which must keep mu (to
     INVARIANCE_TOL, relative). Raises InvalidStart when mu is not finite
     (the momentum of a non-finite state) and NotInvariant when the
@@ -309,16 +310,17 @@ def reduce(cs: CyclicStructure, mu: float,
     if cs.reduced_guard_factory is not None:
         guard = cs.reduced_guard_factory(mu)
     else:
-        def g_red(t, x, xdot):
-            if _is_times(t):
-                return np.array([g_red(tt, x[:, i], xdot[:, i])
-                                 for i, tt in enumerate(t)])
-            return cs.full.guard.surface(t, *cs.embed(t, x, xdot, mu))
+        def lifted(fun):
+            """A full guard function fun(t, q, v) on the lifted state."""
+            def f(t, x, xdot):
+                if _is_times(t):
+                    return np.array([f(tt, x[:, i], xdot[:, i])
+                                     for i, tt in enumerate(t)])
+                return fun(t, *cs.embed(t, x, xdot, mu))
+            return f
 
-        def d_red(t, x, xdot):
-            return cs.full.guard.direction(t, *cs.embed(t, x, xdot, mu))
-
-        guard = Guard(surface=g_red, direction=d_red)
+        guard = Guard(surface=lifted(cs.full.guard.surface),
+                      direction=lifted(cs.full.guard.direction))
 
     def reset_red(t, x, xdot):
         x_post, xdot_post, mu_post, _ = _lifted_reset(cs, mu, t, x, xdot)

@@ -245,10 +245,13 @@ def test_max_impacts_termination(unit_wall_hybrid):
 
 
 def _with_direction(hs, value):
-    """`hs` with its guard's direction replaced by the constant value."""
+    """`hs` with its guard's direction replaced by the constant value,
+    one per time on an array of times."""
+    def direction(t, q, v):
+        return np.full(len(t), value) if np.ndim(t) else value
+
     return dataclasses.replace(
-        hs, guard=dataclasses.replace(hs.guard,
-                                      direction=lambda t, q, v: value))
+        hs, guard=dataclasses.replace(hs.guard, direction=direction))
 
 
 def test_grazing_direction_zero_is_an_impact(unit_wall_hybrid):
@@ -281,10 +284,11 @@ def test_zeno_termination_on_collapsing_wall():
 
 
 # Runs whose arcs start on the guard with a dip below it shorter than one
-# scan interval; before such arcs were armed from their start, all but the
-# paper run missed impacts (0 of 50 from on and just outside the wall, 4 of
-# 7, and 6 of 11 after crawling to the horizon). The sweep starts are cases
-# 0 and 27 of the benchmark's seed-1 cartesian-sweep.
+# scan interval, which the scan finds through the minimum of the guard;
+# with a sign test alone, all but the paper run missed impacts (0 of 50
+# from on and just outside the wall, 4 of 7, and 6 of 11 after crawling
+# to the horizon). The sweep starts are cases 0 and 27 of the benchmark's
+# seed-1 cartesian-sweep.
 PAPER_C025 = hl.get_scenario("paper-c025")
 ORACLE_RUNS = {
     "grazing-static-wall": (static_billiard(), (1.0, 0.0), (-1e-4, 1.0),
@@ -334,6 +338,35 @@ def test_arcs_starting_on_the_guard_match_oracle(name):
     s0 = hl.State(0.0, np.array(q0), np.array(v0))
     flow = assert_matches_oracle(params, s0, t_end)
     assert len(flow.events) == impacts
+
+
+# (eps, tangential speed) of a particle at r0^2 = 0.7 + eps inside the
+# breathing wall f = 1 + 0.3 sin 3t, which sweeps through it near
+# t = pi/2: a strike between two scan samples of one long step, which a
+# sign test of the guard alone misses, to run on outside the wall
+BREATHING_WALL_STARTS = {"rest-1e-3": (1e-3, 0.0), "rest-1e-6": (1e-6, 0.0),
+                         "drift-1e-6": (1e-6, 1e-3)}
+
+
+@pytest.mark.parametrize("start", list(BREATHING_WALL_STARTS))
+@pytest.mark.parametrize("chart", ["cartesian", "polar"])
+def test_strike_between_scan_samples_is_found(chart, start):
+    from hybridlag import hybrid
+
+    eps, speed = BREATHING_WALL_STARTS[start]
+    params = _oscillating_wall()
+    s0 = hl.State(0.0, np.array([math.sqrt(0.7 + eps), 0.0]),
+                  np.array([0.0, speed]))
+    if chart == "polar":
+        hs, s0 = hl.polar_hybrid(params), hl.cartesian_to_polar(s0)
+    else:
+        hs = hl.cartesian_hybrid(params)
+    flow = hl.simulate(hs, s0, 3.0)
+    assert len(flow.events) == 1
+    for arc in flow.arcs:
+        ts = np.linspace(arc.t_start, arc.t_end, 2000)
+        ys = arc(ts)
+        assert np.max(hs.guard.surface(ts, ys[:2], ys[2:])) <= hybrid.GUARD_TOL
 
 
 # the benchmark sweep's ranges, on the paper wall through its collapse
@@ -403,17 +436,17 @@ def test_reset_retrigger_rejected(unit_wall_hybrid):
 
 
 def test_scan_evaluates_dense_output_once_per_step(monkeypatch):
-    # the scan makes one array call of the dense output and one of the
-    # guard surface per accepted step. Every other dense evaluation
-    # belongs to a refinement: each Brent iterate and the pre-impact state
-    # (the left end's guard value comes from the scan). Every other
-    # surface call is scalar: the start check, one per arc start, one per
-    # Brent iterate, the residual of each impact, and those of reset
-    # validation and of the on-guard rule
-    from hybridlag import hybrid
+    # the scan makes one array call of the dense output, one of the guard
+    # surface and one of its rate per accepted step. Every other dense
+    # evaluation belongs to a refinement: each Brent iterate and the
+    # pre-impact state. Every other surface call is scalar: the start
+    # check, one per Brent iterate, the residual of each impact, and those
+    # of reset validation. The oracle's convex search is not called
+    from hybridlag import billiard, hybrid
 
     counts = dict(steps=0, dense=0, brent_evals=0, refines=0)
     surface = {"columns": 0}
+    rate_columns = []
     where = ["loop"]
 
     class CountedDense:
@@ -455,29 +488,39 @@ def test_scan_evaluates_dense_output_once_per_step(monkeypatch):
         counts["refines"] += 1
         return inside("brent", brentq)(counted, a, b, *args, **kwargs)
 
+    def never_called(*args):
+        raise AssertionError("the executor called _next_crossing")
+
     sc = hl.get_scenario("paper-c025")
     hs = hl.polar_hybrid(sc.params)
-    g = hs.guard.surface
+    g, d = hs.guard.surface, hs.guard.direction
 
     def counted_surface(t, q, v):
         key = "columns" if np.ndim(t) else where[-1]
         surface[key] = surface.get(key, 0) + 1
         return g(t, q, v)
 
+    def counted_direction(t, q, v):
+        if np.ndim(t):
+            rate_columns.append(len(t))
+        return d(t, q, v)
+
     monkeypatch.setattr(hybrid, "RK45", CountedRK45)
     monkeypatch.setattr(hybrid, "brentq", counted_brentq)
-    for name in ("_validate_reset", "_next_crossing"):
-        monkeypatch.setattr(hybrid, name, inside(name, getattr(hybrid, name)))
+    monkeypatch.setattr(hybrid, "_validate_reset",
+                        inside("_validate_reset", hybrid._validate_reset))
+    monkeypatch.setattr(billiard, "_next_crossing", never_called)
     hs = dataclasses.replace(hs, guard=dataclasses.replace(
-        hs.guard, surface=counted_surface))
+        hs.guard, surface=counted_surface, direction=counted_direction))
     flow = hl.simulate(hs, sc.initial_polar, 2.0)
     assert flow.events and counts["refines"] >= len(flow.events)
     assert counts["dense"] == (counts["steps"] + counts["brent_evals"]
                                + counts["refines"])
     assert surface.pop("columns") == counts["steps"]
+    assert rate_columns == [hybrid.SCAN_POINTS + 2] * counts["steps"]
     assert surface.pop("brent") == counts["brent_evals"]
-    assert surface.pop("loop") == 1 + len(flow.arcs) + len(flow.events)
-    assert set(surface) <= {"_validate_reset", "_next_crossing"}
+    assert surface.pop("loop") == 1 + len(flow.events)
+    assert set(surface) <= {"_validate_reset"}
 
 
 # ---------------------------------------------------------------------------
@@ -1082,27 +1125,31 @@ def _reduced_guard(closed_form):
     return hl.reduce(cyc, hl.momentum_map(cyc, sc.initial_polar)).shape.guard
 
 
-def _momentum_side_surface(hs):
+def _momentum_side_guard(hs):
     # a fresh mode per call: its velocity solves are warm-started in order
     from hybridlag import hybrid
 
-    return lambda: hybrid._momentum_mode(hs, [1.0, -0.5])[1]
+    def make():
+        mode = hybrid._momentum_mode(hs, [1.0, -0.5])
+        return hl.Guard(surface=mode[1], direction=mode[2])
+
+    return make
 
 
 PAPER = hl.BilliardParams()
-# name -> (surface factory, chart of the sampled columns)
-_SURFACES = {
-    "polar": (lambda: hl.guard_polar(PAPER).surface, "polar"),
-    "polar-oscillating": (lambda: hl.guard_polar(_oscillating_wall()).surface,
+# name -> (guard factory, chart of the sampled columns)
+_GUARDS = {
+    "polar": (lambda: hl.guard_polar(PAPER), "polar"),
+    "polar-oscillating": (lambda: hl.guard_polar(_oscillating_wall()),
                           "polar"),
-    "cartesian": (lambda: hl.guard_cartesian(PAPER).surface, "cartesian"),
+    "cartesian": (lambda: hl.guard_cartesian(PAPER), "cartesian"),
     "cartesian-oscillating": (
-        lambda: hl.guard_cartesian(_oscillating_wall()).surface, "cartesian"),
-    "reduced-closed-form": (lambda: _reduced_guard(True).surface, "reduced"),
-    "reduced-embed": (lambda: _reduced_guard(False).surface, "reduced"),
-    "momentum-cartesian": (_momentum_side_surface(hl.cartesian_hybrid(PAPER)),
+        lambda: hl.guard_cartesian(_oscillating_wall()), "cartesian"),
+    "reduced-closed-form": (lambda: _reduced_guard(True), "reduced"),
+    "reduced-embed": (lambda: _reduced_guard(False), "reduced"),
+    "momentum-cartesian": (_momentum_side_guard(hl.cartesian_hybrid(PAPER)),
                            "cartesian"),
-    "momentum-polar": (_momentum_side_surface(hl.polar_hybrid(PAPER)),
+    "momentum-polar": (_momentum_side_guard(hl.polar_hybrid(PAPER)),
                        "polar"),
 }
 
@@ -1118,21 +1165,23 @@ def _columns(rng, chart, k):
     return q, rng.uniform(-3.0, 3.0, q.shape)
 
 
-@pytest.mark.parametrize("name", list(_SURFACES))
+@pytest.mark.parametrize("name", list(_GUARDS))
 def test_guard_surface_array_contract(name):
-    # (k,) times with (n, k) columns give (k,) values, entry i equal bit
-    # for bit to the scalar call on time i and column i
-    make, chart = _SURFACES[name]
+    # surface and direction alike: (k,) times with (n, k) columns give
+    # (k,) values, entry i equal bit for bit to the scalar call on time i
+    # and column i
+    make, chart = _GUARDS[name]
     rng = np.random.default_rng(11)
     for k in (1, 10, 200):
         ts = rng.uniform(0.0, 4.0, k)
         q, v = _columns(rng, chart, k)
-        values = make()(ts, q, v)
-        assert isinstance(values, np.ndarray) and values.shape == (k,)
-        surface = make()
-        scalar = [surface(t, q[:, i], v[:, i]) for i, t in enumerate(ts)]
-        assert all(isinstance(g, float) for g in scalar)
-        assert np.array_equal(values, scalar)
+        for part in ("surface", "direction"):
+            values = getattr(make(), part)(ts, q, v)
+            assert isinstance(values, np.ndarray) and values.shape == (k,)
+            fun = getattr(make(), part)
+            scalar = [fun(t, q[:, i], v[:, i]) for i, t in enumerate(ts)]
+            assert all(isinstance(x, float) for x in scalar)
+            assert np.array_equal(values, scalar), part
 
 
 def test_momentum_side_guard_recovers_velocities_in_time_order():

@@ -24,7 +24,10 @@ between two samples (`_scan`), which are refined in time to REFINE_XTOL
 with Brent's method on the interpolant (`brentq`, scipy's C routine run
 operation for operation). A crossing counts as an impact only where
 d >= 0, and never at the arc's start; crossings with negative d are
-skipped and integration continues.
+skipped and integration continues. No point of a step is evaluated
+twice: Brent takes its bracket ends' values from the scan samples or the
+refinement before it, and the impact's state, residual and slope are
+the evaluations that located it.
 An arc keeps its dense output as one table of its steps' coefficient
 blocks, which the step loop hands over, and evaluates an array of times
 in one gathered numpy pass with the same bits (`_ArcInterpolant`).
@@ -99,6 +102,11 @@ class Guard:
         accepted step and reads the extrema of g off its sign changes. A
         crossing is an impact iff d >= 0 there (closed inequality:
         grazing counts).
+
+    The array contract is load-bearing: the executor feeds the column
+    values of the scan into the refinement as the values at the bracket
+    ends, and never makes the scalar call there, so an impact time is
+    the one scalar calls would give only where the two agree.
     """
 
     surface: Callable[[float, np.ndarray, np.ndarray], float]
@@ -280,8 +288,11 @@ class RK45:
     update, error scale, the first three dense-output rows) runs on
     Python floats, where IEEE +, -, * and / give numpy's bits without
     its per-call overhead on 2- and 4-element arrays. The (4, 2n) block
-    h (D K) is scaled in one numpy call, and the initial-step choice,
-    once per arc, runs on arrays.
+    h (D K) is scaled in one numpy call. The initial-step choice, once
+    per arc, also runs on Python floats but for its three norms, whose
+    sums are `ndarray.dot` as in scipy. A zero error scale there (atol =
+    0 at a zero component), which scipy divides into a NaN step size,
+    raises ZeroDivisionError.
     (`ndarray.dot` is `np.dot` without its dispatch layer.)
     """
 
@@ -290,25 +301,25 @@ class RK45:
     def __init__(self, fun, t0, y0, t_bound, rtol, atol, max_step):
         if max_step <= 0:
             raise ValueError("`max_step` must be positive.")
-        y0 = np.asarray(y0, float)
-        if not np.isfinite(y0).all():
+        y = np.asarray(y0, float).tolist()
+        if not all(map(math.isfinite, y)):
             # its step sizes would be NaN, and every attempt rejected
             raise ValueError(
                 "All components of the initial state `y0` must be finite.")
         self.fun = fun
         self.t_old = None
         self.t = t0
-        self.y = y0.tolist()
+        self.y = y
         self.t_bound = t_bound
         self.rtol = max(rtol, _RTOL_FLOOR)
         self.atol = atol
         self.max_step = max_step
         self.status = "running"
-        self.f = fun(t0, self.y)
+        self.f = fun(t0, y)
         self.nfev = 1
-        self.h_abs = self._initial_step(y0)
+        self.h_abs = self._initial_step()
         K = self.K_extended = np.empty(
-            (_N_STAGES + 1 + len(_EXTRA_STAGES), y0.size))
+            (_N_STAGES + 1 + len(_EXTRA_STAGES), len(y)))
         self.K = K[:_N_STAGES + 1]
         # the transposed stage views the tableau sums are taken on
         self._stage_sums = [(s, K[:s].T, a, c) for s, a, c in _STAGES]
@@ -316,24 +327,28 @@ class RK45:
         self._solution_sum = K[:_N_STAGES].T
         self._error_sum = self.K.T
 
-    def _initial_step(self, y0):
-        """scipy's select_initial_step (Hairer, Norsett & Wanner, II.4)."""
-        t0 = self.t
-        f0 = np.asarray(self.f, float)
+    def _initial_step(self):
+        """scipy's select_initial_step (Hairer, Norsett & Wanner, II.4),
+        on Python floats but for the three norms' dot products."""
+        t0, y0 = self.t, self.y
+        f0 = np.asarray(self.f, float).tolist()
         interval_length = abs(self.t_bound - t0)
         if interval_length == 0.0:
             return 0.0
-        scale = self.atol + np.abs(y0) * self.rtol
-        d0 = _rms(y0 / scale)
-        d1 = _rms(f0 / scale)
+        atol, rtol = self.atol, self.rtol
+        scale = [atol + abs(v) * rtol for v in y0]
+        d0 = _rms(np.array([v / s for v, s in zip(y0, scale)]))
+        d1 = _rms(np.array([f / s for f, s in zip(f0, scale)]))
         if d0 < 1e-5 or d1 < 1e-5:
             h0 = 1e-6
         else:
             h0 = 0.01 * d0 / d1
         h0 = min(h0, interval_length)
-        f1 = self.fun(t0 + h0, (y0 + h0 * f0).tolist())
+        f1 = self.fun(t0 + h0, [v + h0 * f for v, f in zip(y0, f0)])
         self.nfev += 1
-        d2 = _rms((np.asarray(f1, float) - f0) / scale) / h0
+        f1 = np.asarray(f1, float).tolist()
+        d2 = _rms(np.array([(a - b) / s
+                            for a, b, s in zip(f1, f0, scale)])) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
@@ -501,7 +516,7 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
         rhs, gfun, dfun, reset = mode
         solver = RK45(rhs, t, y, t_bound=t_end, rtol=opts.rtol,
                       atol=opts.atol, max_step=max_step)
-        if not np.all(np.isfinite(solver.f)):
+        if not all(map(math.isfinite, np.asarray(solver.f, float).tolist())):
             # scipy would reject every step of a NaN step size forever
             raise IntegrationFailure(
                 f"right-hand side is not finite at the arc start t={t:.6g}")
@@ -524,11 +539,11 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
             ts[-1] = solver.t
             ys = dense(ts)
             # the scan rule runs on Python floats
-            hit = _scan(dense, n, gfun, dfun, t, ts.tolist(),
+            hit = _scan(dense, n, gfun, dfun, t, ts.tolist(), ys,
                         gfun(ts, ys[:n], ys[n:]).tolist(),
                         dfun(ts, ys[:n], ys[n:]).tolist())
 
-        t_arc, y_arc = hit if hit is not None else (solver.t, solver.y)
+        t_arc, y_arc = hit[:2] if hit is not None else (solver.t, solver.y)
         arcs.append(_close_arc(breakpoints, blocks, t_arc, y_arc))
         # the arc's span since the last impact, or since the start
         dwell = t_arc - (events[-1].tau if events else t0)
@@ -543,9 +558,9 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
         if piled_up:
             return HybridFlow(arcs, events, TERM_ZENO)
 
-        tau, ypre = hit
-        residual = abs(gfun(tau, ypre[:n], ypre[n:]))
-        slope = max(1.0, abs(dfun(tau, ypre[:n], ypre[n:])))
+        tau, ypre, g_tau, d_tau = hit
+        residual = abs(g_tau)
+        slope = max(1.0, abs(d_tau))
         if residual > GUARD_TOL * slope:
             raise IntegrationFailure(
                 f"guard residual {residual:.3e} at located impact exceeds "
@@ -561,12 +576,14 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
         t, y = tau, ypost
 
 
-def _scan(dense, n, gfun, dfun, start, ts, gs, ds):
-    """The first impact of an accepted step as (tau, y_pre), or None.
+def _scan(dense, n, gfun, dfun, start, ts, ys, gs, ds):
+    """The first impact of an accepted step as (tau, y_pre, g, d), the
+    last two the guard and its rate at (tau, y_pre), or None.
 
-    dense is the step's dense output, ts its scan samples, gs and ds the
-    guard g and its rate d there, and start the time the arc starts. One
-    rule reads each interval [a, b] between two samples:
+    dense is the step's dense output, ts its scan samples, ys the states
+    there as columns, gs and ds the guard g and its rate d there, and
+    start the time the arc starts. One rule reads each interval [a, b]
+    between two samples:
 
     * an arc's first interval, where d goes from - to + and g(b) > 0:
       the crossing follows the minimum of g. Where g >= 0 there, the arc
@@ -580,34 +597,87 @@ def _scan(dense, n, gfun, dfun, start, ts, gs, ds):
     crossing is an impact where d >= 0, except at the start itself;
     otherwise the scan goes on. A strike between two samples is missed
     only where g has two maxima between them.
+
+    No point is evaluated twice: every Brent call gets its end values
+    from the samples or from the refinement before it, and the impact's
+    state, g and d come from the evaluations that located it
+    (`_StepPoints`). A step with no bracket builds nothing.
     """
-    g, d = _along(gfun, dense, n), _along(dfun, dense, n)
+    points = None
     for a, b, ga, gb, da, db in zip(ts, ts[1:], gs, gs[1:], ds, ds[1:]):
         if a == start and da < 0.0 < db and gb > 0.0:
-            t_min = _refine(d, a, b)
-            tau = _refine(g, t_min, b) if g(t_min) < 0.0 else t_min
+            extremum = "minimum"
         elif da > 0.0 > db and ga <= 0.0 and gb <= 0.0:
-            t_max = _refine(d, a, b)
-            if g(t_max) <= 0.0:
-                continue
-            tau = _refine(g, a, t_max)
+            extremum = "maximum"
         elif ga <= 0.0 < gb:
-            tau = _refine(g, a, b)
+            extremum = None
         else:
             continue
+        if points is None:
+            points = _StepPoints(dense, n, gfun, dfun, ts, ys, gs, ds)
+        if extremum is None:
+            tau = _refine(points.g, a, b, ga, gb)
+        else:
+            t_ext = _refine(points.d, a, b, da, db)
+            g_ext = points.g(t_ext)
+            if extremum == "minimum":
+                tau = (_refine(points.g, t_ext, b, g_ext, gb) if g_ext < 0.0
+                       else t_ext)
+            elif g_ext <= 0.0:
+                continue
+            else:
+                tau = _refine(points.g, a, t_ext, ga, g_ext)
         if tau == start:
             continue
-        y = dense(tau)
-        if dfun(tau, y[:n], y[n:]) >= 0.0:
-            return tau, y
+        d_tau = points.d(tau)
+        if d_tau >= 0.0:
+            return tau, points.y(tau), points.g(tau), d_tau
         # inadmissible crossing: the trajectory exits; scan on for a
         # re-entry
     return None
 
 
-def _refine(f, a, b):
-    """The root of f in [a, b], to REFINE_XTOL."""
-    return brentq(f, a, b, xtol=REFINE_XTOL, rtol=BRENT_RTOL)
+class _StepPoints:
+    """The dense state, g and d of one step at the times its refinements
+    visit, each evaluated at most once; the scan samples' are seeded from
+    their columns. Brent's roots are points it evaluated, so the impact
+    is read off here too.
+
+    The seeded values are those of scalar calls: `Guard`'s and the
+    interpolants' array contracts make column i equal to the scalar call
+    at time i bit for bit."""
+
+    def __init__(self, dense, n, gfun, dfun, ts, ys, gs, ds):
+        self.dense, self.n, self.gfun, self.dfun = dense, n, gfun, dfun
+        # time -> state (contiguous, as a scalar call returns it), g, d
+        self.states = dict(zip(ts, ys.T.copy()))
+        self.gs = dict(zip(ts, gs))
+        self.ds = dict(zip(ts, ds))
+
+    def y(self, t):
+        state = self.states.get(t)
+        if state is None:
+            state = self.states[t] = self.dense(t)
+        return state
+
+    def g(self, t):
+        value = self.gs.get(t)
+        if value is None:
+            y, n = self.y(t), self.n
+            value = self.gs[t] = self.gfun(t, y[:n], y[n:])
+        return value
+
+    def d(self, t):
+        value = self.ds.get(t)
+        if value is None:
+            y, n = self.y(t), self.n
+            value = self.ds[t] = self.dfun(t, y[:n], y[n:])
+        return value
+
+
+def _refine(f, a, b, fa, fb):
+    """The root of f in [a, b], to REFINE_XTOL, given f(a) and f(b)."""
+    return brentq(f, a, b, xtol=REFINE_XTOL, rtol=BRENT_RTOL, fa=fa, fb=fb)
 
 
 def _along(fun, dense, n):
@@ -623,14 +693,18 @@ _BRENT_RTOL_MIN = 4 * np.finfo(float).eps   # scipy's floor and default
 
 
 # the name brentq is a seam: the benchmark tracer and the tests patch it
-def brentq(f, a, b, xtol=2e-12, rtol=_BRENT_RTOL_MIN, maxiter=100):
+def brentq(f, a, b, xtol=2e-12, rtol=_BRENT_RTOL_MIN, maxiter=100,
+           fa=None, fb=None):
     """Root of f in [a, b] by Brent's method (Brent, Algorithms for
     Minimization without Derivatives, 1973, ch. 4).
 
     scipy's `optimize.brentq`: its C routine operation for operation on
     Python floats, so the root is scipy's bit for bit. f is called on
-    floats and its values are taken as floats. As in scipy, f(a) and
-    f(b) of one sign, a NaN value of f, xtol <= 0 or rtol < 4 eps raise
+    floats and its values are taken as floats. fa and fb, when given,
+    are f(a) and f(b), the two values the C routine computes first; f
+    is then not called there, and the root is the same as long as they
+    equal those calls. As in scipy, f(a) and f(b) of one sign, a NaN
+    value of f (evaluated or given), xtol <= 0 or rtol < 4 eps raise
     ValueError, and no convergence in maxiter iterations raises
     RuntimeError.
     """
@@ -640,15 +714,15 @@ def brentq(f, a, b, xtol=2e-12, rtol=_BRENT_RTOL_MIN, maxiter=100):
     if rtol < _BRENT_RTOL_MIN:
         raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_RTOL_MIN:g})")
 
-    def value(x):
-        fx = float(f(x))
+    def value(x, fx=None):
+        fx = float(f(x) if fx is None else fx)
         if fx != fx:
             raise ValueError(f"The function value at x={x} is NaN; "
                              f"solver cannot continue.")
         return fx
 
     xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
+    fpre, fcur = value(xpre, fa), value(xcur, fb)
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -834,7 +908,7 @@ def _check_start(gfun, dfun, s: State, t_end: float):
 
 def _validate_reset(t, q, v, gfun, dfun):
     """Check a post-impact (t, q, v) against the guard it runs under."""
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(v))):
+    if not all(map(math.isfinite, np.concatenate([q, v]).tolist())):
         raise InvalidReset("reset produced a non-finite state")
     d_post = dfun(t, q, v)
     if d_post <= 0.0:
@@ -927,15 +1001,27 @@ def _momentum_mode(hs: HybridSystem, v0):
     velocity found, first at v0, so the mode's results depend on the
     order of its calls; an array call of the guard surface or direction
     solves its columns in time order, as scalar calls along the arc
-    would.
+    would. The surface and direction calls on one step's columns share
+    these solves: the second call finds its columns equal to the copies
+    the first one kept, and takes its velocities.
     """
     n = hs.system.dim
     sys = hs.system
     warm = {"v": np.array(v0, float)}
+    # the last columns solved, as copies of (t, q, p), and their velocities
+    solved = {"columns": (), "v": None}
 
     def velocity(t, q, p):
         warm["v"] = sys._velocity(t, q, p, v0=warm["v"])
         return warm["v"]
+
+    def column_velocities(t, q, p):
+        if not (solved["columns"]
+                and all(map(np.array_equal, solved["columns"], (t, q, p)))):
+            solved["v"] = np.column_stack([velocity(tt, q[:, i], p[:, i])
+                                           for i, tt in enumerate(t)])
+            solved["columns"] = (t.copy(), q.copy(), p.copy())
+        return solved["v"]
 
     def rhs_h(t, y):
         y = np.asarray(y, float)
@@ -948,9 +1034,7 @@ def _momentum_mode(hs: HybridSystem, v0):
         def f(t, q, p):
             if not _is_times(t):
                 return fun(t, q, velocity(t, q, p))
-            v = np.column_stack([velocity(tt, q[:, i], p[:, i])
-                                 for i, tt in enumerate(t)])
-            return fun(t, q, v)
+            return fun(t, q, column_velocities(t, q, p))
         return f
 
     def reset_h(tau, ypre):

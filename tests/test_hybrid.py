@@ -438,10 +438,11 @@ def test_reset_retrigger_rejected(unit_wall_hybrid):
 def test_scan_evaluates_dense_output_once_per_step(monkeypatch):
     # the scan makes one array call of the dense output, one of the guard
     # surface and one of its rate per accepted step. Every other dense
-    # evaluation belongs to a refinement: each Brent iterate and the
-    # pre-impact state. Every other surface call is scalar: the start
-    # check, one per Brent iterate, the residual of each impact, and those
-    # of reset validation. The oracle's convex search is not called
+    # evaluation is a Brent iterate: the bracket ends come from the scan
+    # and the pre-impact state from the refinement. Every other surface
+    # call is scalar: the start check, one per Brent iterate, and those of
+    # reset validation; the impact's residual is the refinement's. The
+    # oracle's convex search is not called
     from hybridlag import billiard, hybrid
 
     counts = dict(steps=0, dense=0, brent_evals=0, refines=0)
@@ -514,13 +515,82 @@ def test_scan_evaluates_dense_output_once_per_step(monkeypatch):
         hs.guard, surface=counted_surface, direction=counted_direction))
     flow = hl.simulate(hs, sc.initial_polar, 2.0)
     assert flow.events and counts["refines"] >= len(flow.events)
-    assert counts["dense"] == (counts["steps"] + counts["brent_evals"]
-                               + counts["refines"])
+    assert counts["dense"] == counts["steps"] + counts["brent_evals"]
     assert surface.pop("columns") == counts["steps"]
     assert rate_columns == [hybrid.SCAN_POINTS + 2] * counts["steps"]
     assert surface.pop("brent") == counts["brent_evals"]
-    assert surface.pop("loop") == 1 + len(flow.events)
+    assert surface.pop("loop") == 1
     assert set(surface) <= {"_validate_reset"}
+
+
+@pytest.mark.parametrize("kind, t_end, impacts", [
+    ("cartesian", 10.0, 30), ("polar", 2.0, 1), ("reduced", 2.0, 1)])
+def test_no_point_is_evaluated_twice_in_a_step(monkeypatch, kind, t_end,
+                                               impacts):
+    # within one accepted step (up to the next step, so the impact and its
+    # reset count with the step that found it), no scalar call of the
+    # guard surface or rate repeats the (t, q, v) of an earlier call of
+    # the same function, scan columns included, and no dense call repeats
+    # a time: refinements start from the scan's values, and the impact is
+    # read off the refinement. Brent never evaluates its bracket ends
+    from hybridlag import hybrid
+
+    seen, repeats, on_ends, refines = {}, [], [], []
+
+    def note(name, key):
+        if key in seen.setdefault(name, set()):
+            repeats.append((name, key))
+        seen[name].add(key)
+
+    class PerStep(hybrid.RK45):
+        def step(self):
+            seen.clear()
+            return super().step()
+
+        def dense_output(self):
+            dense = super().dense_output()
+
+            def recorded(t):
+                for tt in np.atleast_1d(t).tolist():
+                    note("dense", tt)
+                return dense(t)
+            return recorded
+
+    def recorded(name, fun):
+        def wrapped(t, q, v):
+            if hybrid._is_times(t):
+                for i, tt in enumerate(t.tolist()):
+                    note(name, (tt, *q[:, i].tolist(), *v[:, i].tolist()))
+            else:
+                note(name, (t, *q.tolist(), *v.tolist()))
+            return fun(t, q, v)
+        return wrapped
+
+    brentq = hybrid.brentq
+
+    def end_checked_brentq(f, a, b, *args, **kwargs):
+        def checked(x):
+            if x in (a, b):
+                on_ends.append((a, b, x))
+            return f(x)
+        refines.append((a, b))
+        return brentq(checked, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(hybrid, "RK45", PerStep)
+    monkeypatch.setattr(hybrid, "brentq", end_checked_brentq)
+    sc = hl.get_scenario("paper-c025")
+    if kind == "reduced":
+        cyc = hl.polar_cyclic(sc.params)
+        hs = hl.reduce(cyc, hl.momentum_map(cyc, sc.initial_polar)).shape
+        s0 = cyc.project_state(sc.initial_polar)
+    else:
+        hs, s0 = _paper_c025(kind)
+    hs = dataclasses.replace(hs, guard=hl.Guard(
+        surface=recorded("surface", hs.guard.surface),
+        direction=recorded("direction", hs.guard.direction)))
+    flow = hl.simulate(hs, s0, t_end)
+    assert len(flow.events) >= impacts and len(refines) >= len(flow.events)
+    assert repeats == [] and on_ends == []
 
 
 # ---------------------------------------------------------------------------
@@ -735,6 +805,77 @@ def test_brentq_raises_like_scipy(f, a, b, kw):
     (ours, our_calls), (theirs, their_calls) = _both_brentq(f, a, b, **kw)
     assert isinstance(ours, type) and ours is theirs
     assert our_calls == their_calls
+
+
+def _dense_guard_case():
+    """g along the dense output of a real step, on the first interval
+    between two of its scan samples that brackets a crossing: the paper
+    polar run's first step out of the wall, with impacts left out."""
+    from hybridlag import hybrid
+
+    hs, s0 = _paper_c025("polar")
+    solver = hybrid.RK45(hs.system.rhs, s0.t, hs.system.pack(s0), 2.0,
+                         1e-10, 1e-10, math.inf)
+    while solver.status == "running":
+        solver.step()
+        g = hybrid._along(hs.guard.surface, solver.dense_output(), 2)
+        ts = np.linspace(solver.t_old, solver.t, hybrid.SCAN_POINTS + 2)
+        for a, b in zip(ts.tolist(), ts[1:].tolist()):
+            if g(a) <= 0.0 < g(b):
+                return g, a, b
+    raise AssertionError("the run never left the wall")
+
+
+_END_VALUE_CASES = {
+    "polynomial": lambda: (lambda x: (x - 1.5) * (x * x + 0.25), 0.0, 2.0),
+    "exp": lambda: (lambda x: math.exp(3.0 * x) - 7.0 + 0.2 * x, 0.0, 1.0),
+    "dense-guard": _dense_guard_case,
+}
+
+
+@pytest.mark.parametrize("name", list(_END_VALUE_CASES))
+def test_brentq_takes_end_values_without_calling_f_there(name):
+    # given f(a) and f(b), Brent skips its two first calls and finds the
+    # root it finds without them, which is scipy's, bit for bit
+    from scipy import optimize
+
+    from hybridlag import hybrid
+
+    f, a, b = _END_VALUE_CASES[name]()
+    kw = dict(xtol=hybrid.REFINE_XTOL, rtol=hybrid.BRENT_RTOL)
+    g, calls = _recorded(f)
+    plain = hybrid.brentq(g, a, b, **kw)
+    g_given, calls_given = _recorded(f)
+    given = hybrid.brentq(g_given, a, b, fa=f(a), fb=f(b), **kw)
+    assert given.hex() == plain.hex() == optimize.brentq(f, a, b, **kw).hex()
+    assert calls[:2] == [a, b] and calls_given == calls[2:]
+
+
+@pytest.mark.parametrize("fa, fb, match", [
+    (math.nan, None, "NaN"), (None, math.nan, "NaN"),
+    (-0.5, math.nan, "NaN"), (1.0, 2.0, "different signs"),
+    (-1.0, -2.0, "different signs")],
+    ids=["nan-at-a", "nan-at-b", "nan-at-b-both-given", "positive",
+         "negative"])
+def test_brentq_given_end_values_raise_like_evaluated_ones(fa, fb, match):
+    # a given NaN, or given values of one sign, raise the ValueError that
+    # the same values would raise as calls of f
+    from hybridlag import hybrid
+
+    def line(x):
+        return x - 0.5
+
+    ends = {0.0: fa, 1.0: fb}
+
+    def evaluated(x):
+        value = ends.get(x)
+        return line(x) if value is None else value
+
+    with pytest.raises(ValueError, match=match) as by_calls:
+        hybrid.brentq(evaluated, 0.0, 1.0)
+    with pytest.raises(ValueError, match=match) as given:
+        hybrid.brentq(line, 0.0, 1.0, fa=fa, fb=fb)
+    assert str(given.value) == str(by_calls.value)
 
 
 @pytest.mark.parametrize("f, a, b, expected", [
@@ -1207,6 +1348,48 @@ def test_momentum_side_guard_recovers_velocities_in_time_order():
     for i, t in enumerate(ts):
         surface(t, q[:, i], p[:, i])
     assert np.array_equal(seen[0], np.hstack(seen[1:]))
+
+
+def test_momentum_side_scan_solves_each_column_once(monkeypatch):
+    # the surface and direction column calls of one step share one
+    # velocity solve per column: counted from the scan's array call of the
+    # dense output, which the two column calls follow, to the scan itself
+    from hybridlag import hybrid
+    from hybridlag.lagrangian import LagrangianSystem
+
+    in_columns, per_step = [False], []
+    velocity, scan = LagrangianSystem._velocity, hybrid._scan
+
+    def counted_velocity(self, *args, **kwargs):
+        if in_columns[0]:
+            per_step[-1] += 1
+        return velocity(self, *args, **kwargs)
+
+    class Marking(hybrid.RK45):
+        def dense_output(self):
+            dense = super().dense_output()
+
+            def marked(t):
+                if np.ndim(t):
+                    in_columns[0] = True
+                    per_step.append(0)
+                return dense(t)
+            return marked
+
+    def scan_after_columns(*args):
+        in_columns[0] = False
+        return scan(*args)
+
+    monkeypatch.setattr(LagrangianSystem, "_velocity", counted_velocity)
+    monkeypatch.setattr(hybrid, "RK45", Marking)
+    monkeypatch.setattr(hybrid, "_scan", scan_after_columns)
+    hs, s0 = _paper_c025("cartesian")
+    cs0 = hs.system.legendre(s0)
+    flow = hybrid._execute(hybrid._momentum_mode(hs, s0.v), cs0.t,
+                           np.concatenate([cs0.q, cs0.p]), 5.0,
+                           hl.SimOptions())
+    assert flow.events and len(per_step) > 2 * len(flow.arcs)
+    assert per_step == [hybrid.SCAN_POINTS + 2] * len(per_step)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import ChartSingularity, InvalidReset, NegativeDiscriminant
 from .hybrid import (MIN_DWELL, TERM_HORIZON, TERM_MAX_IMPACTS, TERM_ZENO,
                      Arc, Event, Guard, HybridFlow, HybridSystem, ResetMap,
-                     SimOptions, _along, _check_start, _is_times, brentq)
+                     SimOptions, _along, _check_start, brentq)
 from .lagrangian import LagrangianSystem, State
 from .reduction import CyclicStructure
 
@@ -169,26 +169,13 @@ def polar_system(p: BilliardParams) -> LagrangianSystem:
 # guard and resets
 # ---------------------------------------------------------------------------
 
-def _wall_at(f, t):
-    """A scalar law f (the wall or its rate) at t, or at each of an array
-    of times."""
-    if _is_times(t):
-        return np.array([f(tt) for tt in t.tolist()])
-    return f(t)
-
-
 def guard_cartesian(p: BilliardParams) -> Guard:
     f, fdot = p.wall, p.wall_rate
 
     def surface(t, q, v):
-        if _is_times(t):
-            # vecdot sums each column as q @ q does, bit for bit
-            return np.vecdot(q, q, axis=0) - _wall_at(f, t)
         return float(q @ q) - f(t)
 
     def direction(t, q, v):
-        if _is_times(t):
-            return 2.0 * np.vecdot(q, v, axis=0) - _wall_at(fdot, t)
         return 2.0 * float(q @ v) - fdot(t)
 
     return Guard(surface=surface, direction=direction)
@@ -198,10 +185,10 @@ def guard_polar(p: BilliardParams) -> Guard:
     f, fdot = p.wall, p.wall_rate
 
     def surface(t, q, v):
-        return q[0]**2 - _wall_at(f, t)
+        return q[0]**2 - f(t)
 
     def direction(t, q, v):
-        return 2.0 * q[0] * v[0] - _wall_at(fdot, t)
+        return 2.0 * q[0] * v[0] - fdot(t)
 
     return Guard(surface=surface, direction=direction)
 

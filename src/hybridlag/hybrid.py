@@ -18,13 +18,13 @@ products scipy takes, since a BLAS sum need not add in a Python loop's
 order (see `RK45`).
 After every accepted step the step's dense output is evaluated once, as
 one array call at the endpoints plus SCAN_POINTS interior times, and the
-guard surface g and its rate d once each on the resulting columns. One
-rule on these (g, d) samples brackets the crossings, including those
-between two samples (`_scan`), which are refined in time to REFINE_XTOL
-with Brent's method on the interpolant (`brentq`, scipy's C routine run
-operation for operation). A crossing counts as an impact only where
-d >= 0, and never at the arc's start; crossings with negative d are
-skipped and integration continues. No point of a step is evaluated
+guard surface g and then its rate d are called on each resulting column,
+in time order. One rule on these (g, d) samples brackets the crossings,
+including those between two samples (`_scan`), which are refined in time
+to REFINE_XTOL with Brent's method on the interpolant (`brentq`, scipy's
+C routine run operation for operation). A crossing counts as an impact
+only where d >= 0, and never at the arc's start; crossings with negative
+d are skipped and integration continues. No point of a step is evaluated
 twice: Brent takes its bracket ends' values from the scan samples or the
 refinement before it, and the impact's state, residual and slope are
 the evaluations that located it.
@@ -88,35 +88,22 @@ class Guard:
     """Switching surface: zero set of `surface` filtered by `direction`.
 
     Both functions are defined on the extended space R x TQ and take
-    (t, q, v), like the Lagrangian. The executor calls them on views of
-    its packed state, which they must not modify.
+    (t, q, v), like the Lagrangian: a float t and (n,) arrays q and v,
+    and they return a float. The executor calls them on views of its
+    packed state, which they must not modify.
 
     surface: signed g(t, q, v); the admissible region is g < 0 and
-        impacts occur on upward crossings of g = 0. It follows the array
-        contract of `Arc`: a scalar t with (n,) q and v gives a float;
-        (k,) times with (n, k) columns give (k,) values, entry i equal
-        bit for bit to the scalar call on time i and column i. The scan
-        makes one such call per accepted step.
-    direction: the rate d = dg/dt of the surface along the flow, with
-        the surface's array contract; the scan makes one such call per
-        accepted step and reads the extrema of g off its sign changes. A
-        crossing is an impact iff d >= 0 there (closed inequality:
-        grazing counts).
+        impacts occur on upward crossings of g = 0.
+    direction: the rate d = dg/dt of the surface along the flow; the
+        scan reads the extrema of g off its sign changes. A crossing is
+        an impact iff d >= 0 there (closed inequality: grazing counts).
 
-    The array contract is load-bearing: the executor feeds the column
-    values of the scan into the refinement as the values at the bracket
-    ends, and never makes the scalar call there, so an impact time is
-    the one scalar calls would give only where the two agree.
+    The scan calls surface and then direction at each of its samples,
+    in time order.
     """
 
     surface: Callable[[float, np.ndarray, np.ndarray], float]
     direction: Callable[[float, np.ndarray, np.ndarray], float]
-
-
-def _is_times(t):
-    """Whether a guard argument t is an array of times, not one time
-    (np.ndim is slow on a Python float)."""
-    return isinstance(t, np.ndarray) and t.ndim > 0
 
 
 @dataclass(frozen=True)
@@ -149,14 +136,22 @@ class SimOptions:
     not immediately re-trigger the guard (InvalidReset otherwise).
 
     Attributes:
-        rtol, atol: integrator step control.
-        max_impacts: impact cap; reaching it terminates with
+        rtol, atol: integrator step control, finite and > 0.
+        max_impacts: impact cap, >= 1; reaching it terminates with
             ``max_impacts``.
     """
 
     rtol: float = 1e-10
     atol: float = 1e-10
     max_impacts: int = 10000
+
+    def __post_init__(self):
+        if not (math.isfinite(self.rtol) and self.rtol > 0):
+            raise ValueError("rtol must be finite and > 0")
+        if not (math.isfinite(self.atol) and self.atol > 0):
+            raise ValueError("atol must be finite and > 0")
+        if not self.max_impacts >= 1:
+            raise ValueError("max_impacts must be >= 1")
 
 
 @dataclass
@@ -497,8 +492,7 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
 
     mode: (rhs, gfun, dfun, reset) with rhs: (t, y) -> y', called on a
     list of 2n floats and returning a sequence of 2n floats (see `RK45`),
-    gfun/dfun: a `Guard`'s surface and direction on the halves of y (on
-    columns for an array of times), and
+    gfun/dfun: a `Guard`'s surface and direction on the halves of y, and
     reset: (tau, y_pre) -> (y_post, next_mode), performing its own
     validation; the arc after the impact runs in next_mode. Returns the
     `HybridFlow`: its events' states split each packed y into its halves,
@@ -538,10 +532,13 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
                   + solver.t_old)
             ts[-1] = solver.t
             ys = dense(ts)
-            # the scan rule runs on Python floats
-            hit = _scan(dense, n, gfun, dfun, t, ts.tolist(), ys,
-                        gfun(ts, ys[:n], ys[n:]).tolist(),
-                        dfun(ts, ys[:n], ys[n:]).tolist())
+            ts = ts.tolist()
+            gs, ds = [], []
+            for tt, yy in zip(ts, ys.T):
+                q, v = yy[:n], yy[n:]
+                gs.append(gfun(tt, q, v))
+                ds.append(dfun(tt, q, v))
+            hit = _scan(dense, n, gfun, dfun, t, ts, ys, gs, ds)
 
         t_arc, y_arc = hit[:2] if hit is not None else (solver.t, solver.y)
         arcs.append(_close_arc(breakpoints, blocks, t_arc, y_arc))
@@ -640,12 +637,12 @@ def _scan(dense, n, gfun, dfun, start, ts, ys, gs, ds):
 class _StepPoints:
     """The dense state, g and d of one step at the times its refinements
     visit, each evaluated at most once; the scan samples' are seeded from
-    their columns. Brent's roots are points it evaluated, so the impact
-    is read off here too.
+    the scan. Brent's roots are points it evaluated, so the impact is
+    read off here too.
 
-    The seeded values are those of scalar calls: `Guard`'s and the
-    interpolants' array contracts make column i equal to the scalar call
-    at time i bit for bit."""
+    The seeded states are those of scalar calls: the interpolants' array
+    contract makes column i equal to the scalar call at time i bit for
+    bit. The seeded g and d are the scan's calls on those columns."""
 
     def __init__(self, dense, n, gfun, dfun, ts, ys, gs, ds):
         self.dense, self.n, self.gfun, self.dfun = dense, n, gfun, dfun
@@ -999,29 +996,17 @@ def _momentum_mode(hs: HybridSystem, v0):
 
     Every velocity recovery is a Newton solve warm-started at the last
     velocity found, first at v0, so the mode's results depend on the
-    order of its calls; an array call of the guard surface or direction
-    solves its columns in time order, as scalar calls along the arc
-    would. The surface and direction calls on one step's columns share
-    these solves: the second call finds its columns equal to the copies
-    the first one kept, and takes its velocities.
+    order of its calls. The scan calls the surface and then the
+    direction at one sample: the direction's solve starts at the
+    surface's solution, which passes its residual test at once.
     """
     n = hs.system.dim
     sys = hs.system
     warm = {"v": np.array(v0, float)}
-    # the last columns solved, as copies of (t, q, p), and their velocities
-    solved = {"columns": (), "v": None}
 
     def velocity(t, q, p):
         warm["v"] = sys._velocity(t, q, p, v0=warm["v"])
         return warm["v"]
-
-    def column_velocities(t, q, p):
-        if not (solved["columns"]
-                and all(map(np.array_equal, solved["columns"], (t, q, p)))):
-            solved["v"] = np.column_stack([velocity(tt, q[:, i], p[:, i])
-                                           for i, tt in enumerate(t)])
-            solved["columns"] = (t.copy(), q.copy(), p.copy())
-        return solved["v"]
 
     def rhs_h(t, y):
         y = np.asarray(y, float)
@@ -1032,9 +1017,7 @@ def _momentum_mode(hs: HybridSystem, v0):
     def on_momenta(fun):
         """A guard function fun(t, q, v) as a function of (t, q, p)."""
         def f(t, q, p):
-            if not _is_times(t):
-                return fun(t, q, velocity(t, q, p))
-            return fun(t, q, column_velocities(t, q, p))
+            return fun(t, q, velocity(t, q, p))
         return f
 
     def reset_h(tau, ypre):
@@ -1082,8 +1065,8 @@ def check_flow_equivalence(sys: LagrangianSystem, s0: State,
 
 
 def _never(t, q, v):
-    """A guard value of -1 at every time: -1.0, or (k,) of them."""
-    return np.full(len(t), -1.0) if _is_times(t) else -1.0
+    """A guard value of -1 at every state."""
+    return -1.0
 
 
 def _inert_hybrid(system: LagrangianSystem) -> HybridSystem:

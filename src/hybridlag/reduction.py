@@ -54,7 +54,7 @@ import numpy as np
 from .errors import InvalidStart, NoConvergence, NotInvariant
 from .hybrid import (Arc, Event, Guard, HybridFlow, HybridSystem, ResetMap,
                      SimOptions, _check_finite, _check_start, _execute,
-                     _is_times, _validate_reset)
+                     _validate_reset)
 # perfbench/tracing.py wraps reduction.simulate, so the name stays here
 from .hybrid import simulate  # noqa: F401
 from .lagrangian import LagrangianSystem, State, _central_differences
@@ -83,8 +83,7 @@ class CyclicStructure:
         routhian_factory: optional closed-form reduced system builder
             mu -> LagrangianSystem of dimension n-1.
         reduced_guard_factory: optional closed-form reduced guard builder
-            mu -> Guard on shape-space (t, x, xdot), whose surface and
-            direction have the array contract of `Guard`; `reduce` uses it in
+            mu -> Guard on shape-space (t, x, xdot); `reduce` uses it in
             place of the full guard on the lifted state. `validate` checks
             it against the full guard on every sample state, at the
             sample's own momentum.
@@ -295,12 +294,10 @@ def reduce(cs: CyclicStructure, mu: float,
     The reduced guard is the structure's closed form when it has one;
     otherwise it evaluates the full guard's surface and direction on the
     lifted state (at cyclic angle 0, which the validated invariance makes
-    immaterial), one column at a time, in time order, on an array of
-    times. The
-    reduced reset is `_lifted_reset`, which must keep mu (to
-    INVARIANCE_TOL, relative). Raises InvalidStart when mu is not finite
-    (the momentum of a non-finite state) and NotInvariant when the
-    sampled checks fail or an impact changes the momentum.
+    immaterial). The reduced reset is `_lifted_reset`, which must keep mu
+    (to INVARIANCE_TOL, relative). Raises InvalidStart when mu is not
+    finite (the momentum of a non-finite state) and NotInvariant when
+    the sampled checks fail or an impact changes the momentum.
     """
     if not math.isfinite(mu):
         raise InvalidStart(f"momentum {mu!r} is not finite")
@@ -313,9 +310,6 @@ def reduce(cs: CyclicStructure, mu: float,
         def lifted(fun):
             """A full guard function fun(t, q, v) on the lifted state."""
             def f(t, x, xdot):
-                if _is_times(t):
-                    return np.array([f(tt, x[:, i], xdot[:, i])
-                                     for i, tt in enumerate(t)])
                 return fun(t, *cs.embed(t, x, xdot, mu))
             return f
 

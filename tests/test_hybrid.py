@@ -244,11 +244,23 @@ def test_max_impacts_termination(unit_wall_hybrid):
     assert len(flow.events) == 3
 
 
+@pytest.mark.parametrize("bad", [
+    dict(atol=0.0), dict(rtol=-1.0, atol=-1.0), dict(rtol=math.nan),
+    dict(atol=math.inf), dict(max_impacts=0)],
+    ids=["atol-zero", "negative-tolerances", "rtol-nan", "atol-inf",
+         "max-impacts-zero"])
+def test_sim_options_reject_bad_values(bad):
+    # atol = 0 used to end in ZeroDivisionError in the initial-step choice
+    # at a zero state component, and negative tolerances ran without
+    # complaint
+    with pytest.raises(ValueError):
+        hl.SimOptions(**bad)
+
+
 def _with_direction(hs, value):
-    """`hs` with its guard's direction replaced by the constant value,
-    one per time on an array of times."""
+    """`hs` with its guard's direction replaced by the constant value."""
     def direction(t, q, v):
-        return np.full(len(t), value) if np.ndim(t) else value
+        return value
 
     return dataclasses.replace(
         hs, guard=dataclasses.replace(hs.guard, direction=direction))
@@ -340,6 +352,11 @@ def test_arcs_starting_on_the_guard_match_oracle(name):
     assert len(flow.events) == impacts
 
 
+def _oscillating_wall():
+    return hl.BilliardParams(wall=lambda t: 1.0 + 0.3 * math.sin(3.0 * t),
+                             wall_rate=lambda t: 0.9 * math.cos(3.0 * t))
+
+
 # (eps, tangential speed) of a particle at r0^2 = 0.7 + eps inside the
 # breathing wall f = 1 + 0.3 sin 3t, which sweeps through it near
 # t = pi/2: a strike between two scan samples of one long step, which a
@@ -366,7 +383,47 @@ def test_strike_between_scan_samples_is_found(chart, start):
     for arc in flow.arcs:
         ts = np.linspace(arc.t_start, arc.t_end, 2000)
         ys = arc(ts)
-        assert np.max(hs.guard.surface(ts, ys[:2], ys[2:])) <= hybrid.GUARD_TOL
+        assert max(hs.guard.surface(t, y[:2], y[2:])
+                   for t, y in zip(ts.tolist(), ys.T)) <= hybrid.GUARD_TOL
+
+
+def _scalar_only(hs):
+    """`hs` with a guard whose surface and direction raise on an array of
+    times."""
+    def scalar(fun):
+        def f(t, q, v):
+            if isinstance(t, np.ndarray):
+                raise AssertionError("guard called on an array of times")
+            return fun(t, q, v)
+        return f
+
+    return dataclasses.replace(hs, guard=hl.Guard(
+        surface=scalar(hs.guard.surface),
+        direction=scalar(hs.guard.direction)))
+
+
+def test_guards_are_called_on_one_time_only():
+    # every run that calls a guard, on the paper wall with a guard that
+    # takes one time: both charts, a reduce-once run and a resequenced run
+    # through the embed-based reduced guard, and the momentum side of the
+    # equivalence check
+    sc = hl.get_scenario("paper-c025")
+    for chart in ("cartesian", "polar"):
+        hs, s0 = _paper_c025(chart)
+        flow = hl.simulate(_scalar_only(hs), s0, 3.0)
+        assert len(flow.events) >= 2, chart
+    cyc = dataclasses.replace(hl.polar_cyclic(sc.params),
+                              full=_scalar_only(hl.polar_hybrid(sc.params)),
+                              reduced_guard_factory=None)
+    red = hl.reduce(cyc, hl.momentum_map(cyc, sc.initial_polar))
+    flow = hl.simulate(red.shape, cyc.project_state(sc.initial_polar), 3.0)
+    assert len(flow.events) >= 2
+    rec = hl.simulate_resequenced(cyc, sc.initial_polar, 3.0)
+    assert len(rec.reduced.events) >= 2
+    rep = hl.check_hybrid_equivalence(
+        _scalar_only(hl.cartesian_hybrid(sc.params)), sc.initial_cartesian,
+        3.0)
+    assert rep.passed and rep.events_momentum_side >= 2, str(rep)
 
 
 # the benchmark sweep's ranges, on the paper wall through its collapse
@@ -436,18 +493,20 @@ def test_reset_retrigger_rejected(unit_wall_hybrid):
 
 
 def test_scan_evaluates_dense_output_once_per_step(monkeypatch):
-    # the scan makes one array call of the dense output, one of the guard
-    # surface and one of its rate per accepted step. Every other dense
-    # evaluation is a Brent iterate: the bracket ends come from the scan
-    # and the pre-impact state from the refinement. Every other surface
-    # call is scalar: the start check, one per Brent iterate, and those of
-    # reset validation; the impact's residual is the refinement's. The
-    # oracle's convex search is not called
+    # the scan makes one array call of the dense output per accepted step,
+    # and calls the guard surface and then its rate at each of its
+    # samples, in time order. Every other dense evaluation is a Brent
+    # iterate: the bracket ends come from the scan and the pre-impact
+    # state from the refinement. Outside the scan rule, the only other
+    # guard calls are the start check and those of reset validation; the
+    # rule calls the surface once per Brent iterate, and the impact's
+    # residual is the refinement's. The oracle's convex search is not
+    # called
     from hybridlag import billiard, hybrid
 
     counts = dict(steps=0, dense=0, brent_evals=0, refines=0)
-    surface = {"columns": 0}
-    rate_columns = []
+    surface = {}
+    loop_calls = []
     where = ["loop"]
 
     class CountedDense:
@@ -497,17 +556,19 @@ def test_scan_evaluates_dense_output_once_per_step(monkeypatch):
     g, d = hs.guard.surface, hs.guard.direction
 
     def counted_surface(t, q, v):
-        key = "columns" if np.ndim(t) else where[-1]
-        surface[key] = surface.get(key, 0) + 1
+        surface[where[-1]] = surface.get(where[-1], 0) + 1
+        if where[-1] == "loop":
+            loop_calls.append(("surface", t))
         return g(t, q, v)
 
     def counted_direction(t, q, v):
-        if np.ndim(t):
-            rate_columns.append(len(t))
+        if where[-1] == "loop":
+            loop_calls.append(("direction", t))
         return d(t, q, v)
 
     monkeypatch.setattr(hybrid, "RK45", CountedRK45)
     monkeypatch.setattr(hybrid, "brentq", counted_brentq)
+    monkeypatch.setattr(hybrid, "_scan", inside("_scan", hybrid._scan))
     monkeypatch.setattr(hybrid, "_validate_reset",
                         inside("_validate_reset", hybrid._validate_reset))
     monkeypatch.setattr(billiard, "_next_crossing", never_called)
@@ -516,10 +577,14 @@ def test_scan_evaluates_dense_output_once_per_step(monkeypatch):
     flow = hl.simulate(hs, sc.initial_polar, 2.0)
     assert flow.events and counts["refines"] >= len(flow.events)
     assert counts["dense"] == counts["steps"] + counts["brent_evals"]
-    assert surface.pop("columns") == counts["steps"]
-    assert rate_columns == [hybrid.SCAN_POINTS + 2] * counts["steps"]
+    # the start check, then surface and rate at each scan sample
+    samples = (hybrid.SCAN_POINTS + 2) * counts["steps"] + 1
+    assert [name for name, _ in loop_calls] == ["surface",
+                                                "direction"] * samples
+    times = [t for _, t in loop_calls]
+    assert times[::2] == times[1::2]
+    assert surface.pop("loop") == samples
     assert surface.pop("brent") == counts["brent_evals"]
-    assert surface.pop("loop") == 1
     assert set(surface) <= {"_validate_reset"}
 
 
@@ -528,11 +593,11 @@ def test_scan_evaluates_dense_output_once_per_step(monkeypatch):
 def test_no_point_is_evaluated_twice_in_a_step(monkeypatch, kind, t_end,
                                                impacts):
     # within one accepted step (up to the next step, so the impact and its
-    # reset count with the step that found it), no scalar call of the
-    # guard surface or rate repeats the (t, q, v) of an earlier call of
-    # the same function, scan columns included, and no dense call repeats
-    # a time: refinements start from the scan's values, and the impact is
-    # read off the refinement. Brent never evaluates its bracket ends
+    # reset count with the step that found it), no call of the guard
+    # surface or rate repeats the (t, q, v) of an earlier call of the same
+    # function, scan samples included, and no dense call repeats a time:
+    # refinements start from the scan's values, and the impact is read
+    # off the refinement. Brent never evaluates its bracket ends
     from hybridlag import hybrid
 
     seen, repeats, on_ends, refines = {}, [], [], []
@@ -558,11 +623,7 @@ def test_no_point_is_evaluated_twice_in_a_step(monkeypatch, kind, t_end,
 
     def recorded(name, fun):
         def wrapped(t, q, v):
-            if hybrid._is_times(t):
-                for i, tt in enumerate(t.tolist()):
-                    note(name, (tt, *q[:, i].tolist(), *v[:, i].tolist()))
-            else:
-                note(name, (t, *q.tolist(), *v.tolist()))
+            note(name, (t, *q.tolist(), *v.tolist()))
             return fun(t, q, v)
         return wrapped
 
@@ -1250,120 +1311,25 @@ def test_runs_build_states_per_impact_not_per_sample(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the array contract of guard surfaces
+# the momentum-side guard
 # ---------------------------------------------------------------------------
 
-def _oscillating_wall():
-    return hl.BilliardParams(wall=lambda t: 1.0 + 0.3 * math.sin(3.0 * t),
-                             wall_rate=lambda t: 0.9 * math.cos(3.0 * t))
-
-
-def _reduced_guard(closed_form):
-    sc = hl.get_scenario("paper-c025")
-    cyc = hl.polar_cyclic(sc.params)
-    if not closed_form:
-        cyc = dataclasses.replace(cyc, reduced_guard_factory=None)
-    return hl.reduce(cyc, hl.momentum_map(cyc, sc.initial_polar)).shape.guard
-
-
-def _momentum_side_guard(hs):
-    # a fresh mode per call: its velocity solves are warm-started in order
-    from hybridlag import hybrid
-
-    def make():
-        mode = hybrid._momentum_mode(hs, [1.0, -0.5])
-        return hl.Guard(surface=mode[1], direction=mode[2])
-
-    return make
-
-
-PAPER = hl.BilliardParams()
-# name -> (guard factory, chart of the sampled columns)
-_GUARDS = {
-    "polar": (lambda: hl.guard_polar(PAPER), "polar"),
-    "polar-oscillating": (lambda: hl.guard_polar(_oscillating_wall()),
-                          "polar"),
-    "cartesian": (lambda: hl.guard_cartesian(PAPER), "cartesian"),
-    "cartesian-oscillating": (
-        lambda: hl.guard_cartesian(_oscillating_wall()), "cartesian"),
-    "reduced-closed-form": (lambda: _reduced_guard(True), "reduced"),
-    "reduced-embed": (lambda: _reduced_guard(False), "reduced"),
-    "momentum-cartesian": (_momentum_side_guard(hl.cartesian_hybrid(PAPER)),
-                           "cartesian"),
-    "momentum-polar": (_momentum_side_guard(hl.polar_hybrid(PAPER)),
-                       "polar"),
-}
-
-
-def _columns(rng, chart, k):
-    """k random (q, v) columns of a chart: two (n, k) blocks."""
-    if chart == "polar":
-        q = np.stack([rng.uniform(0.3, 1.3, k), rng.uniform(-3.0, 3.0, k)])
-    elif chart == "reduced":
-        q = rng.uniform(0.3, 1.3, (1, k))
-    else:
-        q = rng.uniform(-1.5, 1.5, (2, k))
-    return q, rng.uniform(-3.0, 3.0, q.shape)
-
-
-@pytest.mark.parametrize("name", list(_GUARDS))
-def test_guard_surface_array_contract(name):
-    # surface and direction alike: (k,) times with (n, k) columns give
-    # (k,) values, entry i equal bit for bit to the scalar call on time i
-    # and column i
-    make, chart = _GUARDS[name]
-    rng = np.random.default_rng(11)
-    for k in (1, 10, 200):
-        ts = rng.uniform(0.0, 4.0, k)
-        q, v = _columns(rng, chart, k)
-        for part in ("surface", "direction"):
-            values = getattr(make(), part)(ts, q, v)
-            assert isinstance(values, np.ndarray) and values.shape == (k,)
-            fun = getattr(make(), part)
-            scalar = [fun(t, q[:, i], v[:, i]) for i, t in enumerate(ts)]
-            assert all(isinstance(x, float) for x in scalar)
-            assert np.array_equal(values, scalar), part
-
-
-def test_momentum_side_guard_recovers_velocities_in_time_order():
-    # each velocity recovery is warm-started at the last one, so its last
-    # bits depend on the order of the calls: an array call must hand the
-    # guard the velocities that scalar calls in time order would
-    from hybridlag import hybrid
-
-    hs = hl.cartesian_hybrid(PAPER)
-    seen = []
-
-    def recorded(t, q, v):
-        seen.append(np.array(v, ndmin=2).reshape(2, -1))
-        return hs.guard.surface(t, q, v)
-
-    hs_rec = dataclasses.replace(hs, guard=dataclasses.replace(
-        hs.guard, surface=recorded))
-    rng = np.random.default_rng(5)
-    ts = np.sort(rng.uniform(0.0, 4.0, 200))
-    q, p = _columns(rng, "cartesian", ts.size)
-    hybrid._momentum_mode(hs_rec, [1.0, -0.5])[1](ts, q, p)
-    surface = hybrid._momentum_mode(hs_rec, [1.0, -0.5])[1]
-    for i, t in enumerate(ts):
-        surface(t, q[:, i], p[:, i])
-    assert np.array_equal(seen[0], np.hstack(seen[1:]))
-
-
 def test_momentum_side_scan_solves_each_column_once(monkeypatch):
-    # the surface and direction column calls of one step share one
-    # velocity solve per column: counted from the scan's array call of the
-    # dense output, which the two column calls follow, to the scan itself
+    # the scan calls the surface and then the rate at each sample; the
+    # rate's velocity recovery starts at the surface's solution, so it
+    # makes no Hessian solve. Counted from the scan's array call of the
+    # dense output, which the sample calls follow, to the scan rule
     from hybridlag import hybrid
     from hybridlag.lagrangian import LagrangianSystem
 
-    in_columns, per_step = [False], []
-    velocity, scan = LagrangianSystem._velocity, hybrid._scan
+    # per step, [name, Hessian solves] of each sample call
+    in_samples, steps = [False], []
+    solve_hessian, scan = LagrangianSystem._solve_hessian, hybrid._scan
 
-    def counted_velocity(self, *args, **kwargs):
-        if in_columns[0]:
-            per_step[-1] += 1
-        return velocity(self, *args, **kwargs)
+    def counted_solve(self, *args, **kwargs):
+        if in_samples[0]:
+            steps[-1][-1][1] += 1
+        return solve_hessian(self, *args, **kwargs)
 
     class Marking(hybrid.RK45):
         def dense_output(self):
@@ -1371,25 +1337,38 @@ def test_momentum_side_scan_solves_each_column_once(monkeypatch):
 
             def marked(t):
                 if np.ndim(t):
-                    in_columns[0] = True
-                    per_step.append(0)
+                    in_samples[0] = True
+                    steps.append([])
                 return dense(t)
             return marked
 
-    def scan_after_columns(*args):
-        in_columns[0] = False
+    def scan_after_samples(*args):
+        in_samples[0] = False
         return scan(*args)
 
-    monkeypatch.setattr(LagrangianSystem, "_velocity", counted_velocity)
+    def labelled(name, fun):
+        def f(t, q, p):
+            if in_samples[0]:
+                steps[-1].append([name, 0])
+            return fun(t, q, p)
+        return f
+
+    monkeypatch.setattr(LagrangianSystem, "_solve_hessian", counted_solve)
     monkeypatch.setattr(hybrid, "RK45", Marking)
-    monkeypatch.setattr(hybrid, "_scan", scan_after_columns)
+    monkeypatch.setattr(hybrid, "_scan", scan_after_samples)
     hs, s0 = _paper_c025("cartesian")
+    rhs, g, d, reset = hybrid._momentum_mode(hs, s0.v)
+    mode = (rhs, labelled("surface", g), labelled("direction", d),
+            lambda tau, y: (reset(tau, y)[0], mode))
     cs0 = hs.system.legendre(s0)
-    flow = hybrid._execute(hybrid._momentum_mode(hs, s0.v), cs0.t,
-                           np.concatenate([cs0.q, cs0.p]), 5.0,
+    flow = hybrid._execute(mode, cs0.t, np.concatenate([cs0.q, cs0.p]), 5.0,
                            hl.SimOptions())
-    assert flow.events and len(per_step) > 2 * len(flow.arcs)
-    assert per_step == [hybrid.SCAN_POINTS + 2] * len(per_step)
+    assert flow.events and len(steps) > 2 * len(flow.arcs)
+    per_step = ["surface", "direction"] * (hybrid.SCAN_POINTS + 2)
+    assert all([name for name, _ in step] == per_step for step in steps)
+    calls = [call for step in steps for call in step]
+    assert sum(n for name, n in calls if name == "direction") == 0
+    assert sum(n for name, n in calls if name == "surface") > 0
 
 
 # ---------------------------------------------------------------------------

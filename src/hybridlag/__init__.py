@@ -20,7 +20,7 @@ from .errors import (ChartSingularity, HybridLagError, IntegrationFailure,
                      SingularHessian)
 from .hybrid import (Arc, Event, FlowEquivalenceReport, Guard,
                      HybridEquivalenceReport, HybridFlow, HybridSystem,
-                     ResetMap, SimOptions, check_flow_equivalence,
+                     ResetMap, check_flow_equivalence,
                      check_hybrid_equivalence, simulate)
 from .lagrangian import CoState, LagrangianSystem, State
 from .models import MODEL_IDS, SCENARIO_IDS, ModelBundle, build_model
@@ -38,7 +38,7 @@ __all__ = [
     "LagrangianSystem", "MODEL_IDS", "ModelBundle", "NegativeDiscriminant",
     "NoConvergence", "NotInvariant", "PaperScenario", "ParseError",
     "ReconstructedFlow", "ReducedHybridSystem", "ResetMap", "SCENARIO_IDS",
-    "SimOptions", "SingularHessian", "State", "analytic_arc",
+    "SingularHessian", "State", "analytic_arc",
     "build_model", "cartesian_hybrid", "cartesian_system",
     "cartesian_to_polar", "check_flow_equivalence",
     "check_hybrid_equivalence", "get_scenario", "guard_cartesian",

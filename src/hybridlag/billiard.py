@@ -32,14 +32,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 import numpy as np
 
 from .errors import ChartSingularity, InvalidReset, NegativeDiscriminant
-from .hybrid import (MIN_DWELL, TERM_HORIZON, TERM_MAX_IMPACTS, TERM_ZENO,
-                     Arc, Event, Guard, HybridFlow, HybridSystem, ResetMap,
-                     SimOptions, _along, _check_start, brentq)
+from .hybrid import (MAX_IMPACTS, MIN_DWELL, TERM_HORIZON, TERM_MAX_IMPACTS,
+                     TERM_ZENO, Arc, Event, Guard, HybridFlow, HybridSystem,
+                     ResetMap, _along, _check_start, brentq)
 from .lagrangian import LagrangianSystem, State
 from .reduction import CyclicStructure
 
@@ -394,21 +394,19 @@ def _next_crossing(phi, dphi, t0, t_end):
     return brentq(phi, lo, t_end, xtol=1e-14, rtol=1e-15)
 
 
-def reference_flow(p: BilliardParams, s0: State, t_end: float,
-                   opts: Optional[SimOptions] = None) -> HybridFlow:
+def reference_flow(p: BilliardParams, s0: State, t_end: float) -> HybridFlow:
     """Exact piecewise reference run of the Cartesian billiard.
 
     Flights are closed-form; the next impact is the first root of the
     guard phi(t) = |q(t)|^2 - f(t) along the flight, which is convex for
     these walls, found by `_next_crossing` with the guard's direction,
     its rate, as phi'. The start rule (`hybrid._check_start`: InvalidStart
-    unless s0 is finite, t_end does not precede s0.t and s0 lies inside
-    the wall or on it and leaving), resets, admissibility and the
-    MIN_DWELL / max_impacts termination rules are the executor's, making
-    the result directly comparable to `simulate` while sharing none of
-    its ODE stepping.
+    unless s0 is finite, t_end is finite and does not precede s0.t, and
+    s0 lies inside the wall or on it and leaving), resets, admissibility
+    and the MIN_DWELL / MAX_IMPACTS termination rules are the executor's,
+    making the result directly comparable to `simulate` while sharing
+    none of its ODE stepping.
     """
-    opts = opts or SimOptions()
     guard = guard_cartesian(p)
     reset = reset_cartesian(p)
 
@@ -443,7 +441,7 @@ def reference_flow(p: BilliardParams, s0: State, t_end: float,
         q, v = reset.apply(tau, y[:2], y[2:])
         events.append(Event(tau, State(tau, y[:2], y[2:]), State(tau, q, v),
                             abs(guard.surface(tau, y[:2], y[2:]))))
-        if len(events) >= opts.max_impacts:
+        if len(events) >= MAX_IMPACTS:
             termination = TERM_MAX_IMPACTS
             break
         t = tau

@@ -146,7 +146,7 @@ def _run(config: RunConfig) -> int:
 
     if config.mode == "full":
         s0 = _initial_state(config, bundle)
-        flow = simulate(bundle.hybrid, s0, config.horizon, config.options)
+        flow = simulate(bundle.hybrid, s0, config.horizon)
         _write_flow(config, flow, None)
         record.update(_flow_record(flow))
         write_json(os.path.join(config.out, "run.json"), record)
@@ -161,8 +161,7 @@ def _run(config: RunConfig) -> int:
         if config.mode == "reduced":
             rec = _reduce_once(cyc, s0, config)
         else:
-            rec = simulate_resequenced(cyc, s0, config.horizon,
-                                       config.options)
+            rec = simulate_resequenced(cyc, s0, config.horizon)
         flow = rec.reduced
         _write_flow(config, flow, rec)
         record.update(_flow_record(flow))
@@ -185,7 +184,7 @@ def _run(config: RunConfig) -> int:
         sc = billiard.PaperScenario(sc0.scenario_id, config.params,
                                     sc0.initial_polar,
                                     horizon=min(config.horizon, sc0.horizon))
-        checks = run_verification(sc, opts=config.options)
+        checks = run_verification(sc)
         passed = all(c["passed"] for c in checks)
         record["checks"] = checks
         record["passed"] = passed
@@ -211,8 +210,7 @@ def _reduce_once(cyc, s0, config):
     projected start and reconstruct the cyclic angle along it."""
     mu0 = momentum_map(cyc, s0)
     red = reduce(cyc, mu0)
-    flow = simulate(red.shape, cyc.project_state(s0), config.horizon,
-                    config.options)
+    flow = simulate(red.shape, cyc.project_state(s0), config.horizon)
     return reconstruct(cyc, flow, mu0, float(s0.q[cyc.cyclic_index]))
 
 
@@ -232,7 +230,7 @@ def _compare(config: RunConfig, bundle):
                          "coordinate (billiard-polar)")
     cyc = bundle.cyclic
     s0 = _initial_state(config, bundle)
-    full = simulate(cyc.full, s0, config.horizon, config.options)
+    full = simulate(cyc.full, s0, config.horizon)
     projected = project(cyc, full)
     rec = _reduce_once(cyc, s0, config)
     reduced = rec.reduced

@@ -20,9 +20,10 @@ class NoConvergence(HybridLagError):
 
 class InvalidStart(HybridLagError):
     """A run cannot start where it was asked to: the start state is not
-    finite, t_end precedes the start time, the start lies outside the
-    guard or on it while entering, the momentum passed to `reduce` is not
-    finite, or the start angle passed to `reconstruct` is not finite."""
+    finite, t_end is not finite or precedes the start time, the start
+    lies outside the guard or on it while entering, the momentum passed
+    to `reduce` is not finite, or the start angle passed to `reconstruct`
+    is not finite."""
 
 
 class InvalidReset(HybridLagError):

@@ -3,19 +3,19 @@ resets.
 
 Every run in the package goes through one loop, `_execute`: full and
 reduced runs, resequenced runs and the momentum-side runs of the
-equivalence checks. Each arc is integrated with the
-adaptive Dormand-Prince 8(5,3) pair DOP853, whose 7th-order dense output
-costs 3 extra right-hand-side calls per accepted step (Hairer, Norsett &
-Wanner, Solving ODEs I, II.5-II.6). The step loop is the module's own:
-it reads its tableau from `_dop853`, a copy of scipy's table, and
-repeats the arithmetic of scipy's `DOP853` operation for operation, so
-it reproduces scipy's steps and dense output bit for bit, but it calls
-the right-hand side directly, without the solver's wrapper layers, on a
-list of Python floats. Its elementwise arithmetic runs on Python floats,
-whose IEEE +, -, * and / give numpy's bits without numpy's per-call
-overhead on 2- and 4-element arrays; its tableau sums stay the numpy
-products scipy takes, since a BLAS sum need not add in a Python loop's
-order (see `RK45`).
+equivalence checks. Each arc is integrated under the fixed step control
+RTOL = ATOL with the adaptive Dormand-Prince 8(5,3) pair DOP853, whose
+7th-order dense output costs 3 extra right-hand-side calls per accepted
+step (Hairer, Norsett & Wanner, Solving ODEs I, II.5-II.6). The step
+loop is the module's own: it reads its tableau from `_dop853`, a copy of
+scipy's table, and repeats the arithmetic of scipy's `DOP853` operation
+for operation, so it reproduces scipy's steps and dense output bit for
+bit, but it calls the right-hand side directly, without the solver's
+wrapper layers, on a list of Python floats. Its elementwise arithmetic
+runs on Python floats, whose IEEE +, -, * and / give numpy's bits
+without numpy's per-call overhead on 2- and 4-element arrays; its
+tableau sums stay the numpy products scipy takes, since a BLAS sum need
+not add in a Python loop's order (see `RK45`).
 After every accepted step the step's dense output is evaluated once, as
 one array call at the endpoints plus SCAN_POINTS interior times, and the
 guard surface g and then its rate d are called on each resulting column,
@@ -47,7 +47,8 @@ Two rules shape the behaviour in impact-accumulation regimes:
   the refinement work. The first arc's step size has no cap;
 * a run terminates with ``zeno_suspected`` when two impacts fall within
   MIN_DWELL of each other, or the step size collapses within MIN_DWELL
-  of the last impact, and with ``max_impacts`` at the impact cap.
+  of the last impact, and with ``max_impacts`` at the fixed impact cap
+  MAX_IMPACTS.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -74,6 +75,8 @@ REFINE_XTOL = 1e-13  # time localization of impacts: dwell comparisons
 GUARD_TOL = 1e-8     # bound on |g| at an impact or an on-guard start,
                      # scaled by the local guard slope max(1, |d|)
 MIN_DWELL = 1e-9     # two impacts closer than this end a run as Zeno
+RTOL = ATOL = 1e-10  # the integrator's step control on every arc
+MAX_IMPACTS = 10000  # impact cap; reaching it ends a run as max_impacts
 ARM_TOL = 1e-12      # guard value above which a start counts as on it
 SCAN_POINTS = 1      # interior dense-output guard samples per accepted step
 EQUIVALENCE_TOL = 1e-6  # state bound of the velocity/momentum-side checks
@@ -123,35 +126,6 @@ class HybridSystem:
     system: LagrangianSystem
     guard: Guard
     reset: ResetMap
-
-
-@dataclass
-class SimOptions:
-    """Settings of a hybrid run.
-
-    The guard and dwell tolerances are the module constants GUARD_TOL
-    and MIN_DWELL, the scan takes SCAN_POINTS interior samples per step,
-    and the step size is capped only after an impact, at the previous
-    dwell. Every post-impact state is validated: it must be finite and
-    not immediately re-trigger the guard (InvalidReset otherwise).
-
-    Attributes:
-        rtol, atol: integrator step control, finite and > 0.
-        max_impacts: impact cap, >= 1; reaching it terminates with
-            ``max_impacts``.
-    """
-
-    rtol: float = 1e-10
-    atol: float = 1e-10
-    max_impacts: int = 10000
-
-    def __post_init__(self):
-        if not (math.isfinite(self.rtol) and self.rtol > 0):
-            raise ValueError("rtol must be finite and > 0")
-        if not (math.isfinite(self.atol) and self.atol > 0):
-            raise ValueError("atol must be finite and > 0")
-        if not self.max_impacts >= 1:
-            raise ValueError("max_impacts must be >= 1")
 
 
 @dataclass
@@ -487,7 +461,7 @@ class _StepInterpolant:
 # generic packed-coordinates execution loop
 # ---------------------------------------------------------------------------
 
-def _execute(mode, t0, y0, t_end, opts: SimOptions):
+def _execute(mode, t0, y0, t_end):
     """Drive the hybrid loop in packed coordinates and return its run.
 
     mode: (rhs, gfun, dfun, reset) with rhs: (t, y) -> y', called on a
@@ -508,8 +482,8 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
 
     while True:
         rhs, gfun, dfun, reset = mode
-        solver = RK45(rhs, t, y, t_bound=t_end, rtol=opts.rtol,
-                      atol=opts.atol, max_step=max_step)
+        solver = RK45(rhs, t, y, t_bound=t_end, rtol=RTOL, atol=ATOL,
+                      max_step=max_step)
         if not all(map(math.isfinite, np.asarray(solver.f, float).tolist())):
             # scipy would reject every step of a NaN step size forever
             raise IntegrationFailure(
@@ -568,7 +542,7 @@ def _execute(mode, t0, y0, t_end, opts: SimOptions):
                             State(tau, post[:n], post[n:]), residual))
         max_step = dwell
 
-        if len(events) >= opts.max_impacts:
+        if len(events) >= MAX_IMPACTS:
             return HybridFlow(arcs, events, TERM_MAX_IMPACTS)
         t, y = tau, ypost
 
@@ -856,16 +830,16 @@ class _ArcInterpolant:
 # public operations
 # ---------------------------------------------------------------------------
 
-def simulate(hs: HybridSystem, s0: State, t_end: float,
-             opts: Optional[SimOptions] = None) -> HybridFlow:
+def simulate(hs: HybridSystem, s0: State, t_end: float) -> HybridFlow:
     """Execute the hybrid flow of `hs` from s0 up to t_end.
 
     The start state must be admissible: strictly inside the guard, or on
-    it with negative direction (leaving); t_end must not precede s0.t.
-    Returns a HybridFlow whose termination is one of horizon_reached,
-    max_impacts, zeno_suspected or integration_failure.
+    it with negative direction (leaving); t_end must be finite and must
+    not precede s0.t. Each arc runs under the step control RTOL and ATOL,
+    and the run stops at MAX_IMPACTS impacts. Returns a HybridFlow whose
+    termination is one of horizon_reached, max_impacts, zeno_suspected or
+    integration_failure.
     """
-    opts = opts or SimOptions()
     n = hs.system.dim
     gfun, dfun = hs.guard.surface, hs.guard.direction
     _check_start(gfun, dfun, s0, t_end)
@@ -876,7 +850,7 @@ def simulate(hs: HybridSystem, s0: State, t_end: float,
         return np.concatenate([q, v]), mode
 
     mode = (hs.system.rhs, gfun, dfun, reset)
-    return _execute(mode, s0.t, hs.system.pack(s0), t_end, opts)
+    return _execute(mode, s0.t, hs.system.pack(s0), t_end)
 
 
 def _check_finite(s: State):
@@ -887,9 +861,13 @@ def _check_finite(s: State):
 
 
 def _check_start(gfun, dfun, s: State, t_end: float):
-    """Raise InvalidStart unless s is finite, t_end does not precede s.t,
-    and s is strictly inside the guard or on it and leaving."""
+    """Raise InvalidStart unless s is finite, t_end is finite and does not
+    precede s.t, and s is strictly inside the guard or on it and
+    leaving."""
     _check_finite(s)
+    if not math.isfinite(t_end):
+        raise InvalidStart(f"t_end={t_end!r} is not finite; runs end at "
+                           f"a finite horizon")
     if not t_end >= s.t:
         raise InvalidStart(f"t_end={t_end!r} precedes the start time "
                            f"t={s.t!r}; runs go forward in time")
@@ -944,7 +922,6 @@ class HybridEquivalenceReport:
 
 
 def check_hybrid_equivalence(hs: HybridSystem, s0: State, t_end: float,
-                             opts: Optional[SimOptions] = None,
                              grid_per_arc: int = 33) -> HybridEquivalenceReport:
     """Run the hybrid flow on both sides of the fiber derivative and
     compare them.
@@ -957,15 +934,14 @@ def check_hybrid_equivalence(hs: HybridSystem, s0: State, t_end: float,
     difference between matched impact times; it passes when they are
     within EQUIVALENCE_TOL and EVENT_TIME_TOL and the impact counts match.
     """
-    opts = opts or SimOptions()
     n = hs.system.dim
     sys = hs.system
 
-    flow_l = simulate(hs, s0, t_end, opts)
+    flow_l = simulate(hs, s0, t_end)
     cs0 = sys.legendre(s0)
     # its states hold (q, p); only its arcs and impact times are read
     flow_h = _execute(_momentum_mode(hs, s0.v), cs0.t,
-                      np.concatenate([cs0.q, cs0.p]), t_end, opts)
+                      np.concatenate([cs0.q, cs0.p]), t_end)
 
     worst = 0.0
     for arc_l, arc_h in zip(flow_l.arcs, flow_h.arcs):
@@ -1052,11 +1028,11 @@ def check_flow_equivalence(sys: LagrangianSystem, s0: State,
     derivative.
 
     This is `check_hybrid_equivalence` on `sys` under a guard that never
-    triggers, with default step control on both sides. The report holds
-    the maximum over the union of both step grids of the componentwise
-    difference between the mapped velocity-side state and the
-    momentum-side state. A start `simulate` rejects (non-finite, or t_end
-    before s0.t) raises InvalidStart.
+    triggers, with the step control RTOL and ATOL on both sides. The
+    report holds the maximum over the union of both step grids of the
+    componentwise difference between the mapped velocity-side state and
+    the momentum-side state. A start `simulate` rejects (non-finite, a
+    non-finite t_end, or t_end before s0.t) raises InvalidStart.
     """
     rep = check_hybrid_equivalence(_inert_hybrid(sys), s0, t_end,
                                    grid_per_arc=0)

@@ -16,11 +16,11 @@ import numpy as np
 
 from .billiard import BilliardParams, get_scenario
 from .errors import ParseError
-from .hybrid import HybridFlow, SimOptions
+from .hybrid import HybridFlow
 from .models import MODEL_IDS, SCENARIO_IDS
 from .reduction import ReconstructedFlow
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 def fmt(x) -> str:
@@ -147,9 +147,9 @@ MODES = ("full", "reduced", "resequenced", "compare", "verify")
 
 class Setting(NamedTuple):
     """One configuration key: its JSON type, where its value goes
-    ("run": a RunConfig field; "options" or "params": a field of that
-    RunConfig attribute), whether it is required, and the values legal
-    here. Parameter values are checked by BilliardParams."""
+    ("run": a RunConfig field; "params": a field of RunConfig.params),
+    whether it is required, and the values legal here. Parameter values
+    are checked by BilliardParams."""
 
     kind: type
     dest: str = "run"
@@ -167,9 +167,6 @@ CONFIG_KEYS = {
     "initial_t": Setting(float),
     "initial_q": Setting(list),
     "initial_v": Setting(list),
-    "rtol": Setting(float, "options", positive=True),
-    "atol": Setting(float, "options", positive=True),
-    "max_impacts": Setting(int, "options", positive=True),
     "m": Setting(float, "params"),
     "c": Setting(float, "params"),
 }
@@ -192,13 +189,12 @@ class RunConfig:
     initial_t: Optional[float] = None
     initial_q: Optional[list] = None
     initial_v: Optional[list] = None
-    options: SimOptions = field(default_factory=SimOptions)
     params: BilliardParams = field(default_factory=BilliardParams)
     param_keys: FrozenSet[str] = frozenset()
 
     def to_record(self) -> dict:
-        """The configuration document of this run: every run setting and
-        option that is set, and the overridden parameters."""
+        """The configuration document of this run: every run setting
+        that is set, and the overridden parameters."""
         rec = {}
         for key, setting in CONFIG_KEYS.items():
             if setting.dest == "params" and key not in self.param_keys:
@@ -237,7 +233,7 @@ def load_document(text: str) -> dict:
 
 
 def config_from_dict(doc: dict) -> RunConfig:
-    values = {"run": {}, "options": {}, "params": {}}
+    values = {"run": {}, "params": {}}
     for key, value in doc.items():
         if key not in CONFIG_KEYS:
             raise ParseError(f"unknown configuration key {key!r}", key=key)
@@ -257,8 +253,8 @@ def config_from_dict(doc: dict) -> RunConfig:
             params = replace(params, **{key: value})
         except ValueError as exc:
             raise ParseError(f"key {key!r}: {exc}", key=key) from exc
-    return RunConfig(**run, options=SimOptions(**values["options"]),
-                     params=params, param_keys=frozenset(values["params"]))
+    return RunConfig(**run, params=params,
+                     param_keys=frozenset(values["params"]))
 
 
 def _checked(key, value, setting: Setting):
@@ -279,4 +275,4 @@ def _checked(key, value, setting: Setting):
     if setting.choices and value not in setting.choices:
         raise ParseError(f"unknown {key} {value!r}; expected one of "
                          f"{setting.choices}", key=key)
-    return kind(value) if kind in (int, float) else value
+    return float(value) if kind is float else value

@@ -53,8 +53,7 @@ import numpy as np
 
 from .errors import InvalidStart, NoConvergence, NotInvariant
 from .hybrid import (Arc, Event, Guard, HybridFlow, HybridSystem, ResetMap,
-                     SimOptions, _check_finite, _check_start, _execute,
-                     _validate_reset)
+                     _check_finite, _check_start, _execute, _validate_reset)
 # perfbench/tracing.py wraps reduction.simulate, so the name stays here
 from .hybrid import simulate  # noqa: F401
 from .lagrangian import LagrangianSystem, State, _central_differences
@@ -417,9 +416,8 @@ def _reconstruct_arcs(cs: CyclicStructure, arcs: Sequence[Arc],
     return theta_arcs, theta_dot_arcs, worst
 
 
-def simulate_resequenced(cs: CyclicStructure, s0: State, t_end: float,
-                         opts: Optional[SimOptions] = None
-                         ) -> ReconstructedFlow:
+def simulate_resequenced(cs: CyclicStructure, s0: State,
+                         t_end: float) -> ReconstructedFlow:
     """Run the reduced dynamics with the momentum rebuilt after every
     impact.
 
@@ -432,7 +430,6 @@ def simulate_resequenced(cs: CyclicStructure, s0: State, t_end: float,
     momentum-preserving resets the momentum sequence is constant and the
     run coincides with reducing once and simulating.
     """
-    opts = opts or SimOptions()
     _check_finite(s0)
     m = cs.dim_reduced
     mus = [momentum_map(cs, s0)]
@@ -456,8 +453,7 @@ def simulate_resequenced(cs: CyclicStructure, s0: State, t_end: float,
     mode = mode_at(mus[0], validate=True)
     start = cs.project_state(s0)
     _check_start(mode[1], mode[2], start, t_end)
-    reduced = _execute(mode, s0.t, np.concatenate([start.q, start.v]), t_end,
-                       opts)
+    reduced = _execute(mode, s0.t, np.concatenate([start.q, start.v]), t_end)
     mus = mus[:len(reduced.arcs)]
     theta, theta_dot, resid = _reconstruct_arcs(cs, reduced.arcs, mus, jumps)
     return ReconstructedFlow(reduced, theta, theta_dot, mus, resid)

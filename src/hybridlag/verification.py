@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import billiard
-from .hybrid import (EQUIVALENCE_TOL, SimOptions, check_flow_equivalence,
+from .hybrid import (EQUIVALENCE_TOL, check_flow_equivalence,
                      check_hybrid_equivalence, simulate)
 from .io import events_header, trajectory_header
 from .lagrangian import State
@@ -79,11 +79,11 @@ def check_flow_equivalence_models(params=None):
             "detail": " ".join(detail)}
 
 
-def check_hybrid_correspondence(scenario, opts=None):
+def check_hybrid_correspondence(scenario):
     hs = billiard.cartesian_hybrid(scenario.params)
     rep = check_hybrid_equivalence(
         hs, scenario.initial_cartesian,
-        min(CORRESPONDENCE_HORIZON, scenario.horizon), opts=opts)
+        min(CORRESPONDENCE_HORIZON, scenario.horizon))
     return {"check": "hybrid_correspondence", "passed": rep.passed,
             "measured": rep.max_state_discrepancy, "bound": EQUIVALENCE_TOL,
             "detail": str(rep)}
@@ -141,19 +141,18 @@ def check_csv_schema():
             "bound": 0.0, "detail": ",".join(traj)}
 
 
-def run_verification(scenario, opts=None):
+def run_verification(scenario):
     """Run every check against one scenario; returns the record list."""
-    opts = opts or SimOptions()
     p = scenario.params
     flow_c = simulate(billiard.cartesian_hybrid(p), scenario.initial_cartesian,
-                      scenario.horizon, opts)
+                      scenario.horizon)
     flow_p = simulate(billiard.polar_hybrid(p), scenario.initial_polar,
-                      scenario.horizon, opts)
+                      scenario.horizon)
     return [
         check_derivative_consistency(p),
         check_legendre_roundtrip(p),
         check_flow_equivalence_models(p),
-        check_hybrid_correspondence(scenario, opts=opts),
+        check_hybrid_correspondence(scenario),
         check_momentum_conservation(scenario, flow_p),
         check_arc_oracle_agreement(scenario, flow_c),
         check_chart_impact_agreement(flow_c, flow_p),

@@ -62,8 +62,17 @@ def _paper_c025(chart):
             getattr(sc, f"initial_{chart}"))
 
 
-def _simulated(hs, s0, t_end, **opts):
-    return hl.simulate(hs, s0, t_end, hl.SimOptions(**opts)), hs
+def _simulated(hs, s0, t_end):
+    return hl.simulate(hs, s0, t_end), hs
+
+
+def _capped(hs, cap):
+    """`hs` run from the centre to t = 10 under an impact cap of `cap`."""
+    from hybridlag import hybrid
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hybrid, "MAX_IMPACTS", cap)
+        return _simulated(hs, center_start(), 10.0)
 
 
 def _resequenced_c025(t_end):
@@ -90,9 +99,7 @@ FLOW_RUNS = {
                    "zeno_suspected"),
     "cartesian-c025": (lambda hs: _simulated(*_paper_c025("cartesian"), 3.0),
                        3.0, "horizon_reached"),
-    "max-impacts": (lambda hs: _simulated(hs, center_start(), 10.0,
-                                          max_impacts=5), 10.0,
-                    "max_impacts"),
+    "max-impacts": (lambda hs: _capped(hs, 5), 10.0, "max_impacts"),
     "resequenced-c025": (lambda hs: _resequenced_c025(10.0), 10.0,
                          "zeno_suspected"),
     "reference-c025": (lambda hs: _reference_c025(10.0), 10.0,
@@ -210,19 +217,26 @@ def _oracle_and_executor(q, v, t_end):
             lambda: hl.simulate(hl.cartesian_hybrid(p), s0, t_end)]
 
 
-def _flow_check_backwards():
-    bundle = hl.build_model("harmonic-1d")
+def _flow_check(model_id, span):
+    """check_flow_equivalence on `model_id` from its default start to
+    span after it."""
+    bundle = hl.build_model(model_id)
     s0 = bundle.default_initial
-    return [lambda: hl.check_flow_equivalence(bundle.system, s0, s0.t - 1.0)]
+    return [lambda: hl.check_flow_equivalence(bundle.system, s0, s0.t + span)]
 
 
 @pytest.mark.parametrize("entry_points", [
     lambda: _oracle_and_executor((0.5, 0.1), (1.0, 0.0), -1.0),
     lambda: _oracle_and_executor((np.nan, 0.1), (1.0, 0.0), 10.0),
     lambda: _oracle_and_executor((1.0, 0.0), (1.0, 0.0), 10.0),
-    _flow_check_backwards,
+    # an infinite horizon used to end in a Brent RuntimeError in the
+    # oracle and a ZeroDivisionError in the step loop
+    lambda: _oracle_and_executor((0.5, 0.1), (1.0, 0.0), math.inf),
+    lambda: _flow_check("harmonic-1d", -1.0),
+    lambda: _flow_check("free-particle", math.inf),
 ], ids=["oracle-backwards", "oracle-non-finite", "oracle-on-wall-heading-out",
-        "flow-check-backwards"])
+        "oracle-infinite-horizon", "flow-check-backwards",
+        "flow-check-infinite-horizon"])
 def test_bad_start_is_invalid_start_from_every_entry_point(entry_points):
     for run in entry_points():
         with pytest.raises(hl.InvalidStart):
@@ -238,23 +252,24 @@ def test_start_on_guard_leaving_is_accepted(unit_wall_hybrid):
 
 
 def test_max_impacts_termination(unit_wall_hybrid):
-    opts = hl.SimOptions(max_impacts=3)
-    flow = hl.simulate(unit_wall_hybrid, center_start(), 10.0, opts)
+    flow, _ = _capped(unit_wall_hybrid, 3)
     assert flow.termination == "max_impacts"
     assert len(flow.events) == 3
 
 
-@pytest.mark.parametrize("bad", [
-    dict(atol=0.0), dict(rtol=-1.0, atol=-1.0), dict(rtol=math.nan),
-    dict(atol=math.inf), dict(max_impacts=0)],
-    ids=["atol-zero", "negative-tolerances", "rtol-nan", "atol-inf",
-         "max-impacts-zero"])
-def test_sim_options_reject_bad_values(bad):
-    # atol = 0 used to end in ZeroDivisionError in the initial-step choice
-    # at a zero state component, and negative tolerances ran without
-    # complaint
-    with pytest.raises(ValueError):
-        hl.SimOptions(**bad)
+def test_oracle_and_executor_stop_at_the_same_cap(monkeypatch):
+    from hybridlag import billiard, hybrid
+
+    monkeypatch.setattr(hybrid, "MAX_IMPACTS", 3)
+    monkeypatch.setattr(billiard, "MAX_IMPACTS", 3)
+    p = static_billiard()
+    s0 = hl.State(0.0, np.zeros(2), np.array([1.0, 0.3]))
+    flow = hl.simulate(hl.cartesian_hybrid(p), s0, 10.0)
+    ref = hl.reference_flow(p, s0, 10.0)
+    for run in (flow, ref):
+        assert run.termination == "max_impacts"
+        assert len(run.events) == 3
+    assert flow.event_time_delta(ref) <= 1e-8
 
 
 def _with_direction(hs, value):
@@ -1361,8 +1376,7 @@ def test_momentum_side_scan_solves_each_column_once(monkeypatch):
     mode = (rhs, labelled("surface", g), labelled("direction", d),
             lambda tau, y: (reset(tau, y)[0], mode))
     cs0 = hs.system.legendre(s0)
-    flow = hybrid._execute(mode, cs0.t, np.concatenate([cs0.q, cs0.p]), 5.0,
-                           hl.SimOptions())
+    flow = hybrid._execute(mode, cs0.t, np.concatenate([cs0.q, cs0.p]), 5.0)
     assert flow.events and len(steps) > 2 * len(flow.arcs)
     per_step = ["surface", "direction"] * (hybrid.SCAN_POINTS + 2)
     assert all([name for name, _ in step] == per_step for step in steps)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import re
@@ -9,7 +8,7 @@ import pytest
 from conftest import no_hang
 
 import hybridlag as hl
-from hybridlag import cli
+from hybridlag import cli, hybrid
 from hybridlag.io import (CONFIG_KEYS, config_from_dict, dumps_record,
                           events_header, fmt, parse_config,
                           trajectory_header, write_events_csv,
@@ -51,16 +50,10 @@ def test_dumps_record_deterministic_and_sorted():
 def test_parse_config_minimal_defaults():
     cfg = parse_config('{"model": "billiard-cartesian", "mode": "full", '
                        '"horizon": 2.0}')
-    assert cfg.options.rtol == 1e-10
-    assert cfg.options.max_impacts == 10000
     assert cfg.out == "."
-
-
-def test_every_run_option_is_a_config_key():
-    # a run option that no configuration can set is a knob nothing runs
-    options = {key for key, setting in CONFIG_KEYS.items()
-               if setting.dest == "options"}
-    assert {f.name for f in dataclasses.fields(hl.SimOptions)} == options
+    # the step control and the impact cap are fixed, not keys
+    assert hybrid.RTOL == hybrid.ATOL == 1e-10
+    assert hybrid.MAX_IMPACTS == 10000
 
 
 def test_readme_config_table_lists_the_config_keys():
@@ -79,12 +72,15 @@ def test_parse_config_unknown_key():
     base = {"model": "billiard-cartesian", "mode": "full", "horizon": 1.0}
     # event_tol was a key up to schema 1, direction_mode and
     # polar_reset_sign up to schema 2, and max_step, guard_tol, min_dwell,
-    # write_trajectory and write_events up to schema 3; a run.json
-    # echoing one no longer parses
+    # write_trajectory and write_events up to schema 3, and rtol, atol
+    # and max_impacts up to schema 4; a run.json echoing one no longer
+    # parses
     removed = ((1, "event_tol", 1e-10), (2, "direction_mode", "co-moving"),
                (2, "polar_reset_sign", "inward"), (3, "max_step", 2.0),
                (3, "guard_tol", 1e-8), (3, "min_dwell", 1e-9),
-               (3, "write_trajectory", True), (3, "write_events", True))
+               (3, "write_trajectory", True), (3, "write_events", True),
+               (4, "rtol", 1e-10), (4, "atol", 1e-10),
+               (4, "max_impacts", 10000))
     for doc, key in [({**base, "wavelength": 3}, "wavelength")] + [
             ({"schema_version": schema, "config": {**base, key: value}}, key)
             for schema, key, value in removed]:
@@ -93,8 +89,8 @@ def test_parse_config_unknown_key():
         assert err.value.key == key
 
 
-# max_step, guard_tol and min_dwell were number keys up to schema 3; any
-# value of them is now an unknown key
+# max_step, guard_tol and min_dwell were number keys up to schema 3, and
+# rtol and atol up to schema 4; any value of them is now an unknown key
 @pytest.mark.parametrize("key", ["horizon", "initial_t", "rtol", "atol",
                                  "max_step", "guard_tol", "min_dwell",
                                  "m", "c"])
@@ -102,8 +98,8 @@ def test_parse_config_unknown_key():
                                     "1" + "0" * 400],
                          ids=["inf", "-inf", "nan", "1e400", "10**400"])
 def test_parse_config_non_finite_number(key, number):
-    # JSON admits these for every number key (max_impacts takes ints
-    # only); a run.json echo could not reproduce them
+    # JSON admits these for every number key; a run.json echo could not
+    # reproduce them
     text = ('{"model": "billiard-polar", "mode": "full", "horizon": 3, '
             '"initial_q": [0.5, 1.0], "initial_v": [0.5, 0.5], '
             f'"{key}": {number}}}')
@@ -113,14 +109,17 @@ def test_parse_config_non_finite_number(key, number):
 
 
 def test_parse_config_negative_tolerance():
-    with pytest.raises(hl.ParseError):
+    # rtol was a key up to schema 4; any value of it is now an unknown key
+    with pytest.raises(hl.ParseError) as err:
         parse_config('{"model": "billiard-cartesian", "mode": "full", '
                      '"horizon": 1.0, "rtol": -1e-10}')
+    assert err.value.key == "rtol"
 
 
 @pytest.mark.parametrize("key", ["horizon", "max_impacts", "c", "scenario"])
 def test_parse_config_rejects_booleans(key):
-    # a JSON boolean is an int to Python; no key takes one
+    # a JSON boolean is an int to Python; no key takes one (max_impacts
+    # was a key up to schema 4, and any value of it is now an unknown key)
     doc = {"model": "billiard-cartesian", "mode": "full", "horizon": 1.0,
            key: True}
     with pytest.raises(hl.ParseError) as err:
@@ -146,11 +145,9 @@ def test_parse_config_invalid_json():
 # parameter keys echoed)
 ECHO_EVERY_KEY = {
     "model": "billiard-polar", "scenario": "paper-c010", "mode": "full",
-    "horizon": 3, "out": "runs/all", "rtol": 1e-9, "atol": 1,
-    "max_impacts": 50, "initial_t": 0,
-    "initial_q": [0.5, 1], "initial_v": [1.25, -3], "m": 2, "c": 0}
+    "horizon": 3, "out": "runs/all", "initial_t": 0, "initial_q": [0.5, 1],
+    "initial_v": [1.25, -3], "m": 2, "c": 0}
 ECHO_EVERY_KEY_TEXT = """{
-  "atol": 1,
   "c": 0,
   "horizon": 3,
   "initial_q": [
@@ -163,23 +160,18 @@ ECHO_EVERY_KEY_TEXT = """{
     -3
   ],
   "m": 2,
-  "max_impacts": 50,
   "mode": "full",
   "model": "billiard-polar",
   "out": "runs/all",
-  "rtol": 1.0000000000000001e-09,
   "scenario": "paper-c010"
 }"""
 ECHO_SCENARIO_ONLY = {"model": "billiard-cartesian", "scenario": "paper-c025",
                       "mode": "reduced", "horizon": 10}
 ECHO_SCENARIO_ONLY_TEXT = """{
-  "atol": 1e-10,
   "horizon": 10,
-  "max_impacts": 10000,
   "mode": "reduced",
   "model": "billiard-cartesian",
   "out": ".",
-  "rtol": 1e-10,
   "scenario": "paper-c025"
 }"""
 
@@ -198,7 +190,6 @@ def test_config_echo_is_frozen(doc, text):
 def test_config_params_apply_overrides_to_the_scenario():
     cfg = parse_config(json.dumps(ECHO_EVERY_KEY))
     assert cfg.params == hl.BilliardParams(m=2.0, c=0.0)
-    assert cfg.options.max_impacts == 50
 
 
 def test_scenario_sets_parameters_and_start():
@@ -399,7 +390,7 @@ def test_cli_full_run_writes_files(tmp_path):
     for name in ("trajectory.csv", "events.csv", "run.json"):
         assert os.path.exists(os.path.join(out, name))
     record = json.loads(open(os.path.join(out, "run.json")).read())
-    assert record["schema_version"] == 4
+    assert record["schema_version"] == 5
     assert record["termination"] == "horizon_reached"
     assert record["n_events"] == 3
     assert record["config"]["model"] == "billiard-cartesian"

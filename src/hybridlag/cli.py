@@ -19,6 +19,7 @@ requested checks succeed; failures write error.json and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -42,7 +43,10 @@ COMPARE_EVENT_TOL = 1e-8
 COMPARE_CORE_RADIUS = 0.1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser():
+    """The argument parser, built on first use and kept for the process:
+    parsing reads nothing from an earlier call."""
     parser = argparse.ArgumentParser(
         prog="hybridlag",
         description="simulate time-dependent hybrid Lagrangian systems")
@@ -54,7 +58,11 @@ def main(argv=None) -> int:
     run_p.add_argument("--mode", help="mode override")
     run_p.add_argument("--horizon", type=float, help="horizon override")
     run_p.add_argument("--out", help="output directory override")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     overrides = {key: value for key, value in vars(args).items()
                  if key in CONFIG_KEYS and value is not None}
@@ -238,8 +246,9 @@ def _compare(config: RunConfig, bundle):
     n_f, n_r = len(projected.events), len(reduced.events)
     event_delta = projected.event_time_delta(reduced)
     sup_core = 0.0
+    core_at = (None, None)   # (arc index, time) where sup_core is attained
     arc_sups = []
-    for arc_p, arc_r in zip(projected.arcs, reduced.arcs):
+    for k, (arc_p, arc_r) in enumerate(zip(projected.arcs, reduced.arcs)):
         lo = max(arc_p.t_start, arc_r.t_start)
         hi = min(arc_p.t_end, arc_r.t_end)
         if hi <= lo:
@@ -249,8 +258,11 @@ def _compare(config: RunConfig, bundle):
         yp = arc_p(grid)
         d = np.max(np.abs(yp - arc_r(grid)), axis=0)
         arc_sups.append(float(np.max(d)))
-        sup_core = max(sup_core, float(np.max(
-            d, where=yp[0] >= COMPARE_CORE_RADIUS, initial=0.0)))
+        core = np.flatnonzero(yp[0] >= COMPARE_CORE_RADIUS)
+        if core.size:
+            i = core[np.argmax(d[core])]
+            if d[i] > sup_core or core_at[0] is None:
+                sup_core, core_at = float(d[i]), (k, float(grid[i]))
     sup_all = max(arc_sups, default=0.0)
     # the angle at each impact: the end of the reduced arc before it
     theta_delta = max([abs(float(th[-1]) - float(arc(ev.tau)[1]))
@@ -267,6 +279,8 @@ def _compare(config: RunConfig, bundle):
         "sup_norm_per_arc": arc_sups,
         "sup_norm_overall": sup_all,
         "sup_norm_core": sup_core,
+        "sup_norm_core_arc": core_at[0],
+        "sup_norm_core_t": core_at[1],
         "core_radius": COMPARE_CORE_RADIUS,
         "state_bound": COMPARE_STATE_TOL,
         "max_theta_delta_at_events": theta_delta,

@@ -81,9 +81,6 @@ ARM_TOL = 1e-12      # guard value above which a start counts as on it
 SCAN_POINTS = 1      # interior dense-output guard samples per accepted step
 EQUIVALENCE_TOL = 1e-6  # state bound of the velocity/momentum-side checks
 EVENT_TIME_TOL = 1e-8   # impact-time bound of check_hybrid_equivalence
-# scan sample i of a step [a, b] is i * ((b - a) / (SCAN_POINTS + 1)) + a,
-# the arithmetic of np.linspace(a, b, SCAN_POINTS + 2)
-_SCAN_INDEX = np.arange(SCAN_POINTS + 2, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -228,6 +225,29 @@ def _rms(x):
     return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
+def _floats(f):
+    """A right-hand side's value as a list of Python floats."""
+    return f if isinstance(f, list) else np.asarray(f, float).tolist()
+
+
+class _StageMatrix:
+    """The DOP853 stage matrix of a solver on 2n-vectors and the
+    transposed views its tableau sums are taken on.
+
+    A solver writes every row of the matrix before it reads it, in each
+    step attempt and in each dense output, so one matrix serves the
+    solvers of consecutive arcs; `_execute` builds one per run."""
+
+    def __init__(self, size):
+        K = self.K_extended = np.empty(
+            (_N_STAGES + 1 + len(_EXTRA_STAGES), size))
+        self.K = K[:_N_STAGES + 1]
+        self.stage_sums = [(s, K[:s].T, a, c) for s, a, c in _STAGES]
+        self.extra_sums = [(s, K[:s].T, a, c) for s, a, c in _EXTRA_STAGES]
+        self.solution_sum = K[:_N_STAGES].T
+        self.error_sum = self.K.T
+
+
 # the name RK45 is the benchmark tracer's seam: it subclasses hybrid.RK45
 class RK45:
     """DOP853 on one arc, forward in time.
@@ -249,7 +269,9 @@ class RK45:
     Each tableau sum (a stage's K[:s]^T a, the solution's K^T B, the
     error estimates K^T E5 and K^T E3 with their norms, the dense
     output's D K) is the numpy product scipy takes, on views of the
-    stage matrix built once per solver: a BLAS sum need not add in a
+    stage matrix `stages` (a `_StageMatrix`, built once per run and
+    handed to each arc's solver by `_execute`; a solver given none
+    builds its own): a BLAS sum need not add in a
     Python loop's order (a sequential Python sum differed from `dot` in
     45,411 of the 132,000 stage sums of 3,000 standard-normal 4-column
     stage matrices), so only numpy reproduces scipy's bits there. The
@@ -267,7 +289,8 @@ class RK45:
 
     n_stages = _N_STAGES
 
-    def __init__(self, fun, t0, y0, t_bound, rtol, atol, max_step):
+    def __init__(self, fun, t0, y0, t_bound, rtol, atol, max_step,
+                 stages=None):
         if max_step <= 0:
             raise ValueError("`max_step` must be positive.")
         y = np.asarray(y0, float).tolist()
@@ -287,20 +310,19 @@ class RK45:
         self.f = fun(t0, y)
         self.nfev = 1
         self.h_abs = self._initial_step()
-        K = self.K_extended = np.empty(
-            (_N_STAGES + 1 + len(_EXTRA_STAGES), len(y)))
-        self.K = K[:_N_STAGES + 1]
-        # the transposed stage views the tableau sums are taken on
-        self._stage_sums = [(s, K[:s].T, a, c) for s, a, c in _STAGES]
-        self._extra_sums = [(s, K[:s].T, a, c) for s, a, c in _EXTRA_STAGES]
-        self._solution_sum = K[:_N_STAGES].T
-        self._error_sum = self.K.T
+        if stages is None:
+            stages = _StageMatrix(len(y))
+        self.K_extended, self.K = stages.K_extended, stages.K
+        self._stage_sums = stages.stage_sums
+        self._extra_sums = stages.extra_sums
+        self._solution_sum = stages.solution_sum
+        self._error_sum = stages.error_sum
 
     def _initial_step(self):
         """scipy's select_initial_step (Hairer, Norsett & Wanner, II.4),
         on Python floats but for the three norms' dot products."""
         t0, y0 = self.t, self.y
-        f0 = np.asarray(self.f, float).tolist()
+        f0 = _floats(self.f)
         interval_length = abs(self.t_bound - t0)
         if interval_length == 0.0:
             return 0.0
@@ -315,7 +337,7 @@ class RK45:
         h0 = min(h0, interval_length)
         f1 = self.fun(t0 + h0, [v + h0 * f for v, f in zip(y0, f0)])
         self.nfev += 1
-        f1 = np.asarray(f1, float).tolist()
+        f1 = _floats(f1)
         d2 = _rms(np.array([(a - b) / s
                             for a, b, s in zip(f1, f0, scale)])) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
@@ -472,6 +494,9 @@ def _execute(mode, t0, y0, t_end):
     `HybridFlow`: its events' states split each packed y into its halves,
     which are (q, v) for a velocity-side mode and (q, p) for the
     momentum-side mode of `check_hybrid_equivalence`.
+
+    Each arc gets its own solver; the DOP853 stage matrix and its views
+    (`_StageMatrix`) are built once per run and handed to every one.
     """
     t = float(t0)
     y = np.asarray(y0, float).copy()
@@ -479,12 +504,13 @@ def _execute(mode, t0, y0, t_end):
     arcs: List[Arc] = []
     events: List[Event] = []
     max_step = math.inf
+    stages = _StageMatrix(y.size)
 
     while True:
         rhs, gfun, dfun, reset = mode
         solver = RK45(rhs, t, y, t_bound=t_end, rtol=RTOL, atol=ATOL,
-                      max_step=max_step)
-        if not all(map(math.isfinite, np.asarray(solver.f, float).tolist())):
+                      max_step=max_step, stages=stages)
+        if not all(map(math.isfinite, solver.f)):
             # scipy would reject every step of a NaN step size forever
             raise IntegrationFailure(
                 f"right-hand side is not finite at the arc start t={t:.6g}")
@@ -502,11 +528,14 @@ def _execute(mode, t0, y0, t_end):
             if solver._coeffs is not None:
                 blocks.append(solver._coeffs)
                 breakpoints.append(solver.t)
-            ts = (_SCAN_INDEX * ((solver.t - solver.t_old) / (SCAN_POINTS + 1))
-                  + solver.t_old)
-            ts[-1] = solver.t
-            ys = dense(ts)
-            ts = ts.tolist()
+            # the scan samples of np.linspace(t_old, t, SCAN_POINTS + 2),
+            # in its arithmetic: i * ((t - t_old) / (SCAN_POINTS + 1)) + t_old,
+            # and t last
+            t_old = solver.t_old
+            w = (solver.t - t_old) / (SCAN_POINTS + 1)
+            ts = [i * w + t_old for i in range(SCAN_POINTS + 1)]
+            ts.append(solver.t)
+            ys = dense(np.array(ts))
             gs, ds = [], []
             for tt, yy in zip(ts, ys.T):
                 q, v = yy[:n], yy[n:]
@@ -883,7 +912,7 @@ def _check_start(gfun, dfun, s: State, t_end: float):
 
 def _validate_reset(t, q, v, gfun, dfun):
     """Check a post-impact (t, q, v) against the guard it runs under."""
-    if not all(map(math.isfinite, np.concatenate([q, v]).tolist())):
+    if not all(map(math.isfinite, q.tolist() + v.tolist())):
         raise InvalidReset("reset produced a non-finite state")
     d_post = dfun(t, q, v)
     if d_post <= 0.0:

@@ -60,11 +60,13 @@ def write_trajectory_csv(path, flow: HybridFlow,
     row = ",".join(["%.17g", "%d"]
                    + ["%.17g"] * (2 * n + 2 * (recon is not None)))
     for k, arc in enumerate(flow.arcs):
-        cols = [arc.times, arc.states]
-        if recon is not None:
-            cols += [recon.theta[k], recon.theta_dot[k]]
-        lines.extend(row % (t, k, *rest)
-                     for t, *rest in np.column_stack(cols).tolist())
+        cols = [arc.times.tolist(), arc.states.tolist()]
+        if recon is None:
+            lines.extend(row % (t, k, *y) for t, y in zip(*cols))
+        else:
+            cols += [recon.theta[k].tolist(), recon.theta_dot[k].tolist()]
+            lines.extend(row % (t, k, *y, th, dth)
+                         for t, y, th, dth in zip(*cols))
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -76,9 +78,9 @@ def write_events_csv(path, flow: HybridFlow):
     lines = [",".join(events_header(n))]
     row = ",".join(["%.17g"] * (4 * n + 2))
     for e in flow.events:
-        lines.append(row % tuple(np.concatenate(
-            [[e.tau], e.pre.q, e.pre.v, e.post.q, e.post.v,
-             [e.guard_residual]]).tolist()))
+        lines.append(row % (e.tau, *e.pre.q.tolist(), *e.pre.v.tolist(),
+                            *e.post.q.tolist(), *e.post.v.tolist(),
+                            e.guard_residual))
     _write_text(path, "\n".join(lines) + "\n")
 
 

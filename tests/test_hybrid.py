@@ -1158,6 +1158,115 @@ def test_arc_table_with_non_finite_coefficients_is_silent():
     assert not np.signbit(cols[2]).any()
 
 
+# ---------------------------------------------------------------------------
+# one DOP853 stage matrix per run
+# ---------------------------------------------------------------------------
+
+def _flow_bits(flow):
+    """Every number of a flow, as bytes, and its termination."""
+    bits = [flow.termination]
+    for arc in flow.arcs:
+        bits += [arc.times.tobytes(), arc.states.tobytes(),
+                 np.asarray(arc(arc.times)).tobytes()]
+        table = getattr(arc.interpolant, "table", None)
+        if table is not None:
+            bits.append(table.tobytes())
+    for e in flow.events:
+        bits += [np.array([e.tau, e.guard_residual]).tobytes()]
+        bits += [x.tobytes() for x in (e.pre.q, e.pre.v, e.post.q, e.post.v)]
+    return bits
+
+
+def _stage_sharing_run(kind):
+    """A run of `kind` as a zero-argument callable returning its bits."""
+    from hybridlag import hybrid
+
+    sc = hl.get_scenario("paper-c025")
+    if kind == "cartesian":
+        # a start of the cartesian sweep's kind: its own dissipation, an
+        # oblique start inside the paper wall
+        hs = hl.cartesian_hybrid(hl.BilliardParams(c=0.17))
+        s0 = hl.State(0.0, np.array([0.31, -0.52]), np.array([1.9, 0.8]))
+        return lambda: _flow_bits(hl.simulate(hs, s0, 5.0))
+    if kind == "polar":
+        hs, s0 = _paper_c025("polar")
+        return lambda: _flow_bits(hl.simulate(hs, s0, 5.0))
+    if kind == "resequenced":
+        cyc = hl.polar_cyclic(sc.params)
+
+        def run():
+            rec = hl.simulate_resequenced(cyc, sc.initial_polar, 5.0)
+            return (_flow_bits(rec.reduced) + rec.mu_sequence
+                    + [th.tobytes() for th in rec.theta])
+        return run
+    hs, s0 = _paper_c025("cartesian")
+    cs0 = hs.system.legendre(s0)
+
+    def run():
+        # the momentum side alone, then inside the check with its
+        # velocity side
+        flow = hybrid._execute(hybrid._momentum_mode(hs, s0.v), cs0.t,
+                               np.concatenate([cs0.q, cs0.p]), 5.0)
+        rep = hl.check_hybrid_equivalence(hs, s0, 5.0)
+        return _flow_bits(flow) + [dataclasses.astuple(rep)]
+    return run
+
+
+@pytest.mark.parametrize("kind", ["cartesian", "polar", "resequenced",
+                                  "momentum-side"])
+def test_arcs_of_a_run_share_one_stage_matrix(monkeypatch, kind):
+    # each run builds one stage matrix and hands it to the solver of
+    # every arc; a run with a fresh matrix per arc is the same bit for bit
+    from hybridlag import hybrid, reduction
+
+    log = []
+
+    class Recording(hybrid.RK45):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            log.append(self.K_extended)
+
+    class Fresh(Recording):
+        def __init__(self, *args, stages=None, **kwargs):
+            super().__init__(*args, **kwargs)
+
+    def marked(execute):
+        def run(*args):
+            log.append("run")
+            return execute(*args)
+        return run
+
+    for module in (hybrid, reduction):
+        monkeypatch.setattr(module, "_execute", marked(module._execute))
+    run = _stage_sharing_run(kind)
+
+    def solvers_by_run(cls):
+        # the bits of two repeats, and the matrices of each run's solvers
+        monkeypatch.setattr(hybrid, "RK45", cls)
+        log.clear()
+        with no_hang(20):
+            bits = [run(), run()]
+        runs = []
+        for entry in log:
+            if isinstance(entry, str):
+                runs.append([])
+            else:
+                runs[-1].append(entry)
+        assert bits[0] == bits[1]
+        return bits[0], runs
+
+    shared, runs = solvers_by_run(Recording)
+    assert len(runs) == (6 if kind == "momentum-side" else 2)
+    assert max(map(len, runs)) > 1
+    for matrices in runs:
+        assert matrices and all(k is matrices[0] for k in matrices)
+    assert len({id(matrices[0]) for matrices in runs}) == len(runs)
+    fresh, runs = solvers_by_run(Fresh)
+    matrices = [k for m in runs for k in m]
+    assert len({id(k) for k in matrices}) == len(matrices)
+    assert fresh == shared
+
+
 def test_arcs_take_blocks_from_the_step_loop_not_its_dense_output(
         monkeypatch):
     # a traced solver's dense output is a proxy that passes on only the

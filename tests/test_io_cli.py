@@ -247,30 +247,45 @@ def test_csv_round_trip_values(tmp_path):
     assert float(row[7]) == flow.events[0].post.v[0]
 
 
-def test_csv_writers_write_fields_as_fmt(tmp_path):
-    # every field of both tables, the reconstruction's columns included,
-    # is fmt of its value (arc_index as an integer), in header order
+def _written_flow(kind):
+    """(flow, reconstruction or None) of a reduced paper-c025 run with
+    its angle, of the same run alone (one-dimensional), or of a free
+    particle (no events)."""
+    if kind == "no-events":
+        bundle = hl.build_model("free-particle")
+        return hl.simulate(bundle.hybrid, bundle.default_initial, 3.0), None
     sc = hl.get_scenario("paper-c025")
     cyc = hl.polar_cyclic(sc.params)
     mu0 = hl.momentum_map(cyc, sc.initial_polar)
     flow = hl.simulate(hl.reduce(cyc, mu0).shape,
                        cyc.project_state(sc.initial_polar), 3.0)
-    recon = hl.reconstruct(cyc, flow, mu0,
-                           float(sc.initial_polar.q[cyc.cyclic_index]))
-    assert flow.events
-    write_trajectory_csv(tmp_path / "t.csv", flow, recon)
-    write_events_csv(tmp_path / "e.csv", flow)
-    rows = [[fmt(t), str(k)] + [fmt(x) for x in arc.states[i]]
-            + [fmt(recon.theta[k][i]), fmt(recon.theta_dot[k][i])]
-            for k, arc in enumerate(flow.arcs)
-            for i, t in enumerate(arc.times)]
-    assert (tmp_path / "t.csv").read_text().splitlines()[1:] == [
-        ",".join(r) for r in rows]
-    rows = [[fmt(x) for x in [e.tau, *e.pre.q, *e.pre.v, *e.post.q,
-                              *e.post.v, e.guard_residual]]
-            for e in flow.events]
-    assert (tmp_path / "e.csv").read_text().splitlines()[1:] == [
-        ",".join(r) for r in rows]
+    if kind == "one-dim":
+        return flow, None
+    return flow, hl.reconstruct(cyc, flow, mu0,
+                                float(sc.initial_polar.q[cyc.cyclic_index]))
+
+
+def test_csv_writers_write_fields_as_fmt(tmp_path):
+    # every field of both tables, the reconstruction's columns included,
+    # is fmt of its value (arc_index as an integer), in header order
+    for kind in ("reduced-theta", "one-dim", "no-events"):
+        flow, recon = _written_flow(kind)
+        assert (len(flow.arcs) > 1) == bool(flow.events) == (
+            kind != "no-events")
+        write_trajectory_csv(tmp_path / "t.csv", flow, recon)
+        write_events_csv(tmp_path / "e.csv", flow)
+        rows = [[fmt(t), str(k)] + [fmt(x) for x in arc.states[i]]
+                + ([] if recon is None else [fmt(recon.theta[k][i]),
+                                             fmt(recon.theta_dot[k][i])])
+                for k, arc in enumerate(flow.arcs)
+                for i, t in enumerate(arc.times)]
+        assert (tmp_path / "t.csv").read_text().splitlines()[1:] == [
+            ",".join(r) for r in rows], kind
+        rows = [[fmt(x) for x in [e.tau, *e.pre.q, *e.pre.v, *e.post.q,
+                                  *e.post.v, e.guard_residual]]
+                for e in flow.events]
+        assert (tmp_path / "e.csv").read_text().splitlines()[1:] == [
+            ",".join(r) for r in rows], kind
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +550,11 @@ def test_cli_compare_mode(tmp_path):
     assert report["events_full"] == report["events_reduced"]
     assert report["max_event_time_delta"] <= 1e-8
     assert report["sup_norm_core"] <= 1e-6
+    # where the core sup is attained: an arc whose sup is at least it, at
+    # a time inside the run
+    arc, t = report["sup_norm_core_arc"], report["sup_norm_core_t"]
+    assert report["sup_norm_per_arc"][arc] >= report["sup_norm_core"]
+    assert isinstance(t, float) and 0.0 <= t <= 5.0
 
 
 def test_cli_verify_mode(tmp_path, capsys):
@@ -594,3 +614,54 @@ def test_cli_repeated_runs_byte_identical(tmp_path):
         a = open(os.path.join(outs[0], name), "rb").read()
         b = open(os.path.join(outs[1], name), "rb").read()
         assert a == b, name
+
+
+def test_cli_calls_in_one_process_share_one_parser(tmp_path, monkeypatch):
+    # the parser is built by the first call and kept; no call's arguments,
+    # failures or overrides reach the next call
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._parser.cache_clear()
+    try:
+        first = write_config(tmp_path, model="billiard-cartesian",
+                             scenario="paper-c025", mode="full", horizon=3.0,
+                             out=str(tmp_path / "first"))
+        assert run_cli("run", "--config", first) == 0
+        n_built = len(built)
+        assert n_built > 0
+        assert run_cli("run", "--model", "billiard-polar", "--scenario",
+                       "paper-c025", "--mode", "reduced", "--horizon", "2",
+                       "--out", str(tmp_path / "reduced")) == 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"model": "billiard-cartesian",
+                                   "mode": "full", "horizon": -1.0,
+                                   "out": str(tmp_path / "bad")}))
+        assert run_cli("run", "--config", str(bad)) == 2
+        assert error_record(str(tmp_path / "bad"))["key"] == "horizon"
+        with pytest.raises(SystemExit):
+            run_cli("run", "--horizon", "soon")
+        assert run_cli("run", "--config", first, "--out",
+                       str(tmp_path / "again")) == 0
+        assert len(built) == n_built
+    finally:
+        cli._parser.cache_clear()
+
+    def record(out):
+        rec = json.loads((tmp_path / out / "run.json").read_text())
+        del rec["config"]["out"]
+        return rec
+
+    assert record("reduced")["config"]["horizon"] == 2.0
+    assert record("again") == record("first")
+    assert record("again")["config"]["horizon"] == 3.0
+    for name in ("trajectory.csv", "events.csv"):
+        assert ((tmp_path / "again" / name).read_bytes()
+                == (tmp_path / "first" / name).read_bytes()), name

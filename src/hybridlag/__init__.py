@@ -15,9 +15,8 @@ from .billiard import (BilliardParams, PaperScenario, analytic_arc,
                        reference_flow, reset_cartesian, reset_polar,
                        routhian_closed, static_wall)
 from .errors import (ChartSingularity, HybridLagError, IntegrationFailure,
-                     InvalidReset, InvalidStart, NegativeDiscriminant,
-                     NoConvergence, NotInvariant, ParseError,
-                     SingularHessian)
+                     InvalidReset, InvalidStart, NoConvergence, NotInvariant,
+                     ParseError, SingularHessian)
 from .hybrid import (Arc, Event, FlowEquivalenceReport, Guard,
                      HybridEquivalenceReport, HybridFlow, HybridSystem,
                      ResetMap, check_flow_equivalence,
@@ -35,10 +34,10 @@ __all__ = [
     "CyclicStructure", "Event", "FlowEquivalenceReport", "Guard",
     "HybridEquivalenceReport", "HybridFlow", "HybridLagError",
     "HybridSystem", "IntegrationFailure", "InvalidReset", "InvalidStart",
-    "LagrangianSystem", "MODEL_IDS", "ModelBundle", "NegativeDiscriminant",
-    "NoConvergence", "NotInvariant", "PaperScenario", "ParseError",
-    "ReconstructedFlow", "ReducedHybridSystem", "ResetMap", "SCENARIO_IDS",
-    "SingularHessian", "State", "analytic_arc",
+    "LagrangianSystem", "MODEL_IDS", "ModelBundle", "NoConvergence",
+    "NotInvariant", "PaperScenario", "ParseError", "ReconstructedFlow",
+    "ReducedHybridSystem", "ResetMap", "SCENARIO_IDS", "SingularHessian",
+    "State", "analytic_arc",
     "build_model", "cartesian_hybrid", "cartesian_system",
     "cartesian_to_polar", "check_flow_equivalence",
     "check_hybrid_equivalence", "get_scenario", "guard_cartesian",

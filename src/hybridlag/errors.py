@@ -28,7 +28,8 @@ class InvalidStart(HybridLagError):
 
 class InvalidReset(HybridLagError):
     """A reset map produced an inadmissible post-impact state
-    (non-finite, or immediately re-triggering the guard)."""
+    (non-finite, or immediately re-triggering the guard), or the
+    billiard's reset was asked for on a closed wall (f(t) <= 0)."""
 
 
 class IntegrationFailure(HybridLagError):
@@ -40,11 +41,6 @@ class IntegrationFailure(HybridLagError):
 class NotInvariant(HybridLagError):
     """Sampled symmetry checks failed: the system is not invariant under
     the cyclic shift, so reduction is not defined."""
-
-
-class NegativeDiscriminant(HybridLagError):
-    """Radial reset formula produced a negative square argument beyond
-    round-off, signalling an inconsistent impact state."""
 
 
 class ChartSingularity(HybridLagError):

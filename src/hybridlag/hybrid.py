@@ -17,12 +17,13 @@ without numpy's per-call overhead on 2- and 4-element arrays; its
 tableau sums stay the numpy products scipy takes, since a BLAS sum need
 not add in a Python loop's order (see `RK45`).
 After every accepted step the step's dense output is evaluated once, as
-one array call at the endpoints plus SCAN_POINTS interior times, and the
-guard surface g and then its rate d are called on each resulting column,
-in time order. One rule on these (g, d) samples brackets the crossings,
-including those between two samples (`_scan`), which are refined in time
-to REFINE_XTOL with Brent's method on the interpolant (`brentq`, scipy's
-C routine run operation for operation). A crossing counts as an impact
+one call on the float list of the endpoints and SCAN_POINTS interior
+times, and the guard surface g and then its rate d are called on each
+resulting column, in time order. One rule on these (g, d) samples
+brackets the crossings, including those between two samples (`_scan`),
+which are refined in time to REFINE_XTOL with Brent's method on the
+interpolant (`brentq`, scipy's C routine run operation for operation).
+A crossing counts as an impact
 only where d >= 0, and never at the arc's start; crossings with negative
 d are skipped and integration continues. No point of a step is evaluated
 twice: Brent takes its bracket ends' values from the scan samples or the
@@ -454,11 +455,13 @@ def _horner(cols, xs):
 class _StepInterpolant:
     """DOP853's dense output on one step [t_old, t]: scipy's
     Dop853DenseOutput, operation for operation, on one time or a 1-D
-    array of times. Its (8, 2n) block of coefficient rows F and y_old is
-    turned into Python-float columns once, at construction, and both
-    kinds of call go through `_horner`: at the few times of a step's scan
-    and refinement, Python floats beat numpy's per-call overhead. An arc
-    keeps the blocks of its steps, not these objects (`_ArcInterpolant`).
+    sequence of times (a list or an array). Its (8, 2n) block of
+    coefficient rows F and y_old is turned into Python-float columns
+    once, at construction, and both kinds of call go through `_horner`,
+    with the scaled times on Python floats: at the few times of a step's
+    scan and refinement, Python floats beat numpy's per-call overhead. An
+    arc keeps the blocks of its steps, not these objects
+    (`_ArcInterpolant`).
     Callers read t_old, t, t_min and t_max and call it; the tracer's
     proxy passes on nothing else."""
 
@@ -469,13 +472,16 @@ class _StepInterpolant:
         self._cols = coeffs.T.tolist()
 
     def __call__(self, t):
-        cols = self._cols
-        if isinstance(t, float) or t.ndim == 0:
-            # a float from refinement and the arc, a 0-d array from
-            # scipy's OdeSolution
-            x = (float(t) - self.t_old) / self.h
+        cols, t_old, h = self._cols, self.t_old, self.h
+        if isinstance(t, np.ndarray):
+            # a 0-d array from scipy's OdeSolution becomes a float
+            t = t.tolist()
+        if isinstance(t, float):
+            # refinement and the arc
+            x = (t - t_old) / h
             return np.array(_horner(cols, ((x, 1 - x),)))
-        xs = [(x, 1 - x) for x in ((t - self.t_old) / self.h).tolist()]
+        # the scan's list of floats, or any 1-D sequence
+        xs = [(x, 1 - x) for x in [(tt - t_old) / h for tt in t]]
         return np.array(_horner(cols, xs)).reshape(len(cols), len(xs))
 
 
@@ -535,7 +541,7 @@ def _execute(mode, t0, y0, t_end):
             w = (solver.t - t_old) / (SCAN_POINTS + 1)
             ts = [i * w + t_old for i in range(SCAN_POINTS + 1)]
             ts.append(solver.t)
-            ys = dense(np.array(ts))
+            ys = dense(ts)
             gs, ds = [], []
             for tt, yy in zip(ts, ys.T):
                 q, v = yy[:n], yy[n:]

@@ -63,7 +63,8 @@ def test_scenarios_cartesian_image():
 def test_scenarios_momentum():
     for sid in ("paper-c025", "paper-c010"):
         sc = hl.get_scenario(sid)
-        assert sc.momentum == pytest.approx(-0.94994224, abs=1e-10)
+        mu = hl.momentum_map(hl.polar_cyclic(sc.params), sc.initial_polar)
+        assert mu == pytest.approx(-0.94994224, abs=1e-10)
 
 
 def test_unknown_scenario():

@@ -402,6 +402,50 @@ def test_strike_between_scan_samples_is_found(chart, start):
                    for t, y in zip(ts.tolist(), ys.T)) <= hybrid.GUARD_TOL
 
 
+def _recorded_refines(monkeypatch):
+    """Patch `hybrid._refine` to log (g or d, root) of every refinement."""
+    from hybridlag import hybrid
+
+    refine, refines = hybrid._refine, []
+
+    def recorded(f, a, b, fa, fb):
+        root = refine(f, a, b, fa, fb)
+        refines.append((f.__name__, root))
+        return root
+
+    monkeypatch.setattr(hybrid, "_refine", recorded)
+    return refines
+
+
+def test_first_interval_minimum_on_or_above_the_wall_is_the_impact(
+        monkeypatch):
+    # a start 5e-9 outside the static unit wall (within GUARD_TOL),
+    # heading in almost tangentially: the guard's minimum at t ~ 1e-5
+    # stays above the wall, so the wall catches the particle there and
+    # no crossing is refined
+    refines = _recorded_refines(monkeypatch)
+    s0 = hl.State(0.0, np.array([math.sqrt(1.0 + 5e-9), 0.0]),
+                  np.array([-1e-5, 1.0]))
+    flow = hl.simulate(hl.cartesian_hybrid(static_billiard()), s0, 0.5)
+    assert len(flow.events) == 1
+    assert flow.events[0].tau == pytest.approx(1.0e-5, rel=1e-3)
+    assert ("d", flow.events[0].tau) in refines
+    assert all(name == "d" for name, _ in refines)
+
+
+@pytest.mark.parametrize("chart", ["cartesian", "polar"])
+def test_maximum_below_the_wall_is_no_impact(monkeypatch, chart):
+    # a particle at rest at r^2 = 0.6 inside the breathing wall
+    # f = 1 + 0.3 sin 3t, which never comes within 0.1 of it: the guard's
+    # maximum is located and, lying below the wall, brackets nothing
+    refines = _recorded_refines(monkeypatch)
+    s0 = hl.State(0.0, np.array([math.sqrt(0.6), 0.0]), np.zeros(2))
+    hs = getattr(hl, f"{chart}_hybrid")(_oscillating_wall())
+    flow = hl.simulate(hs, s0, 6.0)
+    assert flow.events == [] and flow.termination == "horizon_reached"
+    assert refines and all(name == "d" for name, _ in refines)
+
+
 def _scalar_only(hs):
     """`hs` with a guard whose surface and direction raise on an array of
     times."""

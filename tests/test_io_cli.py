@@ -133,11 +133,24 @@ def test_parse_config_bad_mode_and_model():
                      '"horizon": 1.0}')
     with pytest.raises(hl.ParseError):
         parse_config('{"model": "pinball", "mode": "full", "horizon": 1.0}')
+    # a required key left out, and a start holding a non-number
+    for text, key in [('{"model": "billiard-cartesian", "mode": "full"}',
+                       "horizon"),
+                      ('{"model": "billiard-cartesian", "mode": "full", '
+                       '"horizon": 1.0, "initial_q": [0.1, "x"], '
+                       '"initial_v": [1.0, 0.0]}', "initial_q")]:
+        with pytest.raises(hl.ParseError) as err:
+            parse_config(text)
+        assert err.value.key == key
 
 
 def test_parse_config_invalid_json():
-    with pytest.raises(hl.ParseError):
-        parse_config("{not json")
+    # text that is not JSON, and a JSON document that is not an object
+    for text, match in (("{not json", "invalid JSON"),
+                        ("[1, 2]", "must be a JSON object")):
+        with pytest.raises(hl.ParseError, match=match) as err:
+            parse_config(text)
+        assert err.value.key is None
 
 
 # run.json "config" echoes, frozen from the output of earlier releases:

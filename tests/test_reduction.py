@@ -184,7 +184,7 @@ def test_routhian_zero_momentum_restricts_lagrangian(cyc025):
 # ---------------------------------------------------------------------------
 
 def test_reduce_guard_is_radial_wall(cyc025, scenario):
-    mu = scenario.momentum
+    mu = hl.momentum_map(cyc025, scenario.initial_polar)
     red = hl.reduce(cyc025, mu)
     p = hl.BilliardParams(c=0.25)
     s = mk_state(0.4, [0.8], [1.1])
@@ -196,7 +196,7 @@ def test_reduce_guard_is_radial_wall(cyc025, scenario):
 
 
 def test_reduce_reset_matches_full_radial_part(cyc025, scenario, rng):
-    mu = scenario.momentum
+    mu = hl.momentum_map(cyc025, scenario.initial_polar)
     red = hl.reduce(cyc025, mu)
     p = hl.BilliardParams(c=0.25)
     rp = hl.reset_polar(p)

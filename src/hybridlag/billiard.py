@@ -36,10 +36,10 @@ from typing import Callable, List
 
 import numpy as np
 
-from .errors import ChartSingularity, InvalidReset
+from .errors import ChartSingularity, InvalidReset, InvalidStart
 from .hybrid import (MAX_IMPACTS, MIN_DWELL, TERM_HORIZON, TERM_MAX_IMPACTS,
                      TERM_ZENO, Arc, Event, Guard, HybridFlow, HybridSystem,
-                     ResetMap, _along, _check_start, brentq)
+                     ResetMap, _along, _check_arc_start, brentq)
 from .lagrangian import LagrangianSystem, State
 from .reduction import CyclicStructure
 
@@ -395,17 +395,18 @@ def reference_flow(p: BilliardParams, s0: State, t_end: float) -> HybridFlow:
     Flights are closed-form; the next impact is the first root of the
     guard phi(t) = |q(t)|^2 - f(t) along the flight, which is convex for
     these walls, found by `_next_crossing` with the guard's direction,
-    its rate, as phi'. The start rule (`hybrid._check_start`: InvalidStart
-    unless s0 is finite, t_end is finite and does not precede s0.t, and
-    s0 lies inside the wall or on it and leaving), resets, admissibility
-    and the MIN_DWELL / MAX_IMPACTS termination rules are the executor's,
+    its rate, as phi'. The start rule (`hybrid._check_arc_start`:
+    InvalidStart unless s0 is finite and an admissible arc start, and
+    t_end is finite and does not precede s0.t), resets, admissibility and
+    the MIN_DWELL / MAX_IMPACTS termination rules are the executor's,
     making the result directly comparable to `simulate` while sharing
     none of its ODE stepping.
     """
     guard = guard_cartesian(p)
     reset = reset_cartesian(p)
 
-    _check_start(guard.surface, guard.direction, s0, t_end)
+    _check_arc_start(guard.surface, guard.direction, s0.t, s0.q, s0.v,
+                     t_end, InvalidStart)
     t, q, v = s0.t, s0.q.copy(), s0.v.copy()
     arcs: List[Arc] = []
     events: List[Event] = []

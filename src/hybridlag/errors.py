@@ -19,17 +19,18 @@ class NoConvergence(HybridLagError):
 
 
 class InvalidStart(HybridLagError):
-    """A run cannot start where it was asked to: the start state is not
-    finite, t_end is not finite or precedes the start time, the start
-    lies outside the guard or on it while entering, the momentum passed
-    to `reduce` is not finite, or the start angle passed to `reconstruct`
-    is not finite."""
+    """A run cannot start where it was asked to: t_end is not finite or
+    precedes the start time, the start state fails the arc-start rule
+    (`hybrid._check_arc_start`: not finite, outside the guard, or on it
+    and not leaving), the momentum passed to `reduce` is not finite, or
+    the start angle passed to `reconstruct` is not finite."""
 
 
 class InvalidReset(HybridLagError):
-    """A reset map produced an inadmissible post-impact state
-    (non-finite, or immediately re-triggering the guard), or the
-    billiard's reset was asked for on a closed wall (f(t) <= 0)."""
+    """A post-impact state fails the arc-start rule that every arc start
+    is held to (`hybrid._check_arc_start`: not finite, outside the guard,
+    or on it and not leaving), or the billiard's reset was asked for on a
+    closed wall (f(t) <= 0)."""
 
 
 class IntegrationFailure(HybridLagError):

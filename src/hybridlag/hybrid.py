@@ -23,10 +23,11 @@ resulting column, in time order. One rule on these (g, d) samples
 brackets the crossings, including those between two samples (`_scan`),
 which are refined in time to REFINE_XTOL with Brent's method on the
 interpolant (`brentq`, scipy's C routine run operation for operation).
-A crossing counts as an impact
-only where d >= 0, and never at the arc's start; crossings with negative
-d are skipped and integration continues. No point of a step is evaluated
-twice: Brent takes its bracket ends' values from the scan samples or the
+A crossing counts as an impact only where d >= 0, and never at the
+arc's start; crossings with negative d are skipped and integration
+continues. Each arc start must pass `_check_arc_start`, whose g and d
+are the arc's first scan sample. No point of a step is evaluated twice:
+Brent takes its bracket ends' values from the scan samples or the
 refinement before it, and the impact's state, residual and slope are
 the evaluations that located it.
 An arc keeps its dense output as one table of its steps' coefficient
@@ -73,12 +74,11 @@ TERM_FAILURE = "integration_failure"
 BRENT_RTOL = 1e-15   # relative time tolerance floor for root refinement
 REFINE_XTOL = 1e-13  # time localization of impacts: dwell comparisons
                      # against MIN_DWELL must not hinge on localization noise
-GUARD_TOL = 1e-8     # bound on |g| at an impact or an on-guard start,
+GUARD_TOL = 1e-8     # bound on |g| at an impact or an on-guard arc start,
                      # scaled by the local guard slope max(1, |d|)
 MIN_DWELL = 1e-9     # two impacts closer than this end a run as Zeno
 RTOL = ATOL = 1e-10  # the integrator's step control on every arc
 MAX_IMPACTS = 10000  # impact cap; reaching it ends a run as max_impacts
-ARM_TOL = 1e-12      # guard value above which a start counts as on it
 SCAN_POINTS = 1      # interior dense-output guard samples per accepted step
 EQUIVALENCE_TOL = 1e-6  # state bound of the velocity/momentum-side checks
 EVENT_TIME_TOL = 1e-8   # impact-time bound of check_hybrid_equivalence
@@ -495,14 +495,18 @@ def _execute(mode, t0, y0, t_end):
     mode: (rhs, gfun, dfun, reset) with rhs: (t, y) -> y', called on a
     list of 2n floats and returning a sequence of 2n floats (see `RK45`),
     gfun/dfun: a `Guard`'s surface and direction on the halves of y, and
-    reset: (tau, y_pre) -> (y_post, next_mode), performing its own
-    validation; the arc after the impact runs in next_mode. Returns the
-    `HybridFlow`: its events' states split each packed y into its halves,
-    which are (q, v) for a velocity-side mode and (q, p) for the
-    momentum-side mode of `check_hybrid_equivalence`.
+    reset: (tau, y_pre) -> (y_post, next_mode); the arc after the impact
+    runs in next_mode. Returns the `HybridFlow`: its events' states split
+    each packed y into its halves, which are (q, v) for a velocity-side
+    mode and (q, p) for the momentum-side mode of
+    `check_hybrid_equivalence`.
 
-    Each arc gets its own solver; the DOP853 stage matrix and its views
-    (`_StageMatrix`) are built once per run and handed to every one.
+    Every arc start must pass `_check_arc_start` under the arc's guard,
+    or the run raises InvalidStart (the first arc) or InvalidReset (an
+    arc after an impact); the check's (g, d) are the first scan sample
+    of the arc's first step. Each arc gets its own solver; the DOP853
+    stage matrix and its views (`_StageMatrix`) are built once per run
+    and handed to every one.
     """
     t = float(t0)
     y = np.asarray(y0, float).copy()
@@ -514,6 +518,9 @@ def _execute(mode, t0, y0, t_end):
 
     while True:
         rhs, gfun, dfun, reset = mode
+        g0, d0 = _check_arc_start(gfun, dfun, t, y[:n], y[n:], t_end,
+                                  InvalidReset if events else InvalidStart)
+        gs, ds = [g0], [d0]
         solver = RK45(rhs, t, y, t_bound=t_end, rtol=RTOL, atol=ATOL,
                       max_step=max_step, stages=stages)
         if not all(map(math.isfinite, solver.f)):
@@ -542,12 +549,15 @@ def _execute(mode, t0, y0, t_end):
             ts = [i * w + t_old for i in range(SCAN_POINTS + 1)]
             ts.append(solver.t)
             ys = dense(ts)
-            gs, ds = [], []
-            for tt, yy in zip(ts, ys.T):
+            samples = zip(ts, ys.T)
+            if gs:
+                next(samples)   # the arc start: the check's (g, d)
+            for tt, yy in samples:
                 q, v = yy[:n], yy[n:]
                 gs.append(gfun(tt, q, v))
                 ds.append(dfun(tt, q, v))
             hit = _scan(dense, n, gfun, dfun, t, ts, ys, gs, ds)
+            gs, ds = [], []
 
         t_arc, y_arc = hit[:2] if hit is not None else (solver.t, solver.y)
         arcs.append(_close_arc(breakpoints, blocks, t_arc, y_arc))
@@ -868,23 +878,22 @@ class _ArcInterpolant:
 def simulate(hs: HybridSystem, s0: State, t_end: float) -> HybridFlow:
     """Execute the hybrid flow of `hs` from s0 up to t_end.
 
-    The start state must be admissible: strictly inside the guard, or on
-    it with negative direction (leaving); t_end must be finite and must
-    not precede s0.t. Each arc runs under the step control RTOL and ATOL,
-    and the run stops at MAX_IMPACTS impacts. Returns a HybridFlow whose
-    termination is one of horizon_reached, max_impacts, zeno_suspected or
-    integration_failure.
+    s0 and every post-impact state must be admissible arc starts
+    (`_check_arc_start`): finite, and strictly inside the guard or on it
+    and leaving; t_end must be finite and must not precede s0.t. A bad
+    start or horizon raises InvalidStart before any step, a bad
+    post-impact state InvalidReset. Each arc runs under the step control
+    RTOL and ATOL, and the run stops at MAX_IMPACTS impacts. Returns a
+    HybridFlow whose termination is one of horizon_reached, max_impacts,
+    zeno_suspected or integration_failure.
     """
     n = hs.system.dim
-    gfun, dfun = hs.guard.surface, hs.guard.direction
-    _check_start(gfun, dfun, s0, t_end)
 
     def reset(tau, ypre):
         q, v = hs.reset.apply(tau, ypre[:n], ypre[n:])
-        _validate_reset(tau, q, v, gfun, dfun)
         return np.concatenate([q, v]), mode
 
-    mode = (hs.system.rhs, gfun, dfun, reset)
+    mode = (hs.system.rhs, hs.guard.surface, hs.guard.direction, reset)
     return _execute(mode, s0.t, hs.system.pack(s0), t_end)
 
 
@@ -895,43 +904,35 @@ def _check_finite(s: State):
                            f"q={s.q.tolist()}, v={s.v.tolist()})")
 
 
-def _check_start(gfun, dfun, s: State, t_end: float):
-    """Raise InvalidStart unless s is finite, t_end is finite and does not
-    precede s.t, and s is strictly inside the guard or on it and
-    leaving."""
-    _check_finite(s)
+def _check_arc_start(gfun, dfun, t, q, v, t_end, error):
+    """The guard's (g, d) at the arc start (t, q, v); raises `error`
+    unless an arc may start there and run forward to t_end.
+
+    The start and t_end must be finite, t_end not before t, and, with
+    b = GUARD_TOL max(1, |d|), g <= b and one of: g < -b (strictly
+    inside), d < 0 (leaving), or a free step of 1e-7 max(1, |t|) lowers
+    g by more than 1e-14. So within b of the guard with d >= 0 the free
+    step decides: it admits a start moving inward, and rejects one
+    heading out or tangent to a static wall."""
+    if not all(map(math.isfinite, [t, *q.tolist(), *v.tolist()])):
+        raise error(f"arc start is not finite (t={t!r}, q={q.tolist()}, "
+                    f"v={v.tolist()})")
     if not math.isfinite(t_end):
-        raise InvalidStart(f"t_end={t_end!r} is not finite; runs end at "
-                           f"a finite horizon")
-    if not t_end >= s.t:
-        raise InvalidStart(f"t_end={t_end!r} precedes the start time "
-                           f"t={s.t!r}; runs go forward in time")
-    g0 = gfun(s.t, s.q, s.v)
-    d0 = dfun(s.t, s.q, s.v)
-    slope0 = max(1.0, abs(d0))
-    if g0 > GUARD_TOL * slope0 or (abs(g0) <= GUARD_TOL * slope0
-                                   and g0 > -ARM_TOL and d0 >= 0.0):
-        raise InvalidStart(
-            f"initial state has g={g0:.3e}, d={d0:.3e}; start strictly "
-            f"inside the admissible region or leaving the guard")
-
-
-def _validate_reset(t, q, v, gfun, dfun):
-    """Check a post-impact (t, q, v) against the guard it runs under."""
-    if not all(map(math.isfinite, q.tolist() + v.tolist())):
-        raise InvalidReset("reset produced a non-finite state")
-    d_post = dfun(t, q, v)
-    if d_post <= 0.0:
-        return
-    # direction still non-negative: accept only if the state moves off
-    # the guard inward over an infinitesimal free step
-    eps = 1e-7 * max(1.0, abs(t))
-    g_now = gfun(t, q, v)
-    g_probe = gfun(t + eps, q + eps * v, v)
-    if g_probe >= g_now - 1e-14:
-        raise InvalidReset(
-            f"post-impact state re-triggers the guard (d={d_post:.3e}, "
-            f"g drift {g_probe - g_now:+.3e})")
+        raise error(f"t_end={t_end!r} is not finite; runs end at a finite "
+                    f"horizon")
+    if not t_end >= t:
+        raise error(f"t_end={t_end!r} precedes the start time t={t!r}; "
+                    f"runs go forward in time")
+    g, d = gfun(t, q, v), dfun(t, q, v)
+    bound = GUARD_TOL * max(1.0, abs(d))
+    if g <= bound:
+        if g < -bound or d < 0.0:
+            return g, d
+        eps = 1e-7 * max(1.0, abs(t))
+        if gfun(t + eps, q + eps * v, v) < g - 1e-14:
+            return g, d
+    raise error(f"arc start at t={t!r} has g={g:.3e}, d={d:.3e}; an arc "
+                f"starts strictly inside the guard, or on it and leaving")
 
 
 # ---------------------------------------------------------------------------

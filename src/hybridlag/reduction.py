@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import InvalidStart, NoConvergence, NotInvariant
 from .hybrid import (Arc, Event, Guard, HybridFlow, HybridSystem, ResetMap,
-                     _check_finite, _check_start, _execute, _validate_reset)
+                     _check_finite, _execute)
 # perfbench/tracing.py wraps reduction.simulate, so the name stays here
 from .hybrid import simulate  # noqa: F401
 from .lagrangian import LagrangianSystem, State, _central_differences
@@ -423,10 +423,10 @@ def simulate_resequenced(cs: CyclicStructure, s0: State,
 
     One executor run on the reduced system at the start momentum. Its
     reset applies the full reset at the lift (`_lifted_reset`), reads the
-    new momentum off the post state, validates that state against the
-    reduced system rebuilt at the new momentum, and continues in that
-    system. The cyclic angle is then reconstructed over all arcs,
-    carrying any angle jump the resets make. For
+    new momentum off the post state, and continues in the reduced system
+    rebuilt at the new momentum, whose guard checks the post state as
+    the next arc's start. The cyclic angle is then reconstructed over all
+    arcs, carrying any angle jump the resets make. For
     momentum-preserving resets the momentum sequence is constant and the
     run coincides with reducing once and simulating.
     """
@@ -437,22 +437,19 @@ def simulate_resequenced(cs: CyclicStructure, s0: State,
 
     def mode_at(mu, validate=False):
         shape = reduce(cs, mu, validate=validate).shape
-        gfun, dfun = shape.guard.surface, shape.guard.direction
 
         def reset(tau, ypre):
             x, xdot, mu_next, theta = _lifted_reset(cs, mu, tau, ypre[:m],
                                                     ypre[m:])
-            nxt = mode_at(mu_next)
-            _validate_reset(tau, x, xdot, nxt[1], nxt[2])
             mus.append(mu_next)
             jumps.append(theta)
-            return np.concatenate([x, xdot]), nxt
+            return np.concatenate([x, xdot]), mode_at(mu_next)
 
-        return shape.system.rhs, gfun, dfun, reset
+        return (shape.system.rhs, shape.guard.surface, shape.guard.direction,
+                reset)
 
     mode = mode_at(mus[0], validate=True)
     start = cs.project_state(s0)
-    _check_start(mode[1], mode[2], start, t_end)
     reduced = _execute(mode, s0.t, np.concatenate([start.q, start.v]), t_end)
     mus = mus[:len(reduced.arcs)]
     theta, theta_dot, resid = _reconstruct_arcs(cs, reduced.arcs, mus, jumps)

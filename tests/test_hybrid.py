@@ -485,7 +485,14 @@ def test_guards_are_called_on_one_time_only():
     assert rep.passed and rep.events_momentum_side >= 2, str(rep)
 
 
-# the benchmark sweep's ranges, on the paper wall through its collapse
+# the benchmark sweep's ranges, on the paper wall through its collapse.
+# Hypothesis (6.155.2) draws some floats from the constants it finds in
+# the non-test modules of src/ and perfbench/, so adding or removing a
+# distinct float literal there changes the examples of both tests below,
+# derandomized as they are: deleting only the arc-start probe's 1e-7 made
+# the whole suite draw the radial start r = 0.771484375 (c = 0.1439,
+# speed 0.1413), which hangs in the collapse tail, and the test failed.
+# No literal is added or kept in the package to steer the draws
 CLOSING_WALL_STARTS = dict(c=st.floats(0.05, 0.3), speed=st.floats(0.0, 3.0),
                            r=st.floats(0.2, 0.9),
                            angle=st.floats(-np.pi, np.pi),
@@ -502,6 +509,7 @@ def closing_wall_start(speed, r, angle, turn):
 @given(**CLOSING_WALL_STARTS)
 def test_random_starts_on_closing_wall_match_oracle(c, speed, r, angle,
                                                     turn):
+    # its draws follow the package's float literals (see above)
     assert_matches_oracle(hl.BilliardParams(c=c),
                           closing_wall_start(speed, r, angle, turn), 10.0)
 
@@ -513,10 +521,11 @@ def test_random_starts_on_closing_wall_match_oracle(c, speed, r, angle,
 @example(c=0.25, speed=0.1875, r=0.5, angle=0.0, turn=3.0)
 def test_random_polar_starts_on_closing_wall_match_oracle(c, speed, r, angle,
                                                           turn):
-    # the polar chart takes the widest steps. It cannot pass through the
-    # origin: starts with an angular momentum |q x v| of 1.5e-3 were seen
-    # to reach r_min before the collapse, where the chart raises
-    # ChartSingularity
+    # its draws follow the package's float literals (see above
+    # CLOSING_WALL_STARTS). The polar chart takes the widest steps. It
+    # cannot pass through the origin: starts with an angular momentum
+    # |q x v| of 1.5e-3 were seen to reach r_min before the collapse,
+    # where the chart raises ChartSingularity
     assume(r * speed * abs(np.sin(turn)) >= 0.01)
     assert_matches_oracle(hl.BilliardParams(c=c),
                           closing_wall_start(speed, r, angle, turn), 10.0,
@@ -551,16 +560,85 @@ def test_reset_retrigger_rejected(unit_wall_hybrid):
         hl.simulate(bad, center_start(), 2.0)
 
 
+def _outward_reset(hs):
+    """`hs` with a reset that moves q outside the wall: (1.2 q, -v)."""
+    return dataclasses.replace(hs, reset=hl.ResetMap(
+        apply=lambda t, q, v: (1.2 * q, -v)))
+
+
+def test_reset_outside_the_wall_rejected(unit_wall_hybrid):
+    # the post-impact state leaves the wall (d < 0), but from g = 0.44
+    # outside it; a check of d alone let the run go on to the horizon
+    # there. Every arc start is held to g <= GUARD_TOL max(1, |d|)
+    with no_hang(10), pytest.raises(hl.InvalidReset, match="g=4.400e-01"):
+        hl.simulate(_outward_reset(unit_wall_hybrid), center_start(), 2.5)
+
+
+def test_momentum_side_reset_outside_the_wall_rejected(unit_wall_hybrid):
+    # the momentum-side run checks its arc starts by the same rule
+    from hybridlag import hybrid
+
+    hs, s0 = _outward_reset(unit_wall_hybrid), center_start()
+    cs0 = hs.system.legendre(s0)
+    with no_hang(10), pytest.raises(hl.InvalidReset):
+        hybrid._execute(hybrid._momentum_mode(hs, s0.v), cs0.t,
+                        np.concatenate([cs0.q, cs0.p]), 2.5)
+
+
+@pytest.mark.parametrize("q0, v0", [
+    ((math.sqrt(1.0 - 1e-10), 0.0), (1.0, 0.0)),
+    ((1.0, 0.0), (0.0, 1.0)),
+], ids=["1e-10-inside-heading-out", "tangent"])
+def test_start_on_the_guard_not_leaving_is_invalid_start(q0, v0):
+    # within GUARD_TOL of the static unit wall with d >= 0, a start is
+    # admissible only if a free step moves it inward. Heading out from
+    # 1e-10 inside, the run used to cross at once and then crawl at a
+    # step ceiling of that 5e-11 dwell; the tangent start's free step
+    # raises g by 9.99e-15. The oracle applies the same rule
+    params = static_billiard()
+    s0 = hl.State(0.0, np.array(q0), np.array(v0))
+    for run in (lambda: hl.simulate(hl.cartesian_hybrid(params), s0, 2.5),
+                lambda: hl.reference_flow(params, s0, 2.5)):
+        with no_hang(10), pytest.raises(hl.InvalidStart):
+            run()
+
+
+@pytest.mark.parametrize("chart", ["cartesian", "polar"])
+def test_each_arc_start_is_evaluated_once(chart):
+    # an arc-start check's g and d are the first scan sample of the arc's
+    # first step, so over a whole run each arc start (t, y) gets one call
+    # of the surface and one of its rate, after an impact too
+    calls = {}
+
+    def recorded(name, fun):
+        def f(t, q, v):
+            key = (name, t, *q.tolist(), *v.tolist())
+            calls[key] = calls.get(key, 0) + 1
+            return fun(t, q, v)
+        return f
+
+    hs, s0 = _paper_c025(chart)
+    hs = dataclasses.replace(hs, guard=hl.Guard(
+        surface=recorded("surface", hs.guard.surface),
+        direction=recorded("direction", hs.guard.direction)))
+    flow = hl.simulate(hs, s0, 10.0)
+    assert len(flow.events) == 41
+    for arc in flow.arcs:
+        start = (arc.t_start, *arc.states[0].tolist())
+        assert calls[("surface", *start)] == 1
+        assert calls[("direction", *start)] == 1
+
+
 def test_scan_evaluates_dense_output_once_per_step(monkeypatch):
     # the scan makes one array call of the dense output per accepted step,
     # and calls the guard surface and then its rate at each of its
     # samples, in time order. Every other dense evaluation is a Brent
     # iterate: the bracket ends come from the scan and the pre-impact
     # state from the refinement. Outside the scan rule, the only other
-    # guard calls are the start check and those of reset validation; the
-    # rule calls the surface once per Brent iterate, and the impact's
-    # residual is the refinement's. The oracle's convex search is not
-    # called
+    # guard calls are the arc-start checks, whose surface and rate are
+    # the first sample of the arc's first step; the rule calls the
+    # surface once per Brent iterate, and the impact's residual is the
+    # refinement's. The oracle's convex search is not called
     from hybridlag import billiard, hybrid
 
     counts = dict(steps=0, dense=0, brent_evals=0, refines=0)
@@ -628,23 +706,22 @@ def test_scan_evaluates_dense_output_once_per_step(monkeypatch):
     monkeypatch.setattr(hybrid, "RK45", CountedRK45)
     monkeypatch.setattr(hybrid, "brentq", counted_brentq)
     monkeypatch.setattr(hybrid, "_scan", inside("_scan", hybrid._scan))
-    monkeypatch.setattr(hybrid, "_validate_reset",
-                        inside("_validate_reset", hybrid._validate_reset))
     monkeypatch.setattr(billiard, "_next_crossing", never_called)
     hs = dataclasses.replace(hs, guard=dataclasses.replace(
         hs.guard, surface=counted_surface, direction=counted_direction))
     flow = hl.simulate(hs, sc.initial_polar, 2.0)
     assert flow.events and counts["refines"] >= len(flow.events)
     assert counts["dense"] == counts["steps"] + counts["brent_evals"]
-    # the start check, then surface and rate at each scan sample
-    samples = (hybrid.SCAN_POINTS + 2) * counts["steps"] + 1
+    # surface and rate at each scan sample, an arc's start check standing
+    # for the first sample of its first step
+    samples = (hybrid.SCAN_POINTS + 2) * counts["steps"]
     assert [name for name, _ in loop_calls] == ["surface",
                                                 "direction"] * samples
     times = [t for _, t in loop_calls]
     assert times[::2] == times[1::2]
     assert surface.pop("loop") == samples
     assert surface.pop("brent") == counts["brent_evals"]
-    assert set(surface) <= {"_validate_reset"}
+    assert surface == {}
 
 
 @pytest.mark.parametrize("kind, t_end, impacts", [
@@ -1483,20 +1560,24 @@ def test_runs_build_states_per_impact_not_per_sample(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_momentum_side_scan_solves_each_column_once(monkeypatch):
-    # the scan calls the surface and then the rate at each sample; the
-    # rate's velocity recovery starts at the surface's solution, so it
-    # makes no Hessian solve. Counted from the scan's array call of the
-    # dense output, which the sample calls follow, to the scan rule
+    # the arc-start check and the scan call the surface and then the rate
+    # at each sample; the rate's velocity recovery starts at the
+    # surface's solution, so it makes no Hessian solve. Counted over each
+    # start check, and from the scan's array call of the dense output,
+    # which the sample calls follow, to the scan rule. The check's sample
+    # is the first of its arc's first step
     from hybridlag import hybrid
     from hybridlag.lagrangian import LagrangianSystem
 
-    # per step, [name, Hessian solves] of each sample call
-    in_samples, steps = [False], []
+    # per start check or step, (kind, [[name, Hessian solves] of each
+    # sample call])
+    in_samples, groups = [False], []
     solve_hessian, scan = LagrangianSystem._solve_hessian, hybrid._scan
+    check = hybrid._check_arc_start
 
     def counted_solve(self, *args, **kwargs):
         if in_samples[0]:
-            steps[-1][-1][1] += 1
+            groups[-1][1][-1][1] += 1
         return solve_hessian(self, *args, **kwargs)
 
     class Marking(hybrid.RK45):
@@ -1506,7 +1587,7 @@ def test_momentum_side_scan_solves_each_column_once(monkeypatch):
             def marked(t):
                 if np.ndim(t):
                     in_samples[0] = True
-                    steps.append([])
+                    groups.append(("step", []))
                 return dense(t)
             return marked
 
@@ -1514,26 +1595,44 @@ def test_momentum_side_scan_solves_each_column_once(monkeypatch):
         in_samples[0] = False
         return scan(*args)
 
+    def marked_check(*args):
+        in_samples[0] = True
+        groups.append(("start", []))
+        try:
+            return check(*args)
+        finally:
+            in_samples[0] = False
+
     def labelled(name, fun):
         def f(t, q, p):
             if in_samples[0]:
-                steps[-1].append([name, 0])
+                groups[-1][1].append([name, 0])
             return fun(t, q, p)
         return f
 
     monkeypatch.setattr(LagrangianSystem, "_solve_hessian", counted_solve)
     monkeypatch.setattr(hybrid, "RK45", Marking)
     monkeypatch.setattr(hybrid, "_scan", scan_after_samples)
+    monkeypatch.setattr(hybrid, "_check_arc_start", marked_check)
     hs, s0 = _paper_c025("cartesian")
     rhs, g, d, reset = hybrid._momentum_mode(hs, s0.v)
     mode = (rhs, labelled("surface", g), labelled("direction", d),
             lambda tau, y: (reset(tau, y)[0], mode))
     cs0 = hs.system.legendre(s0)
     flow = hybrid._execute(mode, cs0.t, np.concatenate([cs0.q, cs0.p]), 5.0)
-    assert flow.events and len(steps) > 2 * len(flow.arcs)
-    per_step = ["surface", "direction"] * (hybrid.SCAN_POINTS + 2)
-    assert all([name for name, _ in step] == per_step for step in steps)
-    calls = [call for step in steps for call in step]
+    kinds = [kind for kind, _ in groups]
+    assert flow.events and kinds.count("start") == len(flow.arcs)
+    assert len(groups) > 3 * len(flow.arcs)
+    pair = ["surface", "direction"]
+    for before, (kind, calls) in zip([None] + kinds, groups):
+        if kind == "start":
+            samples = 1
+        elif before == "start":
+            samples = hybrid.SCAN_POINTS + 1
+        else:
+            samples = hybrid.SCAN_POINTS + 2
+        assert [name for name, _ in calls] == pair * samples
+    calls = [call for _, group in groups for call in group]
     assert sum(n for name, n in calls if name == "direction") == 0
     assert sum(n for name, n in calls if name == "surface") > 0
 

@@ -16,20 +16,22 @@ runs on Python floats, whose IEEE +, -, * and / give numpy's bits
 without numpy's per-call overhead on 2- and 4-element arrays; its
 tableau sums stay the numpy products scipy takes, since a BLAS sum need
 not add in a Python loop's order (see `RK45`).
-After every accepted step the step's dense output is evaluated once, as
-one call on the float list of the endpoints and SCAN_POINTS interior
-times, and the guard surface g and then its rate d are called on each
-resulting column, in time order. One rule on these (g, d) samples
-brackets the crossings, including those between two samples (`_scan`),
-which are refined in time to REFINE_XTOL with Brent's method on the
-interpolant (`brentq`, scipy's C routine run operation for operation).
-A crossing counts as an impact only where d >= 0, and never at the
-arc's start; crossings with negative d are skipped and integration
-continues. Each arc start must pass `_check_arc_start`, whose g and d
-are the arc's first scan sample. No point of a step is evaluated twice:
-Brent takes its bracket ends' values from the scan samples or the
-refinement before it, and the impact's state, residual and slope are
-the evaluations that located it.
+After every accepted step the scan samples it: its first sample is the
+last one before it (the previous step's end, or the arc start), then
+come SCAN_POINTS interior times, each read with one scalar call of the
+step's dense output, and last the step loop's own end state. The guard
+surface g and then its rate d are called at each new sample, in time
+order; an arc start's are those of `_check_arc_start`, which every arc
+start must pass. One rule on these (g, d) samples brackets the
+crossings, including those between two samples (`_scan`), which are
+refined in time to REFINE_XTOL with Brent's method on the interpolant
+(`brentq`, scipy's C routine run operation for operation). A crossing
+counts as an impact only where d >= 0, and never at the arc's start;
+crossings with negative d are skipped and integration continues. No
+point of an arc is evaluated twice: each scan sample once, Brent's
+bracket ends from the scan samples or the refinement before it, and the
+impact's state, residual and slope from the evaluations that located
+it.
 An arc keeps its dense output as one table of its steps' coefficient
 blocks, which the step loop hands over, and evaluates an array of times
 in one gathered numpy pass with the same bits (`_ArcInterpolant`).
@@ -443,25 +445,24 @@ class RK45:
         return _StepInterpolant(t_old, self.t, coeffs)
 
 
-def _horner(cols, xs):
+def _horner(cols, x):
     """scipy's Dop853DenseOutput sum on Python floats: for each column
-    (a component's 7 coefficients, then its y_old) and each (x, 1 - x)
-    of xs, in that order, the polynomial at the scaled time x."""
+    (a component's 7 coefficients, then its y_old), the polynomial at
+    the scaled time x."""
+    xm = 1 - x
     return [(((((((0.0 + f6) * x + f5) * xm + f4) * x + f3) * xm + f2) * x
               + f1) * xm + f0) * x + y0
-            for f0, f1, f2, f3, f4, f5, f6, y0 in cols for x, xm in xs]
+            for f0, f1, f2, f3, f4, f5, f6, y0 in cols]
 
 
 class _StepInterpolant:
-    """DOP853's dense output on one step [t_old, t]: scipy's
-    Dop853DenseOutput, operation for operation, on one time or a 1-D
-    sequence of times (a list or an array). Its (8, 2n) block of
-    coefficient rows F and y_old is turned into Python-float columns
-    once, at construction, and both kinds of call go through `_horner`,
-    with the scaled times on Python floats: at the few times of a step's
-    scan and refinement, Python floats beat numpy's per-call overhead. An
-    arc keeps the blocks of its steps, not these objects
-    (`_ArcInterpolant`).
+    """DOP853's dense output on one step [t_old, t] at one float time:
+    scipy's Dop853DenseOutput, operation for operation. Its (8, 2n) block
+    of coefficient rows F and y_old is turned into Python-float columns
+    once, at construction, and a call is `_horner` at the scaled time:
+    at the few times of a step's scan and refinement, Python floats beat
+    numpy's per-call overhead. An arc keeps the blocks of its steps, not
+    these objects (`_ArcInterpolant`).
     Callers read t_old, t, t_min and t_max and call it; the tracer's
     proxy passes on nothing else."""
 
@@ -472,17 +473,8 @@ class _StepInterpolant:
         self._cols = coeffs.T.tolist()
 
     def __call__(self, t):
-        cols, t_old, h = self._cols, self.t_old, self.h
-        if isinstance(t, np.ndarray):
-            # a 0-d array from scipy's OdeSolution becomes a float
-            t = t.tolist()
-        if isinstance(t, float):
-            # refinement and the arc
-            x = (t - t_old) / h
-            return np.array(_horner(cols, ((x, 1 - x),)))
-        # the scan's list of floats, or any 1-D sequence
-        xs = [(x, 1 - x) for x in [(tt - t_old) / h for tt in t]]
-        return np.array(_horner(cols, xs)).reshape(len(cols), len(xs))
+        x = (t - self.t_old) / self.h
+        return np.array(_horner(self._cols, x))
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +496,8 @@ def _execute(mode, t0, y0, t_end):
     Every arc start must pass `_check_arc_start` under the arc's guard,
     or the run raises InvalidStart (the first arc) or InvalidReset (an
     arc after an impact); the check's (g, d) are the first scan sample
-    of the arc's first step. Each arc gets its own solver; the DOP853
+    of the arc's first step, and each later step's first sample is the
+    step before's last. Each arc gets its own solver; the DOP853
     stage matrix and its views (`_StageMatrix`) are built once per run
     and handed to every one.
     """
@@ -520,7 +513,9 @@ def _execute(mode, t0, y0, t_end):
         rhs, gfun, dfun, reset = mode
         g0, d0 = _check_arc_start(gfun, dfun, t, y[:n], y[n:], t_end,
                                   InvalidReset if events else InvalidStart)
-        gs, ds = [g0], [d0]
+        # a step's first scan sample is the last one before it: the arc
+        # start's is the check's
+        ts, ys, gs, ds = [t], [y], [g0], [d0]
         solver = RK45(rhs, t, y, t_bound=t_end, rtol=RTOL, atol=ATOL,
                       max_step=max_step, stages=stages)
         if not all(map(math.isfinite, solver.f)):
@@ -542,22 +537,21 @@ def _execute(mode, t0, y0, t_end):
                 blocks.append(solver._coeffs)
                 breakpoints.append(solver.t)
             # the scan samples of np.linspace(t_old, t, SCAN_POINTS + 2),
-            # in its arithmetic: i * ((t - t_old) / (SCAN_POINTS + 1)) + t_old,
-            # and t last
+            # in its arithmetic: after the carried t_old,
+            # i * ((t - t_old) / (SCAN_POINTS + 1)) + t_old, and t last
             t_old = solver.t_old
             w = (solver.t - t_old) / (SCAN_POINTS + 1)
-            ts = [i * w + t_old for i in range(SCAN_POINTS + 1)]
+            for i in range(1, SCAN_POINTS + 1):
+                ts.append(i * w + t_old)
+                ys.append(dense(ts[-1]))
             ts.append(solver.t)
-            ys = dense(ts)
-            samples = zip(ts, ys.T)
-            if gs:
-                next(samples)   # the arc start: the check's (g, d)
-            for tt, yy in samples:
+            ys.append(np.array(solver.y))
+            for tt, yy in zip(ts[1:], ys[1:]):
                 q, v = yy[:n], yy[n:]
                 gs.append(gfun(tt, q, v))
                 ds.append(dfun(tt, q, v))
             hit = _scan(dense, n, gfun, dfun, t, ts, ys, gs, ds)
-            gs, ds = [], []
+            ts, ys, gs, ds = ts[-1:], ys[-1:], gs[-1:], ds[-1:]
 
         t_arc, y_arc = hit[:2] if hit is not None else (solver.t, solver.y)
         arcs.append(_close_arc(breakpoints, blocks, t_arc, y_arc))
@@ -597,7 +591,7 @@ def _scan(dense, n, gfun, dfun, start, ts, ys, gs, ds):
     last two the guard and its rate at (tau, y_pre), or None.
 
     dense is the step's dense output, ts its scan samples, ys the states
-    there as columns, gs and ds the guard g and its rate d there, and
+    there, gs and ds the guard g and its rate d there, and
     start the time the arc starts. One rule reads each interval [a, b]
     between two samples:
 
@@ -657,16 +651,12 @@ class _StepPoints:
     """The dense state, g and d of one step at the times its refinements
     visit, each evaluated at most once; the scan samples' are seeded from
     the scan. Brent's roots are points it evaluated, so the impact is
-    read off here too.
-
-    The seeded states are those of scalar calls: the interpolants' array
-    contract makes column i equal to the scalar call at time i bit for
-    bit. The seeded g and d are the scan's calls on those columns."""
+    read off here too."""
 
     def __init__(self, dense, n, gfun, dfun, ts, ys, gs, ds):
         self.dense, self.n, self.gfun, self.dfun = dense, n, gfun, dfun
-        # time -> state (contiguous, as a scalar call returns it), g, d
-        self.states = dict(zip(ts, ys.T.copy()))
+        # time -> state, g, d
+        self.states = dict(zip(ts, ys))
         self.gs = dict(zip(ts, gs))
         self.ds = dict(zip(ts, ds))
 
@@ -849,7 +839,7 @@ class _ArcInterpolant:
             j = min(max(int(np.searchsorted(bp, t)) - 1, 0), last)
             t_old = float(bp[j])
             x = (t - t_old) / (float(bp[j + 1]) - t_old)
-            return np.array(_horner(self.table[j].T.tolist(), ((x, 1 - x),)))
+            return np.array(_horner(self.table[j].T.tolist(), x))
         j = np.searchsorted(bp, t) - 1
         np.clip(j, 0, last, out=j)
         t_old = bp[j]

@@ -133,10 +133,7 @@ def _initial_state(config: RunConfig, bundle) -> State:
             return sc.initial_cartesian
         raise ParseError(f"scenario {config.scenario!r} applies to the "
                          f"billiard models only")
-    if bundle.default_initial is not None:
-        return bundle.default_initial
-    raise ParseError("no initial state: give a scenario or initial_q/"
-                     "initial_v")
+    return bundle.default_initial
 
 
 def _run(config: RunConfig) -> int:
@@ -185,27 +182,25 @@ def _run(config: RunConfig) -> int:
         write_json(os.path.join(config.out, "run.json"), record)
         return 0 if report["passed"] else 1
 
-    if config.mode == "verify":
-        if config.scenario is None:
-            raise ParseError("verify mode needs a scenario")
-        sc0 = billiard.get_scenario(config.scenario)
-        sc = billiard.PaperScenario(sc0.scenario_id, config.params,
-                                    sc0.initial_polar,
-                                    horizon=min(config.horizon, sc0.horizon))
-        checks = run_verification(sc)
-        passed = all(c["passed"] for c in checks)
-        record["checks"] = checks
-        record["passed"] = passed
-        write_json(os.path.join(config.out, "verify.json"),
-                   {"checks": checks, "passed": passed})
-        write_json(os.path.join(config.out, "run.json"), record)
-        for c in checks:
-            status = "pass" if c["passed"] else "FAIL"
-            print(f"{c['check']}: {status} (measured {c['measured']:.3e}, "
-                  f"bound {c['bound']:.1e}) {c['detail']}")
-        return 0 if passed else 1
-
-    raise ParseError(f"unhandled mode {config.mode!r}")
+    # verify, the last of MODES: config_from_dict admits no other mode
+    if config.scenario is None:
+        raise ParseError("verify mode needs a scenario")
+    sc0 = billiard.get_scenario(config.scenario)
+    sc = billiard.PaperScenario(sc0.scenario_id, config.params,
+                                sc0.initial_polar,
+                                horizon=min(config.horizon, sc0.horizon))
+    checks = run_verification(sc)
+    passed = all(c["passed"] for c in checks)
+    record["checks"] = checks
+    record["passed"] = passed
+    write_json(os.path.join(config.out, "verify.json"),
+               {"checks": checks, "passed": passed})
+    write_json(os.path.join(config.out, "run.json"), record)
+    for c in checks:
+        status = "pass" if c["passed"] else "FAIL"
+        print(f"{c['check']}: {status} (measured {c['measured']:.3e}, "
+              f"bound {c['bound']:.1e}) {c['detail']}")
+    return 0 if passed else 1
 
 
 def _write_flow(config, flow, rec):

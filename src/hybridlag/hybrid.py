@@ -11,7 +11,11 @@ loop is the module's own: it reads its tableau from `_dop853`, a copy of
 scipy's table, and repeats the arithmetic of scipy's `DOP853` operation
 for operation, so it reproduces scipy's steps and dense output bit for
 bit, but it calls the right-hand side directly, without the solver's
-wrapper layers, on a list of Python floats. Its elementwise arithmetic
+wrapper layers, on a list of Python floats. It serves the executor
+alone: the executor fixes its step control and checks every arc start
+(`_check_arc_start`) before it builds a solver, so the loop keeps none
+of scipy's tolerance parameters or argument checks, and an arc with no
+time to cover takes no step. Its elementwise arithmetic
 runs on Python floats, whose IEEE +, -, * and / give numpy's bits
 without numpy's per-call overhead on 2- and 4-element arrays; its
 tableau sums stay the numpy products scipy takes, since a BLAS sum need
@@ -58,7 +62,6 @@ Two rules shape the behaviour in impact-accumulation regimes:
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, List, Tuple
 
@@ -209,12 +212,11 @@ _D = _dop853.D
 _A_EXTRA = _dop853.A[_N_STAGES + 1:]
 _C_EXTRA = _dop853.C[_N_STAGES + 1:]
 _ERROR_ESTIMATOR_ORDER = 7
-# scipy's step-size control (scipy.integrate._ivp.rk) and its rtol floor
+# scipy's step-size control (scipy.integrate._ivp.rk)
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10
 _ERROR_EXPONENT = -1 / (_ERROR_ESTIMATOR_ORDER + 1)
-_RTOL_FLOOR = 100 * np.finfo(float).eps
 # stage s of a step or of its dense output: (s, coefficients, node), the
 # coefficients as views of the sliced tables
 _STAGES = [(s, _A[s, :s], float(_C[s])) for s in range(1, _N_STAGES)]
@@ -253,29 +255,32 @@ class _StageMatrix:
 
 # the name RK45 is the benchmark tracer's seam: it subclasses hybrid.RK45
 class RK45:
-    """DOP853 on one arc, forward in time.
+    """DOP853 on one arc, forward in time, under the executor's step
+    control RTOL and ATOL.
 
     The step loop of scipy's `DOP853` without its wrapper layers: its
     initial-step choice, Runge-Kutta step, step-size control, 5/3 error
     norm and 7th-order dense output, operation for operation on the same
     tableau, so steps, states and interpolants agree with scipy's bit
-    for bit. `fun` is called directly, on a list of 2n Python floats
-    that it must not modify, and may return any sequence of 2n floats;
-    `nfev` counts its calls: two at construction (one on an empty
-    interval), n_stages per attempt in `step`, three in `dense_output`.
-    `y` is kept as a list of floats, `f` as `fun` returned it. As in
-    scipy, rtol is raised to 100 eps, a non-finite y0 or a
-    max_step <= 0 raises ValueError, a step on a solver at t_bound is a
-    degenerate one, and a step size below 10 ulp(t) ends the arc with
-    status "failed".
+    for bit (scipy's solver given rtol=RTOL, atol=ATOL). `fun` is called
+    directly, on a list of 2n Python floats that it must not modify, and
+    may return any sequence of 2n floats; `nfev` counts its calls: two
+    at construction, n_stages per attempt in `step`, three in
+    `dense_output`. `y` is kept as a list of floats, `f` as `fun`
+    returned it. A step size below 10 ulp(t) ends the arc with status
+    "failed".
+
+    Only `_execute` builds solvers, after its arc-start check, so the
+    loop keeps none of scipy's argument checks: y0 must be finite,
+    t_bound > t0 (an arc with no time takes no step and builds no
+    solver) and max_step > 0.
 
     Each tableau sum (a stage's K[:s]^T a, the solution's K^T B, the
     error estimates K^T E5 and K^T E3 with their norms, the dense
     output's D K) is the numpy product scipy takes, on views of the
     stage matrix `stages` (a `_StageMatrix`, built once per run and
-    handed to each arc's solver by `_execute`; a solver given none
-    builds its own): a BLAS sum need not add in a
-    Python loop's order (a sequential Python sum differed from `dot` in
+    handed to each arc's solver by `_execute`): a BLAS sum need not add
+    in a Python loop's order (a sequential Python sum differed from `dot` in
     45,411 of the 132,000 stage sums of 3,000 standard-normal 4-column
     stage matrices), so only numpy reproduces scipy's bits there. The
     vector arithmetic between the sums (stage arguments, solution
@@ -284,37 +289,22 @@ class RK45:
     its per-call overhead on 2- and 4-element arrays. The (4, 2n) block
     h (D K) is scaled in one numpy call. The initial-step choice, once
     per arc, also runs on Python floats but for its three norms, whose
-    sums are `ndarray.dot` as in scipy. A zero error scale there (atol =
-    0 at a zero component), which scipy divides into a NaN step size,
-    raises ZeroDivisionError.
+    sums are `ndarray.dot` as in scipy.
     (`ndarray.dot` is `np.dot` without its dispatch layer.)
     """
 
     n_stages = _N_STAGES
 
-    def __init__(self, fun, t0, y0, t_bound, rtol, atol, max_step,
-                 stages=None):
-        if max_step <= 0:
-            raise ValueError("`max_step` must be positive.")
-        y = np.asarray(y0, float).tolist()
-        if not all(map(math.isfinite, y)):
-            # its step sizes would be NaN, and every attempt rejected
-            raise ValueError(
-                "All components of the initial state `y0` must be finite.")
+    def __init__(self, fun, t0, y0, t_bound, max_step, stages):
         self.fun = fun
-        self.t_old = None
         self.t = t0
-        self.y = y
+        self.y = y = np.asarray(y0, float).tolist()
         self.t_bound = t_bound
-        self.rtol = max(rtol, _RTOL_FLOOR)
-        self.atol = atol
         self.max_step = max_step
         self.status = "running"
         self.f = fun(t0, y)
         self.nfev = 1
         self.h_abs = self._initial_step()
-        if stages is None:
-            stages = _StageMatrix(len(y))
         self.K_extended, self.K = stages.K_extended, stages.K
         self._stage_sums = stages.stage_sums
         self._extra_sums = stages.extra_sums
@@ -327,10 +317,7 @@ class RK45:
         t0, y0 = self.t, self.y
         f0 = _floats(self.f)
         interval_length = abs(self.t_bound - t0)
-        if interval_length == 0.0:
-            return 0.0
-        atol, rtol = self.atol, self.rtol
-        scale = [atol + abs(v) * rtol for v in y0]
+        scale = [ATOL + abs(v) * RTOL for v in y0]
         d0 = _rms(np.array([v / s for v, s in zip(y0, scale)]))
         d1 = _rms(np.array([f / s for f, s in zip(f0, scale)]))
         if d0 < 1e-5 or d1 < 1e-5:
@@ -353,11 +340,7 @@ class RK45:
         """Advance by one accepted step; set status to "finished" at
         t_bound, or to "failed" when the step size falls below 10 ulp."""
         t, y, K, fun = self.t, self.y, self.K, self.fun
-        t_bound, rtol, atol = self.t_bound, self.rtol, self.atol
-        if t == t_bound:
-            self.t_old = t
-            self.status = "finished"
-            return
+        t_bound = self.t_bound
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = self.h_abs
         if h_abs > self.max_step:
@@ -385,7 +368,7 @@ class RK45:
             K[-1] = f_new
             self.nfev += self.n_stages
             # np.maximum's rule: a NaN on either side is the maximum
-            scale = np.array([atol + (a if a > b or a != a else b) * rtol
+            scale = np.array([ATOL + (a if a > b or a != a else b) * RTOL
                               for a, b in zip(abs_y, map(abs, y_new))])
             err5 = self._error_sum.dot(_E5) / scale
             err3 = self._error_sum.dot(_E3) / scale
@@ -417,13 +400,10 @@ class RK45:
 
     def dense_output(self):
         """Interpolant of the last step: scipy's DOP853 dense output. Its
-        (8, 2n) coefficient block is also left in `_coeffs` (None for a
-        step on an empty interval), where the executor reads it for the
-        arc's table: a traced solver's dense output passes on no more
-        than a `_StepInterpolant`'s times and calls."""
-        if self.t == self.t_old:
-            self._coeffs = None
-            return _ConstantInterpolant(np.array(self.y), self.t)
+        (8, 2n) coefficient block is also left in `_coeffs`, where the
+        executor reads it for the arc's table: a traced solver's dense
+        output passes on no more than a `_StepInterpolant`'s times and
+        calls."""
         K, h = self.K_extended, self.h_previous
         t_old, y_old = self.t_old, self.y_old
         for s, KT, a, c in self._extra_sums:
@@ -497,9 +477,12 @@ def _execute(mode, t0, y0, t_end):
     or the run raises InvalidStart (the first arc) or InvalidReset (an
     arc after an impact); the check's (g, d) are the first scan sample
     of the arc's first step, and each later step's first sample is the
-    step before's last. Each arc gets its own solver; the DOP853
-    stage matrix and its views (`_StageMatrix`) are built once per run
-    and handed to every one.
+    step before's last. An arc that starts at t_end takes no step: it
+    is closed with its start state alone, and the run ends
+    horizon_reached without calling the right-hand side there. Every
+    other arc gets its own solver under the fixed step control RTOL and
+    ATOL; the DOP853 stage matrix and its views (`_StageMatrix`) are
+    built once per run and handed to every one.
     """
     t = float(t0)
     y = np.asarray(y0, float).copy()
@@ -513,11 +496,14 @@ def _execute(mode, t0, y0, t_end):
         rhs, gfun, dfun, reset = mode
         g0, d0 = _check_arc_start(gfun, dfun, t, y[:n], y[n:], t_end,
                                   InvalidReset if events else InvalidStart)
+        if t == t_end:
+            # an arc with no time to cover takes no step
+            arcs.append(_close_arc([t], [], t, y))
+            return HybridFlow(arcs, events, TERM_HORIZON)
         # a step's first scan sample is the last one before it: the arc
         # start's is the check's
         ts, ys, gs, ds = [t], [y], [g0], [d0]
-        solver = RK45(rhs, t, y, t_bound=t_end, rtol=RTOL, atol=ATOL,
-                      max_step=max_step, stages=stages)
+        solver = RK45(rhs, t, y, t_end, max_step, stages)
         if not all(map(math.isfinite, solver.f)):
             # scipy would reject every step of a NaN step size forever
             raise IntegrationFailure(
@@ -533,9 +519,8 @@ def _execute(mode, t0, y0, t_end):
                 failed = True
                 break
             dense = solver.dense_output()
-            if solver._coeffs is not None:
-                blocks.append(solver._coeffs)
-                breakpoints.append(solver.t)
+            blocks.append(solver._coeffs)
+            breakpoints.append(solver.t)
             # the scan samples of np.linspace(t_old, t, SCAN_POINTS + 2),
             # in its arithmetic: after the carried t_old,
             # i * ((t - t_old) / (SCAN_POINTS + 1)) + t_old, and t last
@@ -695,12 +680,9 @@ def _along(fun, dense, n):
     return f
 
 
-_BRENT_RTOL_MIN = 4 * np.finfo(float).eps   # scipy's floor and default
-
-
 # the name brentq is a seam: the benchmark tracer and the tests patch it
-def brentq(f, a, b, xtol=2e-12, rtol=_BRENT_RTOL_MIN, maxiter=100,
-           fa=None, fb=None):
+def brentq(f, a, b, xtol=2e-12, rtol=4 * np.finfo(float).eps, fa=None,
+           fb=None):
     """Root of f in [a, b] by Brent's method (Brent, Algorithms for
     Minimization without Derivatives, 1973, ch. 4).
 
@@ -709,17 +691,12 @@ def brentq(f, a, b, xtol=2e-12, rtol=_BRENT_RTOL_MIN, maxiter=100,
     floats and its values are taken as floats. fa and fb, when given,
     are f(a) and f(b), the two values the C routine computes first; f
     is then not called there, and the root is the same as long as they
-    equal those calls. As in scipy, f(a) and f(b) of one sign, a NaN
-    value of f (evaluated or given), xtol <= 0 or rtol < 4 eps raise
-    ValueError, and no convergence in maxiter iterations raises
-    RuntimeError.
+    equal those calls. As in scipy, f(a) and f(b) of one sign or a NaN
+    value of f (evaluated or given) raise ValueError, and no convergence
+    in scipy's default of 100 iterations raises RuntimeError. Its callers
+    (the executor's `_refine` and the oracle) pass fixed xtol > 0 and
+    rtol >= 4 eps, so scipy's checks of these two are left out.
     """
-    maxiter = operator.index(maxiter)
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < _BRENT_RTOL_MIN:
-        raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_RTOL_MIN:g})")
-
     def value(x, fx=None):
         fx = float(f(x) if fx is None else fx)
         if fx != fx:
@@ -737,7 +714,7 @@ def brentq(f, a, b, xtol=2e-12, rtol=_BRENT_RTOL_MIN, maxiter=100,
     if (fpre < 0) == (fcur < 0):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(100):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -771,7 +748,7 @@ def brentq(f, a, b, xtol=2e-12, rtol=_BRENT_RTOL_MIN, maxiter=100,
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
+    raise RuntimeError(f"Failed to converge after 100 iterations, "
                        f"value is {xcur:f}")
 
 
@@ -790,17 +767,16 @@ def _close_arc(breakpoints, blocks, t_end, y_end):
         interp = _ArcInterpolant(table, np.array(breakpoints), t_start, t_end)
     else:
         states = np.array([y_end], float)
-        interp = _ConstantInterpolant(states[0], t_start)
+        interp = _ConstantInterpolant(states[0])
     return Arc(t_start, t_end, times, states, interp)
 
 
 class _ConstantInterpolant:
-    """Interpolant of an arc that took no step, or of a step on an empty
-    interval, at t: its start state at every time."""
+    """Interpolant of an arc that took no step: its start state at every
+    time."""
 
-    def __init__(self, y0, t):
+    def __init__(self, y0):
         self._y0 = y0
-        self.t_old = self.t = self.t_min = self.t_max = t
 
     def __call__(self, t):
         if np.ndim(t) == 0:

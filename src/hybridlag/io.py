@@ -71,10 +71,7 @@ def write_trajectory_csv(path, flow: HybridFlow,
 
 
 def write_events_csv(path, flow: HybridFlow):
-    if flow.events:
-        n = len(flow.events[0].pre.q)
-    else:
-        n = flow.arcs[0].states.shape[1] // 2
+    n = flow.arcs[0].states.shape[1] // 2
     lines = [",".join(events_header(n))]
     row = ",".join(["%.17g"] * (4 * n + 2))
     for e in flow.events:

@@ -23,8 +23,8 @@ from .reduction import CyclicStructure
 class ModelBundle:
     system: LagrangianSystem
     hybrid: HybridSystem
+    default_initial: State
     cyclic: Optional[CyclicStructure] = None
-    default_initial: Optional[State] = None
 
 
 def free_particle() -> LagrangianSystem:

@@ -56,10 +56,9 @@ from .hybrid import (Arc, Event, Guard, HybridFlow, HybridSystem, ResetMap,
                      _check_finite, _execute)
 # perfbench/tracing.py wraps reduction.simulate, so the name stays here
 from .hybrid import simulate  # noqa: F401
-from .lagrangian import LagrangianSystem, State, _central_differences
+from .lagrangian import (NEWTON_MAXITER, NEWTON_TOL, LagrangianSystem,
+                         State, _central_differences)
 
-CYCLIC_SOLVE_TOL = 1e-12
-CYCLIC_SOLVE_MAXITER = 50
 DEFAULT_SHIFTS = (0.5, -1.3, 2.0 * math.pi, 17.0)  # cyclic shifts in validate
 INVARIANCE_TOL = 1e-10  # relative tolerance of the checks in validate
 PANELS_PER_STEP = 16  # Simpson panels per integrator step in reconstruction
@@ -149,7 +148,10 @@ class CyclicStructure:
     def solve_cyclic_velocity(self, t, x, xdot, mu):
         """Recover theta_dot from the momentum relation at (t, x, xdot):
         a float at a scalar t, (k,) values at (k,) times and (m, k)
-        columns (one call of the closed form, or Newton per column)."""
+        columns (one call of the closed form, or Newton per column).
+        Newton follows the rule of `LagrangianSystem.inverse_legendre`:
+        residual below NEWTON_TOL * max(1, |mu|) within NEWTON_MAXITER
+        iterations, or NoConvergence."""
         if self.cyclic_velocity_solver is not None:
             theta_dot = self.cyclic_velocity_solver(t, x, xdot, mu)
             return (float(theta_dot) if np.ndim(t) == 0
@@ -161,9 +163,9 @@ class CyclicStructure:
         sys = self.full.system
         ci = self.cyclic_index
         q = self.insert(x, 0.0)
-        tol = CYCLIC_SOLVE_TOL * max(1.0, abs(mu))
+        tol = NEWTON_TOL * max(1.0, abs(mu))
         theta_dot = 0.0
-        for _ in range(CYCLIC_SOLVE_MAXITER):
+        for _ in range(NEWTON_MAXITER):
             v = self.insert(xdot, theta_dot)
             r = float(sys.dL_dv(t, q, v)[ci]) - mu
             if abs(r) <= tol:

@@ -111,6 +111,18 @@ def test_polar_chart_singularity_guard():
         hl.simulate(hs, mk_state(0.0, [1.0, 0.0], [-1.0, 0.0]), 2.0)
 
 
+def test_cartesian_to_polar_rejects_the_origin():
+    with pytest.raises(hl.ChartSingularity, match="origin"):
+        hl.cartesian_to_polar(mk_state(0.0, [0.0, 0.0], [1.0, 0.0]))
+
+
+def test_reduced_chart_singularity_guard():
+    # at zero momentum the radial line runs straight into r = 0 as well
+    red = hl.reduce(hl.polar_cyclic(static_params(radius_sq=100.0)), 0.0)
+    with pytest.raises(hl.ChartSingularity, match="reduced trajectory"):
+        hl.simulate(red.shape, mk_state(0.0, [1.0], [-1.0]), 2.0)
+
+
 def test_routhian_closed_form_value():
     # reduced Lagrangian at t=0, r=1, rdot=0, mu=1 evaluates to -1/2
     red = hl.routhian_closed(hl.BilliardParams(c=0.25), 1.0)
@@ -297,6 +309,30 @@ def test_reference_flow_static_wall_times():
                        atol=1e-12)
     post = flow.events[0].post
     assert np.allclose(post.v, [-1.0, 0.0], atol=1e-12)
+
+
+# (q0, v0, t_end) of free flights on the static unit wall that end
+# before they reach it, each through another branch of the oracle's
+# crossing search: no time to fly, heading out but short of the wall,
+# and heading in with the bottom of the dip bracketed by t_end
+SHORT_FLIGHTS = {
+    "no-time": ((0.5, 0.0), (0.1, 0.0), 0.0),
+    "heading-out": ((0.5, 0.0), (0.1, 0.0), 1.0),
+    "dip-bracketed-by-t-end": ((0.5, 0.0), (-1.0, 0.0), 0.52),
+}
+
+
+@pytest.mark.parametrize("name", list(SHORT_FLIGHTS))
+def test_flight_short_of_the_wall_has_no_impact(name):
+    q0, v0, t_end = SHORT_FLIGHTS[name]
+    p = static_params()
+    s0 = mk_state(0.0, q0, v0)
+    end = [q0[0] + t_end * v0[0], q0[1] + t_end * v0[1], *v0]
+    for flow in (hl.reference_flow(p, s0, t_end),
+                 hl.simulate(hl.cartesian_hybrid(p), s0, t_end)):
+        assert flow.termination == "horizon_reached" and not flow.events
+        assert len(flow.arcs) == 1 and flow.t_final == t_end
+        assert np.allclose(flow.arcs[0](t_end), end, rtol=0.0, atol=1e-12)
 
 
 def test_reference_flow_scenario_counts():

@@ -40,11 +40,23 @@ def test_single_bounce_static_wall(unit_wall_hybrid):
     assert flow.t_final == 2.0
 
 
-def test_empty_horizon_is_single_degenerate_arc(unit_wall_hybrid):
-    flow = hl.simulate(unit_wall_hybrid, center_start(), 0.0)
-    assert len(flow.arcs) == 1 and not flow.events
-    assert flow.arcs[0].t_start == flow.arcs[0].t_end == 0.0
-    assert flow.termination == "horizon_reached"
+def test_empty_horizon_is_single_degenerate_arc():
+    # an arc with no time to cover is closed without building a solver:
+    # the right-hand side is never called, not even where it is not finite
+    from hybridlag import hybrid
+
+    def uncallable(t, q, v):
+        raise AssertionError("the right-hand side was called")
+
+    free = hl.build_model("free-particle").system
+    sys = dataclasses.replace(free, acceleration=uncallable)
+    s0 = hl.State(2.0, np.array([0.5, 0.0]), np.array([1.0, 0.0]))
+    flow = hl.simulate(hybrid._inert_hybrid(sys), s0, 2.0)
+    assert flow.termination == "horizon_reached" and not flow.events
+    (arc,) = flow.arcs
+    assert arc.t_start == arc.t_end == 2.0 and arc.times.tolist() == [2.0]
+    assert arc.states.tolist() == [[0.5, 0.0, 1.0, 0.0]]
+    assert arc(2.0).tolist() == [0.5, 0.0, 1.0, 0.0]
 
 
 def test_periodic_bounces_static_wall(unit_wall_hybrid):
@@ -910,60 +922,32 @@ def _step_loop_case(name):
         return rhs_h, 0.0, np.concatenate([cs0.q, cs0.p]), 10.0, np.inf
     return {"paper-c025": (polar.rhs, 0.0, y_polar, 10.0, np.inf),
             "max-step": (polar.rhs, 0.0, y_polar, 2.0, 0.05),
-            "empty-horizon": (polar.rhs, 0.0, y_polar, 0.0, np.inf),
             "nan-field": (_nan_after_half, 0.0, np.array([1.0, 0.5]), 1.0,
                           np.inf)}[name]
 
 
 @pytest.mark.parametrize("name, status, steps", [
     ("paper-c025", "finished", 20), ("reduced", "finished", 20),
-    ("max-step", "finished", 40), ("empty-horizon", "finished", 1),
-    ("nan-field", "failed", 10), ("cartesian", "finished", 5),
-    ("finite-difference", "finished", 20), ("momentum-side", "finished", 20)])
+    ("max-step", "finished", 40), ("nan-field", "failed", 10),
+    ("cartesian", "finished", 5), ("finite-difference", "finished", 20),
+    ("momentum-side", "finished", 20)])
 def test_step_loop_reproduces_scipy_dop853(name, status, steps):
-    # the executor's step loop repeats scipy's DOP853 arithmetic; a change
-    # of scipy's arithmetic fails here instead of drifting the outputs
+    # the executor's step loop repeats scipy's DOP853 arithmetic under the
+    # executor's step control; a change of scipy's arithmetic fails here
+    # instead of drifting the outputs. Each solver gets its own case, so
+    # the two never share the momentum-side field's warm start
     from scipy.integrate import DOP853
 
     from hybridlag import hybrid
 
-    solvers = []
-    for cls in (hybrid.RK45, DOP853):
-        fun, t0, y0, t_bound, max_step = _step_loop_case(name)
-        solvers.append(cls(fun, t0, y0, t_bound=t_bound, rtol=1e-10,
-                           atol=1e-10, max_step=max_step))
-    taken = _assert_steps_like_scipy(*solvers)
-    assert solvers[0].status == status and taken >= steps
-
-
-def test_step_loop_floors_rtol_like_scipy():
-    from scipy.integrate import DOP853
-
-    from hybridlag import hybrid
-
-    fun, t0, y0, _, _ = _step_loop_case("paper-c025")
-    ours = hybrid.RK45(fun, t0, y0, t_bound=0.2, rtol=1e-20, atol=1e-10,
-                       max_step=np.inf)
-    with pytest.warns(UserWarning, match="rtol"):
-        ref = DOP853(fun, t0, y0, t_bound=0.2, rtol=1e-20, atol=1e-10)
-    assert ours.rtol == ref.rtol == 100 * np.finfo(float).eps
-    _assert_steps_like_scipy(ours, ref)
-
-
-@pytest.mark.parametrize("max_step, y0, match", [
-    (0.0, [0.5, 0.0, 1.0, 0.3], "max_step"),
-    (-1.0, [0.5, 0.0, 1.0, 0.3], "max_step"),
-    (np.inf, [np.nan, 0.0, 1.0, 0.3], "finite")])
-def test_step_loop_rejects_what_scipy_rejects(max_step, y0, match):
-    from scipy.integrate import DOP853
-
-    from hybridlag import hybrid
-
-    fun = hl.cartesian_system(hl.BilliardParams()).rhs
-    for cls in (hybrid.RK45, DOP853):
-        with pytest.raises(ValueError, match=match):
-            cls(fun, 0.0, np.array(y0), t_bound=1.0, rtol=1e-10, atol=1e-10,
-                max_step=max_step)
+    fun, t0, y0, t_bound, max_step = _step_loop_case(name)
+    ours = hybrid.RK45(fun, t0, y0, t_bound, max_step,
+                       hybrid._StageMatrix(len(y0)))
+    fun, t0, y0, t_bound, max_step = _step_loop_case(name)
+    ref = DOP853(fun, t0, y0, t_bound=t_bound, rtol=hybrid.RTOL,
+                 atol=hybrid.ATOL, max_step=max_step)
+    taken = _assert_steps_like_scipy(ours, ref)
+    assert ours.status == status and taken >= steps
 
 
 def test_tableau_matches_scipy_dop853():
@@ -1042,10 +1026,10 @@ def test_brentq_matches_scipy_bit_for_bit(root, left, right, scale, bend,
     (lambda x: (x - 0.5) ** 2 + 1.0, 0.0, 1.0, {}),           # no sign change
     (lambda x: x - 0.5, 0.0, 0.25, {}),                       # root outside
     (lambda x: math.nan if x > 0.6 else x - 0.5, 0.0, 1.0, {}),
-    (lambda x: math.tan(x), 1.0, 2.0, {"maxiter": 3}),
-    (lambda x: x - 0.5, 0.0, 1.0, {"xtol": 0.0}),
-    (lambda x: x - 0.5, 0.0, 1.0, {"rtol": 1e-16}),
-], ids=["no-sign-change", "root-outside", "nan", "maxiter", "xtol", "rtol"])
+    # a flat root that Brent does not close to xtol in its 100 iterations
+    (lambda x: math.copysign(abs(x) ** (1 / 51), x), -1.0, 0.5,
+     {"xtol": 1e-300}),
+], ids=["no-sign-change", "root-outside", "nan", "no-convergence"])
 def test_brentq_raises_like_scipy(f, a, b, kw):
     (ours, our_calls), (theirs, their_calls) = _both_brentq(f, a, b, **kw)
     assert isinstance(ours, type) and ours is theirs
@@ -1059,8 +1043,9 @@ def _dense_guard_case():
     from hybridlag import hybrid
 
     hs, s0 = _paper_c025("polar")
-    solver = hybrid.RK45(hs.system.rhs, s0.t, hs.system.pack(s0), 2.0,
-                         1e-10, 1e-10, math.inf)
+    y0 = hs.system.pack(s0)
+    solver = hybrid.RK45(hs.system.rhs, s0.t, y0, 2.0, math.inf,
+                         hybrid._StageMatrix(len(y0)))
     while solver.status == "running":
         solver.step()
         g = hybrid._along(hs.guard.surface, solver.dense_output(), 2)
@@ -1395,8 +1380,9 @@ def test_arcs_of_a_run_share_one_stage_matrix(monkeypatch, kind):
             log.append(self.K_extended)
 
     class Fresh(Recording):
-        def __init__(self, *args, stages=None, **kwargs):
-            super().__init__(*args, **kwargs)
+        def __init__(self, fun, t0, y0, t_bound, max_step, stages):
+            super().__init__(fun, t0, y0, t_bound, max_step,
+                             hybrid._StageMatrix(len(y0)))
 
     def marked(execute):
         def run(*args):

@@ -68,6 +68,19 @@ def test_readme_config_table_lists_the_config_keys():
     assert set(keys) == set(CONFIG_KEYS)
 
 
+def test_readme_api_quick_start_runs_as_documented(capsys):
+    # the block runs as printed, its asserts hold, and it prints what its
+    # comment says
+    with open(README) as fh:
+        text = fh.read()
+    block = text[text.index("## Quick start (API)"):]
+    block = block[block.index("```python\n") + len("```python\n"):]
+    block = block[:block.index("```")]
+    expected = re.search(r"^print\(.*\)\s+# (.*)$", block, re.M).group(1)
+    exec(compile(block, README, "exec"), {})
+    assert capsys.readouterr().out == expected + "\n"
+
+
 def test_parse_config_unknown_key():
     base = {"model": "billiard-cartesian", "mode": "full", "horizon": 1.0}
     # event_tol was a key up to schema 1, direction_mode and
@@ -550,6 +563,39 @@ def test_cli_requires_cyclic_model_for_reduced(tmp_path):
                    "paper-c025", "--mode", "reduced", "--horizon", "1",
                    "--out", out)
     assert code != 0
+
+
+@pytest.mark.parametrize("model, mode, scenario, match", [
+    ("billiard-polar", "verify", None, "verify mode needs a scenario"),
+    ("billiard-cartesian", "compare", "paper-c025",
+     "compare mode needs a model with a cyclic coordinate"),
+    ("free-particle", "full", "paper-c025",
+     "applies to the billiard models only"),
+], ids=["verify-without-scenario", "compare-without-cyclic-coordinate",
+        "scenario-on-free-particle"])
+def test_cli_mode_model_and_scenario_mismatch_errors(tmp_path, model, mode,
+                                                      scenario, match):
+    out = str(tmp_path / "out")
+    argv = ["run", "--model", model, "--mode", mode, "--horizon", "1",
+            "--out", out]
+    if scenario is not None:
+        argv += ["--scenario", scenario]
+    assert run_cli(*argv) == 1
+    record = error_record(out)
+    assert record["error"] == "ParseError" and match in record["message"]
+
+
+def test_cli_full_run_from_the_model_start(tmp_path):
+    # free-particle has no scenario: a run without an initial state
+    # starts at the model's own start, and meets no wall
+    out = str(tmp_path / "out")
+    assert run_cli("run", "--model", "free-particle", "--mode", "full",
+                   "--horizon", "1", "--out", out) == 0
+    with open(os.path.join(out, "run.json")) as fh:
+        assert '"event_times": [],' in fh.read()
+    with open(os.path.join(out, "trajectory.csv")) as fh:
+        rows = fh.read().splitlines()
+    assert rows[1] == "0,0,0,0,1,0" and rows[-1].startswith("1,0,")
 
 
 def test_cli_compare_mode(tmp_path):

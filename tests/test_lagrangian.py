@@ -24,6 +24,13 @@ def smooth_flow(sys, s0, t_end):
     return flow.arcs[0]
 
 
+def test_system_needs_a_coordinate():
+    free = hl.build_model("free-particle").system
+    with pytest.raises(ValueError, match="dim must be a positive integer"):
+        hl.LagrangianSystem(dim=0, lagrangian=free.lagrangian,
+                            dL_dq=free.dL_dq, dL_dv=free.dL_dv)
+
+
 # ---------------------------------------------------------------------------
 # evolution field
 # ---------------------------------------------------------------------------
@@ -276,6 +283,14 @@ def test_flow_equivalence_empty_horizon():
     rep = hl.check_flow_equivalence(bundle.system, bundle.default_initial,
                                     bundle.default_initial.t)
     assert rep.passed and rep.max_discrepancy == 0.0
+
+
+def test_flow_equivalence_report_text():
+    bundle = hl.build_model("free-particle")
+    rep = hl.check_flow_equivalence(bundle.system, bundle.default_initial,
+                                    1.0)
+    assert str(rep) == ("flow equivalence: pass (max discrepancy 0.000e+00, "
+                        "tol 1.0e-06, t in [0, 1])")
 
 
 def test_flow_equivalence_harmonic_period():

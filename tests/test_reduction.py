@@ -229,6 +229,33 @@ def test_reduce_rejects_non_invariant_lagrangian(cyc025):
         hl.reduce(cs, -0.9)
 
 
+@pytest.mark.parametrize("part", ["surface", "direction"])
+def test_reduce_rejects_non_invariant_guard(cyc025, part):
+    # without the closed-form reduced guard, validate shifts the full
+    # guard along the cyclic angle
+    guard = cyc025.full.guard
+    fun = getattr(guard, part)
+    broken = dataclasses.replace(guard, **{
+        part: lambda t, q, v: fun(t, q, v) + 0.1 * math.sin(q[1])})
+    cs = dataclasses.replace(
+        cyc025, full=dataclasses.replace(cyc025.full, guard=broken),
+        reduced_guard_factory=None)
+    with pytest.raises(hl.NotInvariant,
+                       match=f"guard {part} is not cyclic-invariant"):
+        hl.reduce(cs, -0.9)
+
+
+@pytest.mark.parametrize("model_id, index, match", [
+    ("free-particle", 2, r"cyclic_index must lie in \[0, 2\)"),
+    ("free-particle", -1, r"cyclic_index must lie in \[0, 2\)"),
+    ("harmonic-1d", 0, "at least two coordinates"),
+])
+def test_cyclic_structure_rejects_a_bad_designation(model_id, index, match):
+    with pytest.raises(ValueError, match=match):
+        hl.CyclicStructure(full=hl.build_model(model_id).hybrid,
+                           cyclic_index=index)
+
+
 def test_reduce_rejects_non_equivariant_reset(cyc025):
     base = cyc025.full
     broken = dataclasses.replace(

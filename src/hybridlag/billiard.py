@@ -16,8 +16,9 @@ Kamphorst & de Carvalho, Nonlinearity 8, 1995). In the polar chart the
 angular coordinate is cyclic, the damped angular momentum
 exp(ct/m) m r^2 thetadot is conserved between impacts, and the radial
 reset is the radial component of the Cartesian reflection, linear in
-rdot. The chart ends at r <= R_MIN, where the polar and reduced
-accelerations raise ChartSingularity.
+rdot. The chart ends at r <= R_MIN, where the polar and reduced fields
+raise ChartSingularity; at r <= 0 they return NaN accelerations, which
+make the step loop reject the trial step that left the chart.
 
 The closed-form damped flight makes an exact piecewise reference flow
 possible: between impacts positions follow q(t) = q0 + (m/c) v0 (1 -
@@ -31,6 +32,7 @@ stepping, so it is an independent oracle for the whole hybrid pipeline.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable, List
 
@@ -126,11 +128,14 @@ def cartesian_system(p: BilliardParams) -> LagrangianSystem:
     def dv(t, q, v):
         return math.exp(c * t / m) * m * v
 
-    def acc(t, q, v):
-        return [-(c / m) * vi for vi in v]
+    k = -(c / m)
+
+    def field(t, y):
+        _, _, xd, yd = y
+        return [xd, yd, k * xd, k * yd]
 
     return LagrangianSystem(dim=2, lagrangian=lag, dL_dq=dq, dL_dv=dv,
-                            acceleration=acc)
+                            field=field)
 
 
 def polar_system(p: BilliardParams) -> LagrangianSystem:
@@ -148,20 +153,20 @@ def polar_system(p: BilliardParams) -> LagrangianSystem:
         w = math.exp(c * t / m) * m
         return np.array([w * v[0], w * q[0]**2 * v[1]])
 
-    def acc(t, q, v):
-        r = q[0]
-        rd, thd = v
+    k = c / m
+
+    def field(t, y):
+        r, _, rd, thd = y
         if r <= 0.0:
             # trial extrapolation left the chart: force step rejection
-            return [math.nan, math.nan]
+            return [rd, thd, math.nan, math.nan]
         if r <= R_MIN:
             raise ChartSingularity(
                 f"trajectory reached r={r:.3e} <= r_min={R_MIN:.1e}")
-        return [r * thd**2 - (c / m) * rd,
-                -2.0 * rd * thd / r - (c / m) * thd]
+        return [rd, thd, r * thd**2 - k * rd, -2.0 * rd * thd / r - k * thd]
 
     return LagrangianSystem(dim=2, lagrangian=lag, dL_dq=dq, dL_dv=dv,
-                            acceleration=acc)
+                            field=field)
 
 
 # ---------------------------------------------------------------------------
@@ -259,30 +264,33 @@ def routhian_closed(p: BilliardParams, mu: float) -> LagrangianSystem:
     def dv(t, x, xd):
         return np.array([math.exp(c * t / m) * m * xd[0]])
 
-    def acc(t, x, xd):
-        r = x[0]
+    k = c / m
+
+    def field(t, y):
+        r, rd = y
         if r <= 0.0:
-            return [math.nan]
+            return [rd, math.nan]
         if r <= R_MIN:
             raise ChartSingularity(
                 f"reduced trajectory reached r={r:.3e} <= r_min={R_MIN:.1e}")
-        return [mu * mu * math.exp(-2.0 * c * t / m) / (m * m * r**3)
-                - (c / m) * xd[0]]
+        return [rd, mu * mu * math.exp(-2.0 * c * t / m) / (m * m * r**3)
+                - k * rd]
 
     return LagrangianSystem(dim=1, lagrangian=lag, dL_dq=dq, dL_dv=dv,
-                            acceleration=acc)
+                            field=field)
 
 
 def _validation_states(p: BilliardParams):
-    """Deterministic state samples for the symmetry checks."""
-    rng = np.random.default_rng(20240817)
+    """Deterministic state samples for the symmetry checks, drawn with
+    the standard library's generator: a run need not load numpy.random."""
+    rng = random.Random(20240817)
     states, guard_states = [], []
     for _ in range(25):
-        t = float(rng.uniform(0.0, 3.0))
-        theta = float(rng.uniform(-math.pi, math.pi))
-        r = float(rng.uniform(0.3, math.sqrt(max(p.wall(t), 0.09))))
-        rd = float(rng.uniform(-3.0, 3.0))
-        thd = float(rng.uniform(-4.0, 4.0))
+        t = rng.uniform(0.0, 3.0)
+        theta = rng.uniform(-math.pi, math.pi)
+        r = rng.uniform(0.3, math.sqrt(max(p.wall(t), 0.09)))
+        rd = rng.uniform(-3.0, 3.0)
+        thd = rng.uniform(-4.0, 4.0)
         states.append(State(t, np.array([r, theta]), np.array([rd, thd])))
         r_g = math.sqrt(p.wall(t))
         guard_states.append(State(t, np.array([r_g, theta]),

@@ -15,11 +15,14 @@ wrapper layers, on a list of Python floats. It serves the executor
 alone: the executor fixes its step control and checks every arc start
 (`_check_arc_start`) before it builds a solver, so the loop keeps none
 of scipy's tolerance parameters or argument checks, and an arc with no
-time to cover takes no step. Its elementwise arithmetic
-runs on Python floats, whose IEEE +, -, * and / give numpy's bits
-without numpy's per-call overhead on 2- and 4-element arrays; its
-tableau sums stay the numpy products scipy takes, since a BLAS sum need
-not add in a Python loop's order (see `RK45`).
+time to cover takes no step. Its elementwise passes run on Python
+floats, in kernels unrolled for the state size (`_kernels`), whose IEEE
++, -, * and / give numpy's bits without numpy's per-call overhead on 2-
+and 4-element arrays; its tableau sums stay the numpy products scipy
+takes, since a BLAS sum need not add in a Python loop's order (see
+`RK45`). A model with a closed-form field hands it to the loop as its
+right-hand side, so each stage is one Python call into the model's
+arithmetic (`LagrangianSystem.rhs`).
 After every accepted step the scan samples it: its first sample is the
 last one before it (the previous step's end, or the arc start), then
 come SCAN_POINTS interior times, each read with one scalar call of the
@@ -61,7 +64,10 @@ Two rules shape the behaviour in impact-accumulation regimes:
 
 from __future__ import annotations
 
+import functools
 import math
+import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, List, Tuple
 
@@ -235,9 +241,155 @@ def _floats(f):
     return f if isinstance(f, list) else np.asarray(f, float).tolist()
 
 
+# the elementwise passes of a DOP853 step and of its dense output, with
+# the expressions, operand order included, of the list comprehensions
+# they unroll; `<<p>>` stands for p written once per component i, with
+# `#` replaced by i, and trailing blanks cut (see `_kernels`)
+_KERNEL_TEMPLATE = """\
+def stage(y, w, h):
+    <<y#, >> = y
+    <<w#, >> = w
+    return [<<
+        y# + w# * h,>>
+    ]
+
+def update(y, h, w):
+    <<y#, >> = y
+    <<w#, >> = w
+    return [<<
+        y# + h * w#,>>
+    ]
+
+def error_scale(y, z):
+    <<a#, >> = map(abs, y)
+    <<b#, >> = map(abs, z)
+    return array([<<
+        ATOL + (a# if a# > b# or a# != a# else b#) * RTOL,>>
+    ])
+
+def dense_rows(y, y_old, f_old, f, h):
+    <<y#, >> = y
+    <<o#, >> = y_old
+    <<p#, >> = f_old
+    <<f#, >> = f
+    <<d#, >> = <<y# - o#, >>
+    return [
+        [<<d#, >>],
+        [<<h * p# - d#, >>],
+        [<<2 * d# - h * (f# + p#), >>],
+    ]
+
+def horner(c, x):
+    (<<f0_#, >>
+     <<f1_#, >>
+     <<f2_#, >>
+     <<f3_#, >>
+     <<f4_#, >>
+     <<f5_#, >>
+     <<f6_#, >>
+     <<y#, >>) = c
+    xm = 1 - x
+    return [<<
+        (((((((0.0 + f6_#) * x + f5_#) * xm + f4_#) * x + f3_#)
+           * xm + f2_#) * x + f1_#) * xm + f0_#) * x + y#,>>
+    ]
+"""
+_Kernels = namedtuple("_Kernels", "stage update error_scale dense_rows horner")
+
+
+def _kernel_source(size):
+    """`_KERNEL_TEMPLATE` unrolled for states of `size` components."""
+    return re.sub(r"<<(.*?)>>", lambda m: "".join(
+        m.group(1).replace("#", str(i)) for i in range(size)).rstrip(),
+        _KERNEL_TEMPLATE, flags=re.S)
+
+
+@functools.cache
+def _kernels(size):
+    """The step loop's elementwise kernels for states of `size` Python
+    floats, built once per size by exec of `_kernel_source(size)`, as
+    `dataclasses` and `collections.namedtuple` build their methods.
+
+    - stage(y, w, h): a stage argument, y + w h;
+    - update(y, h, w): the solution update, y + h w;
+    - error_scale(y, z): ATOL + max(|y|, |z|) RTOL as an array, with
+      np.maximum's rule that a NaN on either side is the maximum;
+    - dense_rows(y, y_old, f_old, f, h): the first three rows of the
+      dense output, y - y_old, h f_old - (y - y_old) and
+      2 (y - y_old) - h (f + f_old);
+    - horner(c, x): the dense output at the scaled time x, where c is
+      the step's (8, size) block of coefficient rows F and y_old,
+      flattened row by row: scipy's Dop853DenseOutput sum.
+
+    Each unrolls a list comprehension over the components with the same
+    IEEE operations in the same operand order, so its values are the
+    comprehension's bit for bit (but for which of two NaN operands comes
+    out, which CPython's float arithmetic does not fix: its specialized
+    and generic instructions differ there). For size 2 the source is::
+
+        def stage(y, w, h):
+            y0, y1, = y
+            w0, w1, = w
+            return [
+                y0 + w0 * h,
+                y1 + w1 * h,
+            ]
+
+        def update(y, h, w):
+            y0, y1, = y
+            w0, w1, = w
+            return [
+                y0 + h * w0,
+                y1 + h * w1,
+            ]
+
+        def error_scale(y, z):
+            a0, a1, = map(abs, y)
+            b0, b1, = map(abs, z)
+            return array([
+                ATOL + (a0 if a0 > b0 or a0 != a0 else b0) * RTOL,
+                ATOL + (a1 if a1 > b1 or a1 != a1 else b1) * RTOL,
+            ])
+
+        def dense_rows(y, y_old, f_old, f, h):
+            y0, y1, = y
+            o0, o1, = y_old
+            p0, p1, = f_old
+            f0, f1, = f
+            d0, d1, = y0 - o0, y1 - o1,
+            return [
+                [d0, d1,],
+                [h * p0 - d0, h * p1 - d1,],
+                [2 * d0 - h * (f0 + p0), 2 * d1 - h * (f1 + p1),],
+            ]
+
+        def horner(c, x):
+            (f0_0, f0_1,
+             f1_0, f1_1,
+             f2_0, f2_1,
+             f3_0, f3_1,
+             f4_0, f4_1,
+             f5_0, f5_1,
+             f6_0, f6_1,
+             y0, y1,) = c
+            xm = 1 - x
+            return [
+                (((((((0.0 + f6_0) * x + f5_0) * xm + f4_0) * x + f3_0)
+                   * xm + f2_0) * x + f1_0) * xm + f0_0) * x + y0,
+                (((((((0.0 + f6_1) * x + f5_1) * xm + f4_1) * x + f3_1)
+                   * xm + f2_1) * x + f1_1) * xm + f0_1) * x + y1,
+            ]
+    """
+    namespace = {"array": np.array, "ATOL": ATOL, "RTOL": RTOL}
+    exec(compile(_kernel_source(size), f"<DOP853 kernels, size {size}>",
+                 "exec"), namespace)
+    return _Kernels(*(namespace[name] for name in _Kernels._fields))
+
+
 class _StageMatrix:
-    """The DOP853 stage matrix of a solver on 2n-vectors and the
-    transposed views its tableau sums are taken on.
+    """The DOP853 stage matrix of a solver on 2n-vectors, the transposed
+    views its tableau sums are taken on, and the elementwise kernels
+    for its size (`_kernels`).
 
     A solver writes every row of the matrix before it reads it, in each
     step attempt and in each dense output, so one matrix serves the
@@ -251,6 +403,7 @@ class _StageMatrix:
         self.extra_sums = [(s, K[:s].T, a, c) for s, a, c in _EXTRA_STAGES]
         self.solution_sum = K[:_N_STAGES].T
         self.error_sum = self.K.T
+        self.kernels = _kernels(size)
 
 
 # the name RK45 is the benchmark tracer's seam: it subclasses hybrid.RK45
@@ -282,14 +435,17 @@ class RK45:
     handed to each arc's solver by `_execute`): a BLAS sum need not add
     in a Python loop's order (a sequential Python sum differed from `dot` in
     45,411 of the 132,000 stage sums of 3,000 standard-normal 4-column
-    stage matrices), so only numpy reproduces scipy's bits there. The
+    stage matrices), so only numpy reproduces scipy's bits there; nor
+    does one merged product for two sums (K^T [E5 E3] differed from the
+    two products in most of 5,000 random 13 x 4 stage matrices). The
     vector arithmetic between the sums (stage arguments, solution
     update, error scale, the first three dense-output rows) runs on
-    Python floats, where IEEE +, -, * and / give numpy's bits without
-    its per-call overhead on 2- and 4-element arrays. The (4, 2n) block
-    h (D K) is scaled in one numpy call. The initial-step choice, once
-    per arc, also runs on Python floats but for its three norms, whose
-    sums are `ndarray.dot` as in scipy.
+    Python floats in the stage matrix's unrolled kernels (`_kernels`),
+    where IEEE +, -, * and / give numpy's bits without its per-call
+    overhead on 2- and 4-element arrays. The (4, 2n) block h (D K) is
+    scaled in one numpy call. The initial-step choice, once per arc,
+    also runs on Python floats but for its three norms, whose sums are
+    `ndarray.dot` as in scipy.
     (`ndarray.dot` is `np.dot` without its dispatch layer.)
     """
 
@@ -302,14 +458,15 @@ class RK45:
         self.t_bound = t_bound
         self.max_step = max_step
         self.status = "running"
-        self.f = fun(t0, y)
-        self.nfev = 1
-        self.h_abs = self._initial_step()
         self.K_extended, self.K = stages.K_extended, stages.K
         self._stage_sums = stages.stage_sums
         self._extra_sums = stages.extra_sums
         self._solution_sum = stages.solution_sum
         self._error_sum = stages.error_sum
+        self._kernels = stages.kernels
+        self.f = fun(t0, y)
+        self.nfev = 1
+        self.h_abs = self._initial_step()
 
     def _initial_step(self):
         """scipy's select_initial_step (Hairer, Norsett & Wanner, II.4),
@@ -325,7 +482,7 @@ class RK45:
         else:
             h0 = 0.01 * d0 / d1
         h0 = min(h0, interval_length)
-        f1 = self.fun(t0 + h0, [v + h0 * f for v, f in zip(y0, f0)])
+        f1 = self.fun(t0 + h0, self._kernels.update(y0, h0, f0))
         self.nfev += 1
         f1 = _floats(f1)
         d2 = _rms(np.array([(a - b) / s
@@ -340,6 +497,8 @@ class RK45:
         """Advance by one accepted step; set status to "finished" at
         t_bound, or to "failed" when the step size falls below 10 ulp."""
         t, y, K, fun = self.t, self.y, self.K, self.fun
+        kernels = self._kernels
+        stage, update = kernels.stage, kernels.update
         t_bound = self.t_bound
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = self.h_abs
@@ -347,7 +506,6 @@ class RK45:
             h_abs = self.max_step
         elif h_abs < min_step:
             h_abs = min_step
-        abs_y = [abs(v) for v in y]
         step_rejected = False
         while True:
             if h_abs < min_step:
@@ -360,16 +518,12 @@ class RK45:
             h_abs = abs(h)
             K[0] = self.f
             for s, KT, a, c in self._stage_sums:
-                K[s] = fun(t + c * h, [v + d * h for v, d
-                                       in zip(y, KT.dot(a).tolist())])
-            y_new = [v + h * d for v, d
-                     in zip(y, self._solution_sum.dot(_B).tolist())]
+                K[s] = fun(t + c * h, stage(y, KT.dot(a).tolist(), h))
+            y_new = update(y, h, self._solution_sum.dot(_B).tolist())
             f_new = fun(t + h, y_new)
             K[-1] = f_new
             self.nfev += self.n_stages
-            # np.maximum's rule: a NaN on either side is the maximum
-            scale = np.array([ATOL + (a if a > b or a != a else b) * RTOL
-                              for a, b in zip(abs_y, map(abs, y_new))])
+            scale = kernels.error_scale(y, y_new)
             err5 = self._error_sum.dot(_E5) / scale
             err3 = self._error_sum.dot(_E3) / scale
             err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
@@ -404,57 +558,44 @@ class RK45:
         executor reads it for the arc's table: a traced solver's dense
         output passes on no more than a `_StepInterpolant`'s times and
         calls."""
-        K, h = self.K_extended, self.h_previous
+        K, h, kernels = self.K_extended, self.h_previous, self._kernels
         t_old, y_old = self.t_old, self.y_old
         for s, KT, a, c in self._extra_sums:
-            K[s] = self.fun(t_old + c * h, [v + d * h for v, d
-                                            in zip(y_old, KT.dot(a).tolist())])
+            K[s] = self.fun(t_old + c * h,
+                            kernels.stage(y_old, KT.dot(a).tolist(), h))
         self.nfev += len(_EXTRA_STAGES)
-        # f at both ends as scipy reads them: rows of the stage matrix
-        f_old, f = K[0].tolist(), K[_N_STAGES].tolist()
-        delta_y = [a - b for a, b in zip(self.y, y_old)]
-        # rows F[0], F[1], F[2], the 4 rows h (D K), then y_old
+        # rows F[0], F[1], F[2], the 4 rows h (D K), then y_old; f at
+        # both ends as scipy reads them: rows of the stage matrix
         coeffs = np.empty((len(_D) + 4, len(y_old)))
-        coeffs[0] = delta_y
-        coeffs[1] = [h * fo - d for fo, d in zip(f_old, delta_y)]
-        coeffs[2] = [2 * d - h * (fn + fo)
-                     for d, fn, fo in zip(delta_y, f, f_old)]
+        coeffs[:3] = kernels.dense_rows(self.y, y_old, K[0].tolist(),
+                                        K[_N_STAGES].tolist(), h)
         coeffs[3:-1] = h * _D.dot(K)
         coeffs[-1] = y_old
         self._coeffs = coeffs
-        return _StepInterpolant(t_old, self.t, coeffs)
-
-
-def _horner(cols, x):
-    """scipy's Dop853DenseOutput sum on Python floats: for each column
-    (a component's 7 coefficients, then its y_old), the polynomial at
-    the scaled time x."""
-    xm = 1 - x
-    return [(((((((0.0 + f6) * x + f5) * xm + f4) * x + f3) * xm + f2) * x
-              + f1) * xm + f0) * x + y0
-            for f0, f1, f2, f3, f4, f5, f6, y0 in cols]
+        return _StepInterpolant(t_old, self.t, coeffs, kernels.horner)
 
 
 class _StepInterpolant:
     """DOP853's dense output on one step [t_old, t] at one float time:
     scipy's Dop853DenseOutput, operation for operation. Its (8, 2n) block
-    of coefficient rows F and y_old is turned into Python-float columns
-    once, at construction, and a call is `_horner` at the scaled time:
-    at the few times of a step's scan and refinement, Python floats beat
-    numpy's per-call overhead. An arc keeps the blocks of its steps, not
-    these objects (`_ArcInterpolant`).
+    of coefficient rows F and y_old is turned into a list of Python
+    floats once, at construction, and a call is the `horner` kernel at
+    the scaled time: at the few times of a step's scan and refinement,
+    Python floats beat numpy's per-call overhead. An arc keeps the
+    blocks of its steps, not these objects (`_ArcInterpolant`).
     Callers read t_old, t, t_min and t_max and call it; the tracer's
     proxy passes on nothing else."""
 
-    def __init__(self, t_old, t, coeffs):
+    def __init__(self, t_old, t, coeffs, horner):
         self.t_old = self.t_min = t_old
         self.t = self.t_max = t
         self.h = t - t_old
-        self._cols = coeffs.T.tolist()
+        self._block = coeffs.ravel().tolist()
+        self._horner = horner
 
     def __call__(self, t):
         x = (t - self.t_old) / self.h
-        return np.array(_horner(self._cols, x))
+        return np.array(self._horner(self._block, x))
 
 
 # ---------------------------------------------------------------------------
@@ -793,11 +934,11 @@ class _ArcInterpolant:
     breakpoints[j] to breakpoints[j + 1]. Time t goes to step
     searchsorted(breakpoints, t) - 1 (side "left"), clamped to the first
     and last step, so a breakpoint belongs to the step that ends there.
-    A scalar call is `_horner` on that step's block. An array call is one
-    gathered evaluation: one searchsorted for all times, then `_horner`'s
-    sum in numpy on the coefficients gathered one row at a time, whose
-    elementwise IEEE arithmetic gives the scalar calls' bits; as on
-    Python floats, non-finite values raise no warning.
+    A scalar call is the `horner` kernel on that step's block. An array
+    call is one gathered evaluation: one searchsorted for all times, then
+    the kernel's sum in numpy on the coefficients gathered one row at a
+    time, whose elementwise IEEE arithmetic gives the scalar calls' bits;
+    as on Python floats, non-finite values raise no warning.
     """
 
     def __init__(self, table, breakpoints, t0, t1):
@@ -805,6 +946,7 @@ class _ArcInterpolant:
         self.breakpoints = breakpoints
         self.t0 = t0
         self.t1 = t1
+        self._horner = _kernels(table.shape[-1]).horner
 
     def __call__(self, t):
         t = np.clip(t, self.t0, self.t1)
@@ -815,7 +957,7 @@ class _ArcInterpolant:
             j = min(max(int(np.searchsorted(bp, t)) - 1, 0), last)
             t_old = float(bp[j])
             x = (t - t_old) / (float(bp[j + 1]) - t_old)
-            return np.array(_horner(self.table[j].T.tolist(), x))
+            return np.array(self._horner(self.table[j].ravel().tolist(), x))
         j = np.searchsorted(bp, t) - 1
         np.clip(j, 0, last, out=j)
         t_old = bp[j]
@@ -829,7 +971,7 @@ class _ArcInterpolant:
             x = (t - t_old) / (bp[j + 1] - t_old)
             xm = 1 - x
             y = row(6)
-            y += 0.0    # `_horner` starts at 0.0 + f6: -0.0 becomes 0.0
+            y += 0.0    # `horner` starts at 0.0 + f6: -0.0 becomes 0.0
             for r, z in ((5, x), (4, xm), (3, x), (2, xm), (1, x), (0, xm),
                          (7, x)):
                 y *= z

@@ -10,14 +10,15 @@ first partial derivatives in q and v. From these the module computes
 * the first-order field on momentum variables whose integral curves
   satisfy Hamilton's equations, derived from the same L.
 
-Accelerations are taken from `acceleration` when the model supplies a
+The evolution field is the model's `field` when it supplies that
 closed form; otherwise the velocity Hessian W = d2L/dv2 and the mixed
 second derivatives are assembled by central finite differences of dL/dv
 and the linear system W * a = dL/dq - (d2L/dvdq) v - d2L/dvdt is solved
-with numpy.linalg.solve after a check of W's condition number. The same
-solve serves the Newton inverse of the fiber derivative. One kernel,
-`_central_differences`, holds the difference rule for every derivative
-taken here and in the reduction layer. The module needs only numpy.
+for the accelerations with numpy.linalg.solve after a check of W's
+condition number. The same solve serves the Newton inverse of the
+fiber derivative. One kernel, `_central_differences`, holds the
+difference rule for every derivative taken here and in the reduction
+layer. The module needs only numpy.
 """
 
 from __future__ import annotations
@@ -91,12 +92,13 @@ class LagrangianSystem:
         lagrangian: L(t, q, v) -> float.
         dL_dq: (t, q, v) -> array of n partials in q.
         dL_dv: (t, q, v) -> array of n partials in v (the momenta).
-        acceleration: optional closed form of the accelerations. It gets
-            q and v as lists of n Python floats and returns a list of n
-            floats, which spares the stepping loop numpy's per-call
-            overhead; it must not modify its arguments. When absent the
-            accelerations are solved numerically from the Euler-Lagrange
-            equations.
+        field: optional closed form of the packed evolution field,
+            field(t, y) -> y' = (v, a). It gets the packed state (q, v)
+            as a list of 2n Python floats, which it must not modify, and
+            returns a list of 2n floats; the step loop calls it as its
+            right-hand side (`rhs`), one Python call per stage. When
+            absent the accelerations are solved numerically from the
+            Euler-Lagrange equations.
 
     Where the velocity Hessian is solved (accelerations without a
     closed form, and the inverse fiber derivative), states where it is
@@ -110,8 +112,7 @@ class LagrangianSystem:
     lagrangian: Callable[[float, np.ndarray, np.ndarray], float]
     dL_dq: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     dL_dv: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    acceleration: Optional[Callable[[float, List[float], List[float]],
-                                    List[float]]] = None
+    field: Optional[Callable[[float, List[float]], List[float]]] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -140,8 +141,8 @@ class LagrangianSystem:
 
         Raises SingularHessian when hyperregularity is lost.
         """
-        if self.acceleration is not None:
-            return np.array(self.acceleration(t, q.tolist(), v.tolist()),
+        if self.field is not None:
+            return np.array(self.field(t, q.tolist() + v.tolist())[self.dim:],
                             float)
         rhs = (self.dL_dq(t, q, v)
                - _central_differences(lambda x: self.dL_dv(t, x, v), q) @ v
@@ -223,23 +224,18 @@ class LagrangianSystem:
     def pack(self, s: State) -> np.ndarray:
         return np.concatenate([s.q, s.v])
 
-    def rhs(self, t, y):
-        """Packed evolution field y' = (v, a) for the ODE integrator.
+    @property
+    def rhs(self):
+        """The packed evolution field y' = (v, a), rhs(t, y), for the
+        step loop: the closed-form `field` itself when the model has
+        one, so each stage is one call into the model's arithmetic;
+        otherwise a field that solves the accelerations on arrays
+        (`_solved_field`)."""
+        return self._solved_field if self.field is None else self.field
 
-        y is the packed state (q, v) as a list of 2n Python floats, as
-        the step loop passes it, or as an array, as scipy's solvers do.
-        A closed-form `acceleration` is called directly on the halves of
-        y as lists and the field is returned as a list of Python floats;
-        without one, the accelerations are solved on arrays and the
-        field is an array.
-        """
-        acc = self.acceleration
-        if acc is None:
-            y = np.asarray(y, float)
-            q, v = y[:self.dim], y[self.dim:]
-            return np.concatenate([v, self._accelerations(t, q, v)])
-        if not isinstance(y, list):
-            y = y.tolist()
-        dy = y[self.dim:]
-        dy.extend(acc(t, y[:self.dim], dy))
-        return dy
+    def _solved_field(self, t, y):
+        """(v, a) as an array, for y a list or array of 2n floats, with
+        the accelerations solved from the Euler-Lagrange equations."""
+        y = np.asarray(y, float)
+        q, v = y[:self.dim], y[self.dim:]
+        return np.concatenate([v, self._accelerations(t, q, v)])

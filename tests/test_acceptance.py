@@ -24,6 +24,7 @@ import dataclasses
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -489,8 +490,8 @@ def test_criterion_10_determinism(tmp_path):
         assert code == 0
     identical = True
     for name in ("trajectory.csv", "events.csv"):
-        a = open(os.path.join(outs[0], name), "rb").read()
-        b = open(os.path.join(outs[1], name), "rb").read()
+        a = Path(outs[0], name).read_bytes()
+        b = Path(outs[1], name).read_bytes()
         identical = identical and a == b
     ok = report("criterion 10 determinism (byte-identical files)", identical,
                 "trajectory.csv, events.csv")

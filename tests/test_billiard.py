@@ -83,11 +83,15 @@ def test_cartesian_lagrangian_value():
 
 
 def test_cartesian_acceleration_is_linear_drag():
+    # the packed field (v, a) with a = -(c/m) v
     sys = hl.cartesian_system(hl.BilliardParams(c=0.25))
-    a = sys.acceleration(7.3, [0.4, 0.1], [2.8, 1.8])
-    assert np.allclose(a, [-0.7, -0.45], atol=1e-14)
+    dy = sys.field(7.3, [0.4, 0.1, 2.8, 1.8])
+    assert dy[:2] == [2.8, 1.8]
+    assert np.allclose(dy[2:], [-0.7, -0.45], atol=1e-14)
     sys0 = hl.cartesian_system(hl.BilliardParams(c=0.0))
-    assert np.allclose(sys0.acceleration(1.0, [0.0, 0.0], [3.0, -1.0]), 0.0)
+    dy0 = sys0.field(1.0, [0.0, 0.0, 3.0, -1.0])
+    assert dy0[:2] == [3.0, -1.0]
+    assert np.allclose(dy0[2:], 0.0)
 
 
 def test_polar_lagrangian_matches_cartesian(rng):
@@ -121,6 +125,32 @@ def test_reduced_chart_singularity_guard():
     red = hl.reduce(hl.polar_cyclic(static_params(radius_sq=100.0)), 0.0)
     with pytest.raises(hl.ChartSingularity, match="reduced trajectory"):
         hl.simulate(red.shape, mk_state(0.0, [1.0], [-1.0]), 2.0)
+
+
+@pytest.mark.parametrize("chart", ["polar", "reduced"])
+def test_chart_fields_end_at_r_min(chart):
+    # the closed-form fields' chart checks: NaN accelerations at r <= 0,
+    # which make the step loop reject a trial step that left the chart,
+    # and ChartSingularity at 0 < r <= R_MIN; the velocities pass through
+    p = hl.BilliardParams(c=0.25)
+    sys = hl.polar_system(p) if chart == "polar" else \
+        hl.reduce(hl.polar_cyclic(p), 0.7).shape.system
+    n = sys.dim
+    r_min = hl.billiard.R_MIN
+
+    def packed(r):
+        return [r, 0.3][:n] + [1.5, -2.0][:n]
+
+    for r in (0.0, -0.0, -5e-324, -1e-3, -math.inf):
+        y = packed(r)
+        dy = sys.field(1.0, y)
+        assert y == packed(r) and dy[:n] == y[n:]
+        assert len(dy) == 2 * n and all(math.isnan(a) for a in dy[n:])
+    for r in (5e-324, 1e-300, 0.5 * r_min, r_min):
+        with pytest.raises(hl.ChartSingularity, match="r_min"):
+            sys.field(1.0, packed(r))
+    inside = sys.field(1.0, packed(math.nextafter(r_min, 1.0)))
+    assert all(map(math.isfinite, inside))
 
 
 def test_routhian_closed_form_value():

@@ -16,7 +16,7 @@ def test_closed_form_runs_import_no_scipy(tmp_path):
     # the package runs on numpy alone: with every scipy import made to
     # fail, the CLI runs each mode on the billiard (verify and compare
     # included, whose checks solve velocity Hessians), and a generic
-    # system without a closed-form acceleration runs on its
+    # system without a closed-form field runs on its
     # finite-difference Hessian solve. A fresh interpreter, since the
     # test session has scipy loaded.
     src = os.path.dirname(os.path.dirname(os.path.abspath(hl.__file__)))

@@ -45,11 +45,11 @@ def test_empty_horizon_is_single_degenerate_arc():
     # the right-hand side is never called, not even where it is not finite
     from hybridlag import hybrid
 
-    def uncallable(t, q, v):
+    def uncallable(t, y):
         raise AssertionError("the right-hand side was called")
 
     free = hl.build_model("free-particle").system
-    sys = dataclasses.replace(free, acceleration=uncallable)
+    sys = dataclasses.replace(free, field=uncallable)
     s0 = hl.State(2.0, np.array([0.5, 0.0]), np.array([1.0, 0.0]))
     flow = hl.simulate(hybrid._inert_hybrid(sys), s0, 2.0)
     assert flow.termination == "horizon_reached" and not flow.events
@@ -557,7 +557,7 @@ def test_non_finite_field_at_arc_start_raises():
     # scipy's stepper would take a NaN step size and reject it forever
     bundle = hl.build_model("harmonic-1d")
     sys = dataclasses.replace(
-        bundle.system, acceleration=lambda t, q, v: [math.nan] * len(q))
+        bundle.system, field=lambda t, y: [y[1], math.nan])
     hs = dataclasses.replace(bundle.hybrid, system=sys)
     s0 = hl.State(0.0, np.array([1.0]), np.array([0.5]))
     with no_hang(10), pytest.raises(hl.IntegrationFailure, match="not finite"):
@@ -571,8 +571,8 @@ def test_field_turning_non_finite_ends_integration_failure():
     # never triggers
     bundle = hl.build_model("harmonic-1d")
     sys = dataclasses.replace(
-        bundle.system, acceleration=lambda t, q, v: (
-            [-x for x in q] if t < 0.5 else [math.nan] * len(q)))
+        bundle.system, field=lambda t, y: (
+            [y[1], -y[0]] if t < 0.5 else [y[1], math.nan]))
     hs = dataclasses.replace(bundle.hybrid, system=sys)
     s0 = hl.State(0.0, np.array([1.0]), np.array([0.0]))
     with no_hang(10):
@@ -913,7 +913,7 @@ def _step_loop_case(name):
                 np.inf)
     if name == "finite-difference":
         # no closed form: differences of dL/dv and np.linalg.solve
-        numeric = dataclasses.replace(polar, acceleration=None)
+        numeric = dataclasses.replace(polar, field=None)
         return numeric.rhs, 0.0, y_polar, 10.0, np.inf
     if name == "momentum-side":
         hs = hl.polar_hybrid(sc.params)
@@ -948,6 +948,86 @@ def test_step_loop_reproduces_scipy_dop853(name, status, steps):
                  atol=hybrid.ATOL, max_step=max_step)
     taken = _assert_steps_like_scipy(ours, ref)
     assert ours.status == status and taken >= steps
+
+
+def _bits(values):
+    """The IEEE bit patterns of a sequence of floats, with one pattern for
+    every NaN. Which of two NaN operands, and so which sign, comes out of
+    a float + or * is not the expression's to fix in CPython: the same
+    `a * b` on (nan, -nan) gives -nan until the adaptive interpreter
+    specializes it, and nan after."""
+    x = np.array(values, float)
+    x[np.isnan(x)] = math.nan
+    return x.view(np.uint64).tolist()
+
+
+# finite floats of all scales, and the values IEEE arithmetic treats
+# apart: NaN of both signs, infinities, signed zeros and subnormals
+_SPECIAL_FLOATS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0,
+                   5e-324, -5e-324, 1.1e-308, -2.5e-310, 1.7e308, -1.0]
+
+
+def _draws(rng, size):
+    """`size` floats, a quarter of them special."""
+    x = rng.standard_normal(size) * 10.0 ** rng.integers(-30, 30, size)
+    special = rng.random(size) < 0.25
+    x[special] = rng.choice(_SPECIAL_FLOATS, size)[special]
+    return x.tolist()
+
+
+@pytest.mark.parametrize("size", range(1, 7))
+def test_kernels_match_the_list_comprehensions_bit_for_bit(size, rng):
+    # each unrolled kernel against the list comprehension it replaced in
+    # the step loop, kept here as the reference
+    from hybridlag import hybrid
+
+    k = hybrid._kernels(size)
+    assert k is hybrid._kernels(size)   # built once per size
+    for _ in range(400):
+        y, w, z, f_old, f = (_draws(rng, size) for _ in range(5))
+        h, x = _draws(rng, 2)
+        block = np.array([_draws(rng, size) for _ in range(8)])
+        # components at rest: Horner's leading 0.0 + turns -0.0 into 0.0
+        block[:, rng.random(size) < 0.2] = -0.0
+        assert _bits(k.stage(y, w, h)) == _bits(
+            [v + d * h for v, d in zip(y, w)])
+        assert _bits(k.update(y, h, w)) == _bits(
+            [v + h * d for v, d in zip(y, w)])
+        scale = k.error_scale(y, z)
+        assert isinstance(scale, np.ndarray)
+        assert _bits(scale) == _bits(
+            [hybrid.ATOL + (a if a > b or a != a else b) * hybrid.RTOL
+             for a, b in zip([abs(v) for v in y], map(abs, z))])
+        # scipy's own error scale: np.maximum's NaN rule
+        assert _bits(scale) == _bits(
+            hybrid.ATOL + np.maximum(np.abs(y), np.abs(z)) * hybrid.RTOL)
+        delta_y = [a - b for a, b in zip(z, y)]
+        assert _bits(k.dense_rows(z, y, f_old, f, h)) == _bits([
+            delta_y,
+            [h * fo - d for fo, d in zip(f_old, delta_y)],
+            [2 * d - h * (fn + fo) for d, fn, fo in zip(delta_y, f, f_old)]])
+        xm = 1 - x
+        assert _bits(k.horner(block.ravel().tolist(), x)) == _bits(
+            [(((((((0.0 + f6) * x + f5) * xm + f4) * x + f3) * xm + f2) * x
+               + f1) * xm + f0) * x + y0
+             for f0, f1, f2, f3, f4, f5, f6, y0 in block.T.tolist()])
+    # the error scale's NaN rule: a NaN on either side is the maximum
+    for y, z in (([math.nan] * size, [1.0] * size),
+                 ([1.0] * size, [-math.nan] * size),
+                 ([math.nan] * size, [math.inf] * size)):
+        assert np.isnan(k.error_scale(y, z)).all()
+
+
+def test_kernel_docstring_shows_the_generated_source():
+    # the size-2 text in `_kernels`' docstring is what the template gives
+    import inspect
+    import textwrap
+
+    from hybridlag import hybrid
+
+    doc = inspect.getdoc(hybrid._kernels)
+    shown = textwrap.dedent(doc[doc.index("::") + 2:]).strip()
+    assert shown == hybrid._kernel_source(2).strip()
 
 
 def test_tableau_matches_scipy_dop853():

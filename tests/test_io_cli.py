@@ -2,6 +2,7 @@ import json
 import os
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,7 +330,7 @@ def write_config(tmp_path, **doc):
 
 
 def error_record(out):
-    return json.loads(open(os.path.join(out, "error.json")).read())
+    return json.loads(Path(out, "error.json").read_text())
 
 
 # direction_mode and polar_reset_sign were keys up to schema 2; any value
@@ -430,7 +431,7 @@ def test_cli_full_run_writes_files(tmp_path):
     assert code == 0
     for name in ("trajectory.csv", "events.csv", "run.json"):
         assert os.path.exists(os.path.join(out, name))
-    record = json.loads(open(os.path.join(out, "run.json")).read())
+    record = json.loads(Path(out, "run.json").read_text())
     assert record["schema_version"] == 5
     assert record["termination"] == "horizon_reached"
     assert record["n_events"] == 3
@@ -446,7 +447,7 @@ def test_cli_full_horizon_run_reports_accumulation(tmp_path):
                    "paper-c025", "--mode", "full", "--horizon", "10",
                    "--out", out)
     assert code == 0
-    record = json.loads(open(os.path.join(out, "run.json")).read())
+    record = json.loads(Path(out, "run.json").read_text())
     assert record["n_events"] >= 1
     assert record["termination"] == "zeno_suspected"
     assert record["t_final"] == pytest.approx(6.9314718, abs=1e-4)
@@ -457,7 +458,7 @@ def test_cli_invalid_model_errors(tmp_path):
     code = run_cli("run", "--model", "flipper", "--mode", "full",
                    "--horizon", "1", "--out", out)
     assert code != 0
-    record = json.loads(open(os.path.join(out, "error.json")).read())
+    record = json.loads(Path(out, "error.json").read_text())
     assert record["error"] == "ParseError"
     assert "flipper" in record["message"]
 
@@ -473,7 +474,7 @@ def test_cli_non_finite_start_errors(tmp_path, model, mode, initial_q):
                    f'"initial_q": {initial_q}, "initial_v": [1.0, 0.5]}}')
     code = run_cli("run", "--config", str(cfg), "--out", out)
     assert code == 1
-    record = json.loads(open(os.path.join(out, "error.json")).read())
+    record = json.loads(Path(out, "error.json").read_text())
     assert record["error"] == "InvalidStart"
     assert "not finite" in record["message"]
 
@@ -502,7 +503,7 @@ def test_cli_non_finite_field_errors(tmp_path):
     with no_hang(10):
         code = run_cli("run", "--config", str(cfg), "--out", out)
     assert code == 1
-    record = json.loads(open(os.path.join(out, "error.json")).read())
+    record = json.loads(Path(out, "error.json").read_text())
     assert record["error"] == "IntegrationFailure"
     assert "not finite" in record["message"]
 
@@ -513,9 +514,9 @@ def test_cli_reduced_mode_outputs_theta(tmp_path):
                    "paper-c025", "--mode", "reduced", "--horizon", "2",
                    "--out", out)
     assert code == 0
-    header = open(os.path.join(out, "trajectory.csv")).readline().strip()
+    header = Path(out, "trajectory.csv").read_text().splitlines()[0]
     assert header == "t,arc_index,q_1,v_1,theta,theta_dot"
-    record = json.loads(open(os.path.join(out, "run.json")).read())
+    record = json.loads(Path(out, "run.json").read_text())
     assert "mu_sequence" in record
     assert record["mu_sequence"][0] == pytest.approx(-0.94994224, abs=1e-8)
 
@@ -528,10 +529,10 @@ def test_cli_reduced_csv_contents_are_consistent(tmp_path):
     assert run_cli("run", "--model", "billiard-polar", "--scenario",
                    "paper-c025", "--mode", "reduced", "--horizon", "2",
                    "--out", out) == 0
-    record = json.loads(open(os.path.join(out, "run.json")).read())
+    record = json.loads(Path(out, "run.json").read_text())
     mu = record["mu_sequence"][0]
     rows = [line.split(",") for line in
-            open(os.path.join(out, "trajectory.csv")).read().splitlines()[1:]]
+            Path(out, "trajectory.csv").read_text().splitlines()[1:]]
     data = np.array([[float(x) for x in row] for row in rows])
     t, r, thd = data[:, 0], data[:, 2], data[:, 5]
     assert np.max(np.abs(thd - np.exp(-0.25 * t) * mu / r**2)) <= 1e-12
@@ -551,7 +552,7 @@ def test_cli_resequenced_mode(tmp_path):
                    "paper-c025", "--mode", "resequenced", "--horizon", "2",
                    "--out", out)
     assert code == 0
-    record = json.loads(open(os.path.join(out, "run.json")).read())
+    record = json.loads(Path(out, "run.json").read_text())
     mus = record["mu_sequence"]
     assert len(mus) == record["n_events"] + 1
     assert np.allclose(mus, mus[0], atol=1e-12)
@@ -604,7 +605,7 @@ def test_cli_compare_mode(tmp_path):
                    "paper-c025", "--mode", "compare", "--horizon", "5",
                    "--out", out)
     assert code == 0
-    report = json.loads(open(os.path.join(out, "compare.json")).read())
+    report = json.loads(Path(out, "compare.json").read_text())
     assert report["passed"] is True
     assert report["events_full"] == report["events_reduced"]
     assert report["max_event_time_delta"] <= 1e-8
@@ -622,10 +623,10 @@ def test_cli_verify_mode(tmp_path, capsys):
                    "paper-c025", "--mode", "verify", "--horizon", "3",
                    "--out", out)
     assert code == 0
-    report = json.loads(open(os.path.join(out, "verify.json")).read())
+    report = json.loads(Path(out, "verify.json").read_text())
     assert report["passed"] is True
     # JSON booleans, not the strings "True"/"False", in both records
-    record = json.loads(open(os.path.join(out, "run.json")).read())
+    record = json.loads(Path(out, "run.json").read_text())
     for checks in (report["checks"], record["checks"]):
         assert all(c["passed"] is True for c in checks), checks
     names = {c["check"] for c in report["checks"]}
@@ -645,7 +646,7 @@ def test_cli_config_file_with_overrides(tmp_path):
     code = run_cli("run", "--config", str(cfg_path), "--horizon", "2",
                    "--out", str(tmp_path / "b"))
     assert code == 0
-    record = json.loads(open(tmp_path / "b" / "run.json").read())
+    record = json.loads((tmp_path / "b" / "run.json").read_text())
     assert record["config"]["horizon"] == 2
 
 
@@ -658,8 +659,8 @@ def test_cli_rerun_from_run_json_is_byte_identical(tmp_path):
     assert run_cli("run", "--config", os.path.join(out1, "run.json"),
                    "--out", out2) == 0
     for name in ("trajectory.csv", "events.csv"):
-        a = open(os.path.join(out1, name), "rb").read()
-        b = open(os.path.join(out2, name), "rb").read()
+        a = Path(out1, name).read_bytes()
+        b = Path(out2, name).read_bytes()
         assert a == b, name
 
 
@@ -670,8 +671,8 @@ def test_cli_repeated_runs_byte_identical(tmp_path):
                        "paper-c010", "--mode", "full", "--horizon", "2",
                        "--out", out) == 0
     for name in ("trajectory.csv", "events.csv"):
-        a = open(os.path.join(outs[0], name), "rb").read()
-        b = open(os.path.join(outs[1], name), "rb").read()
+        a = Path(outs[0], name).read_bytes()
+        b = Path(outs[1], name).read_bytes()
         assert a == b, name
 
 

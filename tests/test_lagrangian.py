@@ -57,11 +57,11 @@ def test_evolution_field_zero_dissipation():
 
 
 def test_evolution_field_numeric_matches_closed_form(rng):
-    # drop the closed-form acceleration: the finite-difference solve of
-    # the Euler-Lagrange system must reproduce it
+    # drop the closed-form field: the finite-difference solve of the
+    # Euler-Lagrange system must reproduce its accelerations
     import dataclasses
     closed = hl.cartesian_system(BILLIARD)
-    numeric = dataclasses.replace(closed, acceleration=None)
+    numeric = dataclasses.replace(closed, field=None)
     for s in sample_states(rng, "billiard-cartesian", 20):
         _, dv_c = closed.evolution_field(s)
         _, dv_n = numeric.evolution_field(s)
@@ -70,9 +70,9 @@ def test_evolution_field_numeric_matches_closed_form(rng):
 
 @pytest.mark.parametrize("model", ["polar", "cartesian", "routhian"])
 def test_rhs_calls_closed_form_accelerations_bit_for_bit(model, rng):
-    # rhs calls a closed-form acceleration directly, on lists of Python
+    # rhs is the closed-form field itself, called on lists of Python
     # floats, and the billiard's closed forms compute on those floats:
-    # both must leave every bit of the field as it was on numpy scalars
+    # they must leave every bit of the field as it was on numpy scalars
     m, c, mu = BILLIARD.m, BILLIARD.c, 0.7
     sys = {"polar": hl.polar_system(BILLIARD),
            "cartesian": hl.cartesian_system(BILLIARD),
@@ -89,22 +89,45 @@ def test_rhs_calls_closed_form_accelerations_bit_for_bit(model, rng):
     model_id = "billiard-cartesian" if model == "cartesian" else \
         "billiard-polar"
     n = sys.dim
+    assert sys.rhs is sys.field
     for s in sample_states(rng, model_id, 200):
         q, v = s.q[:n], s.v[:n]
-        y = np.concatenate([q, v])
+        y = np.concatenate([q, v]).tolist()
+        # the step loop's call: a list in, a list of Python floats out,
+        # and the argument left as it was
         rhs = sys.rhs(s.t, y)
-        # the step loop's call: a list in, a list of Python floats out
-        from_list = sys.rhs(s.t, y.tolist())
-        assert type(from_list) is list and len(from_list) == 2 * n
-        assert all(type(x) is float for x in from_list)
-        assert np.array_equal(from_list, rhs)
-        acc = sys.acceleration(s.t, q.tolist(), v.tolist())
-        assert type(acc) is list and len(acc) == n
-        assert all(type(a) is float for a in acc)
-        assert np.array_equal(acc, on_numpy_scalars(s.t, q, v))
-        assert np.array_equal(
-            rhs, np.concatenate([v, sys._accelerations(s.t, q, v)]))
+        assert y == np.concatenate([q, v]).tolist()
+        assert type(rhs) is list and len(rhs) == 2 * n
+        assert all(type(x) is float for x in rhs)
+        assert np.array_equal(rhs[:n], v)
         assert np.array_equal(rhs[n:], on_numpy_scalars(s.t, q, v))
+        dq, dv = sys.evolution_field(hl.State(s.t, q, v))
+        assert np.array_equal(rhs, np.concatenate([dq, dv]))
+
+
+def test_rhs_is_the_closed_form_field_of_every_model(rng):
+    # every model with a closed form hands its field itself to the step
+    # loop; without one, rhs solves the Euler-Lagrange equations, which
+    # reproduce the closed form's accelerations
+    import dataclasses
+    cyc = hl.polar_cyclic(BILLIARD)
+    systems = {model_id: hl.build_model(model_id).system
+               for model_id in hl.MODEL_IDS}
+    systems["routhian"] = hl.routhian_closed(BILLIARD, 0.7)
+    systems["reduced"] = hl.reduce(cyc, 0.7).shape.system
+    for name, sys in systems.items():
+        assert sys.field is not None and sys.rhs is sys.field, name
+        numeric = dataclasses.replace(sys, field=None)
+        assert numeric.rhs == numeric._solved_field, name
+        model_id = name if name in hl.MODEL_IDS else "billiard-polar"
+        for s in sample_states(rng, model_id, 5):
+            q, v = s.q[:sys.dim], s.v[:sys.dim]
+            y = np.concatenate([q, v])
+            solved = numeric.rhs(s.t, y.tolist())
+            assert isinstance(solved, np.ndarray)
+            assert np.array_equal(solved[:sys.dim], v)
+            assert np.allclose(solved, sys.rhs(s.t, y.tolist()), rtol=1e-6,
+                               atol=1e-7), name
 
 
 def test_singular_hessian_detected():

@@ -296,8 +296,8 @@ def test_reduce_free_particle_zero_momentum():
     p = hl.BilliardParams(c=0.0, wall=wall, wall_rate=rate)
     cyc = hl.polar_cyclic(p)
     red = hl.reduce(cyc, 0.0)
-    a = red.shape.system.acceleration(0.0, [1.0], [0.5])
-    assert a[0] == 0.0
+    dy = red.shape.system.field(0.0, [1.0, 0.5])
+    assert dy[0] == 0.5 and dy[1] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +542,7 @@ def test_iterated_reduction_free_3d():
         lagrangian=lambda t, q, v: 0.5 * float(v @ v),
         dL_dq=lambda t, q, v: np.zeros(3),
         dL_dv=lambda t, q, v: v.copy(),
-        acceleration=lambda t, q, v: [0.0] * 3)
+        field=lambda t, y: y[3:] + [0.0] * 3)
     rng = np.random.default_rng(7)
     samples3 = [hl.State(rng.uniform(0, 2), rng.uniform(-1, 1, 3),
                          rng.uniform(-2, 2, 3)) for _ in range(10)]

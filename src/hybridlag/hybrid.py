@@ -11,8 +11,9 @@ loop is the module's own: it reads its tableau from `_dop853`, a copy of
 scipy's table, and repeats the arithmetic of scipy's `DOP853` operation
 for operation, so it reproduces scipy's steps and dense output bit for
 bit, but it calls the right-hand side directly, without the solver's
-wrapper layers, on a list of Python floats. It serves the executor
-alone: the executor fixes its step control and checks every arc start
+wrapper layers, on a list of Python floats, and gets a list of Python
+floats back. It serves the executor alone: the executor fixes its step
+control and checks every arc start
 (`_check_arc_start`) before it builds a solver, so the loop keeps none
 of scipy's tolerance parameters or argument checks, and an arc with no
 time to cover takes no step. Its elementwise passes run on Python
@@ -40,8 +41,9 @@ bracket ends from the scan samples or the refinement before it, and the
 impact's state, residual and slope from the evaluations that located
 it.
 An arc keeps its dense output as one table of its steps' coefficient
-blocks, which the step loop hands over, and evaluates an array of times
-in one gathered numpy pass with the same bits (`_ArcInterpolant`).
+blocks, which the step loop hands over, and evaluates its times in one
+gathered numpy pass with the step interpolants' bits, a scalar time as
+an array of one (`_ArcInterpolant`).
 The module imports nothing from scipy.
 
 The loop runs in a mode (rhs, guard, direction, reset) on packed arrays;
@@ -143,7 +145,7 @@ class Arc:
 
     A simulated arc's interpolant is an `_ArcInterpolant`: one table of
     the step loop's DOP853 coefficient blocks, with scipy's OdeSolution
-    segment rule, clamped to the arc; an array call is one gathered
+    segment rule, clamped to the arc; every call is one gathered
     evaluation. An arc that took no step has a constant interpolant.
     Every interpolant follows the contract of scipy's OdeSolution: a
     scalar time gives the packed state, shape (2n,); a 1-D array of k
@@ -234,11 +236,6 @@ def _rms(x):
     """scipy's RMS norm, np.linalg.norm(x) / sqrt(x.size), as numpy
     computes it for a vector."""
     return math.sqrt(x.dot(x)) / x.size ** 0.5
-
-
-def _floats(f):
-    """A right-hand side's value as a list of Python floats."""
-    return f if isinstance(f, list) else np.asarray(f, float).tolist()
 
 
 # the elementwise passes of a DOP853 step and of its dense output, with
@@ -417,11 +414,11 @@ class RK45:
     tableau, so steps, states and interpolants agree with scipy's bit
     for bit (scipy's solver given rtol=RTOL, atol=ATOL). `fun` is called
     directly, on a list of 2n Python floats that it must not modify, and
-    may return any sequence of 2n floats; `nfev` counts its calls: two
-    at construction, n_stages per attempt in `step`, three in
-    `dense_output`. `y` is kept as a list of floats, `f` as `fun`
-    returned it. A step size below 10 ulp(t) ends the arc with status
-    "failed".
+    returns a list of 2n floats; `nfev` counts its calls: two at
+    construction, n_stages per attempt in `step`, three in
+    `dense_output`. `y` and `f` are kept as those lists. A step size
+    below 10 ulp(t) ends the arc with status "failed" (a step clamped up
+    to that size is taken first).
 
     Only `_execute` builds solvers, after its arc-start check, so the
     loop keeps none of scipy's argument checks: y0 must be finite,
@@ -432,10 +429,11 @@ class RK45:
     error estimates K^T E5 and K^T E3 with their norms, the dense
     output's D K) is the numpy product scipy takes, on views of the
     stage matrix `stages` (a `_StageMatrix`, built once per run and
-    handed to each arc's solver by `_execute`): a BLAS sum need not add
-    in a Python loop's order (a sequential Python sum differed from `dot` in
-    45,411 of the 132,000 stage sums of 3,000 standard-normal 4-column
-    stage matrices), so only numpy reproduces scipy's bits there; nor
+    handed to each arc's solver by `_execute` and read as `self.stages`):
+    a BLAS sum need not add in a Python loop's order (a sequential
+    Python sum differed from `dot` in 45,411 of the 132,000 stage sums
+    of 3,000 standard-normal 4-column stage matrices), so only numpy
+    reproduces scipy's bits there; nor
     does one merged product for two sums (K^T [E5 E3] differed from the
     two products in most of 5,000 random 13 x 4 stage matrices). The
     vector arithmetic between the sums (stage arguments, solution
@@ -458,12 +456,7 @@ class RK45:
         self.t_bound = t_bound
         self.max_step = max_step
         self.status = "running"
-        self.K_extended, self.K = stages.K_extended, stages.K
-        self._stage_sums = stages.stage_sums
-        self._extra_sums = stages.extra_sums
-        self._solution_sum = stages.solution_sum
-        self._error_sum = stages.error_sum
-        self._kernels = stages.kernels
+        self.stages = stages
         self.f = fun(t0, y)
         self.nfev = 1
         self.h_abs = self._initial_step()
@@ -471,8 +464,7 @@ class RK45:
     def _initial_step(self):
         """scipy's select_initial_step (Hairer, Norsett & Wanner, II.4),
         on Python floats but for the three norms' dot products."""
-        t0, y0 = self.t, self.y
-        f0 = _floats(self.f)
+        t0, y0, f0 = self.t, self.y, self.f
         interval_length = abs(self.t_bound - t0)
         scale = [ATOL + abs(v) * RTOL for v in y0]
         d0 = _rms(np.array([v / s for v, s in zip(y0, scale)]))
@@ -482,9 +474,8 @@ class RK45:
         else:
             h0 = 0.01 * d0 / d1
         h0 = min(h0, interval_length)
-        f1 = self.fun(t0 + h0, self._kernels.update(y0, h0, f0))
+        f1 = self.fun(t0 + h0, self.stages.kernels.update(y0, h0, f0))
         self.nfev += 1
-        f1 = _floats(f1)
         d2 = _rms(np.array([(a - b) / s
                             for a, b, s in zip(f1, f0, scale)])) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
@@ -496,8 +487,8 @@ class RK45:
     def step(self):
         """Advance by one accepted step; set status to "finished" at
         t_bound, or to "failed" when the step size falls below 10 ulp."""
-        t, y, K, fun = self.t, self.y, self.K, self.fun
-        kernels = self._kernels
+        t, y, fun, stages = self.t, self.y, self.fun, self.stages
+        K, kernels = stages.K, stages.kernels
         stage, update = kernels.stage, kernels.update
         t_bound = self.t_bound
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
@@ -517,15 +508,15 @@ class RK45:
             h = t_new - t
             h_abs = abs(h)
             K[0] = self.f
-            for s, KT, a, c in self._stage_sums:
+            for s, KT, a, c in stages.stage_sums:
                 K[s] = fun(t + c * h, stage(y, KT.dot(a).tolist(), h))
-            y_new = update(y, h, self._solution_sum.dot(_B).tolist())
+            y_new = update(y, h, stages.solution_sum.dot(_B).tolist())
             f_new = fun(t + h, y_new)
             K[-1] = f_new
             self.nfev += self.n_stages
             scale = kernels.error_scale(y, y_new)
-            err5 = self._error_sum.dot(_E5) / scale
-            err3 = self._error_sum.dot(_E3) / scale
+            err5 = stages.error_sum.dot(_E5) / scale
+            err3 = stages.error_sum.dot(_E3) / scale
             err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
             err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
             if err5_norm_2 == 0 and err3_norm_2 == 0:
@@ -558,9 +549,10 @@ class RK45:
         executor reads it for the arc's table: a traced solver's dense
         output passes on no more than a `_StepInterpolant`'s times and
         calls."""
-        K, h, kernels = self.K_extended, self.h_previous, self._kernels
+        stages, h = self.stages, self.h_previous
+        K, kernels = stages.K_extended, stages.kernels
         t_old, y_old = self.t_old, self.y_old
-        for s, KT, a, c in self._extra_sums:
+        for s, KT, a, c in stages.extra_sums:
             K[s] = self.fun(t_old + c * h,
                             kernels.stage(y_old, KT.dot(a).tolist(), h))
         self.nfev += len(_EXTRA_STAGES)
@@ -606,7 +598,7 @@ def _execute(mode, t0, y0, t_end):
     """Drive the hybrid loop in packed coordinates and return its run.
 
     mode: (rhs, gfun, dfun, reset) with rhs: (t, y) -> y', called on a
-    list of 2n floats and returning a sequence of 2n floats (see `RK45`),
+    list of 2n floats and returning a list of 2n floats (see `RK45`),
     gfun/dfun: a `Guard`'s surface and direction on the halves of y, and
     reset: (tau, y_pre) -> (y_post, next_mode); the arc after the impact
     runs in next_mode. Returns the `HybridFlow`: its events' states split
@@ -934,11 +926,12 @@ class _ArcInterpolant:
     breakpoints[j] to breakpoints[j + 1]. Time t goes to step
     searchsorted(breakpoints, t) - 1 (side "left"), clamped to the first
     and last step, so a breakpoint belongs to the step that ends there.
-    A scalar call is the `horner` kernel on that step's block. An array
-    call is one gathered evaluation: one searchsorted for all times, then
-    the kernel's sum in numpy on the coefficients gathered one row at a
-    time, whose elementwise IEEE arithmetic gives the scalar calls' bits;
-    as on Python floats, non-finite values raise no warning.
+    Every call is one gathered evaluation, a scalar time as an array of
+    one time whose column it returns: one searchsorted for all times,
+    then the `horner` kernel's sum in numpy on the coefficients gathered
+    one row at a time, whose elementwise IEEE arithmetic gives the
+    kernel's bits (a `_StepInterpolant`'s); as on Python floats,
+    non-finite values raise no warning.
     """
 
     def __init__(self, table, breakpoints, t0, t1):
@@ -946,20 +939,14 @@ class _ArcInterpolant:
         self.breakpoints = breakpoints
         self.t0 = t0
         self.t1 = t1
-        self._horner = _kernels(table.shape[-1]).horner
 
     def __call__(self, t):
         t = np.clip(t, self.t0, self.t1)
-        bp = self.breakpoints
-        last = len(bp) - 2
         if t.ndim == 0:
-            t = float(t)
-            j = min(max(int(np.searchsorted(bp, t)) - 1, 0), last)
-            t_old = float(bp[j])
-            x = (t - t_old) / (float(bp[j + 1]) - t_old)
-            return np.array(self._horner(self.table[j].ravel().tolist(), x))
+            return self(t[None])[:, 0]
+        bp = self.breakpoints
         j = np.searchsorted(bp, t) - 1
-        np.clip(j, 0, last, out=j)
+        np.clip(j, 0, len(bp) - 2, out=j)
         t_old = bp[j]
         table = self.table
 
@@ -1003,13 +990,6 @@ def simulate(hs: HybridSystem, s0: State, t_end: float) -> HybridFlow:
 
     mode = (hs.system.rhs, hs.guard.surface, hs.guard.direction, reset)
     return _execute(mode, s0.t, hs.system.pack(s0), t_end)
-
-
-def _check_finite(s: State):
-    """Raise InvalidStart unless every component of s is finite."""
-    if not s.is_finite():
-        raise InvalidStart(f"initial state is not finite (t={s.t!r}, "
-                           f"q={s.q.tolist()}, v={s.v.tolist()})")
 
 
 def _check_arc_start(gfun, dfun, t, q, v, t_end, error):
@@ -1132,7 +1112,7 @@ def _momentum_mode(hs: HybridSystem, v0):
         y = np.asarray(y, float)
         dq, dp = sys.hamiltonian_field(t, y[:n], y[n:], v0=warm["v"])
         warm["v"] = dq
-        return np.concatenate([dq, dp])
+        return np.concatenate([dq, dp]).tolist()
 
     def on_momenta(fun):
         """A guard function fun(t, q, v) as a function of (t, q, p)."""

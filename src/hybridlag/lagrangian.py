@@ -65,10 +65,6 @@ class State:
         object.__setattr__(self, "q", np.atleast_1d(np.asarray(self.q, float)))
         object.__setattr__(self, "v", np.atleast_1d(np.asarray(self.v, float)))
 
-    def is_finite(self):
-        return (np.isfinite(self.t) and np.all(np.isfinite(self.q))
-                and np.all(np.isfinite(self.v)))
-
 
 @dataclass(frozen=True)
 class CoState:
@@ -227,15 +223,16 @@ class LagrangianSystem:
     @property
     def rhs(self):
         """The packed evolution field y' = (v, a), rhs(t, y), for the
-        step loop: the closed-form `field` itself when the model has
-        one, so each stage is one call into the model's arithmetic;
-        otherwise a field that solves the accelerations on arrays
+        step loop: a list of 2n floats in, a list of 2n floats out. It
+        is the closed-form `field` itself when the model has one, so
+        each stage is one call into the model's arithmetic; otherwise a
+        field that solves the accelerations on arrays
         (`_solved_field`)."""
         return self._solved_field if self.field is None else self.field
 
     def _solved_field(self, t, y):
-        """(v, a) as an array, for y a list or array of 2n floats, with
+        """(v, a) as a list, for y a list or array of 2n floats, with
         the accelerations solved from the Euler-Lagrange equations."""
         y = np.asarray(y, float)
         q, v = y[:self.dim], y[self.dim:]
-        return np.concatenate([v, self._accelerations(t, q, v)])
+        return np.concatenate([v, self._accelerations(t, q, v)]).tolist()

@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import InvalidStart, NoConvergence, NotInvariant
 from .hybrid import (Arc, Event, Guard, HybridFlow, HybridSystem, ResetMap,
-                     _check_finite, _execute)
+                     _check_arc_start, _execute)
 # perfbench/tracing.py wraps reduction.simulate, so the name stays here
 from .hybrid import simulate  # noqa: F401
 from .lagrangian import (NEWTON_MAXITER, NEWTON_TOL, LagrangianSystem,
@@ -190,6 +190,11 @@ class CyclicStructure:
         tol = INVARIANCE_TOL
         sys = self.full.system
         guard = self.full.guard
+
+        def off(x, base):
+            """x differs from base by more than tol, relative."""
+            return abs(x - base) > tol * max(1.0, abs(base))
+
         for s in self.sample_states:
             base_l = sys.lagrangian(s.t, s.q, s.v)
             base_g = guard.surface(s.t, s.q, s.v)
@@ -197,25 +202,20 @@ class CyclicStructure:
             if self.reduced_guard_factory is not None:
                 red = self.reduced_guard_factory(momentum_map(self, s))
                 x, xdot = self.drop(s.q), self.drop(s.v)
-                if (abs(red.surface(s.t, x, xdot) - base_g)
-                        > tol * max(1.0, abs(base_g))
-                        or abs(red.direction(s.t, x, xdot) - base_d)
-                        > tol * max(1.0, abs(base_d))):
+                if (off(red.surface(s.t, x, xdot), base_g)
+                        or off(red.direction(s.t, x, xdot), base_d)):
                     raise NotInvariant(
                         f"closed-form reduced guard disagrees with the full "
                         f"guard at t={s.t:.6g}")
-            scale = max(1.0, abs(base_l))
             for a in DEFAULT_SHIFTS:
                 q = self.shift(s.q, a)
-                if abs(sys.lagrangian(s.t, q, s.v) - base_l) > tol * scale:
+                if off(sys.lagrangian(s.t, q, s.v), base_l):
                     raise NotInvariant(
                         f"Lagrangian varies along the cyclic shift by more "
                         f"than {tol:g} at t={s.t:.6g}")
-                if (abs(guard.surface(s.t, q, s.v) - base_g)
-                        > tol * max(1.0, abs(base_g))):
+                if off(guard.surface(s.t, q, s.v), base_g):
                     raise NotInvariant("guard surface is not cyclic-invariant")
-                if (abs(guard.direction(s.t, q, s.v) - base_d)
-                        > tol * max(1.0, abs(base_d))):
+                if off(guard.direction(s.t, q, s.v), base_d):
                     raise NotInvariant("guard direction is not cyclic-invariant")
         reset = self.full.reset
         for s in self.guard_sample_states:
@@ -423,16 +423,21 @@ def simulate_resequenced(cs: CyclicStructure, s0: State,
     """Run the reduced dynamics with the momentum rebuilt after every
     impact.
 
-    One executor run on the reduced system at the start momentum. Its
-    reset applies the full reset at the lift (`_lifted_reset`), reads the
-    new momentum off the post state, and continues in the reduced system
-    rebuilt at the new momentum, whose guard checks the post state as
-    the next arc's start. The cyclic angle is then reconstructed over all
-    arcs, carrying any angle jump the resets make. For
-    momentum-preserving resets the momentum sequence is constant and the
-    run coincides with reducing once and simulating.
+    The full start s0 must pass `_check_arc_start` under the full guard,
+    or InvalidStart is raised before any reduced system is built or
+    validated. Then one executor run on the reduced system at the start
+    momentum, validated once. Its reset applies the full reset at the
+    lift (`_lifted_reset`), reads the new momentum off the post state,
+    and continues in the reduced system rebuilt at the new momentum,
+    whose guard checks the post state as the next arc's start. The
+    cyclic angle is then reconstructed over all arcs, carrying any angle
+    jump the resets make. For momentum-preserving resets the momentum
+    sequence is constant and the run coincides with reducing once and
+    simulating.
     """
-    _check_finite(s0)
+    guard = cs.full.guard
+    _check_arc_start(guard.surface, guard.direction, s0.t, s0.q, s0.v, t_end,
+                     InvalidStart)
     m = cs.dim_reduced
     mus = [momentum_map(cs, s0)]
     jumps = [float(s0.q[cs.cyclic_index])]

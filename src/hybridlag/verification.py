@@ -26,6 +26,13 @@ SAMPLE_COUNT = 100  # sampled states per model in the pointwise checks
 CORRESPONDENCE_HORIZON = 5.0  # cap on the hybrid-correspondence horizon
 
 
+def _record(check, measured, bound, detail="", holds=True):
+    """A check's record: it passes when measured <= bound and the check's
+    own further condition `holds`."""
+    return {"check": check, "passed": measured <= bound and holds,
+            "measured": measured, "bound": bound, "detail": detail}
+
+
 def _sample_states(model_id):
     rng = np.random.default_rng(_SAMPLE_SEED)
     states = []
@@ -49,9 +56,8 @@ def check_derivative_consistency(params=None):
         dev = bundle.system.derivative_consistency(_sample_states(mid))
         if dev > worst:
             worst, worst_model = dev, mid
-    return {"check": "derivative_consistency", "passed": worst <= 1e-6,
-            "measured": worst, "bound": 1e-6,
-            "detail": f"worst model: {worst_model}"}
+    return _record("derivative_consistency", worst, 1e-6,
+                   f"worst model: {worst_model}")
 
 
 def check_legendre_roundtrip(params=None):
@@ -62,8 +68,7 @@ def check_legendre_roundtrip(params=None):
         for s in _sample_states(mid):
             back = sys.inverse_legendre(sys.legendre(s), v0=s.v + 0.1)
             worst = max(worst, float(np.max(np.abs(back.v - s.v))))
-    return {"check": "legendre_roundtrip", "passed": worst <= 1e-10,
-            "measured": worst, "bound": 1e-10, "detail": ""}
+    return _record("legendre_roundtrip", worst, 1e-10)
 
 
 def check_flow_equivalence_models(params=None):
@@ -74,9 +79,8 @@ def check_flow_equivalence_models(params=None):
         rep = check_flow_equivalence(bundle.system, s0, s0.t + 1.0)
         worst = max(worst, rep.max_discrepancy)
         detail.append(f"{mid}:{rep.max_discrepancy:.2e}")
-    return {"check": "flow_equivalence", "passed": worst <= EQUIVALENCE_TOL,
-            "measured": worst, "bound": EQUIVALENCE_TOL,
-            "detail": " ".join(detail)}
+    return _record("flow_equivalence", worst, EQUIVALENCE_TOL,
+                   " ".join(detail))
 
 
 def check_hybrid_correspondence(scenario):
@@ -84,9 +88,8 @@ def check_hybrid_correspondence(scenario):
     rep = check_hybrid_equivalence(
         hs, scenario.initial_cartesian,
         min(CORRESPONDENCE_HORIZON, scenario.horizon))
-    return {"check": "hybrid_correspondence", "passed": rep.passed,
-            "measured": rep.max_state_discrepancy, "bound": EQUIVALENCE_TOL,
-            "detail": str(rep)}
+    return _record("hybrid_correspondence", rep.max_state_discrepancy,
+                   EQUIVALENCE_TOL, str(rep), rep.passed)
 
 
 def check_momentum_conservation(scenario, flow):
@@ -100,9 +103,8 @@ def check_momentum_conservation(scenario, flow):
     for e in flow.events:
         jump = max(jump, abs(momentum_map(cyc, e.post)
                              - momentum_map(cyc, e.pre)))
-    return {"check": "momentum_conservation", "passed": worst <= 1e-8
-            and jump <= 1e-12, "measured": worst, "bound": 1e-8,
-            "detail": f"impact jump {jump:.2e} (bound 1e-12)"}
+    return _record("momentum_conservation", worst, 1e-8,
+                   f"impact jump {jump:.2e} (bound 1e-12)", jump <= 1e-12)
 
 
 def check_arc_oracle_agreement(scenario, flow):
@@ -115,18 +117,14 @@ def check_arc_oracle_agreement(scenario, flow):
         ref = billiard._FlightInterpolant(p, arc.times[0], y0[:2], y0[2:])
         worst = max(worst, float(np.max(np.abs(ref(arc.times).T
                                                - arc.states))))
-    return {"check": "arc_oracle_agreement", "passed": worst <= 1e-8,
-            "measured": worst, "bound": 1e-8,
-            "detail": f"{len(flow.arcs)} arcs"}
+    return _record("arc_oracle_agreement", worst, 1e-8,
+                   f"{len(flow.arcs)} arcs")
 
 
 def check_chart_impact_agreement(flow_c, flow_p):
-    same = len(flow_c.events) == len(flow_p.events)
-    delta = flow_c.event_time_delta(flow_p)
-    return {"check": "chart_impact_agreement",
-            "passed": same and delta <= 1e-8, "measured": delta,
-            "bound": 1e-8,
-            "detail": f"events {len(flow_c.events)} vs {len(flow_p.events)}"}
+    n_c, n_p = len(flow_c.events), len(flow_p.events)
+    return _record("chart_impact_agreement", flow_c.event_time_delta(flow_p),
+                   1e-8, f"events {n_c} vs {n_p}", n_c == n_p)
 
 
 def check_csv_schema():
@@ -137,8 +135,7 @@ def check_csv_schema():
           and ev == ["tau", "pre_q_1", "pre_q_2", "pre_v_1", "pre_v_2",
                      "post_q_1", "post_q_2", "post_v_1", "post_v_2",
                      "guard_residual"])
-    return {"check": "csv_schema", "passed": ok, "measured": 0.0,
-            "bound": 0.0, "detail": ",".join(traj)}
+    return _record("csv_schema", 0.0, 0.0, ",".join(traj), ok)
 
 
 def run_verification(scenario):

@@ -8,7 +8,9 @@ from hybridlag import hybrid
 from conftest import reset_state
 
 from oracles import (C010_IMPACT_COUNT, C025_FIRST_IMPACT, C025_IMPACT_COUNT,
-                     WALL_COLLAPSE_TIME, damped_flight)
+                     WALL_COLLAPSE_TIME, clock_invariant_cartesian,
+                     clock_invariant_radial, clock_quadratic_wall,
+                     damped_flight)
 
 
 def mk_state(t, q, v):
@@ -403,3 +405,61 @@ def test_simulated_arcs_match_flight_locally():
             worst = max(worst, float(np.max(np.abs(ref.q - y[:2]))),
                         float(np.max(np.abs(ref.v - y[2:]))))
     assert worst <= 1e-8
+
+
+# walls f = a sigma^2 + b sigma + c0 in the damping clock, as (a, b, c0,
+# m, c), that stay open up to t = 8 from the start below; a closing wall
+# ends zeno_suspected with the invariant drifting by up to 3e-4
+CLOCK_WALLS = [(0.05, -0.3, 1.0, 1.0, 0.25), (0.0, 0.0, 1.0, 1.0, 0.0),
+               (0.02, 0.1, 0.8, 2.0, 0.3)]
+# the largest drift measured over these walls and pipelines, at 50
+# points per arc, was 1.9e-9 (reduced and resequenced runs)
+CLOCK_INVARIANT_TOL = 1e-8
+
+
+@pytest.mark.parametrize("wall", CLOCK_WALLS)
+def test_damping_clock_invariant_holds_in_every_pipeline(wall):
+    # the exact invariant of the damping clock (oracles.py) along the
+    # Cartesian, polar, reduced and resequenced runs, across every impact,
+    # each with the oracle's impact count
+    m, c = wall[3:]
+    f, fdot = clock_quadratic_wall(*wall)
+    p = hl.BilliardParams(m=m, c=c, wall=f, wall_rate=fdot)
+    s0 = mk_state(0.0, [0.3, -0.2], [1.1, 0.7])
+    s0p = hl.cartesian_to_polar(s0)
+    invariant0 = clock_invariant_cartesian(*wall, np.zeros(1), s0.q[:, None],
+                                           s0.v[:, None])[0]
+    ref = hl.reference_flow(p, s0, 8.0)
+    assert ref.termination == "horizon_reached"
+
+    def drift(arcs, invariant):
+        """The largest |I - I0| at 50 points of each arc."""
+        worst = 0.0
+        for k, arc in enumerate(arcs):
+            t = np.linspace(arc.t_start, arc.t_end, 50)
+            dev = np.abs(invariant(k, t, arc(t)) - invariant0)
+            worst = max(worst, float(np.max(dev)))
+        return worst
+
+    cyc = hl.polar_cyclic(p)
+    mu0 = hl.momentum_map(cyc, s0p)
+    reduced = hl.simulate(hl.reduce(cyc, mu0).shape, cyc.project_state(s0p),
+                          8.0)
+    reseq = hl.simulate_resequenced(cyc, s0p, 8.0)
+    runs = {
+        "cartesian": (hl.simulate(hl.cartesian_hybrid(p), s0, 8.0),
+                      lambda k, t, y: clock_invariant_cartesian(
+                          *wall, t, y[:2], y[2:])),
+        "polar": (hl.simulate(hl.polar_hybrid(p), s0p, 8.0),
+                  lambda k, t, y: clock_invariant_radial(
+                      *wall, t, y[0], y[2],
+                      np.exp(c * t / m) * m * y[0] ** 2 * y[3])),
+        "reduced": (reduced, lambda k, t, y: clock_invariant_radial(
+            *wall, t, y[0], y[1], mu0)),
+        "resequenced": (reseq.reduced, lambda k, t, y: clock_invariant_radial(
+            *wall, t, y[0], y[1], reseq.mu_sequence[k])),
+    }
+    for name, (flow, invariant) in runs.items():
+        assert flow.termination == ref.termination, name
+        assert len(flow.events) == len(ref.events), name
+        assert drift(flow.arcs, invariant) <= CLOCK_INVARIANT_TOL, name

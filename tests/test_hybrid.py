@@ -892,6 +892,11 @@ def _nan_after_half(t, y):
     return [-v for v in y] if t < 0.5 else [math.nan] * len(y)
 
 
+def _blow_up(t, y):
+    # y' = y^2 from y(0) = 1 blows up at t = 1
+    return [v * v for v in y]
+
+
 def _step_loop_case(name):
     """(fun, t0, y0, t_bound, max_step) of a named comparison run; each
     call builds a fresh fun, so two solvers never share the warm start
@@ -923,14 +928,15 @@ def _step_loop_case(name):
     return {"paper-c025": (polar.rhs, 0.0, y_polar, 10.0, np.inf),
             "max-step": (polar.rhs, 0.0, y_polar, 2.0, 0.05),
             "nan-field": (_nan_after_half, 0.0, np.array([1.0, 0.5]), 1.0,
-                          np.inf)}[name]
+                          np.inf),
+            "blow-up": (_blow_up, 0.0, np.array([1.0]), 2.0, np.inf)}[name]
 
 
 @pytest.mark.parametrize("name, status, steps", [
     ("paper-c025", "finished", 20), ("reduced", "finished", 20),
     ("max-step", "finished", 40), ("nan-field", "failed", 10),
     ("cartesian", "finished", 5), ("finite-difference", "finished", 20),
-    ("momentum-side", "finished", 20)])
+    ("momentum-side", "finished", 20), ("blow-up", "failed", 260)])
 def test_step_loop_reproduces_scipy_dop853(name, status, steps):
     # the executor's step loop repeats scipy's DOP853 arithmetic under the
     # executor's step control; a change of scipy's arithmetic fails here
@@ -1391,6 +1397,38 @@ def test_arc_table_with_non_finite_coefficients_is_silent():
     assert not np.signbit(cols[2]).any()
 
 
+def test_arc_table_with_non_finite_coefficients_sums_like_the_kernel():
+    # the gathered numpy sum, scalar times included, against each step's
+    # `_StepInterpolant`, the `horner` kernel on Python floats, on blocks
+    # with overflow, inf and -0.0: NaN in the same places, and the same
+    # bits elsewhere
+    import bisect
+
+    from hybridlag import hybrid
+
+    rng = np.random.default_rng(17)
+    table = rng.standard_normal((3, 8, 3))
+    table[:, :, 2] = -0.0
+    table[0, 0, 1] = table[0, 7, 1] = 1.7e308
+    table[1, 4, 0] = math.inf
+    table[2, 0, 0], table[2, 7, 0] = math.inf, -math.inf
+    ends = [0.0, 0.5, 1.25, 2.0]
+    interp = hybrid._ArcInterpolant(table, np.array(ends), 0.0, 2.0)
+    steps = [hybrid._StepInterpolant(a, b, block, hybrid._kernels(3).horner)
+             for a, b, block in zip(ends, ends[1:], table)]
+    ts = np.concatenate([np.linspace(-0.5, 2.5, 31), ends,
+                         [0.4999, 1.0, 1.9]])
+    cols = interp(ts)
+    for i, t in enumerate(ts.tolist()):
+        t = min(max(t, 0.0), 2.0)
+        j = min(max(bisect.bisect_left(ends, t) - 1, 0), len(steps) - 1)
+        expected = steps[j](t)
+        for got in (cols[:, i], interp(t)):
+            assert np.array_equal(np.isnan(got), np.isnan(expected)), t
+            numbers = ~np.isnan(expected)
+            assert _bits(got[numbers]) == _bits(expected[numbers]), t
+
+
 # ---------------------------------------------------------------------------
 # one DOP853 stage matrix per run
 # ---------------------------------------------------------------------------
@@ -1457,7 +1495,7 @@ def test_arcs_of_a_run_share_one_stage_matrix(monkeypatch, kind):
     class Recording(hybrid.RK45):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            log.append(self.K_extended)
+            log.append(self.stages.K_extended)
 
     class Fresh(Recording):
         def __init__(self, fun, t0, y0, t_bound, max_step, stages):

@@ -124,7 +124,7 @@ def test_rhs_is_the_closed_form_field_of_every_model(rng):
             q, v = s.q[:sys.dim], s.v[:sys.dim]
             y = np.concatenate([q, v])
             solved = numeric.rhs(s.t, y.tolist())
-            assert isinstance(solved, np.ndarray)
+            assert isinstance(solved, list)
             assert np.array_equal(solved[:sys.dim], v)
             assert np.allclose(solved, sys.rhs(s.t, y.tolist()), rtol=1e-6,
                                atol=1e-7), name

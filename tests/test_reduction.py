@@ -42,6 +42,21 @@ def test_resequenced_horizon_before_start_is_invalid_start(cyc025, scenario):
         hl.simulate_resequenced(cyc025, s0, 1.0)
 
 
+def test_resequenced_checks_its_full_start_before_reducing(
+        monkeypatch, cyc025, scenario):
+    # a polar start outside the wall fails the full chart's arc-start
+    # check before any reduced system is built or validated
+    from hybridlag import reduction
+
+    def no_reduce(*args, **kwargs):
+        raise AssertionError("reduce called before the start check")
+
+    monkeypatch.setattr(reduction, "reduce", no_reduce)
+    s0 = mk_state(0.0, [2.0, 0.3], scenario.initial_polar.v)
+    with pytest.raises(hl.InvalidStart, match="strictly inside the guard"):
+        hl.simulate_resequenced(cyc025, s0, 1.0)
+
+
 @pytest.mark.parametrize("index", [0, 1, 2, 3])
 def test_non_finite_start_is_invalid_start(cyc025, scenario, index):
     # components r, theta, rdot, thetadot. The resequenced run checks the

@@ -17,10 +17,10 @@ from .billiard import (BilliardParams, PaperScenario, analytic_arc,
 from .errors import (ChartSingularity, HybridLagError, IntegrationFailure,
                      InvalidReset, InvalidStart, NoConvergence, NotInvariant,
                      ParseError, SingularHessian)
-from .hybrid import (Arc, Event, FlowEquivalenceReport, Guard,
-                     HybridEquivalenceReport, HybridFlow, HybridSystem,
-                     ResetMap, check_flow_equivalence,
-                     check_hybrid_equivalence, simulate)
+from .hybrid import (Arc, Event, Guard, HybridEquivalenceReport,
+                     HybridFlow, HybridSystem, ResetMap,
+                     check_flow_equivalence, check_hybrid_equivalence,
+                     simulate)
 from .lagrangian import CoState, LagrangianSystem, State
 from .models import MODEL_IDS, SCENARIO_IDS, ModelBundle, build_model
 from .reduction import (CyclicStructure, ReconstructedFlow,
@@ -31,13 +31,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Arc", "BilliardParams", "ChartSingularity", "CoState",
-    "CyclicStructure", "Event", "FlowEquivalenceReport", "Guard",
-    "HybridEquivalenceReport", "HybridFlow", "HybridLagError",
-    "HybridSystem", "IntegrationFailure", "InvalidReset", "InvalidStart",
-    "LagrangianSystem", "MODEL_IDS", "ModelBundle", "NoConvergence",
-    "NotInvariant", "PaperScenario", "ParseError", "ReconstructedFlow",
-    "ReducedHybridSystem", "ResetMap", "SCENARIO_IDS", "SingularHessian",
-    "State", "analytic_arc",
+    "CyclicStructure", "Event", "Guard", "HybridEquivalenceReport",
+    "HybridFlow", "HybridLagError", "HybridSystem", "IntegrationFailure",
+    "InvalidReset", "InvalidStart", "LagrangianSystem", "MODEL_IDS",
+    "ModelBundle", "NoConvergence", "NotInvariant", "PaperScenario",
+    "ParseError", "ReconstructedFlow", "ReducedHybridSystem", "ResetMap",
+    "SCENARIO_IDS", "SingularHessian", "State", "analytic_arc",
     "build_model", "cartesian_hybrid", "cartesian_system",
     "cartesian_to_polar", "check_flow_equivalence",
     "check_hybrid_equivalence", "get_scenario", "guard_cartesian",

@@ -432,8 +432,9 @@ def simulate_resequenced(cs: CyclicStructure, s0: State,
     whose guard checks the post state as the next arc's start. The
     cyclic angle is then reconstructed over all arcs, carrying any angle
     jump the resets make. For momentum-preserving resets the momentum
-    sequence is constant and the run coincides with reducing once and
-    simulating.
+    sequence is constant, and the run agrees with reducing once, to
+    round-off only (`test_resequenced_elastic_constant_momentum`, 1e-12
+    relative; `test_resequenced_elastic_matches_reduce_once`, 1e-9).
     """
     guard = cs.full.guard
     _check_arc_start(guard.surface, guard.direction, s0.t, s0.q, s0.v, t_end,

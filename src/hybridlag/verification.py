@@ -5,8 +5,10 @@ the runner aggregates them. Bounds mirror the package-wide contracts:
 derivative consistency 1e-6, fiber-derivative round trip 1e-10, flow
 equivalence 1e-6, hybrid correspondence 1e-6 with event times 1e-8,
 momentum drift 1e-8 per arc, per-arc oracle agreement 1e-8, chart
-impact-time agreement 1e-8. The scenario is simulated once in each
-chart; the momentum, oracle and chart checks read those two runs.
+impact-time agreement 1e-8. Each model is built once, into a map from
+model id to bundle that the model checks take; the scenario is simulated
+once in each chart, and the momentum, oracle and chart checks read
+those two runs. No check builds a model of its own.
 """
 
 from __future__ import annotations
@@ -49,10 +51,9 @@ def _sample_states(model_id):
     return states
 
 
-def check_derivative_consistency(params=None):
+def check_derivative_consistency(bundles):
     worst, worst_model = 0.0, None
-    for mid in MODEL_IDS:
-        bundle = build_model(mid, params)
+    for mid, bundle in bundles.items():
         dev = bundle.system.derivative_consistency(_sample_states(mid))
         if dev > worst:
             worst, worst_model = dev, mid
@@ -60,10 +61,9 @@ def check_derivative_consistency(params=None):
                    f"worst model: {worst_model}")
 
 
-def check_legendre_roundtrip(params=None):
+def check_legendre_roundtrip(bundles):
     worst = 0.0
-    for mid in MODEL_IDS:
-        bundle = build_model(mid, params)
+    for mid, bundle in bundles.items():
         sys = bundle.system
         for s in _sample_states(mid):
             back = sys.inverse_legendre(sys.legendre(s), v0=s.v + 0.1)
@@ -71,20 +71,19 @@ def check_legendre_roundtrip(params=None):
     return _record("legendre_roundtrip", worst, 1e-10)
 
 
-def check_flow_equivalence_models(params=None):
+def check_flow_equivalence_models(bundles):
     worst, detail = 0.0, []
-    for mid in MODEL_IDS:
-        bundle = build_model(mid, params)
+    for mid, bundle in bundles.items():
         s0 = bundle.default_initial
         rep = check_flow_equivalence(bundle.system, s0, s0.t + 1.0)
-        worst = max(worst, rep.max_discrepancy)
-        detail.append(f"{mid}:{rep.max_discrepancy:.2e}")
+        worst = max(worst, rep.max_state_discrepancy)
+        detail.append(f"{mid}:{rep.max_state_discrepancy:.2e}")
     return _record("flow_equivalence", worst, EQUIVALENCE_TOL,
                    " ".join(detail))
 
 
-def check_hybrid_correspondence(scenario):
-    hs = billiard.cartesian_hybrid(scenario.params)
+def check_hybrid_correspondence(hs, scenario):
+    """The Cartesian billiard `hs` from the scenario's start."""
     rep = check_hybrid_equivalence(
         hs, scenario.initial_cartesian,
         min(CORRESPONDENCE_HORIZON, scenario.horizon))
@@ -92,8 +91,8 @@ def check_hybrid_correspondence(scenario):
                    EQUIVALENCE_TOL, str(rep), rep.passed)
 
 
-def check_momentum_conservation(scenario, flow):
-    cyc = billiard.polar_cyclic(scenario.params)
+def check_momentum_conservation(cyc, flow):
+    """The momentum of `cyc` along the polar run `flow` and at impacts."""
     worst = 0.0
     for arc in flow.arcs:
         J = np.array([cyc.momentum_value(t, y[:2], y[2:])
@@ -140,17 +139,17 @@ def check_csv_schema():
 
 def run_verification(scenario):
     """Run every check against one scenario; returns the record list."""
-    p = scenario.params
-    flow_c = simulate(billiard.cartesian_hybrid(p), scenario.initial_cartesian,
+    bundles = {mid: build_model(mid, scenario.params) for mid in MODEL_IDS}
+    cart, polar = bundles["billiard-cartesian"], bundles["billiard-polar"]
+    flow_c = simulate(cart.hybrid, scenario.initial_cartesian,
                       scenario.horizon)
-    flow_p = simulate(billiard.polar_hybrid(p), scenario.initial_polar,
-                      scenario.horizon)
+    flow_p = simulate(polar.hybrid, scenario.initial_polar, scenario.horizon)
     return [
-        check_derivative_consistency(p),
-        check_legendre_roundtrip(p),
-        check_flow_equivalence_models(p),
-        check_hybrid_correspondence(scenario),
-        check_momentum_conservation(scenario, flow_p),
+        check_derivative_consistency(bundles),
+        check_legendre_roundtrip(bundles),
+        check_flow_equivalence_models(bundles),
+        check_hybrid_correspondence(cart.hybrid, scenario),
+        check_momentum_conservation(polar.cyclic, flow_p),
         check_arc_oracle_agreement(scenario, flow_c),
         check_chart_impact_agreement(flow_c, flow_p),
         check_csv_schema(),

@@ -65,10 +65,12 @@ WALL_COLLAPSE_TIME = 6.931471805599453  # 10 ln 2, where the default wall closes
 # Lewis & Riesenfeld, J. Math. Phys. 10 (1969); Berry & Klein (1984).
 
 def damping_clock(m, c, t):
-    """sigma(t) = (m/c)(1 - exp(-c t/m)), and sigma = t at c = 0."""
+    """sigma(t) = (m/c)(1 - exp(-c t/m)), and sigma = t at c = 0. It is
+    taken as -(m/c) expm1(-c t/m), which keeps full relative precision
+    where c t/m is small (1 - exp cancels to 0 below c t/m ~ 1e-16)."""
     if c == 0.0:
         return t
-    return (m / c) * (1.0 - np.exp(-c * t / m))
+    return -(m / c) * np.expm1(-c * t / m)
 
 
 def clock_quadratic_wall(a, b, c0, m, c):

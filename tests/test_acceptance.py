@@ -206,7 +206,7 @@ def test_criterion_3_flow_equivalence():
     worst = 0.0
     for name, sys, s0 in cases:
         rep = hl.check_flow_equivalence(sys, s0, s0.t + 1.0)
-        worst = max(worst, rep.max_discrepancy)
+        worst = max(worst, rep.max_state_discrepancy)
         assert rep.passed, f"{name}: {rep}"
     assert report("criterion 3 flow equivalence (unit horizons, 1e-6)",
                   worst <= 1e-6, f"worst {worst:.3e}")

@@ -585,6 +585,27 @@ def test_field_turning_non_finite_ends_integration_failure():
                                                        abs=1e-9)
 
 
+def test_located_impact_off_the_guard_raises():
+    # a guard that jumps from -1 to +1 at t = 0.5 with rate 1: Brent
+    # brackets the jump to REFINE_XTOL, but the surface there is still
+    # 1 away from zero, above GUARD_TOL max(1, |d|), so the impact is
+    # refused before the reset runs
+    def jump(t, q, v):
+        return -1.0 if t < 0.5 else 1.0
+
+    resets = []
+    hs = hl.HybridSystem(
+        system=hl.build_model("free-particle").system,
+        guard=hl.Guard(surface=jump, direction=lambda t, q, v: 1.0),
+        reset=hl.ResetMap(apply=lambda t, q, v: resets.append(t) or (q, v)))
+    s0 = hl.State(0.0, np.zeros(2), np.array([1.0, 0.0]))
+    with no_hang(10), pytest.raises(hl.IntegrationFailure, match=(
+            r"^guard residual 1\.000e\+00 at located impact exceeds "
+            r"tolerance; event refinement failed$")):
+        hl.simulate(hs, s0, 2.0)
+    assert resets == []
+
+
 def test_reset_retrigger_rejected(unit_wall_hybrid):
     # identity reset leaves the state exiting the guard: must be refused
     bad = dataclasses.replace(
@@ -1690,14 +1711,12 @@ def test_runs_build_states_per_impact_not_per_sample(monkeypatch):
     built[hl.State] = 0
     hl.reconstruct(cyc, rflow, mu, float(sc.initial_polar.q[1]))
     assert built[hl.State] == 0
-    # the momentum check on a polar run's step grid builds only the
-    # symmetry samples of the cyclic structure it makes
+    # the momentum check on a polar run's step grid builds none: it reads
+    # the cyclic structure it is given
     polar = runs["polar"]()
     built[hl.State] = 0
-    assert verification.check_momentum_conservation(sc, polar)["passed"]
-    assert built[hl.State] == (len(cyc.sample_states)
-                               + len(cyc.guard_sample_states)), \
-        built[hl.State]
+    assert verification.check_momentum_conservation(cyc, polar)["passed"]
+    assert built[hl.State] == 0
     # the momentum side builds one CoState, at the start
     built[hl.CoState] = 0
     rep = hl.check_hybrid_equivalence(hl.cartesian_hybrid(sc.params),

@@ -638,6 +638,29 @@ def test_cli_verify_mode(tmp_path, capsys):
     assert "momentum_conservation: pass" in captured.out
 
 
+def test_verify_builds_each_model_once(monkeypatch):
+    # every check reads the one build of each model that the run makes
+    # (and the one Cartesian and one polar run); none builds its own
+    from hybridlag import billiard, verification
+    calls = []
+
+    def counted(name, fun):
+        def wrapper(*args, **kwargs):
+            calls.append(name if name != "build_model" else args[0])
+            return fun(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(verification, "build_model",
+                        counted("build_model", verification.build_model))
+    for name in ("cartesian_hybrid", "polar_cyclic"):
+        monkeypatch.setattr(billiard, name,
+                            counted(name, getattr(billiard, name)))
+    checks = verification.run_verification(hl.get_scenario("paper-c025"))
+    assert sorted(calls) == sorted(hl.MODEL_IDS + ("cartesian_hybrid",
+                                                   "polar_cyclic")), calls
+    assert all(c["passed"] is True for c in checks), checks
+
+
 def test_cli_config_file_with_overrides(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({

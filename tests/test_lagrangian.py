@@ -240,6 +240,32 @@ def test_inverse_legendre_exponential_weight():
     assert np.allclose(s.v, [1.0, 0.0], atol=1e-12)
 
 
+def test_inverse_legendre_newton_cycle_raises_no_convergence(monkeypatch):
+    # L = v^4/4 - v^2 gives p = v^3 - 2v; Newton for p = -2 from v = 0
+    # falls into the 2-cycle 0 -> 1 -> 0 (the Hessian 3v^2 - 2 is -2 and
+    # then 1) and gives up after NEWTON_MAXITER steps
+    sys = hl.LagrangianSystem(
+        dim=1, lagrangian=lambda t, q, v: float(v @ v) ** 2 / 4.0
+        - float(v @ v),
+        dL_dq=lambda t, q, v: np.zeros(1),
+        dL_dv=lambda t, q, v: v ** 3 - 2.0 * v)
+    iterates = []
+    solve = hl.LagrangianSystem._solve_hessian
+
+    def traced(self, t, q, v, r):
+        iterates.append(float(v[0]))
+        return solve(self, t, q, v, r)
+
+    monkeypatch.setattr(hl.LagrangianSystem, "_solve_hessian", traced)
+    with pytest.raises(hl.NoConvergence, match="did not converge at t=0"):
+        sys.inverse_legendre(hl.CoState(0.0, [0.0], [-2.0]), v0=[0.0])
+    from hybridlag.lagrangian import NEWTON_MAXITER
+    assert len(iterates) == NEWTON_MAXITER
+    assert iterates[:2] == [0.0, pytest.approx(1.0)]
+    assert iterates[-2:] == [pytest.approx(0.0, abs=1e-6),
+                             pytest.approx(1.0)]
+
+
 @pytest.mark.parametrize("model_id", hl.MODEL_IDS)
 def test_legendre_round_trip(model_id, rng):
     sys = hl.build_model(model_id).system
@@ -305,15 +331,15 @@ def test_flow_equivalence_empty_horizon():
     bundle = hl.build_model("harmonic-1d")
     rep = hl.check_flow_equivalence(bundle.system, bundle.default_initial,
                                     bundle.default_initial.t)
-    assert rep.passed and rep.max_discrepancy == 0.0
+    assert rep.passed and rep.max_state_discrepancy == 0.0
 
 
 def test_flow_equivalence_report_text():
     bundle = hl.build_model("free-particle")
     rep = hl.check_flow_equivalence(bundle.system, bundle.default_initial,
                                     1.0)
-    assert str(rep) == ("flow equivalence: pass (max discrepancy 0.000e+00, "
-                        "tol 1.0e-06, t in [0, 1])")
+    assert str(rep) == ("hybrid equivalence: pass (state 0.000e+00/1.0e-06, "
+                        "events 0==0, event dt 0.000e+00/1.0e-08)")
 
 
 def test_flow_equivalence_harmonic_period():

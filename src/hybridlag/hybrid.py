@@ -16,14 +16,19 @@ floats back. It serves the executor alone: the executor fixes its step
 control and checks every arc start
 (`_check_arc_start`) before it builds a solver, so the loop keeps none
 of scipy's tolerance parameters or argument checks, and an arc with no
-time to cover takes no step. Its elementwise passes run on Python
-floats, in kernels unrolled for the state size (`_kernels`), whose IEEE
-+, -, * and / give numpy's bits without numpy's per-call overhead on 2-
-and 4-element arrays; its tableau sums stay the numpy products scipy
-takes, since a BLAS sum need not add in a Python loop's order (see
-`RK45`). A model with a closed-form field hands it to the loop as its
-right-hand side, so each stage is one Python call into the model's
-arithmetic (`LagrangianSystem.rhs`).
+time to cover takes no step. Its tableau sums (the stage, solution,
+error and dense-output products and the error norms) stay the numpy
+products scipy takes, since a BLAS sum need not add in a Python loop's
+order (see `RK45`). Everything between them runs on Python floats,
+whose IEEE +, -, * and / give numpy's bits without numpy's per-call
+overhead on 2- and 4-element arrays: a step attempt and a dense output
+are one call each of a kernel generated for the state size
+(`_kernels`), which writes the stage values into a flat buffer of the
+stage matrix and reads each sum back from one preallocated output
+array; a dense output's coefficients come out as one flat list. A model
+with a closed-form field hands it to the loop as its right-hand side,
+so each stage is one Python call into the model's arithmetic
+(`LagrangianSystem.rhs`).
 After every accepted step the scan samples it: its first sample is the
 last one before it (the previous step's end, or the arc start), then
 come SCAN_POINTS interior times, each read with one scalar call of the
@@ -40,8 +45,8 @@ point of an arc is evaluated twice: each scan sample once, Brent's
 bracket ends from the scan samples or the refinement before it, and the
 impact's state, residual and slope from the evaluations that located
 it.
-An arc keeps its dense output as one table of its steps' coefficient
-blocks, which the step loop hands over, and evaluates its times in one
+An arc keeps its dense output as one table of its steps' flat
+coefficient blocks, which the step loop hands over, and evaluates its times in one
 gathered numpy pass with the step interpolants' bits, a scalar time as
 an array of one (`_ArcInterpolant`).
 The module imports nothing from scipy.
@@ -238,44 +243,13 @@ def _rms(x):
     return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
-# the elementwise passes of a DOP853 step and of its dense output, with
-# the expressions, operand order included, of the list comprehensions
-# they unroll; `<<p>>` stands for p written once per component i, with
-# `#` replaced by i, and trailing blanks cut (see `_kernels`)
+# the step loop's kernels: the elementwise passes of a DOP853 step and of
+# its dense output, with the expressions, operand order included, of the
+# loops they unroll, between the stage matrix's tableau sums. `{{name:p}}`
+# stands for p written once per stage s of _STAGE_LISTS[name], with `$`
+# replaced by s, and then `<<p>>` for p written once per component i,
+# with `#` replaced by i; trailing blanks are cut (see `_kernels`)
 _KERNEL_TEMPLATE = """\
-def stage(y, w, h):
-    <<y#, >> = y
-    <<w#, >> = w
-    return [<<
-        y# + w# * h,>>
-    ]
-
-def update(y, h, w):
-    <<y#, >> = y
-    <<w#, >> = w
-    return [<<
-        y# + h * w#,>>
-    ]
-
-def error_scale(y, z):
-    <<a#, >> = map(abs, y)
-    <<b#, >> = map(abs, z)
-    return array([<<
-        ATOL + (a# if a# > b# or a# != a# else b#) * RTOL,>>
-    ])
-
-def dense_rows(y, y_old, f_old, f, h):
-    <<y#, >> = y
-    <<o#, >> = y_old
-    <<p#, >> = f_old
-    <<f#, >> = f
-    <<d#, >> = <<y# - o#, >>
-    return [
-        [<<d#, >>],
-        [<<h * p# - d#, >>],
-        [<<2 * d# - h * (f# + p#), >>],
-    ]
-
 def horner(c, x):
     (<<f0_#, >>
      <<f1_#, >>
@@ -290,75 +264,128 @@ def horner(c, x):
         (((((((0.0 + f6_#) * x + f5_#) * xm + f4_#) * x + f3_#)
            * xm + f2_#) * x + f1_#) * xm + f0_#) * x + y#,>>
     ]
+
+def bind(K, out, err, dk, row0, stage_sums, solution_sum, row12, error_sum,
+         extra_sums):
+    ({{stages:
+     (dot$, A$, c$, row$),}}) = stage_sums
+    ({{extra:
+     (dot$, A$, c$, row$),}}) = extra_sums
+    err_items, err_dot = memoryview(err), err.dot
+
+    def attempt(fun, t, y, f, h):
+        <<y#, >> = y
+        <<row0[#], >> = f{{stages:
+        dot$(A$, out)
+        <<w#, >> = out.tolist()
+        <<row$[#], >> = fun(t + c$ * h, [<<y# + w# * h, >>])}}
+        solution_sum(B, out)
+        <<w#, >> = out.tolist()
+        y_new = [<<y# + h * w#, >>]
+        f_new = fun(t + h, y_new)
+        <<row12[#], >> = f_new
+        <<a#, >> = map(abs, y)
+        <<b#, >> = map(abs, y_new)<<
+        s# = ATOL + (a# if a# > b# or a# != a# else b#) * RTOL>>
+        error_sum(E5, out)
+        <<w#, >> = out.tolist()
+        <<err_items[#], >> = <<w# / s#, >>
+        err5_norm_2 = sqrt(err_dot(err)) ** 2
+        error_sum(E3, out)
+        <<w#, >> = out.tolist()
+        <<err_items[#], >> = <<w# / s#, >>
+        err3_norm_2 = sqrt(err_dot(err)) ** 2
+        return y_new, f_new, err5_norm_2, err3_norm_2
+
+    def dense(fun, t, y_old, h, y, f_old, f):
+        <<o#, >> = y_old{{extra:
+        dot$(A$, out)
+        <<w#, >> = out.tolist()
+        <<row$[#], >> = fun(t + c$ * h, [<<o# + w# * h, >>])}}
+        D_dot(K, dk)
+        ((<<e0_#, >>),
+         (<<e1_#, >>),
+         (<<e2_#, >>),
+         (<<e3_#, >>)) = dk.tolist()
+        <<y#, >> = y
+        <<p#, >> = f_old
+        <<f#, >> = f
+        <<d#, >> = <<y# - o#, >>
+        return [<<
+            d#,>><<
+            h * p# - d#,>><<
+            2 * d# - h * (f# + p#),>><<
+            h * e0_#,>><<
+            h * e1_#,>><<
+            h * e2_#,>><<
+            h * e3_#,>><<
+            o#,>>
+        ]
+
+    return attempt, dense
 """
-_Kernels = namedtuple("_Kernels", "stage update error_scale dense_rows horner")
+# stage s of a step's attempt ("stages") and of its dense output ("extra")
+_STAGE_LISTS = {"stages": [s for s, _, _ in _STAGES],
+                "extra": [s for s, _, _ in _EXTRA_STAGES]}
+_Kernels = namedtuple("_Kernels", "horner bind")
 
 
 def _kernel_source(size):
-    """`_KERNEL_TEMPLATE` unrolled for states of `size` components."""
+    """`_KERNEL_TEMPLATE` unrolled over the stages and then for states of
+    `size` components."""
+    source = re.sub(r"\{\{(\w+):(.*?)\}\}", lambda m: "".join(
+        m.group(2).replace("$", str(s))
+        for s in _STAGE_LISTS[m.group(1)]).rstrip(),
+        _KERNEL_TEMPLATE, flags=re.S)
     return re.sub(r"<<(.*?)>>", lambda m: "".join(
         m.group(1).replace("#", str(i)) for i in range(size)).rstrip(),
-        _KERNEL_TEMPLATE, flags=re.S)
+        source, flags=re.S)
 
 
 @functools.cache
 def _kernels(size):
-    """The step loop's elementwise kernels for states of `size` Python
-    floats, built once per size by exec of `_kernel_source(size)`, as
-    `dataclasses` and `collections.namedtuple` build their methods.
+    """The step loop's kernels for states of `size` Python floats, built
+    once per size, on the first stage matrix of that size, by exec of
+    `_kernel_source(size)`, as `dataclasses` and `collections.namedtuple`
+    build their methods.
 
-    - stage(y, w, h): a stage argument, y + w h;
-    - update(y, h, w): the solution update, y + h w;
-    - error_scale(y, z): ATOL + max(|y|, |z|) RTOL as an array, with
-      np.maximum's rule that a NaN on either side is the maximum;
-    - dense_rows(y, y_old, f_old, f, h): the first three rows of the
-      dense output, y - y_old, h f_old - (y - y_old) and
-      2 (y - y_old) - h (f + f_old);
     - horner(c, x): the dense output at the scaled time x, where c is
-      the step's (8, size) block of coefficient rows F and y_old,
-      flattened row by row: scipy's Dop853DenseOutput sum.
+      the step's flat coefficient block, the list of its 8 rows F0-F6
+      and y_old one after the other: scipy's Dop853DenseOutput sum;
+    - bind(K, out, err, dk, row0, stage_sums, solution_sum, row12,
+      error_sum, extra_sums): the two kernels of one stage matrix K
+      (`_StageMatrix`). It hands over its (size,) arrays out and err, a
+      (4, size) array dk, its rows as memoryviews of its flat buffer,
+      and each tableau sum as a bound `ndarray.dot` of a transposed view
+      of K's leading rows (a stage's with its row of A, its node c and
+      its row):
 
-    Each unrolls a list comprehension over the components with the same
-    IEEE operations in the same operand order, so its values are the
-    comprehension's bit for bit (but for which of two NaN operands comes
+      - attempt(fun, t, y, f, h): one DOP853 attempt of step h from
+        (t, y), f = fun(t, y). f goes into row 0; then, for each stage
+        s = 1, ..., 11 in turn, the BLAS sum K[:s]^T A_s into out, read
+        back as floats w, the call fun(t + c_s h, y + w h) and its value
+        written into row s; then y_new = y + h K[:12]^T B the same way,
+        f_new = fun(t + h, y_new) into row 12, the error scale
+        ATOL + max(|y|, |y_new|) RTOL (with np.maximum's rule that a NaN
+        on either side is the maximum), and the error estimates
+        K^T E5 / scale and K^T E3 / scale, each a BLAS sum into out whose
+        quotients are written into err for their BLAS norm. Returns
+        y_new and f_new as lists and the two squared norms;
+      - dense(fun, t, y_old, h, y, f_old, f): the dense output of the
+        step h from (t, y_old, f_old) to (y, f): the extra stages 13-15
+        from y_old as above, then D K in one BLAS product into dk. Returns
+        the step's flat coefficient block, F0 = y - y_old,
+        F1 = h f_old - F0, F2 = 2 F0 - h (f + f_old), F3-F6 = h (D K) and
+        y_old, as one list of 8 size floats.
+
+    Each unrolls the loop it replaced with the same IEEE operations in
+    the same operand order and the same numpy products, so its values
+    are the loop's bit for bit (but for which of two NaN operands comes
     out, which CPython's float arithmetic does not fix: its specialized
-    and generic instructions differ there). For size 2 the source is::
-
-        def stage(y, w, h):
-            y0, y1, = y
-            w0, w1, = w
-            return [
-                y0 + w0 * h,
-                y1 + w1 * h,
-            ]
-
-        def update(y, h, w):
-            y0, y1, = y
-            w0, w1, = w
-            return [
-                y0 + h * w0,
-                y1 + h * w1,
-            ]
-
-        def error_scale(y, z):
-            a0, a1, = map(abs, y)
-            b0, b1, = map(abs, z)
-            return array([
-                ATOL + (a0 if a0 > b0 or a0 != a0 else b0) * RTOL,
-                ATOL + (a1 if a1 > b1 or a1 != a1 else b1) * RTOL,
-            ])
-
-        def dense_rows(y, y_old, f_old, f, h):
-            y0, y1, = y
-            o0, o1, = y_old
-            p0, p1, = f_old
-            f0, f1, = f
-            d0, d1, = y0 - o0, y1 - o1,
-            return [
-                [d0, d1,],
-                [h * p0 - d0, h * p1 - d1,],
-                [2 * d0 - h * (f0 + p0), 2 * d1 - h * (f1 + p1),],
-            ]
+    and generic instructions differ there). Its Python-float arithmetic
+    raises no warning where numpy's would warn of an invalid value, and
+    no division is by zero: each divisor is an error scale, NaN or at
+    least ATOL > 0. For size 2 the source is::
 
         def horner(c, x):
             (f0_0, f0_1,
@@ -376,18 +403,142 @@ def _kernels(size):
                 (((((((0.0 + f6_1) * x + f5_1) * xm + f4_1) * x + f3_1)
                    * xm + f2_1) * x + f1_1) * xm + f0_1) * x + y1,
             ]
+
+        def bind(K, out, err, dk, row0, stage_sums, solution_sum, row12, error_sum,
+                 extra_sums):
+            (
+             (dot1, A1, c1, row1),
+             (dot2, A2, c2, row2),
+             (dot3, A3, c3, row3),
+             (dot4, A4, c4, row4),
+             (dot5, A5, c5, row5),
+             (dot6, A6, c6, row6),
+             (dot7, A7, c7, row7),
+             (dot8, A8, c8, row8),
+             (dot9, A9, c9, row9),
+             (dot10, A10, c10, row10),
+             (dot11, A11, c11, row11),) = stage_sums
+            (
+             (dot13, A13, c13, row13),
+             (dot14, A14, c14, row14),
+             (dot15, A15, c15, row15),) = extra_sums
+            err_items, err_dot = memoryview(err), err.dot
+
+            def attempt(fun, t, y, f, h):
+                y0, y1, = y
+                row0[0], row0[1], = f
+                dot1(A1, out)
+                w0, w1, = out.tolist()
+                row1[0], row1[1], = fun(t + c1 * h, [y0 + w0 * h, y1 + w1 * h,])
+                dot2(A2, out)
+                w0, w1, = out.tolist()
+                row2[0], row2[1], = fun(t + c2 * h, [y0 + w0 * h, y1 + w1 * h,])
+                dot3(A3, out)
+                w0, w1, = out.tolist()
+                row3[0], row3[1], = fun(t + c3 * h, [y0 + w0 * h, y1 + w1 * h,])
+                dot4(A4, out)
+                w0, w1, = out.tolist()
+                row4[0], row4[1], = fun(t + c4 * h, [y0 + w0 * h, y1 + w1 * h,])
+                dot5(A5, out)
+                w0, w1, = out.tolist()
+                row5[0], row5[1], = fun(t + c5 * h, [y0 + w0 * h, y1 + w1 * h,])
+                dot6(A6, out)
+                w0, w1, = out.tolist()
+                row6[0], row6[1], = fun(t + c6 * h, [y0 + w0 * h, y1 + w1 * h,])
+                dot7(A7, out)
+                w0, w1, = out.tolist()
+                row7[0], row7[1], = fun(t + c7 * h, [y0 + w0 * h, y1 + w1 * h,])
+                dot8(A8, out)
+                w0, w1, = out.tolist()
+                row8[0], row8[1], = fun(t + c8 * h, [y0 + w0 * h, y1 + w1 * h,])
+                dot9(A9, out)
+                w0, w1, = out.tolist()
+                row9[0], row9[1], = fun(t + c9 * h, [y0 + w0 * h, y1 + w1 * h,])
+                dot10(A10, out)
+                w0, w1, = out.tolist()
+                row10[0], row10[1], = fun(t + c10 * h, [y0 + w0 * h, y1 + w1 * h,])
+                dot11(A11, out)
+                w0, w1, = out.tolist()
+                row11[0], row11[1], = fun(t + c11 * h, [y0 + w0 * h, y1 + w1 * h,])
+                solution_sum(B, out)
+                w0, w1, = out.tolist()
+                y_new = [y0 + h * w0, y1 + h * w1,]
+                f_new = fun(t + h, y_new)
+                row12[0], row12[1], = f_new
+                a0, a1, = map(abs, y)
+                b0, b1, = map(abs, y_new)
+                s0 = ATOL + (a0 if a0 > b0 or a0 != a0 else b0) * RTOL
+                s1 = ATOL + (a1 if a1 > b1 or a1 != a1 else b1) * RTOL
+                error_sum(E5, out)
+                w0, w1, = out.tolist()
+                err_items[0], err_items[1], = w0 / s0, w1 / s1,
+                err5_norm_2 = sqrt(err_dot(err)) ** 2
+                error_sum(E3, out)
+                w0, w1, = out.tolist()
+                err_items[0], err_items[1], = w0 / s0, w1 / s1,
+                err3_norm_2 = sqrt(err_dot(err)) ** 2
+                return y_new, f_new, err5_norm_2, err3_norm_2
+
+            def dense(fun, t, y_old, h, y, f_old, f):
+                o0, o1, = y_old
+                dot13(A13, out)
+                w0, w1, = out.tolist()
+                row13[0], row13[1], = fun(t + c13 * h, [o0 + w0 * h, o1 + w1 * h,])
+                dot14(A14, out)
+                w0, w1, = out.tolist()
+                row14[0], row14[1], = fun(t + c14 * h, [o0 + w0 * h, o1 + w1 * h,])
+                dot15(A15, out)
+                w0, w1, = out.tolist()
+                row15[0], row15[1], = fun(t + c15 * h, [o0 + w0 * h, o1 + w1 * h,])
+                D_dot(K, dk)
+                ((e0_0, e0_1,),
+                 (e1_0, e1_1,),
+                 (e2_0, e2_1,),
+                 (e3_0, e3_1,)) = dk.tolist()
+                y0, y1, = y
+                p0, p1, = f_old
+                f0, f1, = f
+                d0, d1, = y0 - o0, y1 - o1,
+                return [
+                    d0,
+                    d1,
+                    h * p0 - d0,
+                    h * p1 - d1,
+                    2 * d0 - h * (f0 + p0),
+                    2 * d1 - h * (f1 + p1),
+                    h * e0_0,
+                    h * e0_1,
+                    h * e1_0,
+                    h * e1_1,
+                    h * e2_0,
+                    h * e2_1,
+                    h * e3_0,
+                    h * e3_1,
+                    o0,
+                    o1,
+                ]
+
+            return attempt, dense
     """
-    namespace = {"array": np.array, "ATOL": ATOL, "RTOL": RTOL}
+    namespace = {"ATOL": ATOL, "RTOL": RTOL, "B": _B, "E5": _E5, "E3": _E3,
+                 "D_dot": _D.dot, "sqrt": math.sqrt}
     exec(compile(_kernel_source(size), f"<DOP853 kernels, size {size}>",
                  "exec"), namespace)
     return _Kernels(*(namespace[name] for name in _Kernels._fields))
 
 
 class _StageMatrix:
-    """The DOP853 stage matrix of a solver on 2n-vectors, the transposed
-    views its tableau sums are taken on, and the elementwise kernels
-    for its size (`_kernels`).
+    """The DOP853 stage matrix of a solver on 2n-vectors, and the step
+    loop's kernels bound to it (`_kernels`).
 
+    `K_extended` holds the 16 stage rows of a step and its dense output
+    in one C-ordered array, and `K` the 13 a step reads. The kernels
+    write each row through a flat memoryview of its buffer, one item per
+    component, and take each tableau sum as `ndarray.dot` of a
+    transposed view of its leading rows into the one preallocated (2n,)
+    output `out`, so a stage allocates nothing but its lists of floats;
+    an attempt leaves each error estimate, divided by the error scale,
+    in `err` for its norm's dot product.
     A solver writes every row of the matrix before it reads it, in each
     step attempt and in each dense output, so one matrix serves the
     solvers of consecutive arcs; `_execute` builds one per run."""
@@ -396,11 +547,15 @@ class _StageMatrix:
         K = self.K_extended = np.empty(
             (_N_STAGES + 1 + len(_EXTRA_STAGES), size))
         self.K = K[:_N_STAGES + 1]
-        self.stage_sums = [(s, K[:s].T, a, c) for s, a, c in _STAGES]
-        self.extra_sums = [(s, K[:s].T, a, c) for s, a, c in _EXTRA_STAGES]
-        self.solution_sum = K[:_N_STAGES].T
-        self.error_sum = self.K.T
+        self.out, self.err = np.empty(size), np.empty(size)
+        flat = memoryview(K.reshape(-1))
+        rows = [flat[r * size:(r + 1) * size] for r in range(len(K))]
         self.kernels = _kernels(size)
+        self.attempt, self.dense = self.kernels.bind(
+            K, self.out, self.err, np.empty((len(_D), size)), rows[0],
+            [(K[:s].T.dot, a, c, rows[s]) for s, a, c in _STAGES],
+            K[:_N_STAGES].T.dot, rows[_N_STAGES], self.K.T.dot,
+            [(K[:s].T.dot, a, c, rows[s]) for s, a, c in _EXTRA_STAGES])
 
 
 # the name RK45 is the benchmark tracer's seam: it subclasses hybrid.RK45
@@ -416,9 +571,10 @@ class RK45:
     directly, on a list of 2n Python floats that it must not modify, and
     returns a list of 2n floats; `nfev` counts its calls: two at
     construction, n_stages per attempt in `step`, three in
-    `dense_output`. `y` and `f` are kept as those lists. A step size
-    below 10 ulp(t) ends the arc with status "failed" (a step clamped up
-    to that size is taken first).
+    `dense_output`. `y` and `f` are kept as those lists, and so are the
+    last step's `y_old` and `f_old`. A step size below 10 ulp(t) ends
+    the arc with status "failed" (a step clamped up to that size is
+    taken first).
 
     Only `_execute` builds solvers, after its arc-start check, so the
     loop keeps none of scipy's argument checks: y0 must be finite,
@@ -426,25 +582,27 @@ class RK45:
     solver) and max_step > 0.
 
     Each tableau sum (a stage's K[:s]^T a, the solution's K^T B, the
-    error estimates K^T E5 and K^T E3 with their norms, the dense
-    output's D K) is the numpy product scipy takes, on views of the
+    error estimates K^T E5 and K^T E3, their norms' dot products, the
+    dense output's D K) stays the numpy product scipy takes, on the
     stage matrix `stages` (a `_StageMatrix`, built once per run and
-    handed to each arc's solver by `_execute` and read as `self.stages`):
-    a BLAS sum need not add in a Python loop's order (a sequential
-    Python sum differed from `dot` in 45,411 of the 132,000 stage sums
-    of 3,000 standard-normal 4-column stage matrices), so only numpy
-    reproduces scipy's bits there; nor
-    does one merged product for two sums (K^T [E5 E3] differed from the
-    two products in most of 5,000 random 13 x 4 stage matrices). The
-    vector arithmetic between the sums (stage arguments, solution
-    update, error scale, the first three dense-output rows) runs on
-    Python floats in the stage matrix's unrolled kernels (`_kernels`),
-    where IEEE +, -, * and / give numpy's bits without its per-call
-    overhead on 2- and 4-element arrays. The (4, 2n) block h (D K) is
-    scaled in one numpy call. The initial-step choice, once per arc,
-    also runs on Python floats but for its three norms, whose sums are
-    `ndarray.dot` as in scipy.
-    (`ndarray.dot` is `np.dot` without its dispatch layer.)
+    handed to each arc's solver by `_execute` and read as
+    `self.stages`): a BLAS sum need not add in a Python loop's order (a
+    sequential Python sum differed from `dot` in 45,411 of the 132,000
+    stage sums of 3,000 standard-normal 4-column stage matrices), so
+    only numpy reproduces scipy's bits there; nor does one merged
+    product for two sums (K^T [E5 E3] differed from the two products in
+    most of 5,000 random 13 x 4 stage matrices). Everything between the
+    sums runs on Python floats, where IEEE +, -, * and / give numpy's
+    bits without its per-call overhead on 2- and 4-element arrays, in
+    the stage matrix's kernels, unrolled for the state size
+    (`_kernels`). An attempt is one `attempt` call: each sum writes
+    into the matrix's one output array and is read back as a list, and
+    each stage's value is written into its row through a flat
+    memoryview, so only the lists are allocated. A dense output is one
+    `dense` call, which builds the step's coefficient block as one flat
+    list, its f rows from the step's own f_old and f. The initial-step
+    choice, once per arc, also runs on Python floats but for its three
+    norms, whose sums are `ndarray.dot` as in scipy.
     """
 
     n_stages = _N_STAGES
@@ -474,7 +632,7 @@ class RK45:
         else:
             h0 = 0.01 * d0 / d1
         h0 = min(h0, interval_length)
-        f1 = self.fun(t0 + h0, self.stages.kernels.update(y0, h0, f0))
+        f1 = self.fun(t0 + h0, [v + h0 * f for v, f in zip(y0, f0)])
         self.nfev += 1
         d2 = _rms(np.array([(a - b) / s
                             for a, b, s in zip(f1, f0, scale)])) / h0
@@ -487,9 +645,8 @@ class RK45:
     def step(self):
         """Advance by one accepted step; set status to "finished" at
         t_bound, or to "failed" when the step size falls below 10 ulp."""
-        t, y, fun, stages = self.t, self.y, self.fun, self.stages
-        K, kernels = stages.K, stages.kernels
-        stage, update = kernels.stage, kernels.update
+        t, y, f, fun = self.t, self.y, self.f, self.fun
+        attempt = self.stages.attempt
         t_bound = self.t_bound
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = self.h_abs
@@ -507,18 +664,8 @@ class RK45:
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            K[0] = self.f
-            for s, KT, a, c in stages.stage_sums:
-                K[s] = fun(t + c * h, stage(y, KT.dot(a).tolist(), h))
-            y_new = update(y, h, stages.solution_sum.dot(_B).tolist())
-            f_new = fun(t + h, y_new)
-            K[-1] = f_new
+            y_new, f_new, err5_norm_2, err3_norm_2 = attempt(fun, t, y, f, h)
             self.nfev += self.n_stages
-            scale = kernels.error_scale(y, y_new)
-            err5 = stages.error_sum.dot(_E5) / scale
-            err3 = stages.error_sum.dot(_E3) / scale
-            err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
-            err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
             if err5_norm_2 == 0 and err3_norm_2 == 0:
                 error_norm = 0.0
             else:
@@ -537,7 +684,7 @@ class RK45:
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             step_rejected = True
         self.h_previous = h
-        self.t_old, self.y_old = t, y
+        self.t_old, self.y_old, self.f_old = t, y, f
         self.t, self.y, self.f = t_new, y_new, f_new
         self.h_abs = h_abs
         if t_new - t_bound >= 0:
@@ -545,44 +692,35 @@ class RK45:
 
     def dense_output(self):
         """Interpolant of the last step: scipy's DOP853 dense output. Its
-        (8, 2n) coefficient block is also left in `_coeffs`, where the
-        executor reads it for the arc's table: a traced solver's dense
-        output passes on no more than a `_StepInterpolant`'s times and
-        calls."""
-        stages, h = self.stages, self.h_previous
-        K, kernels = stages.K_extended, stages.kernels
-        t_old, y_old = self.t_old, self.y_old
-        for s, KT, a, c in stages.extra_sums:
-            K[s] = self.fun(t_old + c * h,
-                            kernels.stage(y_old, KT.dot(a).tolist(), h))
+        flat coefficient block (`_kernels`' `dense`) is also left in
+        `_coeffs`, where the executor reads it for the arc's table: a
+        traced solver's dense output passes on no more than a
+        `_StepInterpolant`'s times and calls."""
+        stages = self.stages
+        coeffs = self._coeffs = stages.dense(
+            self.fun, self.t_old, self.y_old, self.h_previous, self.y,
+            self.f_old, self.f)
         self.nfev += len(_EXTRA_STAGES)
-        # rows F[0], F[1], F[2], the 4 rows h (D K), then y_old; f at
-        # both ends as scipy reads them: rows of the stage matrix
-        coeffs = np.empty((len(_D) + 4, len(y_old)))
-        coeffs[:3] = kernels.dense_rows(self.y, y_old, K[0].tolist(),
-                                        K[_N_STAGES].tolist(), h)
-        coeffs[3:-1] = h * _D.dot(K)
-        coeffs[-1] = y_old
-        self._coeffs = coeffs
-        return _StepInterpolant(t_old, self.t, coeffs, kernels.horner)
+        return _StepInterpolant(self.t_old, self.t, coeffs,
+                                stages.kernels.horner)
 
 
 class _StepInterpolant:
     """DOP853's dense output on one step [t_old, t] at one float time:
-    scipy's Dop853DenseOutput, operation for operation. Its (8, 2n) block
-    of coefficient rows F and y_old is turned into a list of Python
-    floats once, at construction, and a call is the `horner` kernel at
-    the scaled time: at the few times of a step's scan and refinement,
-    Python floats beat numpy's per-call overhead. An arc keeps the
-    blocks of its steps, not these objects (`_ArcInterpolant`).
-    Callers read t_old, t, t_min and t_max and call it; the tracer's
-    proxy passes on nothing else."""
+    scipy's Dop853DenseOutput, operation for operation. `block` is the
+    step's flat coefficient block, a list of Python floats (rows F and
+    y_old, as the step loop's `dense` kernel builds it), and a call is
+    the `horner` kernel at the scaled time: at the few times of a step's
+    scan and refinement, Python floats beat numpy's per-call overhead.
+    An arc keeps the blocks of its steps, not these objects
+    (`_ArcInterpolant`). Callers read t_old, t, t_min and t_max and call
+    it; the tracer's proxy passes on nothing else."""
 
-    def __init__(self, t_old, t, coeffs, horner):
+    def __init__(self, t_old, t, block, horner):
         self.t_old = self.t_min = t_old
         self.t = self.t_max = t
         self.h = t - t_old
-        self._block = coeffs.ravel().tolist()
+        self._block = block
         self._horner = horner
 
     def __call__(self, t):
@@ -887,14 +1025,14 @@ def brentq(f, a, b, xtol=2e-12, rtol=4 * np.finfo(float).eps, fa=None,
 
 def _close_arc(breakpoints, blocks, t_end, y_end):
     """The arc from breakpoints[0] to t_end, whose steps end at
-    breakpoints[1:] with coefficient blocks `blocks`, and y_end its state
-    at t_end. Its grid is each step's start, with the state at it (the
-    block's y_old row), then t_end."""
+    breakpoints[1:] with flat coefficient blocks `blocks`, and y_end its
+    state at t_end. Its grid is each step's start, with the state at it
+    (the block's y_old row), then t_end."""
     k = len(blocks)
     times = np.array(breakpoints[:k] + [t_end])
     t_start, t_end = times[0], times[-1]
     if blocks:
-        table = np.array(blocks)
+        table = np.array(blocks).reshape(k, -1, len(y_end))
         states = np.vstack([table[:, -1], y_end])
         # an event cuts the last step; clamp queries to the arc
         interp = _ArcInterpolant(table, np.array(breakpoints), t_start, t_end)
@@ -922,8 +1060,8 @@ class _ArcInterpolant:
     scipy's OdeSolution segment rule on times clamped to the arc.
 
     `table` is (k, 8, 2n): block j holds step j's DOP853 coefficient rows
-    F and its y_old, as a `_StepInterpolant` does, and the step runs from
-    breakpoints[j] to breakpoints[j + 1]. Time t goes to step
+    F and its y_old, the rows of the flat block a `_StepInterpolant`
+    reads, and the step runs from breakpoints[j] to breakpoints[j + 1]. Time t goes to step
     searchsorted(breakpoints, t) - 1 (side "left"), clamped to the first
     and last step, so a breakpoint belongs to the step that ends there.
     Every call is one gathered evaluation, a scalar time as an array of

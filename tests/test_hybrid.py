@@ -879,8 +879,9 @@ def test_no_point_is_evaluated_twice_in_an_arc(monkeypatch, kind, t_end,
 
 def _assert_steps_like_scipy(ours, ref):
     """Step both solvers to the end and require bit-identical states,
-    RHS call counts, statuses and dense output at the scan times and at
-    five seeded interior times per step, each as one float."""
+    RHS call counts, statuses, coefficient blocks (scipy's rows F and
+    then y_old, flattened row by row) and dense output at the scan times
+    and at five seeded interior times per step, each as one float."""
     from hybridlag import hybrid
 
     def same():
@@ -903,6 +904,10 @@ def _assert_steps_like_scipy(ours, ref):
         assert ours.nfev == ref.nfev
         assert ((mine.t_old, mine.t, mine.t_min, mine.t_max)
                 == (theirs.t_old, theirs.t, theirs.t_min, theirs.t_max))
+        assert isinstance(ours._coeffs, list)
+        block = np.vstack([theirs.F, theirs.y_old])
+        assert np.array_equal(np.array(ours._coeffs).view(np.uint64),
+                              block.ravel().view(np.uint64))
         for ts in (np.linspace(ref.t_old, ref.t, hybrid.SCAN_POINTS + 2),
                    rng.uniform(ref.t_old, ref.t, 5)):
             assert all(np.array_equal(mine(float(t)), theirs(t)) for t in ts)
@@ -1004,45 +1009,106 @@ def _draws(rng, size):
 
 @pytest.mark.parametrize("size", range(1, 7))
 def test_kernels_match_the_list_comprehensions_bit_for_bit(size, rng):
-    # each unrolled kernel against the list comprehension it replaced in
+    # the Horner kernel against the list comprehension it replaced in
     # the step loop, kept here as the reference
     from hybridlag import hybrid
 
     k = hybrid._kernels(size)
     assert k is hybrid._kernels(size)   # built once per size
     for _ in range(400):
-        y, w, z, f_old, f = (_draws(rng, size) for _ in range(5))
-        h, x = _draws(rng, 2)
+        (x,) = _draws(rng, 1)
         block = np.array([_draws(rng, size) for _ in range(8)])
         # components at rest: Horner's leading 0.0 + turns -0.0 into 0.0
         block[:, rng.random(size) < 0.2] = -0.0
-        assert _bits(k.stage(y, w, h)) == _bits(
-            [v + d * h for v, d in zip(y, w)])
-        assert _bits(k.update(y, h, w)) == _bits(
-            [v + h * d for v, d in zip(y, w)])
-        scale = k.error_scale(y, z)
-        assert isinstance(scale, np.ndarray)
-        assert _bits(scale) == _bits(
-            [hybrid.ATOL + (a if a > b or a != a else b) * hybrid.RTOL
-             for a, b in zip([abs(v) for v in y], map(abs, z))])
-        # scipy's own error scale: np.maximum's NaN rule
-        assert _bits(scale) == _bits(
-            hybrid.ATOL + np.maximum(np.abs(y), np.abs(z)) * hybrid.RTOL)
-        delta_y = [a - b for a, b in zip(z, y)]
-        assert _bits(k.dense_rows(z, y, f_old, f, h)) == _bits([
-            delta_y,
-            [h * fo - d for fo, d in zip(f_old, delta_y)],
-            [2 * d - h * (fn + fo) for d, fn, fo in zip(delta_y, f, f_old)]])
         xm = 1 - x
         assert _bits(k.horner(block.ravel().tolist(), x)) == _bits(
             [(((((((0.0 + f6) * x + f5) * xm + f4) * x + f3) * xm + f2) * x
                + f1) * xm + f0) * x + y0
              for f0, f1, f2, f3, f4, f5, f6, y0 in block.T.tolist()])
-    # the error scale's NaN rule: a NaN on either side is the maximum
-    for y, z in (([math.nan] * size, [1.0] * size),
-                 ([1.0] * size, [-math.nan] * size),
-                 ([math.nan] * size, [math.inf] * size)):
-        assert np.isnan(k.error_scale(y, z)).all()
+
+
+def _stage_loop(fun, K, t, y, f, h):
+    """The step loop's passes as they were before its kernels, kept as
+    the reference: one attempt of step h from (t, y), f = fun(t, y), with
+    scipy's error estimates, then the dense output of that step. Returns
+    y_new, f_new, the squared norms of the 5th- and 3rd-order error
+    estimates, the 3rd-order estimate and the coefficient block,
+    flattened row by row."""
+    from hybridlag import hybrid
+
+    K[0] = f
+    for s, a, c in hybrid._STAGES:
+        K[s] = fun(t + c * h, [v + d * h for v, d in
+                               zip(y, K[:s].T.dot(a).tolist())])
+    y_new = [v + h * d for v, d in
+             zip(y, K[:hybrid._N_STAGES].T.dot(hybrid._B).tolist())]
+    f_new = fun(t + h, y_new)
+    K[hybrid._N_STAGES] = f_new
+    # scipy's error scale, with np.maximum's rule that a NaN on either
+    # side is the maximum, and its two estimates' norms
+    scale = hybrid.ATOL + np.maximum(np.abs(y), np.abs(y_new)) * hybrid.RTOL
+    err5 = K[:hybrid._N_STAGES + 1].T.dot(hybrid._E5) / scale
+    err3 = K[:hybrid._N_STAGES + 1].T.dot(hybrid._E3) / scale
+    norms = [math.sqrt(err5.dot(err5)) ** 2, math.sqrt(err3.dot(err3)) ** 2]
+    for s, a, c in hybrid._EXTRA_STAGES:
+        K[s] = fun(t + c * h, [v + d * h for v, d in
+                               zip(y, K[:s].T.dot(a).tolist())])
+    delta = [a - b for a, b in zip(y_new, y)]
+    f_old, f_end = K[0].tolist(), K[hybrid._N_STAGES].tolist()
+    block = np.empty((8, len(y)))
+    block[:3] = [delta,
+                 [h * fo - d for fo, d in zip(f_old, delta)],
+                 [2 * d - h * (fn + fo)
+                  for d, fn, fo in zip(delta, f_end, f_old)]]
+    block[3:-1] = h * hybrid._D.dot(K)
+    block[-1] = y
+    return y_new, f_new, norms, err3, block.ravel().tolist()
+
+
+@pytest.mark.parametrize("size", range(1, 7))
+def test_stage_kernels_match_the_stage_loop_bit_for_bit(size, rng):
+    # the bound `attempt` and `dense` kernels against the loops they
+    # replaced (`_stage_loop`): the same right-hand-side calls with the
+    # same arguments, the same stage matrix rows, and the same (y_new,
+    # f_new), error estimates and coefficient block, on special floats too
+    from hybridlag import hybrid
+
+    stages = hybrid._StageMatrix(size)
+    K = np.empty_like(stages.K_extended)
+    for _ in range(100):
+        t, h = _draws(rng, 2)
+        y, f = _draws(rng, size), _draws(rng, size)
+        values = [_draws(rng, size) for _ in range(hybrid._N_STAGES + 3)]
+
+        def recording(calls):
+            # returns the drawn values in call order, and records each
+            # call's arguments
+            def fun(tt, yy):
+                calls.append(_bits([tt] + yy))
+                return values[len(calls) - 1]
+            return fun
+
+        calls, ref_calls = [], []
+        fun = recording(calls)
+        # numpy's products warn of inf - inf, and its error estimates of
+        # inf / inf, as scipy's do; the kernels' divisions on Python
+        # floats are silent
+        with np.errstate(invalid="ignore", over="ignore"):
+            y_new, f_new, *norms = stages.attempt(fun, t, y, f, h)
+            err3 = stages.err.copy()
+            block = stages.dense(fun, t, y, h, y_new, f, f_new)
+            ref = _stage_loop(recording(ref_calls), K, t, y, f, h)
+        assert calls == ref_calls
+        assert len(calls) == hybrid.RK45.n_stages + 3
+        assert _bits(y_new) == _bits(ref[0])
+        assert f_new is values[hybrid._N_STAGES - 1]
+        assert _bits(norms) == _bits(ref[2])
+        assert _bits(err3) == _bits(ref[3])
+        assert isinstance(block, list) and len(block) == 8 * size
+        assert _bits(block) == _bits(ref[4])
+        # every row: f, the values of the 12 stage calls and the 3 extra
+        assert _bits(stages.K_extended.ravel()) == _bits(K.ravel())
+        assert _bits(K.ravel()) == _bits(np.ravel([f] + values))
 
 
 def test_kernel_docstring_shows_the_generated_source():
@@ -1435,7 +1501,8 @@ def test_arc_table_with_non_finite_coefficients_sums_like_the_kernel():
     table[2, 0, 0], table[2, 7, 0] = math.inf, -math.inf
     ends = [0.0, 0.5, 1.25, 2.0]
     interp = hybrid._ArcInterpolant(table, np.array(ends), 0.0, 2.0)
-    steps = [hybrid._StepInterpolant(a, b, block, hybrid._kernels(3).horner)
+    steps = [hybrid._StepInterpolant(a, b, block.ravel().tolist(),
+                                     hybrid._kernels(3).horner)
              for a, b, block in zip(ends, ends[1:], table)]
     ts = np.concatenate([np.linspace(-0.5, 2.5, 31), ends,
                          [0.4999, 1.0, 1.9]])

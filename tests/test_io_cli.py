@@ -661,6 +661,27 @@ def test_verify_builds_each_model_once(monkeypatch):
     assert all(c["passed"] is True for c in checks), checks
 
 
+@pytest.mark.parametrize("mode, builds", [
+    ("full", 1), ("reduced", 1), ("resequenced", 1), ("compare", 1),
+    ("verify", 0)])
+def test_cli_builds_the_model_only_for_the_modes_that_run_it(
+        tmp_path, monkeypatch, mode, builds):
+    # verify reads only the scenario, and `run_verification` builds every
+    # model it checks; each other mode builds the configured model once
+    calls = []
+    build = cli.build_model
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_model", counted)
+    assert run_cli("run", "--model", "billiard-polar", "--scenario",
+                   "paper-c025", "--mode", mode, "--horizon", "2",
+                   "--out", str(tmp_path / "out")) == 0
+    assert len(calls) == builds, calls
+
+
 def test_cli_config_file_with_overrides(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({

@@ -359,17 +359,17 @@ class _FlightInterpolant:
 
 
 def _next_crossing(phi, dphi, t0, t_end):
-    """First upward root of a convex phi with phi(t0) <= 0 (to round-off)
-    on [t0, t_end], where dphi is its rate."""
+    """First upward root of a convex phi on [t0, t_end], where dphi is
+    its rate, from an admissible arc start (`hybrid._check_arc_start`),
+    where dphi(t0) >= 0 comes with phi(t0) < 0: on the guard, such a
+    start passes only if a free step lowers the guard, which convexity
+    rules out."""
     if t_end <= t0:
         return None
     if dphi(t0) >= 0.0:
         # heading out from the start: at most one root ahead
         if phi(t_end) <= 0.0:
             return None
-        if phi(t0) >= 0.0:
-            # grazing exit at round-off level: the wall recaptures at once
-            return t0
         lo = t0
     else:
         # phi decreases first; expand a bracket for the zero of dphi
@@ -403,33 +403,29 @@ def reference_flow(p: BilliardParams, s0: State, t_end: float) -> HybridFlow:
     Flights are closed-form; the next impact is the first root of the
     guard phi(t) = |q(t)|^2 - f(t) along the flight, which is convex for
     these walls, found by `_next_crossing` with the guard's direction,
-    its rate, as phi'. The start rule (`hybrid._check_arc_start`:
-    InvalidStart unless s0 is finite and an admissible arc start, and
-    t_end is finite and does not precede s0.t), resets, admissibility and
-    the MIN_DWELL / MAX_IMPACTS termination rules are the executor's,
-    making the result directly comparable to `simulate` while sharing
-    none of its ODE stepping.
+    its rate, as phi'. The arc-start rule (`hybrid._check_arc_start`,
+    which raises InvalidStart at s0 or a bad t_end and InvalidReset at a
+    post-impact state), resets and the MIN_DWELL / MAX_IMPACTS
+    termination rules are the executor's, making the result directly
+    comparable to `simulate` while sharing none of its ODE stepping. By
+    convexity each root found rises through the wall, or is a dip's
+    caught minimum, whose rate is zero to round-off: an impact under the
+    executor's rule (`hybrid._leaving`) either way.
     """
     guard = guard_cartesian(p)
     reset = reset_cartesian(p)
 
-    _check_arc_start(guard.surface, guard.direction, s0.t, s0.q, s0.v,
-                     t_end, InvalidStart)
     t, q, v = s0.t, s0.q.copy(), s0.v.copy()
     arcs: List[Arc] = []
     events: List[Event] = []
     termination = None
 
     while True:
+        _check_arc_start(guard.surface, guard.direction, t, q, v, t_end,
+                         InvalidReset if events else InvalidStart)
         flight = _FlightInterpolant(p, t, q, v)
         tau = _next_crossing(_along(guard.surface, flight, 2),
                              _along(guard.direction, flight, 2), t, t_end)
-        if tau is not None:
-            y = flight(tau)
-            if guard.direction(tau, y[:2], y[2:]) < 0.0:
-                # inadmissible crossing: the flight leaves the region and,
-                # by convexity, never returns on this arc
-                tau = None
         arc_end = tau if tau is not None else t_end
         times = np.linspace(t, arc_end, REFERENCE_GRID)
         states = flight(times).T

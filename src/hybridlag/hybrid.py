@@ -39,8 +39,9 @@ start must pass. One rule on these (g, d) samples brackets the
 crossings, including those between two samples (`_scan`), which are
 refined in time to REFINE_XTOL with Brent's method on the interpolant
 (`brentq`, scipy's C routine run operation for operation). A crossing
-counts as an impact only where d >= 0, and never at the arc's start;
-crossings with negative d are skipped and integration continues. No
+counts as an impact only where its rate does not leave (`_leaving`: a
+rate within GUARD_TOL of zero does not), and never at the arc's start;
+leaving crossings are skipped and integration continues. No
 point of an arc is evaluated twice: each scan sample once, Brent's
 bracket ends from the scan samples or the refinement before it, and the
 impact's state, residual and slope from the evaluations that located
@@ -115,7 +116,8 @@ class Guard:
         impacts occur on upward crossings of g = 0.
     direction: the rate d = dg/dt of the surface along the flow; the
         scan reads the extrema of g off its sign changes. A crossing is
-        an impact iff d >= 0 there (closed inequality: grazing counts).
+        an impact iff d >= -GUARD_TOL there (`_leaving`: a grazing rate,
+        within GUARD_TOL of zero, counts as an impact).
 
     The scan calls surface and then direction at each of its samples,
     in time order.
@@ -286,7 +288,7 @@ def bind(K, out, err, dk, row0, stage_sums, solution_sum, row12, error_sum,
         <<row12[#], >> = f_new
         <<a#, >> = map(abs, y)
         <<b#, >> = map(abs, y_new)<<
-        s# = ATOL + (a# if a# > b# or a# != a# else b#) * RTOL>>
+        s# = ATOL + (a# if a# > b# else b#) * RTOL>>
         error_sum(E5, out)
         <<w#, >> = out.tolist()
         <<err_items[#], >> = <<w# / s#, >>
@@ -366,8 +368,7 @@ def _kernels(size):
         back as floats w, the call fun(t + c_s h, y + w h) and its value
         written into row s; then y_new = y + h K[:12]^T B the same way,
         f_new = fun(t + h, y_new) into row 12, the error scale
-        ATOL + max(|y|, |y_new|) RTOL (with np.maximum's rule that a NaN
-        on either side is the maximum), and the error estimates
+        ATOL + max(|y|, |y_new|) RTOL, and the error estimates
         K^T E5 / scale and K^T E3 / scale, each a BLAS sum into out whose
         quotients are written into err for their BLAS norm. Returns
         y_new and f_new as lists and the two squared norms;
@@ -382,10 +383,14 @@ def _kernels(size):
     the same operand order and the same numpy products, so its values
     are the loop's bit for bit (but for which of two NaN operands comes
     out, which CPython's float arithmetic does not fix: its specialized
-    and generic instructions differ there). Its Python-float arithmetic
-    raises no warning where numpy's would warn of an invalid value, and
-    no division is by zero: each divisor is an error scale, NaN or at
-    least ATOL > 0. For size 2 the source is::
+    and generic instructions differ there). The error scale's
+    `a if a > b else b`, on a = |y_i| and b = |y_new_i|, keeps
+    np.maximum's rule that a NaN on either side is the maximum with no
+    clause for it: a NaN in y is a NaN in y_new = y + h w, and a
+    comparison with a NaN is false, so b comes out. The kernels'
+    Python-float arithmetic raises no warning where numpy's would warn of
+    an invalid value, and no division is by zero: each divisor is an
+    error scale, NaN or at least ATOL > 0. For size 2 the source is::
 
         def horner(c, x):
             (f0_0, f0_1,
@@ -467,8 +472,8 @@ def _kernels(size):
                 row12[0], row12[1], = f_new
                 a0, a1, = map(abs, y)
                 b0, b1, = map(abs, y_new)
-                s0 = ATOL + (a0 if a0 > b0 or a0 != a0 else b0) * RTOL
-                s1 = ATOL + (a1 if a1 > b1 or a1 != a1 else b1) * RTOL
+                s0 = ATOL + (a0 if a0 > b0 else b0) * RTOL
+                s1 = ATOL + (a1 if a1 > b1 else b1) * RTOL
                 error_sum(E5, out)
                 w0, w1, = out.tolist()
                 err_items[0], err_items[1], = w0 / s0, w1 / s1,
@@ -854,15 +859,16 @@ def _scan(dense, n, gfun, dfun, start, ts, ys, gs, ds):
     * an arc's first interval, where d goes from - to + and g(b) > 0:
       the crossing follows the minimum of g. Where g >= 0 there, the arc
       left the guard without measurably getting inside, and the wall
-      catches it at the minimum;
+      catches it at the minimum, whose rate does not leave;
     * d from + to - with g(a), g(b) <= 0: where g > 0 at the maximum,
       the crossing precedes it;
     * otherwise, g(a) <= 0 < g(b) brackets the crossing.
 
     Extrema are located with Brent on d, crossings with Brent on g. A
-    crossing is an impact where d >= 0, except at the start itself;
-    otherwise the scan goes on. A strike between two samples is missed
-    only where g has two maxima between them.
+    crossing is an impact where its rate is not leaving (`_leaving`),
+    except at the start itself; otherwise the scan goes on. A strike
+    between two samples is missed only where g has two maxima between
+    them.
 
     No point is evaluated twice: every Brent call gets its end values
     from the samples or from the refinement before it, and the impact's
@@ -896,11 +902,17 @@ def _scan(dense, n, gfun, dfun, start, ts, ys, gs, ds):
         if tau == start:
             continue
         d_tau = points.d(tau)
-        if d_tau >= 0.0:
+        if not _leaving(d_tau):
             return tau, points.y(tau), points.g(tau), d_tau
-        # inadmissible crossing: the trajectory exits; scan on for a
-        # re-entry
+        # a leaving crossing: the trajectory exits; scan on for a re-entry
     return None
+
+
+def _leaving(d):
+    """Whether the guard rate d leaves the guard: d < -GUARD_TOL, so a
+    rate within GUARD_TOL of zero does not. The one admissibility test of
+    a rate, at arc starts (`_check_arc_start`) and crossings (`_scan`)."""
+    return d < -GUARD_TOL
 
 
 class _StepPoints:
@@ -1136,10 +1148,10 @@ def _check_arc_start(gfun, dfun, t, q, v, t_end, error):
 
     The start and t_end must be finite, t_end not before t, and, with
     b = GUARD_TOL max(1, |d|), g <= b and one of: g < -b (strictly
-    inside), d < 0 (leaving), or a free step of 1e-7 max(1, |t|) lowers
-    g by more than 1e-14. So within b of the guard with d >= 0 the free
-    step decides: it admits a start moving inward, and rejects one
-    heading out or tangent to a static wall."""
+    inside), d leaving (`_leaving`), or a free step of 1e-7 max(1, |t|)
+    lowers g by more than 1e-14. So within b of the guard with a rate
+    that does not leave the free step decides: it admits a start moving
+    inward, and rejects one heading out or tangent to a static wall."""
     if not all(map(math.isfinite, [t, *q.tolist(), *v.tolist()])):
         raise error(f"arc start is not finite (t={t!r}, q={q.tolist()}, "
                     f"v={v.tolist()})")
@@ -1152,7 +1164,7 @@ def _check_arc_start(gfun, dfun, t, q, v, t_end, error):
     g, d = gfun(t, q, v), dfun(t, q, v)
     bound = GUARD_TOL * max(1.0, abs(d))
     if g <= bound:
-        if g < -bound or d < 0.0:
+        if g < -bound or _leaving(d):
             return g, d
         eps = 1e-7 * max(1.0, abs(t))
         if gfun(t + eps, q + eps * v, v) < g - 1e-14:

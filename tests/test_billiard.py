@@ -428,43 +428,13 @@ def test_damping_clock_invariant_holds_in_every_pipeline(wall):
     f, fdot = clock_quadratic_wall(*wall)
     p = hl.BilliardParams(m=m, c=c, wall=f, wall_rate=fdot)
     s0 = mk_state(0.0, [0.3, -0.2], [1.1, 0.7])
-    s0p = hl.cartesian_to_polar(s0)
-    invariant0 = clock_invariant_cartesian(*wall, np.zeros(1), s0.q[:, None],
-                                           s0.v[:, None])[0]
     ref = hl.reference_flow(p, s0, 8.0)
     assert ref.termination == "horizon_reached"
-
-    def drift(arcs, invariant):
-        """The largest |I - I0| at 50 points of each arc."""
-        worst = 0.0
-        for k, arc in enumerate(arcs):
-            t = np.linspace(arc.t_start, arc.t_end, 50)
-            dev = np.abs(invariant(k, t, arc(t)) - invariant0)
-            worst = max(worst, float(np.max(dev)))
-        return worst
-
-    cyc = hl.polar_cyclic(p)
-    mu0 = hl.momentum_map(cyc, s0p)
-    reduced = hl.simulate(hl.reduce(cyc, mu0).shape, cyc.project_state(s0p),
-                          8.0)
-    reseq = hl.simulate_resequenced(cyc, s0p, 8.0)
-    runs = {
-        "cartesian": (hl.simulate(hl.cartesian_hybrid(p), s0, 8.0),
-                      lambda k, t, y: clock_invariant_cartesian(
-                          *wall, t, y[:2], y[2:])),
-        "polar": (hl.simulate(hl.polar_hybrid(p), s0p, 8.0),
-                  lambda k, t, y: clock_invariant_radial(
-                      *wall, t, y[0], y[2],
-                      np.exp(c * t / m) * m * y[0] ** 2 * y[3])),
-        "reduced": (reduced, lambda k, t, y: clock_invariant_radial(
-            *wall, t, y[0], y[1], mu0)),
-        "resequenced": (reseq.reduced, lambda k, t, y: clock_invariant_radial(
-            *wall, t, y[0], y[1], reseq.mu_sequence[k])),
-    }
-    for name, (flow, invariant) in runs.items():
+    _, runs = clock_invariant_drifts(wall, s0, 8.0)
+    for name, (flow, drift) in runs.items():
         assert flow.termination == ref.termination, name
         assert len(flow.events) == len(ref.events), name
-        assert drift(flow.arcs, invariant) <= CLOCK_INVARIANT_TOL, name
+        assert drift <= CLOCK_INVARIANT_TOL, name
 
 
 CLOCK_HORIZON = 6.0

@@ -434,15 +434,44 @@ def test_first_interval_minimum_on_or_above_the_wall_is_the_impact(
     # a start 5e-9 outside the static unit wall (within GUARD_TOL),
     # heading in almost tangentially: the guard's minimum at t ~ 1e-5
     # stays above the wall, so the wall catches the particle there and
-    # no crossing is refined
+    # no crossing is refined. The reset leaves it tangent (d = -4.7e-20)
+    # and 4.9e-9 outside the wall, where it would fly out, so that
+    # post-impact state is no arc start, in either pipeline
     refines = _recorded_refines(monkeypatch)
+    hs, resets = hl.cartesian_hybrid(static_billiard()), []
+    wall = hs.reset.apply
+    hs = dataclasses.replace(hs, reset=hl.ResetMap(
+        apply=lambda t, q, v: resets.append(t) or wall(t, q, v)))
     s0 = hl.State(0.0, np.array([math.sqrt(1.0 + 5e-9), 0.0]),
                   np.array([-1e-5, 1.0]))
-    flow = hl.simulate(hl.cartesian_hybrid(static_billiard()), s0, 0.5)
-    assert len(flow.events) == 1
-    assert flow.events[0].tau == pytest.approx(1.0e-5, rel=1e-3)
-    assert ("d", flow.events[0].tau) in refines
+    for run in (lambda: hl.simulate(hs, s0, 0.5),
+                lambda: hl.reference_flow(static_billiard(), s0, 0.5)):
+        with no_hang(10), pytest.raises(hl.InvalidReset, match=(
+                r"^arc start at t=1\.0000000024\d*e-05 has g=4\.900e-09, ")):
+            run()
+    assert len(resets) == 1
+    assert resets[0] == pytest.approx(1.0e-5, rel=1e-3)
+    assert ("d", resets[0]) in refines
     assert all(name == "d" for name, _ in refines)
+
+
+@pytest.mark.parametrize("scale, impacts", [(-0.5, 1), (-2, 0)],
+                         ids=["within-GUARD_TOL", "leaving"])
+def test_crossing_rate_within_guard_tol_of_zero_is_an_impact(scale, impacts):
+    # the unit wall's guard with a constant rate d = scale GUARD_TOL, from
+    # the centre at speed 1: g crosses upward at t = 1, and the crossing is
+    # an impact unless its rate leaves, d < -GUARD_TOL; the reflected
+    # state's free step moves inward, so it starts the next arc
+    from hybridlag import hybrid
+
+    hs = hl.cartesian_hybrid(static_billiard())
+    hs = dataclasses.replace(hs, guard=hl.Guard(
+        surface=hs.guard.surface,
+        direction=lambda t, q, v: scale * hybrid.GUARD_TOL))
+    flow = hl.simulate(hs, center_start(), 2.5)
+    assert flow.termination == "horizon_reached"
+    assert len(flow.events) == impacts
+    assert [e.tau for e in flow.events] == pytest.approx([1.0] * impacts)
 
 
 @pytest.mark.parametrize("chart", ["cartesian", "polar"])
@@ -639,17 +668,30 @@ def test_momentum_side_reset_outside_the_wall_rejected(unit_wall_hybrid):
                         np.concatenate([cs0.q, cs0.p]), 2.5)
 
 
-@pytest.mark.parametrize("q0, v0", [
-    ((math.sqrt(1.0 - 1e-10), 0.0), (1.0, 0.0)),
-    ((1.0, 0.0), (0.0, 1.0)),
-], ids=["1e-10-inside-heading-out", "tangent"])
-def test_start_on_the_guard_not_leaving_is_invalid_start(q0, v0):
-    # within GUARD_TOL of the static unit wall with d >= 0, a start is
-    # admissible only if a free step moves it inward. Heading out from
-    # 1e-10 inside, the run used to cross at once and then crawl at a
-    # step ceiling of that 5e-11 dwell; the tangent start's free step
-    # raises g by 9.99e-15. The oracle applies the same rule
-    params = static_billiard()
+@pytest.mark.parametrize("c, q0, v0", [
+    (0.0, (math.sqrt(1.0 - 1e-10), 0.0), (1.0, 0.0)),
+    (0.0, (1.0, 0.0), (0.0, 1.0)),
+    (0.2446318921487286, (-0.3867797755436651, -0.9221721125854935),
+     (1.896538472127192, -0.7954509950454342)),
+    (0.31403411703878364, (-0.11767317020917162, 0.9930523777791825),
+     (-1.613040416418868, -0.19113954482442969)),
+    (0.06648206623718847, (0.9504366942746172, 0.3109181406356269),
+     (-0.533686558521362, 1.631411044150951)),
+], ids=["1e-10-inside-heading-out", "tangent", "tangent-rate-below-0",
+        "whispering-gallery-1", "whispering-gallery-2"])
+def test_start_on_the_guard_not_leaving_is_invalid_start(c, q0, v0):
+    # within GUARD_TOL of the static unit wall with a rate that does not
+    # leave (d >= -GUARD_TOL), a start is admissible only if a free step
+    # moves it inward. Heading out from 1e-10 inside, the run used to
+    # cross at once and then crawl at a step ceiling of that 5e-11 dwell;
+    # the tangent start's free step raises g by 9.99e-15. The last three
+    # are tangent starts with drag whose rate rounds below zero (d from
+    # -4.1e-17 to -6.1e-18, g = 0, -3.5e-14 and -2.2e-14): read as
+    # leaving, the first flew out of the wall to |q(10)|^2 = 60 in both
+    # pipelines, and the two whispering-gallery starts ended unlike the
+    # oracle (5,213 impacts against 2,140) or ran for more than 20 s. The
+    # oracle applies the same rule
+    params = static_billiard(c)
     s0 = hl.State(0.0, np.array(q0), np.array(v0))
     for run in (lambda: hl.simulate(hl.cartesian_hybrid(params), s0, 2.5),
                 lambda: hl.reference_flow(params, s0, 2.5)):

@@ -6,10 +6,10 @@ the exponentially weighted kinetic Lagrangian
 
     L(t, q, v) = exp(c t / m) * m |v|^2 / 2.
 
-The wall is the circle |q|^2 = f(t). A crossing is an impact when the
-particle approaches the wall in the co-moving sense,
-d = 2 q.v - fdot >= 0, the rate d/dt(|q|^2 - f) of the guard, which is
-well defined for growing and shrinking walls alike. The reset reflects
+The wall is the circle |q|^2 = f(t). A crossing is an impact unless the
+particle leaves the wall in the co-moving sense, at a rate
+d = 2 q.v - fdot < -GUARD_TOL (`hybrid._leaving`); d = d/dt(|q|^2 - f)
+is well defined for growing and shrinking walls alike. The reset reflects
 the wall-normal velocity elastically in the frame of the moving wall.
 This is the contact law of time-dependent billiards (Koiller, Markarian,
 Kamphorst & de Carvalho, Nonlinearity 8, 1995). In the polar chart the
@@ -24,9 +24,10 @@ The closed-form damped flight makes an exact piecewise reference flow
 possible: between impacts positions follow q(t) = q0 + (m/c) v0 (1 -
 exp(-c dt/m)), and impact times are roots of the convex function
 |q(t)|^2 - f(t) along each flight, bracketed through its derivative and
-refined with Brent's method. The reference run applies the same reset,
-admissibility and termination rules as the executor but involves no ODE
-stepping, so it is an independent oracle for the whole hybrid pipeline.
+refined with Brent's method. Its flights run as arcs of the executor's
+loop, under the same arc-start, termination, residual and reset rules,
+but involve no ODE stepping, so it is an independent oracle for the
+whole hybrid pipeline.
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ from typing import Callable, List
 
 import numpy as np
 
-from .errors import ChartSingularity, InvalidReset, InvalidStart
-from .hybrid import (MAX_IMPACTS, MIN_DWELL, TERM_HORIZON, TERM_MAX_IMPACTS,
-                     TERM_ZENO, Arc, Event, Guard, HybridFlow, HybridSystem,
-                     ResetMap, _along, _check_arc_start, brentq)
+from .errors import ChartSingularity, InvalidReset
+from .hybrid import (Arc, Guard, HybridFlow, HybridSystem, ResetMap, _along,
+                     _execute, _mode, brentq)
 from .lagrangian import LagrangianSystem, State
 from .reduction import CyclicStructure
 
@@ -403,50 +403,30 @@ def reference_flow(p: BilliardParams, s0: State, t_end: float) -> HybridFlow:
     Flights are closed-form; the next impact is the first root of the
     guard phi(t) = |q(t)|^2 - f(t) along the flight, which is convex for
     these walls, found by `_next_crossing` with the guard's direction,
-    its rate, as phi'. The arc-start rule (`hybrid._check_arc_start`,
-    which raises InvalidStart at s0 or a bad t_end and InvalidReset at a
-    post-impact state), resets and the MIN_DWELL / MAX_IMPACTS
-    termination rules are the executor's, making the result directly
+    its rate, as phi'. Each flight is an arc of the executor's loop
+    (`hybrid._execute`) under all its rules, so the result is directly
     comparable to `simulate` while sharing none of its ODE stepping. By
     convexity each root found rises through the wall, or is a dip's
     caught minimum, whose rate is zero to round-off: an impact under the
     executor's rule (`hybrid._leaving`) either way.
     """
-    guard = guard_cartesian(p)
-    reset = reset_cartesian(p)
+    hs = cartesian_hybrid(p)
 
-    t, q, v = s0.t, s0.q.copy(), s0.v.copy()
-    arcs: List[Arc] = []
-    events: List[Event] = []
-    termination = None
-
-    while True:
-        _check_arc_start(guard.surface, guard.direction, t, q, v, t_end,
-                         InvalidReset if events else InvalidStart)
-        flight = _FlightInterpolant(p, t, q, v)
-        tau = _next_crossing(_along(guard.surface, flight, 2),
-                             _along(guard.direction, flight, 2), t, t_end)
+    def flight_arc(mode, t, y, t_end, max_step, g0, d0):
+        _, gfun, dfun, _ = mode
+        flight = _FlightInterpolant(p, t, y[:2], y[2:])
+        tau = _next_crossing(_along(gfun, flight, 2), _along(dfun, flight, 2),
+                             t, t_end)
         arc_end = tau if tau is not None else t_end
         times = np.linspace(t, arc_end, REFERENCE_GRID)
-        states = flight(times).T
-        arcs.append(Arc(t, arc_end, times, states, flight))
-
+        arc = Arc(t, float(arc_end), times, flight(times).T, flight)
         if tau is None:
-            termination = TERM_HORIZON
-            break
-        if events and tau - events[-1].tau < MIN_DWELL:
-            termination = TERM_ZENO
-            break
+            return arc, None, False
         y = flight(tau)
-        q, v = reset.apply(tau, y[:2], y[2:])
-        events.append(Event(tau, State(tau, y[:2], y[2:]), State(tau, q, v),
-                            abs(guard.surface(tau, y[:2], y[2:]))))
-        if len(events) >= MAX_IMPACTS:
-            termination = TERM_MAX_IMPACTS
-            break
-        t = tau
+        q, v = y[:2], y[2:]
+        return arc, (tau, y, gfun(tau, q, v), dfun(tau, q, v)), False
 
-    return HybridFlow(arcs, events, termination)
+    return _execute(_mode(hs), s0.t, hs.system.pack(s0), t_end, flight_arc)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 resets.
 
 Every run in the package goes through one loop, `_execute`: full and
-reduced runs, resequenced runs and the momentum-side runs of the
-equivalence checks. Each arc is integrated under the fixed step control
+reduced runs, resequenced runs, the momentum-side runs of the
+equivalence checks and the closed-form oracle's flights. Its default arc
+runner (`_integrator`) integrates each arc under the fixed step control
 RTOL = ATOL with the adaptive Dormand-Prince 8(5,3) pair DOP853, whose
 7th-order dense output costs 3 extra right-hand-side calls per accepted
 step (Hairer, Norsett & Wanner, Solving ODEs I, II.5-II.6). The step
@@ -12,11 +13,8 @@ scipy's table, and repeats the arithmetic of scipy's `DOP853` operation
 for operation, so it reproduces scipy's steps and dense output bit for
 bit, but it calls the right-hand side directly, without the solver's
 wrapper layers, on a list of Python floats, and gets a list of Python
-floats back. It serves the executor alone: the executor fixes its step
-control and checks every arc start
-(`_check_arc_start`) before it builds a solver, so the loop keeps none
-of scipy's tolerance parameters or argument checks, and an arc with no
-time to cover takes no step. Its tableau sums (the stage, solution,
+floats back, and it keeps none of scipy's tolerance parameters or
+argument checks (see `RK45`). Its tableau sums (the stage, solution,
 error and dense-output products and the error norms) stay the numpy
 products scipy takes, since a BLAS sum need not add in a Python loop's
 order (see `RK45`). Everything between them runs on Python floats,
@@ -546,7 +544,7 @@ class _StageMatrix:
     in `err` for its norm's dot product.
     A solver writes every row of the matrix before it reads it, in each
     step attempt and in each dense output, so one matrix serves the
-    solvers of consecutive arcs; `_execute` builds one per run."""
+    solvers of consecutive arcs; `_integrator` builds one per run."""
 
     def __init__(self, size):
         K = self.K_extended = np.empty(
@@ -581,7 +579,7 @@ class RK45:
     the arc with status "failed" (a step clamped up to that size is
     taken first).
 
-    Only `_execute` builds solvers, after its arc-start check, so the
+    Only `_integrator` builds solvers, after the arc-start check, so the
     loop keeps none of scipy's argument checks: y0 must be finite,
     t_bound > t0 (an arc with no time takes no step and builds no
     solver) and max_step > 0.
@@ -590,7 +588,7 @@ class RK45:
     error estimates K^T E5 and K^T E3, their norms' dot products, the
     dense output's D K) stays the numpy product scipy takes, on the
     stage matrix `stages` (a `_StageMatrix`, built once per run and
-    handed to each arc's solver by `_execute` and read as
+    handed to each arc's solver by `_integrator` and read as
     `self.stages`): a BLAS sum need not add in a Python loop's order (a
     sequential Python sum differed from `dot` in 45,411 of the 132,000
     stage sums of 3,000 standard-normal 4-column stage matrices), so
@@ -737,7 +735,7 @@ class _StepInterpolant:
 # generic packed-coordinates execution loop
 # ---------------------------------------------------------------------------
 
-def _execute(mode, t0, y0, t_end):
+def _execute(mode, t0, y0, t_end, run_arc=None):
     """Drive the hybrid loop in packed coordinates and return its run.
 
     mode: (rhs, gfun, dfun, reset) with rhs: (t, y) -> y', called on a
@@ -751,14 +749,13 @@ def _execute(mode, t0, y0, t_end):
 
     Every arc start must pass `_check_arc_start` under the arc's guard,
     or the run raises InvalidStart (the first arc) or InvalidReset (an
-    arc after an impact); the check's (g, d) are the first scan sample
-    of the arc's first step, and each later step's first sample is the
-    step before's last. An arc that starts at t_end takes no step: it
-    is closed with its start state alone, and the run ends
-    horizon_reached without calling the right-hand side there. Every
-    other arc gets its own solver under the fixed step control RTOL and
-    ATOL; the DOP853 stage matrix and its views (`_StageMatrix`) are
-    built once per run and handed to every one.
+    arc after an impact). Then run_arc(mode, t, y, t_end, max_step, g0,
+    d0) gives (arc, hit, failed): the `Arc` from t, its impact
+    (tau, y_pre, g, d) at the arc's end or None, and whether a step
+    failed; max_step caps the steps at the last dwell, and (g0, d0) are
+    the check's. `_integrator` builds the default runner. The loop alone
+    applies the dwell and termination rules, the residual check, the
+    reset and the `Event` record.
     """
     t = float(t0)
     y = np.asarray(y0, float).copy()
@@ -766,16 +763,59 @@ def _execute(mode, t0, y0, t_end):
     arcs: List[Arc] = []
     events: List[Event] = []
     max_step = math.inf
-    stages = _StageMatrix(y.size)
+    if run_arc is None:
+        run_arc = _integrator(y.size)
 
     while True:
-        rhs, gfun, dfun, reset = mode
+        _, gfun, dfun, reset = mode
         g0, d0 = _check_arc_start(gfun, dfun, t, y[:n], y[n:], t_end,
                                   InvalidReset if events else InvalidStart)
+        arc, hit, failed = run_arc(mode, t, y, t_end, max_step, g0, d0)
+        arcs.append(arc)
+        # the arc's span since the last impact, or since the start
+        dwell = arc.t_end - t
+        piled_up = bool(events) and dwell < MIN_DWELL
+
+        if failed:
+            # a step collapse right after an impact is the impacts piling up
+            return HybridFlow(arcs, events,
+                              TERM_ZENO if piled_up else TERM_FAILURE)
+        if hit is None:
+            return HybridFlow(arcs, events, TERM_HORIZON)
+        if piled_up:
+            return HybridFlow(arcs, events, TERM_ZENO)
+
+        tau, ypre, g_tau, d_tau = hit
+        residual = abs(g_tau)
+        if residual > GUARD_TOL * max(1.0, abs(d_tau)):
+            raise IntegrationFailure(
+                f"guard residual {residual:.3e} at located impact exceeds "
+                f"tolerance; event refinement failed")
+        ypost, mode = reset(tau, ypre)
+        pre, post = ypre.copy(), ypost.copy()
+        events.append(Event(tau, State(tau, pre[:n], pre[n:]),
+                            State(tau, post[:n], post[n:]), residual))
+        max_step = dwell
+
+        if len(events) >= MAX_IMPACTS:
+            return HybridFlow(arcs, events, TERM_MAX_IMPACTS)
+        t, y = tau, ypost
+
+
+def _integrator(size):
+    """The executor's default arc runner for packed states of `size`
+    floats: each arc gets its own solver under the step control RTOL and
+    ATOL, on one DOP853 stage matrix (`_StageMatrix`) built here once per
+    run. An arc that starts at t_end takes no step: it is closed with its
+    start state alone, without calling the right-hand side there."""
+    stages = _StageMatrix(size)
+    n = size // 2
+
+    def integrate(mode, t, y, t_end, max_step, g0, d0):
         if t == t_end:
             # an arc with no time to cover takes no step
-            arcs.append(_close_arc([t], [], t, y))
-            return HybridFlow(arcs, events, TERM_HORIZON)
+            return _close_arc([t], [], t, y), None, False
+        rhs, gfun, dfun, _ = mode
         # a step's first scan sample is the last one before it: the arc
         # start's is the check's
         ts, ys, gs, ds = [t], [y], [g0], [d0]
@@ -788,11 +828,9 @@ def _execute(mode, t0, y0, t_end):
         breakpoints = [t]
         blocks = []
         hit = None
-        failed = False
         while hit is None and solver.status == "running":
             solver.step()
             if solver.status == "failed":
-                failed = True
                 break
             dense = solver.dense_output()
             blocks.append(solver._coeffs)
@@ -815,36 +853,10 @@ def _execute(mode, t0, y0, t_end):
             ts, ys, gs, ds = ts[-1:], ys[-1:], gs[-1:], ds[-1:]
 
         t_arc, y_arc = hit[:2] if hit is not None else (solver.t, solver.y)
-        arcs.append(_close_arc(breakpoints, blocks, t_arc, y_arc))
-        # the arc's span since the last impact, or since the start
-        dwell = t_arc - (events[-1].tau if events else t0)
-        piled_up = bool(events) and dwell < MIN_DWELL
+        return (_close_arc(breakpoints, blocks, t_arc, y_arc), hit,
+                solver.status == "failed")
 
-        if failed:
-            # a step collapse right after an impact is the impacts piling up
-            return HybridFlow(arcs, events,
-                              TERM_ZENO if piled_up else TERM_FAILURE)
-        if hit is None:
-            return HybridFlow(arcs, events, TERM_HORIZON)
-        if piled_up:
-            return HybridFlow(arcs, events, TERM_ZENO)
-
-        tau, ypre, g_tau, d_tau = hit
-        residual = abs(g_tau)
-        slope = max(1.0, abs(d_tau))
-        if residual > GUARD_TOL * slope:
-            raise IntegrationFailure(
-                f"guard residual {residual:.3e} at located impact exceeds "
-                f"tolerance; event refinement failed")
-        ypost, mode = reset(tau, ypre)
-        pre, post = ypre.copy(), ypost.copy()
-        events.append(Event(tau, State(tau, pre[:n], pre[n:]),
-                            State(tau, post[:n], post[n:]), residual))
-        max_step = dwell
-
-        if len(events) >= MAX_IMPACTS:
-            return HybridFlow(arcs, events, TERM_MAX_IMPACTS)
-        t, y = tau, ypost
+    return integrate
 
 
 def _scan(dense, n, gfun, dfun, start, ts, ys, gs, ds):
@@ -1042,7 +1054,7 @@ def _close_arc(breakpoints, blocks, t_end, y_end):
     (the block's y_old row), then t_end."""
     k = len(blocks)
     times = np.array(breakpoints[:k] + [t_end])
-    t_start, t_end = times[0], times[-1]
+    t_start, t_end = float(times[0]), float(times[-1])
     if blocks:
         table = np.array(blocks).reshape(k, -1, len(y_end))
         states = np.vstack([table[:, -1], y_end])
@@ -1132,6 +1144,11 @@ def simulate(hs: HybridSystem, s0: State, t_end: float) -> HybridFlow:
     HybridFlow whose termination is one of horizon_reached, max_impacts,
     zeno_suspected or integration_failure.
     """
+    return _execute(_mode(hs), s0.t, hs.system.pack(s0), t_end)
+
+
+def _mode(hs: HybridSystem):
+    """The executor mode of `hs` on packed (q, v); its reset keeps it."""
     n = hs.system.dim
 
     def reset(tau, ypre):
@@ -1139,7 +1156,7 @@ def simulate(hs: HybridSystem, s0: State, t_end: float) -> HybridFlow:
         return np.concatenate([q, v]), mode
 
     mode = (hs.system.rhs, hs.guard.surface, hs.guard.direction, reset)
-    return _execute(mode, s0.t, hs.system.pack(s0), t_end)
+    return mode
 
 
 def _check_arc_start(gfun, dfun, t, q, v, t_end, error):

@@ -54,7 +54,8 @@ def _cartesian_billiard(p: billiard.BilliardParams):
 
 def _polar_billiard(p: billiard.BilliardParams):
     start = billiard.get_scenario("paper-c025").initial_polar
-    return billiard.polar_hybrid(p), billiard.polar_cyclic(p), start
+    cyclic = billiard.polar_cyclic(p)
+    return cyclic.full, cyclic, start
 
 
 def _free_particle(p: billiard.BilliardParams):

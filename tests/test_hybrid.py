@@ -269,19 +269,68 @@ def test_max_impacts_termination(unit_wall_hybrid):
     assert len(flow.events) == 3
 
 
-def test_oracle_and_executor_stop_at_the_same_cap(monkeypatch):
-    from hybridlag import billiard, hybrid
+def _both_pipelines_under(monkeypatch, rule, value):
+    """`simulate` and the oracle from the centre of the static unit wall,
+    whose dwells are 0.96 and then 1.92, with the executor's loop rule
+    `hybrid.<rule>` set to value: the oracle's flights run as arcs of that
+    loop, so the rule binds it by construction."""
+    from hybridlag import hybrid
 
-    monkeypatch.setattr(hybrid, "MAX_IMPACTS", 3)
-    monkeypatch.setattr(billiard, "MAX_IMPACTS", 3)
+    monkeypatch.setattr(hybrid, rule, value)
     p = static_billiard()
     s0 = hl.State(0.0, np.zeros(2), np.array([1.0, 0.3]))
     flow = hl.simulate(hl.cartesian_hybrid(p), s0, 10.0)
     ref = hl.reference_flow(p, s0, 10.0)
-    for run in (flow, ref):
+    assert flow.event_time_delta(ref) <= 1e-8
+    return flow, ref
+
+
+def test_oracle_and_executor_stop_at_the_same_cap(monkeypatch):
+    for run in _both_pipelines_under(monkeypatch, "MAX_IMPACTS", 3):
         assert run.termination == "max_impacts"
         assert len(run.events) == 3
-    assert flow.event_time_delta(ref) <= 1e-8
+
+
+def test_oracle_and_executor_stop_at_the_same_dwell(monkeypatch):
+    # a MIN_DWELL above the second dwell ends both runs there as Zeno
+    for run in _both_pipelines_under(monkeypatch, "MIN_DWELL", 2.0):
+        assert run.termination == "zeno_suspected"
+        assert len(run.events) == 1
+
+
+def test_oracle_shares_no_ode_stepping(monkeypatch):
+    from hybridlag import hybrid
+
+    def stepping(*args, **kwargs):
+        raise AssertionError("ODE stepping or its scan was called")
+
+    monkeypatch.setattr(hybrid, "RK45", stepping)
+    monkeypatch.setattr(hybrid, "_scan", stepping)
+    sc = hl.get_scenario("paper-c025")
+    ref = hl.reference_flow(sc.params, sc.initial_cartesian, 10.0)
+    assert ref.termination == "zeno_suspected" and len(ref.events) == 41
+    with pytest.raises(AssertionError, match="ODE stepping"):
+        hl.simulate(hl.cartesian_hybrid(sc.params), sc.initial_cartesian,
+                    10.0)
+
+
+def test_arc_times_are_floats():
+    # as `Arc` declares them, for every producer of arcs; an int horizon
+    # is where a numpy or int end time would show
+    sc = hl.get_scenario("paper-c025")
+    cyc = hl.polar_cyclic(sc.params)
+    full = hl.simulate(cyc.full, sc.initial_polar, 3)
+    reduced = hl.simulate(
+        hl.reduce(cyc, hl.momentum_map(cyc, sc.initial_polar)).shape,
+        cyc.project_state(sc.initial_polar), 3)
+    flows = [full, reduced, hl.project(cyc, full),
+             hl.simulate(hl.cartesian_hybrid(sc.params), sc.initial_cartesian,
+                         3),
+             hl.reference_flow(sc.params, sc.initial_cartesian, 3)]
+    for flow in flows:
+        assert flow.events and type(flow.t_final) is float
+        for arc in flow.arcs:
+            assert type(arc.t_start) is float and type(arc.t_end) is float
 
 
 def _with_direction(hs, value):

@@ -661,6 +661,22 @@ def test_verify_builds_each_model_once(monkeypatch):
     assert all(c["passed"] is True for c in checks), checks
 
 
+def test_polar_model_builds_its_hybrid_system_once(monkeypatch):
+    # the bundle's hybrid system is its cyclic structure's full system
+    from hybridlag import billiard
+    calls = []
+    build = billiard.polar_hybrid
+
+    def counted(p):
+        calls.append(p)
+        return build(p)
+
+    monkeypatch.setattr(billiard, "polar_hybrid", counted)
+    bundle = hl.build_model("billiard-polar")
+    assert len(calls) == 1
+    assert bundle.hybrid is bundle.cyclic.full
+
+
 @pytest.mark.parametrize("mode, builds", [
     ("full", 1), ("reduced", 1), ("resequenced", 1), ("compare", 1),
     ("verify", 0)])

@@ -7,13 +7,12 @@ moving-wall billiard with a closed-form reference solution and a small
 CLI for reproducible runs.
 """
 
-from .billiard import (BilliardParams, PaperScenario, analytic_arc,
-                       cartesian_hybrid, cartesian_system,
-                       cartesian_to_polar, get_scenario, guard_cartesian,
+from .billiard import (BilliardParams, PaperScenario, cartesian_hybrid,
+                       cartesian_system, get_scenario, guard_cartesian,
                        guard_polar, paper_scenarios, polar_cyclic,
                        polar_hybrid, polar_system, polar_to_cartesian,
                        reference_flow, reset_cartesian, reset_polar,
-                       routhian_closed, static_wall)
+                       routhian_closed)
 from .errors import (ChartSingularity, HybridLagError, IntegrationFailure,
                      InvalidReset, InvalidStart, NoConvergence, NotInvariant,
                      ParseError, SingularHessian)
@@ -36,13 +35,12 @@ __all__ = [
     "InvalidReset", "InvalidStart", "LagrangianSystem", "MODEL_IDS",
     "ModelBundle", "NoConvergence", "NotInvariant", "PaperScenario",
     "ParseError", "ReconstructedFlow", "ReducedHybridSystem", "ResetMap",
-    "SCENARIO_IDS", "SingularHessian", "State", "analytic_arc",
-    "build_model", "cartesian_hybrid", "cartesian_system",
-    "cartesian_to_polar", "check_flow_equivalence",
+    "SCENARIO_IDS", "SingularHessian", "State", "build_model",
+    "cartesian_hybrid", "cartesian_system", "check_flow_equivalence",
     "check_hybrid_equivalence", "get_scenario", "guard_cartesian",
     "guard_polar", "momentum_map", "paper_scenarios", "polar_cyclic",
     "polar_hybrid", "polar_system", "polar_to_cartesian", "project",
     "reconstruct", "reduce", "reference_flow", "reset_cartesian",
     "reset_polar", "routhian", "routhian_closed", "simulate",
-    "simulate_resequenced", "static_wall",
+    "simulate_resequenced",
 ]

@@ -40,8 +40,8 @@ from typing import Callable, List
 import numpy as np
 
 from .errors import ChartSingularity, InvalidReset
-from .hybrid import (Arc, Guard, HybridFlow, HybridSystem, ResetMap, _along,
-                     _execute, _mode, brentq)
+from .hybrid import (Arc, Guard, HybridFlow, HybridSystem, ResetMap, _execute,
+                     _mode, brentq)
 from .lagrangian import LagrangianSystem, State
 from .reduction import CyclicStructure
 
@@ -56,11 +56,6 @@ def default_wall(t):
 
 def default_wall_rate(t):
     return -math.exp(t / 10.0) / 10.0
-
-
-def static_wall(radius_sq=1.0):
-    """Constant wall |q|^2 = radius_sq, for tests and toy runs."""
-    return (lambda t: radius_sq), (lambda t: 0.0)
 
 
 @dataclass(frozen=True)
@@ -96,19 +91,6 @@ def polar_to_cartesian(s: State) -> State:
     return State(s.t, np.array([r * ct, r * st]),
                  np.array([rd * ct - r * thd * st,
                            rd * st + r * thd * ct]))
-
-
-def cartesian_to_polar(s: State) -> State:
-    """(x, y, xdot, ydot) -> (r, theta, rdot, thetadot). Needs r > 0."""
-    x, y = s.q
-    xd, yd = s.v
-    r = math.hypot(x, y)
-    if r == 0.0:
-        raise ChartSingularity("polar chart undefined at the origin")
-    th = math.atan2(y, x)
-    return State(s.t, np.array([r, th]),
-                 np.array([(x * xd + y * yd) / r,
-                           (x * yd - y * xd) / (r * r)]))
 
 
 # ---------------------------------------------------------------------------
@@ -282,19 +264,22 @@ def routhian_closed(p: BilliardParams, mu: float) -> LagrangianSystem:
 
 def _validation_states(p: BilliardParams):
     """Deterministic state samples for the symmetry checks, drawn with
-    the standard library's generator: a run need not load numpy.random."""
+    the standard library's generator: a run need not load numpy.random.
+    A sample time where the wall has closed (f(t) <= 0) gets no on-guard
+    sample."""
     rng = random.Random(20240817)
     states, guard_states = [], []
     for _ in range(25):
         t = rng.uniform(0.0, 3.0)
+        f = p.wall(t)
         theta = rng.uniform(-math.pi, math.pi)
-        r = rng.uniform(0.3, math.sqrt(max(p.wall(t), 0.09)))
+        r = rng.uniform(0.3, math.sqrt(max(f, 0.09)))
         rd = rng.uniform(-3.0, 3.0)
         thd = rng.uniform(-4.0, 4.0)
         states.append(State(t, np.array([r, theta]), np.array([rd, thd])))
-        r_g = math.sqrt(p.wall(t))
-        guard_states.append(State(t, np.array([r_g, theta]),
-                                  np.array([abs(rd) + 0.1, thd])))
+        if f > 0.0:
+            guard_states.append(State(t, np.array([math.sqrt(f), theta]),
+                                      np.array([abs(rd) + 0.1, thd])))
     return tuple(states), tuple(guard_states)
 
 
@@ -324,12 +309,6 @@ def polar_cyclic(p: BilliardParams) -> CyclicStructure:
 # closed-form flight and the piecewise analytic reference
 # ---------------------------------------------------------------------------
 
-def analytic_arc(p: BilliardParams, s0: State, dt: float) -> State:
-    """Damped free flight from s0 over dt (no impact in between)."""
-    q, v = _flight(p, s0.q, s0.v, dt)
-    return State(s0.t + dt, q, v)
-
-
 def _flight(p: BilliardParams, q0, v0, dt):
     """(q, v) after a damped free flight over dt: q0 + (m/c) v0 (1 - e)
     and v0 e with e = exp(-c dt/m), or uniform motion when c = 0. Starts
@@ -356,6 +335,15 @@ class _FlightInterpolant:
         q, v = _flight(self.p, self.q0.reshape(shape),
                        self.v0.reshape(shape), dt)
         return np.concatenate([q, v])
+
+
+def _along(fun, dense, n):
+    """fun(t, q, v) along a dense output of n-dimensional states."""
+    def f(tt):
+        y = dense(tt)
+        return fun(tt, y[:n], y[n:])
+
+    return f
 
 
 def _next_crossing(phi, dphi, t0, t_end):

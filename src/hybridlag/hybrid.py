@@ -966,15 +966,6 @@ def _refine(f, a, b, fa, fb):
     return brentq(f, a, b, xtol=REFINE_XTOL, rtol=BRENT_RTOL, fa=fa, fb=fb)
 
 
-def _along(fun, dense, n):
-    """fun(t, q, v) along a dense output of n-dimensional states."""
-    def f(tt):
-        y = dense(tt)
-        return fun(tt, y[:n], y[n:])
-
-    return f
-
-
 # the name brentq is a seam: the benchmark tracer and the tests patch it
 def brentq(f, a, b, xtol=2e-12, rtol=4 * np.finfo(float).eps, fa=None,
            fb=None):

@@ -205,17 +205,6 @@ class RunConfig:
         return rec
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse a JSON configuration into a RunConfig.
-
-    The text is a flat configuration object or a run.json record, whose
-    "config" object is used. Unknown keys are rejected; values are type-
-    and range-checked; defaults follow the module defaults. Raises
-    ParseError with the offending key.
-    """
-    return config_from_dict(load_document(text))
-
-
 def load_document(text: str) -> dict:
     """The flat configuration object in `text`: the text itself or the
     "config" object of a run.json record."""

@@ -3,8 +3,9 @@
 A system is described by a scalar function L(t, q, v) together with its
 first partial derivatives in q and v. From these the module computes
 
-* the second-order evolution field (velocity and acceleration) obtained
-  by isolating the accelerations from the Euler-Lagrange equations,
+* the packed second-order evolution field `rhs`, y' = (v, a) on
+  y = (q, v), that the step loop integrates, with the accelerations
+  isolated from the Euler-Lagrange equations,
 * the energy  E(t, q, v) = <dL/dv, v> - L,
 * the fiber derivative (t, q, v) -> (t, q, p = dL/dv) and its inverse,
 * the first-order field on momentum variables whose integral curves
@@ -132,29 +133,7 @@ class LagrangianSystem:
                 f"exceeds {CONDITION_BOUND:.1e} at t={t:.6g}")
         return np.linalg.solve(W, rhs)
 
-    def _accelerations(self, t, q, v) -> np.ndarray:
-        """Accelerations solving the Euler-Lagrange equations at (t, q, v).
-
-        Raises SingularHessian when hyperregularity is lost.
-        """
-        if self.field is not None:
-            return np.array(self.field(t, q.tolist() + v.tolist())[self.dim:],
-                            float)
-        rhs = (self.dL_dq(t, q, v)
-               - _central_differences(lambda x: self.dL_dv(t, x, v), q) @ v
-               - _central_differences(lambda x: self.dL_dv(x[0], q, v),
-                                      [t])[:, 0])
-        return self._solve_hessian(t, q, v, rhs)
-
     # -- operations -----------------------------------------------------
-
-    def evolution_field(self, s: State):
-        """Velocity and acceleration (dq, dv) of the evolution field.
-
-        dq = v; dv solves the Euler-Lagrange equations at (t, q, v).
-        Raises SingularHessian when hyperregularity is lost.
-        """
-        return s.v.copy(), self._accelerations(s.t, s.q, s.v)
 
     def energy(self, s: State) -> float:
         """E = <dL/dv, v> - L at the state."""
@@ -222,17 +201,25 @@ class LagrangianSystem:
 
     @property
     def rhs(self):
-        """The packed evolution field y' = (v, a), rhs(t, y), for the
-        step loop: a list of 2n floats in, a list of 2n floats out. It
-        is the closed-form `field` itself when the model has one, so
-        each stage is one call into the model's arithmetic; otherwise a
-        field that solves the accelerations on arrays
-        (`_solved_field`)."""
+        """The packed evolution field y' = (v, a), rhs(t, y), with a
+        solving the Euler-Lagrange equations at (t, q, v): the step
+        loop's right-hand side, a list of 2n floats in, a list of 2n
+        floats out. It is the closed-form `field` itself when the model
+        has one, so each stage is one call into the model's arithmetic;
+        otherwise a field that solves the accelerations on arrays
+        (`_solved_field`), which raises SingularHessian where
+        hyperregularity is lost."""
         return self._solved_field if self.field is None else self.field
 
     def _solved_field(self, t, y):
-        """(v, a) as a list, for y a list or array of 2n floats, with
-        the accelerations solved from the Euler-Lagrange equations."""
+        """(v, a) as a list, for y a list or array of 2n floats, with a
+        solving W a = dL/dq - (d2L/dvdq) v - d2L/dvdt for the velocity
+        Hessian W. Raises SingularHessian when hyperregularity is
+        lost."""
         y = np.asarray(y, float)
         q, v = y[:self.dim], y[self.dim:]
-        return np.concatenate([v, self._accelerations(t, q, v)]).tolist()
+        rhs = (self.dL_dq(t, q, v)
+               - _central_differences(lambda x: self.dL_dv(t, x, v), q) @ v
+               - _central_differences(lambda x: self.dL_dv(x[0], q, v),
+                                      [t])[:, 0])
+        return np.concatenate([v, self._solve_hessian(t, q, v, rhs)]).tolist()

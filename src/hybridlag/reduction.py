@@ -46,7 +46,7 @@ result; no `State` is built per grid point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -248,8 +248,8 @@ class ReconstructedFlow:
     reduced: HybridFlow
     theta: List[np.ndarray]
     theta_dot: List[np.ndarray]
-    mu_sequence: List[float] = field(default_factory=list)
-    max_momentum_residual: float = 0.0
+    mu_sequence: List[float]
+    max_momentum_residual: float
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from hybridlag import State
+
 
 def grad_central(fn, x, h=1e-6):
     """Gradient of scalar fn at vector x by central differences."""
@@ -30,6 +32,22 @@ def damped_flight(m, c, q0, v0, dt):
         return q0 + v0 * dt, v0.copy()
     decay = np.exp(-c * dt / m)
     return q0 + (m / c) * v0 * (1.0 - decay), v0 * decay
+
+
+def static_wall(radius_sq=1.0):
+    """(wall, wall_rate) of the constant wall |q|^2 = radius_sq."""
+    return (lambda t: radius_sq), (lambda t: 0.0)
+
+
+def cartesian_to_polar(s):
+    """The State (x, y, xdot, ydot) in the polar chart: (r, theta, rdot,
+    thetadot), for r > 0."""
+    x, y = s.q
+    xd, yd = s.v
+    r = math.hypot(x, y)
+    return State(s.t, np.array([r, math.atan2(y, x)]),
+                 np.array([(x * xd + y * yd) / r,
+                           (x * yd - y * xd) / (r * r)]))
 
 
 def simpson(fn, a, b, n=200):

@@ -12,6 +12,26 @@ def test_every_exported_name_resolves():
     assert len(set(hl.__all__)) == len(hl.__all__)
 
 
+def test_public_api_is_pinned():
+    # adding or dropping an export changes this list, in review
+    assert sorted(hl.__all__) == [
+        "Arc", "BilliardParams", "ChartSingularity", "CoState",
+        "CyclicStructure", "Event", "Guard", "HybridEquivalenceReport",
+        "HybridFlow", "HybridLagError", "HybridSystem", "IntegrationFailure",
+        "InvalidReset", "InvalidStart", "LagrangianSystem", "MODEL_IDS",
+        "ModelBundle", "NoConvergence", "NotInvariant", "PaperScenario",
+        "ParseError", "ReconstructedFlow", "ReducedHybridSystem", "ResetMap",
+        "SCENARIO_IDS", "SingularHessian", "State", "build_model",
+        "cartesian_hybrid", "cartesian_system", "check_flow_equivalence",
+        "check_hybrid_equivalence", "get_scenario", "guard_cartesian",
+        "guard_polar", "momentum_map", "paper_scenarios", "polar_cyclic",
+        "polar_hybrid", "polar_system", "polar_to_cartesian", "project",
+        "reconstruct", "reduce", "reference_flow", "reset_cartesian",
+        "reset_polar", "routhian", "routhian_closed", "simulate",
+        "simulate_resequenced",
+    ]
+
+
 def test_closed_form_runs_import_no_scipy(tmp_path):
     # the package runs on numpy alone: with every scipy import made to
     # fail, the CLI runs each mode on the billiard (verify and compare

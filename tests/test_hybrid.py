@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 import hybridlag as hl
 from hybridlag import verification
+from oracles import cartesian_to_polar, static_wall
 
 
 def static_billiard(c=0.0, radius_sq=1.0, **kw):
-    wall, rate = hl.static_wall(radius_sq)
+    wall, rate = static_wall(radius_sq)
     return hl.BilliardParams(c=c, wall=wall, wall_rate=rate, **kw)
 
 
@@ -401,7 +402,7 @@ def assert_matches_oracle(params, s0, t_end, polar=False):
     termination and every impact time (1e-8), and a rerun is
     bit-identical."""
     if polar:
-        hs, start = hl.polar_hybrid(params), hl.cartesian_to_polar(s0)
+        hs, start = hl.polar_hybrid(params), cartesian_to_polar(s0)
     else:
         hs, start = hl.cartesian_hybrid(params), s0
     with no_hang(10):
@@ -451,7 +452,7 @@ def test_strike_between_scan_samples_is_found(chart, start):
     s0 = hl.State(0.0, np.array([math.sqrt(0.7 + eps), 0.0]),
                   np.array([0.0, speed]))
     if chart == "polar":
-        hs, s0 = hl.polar_hybrid(params), hl.cartesian_to_polar(s0)
+        hs, s0 = hl.polar_hybrid(params), cartesian_to_polar(s0)
     else:
         hs = hl.cartesian_hybrid(params)
     flow = hl.simulate(hs, s0, 3.0)
@@ -1304,7 +1305,7 @@ def _dense_guard_case():
     """g along the dense output of a real step, on the first interval
     between two of its scan samples that brackets a crossing: the paper
     polar run's first step out of the wall, with impacts left out."""
-    from hybridlag import hybrid
+    from hybridlag import billiard, hybrid
 
     hs, s0 = _paper_c025("polar")
     y0 = hs.system.pack(s0)
@@ -1312,7 +1313,7 @@ def _dense_guard_case():
                          hybrid._StageMatrix(len(y0)))
     while solver.status == "running":
         solver.step()
-        g = hybrid._along(hs.guard.surface, solver.dense_output(), 2)
+        g = billiard._along(hs.guard.surface, solver.dense_output(), 2)
         ts = np.linspace(solver.t_old, solver.t, hybrid.SCAN_POINTS + 2)
         for a, b in zip(ts.tolist(), ts[1:].tolist()):
             if g(a) <= 0.0 < g(b):

@@ -11,9 +11,10 @@ from conftest import no_hang
 import hybridlag as hl
 from hybridlag import cli, hybrid
 from hybridlag.io import (CONFIG_KEYS, config_from_dict, dumps_record,
-                          events_header, fmt, parse_config,
+                          events_header, fmt, load_document,
                           trajectory_header, write_events_csv,
                           write_trajectory_csv)
+from oracles import static_wall
 
 README = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "README.md")
@@ -47,6 +48,11 @@ def test_dumps_record_deterministic_and_sorted():
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
+
+def parse_config(text):
+    """The RunConfig of a JSON document, as the CLI reads a config file."""
+    return config_from_dict(load_document(text))
+
 
 def test_parse_config_minimal_defaults():
     cfg = parse_config('{"model": "billiard-cartesian", "mode": "full", '
@@ -254,7 +260,7 @@ def test_csv_headers():
 
 
 def test_csv_round_trip_values(tmp_path):
-    wall, rate = hl.static_wall(1.0)
+    wall, rate = static_wall(1.0)
     p = hl.BilliardParams(c=0.0, wall=wall, wall_rate=rate)
     flow = hl.simulate(hl.cartesian_hybrid(p),
                        hl.State(0.0, np.zeros(2), np.array([1.0, 0.0])), 2.0)

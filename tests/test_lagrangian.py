@@ -32,28 +32,27 @@ def test_system_needs_a_coordinate():
 
 
 # ---------------------------------------------------------------------------
-# evolution field
+# evolution field: rhs(t, y) = (v, a) on the packed state y = (q, v)
 # ---------------------------------------------------------------------------
 
 def test_evolution_field_billiard_drag():
     sys = hl.cartesian_system(BILLIARD)
-    s = mk_state(0.0, [0.25, 0.5], [2.8, 1.8])
-    dq, dv = sys.evolution_field(s)
-    assert np.allclose(dq, [2.8, 1.8], atol=0)
+    dy = sys.rhs(0.0, [0.25, 0.5, 2.8, 1.8])
+    assert np.allclose(dy[:2], [2.8, 1.8], atol=0)
     # hand EL: acceleration is -(c/m) v
-    assert np.allclose(dv, [-0.7, -0.45], atol=1e-14)
+    assert np.allclose(dy[2:], [-0.7, -0.45], atol=1e-14)
 
 
 def test_evolution_field_free_particle():
     sys = hl.build_model("free-particle").system
-    _, dv = sys.evolution_field(mk_state(0.3, [5.0, -2.0], [1.0, 0.0]))
-    assert np.allclose(dv, 0.0, atol=0)
+    dy = sys.rhs(0.3, [5.0, -2.0, 1.0, 0.0])
+    assert np.allclose(dy[2:], 0.0, atol=0)
 
 
 def test_evolution_field_zero_dissipation():
     sys = hl.cartesian_system(hl.BilliardParams(c=0.0))
-    _, dv = sys.evolution_field(mk_state(1.7, [0.1, 0.2], [2.8, 1.8]))
-    assert np.allclose(dv, 0.0, atol=0)
+    dy = sys.rhs(1.7, [0.1, 0.2, 2.8, 1.8])
+    assert np.allclose(dy[2:], 0.0, atol=0)
 
 
 def test_evolution_field_numeric_matches_closed_form(rng):
@@ -62,9 +61,11 @@ def test_evolution_field_numeric_matches_closed_form(rng):
     import dataclasses
     closed = hl.cartesian_system(BILLIARD)
     numeric = dataclasses.replace(closed, field=None)
+    assert numeric.rhs == numeric._solved_field
     for s in sample_states(rng, "billiard-cartesian", 20):
-        _, dv_c = closed.evolution_field(s)
-        _, dv_n = numeric.evolution_field(s)
+        y = np.concatenate([s.q, s.v]).tolist()
+        dv_c = closed.rhs(s.t, y)[2:]
+        dv_n = numeric.rhs(s.t, y)[2:]
         assert np.allclose(dv_n, dv_c, atol=1e-7)
 
 
@@ -101,8 +102,6 @@ def test_rhs_calls_closed_form_accelerations_bit_for_bit(model, rng):
         assert all(type(x) is float for x in rhs)
         assert np.array_equal(rhs[:n], v)
         assert np.array_equal(rhs[n:], on_numpy_scalars(s.t, q, v))
-        dq, dv = sys.evolution_field(hl.State(s.t, q, v))
-        assert np.array_equal(rhs, np.concatenate([dq, dv]))
 
 
 def test_rhs_is_the_closed_form_field_of_every_model(rng):
@@ -138,8 +137,9 @@ def test_singular_hessian_detected():
         lagrangian=lambda t, q, v: 0.5 * v[0]**2 + 0.25 * float(v[1]**4),
         dL_dq=lambda t, q, v: np.zeros(2),
         dL_dv=lambda t, q, v: np.array([v[0], v[1]**3]))
+    assert sys.rhs == sys._solved_field
     with pytest.raises(hl.SingularHessian):
-        sys.evolution_field(mk_state(0.0, [0.0, 0.0], [1.0, 0.0]))
+        sys.rhs(0.0, [0.0, 0.0, 1.0, 0.0])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
@@ -153,7 +153,7 @@ def test_non_finite_hessian_is_singular(bad):
         dL_dq=lambda t, q, v: np.zeros(2),
         dL_dv=lambda t, q, v: np.array([v[0], bad if v[1] > 0 else 0.0]))
     with pytest.raises(hl.SingularHessian):
-        sys.evolution_field(mk_state(0.0, [0.0, 0.0], [1.0, 0.0]))
+        sys.rhs(0.0, [0.0, 0.0, 1.0, 0.0])
     with pytest.raises(hl.SingularHessian):
         sys.inverse_legendre(hl.CoState(0.0, [0.0, 0.0], [1.0, 0.0]))
 

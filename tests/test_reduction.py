@@ -6,7 +6,7 @@ import pytest
 
 import hybridlag as hl
 from hybridlag import hybrid
-from oracles import simpson
+from oracles import simpson, static_wall
 
 
 def mk_state(t, q, v):
@@ -283,7 +283,7 @@ def test_reduce_rejects_non_equivariant_reset(cyc025):
 
 
 def test_reduce_rejects_wrong_closed_form_guard(cyc025):
-    wall, rate = hl.static_wall(1.0)
+    wall, rate = static_wall(1.0)
     other = hl.guard_polar(hl.BilliardParams(c=0.25, wall=wall,
                                              wall_rate=rate))
     cs = dataclasses.replace(cyc025, reduced_guard_factory=lambda mu: other)
@@ -307,7 +307,7 @@ def test_closed_form_guard_run_matches_embedded_guard(cyc025, scenario):
 
 def test_reduce_free_particle_zero_momentum():
     # radial free motion: with mu = 0 the reduced system is force-free
-    wall, rate = hl.static_wall(100.0)
+    wall, rate = static_wall(100.0)
     p = hl.BilliardParams(c=0.0, wall=wall, wall_rate=rate)
     cyc = hl.polar_cyclic(p)
     red = hl.reduce(cyc, 0.0)
@@ -363,7 +363,7 @@ def test_projection_matches_reduced_simulation(cyc025, scenario):
 def test_reconstruct_constant_radius_closed_form(cyc025):
     # fabricated single-arc reduced flow with frozen radius: the cyclic
     # angle grows linearly, theta = theta0 + mu t / (m r^2) for c = 0
-    wall, rate = hl.static_wall(100.0)
+    wall, rate = static_wall(100.0)
     cyc = hl.polar_cyclic(hl.BilliardParams(c=0.0, wall=wall, wall_rate=rate))
     r0, mu, theta0 = 1.3, 0.7, 0.2
     times = np.linspace(0.0, 2.0, 9)

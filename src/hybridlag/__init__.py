@@ -15,7 +15,7 @@ from .billiard import (BilliardParams, PaperScenario, cartesian_hybrid,
                        routhian_closed)
 from .errors import (ChartSingularity, HybridLagError, IntegrationFailure,
                      InvalidReset, InvalidStart, NoConvergence, NotInvariant,
-                     ParseError, SingularHessian)
+                     ParseError, SingularHessian, WeightOverflow)
 from .hybrid import (Arc, Event, Guard, HybridEquivalenceReport,
                      HybridFlow, HybridSystem, ResetMap,
                      check_flow_equivalence, check_hybrid_equivalence,
@@ -35,12 +35,12 @@ __all__ = [
     "InvalidReset", "InvalidStart", "LagrangianSystem", "MODEL_IDS",
     "ModelBundle", "NoConvergence", "NotInvariant", "PaperScenario",
     "ParseError", "ReconstructedFlow", "ReducedHybridSystem", "ResetMap",
-    "SCENARIO_IDS", "SingularHessian", "State", "build_model",
-    "cartesian_hybrid", "cartesian_system", "check_flow_equivalence",
-    "check_hybrid_equivalence", "get_scenario", "guard_cartesian",
-    "guard_polar", "momentum_map", "paper_scenarios", "polar_cyclic",
-    "polar_hybrid", "polar_system", "polar_to_cartesian", "project",
-    "reconstruct", "reduce", "reference_flow", "reset_cartesian",
+    "SCENARIO_IDS", "SingularHessian", "State", "WeightOverflow",
+    "build_model", "cartesian_hybrid", "cartesian_system",
+    "check_flow_equivalence", "check_hybrid_equivalence", "get_scenario",
+    "guard_cartesian", "guard_polar", "momentum_map", "paper_scenarios",
+    "polar_cyclic", "polar_hybrid", "polar_system", "polar_to_cartesian",
+    "project", "reconstruct", "reduce", "reference_flow", "reset_cartesian",
     "reset_polar", "routhian", "routhian_closed", "simulate",
     "simulate_resequenced",
 ]

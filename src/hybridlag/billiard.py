@@ -21,8 +21,8 @@ raise ChartSingularity; at r <= 0 they return NaN accelerations, which
 make the step loop reject the trial step that left the chart.
 
 The closed-form damped flight makes an exact piecewise reference flow
-possible: between impacts positions follow q(t) = q0 + (m/c) v0 (1 -
-exp(-c dt/m)), and impact times are roots of the convex function
+possible: between impacts positions follow q(t) = q0 - (m/c) v0
+expm1(-c dt/m), and impact times are roots of the convex function
 |q(t)|^2 - f(t) along each flight, bracketed through its derivative and
 refined with Brent's method. Its flights run as arcs of the executor's
 loop, under the same arc-start, termination, residual and reset rules,
@@ -39,7 +39,7 @@ from typing import Callable, List
 
 import numpy as np
 
-from .errors import ChartSingularity, InvalidReset
+from .errors import ChartSingularity, InvalidReset, WeightOverflow
 from .hybrid import (Arc, Guard, HybridFlow, HybridSystem, ResetMap, _execute,
                      _mode, brentq)
 from .lagrangian import LagrangianSystem, State
@@ -47,6 +47,16 @@ from .reduction import CyclicStructure
 
 R_MIN = 1e-8  # radius at which the polar chart ends
 REFERENCE_GRID = 33  # sample times per arc of a reference flow
+
+
+def _weight(c, t, m):
+    """exp(c t / m), the weight of the damped Lagrangian, as math.exp
+    computes it; WeightOverflow where it passes the float range."""
+    try:
+        return math.exp(c * t / m)
+    except OverflowError as exc:
+        raise WeightOverflow(f"exp(c t / m) overflows at t={t!r} with "
+                             f"c={c!r}, m={m!r}") from exc
 
 
 def default_wall(t):
@@ -102,13 +112,13 @@ def cartesian_system(p: BilliardParams) -> LagrangianSystem:
     m, c = p.m, p.c
 
     def lag(t, q, v):
-        return math.exp(c * t / m) * 0.5 * m * float(v @ v)
+        return _weight(c, t, m) * 0.5 * m * float(v @ v)
 
     def dq(t, q, v):
         return np.zeros(2)
 
     def dv(t, q, v):
-        return math.exp(c * t / m) * m * v
+        return _weight(c, t, m) * m * v
 
     k = -(c / m)
 
@@ -126,13 +136,13 @@ def polar_system(p: BilliardParams) -> LagrangianSystem:
 
     def lag(t, q, v):
         r = q[0]
-        return math.exp(c * t / m) * 0.5 * m * (v[0]**2 + r*r*v[1]**2)
+        return _weight(c, t, m) * 0.5 * m * (v[0]**2 + r*r*v[1]**2)
 
     def dq(t, q, v):
-        return np.array([math.exp(c * t / m) * m * q[0] * v[1]**2, 0.0])
+        return np.array([_weight(c, t, m) * m * q[0] * v[1]**2, 0.0])
 
     def dv(t, q, v):
-        w = math.exp(c * t / m) * m
+        w = _weight(c, t, m) * m
         return np.array([w * v[0], w * q[0]**2 * v[1]])
 
     k = c / m
@@ -236,7 +246,7 @@ def routhian_closed(p: BilliardParams, mu: float) -> LagrangianSystem:
 
     def lag(t, x, xd):
         r = x[0]
-        return (math.exp(c * t / m) * 0.5 * m * xd[0]**2
+        return (_weight(c, t, m) * 0.5 * m * xd[0]**2
                 - mu * mu / (2.0 * m * r * r) * math.exp(-c * t / m))
 
     def dq(t, x, xd):
@@ -244,7 +254,7 @@ def routhian_closed(p: BilliardParams, mu: float) -> LagrangianSystem:
         return np.array([mu * mu * math.exp(-c * t / m) / (m * r**3)])
 
     def dv(t, x, xd):
-        return np.array([math.exp(c * t / m) * m * xd[0]])
+        return np.array([_weight(c, t, m) * m * xd[0]])
 
     k = c / m
 
@@ -310,13 +320,15 @@ def polar_cyclic(p: BilliardParams) -> CyclicStructure:
 # ---------------------------------------------------------------------------
 
 def _flight(p: BilliardParams, q0, v0, dt):
-    """(q, v) after a damped free flight over dt: q0 + (m/c) v0 (1 - e)
-    and v0 e with e = exp(-c dt/m), or uniform motion when c = 0. Starts
-    of shape (n, 1) and k steps dt give (n, k) columns."""
+    """(q, v) after a damped free flight over dt: q0 - (m/c) v0
+    expm1(-c dt/m) and v0 exp(-c dt/m), or uniform motion when c = 0.
+    expm1 keeps the position accurate where c dt/m is small, where
+    1 - exp(-c dt/m) cancels. Starts of shape (n, 1) and k steps dt give
+    (n, k) columns."""
     if p.c == 0.0:
         return q0 + dt * v0, v0 * np.ones_like(dt)
-    decay = np.exp(-p.c * dt / p.m)
-    return q0 + (p.m / p.c) * v0 * (1.0 - decay), v0 * decay
+    rate = -p.c * dt / p.m
+    return q0 - (p.m / p.c) * v0 * np.expm1(rate), v0 * np.exp(rate)
 
 
 class _FlightInterpolant:

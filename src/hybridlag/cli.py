@@ -137,7 +137,11 @@ def _initial_state(config: RunConfig, bundle) -> State:
 
 
 def _run(config: RunConfig) -> int:
-    os.makedirs(config.out, exist_ok=True)
+    try:
+        os.makedirs(config.out, exist_ok=True)
+    except OSError as exc:
+        raise ParseError(f"cannot make the output directory "
+                         f"{config.out!r}: {exc}", key="out") from exc
     record = {
         "schema_version": SCHEMA_VERSION,
         "package_version": __version__,

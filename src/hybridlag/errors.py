@@ -48,6 +48,12 @@ class ChartSingularity(HybridLagError):
     """Trajectory approached the polar chart singularity r = 0."""
 
 
+class WeightOverflow(HybridLagError):
+    """The billiard's Lagrangian weight exp(c t / m) passes the float
+    range at the time it is asked for, as it does once c t / m exceeds
+    about 709."""
+
+
 class ParseError(HybridLagError):
     """Run configuration could not be parsed or validated."""
 

@@ -8,25 +8,15 @@ runner (`_integrator`) integrates each arc under the fixed step control
 RTOL = ATOL with the adaptive Dormand-Prince 8(5,3) pair DOP853, whose
 7th-order dense output costs 3 extra right-hand-side calls per accepted
 step (Hairer, Norsett & Wanner, Solving ODEs I, II.5-II.6). The step
-loop is the module's own: it reads its tableau from `_dop853`, a copy of
-scipy's table, and repeats the arithmetic of scipy's `DOP853` operation
-for operation, so it reproduces scipy's steps and dense output bit for
-bit, but it calls the right-hand side directly, without the solver's
-wrapper layers, on a list of Python floats, and gets a list of Python
-floats back, and it keeps none of scipy's tolerance parameters or
-argument checks (see `RK45`). Its tableau sums (the stage, solution,
-error and dense-output products and the error norms) stay the numpy
-products scipy takes, since a BLAS sum need not add in a Python loop's
-order (see `RK45`). Everything between them runs on Python floats,
-whose IEEE +, -, * and / give numpy's bits without numpy's per-call
-overhead on 2- and 4-element arrays: a step attempt and a dense output
-are one call each of a kernel generated for the state size
-(`_kernels`), which writes the stage values into a flat buffer of the
-stage matrix and reads each sum back from one preallocated output
-array; a dense output's coefficients come out as one flat list. A model
-with a closed-form field hands it to the loop as its right-hand side,
-so each stage is one Python call into the model's arithmetic
-(`LagrangianSystem.rhs`).
+loop is the module's own (`RK45`): it reads its tableau from `_dop853`,
+a copy of scipy's table, and repeats the arithmetic of scipy's `DOP853`
+operation for operation, so it reproduces scipy's steps and dense output
+bit for bit, but it calls the right-hand side directly, on a list of
+Python floats, and gets a list of Python floats back. A step attempt
+and a dense output are one call each of a kernel generated for the
+state size (`_kernels`). A model with a closed-form field hands it to
+the loop as its right-hand side, so each stage is one Python call into
+the model's arithmetic (`LagrangianSystem.rhs`).
 After every accepted step the scan samples it: its first sample is the
 last one before it (the previous step's end, or the arc start), then
 come SCAN_POINTS interior times, each read with one scalar call of the
@@ -245,10 +235,9 @@ def _rms(x):
 
 # the step loop's kernels: the elementwise passes of a DOP853 step and of
 # its dense output, with the expressions, operand order included, of the
-# loops they unroll, between the stage matrix's tableau sums. `{{name:p}}`
-# stands for p written once per stage s of _STAGE_LISTS[name], with `$`
-# replaced by s, and then `<<p>>` for p written once per component i,
-# with `#` replaced by i; trailing blanks are cut (see `_kernels`)
+# loops they unroll, between the stage matrix's tableau sums. `<<p>>`
+# stands for p written once per component i, with `#` replaced by i;
+# trailing blanks are cut (see `_kernels`)
 _KERNEL_TEMPLATE = """\
 def horner(c, x):
     (<<f0_#, >>
@@ -267,18 +256,19 @@ def horner(c, x):
 
 def bind(K, out, err, dk, row0, stage_sums, solution_sum, row12, error_sum,
          extra_sums):
-    ({{stages:
-     (dot$, A$, c$, row$),}}) = stage_sums
-    ({{extra:
-     (dot$, A$, c$, row$),}}) = extra_sums
     err_items, err_dot = memoryview(err), err.dot
 
-    def attempt(fun, t, y, f, h):
+    def stage_pass(fun, t, y, h, sums):
         <<y#, >> = y
-        <<row0[#], >> = f{{stages:
-        dot$(A$, out)
-        <<w#, >> = out.tolist()
-        <<row$[#], >> = fun(t + c$ * h, [<<y# + w# * h, >>])}}
+        for dot, A, c, row in sums:
+            dot(A, out)
+            <<w#, >> = out.tolist()
+            <<row[#], >> = fun(t + c * h, [<<y# + w# * h, >>])
+
+    def attempt(fun, t, y, f, h):
+        <<row0[#], >> = f
+        stage_pass(fun, t, y, h, stage_sums)
+        <<y#, >> = y
         solution_sum(B, out)
         <<w#, >> = out.tolist()
         y_new = [<<y# + h * w#, >>]
@@ -298,10 +288,8 @@ def bind(K, out, err, dk, row0, stage_sums, solution_sum, row12, error_sum,
         return y_new, f_new, err5_norm_2, err3_norm_2
 
     def dense(fun, t, y_old, h, y, f_old, f):
-        <<o#, >> = y_old{{extra:
-        dot$(A$, out)
-        <<w#, >> = out.tolist()
-        <<row$[#], >> = fun(t + c$ * h, [<<o# + w# * h, >>])}}
+        stage_pass(fun, t, y_old, h, extra_sums)
+        <<o#, >> = y_old
         D_dot(K, dk)
         ((<<e0_#, >>),
          (<<e1_#, >>),
@@ -324,22 +312,14 @@ def bind(K, out, err, dk, row0, stage_sums, solution_sum, row12, error_sum,
 
     return attempt, dense
 """
-# stage s of a step's attempt ("stages") and of its dense output ("extra")
-_STAGE_LISTS = {"stages": [s for s, _, _ in _STAGES],
-                "extra": [s for s, _, _ in _EXTRA_STAGES]}
 _Kernels = namedtuple("_Kernels", "horner bind")
 
 
 def _kernel_source(size):
-    """`_KERNEL_TEMPLATE` unrolled over the stages and then for states of
-    `size` components."""
-    source = re.sub(r"\{\{(\w+):(.*?)\}\}", lambda m: "".join(
-        m.group(2).replace("$", str(s))
-        for s in _STAGE_LISTS[m.group(1)]).rstrip(),
-        _KERNEL_TEMPLATE, flags=re.S)
+    """`_KERNEL_TEMPLATE` unrolled for states of `size` components."""
     return re.sub(r"<<(.*?)>>", lambda m: "".join(
         m.group(1).replace("#", str(i)) for i in range(size)).rstrip(),
-        source, flags=re.S)
+        _KERNEL_TEMPLATE, flags=re.S)
 
 
 @functools.cache
@@ -353,35 +333,36 @@ def _kernels(size):
       the step's flat coefficient block, the list of its 8 rows F0-F6
       and y_old one after the other: scipy's Dop853DenseOutput sum;
     - bind(K, out, err, dk, row0, stage_sums, solution_sum, row12,
-      error_sum, extra_sums): the two kernels of one stage matrix K
-      (`_StageMatrix`). It hands over its (size,) arrays out and err, a
-      (4, size) array dk, its rows as memoryviews of its flat buffer,
-      and each tableau sum as a bound `ndarray.dot` of a transposed view
-      of K's leading rows (a stage's with its row of A, its node c and
-      its row):
+      error_sum, extra_sums): the two kernels of one stage matrix K,
+      bound to its buffers and tableau sums (`_StageMatrix`); a stage's
+      sum comes with its row of A, its node c and its row of K:
 
       - attempt(fun, t, y, f, h): one DOP853 attempt of step h from
-        (t, y), f = fun(t, y). f goes into row 0; then, for each stage
-        s = 1, ..., 11 in turn, the BLAS sum K[:s]^T A_s into out, read
-        back as floats w, the call fun(t + c_s h, y + w h) and its value
-        written into row s; then y_new = y + h K[:12]^T B the same way,
-        f_new = fun(t + h, y_new) into row 12, the error scale
+        (t, y), f = fun(t, y). f goes into row 0; then `stage_pass` runs
+        stages 1-11 from y; then y_new = y + h K[:12]^T B, read back as
+        floats, f_new = fun(t + h, y_new) into row 12, the error scale
         ATOL + max(|y|, |y_new|) RTOL, and the error estimates
         K^T E5 / scale and K^T E3 / scale, each a BLAS sum into out whose
         quotients are written into err for their BLAS norm. Returns
         y_new and f_new as lists and the two squared norms;
       - dense(fun, t, y_old, h, y, f_old, f): the dense output of the
-        step h from (t, y_old, f_old) to (y, f): the extra stages 13-15
-        from y_old as above, then D K in one BLAS product into dk. Returns
-        the step's flat coefficient block, F0 = y - y_old,
+        step h from (t, y_old, f_old) to (y, f): `stage_pass` runs the
+        extra stages 13-15 from y_old, then D K in one BLAS product into
+        dk. Returns the step's flat coefficient block, F0 = y - y_old,
         F1 = h f_old - F0, F2 = 2 F0 - h (f + f_old), F3-F6 = h (D K) and
         y_old, as one list of 8 size floats.
 
-    Each unrolls the loop it replaced with the same IEEE operations in
-    the same operand order and the same numpy products, so its values
-    are the loop's bit for bit (but for which of two NaN operands comes
-    out, which CPython's float arithmetic does not fix: its specialized
-    and generic instructions differ there). The error scale's
+      The stage rule is written once, in `stage_pass(fun, t, y, h,
+      sums)`: for each stage s of `sums` in turn, the BLAS sum
+      K[:s]^T A_s into out, read back as floats w, the call
+      fun(t + c_s h, y + w h) and its value written into row s. The
+      stages run as this one loop; only the components are unrolled.
+
+    The kernels keep the IEEE operations, operand order and numpy
+    products of the array loops they unroll (the tests' references), so
+    their values are those loops' bit for bit (but for which of two NaN
+    operands comes out, which CPython's float arithmetic does not fix:
+    its specialized and generic instructions differ there). The error scale's
     `a if a > b else b`, on a = |y_i| and b = |y_new_i|, keeps
     np.maximum's rule that a NaN on either side is the maximum with no
     clause for it: a NaN in y is a NaN in y_new = y + h w, and a
@@ -409,60 +390,19 @@ def _kernels(size):
 
         def bind(K, out, err, dk, row0, stage_sums, solution_sum, row12, error_sum,
                  extra_sums):
-            (
-             (dot1, A1, c1, row1),
-             (dot2, A2, c2, row2),
-             (dot3, A3, c3, row3),
-             (dot4, A4, c4, row4),
-             (dot5, A5, c5, row5),
-             (dot6, A6, c6, row6),
-             (dot7, A7, c7, row7),
-             (dot8, A8, c8, row8),
-             (dot9, A9, c9, row9),
-             (dot10, A10, c10, row10),
-             (dot11, A11, c11, row11),) = stage_sums
-            (
-             (dot13, A13, c13, row13),
-             (dot14, A14, c14, row14),
-             (dot15, A15, c15, row15),) = extra_sums
             err_items, err_dot = memoryview(err), err.dot
 
-            def attempt(fun, t, y, f, h):
+            def stage_pass(fun, t, y, h, sums):
                 y0, y1, = y
+                for dot, A, c, row in sums:
+                    dot(A, out)
+                    w0, w1, = out.tolist()
+                    row[0], row[1], = fun(t + c * h, [y0 + w0 * h, y1 + w1 * h,])
+
+            def attempt(fun, t, y, f, h):
                 row0[0], row0[1], = f
-                dot1(A1, out)
-                w0, w1, = out.tolist()
-                row1[0], row1[1], = fun(t + c1 * h, [y0 + w0 * h, y1 + w1 * h,])
-                dot2(A2, out)
-                w0, w1, = out.tolist()
-                row2[0], row2[1], = fun(t + c2 * h, [y0 + w0 * h, y1 + w1 * h,])
-                dot3(A3, out)
-                w0, w1, = out.tolist()
-                row3[0], row3[1], = fun(t + c3 * h, [y0 + w0 * h, y1 + w1 * h,])
-                dot4(A4, out)
-                w0, w1, = out.tolist()
-                row4[0], row4[1], = fun(t + c4 * h, [y0 + w0 * h, y1 + w1 * h,])
-                dot5(A5, out)
-                w0, w1, = out.tolist()
-                row5[0], row5[1], = fun(t + c5 * h, [y0 + w0 * h, y1 + w1 * h,])
-                dot6(A6, out)
-                w0, w1, = out.tolist()
-                row6[0], row6[1], = fun(t + c6 * h, [y0 + w0 * h, y1 + w1 * h,])
-                dot7(A7, out)
-                w0, w1, = out.tolist()
-                row7[0], row7[1], = fun(t + c7 * h, [y0 + w0 * h, y1 + w1 * h,])
-                dot8(A8, out)
-                w0, w1, = out.tolist()
-                row8[0], row8[1], = fun(t + c8 * h, [y0 + w0 * h, y1 + w1 * h,])
-                dot9(A9, out)
-                w0, w1, = out.tolist()
-                row9[0], row9[1], = fun(t + c9 * h, [y0 + w0 * h, y1 + w1 * h,])
-                dot10(A10, out)
-                w0, w1, = out.tolist()
-                row10[0], row10[1], = fun(t + c10 * h, [y0 + w0 * h, y1 + w1 * h,])
-                dot11(A11, out)
-                w0, w1, = out.tolist()
-                row11[0], row11[1], = fun(t + c11 * h, [y0 + w0 * h, y1 + w1 * h,])
+                stage_pass(fun, t, y, h, stage_sums)
+                y0, y1, = y
                 solution_sum(B, out)
                 w0, w1, = out.tolist()
                 y_new = [y0 + h * w0, y1 + h * w1,]
@@ -483,16 +423,8 @@ def _kernels(size):
                 return y_new, f_new, err5_norm_2, err3_norm_2
 
             def dense(fun, t, y_old, h, y, f_old, f):
+                stage_pass(fun, t, y_old, h, extra_sums)
                 o0, o1, = y_old
-                dot13(A13, out)
-                w0, w1, = out.tolist()
-                row13[0], row13[1], = fun(t + c13 * h, [o0 + w0 * h, o1 + w1 * h,])
-                dot14(A14, out)
-                w0, w1, = out.tolist()
-                row14[0], row14[1], = fun(t + c14 * h, [o0 + w0 * h, o1 + w1 * h,])
-                dot15(A15, out)
-                w0, w1, = out.tolist()
-                row15[0], row15[1], = fun(t + c15 * h, [o0 + w0 * h, o1 + w1 * h,])
                 D_dot(K, dk)
                 ((e0_0, e0_1,),
                  (e1_0, e1_1,),
@@ -541,7 +473,9 @@ class _StageMatrix:
     transposed view of its leading rows into the one preallocated (2n,)
     output `out`, so a stage allocates nothing but its lists of floats;
     an attempt leaves each error estimate, divided by the error scale,
-    in `err` for its norm's dot product.
+    in `err` for its norm's dot product, and a dense output leaves D K
+    in a (4, 2n) array. A stage's sum, row of A, node and row go to the
+    kernels as one (dot, A, c, row) tuple, in stage order.
     A solver writes every row of the matrix before it reads it, in each
     step attempt and in each dense output, so one matrix serves the
     solvers of consecutive arcs; `_integrator` builds one per run."""
@@ -586,26 +520,20 @@ class RK45:
 
     Each tableau sum (a stage's K[:s]^T a, the solution's K^T B, the
     error estimates K^T E5 and K^T E3, their norms' dot products, the
-    dense output's D K) stays the numpy product scipy takes, on the
-    stage matrix `stages` (a `_StageMatrix`, built once per run and
-    handed to each arc's solver by `_integrator` and read as
-    `self.stages`): a BLAS sum need not add in a Python loop's order (a
-    sequential Python sum differed from `dot` in 45,411 of the 132,000
-    stage sums of 3,000 standard-normal 4-column stage matrices), so
-    only numpy reproduces scipy's bits there; nor does one merged
-    product for two sums (K^T [E5 E3] differed from the two products in
-    most of 5,000 random 13 x 4 stage matrices). Everything between the
-    sums runs on Python floats, where IEEE +, -, * and / give numpy's
-    bits without its per-call overhead on 2- and 4-element arrays, in
-    the stage matrix's kernels, unrolled for the state size
-    (`_kernels`). An attempt is one `attempt` call: each sum writes
-    into the matrix's one output array and is read back as a list, and
-    each stage's value is written into its row through a flat
-    memoryview, so only the lists are allocated. A dense output is one
-    `dense` call, which builds the step's coefficient block as one flat
-    list, its f rows from the step's own f_old and f. The initial-step
-    choice, once per arc, also runs on Python floats but for its three
-    norms, whose sums are `ndarray.dot` as in scipy.
+    dense output's D K) stays the numpy product scipy takes: a BLAS sum
+    need not add in a Python loop's order (a sequential Python sum
+    differed from `dot` in 45,411 of the 132,000 stage sums of 3,000
+    standard-normal 4-column stage matrices), so only numpy reproduces
+    scipy's bits there; nor does one merged product for two sums
+    (K^T [E5 E3] differed from the two products in most of 5,000 random
+    13 x 4 stage matrices). Everything between the sums runs on Python
+    floats, where IEEE +, -, * and / give numpy's bits without its
+    per-call overhead on 2- and 4-element arrays. An attempt is one
+    `attempt` call and a dense output one `dense` call of the kernels
+    bound to the stage matrix `stages` (a `_StageMatrix`, built once per
+    run and handed to each arc's solver by `_integrator`). The
+    initial-step choice, once per arc, also runs on Python floats but
+    for its three norms, whose sums are `ndarray.dot` as in scipy.
     """
 
     n_stages = _N_STAGES

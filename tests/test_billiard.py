@@ -400,6 +400,18 @@ def test_reference_flow_scenario_counts():
         assert flow.events[-1].tau < WALL_COLLAPSE_TIME
 
 
+@pytest.mark.parametrize("c", [0.0, 1e-12, 1e-9, 1e-6])
+def test_reference_flow_matches_simulate_at_small_dissipation(c):
+    # the damped flight's (m/c)(1 - exp(-c dt/m)) cancels as c -> 0; the
+    # oracle must stay on the simulator's impacts all the way down
+    sc = hl.get_scenario("paper-c025")
+    p = hl.BilliardParams(c=c)
+    ref = hl.reference_flow(p, sc.initial_cartesian, 3.0)
+    sim = hl.simulate(hl.cartesian_hybrid(p), sc.initial_cartesian, 3.0)
+    assert len(ref.events) == len(sim.events) > 0
+    assert ref.event_time_delta(sim) <= 1e-8
+
+
 def test_reference_flow_first_impact_frozen_value():
     sc = hl.get_scenario("paper-c025")
     flow = hl.reference_flow(sc.params, sc.initial_cartesian, 1.0)

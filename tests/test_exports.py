@@ -21,14 +21,14 @@ def test_public_api_is_pinned():
         "InvalidReset", "InvalidStart", "LagrangianSystem", "MODEL_IDS",
         "ModelBundle", "NoConvergence", "NotInvariant", "PaperScenario",
         "ParseError", "ReconstructedFlow", "ReducedHybridSystem", "ResetMap",
-        "SCENARIO_IDS", "SingularHessian", "State", "build_model",
-        "cartesian_hybrid", "cartesian_system", "check_flow_equivalence",
-        "check_hybrid_equivalence", "get_scenario", "guard_cartesian",
-        "guard_polar", "momentum_map", "paper_scenarios", "polar_cyclic",
-        "polar_hybrid", "polar_system", "polar_to_cartesian", "project",
-        "reconstruct", "reduce", "reference_flow", "reset_cartesian",
-        "reset_polar", "routhian", "routhian_closed", "simulate",
-        "simulate_resequenced",
+        "SCENARIO_IDS", "SingularHessian", "State", "WeightOverflow",
+        "build_model", "cartesian_hybrid", "cartesian_system",
+        "check_flow_equivalence", "check_hybrid_equivalence", "get_scenario",
+        "guard_cartesian", "guard_polar", "momentum_map", "paper_scenarios",
+        "polar_cyclic", "polar_hybrid", "polar_system", "polar_to_cartesian",
+        "project", "reconstruct", "reduce", "reference_flow",
+        "reset_cartesian", "reset_polar", "routhian", "routhian_closed",
+        "simulate", "simulate_resequenced",
     ]
 
 

@@ -429,6 +429,31 @@ def test_cli_unreadable_config_writes_error_to_out(tmp_path, monkeypatch,
     assert not os.path.exists(tmp_path / "error.json")
 
 
+@pytest.mark.parametrize("mode", ["reduced", "resequenced", "compare",
+                                  "verify"])
+def test_cli_weight_beyond_float_range_errors(tmp_path, mode):
+    # c t / m passes ~709 at t ~ 3.5: the Lagrangian's weight exp(c t / m)
+    # overflows, which each of these modes evaluates
+    out = str(tmp_path / "out")
+    cfg = write_config(tmp_path, model="billiard-polar", scenario="paper-c025",
+                       mode=mode, horizon=10, c=2.0, m=0.01)
+    assert run_cli("run", "--config", cfg, "--out", out) == 1
+    record = error_record(out)
+    assert record["error"] == "WeightOverflow"
+    assert "overflows" in record["message"]
+
+
+def test_cli_out_naming_a_file_is_parse_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert run_cli("run", "--model", "free-particle", "--mode", "full",
+                   "--horizon", "1", "--out", str(out)) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ParseError"
+    assert record["key"] == "out"
+    assert out.read_text() == ""
+
+
 def test_cli_full_run_writes_files(tmp_path):
     out = str(tmp_path / "out")
     code = run_cli("run", "--model", "billiard-cartesian", "--scenario",
@@ -642,6 +667,18 @@ def test_cli_verify_mode(tmp_path, capsys):
             "chart_impact_agreement", "csv_schema"} <= names
     captured = capsys.readouterr()
     assert "momentum_conservation: pass" in captured.out
+
+
+def test_cli_verify_passes_at_small_dissipation(tmp_path):
+    # the oracle's flight must not cancel at c = 1e-9
+    # (arc_oracle_agreement)
+    out = str(tmp_path / "out")
+    cfg = write_config(tmp_path, model="billiard-polar", scenario="paper-c025",
+                       mode="verify", horizon=10, c=1e-9)
+    assert run_cli("run", "--config", cfg, "--out", out) == 0
+    report = json.loads(Path(out, "verify.json").read_text())
+    assert report["passed"] is True
+    assert all(c["passed"] is True for c in report["checks"]), report
 
 
 def test_verify_builds_each_model_once(monkeypatch):

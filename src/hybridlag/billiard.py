@@ -50,13 +50,14 @@ REFERENCE_GRID = 33  # sample times per arc of a reference flow
 
 
 def _weight(c, t, m):
-    """exp(c t / m), the weight of the damped Lagrangian, as math.exp
-    computes it; WeightOverflow where it passes the float range."""
+    """exp(c t / m) as math.exp computes it, for the damped Lagrangian's
+    weights (c the dissipation, or -c and -2c for their inverses);
+    WeightOverflow where it passes the float range."""
     try:
         return math.exp(c * t / m)
     except OverflowError as exc:
-        raise WeightOverflow(f"exp(c t / m) overflows at t={t!r} with "
-                             f"c={c!r}, m={m!r}") from exc
+        raise WeightOverflow(f"the weight exp({c!r} t / m) overflows at "
+                             f"t={t!r} with m={m!r}") from exc
 
 
 def default_wall(t):
@@ -247,11 +248,11 @@ def routhian_closed(p: BilliardParams, mu: float) -> LagrangianSystem:
     def lag(t, x, xd):
         r = x[0]
         return (_weight(c, t, m) * 0.5 * m * xd[0]**2
-                - mu * mu / (2.0 * m * r * r) * math.exp(-c * t / m))
+                - mu * mu / (2.0 * m * r * r) * _weight(-c, t, m))
 
     def dq(t, x, xd):
         r = x[0]
-        return np.array([mu * mu * math.exp(-c * t / m) / (m * r**3)])
+        return np.array([mu * mu * _weight(-c, t, m) / (m * r**3)])
 
     def dv(t, x, xd):
         return np.array([_weight(c, t, m) * m * xd[0]])
@@ -265,8 +266,12 @@ def routhian_closed(p: BilliardParams, mu: float) -> LagrangianSystem:
         if r <= R_MIN:
             raise ChartSingularity(
                 f"reduced trajectory reached r={r:.3e} <= r_min={R_MIN:.1e}")
-        return [rd, mu * mu * math.exp(-2.0 * c * t / m) / (m * m * r**3)
-                - k * rd]
+        # the hot path: math.exp inline, and _weight only to raise
+        try:
+            decay = math.exp(-2.0 * c * t / m)
+        except OverflowError:
+            decay = _weight(-2.0 * c, t, m)
+        return [rd, mu * mu * decay / (m * m * r**3) - k * rd]
 
     return LagrangianSystem(dim=1, lagrangian=lag, dL_dq=dq, dL_dv=dv,
                             field=field)
@@ -302,7 +307,7 @@ def polar_cyclic(p: BilliardParams) -> CyclicStructure:
         # x[0] is r, or the row of r over columns. np.exp may differ from
         # math.exp in the last bit; single points (the lifts inside
         # resets) keep math.exp, so impact times do not depend on it
-        decay = math.exp(-c * t / m) if np.ndim(t) == 0 else np.exp(-c * t / m)
+        decay = _weight(-c, t, m) if np.ndim(t) == 0 else np.exp(-c * t / m)
         return decay * mu / (m * x[0] ** 2)
 
     # the polar guard reads only t, r and rdot, so it is its own reduced

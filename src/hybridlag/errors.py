@@ -49,9 +49,10 @@ class ChartSingularity(HybridLagError):
 
 
 class WeightOverflow(HybridLagError):
-    """The billiard's Lagrangian weight exp(c t / m) passes the float
-    range at the time it is asked for, as it does once c t / m exceeds
-    about 709."""
+    """The billiard's Lagrangian weight exp(c t / m), or an inverse
+    weight exp(-c t / m) or exp(-2 c t / m) of the reduced system, passes
+    the float range at the time it is asked for, as it does once its
+    exponent exceeds about 709."""
 
 
 class ParseError(HybridLagError):

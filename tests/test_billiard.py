@@ -175,6 +175,22 @@ def test_routhian_closed_form_value():
         pytest.approx(-0.5, abs=1e-15)
 
 
+@pytest.mark.parametrize("part", ["lag", "dq", "field", "lift"])
+def test_inverse_weights_beyond_float_range_raise(part):
+    # at t = -5 with c / m = 200 the inverse weights exp(-c t / m) and
+    # exp(-2 c t / m) pass the float range: a typed error, no OverflowError
+    p = hl.BilliardParams(c=2.0, m=0.01)
+    red = hl.routhian_closed(p, 1.0)
+    x, xd = np.array([0.5]), np.array([0.1])
+    call = {"lag": lambda: red.lagrangian(-5.0, x, xd),
+            "dq": lambda: red.dL_dq(-5.0, x, xd),
+            "field": lambda: red.field(-5.0, [0.5, 0.1]),
+            "lift": lambda: hl.polar_cyclic(p).cyclic_velocity_solver(
+                -5.0, x, xd, 1.0)}[part]
+    with pytest.raises(hl.WeightOverflow, match="overflows"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # guard
 # ---------------------------------------------------------------------------

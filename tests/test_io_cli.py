@@ -429,14 +429,24 @@ def test_cli_unreadable_config_writes_error_to_out(tmp_path, monkeypatch,
     assert not os.path.exists(tmp_path / "error.json")
 
 
-@pytest.mark.parametrize("mode", ["reduced", "resequenced", "compare",
-                                  "verify"])
-def test_cli_weight_beyond_float_range_errors(tmp_path, mode):
+WEIGHT_OVERFLOW_STARTS = {
     # c t / m passes ~709 at t ~ 3.5: the Lagrangian's weight exp(c t / m)
     # overflows, which each of these modes evaluates
+    "late": dict(scenario="paper-c025", horizon=10),
+    # before t = 0 the reduced field's exp(-2 c t / m) overflows first
+    "early": dict(horizon=1, initial_t=-5, initial_q=[0.5, 0.0],
+                  initial_v=[0.1, 1.0]),
+}
+
+
+@pytest.mark.parametrize("mode, start", [
+    *((mode, "late") for mode in ("reduced", "resequenced", "compare",
+                                  "verify")),
+    *((mode, "early") for mode in ("reduced", "resequenced", "compare"))])
+def test_cli_weight_beyond_float_range_errors(tmp_path, mode, start):
     out = str(tmp_path / "out")
-    cfg = write_config(tmp_path, model="billiard-polar", scenario="paper-c025",
-                       mode=mode, horizon=10, c=2.0, m=0.01)
+    cfg = write_config(tmp_path, model="billiard-polar", mode=mode, c=2.0,
+                       m=0.01, **WEIGHT_OVERFLOW_STARTS[start])
     assert run_cli("run", "--config", cfg, "--out", out) == 1
     record = error_record(out)
     assert record["error"] == "WeightOverflow"

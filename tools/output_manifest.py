@@ -11,12 +11,20 @@ all at horizon 10. For each case it prints its exit code, then
 directory. Two checkouts, or two runs of one, write the same outputs
 when their manifests are equal; `diff` them.
 
+Each case also has an expected outcome: exit 0, or, where the CLI must
+refuse the input (reduction of the Cartesian billiard, which has no
+cyclic coordinate; `verify` of a model without a scenario), exit 1 with
+an error.json naming ParseError. The script exits 1, after printing the
+whole manifest, when any case misses its outcome, and names those cases
+on stderr.
+
 The package is the one the interpreter imports: the installed one, or
 the checkout's `src/` given on PYTHONPATH (made absolute here, since the
 runs start in the temporary directory).
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -27,16 +35,21 @@ HORIZON = "10"
 
 
 def cases():
-    """(name, CLI arguments) of each case, in a fixed order."""
+    """(name, CLI arguments, expected error class or None) of each case,
+    in a fixed order."""
     for model in ("billiard-cartesian", "billiard-polar"):
         for scenario in ("paper-c025", "paper-c010"):
             for mode in MODES:
+                refused = (model == "billiard-cartesian"
+                           and mode in ("reduced", "resequenced", "compare"))
                 yield (f"{model}-{scenario}-{mode}",
                        ["--model", model, "--scenario", scenario,
-                        "--mode", mode])
+                        "--mode", mode],
+                       "ParseError" if refused else None)
     for model in ("free-particle", "harmonic-1d"):
         for mode in ("full", "verify"):
-            yield f"{model}-{mode}", ["--model", model, "--mode", mode]
+            yield (f"{model}-{mode}", ["--model", model, "--mode", mode],
+                   "ParseError" if mode == "verify" else None)
 
 
 def digest(path):
@@ -49,23 +62,46 @@ def digest(path):
     return hashlib.sha256(data).hexdigest()
 
 
+def missed(case_dir, code, error):
+    """True when a case's exit code and error record are not the
+    expected ones: exit 0 and no error.json when error is None, else exit
+    1 and an error.json whose "error" is error."""
+    path = os.path.join(case_dir, "error.json")
+    if error is None:
+        return code != 0 or os.path.exists(path)
+    if code != 1 or not os.path.exists(path):
+        return True
+    with open(path) as fh:
+        return json.load(fh).get("error") != error
+
+
 def main():
     env = dict(os.environ)
     if env.get("PYTHONPATH"):
         env["PYTHONPATH"] = os.pathsep.join(
             os.path.abspath(p) for p in env["PYTHONPATH"].split(os.pathsep))
+    failed = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name, args in cases():
+        for name, args, error in cases():
             code = subprocess.run(
                 [sys.executable, "-m", "hybridlag.cli", "run", *args,
                  "--horizon", HORIZON, "--out", name],
                 cwd=tmp, env=env, stdout=subprocess.DEVNULL,
                 stderr=subprocess.DEVNULL).returncode
             print(f"exit {code}  {name}")
-            for file in sorted(os.listdir(os.path.join(tmp, name))):
-                print(f"{digest(os.path.join(tmp, name, file))}  "
+            case_dir = os.path.join(tmp, name)
+            files = sorted(os.listdir(case_dir)) if os.path.isdir(
+                case_dir) else []
+            for file in files:
+                print(f"{digest(os.path.join(case_dir, file))}  "
                       f"{name}/{file}")
+            if missed(case_dir, code, error):
+                failed.append(f"{name} (exit {code}, expected "
+                              f"{error or 'exit 0'})")
+    for line in failed:
+        print(f"unexpected outcome: {line}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

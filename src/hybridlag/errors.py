@@ -20,10 +20,12 @@ class NoConvergence(HybridLagError):
 
 class InvalidStart(HybridLagError):
     """A run cannot start where it was asked to: t_end is not finite or
-    precedes the start time, the start state fails the arc-start rule
-    (`hybrid._check_arc_start`: not finite, outside the guard, or on it
-    and not leaving), the momentum passed to `reduce` is not finite, or
-    the start angle passed to `reconstruct` is not finite."""
+    precedes the start time, the start's q or v does not have the
+    system's shape (n,) (`LagrangianSystem.pack`), the start state fails
+    the arc-start rule (`hybrid._check_arc_start`: not finite, outside
+    the guard, or on it and not leaving), the momentum passed to
+    `reduce` is not finite, or the start angle passed to `reconstruct`
+    is not finite."""
 
 
 class InvalidReset(HybridLagError):

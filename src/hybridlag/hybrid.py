@@ -227,12 +227,6 @@ _EXTRA_STAGES = [(s, a[:s], float(c)) for s, (a, c) in enumerate(
     zip(_A_EXTRA, _C_EXTRA), start=_N_STAGES + 1)]
 
 
-def _rms(x):
-    """scipy's RMS norm, np.linalg.norm(x) / sqrt(x.size), as numpy
-    computes it for a vector."""
-    return math.sqrt(x.dot(x)) / x.size ** 0.5
-
-
 # the step loop's kernels: the elementwise passes of a DOP853 step and of
 # its dense output, with the expressions, operand order included, of the
 # loops they unroll, between the stage matrix's tableau sums. `<<p>>`
@@ -257,6 +251,7 @@ def horner(c, x):
 def bind(K, out, err, dk, row0, stage_sums, solution_sum, row12, error_sum,
          extra_sums):
     err_items, err_dot = memoryview(err), err.dot
+    root = len(err) ** 0.5
 
     def attempt(fun, t, y, f, h):
         <<row0[#], >> = f
@@ -309,7 +304,24 @@ def bind(K, out, err, dk, row0, stage_sums, solution_sum, row12, error_sum,
             o#,>>
         ]
 
-    return attempt, dense
+    def scaled_norms(y, f):
+        <<y#, >> = y
+        <<f#, >> = f<<
+        s# = ATOL + abs(y#) * RTOL>>
+        <<err_items[#], >> = <<y# / s#, >>
+        d0 = sqrt(err_dot(err)) / root
+        <<err_items[#], >> = <<f# / s#, >>
+        return d0, sqrt(err_dot(err)) / root
+
+    def slope_norm(fun, t0, y, f, h0):
+        <<y#, >> = y
+        <<f#, >> = f<<
+        s# = ATOL + abs(y#) * RTOL>>
+        <<g#, >> = fun(t0 + h0, [<<y# + h0 * f#, >>])
+        <<err_items[#], >> = <<(g# - f#) / s#, >>
+        return sqrt(err_dot(err)) / root
+
+    return attempt, dense, scaled_norms, slope_norm
 """
 _Kernels = namedtuple("_Kernels", "horner bind")
 
@@ -332,7 +344,7 @@ def _kernels(size):
       the step's flat coefficient block, the list of its 8 rows F0-F6
       and y_old one after the other: scipy's Dop853DenseOutput sum;
     - bind(K, out, err, dk, row0, stage_sums, solution_sum, row12,
-      error_sum, extra_sums): the two kernels of one stage matrix K,
+      error_sum, extra_sums): the four kernels of one stage matrix K,
       bound to its buffers and tableau sums (`_StageMatrix`); a stage's
       sum comes with its row of A, its node c and its row of K:
 
@@ -349,12 +361,20 @@ def _kernels(size):
         extra stages 13-15 from y_old, then D K in one BLAS product into
         dk. Returns the step's flat coefficient block, F0 = y - y_old,
         F1 = h f_old - F0, F2 = 2 F0 - h (f + f_old), F3-F6 = h (D K) and
-        y_old, as one list of 8 size floats.
+        y_old, as one list of 8 size floats;
+      - scaled_norms(y, f): the first two norms of the initial-step
+        choice (`RK45._initial_step`), under its error scale
+        ATOL + |y| RTOL: the RMS norms of y / scale and of f / scale,
+        each quotient written into err and each norm
+        sqrt(err . err) / sqrt(size), as scipy's norm computes it;
+      - slope_norm(fun, t0, y, f, h0): the third, of the slope change:
+        the call f1 = fun(t0 + h0, y + h0 f), then the RMS norm of
+        (f1 - f) / scale in the same way. Its caller divides it by h0.
 
-      The stage loop is the same four lines in both: for each stage s
-      of its sums in turn, the BLAS sum K[:s]^T A_s into out, read back
-      as floats w, the call fun(t + c_s h, y + w h) and its value
-      written into row s. The stages run as this loop; only the
+      The stage loop is the same four lines in attempt and dense: for
+      each stage s of its sums in turn, the BLAS sum K[:s]^T A_s into
+      out, read back as floats w, the call fun(t + c_s h, y + w h) and
+      its value written into row s. The stages run as this loop; only the
       components are unrolled. The loop is written into each kernel,
       not shared as a closure: the closure's extra call per attempt cost
       the impact-dense Cartesian sweep about 1% of its run time (on a
@@ -393,6 +413,7 @@ def _kernels(size):
         def bind(K, out, err, dk, row0, stage_sums, solution_sum, row12, error_sum,
                  extra_sums):
             err_items, err_dot = memoryview(err), err.dot
+            root = len(err) ** 0.5
 
             def attempt(fun, t, y, f, h):
                 row0[0], row0[1], = f
@@ -454,7 +475,26 @@ def _kernels(size):
                     o1,
                 ]
 
-            return attempt, dense
+            def scaled_norms(y, f):
+                y0, y1, = y
+                f0, f1, = f
+                s0 = ATOL + abs(y0) * RTOL
+                s1 = ATOL + abs(y1) * RTOL
+                err_items[0], err_items[1], = y0 / s0, y1 / s1,
+                d0 = sqrt(err_dot(err)) / root
+                err_items[0], err_items[1], = f0 / s0, f1 / s1,
+                return d0, sqrt(err_dot(err)) / root
+
+            def slope_norm(fun, t0, y, f, h0):
+                y0, y1, = y
+                f0, f1, = f
+                s0 = ATOL + abs(y0) * RTOL
+                s1 = ATOL + abs(y1) * RTOL
+                g0, g1, = fun(t0 + h0, [y0 + h0 * f0, y1 + h0 * f1,])
+                err_items[0], err_items[1], = (g0 - f0) / s0, (g1 - f1) / s1,
+                return sqrt(err_dot(err)) / root
+
+            return attempt, dense, scaled_norms, slope_norm
     """
     namespace = {"ATOL": ATOL, "RTOL": RTOL, "B": _B, "E5": _E5, "E3": _E3,
                  "D_dot": _D.dot, "sqrt": math.sqrt}
@@ -474,8 +514,9 @@ class _StageMatrix:
     transposed view of its leading rows into the one preallocated (2n,)
     output `out`, so a stage allocates nothing but its lists of floats;
     an attempt leaves each error estimate, divided by the error scale,
-    in `err` for its norm's dot product, and a dense output leaves D K
-    in a (4, 2n) array. A stage's sum, row of A, node and row go to the
+    in `err` for its norm's dot product, as the initial-step kernels
+    leave each of their quotients, and a dense output leaves D K in a
+    (4, 2n) array. A stage's sum, row of A, node and row go to the
     kernels as one (dot, A, c, row) tuple, in stage order.
     A solver writes every row of the matrix before it reads it, in each
     step attempt and in each dense output, so one matrix serves the
@@ -489,7 +530,8 @@ class _StageMatrix:
         flat = memoryview(K.reshape(-1))
         rows = [flat[r * size:(r + 1) * size] for r in range(len(K))]
         self.kernels = _kernels(size)
-        self.attempt, self.dense = self.kernels.bind(
+        (self.attempt, self.dense, self.scaled_norms,
+         self.slope_norm) = self.kernels.bind(
             K, self.out, self.err, np.empty((len(_D), size)), rows[0],
             [(K[:s].T.dot, a, c, rows[s]) for s, a, c in _STAGES],
             K[:_N_STAGES].T.dot, rows[_N_STAGES], self.K.T.dot,
@@ -533,8 +575,11 @@ class RK45:
     `attempt` call and a dense output one `dense` call of the kernels
     bound to the stage matrix `stages` (a `_StageMatrix`, built once per
     run and handed to each arc's solver by `_integrator`). The
-    initial-step choice, once per arc, also runs on Python floats but
-    for its three norms, whose sums are `ndarray.dot` as in scipy.
+    initial-step choice, once per arc, keeps its rule and constants in
+    `_initial_step`; its error scale, quotients and third right-hand-side
+    call run in two kernels of the same stage matrix, `scaled_norms` and
+    `slope_norm`, and each of its three RMS norms is the `ndarray.dot`
+    scipy takes.
     """
 
     n_stages = _N_STAGES
@@ -552,22 +597,19 @@ class RK45:
         self.h_abs = self._initial_step()
 
     def _initial_step(self):
-        """scipy's select_initial_step (Hairer, Norsett & Wanner, II.4),
-        on Python floats but for the three norms' dot products."""
-        t0, y0, f0 = self.t, self.y, self.f
+        """scipy's select_initial_step (Hairer, Norsett & Wanner, II.4):
+        its rule here, its three RMS norms from the stage matrix's
+        `scaled_norms` and `slope_norm` kernels."""
+        t0, y0, f0, stages = self.t, self.y, self.f, self.stages
         interval_length = abs(self.t_bound - t0)
-        scale = [ATOL + abs(v) * RTOL for v in y0]
-        d0 = _rms(np.array([v / s for v, s in zip(y0, scale)]))
-        d1 = _rms(np.array([f / s for f, s in zip(f0, scale)]))
+        d0, d1 = stages.scaled_norms(y0, f0)
         if d0 < 1e-5 or d1 < 1e-5:
             h0 = 1e-6
         else:
             h0 = 0.01 * d0 / d1
         h0 = min(h0, interval_length)
-        f1 = self.fun(t0 + h0, [v + h0 * f for v, f in zip(y0, f0)])
+        d2 = stages.slope_norm(self.fun, t0, y0, f0, h0) / h0
         self.nfev += 1
-        d2 = _rms(np.array([(a - b) / s
-                            for a, b, s in zip(f1, f0, scale)])) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
@@ -814,9 +856,9 @@ def _scan(dense, n, gfun, dfun, start, ts, ys, gs, ds):
     No point is evaluated twice: every Brent call gets its end values
     from the samples or from the refinement before it, and the impact's
     state, g and d come from the evaluations that located it
-    (`_StepPoints`). A step with no bracket builds nothing.
+    (`_step_points`). A step with no bracket builds nothing.
     """
-    points = None
+    g_at = None
     for a, b, ga, gb, da, db in zip(ts, ts[1:], gs, gs[1:], ds, ds[1:]):
         if a == start and da < 0.0 < db and gb > 0.0:
             extremum = "minimum"
@@ -826,25 +868,26 @@ def _scan(dense, n, gfun, dfun, start, ts, ys, gs, ds):
             extremum = None
         else:
             continue
-        if points is None:
-            points = _StepPoints(dense, n, gfun, dfun, ts, ys, gs, ds)
+        if g_at is None:
+            y_at, g_at, d_at = _step_points(dense, n, gfun, dfun, ts, ys, gs,
+                                            ds)
         if extremum is None:
-            tau = _refine(points.g, a, b, ga, gb)
+            tau = _refine(g_at, a, b, ga, gb)
         else:
-            t_ext = _refine(points.d, a, b, da, db)
-            g_ext = points.g(t_ext)
+            t_ext = _refine(d_at, a, b, da, db)
+            g_ext = g_at(t_ext)
             if extremum == "minimum":
-                tau = (_refine(points.g, t_ext, b, g_ext, gb) if g_ext < 0.0
+                tau = (_refine(g_at, t_ext, b, g_ext, gb) if g_ext < 0.0
                        else t_ext)
             elif g_ext <= 0.0:
                 continue
             else:
-                tau = _refine(points.g, a, t_ext, ga, g_ext)
+                tau = _refine(g_at, a, t_ext, ga, g_ext)
         if tau == start:
             continue
-        d_tau = points.d(tau)
+        d_tau = d_at(tau)
         if not _leaving(d_tau):
-            return tau, points.y(tau), points.g(tau), d_tau
+            return tau, y_at(tau), g_at(tau), d_tau
         # a leaving crossing: the trajectory exits; scan on for a re-entry
     return None
 
@@ -856,38 +899,39 @@ def _leaving(d):
     return d < -GUARD_TOL
 
 
-class _StepPoints:
+def _step_points(dense, n, gfun, dfun, ts, ys, gs, ds):
     """The dense state, g and d of one step at the times its refinements
-    visit, each evaluated at most once; the scan samples' are seeded from
-    the scan. Brent's roots are points it evaluated, so the impact is
-    read off here too."""
+    visit, as three functions y(t), g(t) and d(t), each value evaluated
+    at most once; the scan samples' are seeded from the scan. Brent's
+    roots are points it evaluated, so the impact is read off here too."""
+    # time -> state, g, d
+    states = dict(zip(ts, ys))
+    g_values = dict(zip(ts, gs))
+    d_values = dict(zip(ts, ds))
 
-    def __init__(self, dense, n, gfun, dfun, ts, ys, gs, ds):
-        self.dense, self.n, self.gfun, self.dfun = dense, n, gfun, dfun
-        # time -> state, g, d
-        self.states = dict(zip(ts, ys))
-        self.gs = dict(zip(ts, gs))
-        self.ds = dict(zip(ts, ds))
-
-    def y(self, t):
-        state = self.states.get(t)
+    def y(t):
+        state = states.get(t)
         if state is None:
-            state = self.states[t] = self.dense(t)
+            state = states[t] = dense(t)
         return state
 
-    def g(self, t):
-        value = self.gs.get(t)
+    def g(t):
+        value = g_values.get(t)
         if value is None:
-            y, n = self.y(t), self.n
-            value = self.gs[t] = self.gfun(t, y[:n], y[n:])
+            state = states.get(t)
+            if state is None:
+                state = states[t] = dense(t)
+            value = g_values[t] = gfun(t, state[:n], state[n:])
         return value
 
-    def d(self, t):
-        value = self.ds.get(t)
+    def d(t):
+        value = d_values.get(t)
         if value is None:
-            y, n = self.y(t), self.n
-            value = self.ds[t] = self.dfun(t, y[:n], y[n:])
+            state = y(t)
+            value = d_values[t] = dfun(t, state[:n], state[n:])
         return value
+
+    return y, g, d
 
 
 def _refine(f, a, b, fa, fb):
@@ -973,11 +1017,13 @@ def _close_arc(breakpoints, blocks, t_end, y_end):
     state at t_end. Its grid is each step's start, with the state at it
     (the block's y_old row), then t_end."""
     k = len(blocks)
+    t_start, t_end = breakpoints[0], float(t_end)
     times = np.array(breakpoints[:k] + [t_end])
-    t_start, t_end = float(times[0]), float(times[-1])
     if blocks:
         table = np.array(blocks).reshape(k, -1, len(y_end))
-        states = np.vstack([table[:, -1], y_end])
+        states = np.empty((k + 1, len(y_end)))
+        states[:k] = table[:, -1]
+        states[k] = y_end
         # an event cuts the last step; clamp queries to the arc
         interp = _ArcInterpolant(table, np.array(breakpoints), t_start, t_end)
     else:
@@ -1089,7 +1135,7 @@ def _check_arc_start(gfun, dfun, t, q, v, t_end, error):
     lowers g by more than 1e-14. So within b of the guard with a rate
     that does not leave the free step decides: it admits a start moving
     inward, and rejects one heading out or tangent to a static wall."""
-    if not all(map(math.isfinite, [t, *q.tolist(), *v.tolist()])):
+    if not (math.isfinite(t) and _finite(q) and _finite(v)):
         raise error(f"arc start is not finite (t={t!r}, q={q.tolist()}, "
                     f"v={v.tolist()})")
     if not math.isfinite(t_end):
@@ -1108,6 +1154,14 @@ def _check_arc_start(gfun, dfun, t, q, v, t_end, error):
             return g, d
     raise error(f"arc start at t={t!r} has g={g:.3e}, d={d:.3e}; an arc "
                 f"starts strictly inside the guard, or on it and leaving")
+
+
+def _finite(x):
+    """Whether every entry of the 1-D array x is finite."""
+    for value in x.tolist():
+        if not math.isfinite(value):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

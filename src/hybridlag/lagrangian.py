@@ -29,7 +29,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .errors import NoConvergence, SingularHessian
+from .errors import InvalidStart, NoConvergence, SingularHessian
 
 FD_STEP = 1e-6
 NEWTON_TOL = 1e-12
@@ -197,6 +197,14 @@ class LagrangianSystem:
     # -- packing helpers used by the integrators --------------------------
 
     def pack(self, s: State) -> np.ndarray:
+        """The packed state (q, v) of s, shape (2n,). Raises InvalidStart
+        unless q and v both have shape (n,), n = dim: every run packs its
+        start here."""
+        if s.q.shape != (self.dim,) or s.v.shape != (self.dim,):
+            raise InvalidStart(
+                f"start has q of shape {s.q.shape} and v of shape "
+                f"{s.v.shape}; a system of dim {self.dim} takes both of "
+                f"shape ({self.dim},)")
         return np.concatenate([s.q, s.v])
 
     @property

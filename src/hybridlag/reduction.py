@@ -423,9 +423,10 @@ def simulate_resequenced(cs: CyclicStructure, s0: State,
     """Run the reduced dynamics with the momentum rebuilt after every
     impact.
 
-    The full start s0 must pass `_check_arc_start` under the full guard,
-    or InvalidStart is raised before any reduced system is built or
-    validated. Then one executor run on the reduced system at the start
+    The full start s0 must have the full system's shape
+    (`LagrangianSystem.pack`) and pass `_check_arc_start` under the full
+    guard, or InvalidStart is raised before any reduced system is built
+    or validated. Then one executor run on the reduced system at the start
     momentum, validated once. Its reset applies the full reset at the
     lift (`_lifted_reset`), reads the new momentum off the post state,
     and continues in the reduced system rebuilt at the new momentum,
@@ -436,9 +437,10 @@ def simulate_resequenced(cs: CyclicStructure, s0: State,
     round-off only (`test_resequenced_elastic_constant_momentum`, 1e-12
     relative; `test_resequenced_elastic_matches_reduce_once`, 1e-9).
     """
-    guard = cs.full.guard
-    _check_arc_start(guard.surface, guard.direction, s0.t, s0.q, s0.v, t_end,
-                     InvalidStart)
+    guard, n = cs.full.guard, cs.full.system.dim
+    y0 = cs.full.system.pack(s0)
+    _check_arc_start(guard.surface, guard.direction, s0.t, y0[:n], y0[n:],
+                     t_end, InvalidStart)
     m = cs.dim_reduced
     mus = [momentum_map(cs, s0)]
     jumps = [float(s0.q[cs.cyclic_index])]

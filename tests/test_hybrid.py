@@ -138,6 +138,17 @@ def test_flow_invariants(unit_wall_hybrid, run):
     for i, ev in enumerate(flow.events):
         # arc i ends and arc i + 1 starts at the impact, from its post state
         assert flow.arcs[i].t_end == ev.tau
+        # arc i's last state is the pre-impact state, bit for bit
+        assert np.array_equal(flow.arcs[i].states[-1],
+                              np.concatenate([ev.pre.q, ev.pre.v]))
+        # the event owns its states: 1-D float64 arrays that share no
+        # memory with any arc's states or with the event's other state
+        pre, post = [ev.pre.q, ev.pre.v], [ev.post.q, ev.post.v]
+        for x in pre + post:
+            assert x.ndim == 1 and x.dtype == np.float64
+            assert not any(np.shares_memory(x, arc.states)
+                           for arc in flow.arcs)
+        assert not any(np.shares_memory(a, b) for a in pre for b in post)
         if i + 1 < len(flow.arcs):
             nxt = flow.arcs[i + 1]
             assert nxt.t_start == ev.tau
@@ -254,6 +265,38 @@ def test_bad_start_is_invalid_start_from_every_entry_point(entry_points):
     for run in entry_points():
         with pytest.raises(hl.InvalidStart):
             run()
+
+
+# every entry point that packs a start, run on the paper-c025 parameters
+# (check_flow_equivalence on free-particle, also of dim 2), and the wrong
+# shapes of a start: a third coordinate, one coordinate, a (1, 2) row
+_PACKING_ENTRY_POINTS = {
+    "simulate": lambda p, s0: hl.simulate(hl.cartesian_hybrid(p), s0, 1.0),
+    "reference_flow": lambda p, s0: hl.reference_flow(p, s0, 1.0),
+    "check_hybrid_equivalence": lambda p, s0: hl.check_hybrid_equivalence(
+        hl.cartesian_hybrid(p), s0, 1.0),
+    "simulate_resequenced": lambda p, s0: hl.simulate_resequenced(
+        hl.polar_cyclic(p), s0, 1.0),
+    "check_flow_equivalence": lambda p, s0: hl.check_flow_equivalence(
+        hl.build_model("free-particle").system, s0, 1.0),
+}
+_WRONG_SHAPES = {"q3-v2": ((3,), (2,)), "q1-v1": ((1,), (1,)),
+                 "row": ((1, 2), (1, 2))}
+
+
+@pytest.mark.parametrize("shape", list(_WRONG_SHAPES))
+@pytest.mark.parametrize("entry_point", list(_PACKING_ENTRY_POINTS))
+def test_start_of_the_wrong_shape_is_invalid_start(entry_point, shape,
+                                                   params_c025):
+    # each used to fail deep inside numpy (a matmul mismatch, an unpack
+    # of too few values, an IndexError, a TypeError)
+    q_shape, v_shape = _WRONG_SHAPES[shape]
+    s0 = hl.State(0.0, np.full(q_shape, 0.3), np.full(v_shape, 0.1))
+    with pytest.raises(hl.InvalidStart) as raised:
+        _PACKING_ENTRY_POINTS[entry_point](params_c025, s0)
+    # the message names both shapes and the system's dim
+    assert (f"q of shape {q_shape} and v of shape {v_shape}; a system of "
+            f"dim 2 " in str(raised.value))
 
 
 def test_start_on_guard_leaving_is_accepted(unit_wall_hybrid):
@@ -578,11 +621,12 @@ def test_guards_are_called_on_one_time_only():
 
 # the benchmark sweep's ranges, on the paper wall through its collapse.
 # Hypothesis (6.155.2) draws some floats from the constants it finds in
-# the non-test modules of src/ and perfbench/, so adding or removing a
-# distinct float literal there changes the examples of both tests below,
+# the local non-test modules the suite imports, so adding or removing a
+# constant there can change the examples of both tests below,
 # derandomized as they are: deleting only the arc-start probe's 1e-7 made
 # the whole suite draw the radial start r = 0.771484375 (c = 0.1439,
 # speed 0.1413), which hangs in the collapse tail, and the test failed.
+# `tools/hypothesis_pool.py` prints that pool; diff it across a change.
 # No literal is added or kept in the package to steer the draws
 CLOSING_WALL_STARTS = dict(c=st.floats(0.05, 0.3), speed=st.floats(0.0, 3.0),
                            r=st.floats(0.2, 0.9),
@@ -1072,6 +1116,46 @@ def test_step_loop_reproduces_scipy_dop853(name, status, steps):
                  atol=hybrid.ATOL, max_step=max_step)
     taken = _assert_steps_like_scipy(ours, ref)
     assert ours.status == status and taken >= steps
+
+
+def _initial_step_case(name):
+    """(fun, t0, y0, t_bound, max_step, h_abs) of a named start, h_abs
+    the initial step its branch of the rule gives, or None."""
+    sc = hl.get_scenario("paper-c025")
+    polar = hl.polar_system(sc.params)
+    y_polar = polar.pack(sc.initial_polar)
+    return {
+        # d1 = d2 = 0: h0 = 1e-6 and h1 = max(1e-6, h0 * 1e-3)
+        "zero-field": (lambda t, y: [0.0] * len(y), 0.0,
+                       np.array([0.3, -0.2, 1.0, 0.5]), 10.0, np.inf, 1e-6),
+        # d0 < 1e-5 under ATOL = 1e-10, with a field that is not small
+        "tiny-state": (lambda t, y: [y[2], y[3], 1.0, -2.0], 0.0,
+                       1e-16 * np.array([1.0, -2.0, 3.0, 0.5]), 10.0,
+                       np.inf, None),
+        "step-ceiling": (polar.rhs, 0.0, y_polar, 10.0, 1e-7, 1e-7),
+        "short-interval": (polar.rhs, 0.0, y_polar, 1e-9, np.inf, 1e-9),
+        "polar": (polar.rhs, 0.0, y_polar, 10.0, np.inf, None),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["zero-field", "tiny-state", "step-ceiling",
+                                  "short-interval", "polar"])
+def test_initial_step_reproduces_scipy_dop853(name):
+    # the first step size of an arc, and the two right-hand-side calls that
+    # choose it, are scipy's bit for bit in every branch of the rule
+    from scipy.integrate import DOP853
+
+    from hybridlag import hybrid
+
+    fun, t0, y0, t_bound, max_step, h_abs = _initial_step_case(name)
+    ours = hybrid.RK45(fun, t0, y0, t_bound, max_step,
+                       hybrid._StageMatrix(len(y0)))
+    ref = DOP853(fun, t0, y0, t_bound=t_bound, rtol=hybrid.RTOL,
+                 atol=hybrid.ATOL, max_step=max_step)
+    assert ours.h_abs.hex() == float(ref.h_abs).hex()
+    assert ours.nfev == ref.nfev == 2
+    if h_abs is not None:
+        assert ours.h_abs == h_abs
 
 
 def _bits(values):

@@ -113,7 +113,7 @@ def cartesian_system(p: BilliardParams) -> LagrangianSystem:
     m, c = p.m, p.c
 
     def lag(t, q, v):
-        return _weight(c, t, m) * 0.5 * m * float(v @ v)
+        return _weight(c, t, m) * 0.5 * m * float(v.dot(v))
 
     def dq(t, q, v):
         return np.zeros(2)
@@ -170,10 +170,10 @@ def guard_cartesian(p: BilliardParams) -> Guard:
     f, fdot = p.wall, p.wall_rate
 
     def surface(t, q, v):
-        return float(q @ q) - f(t)
+        return float(q.dot(q)) - f(t)
 
     def direction(t, q, v):
-        return 2.0 * float(q @ v) - fdot(t)
+        return 2.0 * float(q.dot(v)) - fdot(t)
 
     return Guard(surface=surface, direction=direction)
 
@@ -182,10 +182,10 @@ def guard_polar(p: BilliardParams) -> Guard:
     f, fdot = p.wall, p.wall_rate
 
     def surface(t, q, v):
-        return q[0]**2 - f(t)
+        return q.item(0)**2 - f(t)
 
     def direction(t, q, v):
-        return 2.0 * q[0] * v[0] - fdot(t)
+        return 2.0 * q.item(0) * v.item(0) - fdot(t)
 
     return Guard(surface=surface, direction=direction)
 
@@ -205,8 +205,10 @@ def reset_cartesian(p: BilliardParams) -> ResetMap:
 
     def apply(t, q, v):
         ft = _open_wall(f, t)
-        lam = (fdot(t) - 2.0 * float(q @ v)) / ft
-        return q.copy(), v + lam * q
+        lam = (fdot(t) - 2.0 * float(q.dot(v))) / ft
+        x, y = q.tolist()
+        vx, vy = v.tolist()
+        return q.copy(), np.array([vx + lam * x, vy + lam * y])
 
     return ResetMap(apply=apply)
 
@@ -217,7 +219,7 @@ def reset_polar(p: BilliardParams) -> ResetMap:
     f, fdot = p.wall, p.wall_rate
 
     def apply(t, q, v):
-        r, rd = q[0], v[0]
+        r, rd = q.item(0), v.item(0)
         ft = _open_wall(f, t)
         return q.copy(), np.array([rd + (fdot(t) - 2.0 * r * rd) * r / ft,
                                    v[1]])

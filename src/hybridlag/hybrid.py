@@ -96,9 +96,10 @@ class Guard:
     """Switching surface: zero set of `surface` filtered by `direction`.
 
     Both functions are defined on the extended space R x TQ and take
-    (t, q, v), like the Lagrangian: a float t and (n,) arrays q and v,
-    and they return a float. The executor calls them on views of its
-    packed state, which they must not modify.
+    (t, q, v), like the Lagrangian: a float t, and q and v as 1-D
+    float64 `ndarray` views of shape (n,), so `ndarray` methods such as
+    `dot` and `item` apply; they return a float. The executor calls them
+    on views of its packed state, which they must not modify.
 
     surface: signed g(t, q, v); the admissible region is g < 0 and
         impacts occur on upward crossings of g = 0.
@@ -118,8 +119,8 @@ class Guard:
 @dataclass(frozen=True)
 class ResetMap:
     """Impact map on the guard: apply(t, q, v) -> (q_post, v_post) at
-    the same t. Like the guard, it gets views of the executor's packed
-    state, which it must not modify."""
+    the same t. Like the guard, it gets q and v as 1-D float64 `ndarray`
+    views of the executor's packed state, which it must not modify."""
 
     apply: Callable[[float, np.ndarray, np.ndarray],
                     Tuple[np.ndarray, np.ndarray]]

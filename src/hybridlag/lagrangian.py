@@ -35,6 +35,7 @@ FD_STEP = 1e-6
 NEWTON_TOL = 1e-12
 NEWTON_MAXITER = 50
 CONDITION_BOUND = 1e8  # on the velocity-Hessian condition number
+_FLOAT64 = np.dtype(float)
 
 
 def _central_differences(f, x) -> np.ndarray:
@@ -56,15 +57,23 @@ def _central_differences(f, x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class State:
-    """A point (t, q, v) of the extended velocity phase space."""
+    """A point (t, q, v) of the extended velocity phase space. q and v
+    are kept as float64 arrays of at least one dimension; 1-D float64
+    ndarrays, such as the executor's views, are kept as they are."""
 
     t: float
     q: np.ndarray
     v: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "q", np.atleast_1d(np.asarray(self.q, float)))
-        object.__setattr__(self, "v", np.atleast_1d(np.asarray(self.v, float)))
+        q, v = self.q, self.v
+        if (type(q) is np.ndarray and type(v) is np.ndarray
+                and q.dtype is _FLOAT64 and v.dtype is _FLOAT64
+                and q.ndim == 1 and v.ndim == 1):
+            # what asarray and atleast_1d would return unchanged
+            return
+        object.__setattr__(self, "q", np.atleast_1d(np.asarray(q, float)))
+        object.__setattr__(self, "v", np.atleast_1d(np.asarray(v, float)))
 
 
 @dataclass(frozen=True)
@@ -136,12 +145,16 @@ class LagrangianSystem:
     # -- operations -----------------------------------------------------
 
     def energy(self, s: State) -> float:
-        """E = <dL/dv, v> - L at the state."""
+        """E = <dL/dv, v> - L at the state, which must have the system's
+        shape (`pack`)."""
+        self._check_shape(s)
         return float(np.dot(self.dL_dv(s.t, s.q, s.v), s.v)
                      - self.lagrangian(s.t, s.q, s.v))
 
     def legendre(self, s: State) -> CoState:
-        """Fiber derivative: (t, q, v) -> (t, q, p = dL/dv)."""
+        """Fiber derivative: (t, q, v) -> (t, q, p = dL/dv), at a state
+        of the system's shape (`pack`)."""
+        self._check_shape(s)
         return CoState(s.t, s.q.copy(), np.asarray(self.dL_dv(s.t, s.q, s.v),
                                                    float).copy())
 
@@ -196,15 +209,20 @@ class LagrangianSystem:
 
     # -- packing helpers used by the integrators --------------------------
 
+    def _check_shape(self, s: State):
+        """Raises InvalidStart unless q and v of s both have shape (n,),
+        n = dim."""
+        if s.q.shape != (self.dim,) or s.v.shape != (self.dim,):
+            raise InvalidStart(
+                f"state has q of shape {s.q.shape} and v of shape "
+                f"{s.v.shape}; a system of dim {self.dim} takes both of "
+                f"shape ({self.dim},)")
+
     def pack(self, s: State) -> np.ndarray:
         """The packed state (q, v) of s, shape (2n,). Raises InvalidStart
         unless q and v both have shape (n,), n = dim: every run packs its
         start here."""
-        if s.q.shape != (self.dim,) or s.v.shape != (self.dim,):
-            raise InvalidStart(
-                f"start has q of shape {s.q.shape} and v of shape "
-                f"{s.v.shape}; a system of dim {self.dim} takes both of "
-                f"shape ({self.dim},)")
+        self._check_shape(s)
         return np.concatenate([s.q, s.v])
 
     @property

@@ -131,6 +131,9 @@ class CyclicStructure:
         return q
 
     def project_state(self, s: State) -> State:
+        """The shape-space state of a full state s, which must have the
+        full system's shape (`LagrangianSystem.pack`)."""
+        self.full.system._check_shape(s)
         return State(s.t, self.drop(s.q), self.drop(s.v))
 
     def embed(self, t: float, x: np.ndarray, xdot: np.ndarray, mu: float):
@@ -257,7 +260,9 @@ class ReconstructedFlow:
 # ---------------------------------------------------------------------------
 
 def momentum_map(cs: CyclicStructure, s: State) -> float:
-    """Conserved quantity of the cyclic symmetry at a full state."""
+    """Conserved quantity of the cyclic symmetry at a full state, which
+    must have the full system's shape (`LagrangianSystem.pack`)."""
+    cs.full.system._check_shape(s)
     return cs.momentum_value(s.t, s.q, s.v)
 
 

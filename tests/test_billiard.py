@@ -292,6 +292,64 @@ def test_reset_equivalence_on_guard(rng):
     assert worst <= 1e-10
 
 
+def _bits(x):
+    """The IEEE bytes of x, a float or a float64 array: equal bits,
+    signs of zeros included."""
+    return np.asarray(x, np.float64).tobytes()
+
+
+def test_guards_and_resets_keep_the_array_expressions_bits(rng):
+    # the guards and resets read their 1-D float64 arguments through
+    # ndarray.dot and .item(); each result must equal the expression on
+    # numpy operators, written out here, bit for bit, on the paper wall
+    # before its collapse (t* = 6.93), with signed zeros among the draws
+    p = hl.BilliardParams(c=0.25)
+    f, fdot = p.wall, p.wall_rate
+    gc, rc = hl.guard_cartesian(p), hl.reset_cartesian(p)
+    gp, rp = hl.guard_polar(p), hl.reset_polar(p)
+    lag = hl.cartesian_system(p).lagrangian
+    signed_zeros = 0
+    for _ in range(10_000):
+        t = float(rng.uniform(0.0, 6.9))
+        q, v = rng.standard_normal(2), rng.standard_normal(2)
+        zero = rng.uniform(size=4) < 0.1
+        signs = np.where(rng.uniform(size=4) < 0.5, -0.0, 0.0)
+        q[zero[:2]], v[zero[2:]] = signs[:2][zero[:2]], signs[2:][zero[2:]]
+        ft = f(t)
+        # Cartesian: |q|^2 - f, 2 q.v - fdot and v + lam q
+        lam = (fdot(t) - 2.0 * float(q @ v)) / ft
+        old = {"surface": float(q @ q) - ft,
+               "direction": 2.0 * float(q @ v) - fdot(t)}
+        new = {"surface": gc.surface(t, q, v),
+               "direction": gc.direction(t, q, v)}
+        q_post, v_post = rc.apply(t, q, v)
+        assert _bits(q_post) == _bits(q)
+        assert _bits(v_post) == _bits(v + lam * q)
+        assert v_post.shape == (2,) and v_post.dtype == np.float64
+        assert _bits(lag(t, q, v)) == _bits(
+            hl.billiard._weight(p.c, t, p.m) * 0.5 * p.m * float(v @ v))
+        # polar, on the full state and as the reduced guard on (r, rdot)
+        r, rd = q[0], v[0]
+        old["polar surface"] = q[0]**2 - ft
+        old["polar direction"] = 2.0 * q[0] * v[0] - fdot(t)
+        new["polar surface"] = gp.surface(t, q, v)
+        new["polar direction"] = gp.direction(t, q, v)
+        old["reduced surface"] = old["polar surface"]
+        old["reduced direction"] = old["polar direction"]
+        new["reduced surface"] = gp.surface(t, q[:1], v[:1])
+        new["reduced direction"] = gp.direction(t, q[:1], v[:1])
+        q_post, v_post = rp.apply(t, q, v)
+        assert _bits(q_post) == _bits(q)
+        assert _bits(v_post) == _bits(
+            np.array([rd + (fdot(t) - 2.0 * r * rd) * r / ft, v[1]]))
+        for key, value in new.items():
+            assert type(value) is float, key
+            assert _bits(value) == _bits(old[key]), (key, t, q, v)
+        signed_zeros += math.copysign(1.0, v_post[0]) < 0 and v_post[0] == 0
+    # the shrinking wall (fdot < 0) maps r = 0.0, rdot = -0.0 to -0.0
+    assert signed_zeros > 0
+
+
 # a Cartesian start whose third impact is located at the collapse time t*
 # itself, where the paper wall has closed (f(t*) = 0)
 COLLAPSE_IMPACT_C = 0.14393321358124805

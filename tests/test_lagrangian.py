@@ -31,6 +31,40 @@ def test_system_needs_a_coordinate():
                             dL_dq=free.dL_dq, dL_dv=free.dL_dv)
 
 
+class _Subclass(np.ndarray):
+    pass
+
+
+@pytest.mark.parametrize("value", [
+    [0.5, -1.0], (2, 3), 4, 1.5, np.array(2.5), np.array([1, 2]),
+    np.array([0.1, 0.2], np.float32), np.array([[1.0, 2.0], [3.0, 4.0]]),
+    np.array([0.5, 0.25]).view(_Subclass), np.array([0.5], ">f8"),
+    np.array([0.5, 0.25])[::-1], np.zeros((0,)),
+], ids=["list", "tuple", "int", "float", "0-d", "int array",
+        "float32 array", "2-D", "subclass", "big-endian", "strided",
+        "empty"])
+def test_state_converts_as_asarray_and_atleast_1d(value):
+    # the fast path of State.__post_init__ keeps only what asarray and
+    # atleast_1d return unchanged; everything else converts as before
+    want = np.atleast_1d(np.asarray(value, float))
+    both = hl.State(0.0, value, value)
+    for q in (both.q, both.v, hl.State(0.0, value, [7.0]).q,
+              hl.State(0.0, [7.0], value).v):
+        assert type(q) is np.ndarray
+        assert q.dtype == np.float64 and q.dtype.isnative
+        assert q.shape == want.shape and np.array_equal(q, want)
+        assert (q is value) == (want is value)
+
+
+def test_state_keeps_1d_float64_arrays():
+    q, v = np.array([0.5, 1.0]), np.array([-2.0, 3.0])
+    s = hl.State(1.0, q, v)
+    assert s.q is q and s.v is v
+    y = np.array([0.5, 1.0, -2.0, 3.0])
+    s = hl.State(1.0, y[:2], y[2:])
+    assert s.q.base is y and s.v.base is y
+
+
 # ---------------------------------------------------------------------------
 # evolution field: rhs(t, y) = (v, a) on the packed state y = (q, v)
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +35,27 @@ def test_momentum_at_reference_start(cyc025, scenario):
 
 def test_momentum_zero_angular_velocity(cyc025):
     assert hl.momentum_map(cyc025, mk_state(1.0, [0.7, 0.2], [1.5, 0.0])) == 0.0
+
+
+@pytest.mark.parametrize("entry", [
+    lambda cyc, s: hl.momentum_map(cyc, s),
+    lambda cyc, s: cyc.project_state(s),
+    lambda cyc, s: cyc.full.system.legendre(s),
+    lambda cyc, s: cyc.full.system.energy(s),
+], ids=["momentum_map", "project_state", "legendre", "energy"])
+@pytest.mark.parametrize("q_shape, v_shape", [
+    ((3,), (2,)), ((1,), (1,)), ((1, 2), (1, 2)),
+])
+def test_full_state_of_wrong_shape_is_invalid_start(cyc025, entry, q_shape,
+                                                    v_shape):
+    # the shape rule of LagrangianSystem.pack: a polar state has q and v
+    # of shape (2,). Unchecked, (3,) with (2,) gave a momentum of 0.009,
+    # and the other shapes an IndexError or a value
+    s = hl.State(0.5, np.full(q_shape, 0.6), np.full(v_shape, 0.3))
+    with pytest.raises(hl.InvalidStart, match=re.escape(
+            f"q of shape {q_shape} and v of shape {v_shape}; a system of "
+            f"dim 2 takes both of shape (2,)")):
+        entry(cyc025, s)
 
 
 def test_resequenced_horizon_before_start_is_invalid_start(cyc025, scenario):

@@ -17,7 +17,10 @@ it from the root of a checkout, before and after a change, and diff:
 
     PYTHONPATH=src python tools/hypothesis_pool.py > pool.txt
 
-pytest's own output goes to standard error. The exit status is pytest's.
+`tools/hypothesis_pool.txt` holds its output for the committed tree, and
+the tier-1 workflow diffs the tool's output against it, so a change that
+moves the pool commits the new output with it. pytest's own output goes
+to standard error. The exit status is pytest's.
 """
 
 import contextlib

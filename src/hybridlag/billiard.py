@@ -419,7 +419,8 @@ def reference_flow(p: BilliardParams, s0: State, t_end: float) -> HybridFlow:
     """
     hs = cartesian_hybrid(p)
 
-    def flight_arc(mode, t, y, t_end, max_step, g0, d0):
+    def flight_arc(mode, start, t_end, max_step):
+        t, y, _, _ = start
         _, gfun, dfun, _ = mode
         flight = _FlightInterpolant(p, t, y[:2], y[2:])
         tau = _next_crossing(_along(gfun, flight, 2), _along(dfun, flight, 2),

@@ -23,7 +23,8 @@ class InvalidStart(HybridLagError):
     precedes the start time, the start's q or v does not have the
     system's shape (n,) (`LagrangianSystem.pack`), the start state fails
     the arc-start rule (`hybrid._check_arc_start`: not finite, outside
-    the guard, or on it and not leaving), the momentum passed to
+    the guard, on it and not leaving, or a guard whose arithmetic leaves
+    the float range there), the momentum passed to
     `reduce` is not finite, or the start angle passed to `reconstruct`
     is not finite."""
 
@@ -31,14 +32,18 @@ class InvalidStart(HybridLagError):
 class InvalidReset(HybridLagError):
     """A post-impact state fails the arc-start rule that every arc start
     is held to (`hybrid._check_arc_start`: not finite, outside the guard,
-    or on it and not leaving), or the billiard's reset was asked for on a
+    on it and not leaving, or a guard whose arithmetic leaves the float
+    range there), or the billiard's reset was asked for on a
     closed wall (f(t) <= 0)."""
 
 
 class IntegrationFailure(HybridLagError):
     """The continuous integration of an arc cannot go on: the right-hand
-    side is not finite at an arc start, or a located impact misses the
-    guard by more than its tolerance."""
+    side is not finite at an arc start, the arc runner's arithmetic
+    leaves the float range (an `ArithmeticError`, such as an overflowing
+    field or a division by a zero initial step size, which it is
+    chained from), or a located impact misses the guard by more than its
+    tolerance."""
 
 
 class NotInvariant(HybridLagError):

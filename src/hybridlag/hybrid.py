@@ -17,23 +17,25 @@ and a dense output are one call each of a kernel generated for the
 state size (`_kernels`). A model with a closed-form field hands it to
 the loop as its right-hand side, so each stage is one Python call into
 the model's arithmetic (`LagrangianSystem.rhs`).
-After every accepted step the scan samples it: its first sample is the
-last one before it (the previous step's end, or the arc start), then
-come SCAN_POINTS interior times, each read with one scalar call of the
-step's dense output, and last the step loop's own end state. The guard
-surface g and then its rate d are called at each new sample, in time
-order; an arc start's are those of `_check_arc_start`, which every arc
-start must pass. One rule on these (g, d) samples brackets the
-crossings, including those between two samples (`_scan`), which are
-refined in time to REFINE_XTOL with Brent's method on the interpolant
-(`brentq`, scipy's C routine run operation for operation). A crossing
-counts as an impact only where its rate does not leave (`_leaving`: a
-rate within GUARD_TOL of zero does not), and never at the arc's start;
-leaving crossings are skipped and integration continues. No
-point of an arc is evaluated twice: each scan sample once, Brent's
-bracket ends from the scan samples or the refinement before it, and the
-impact's state, residual and slope from the evaluations that located
-it.
+Wherever the loop knows the guard, it holds the point as one record
+(t, y, g, d): the time, the packed state, the guard surface g and its
+rate d. The arc start is one, with the (g, d) of `_check_arc_start`,
+which every arc start must pass, and so is an impact. After every
+accepted step the scan samples it: its first sample is the last one
+before it (the previous step's end, or the arc start), then come
+SCAN_POINTS interior times, each read with one scalar call of the
+step's dense output, and last the step loop's own end state. g and
+then d are called at each new sample, in time order. One rule on each
+two consecutive records brackets the crossings, including those between
+two samples (`_scan`), which are refined in time to REFINE_XTOL with
+Brent's method on the interpolant (`brentq`, scipy's C routine run
+operation for operation). A crossing counts as an impact only where its
+rate does not leave (`_leaving`: a rate within GUARD_TOL of zero does
+not), and never at the arc's start; leaving crossings are skipped and
+integration continues. No point of an arc is evaluated twice: each scan
+sample once, Brent's bracket ends from the scan samples or the
+refinement before it, and the impact's record from the evaluations that
+located it.
 An arc keeps its dense output as one table of its steps' flat
 coefficient blocks, which the step loop hands over, and evaluates its times in one
 gathered numpy pass with the step interpolants' bits, a scalar time as
@@ -719,15 +721,19 @@ def _execute(mode, t0, y0, t_end, run_arc=None):
     mode and (q, p) for the momentum-side mode of
     `check_hybrid_equivalence`.
 
-    Every arc start must pass `_check_arc_start` under the arc's guard,
-    or the run raises InvalidStart (the first arc) or InvalidReset (an
-    arc after an impact). Then run_arc(mode, t, y, t_end, max_step, g0,
-    d0) gives (arc, hit, failed): the `Arc` from t, its impact
-    (tau, y_pre, g, d) at the arc's end or None, and whether a step
-    failed; max_step caps the steps at the last dwell, and (g0, d0) are
-    the check's. `_integrator` builds the default runner. The loop alone
-    applies the dwell and termination rules, the residual check, the
-    reset and the `Event` record.
+    A point where the loop knows the guard is one record (t, y, g, d):
+    the time, the packed state there, and the guard g and its rate d
+    there. Every arc start must pass `_check_arc_start` under the arc's
+    guard, or the run raises InvalidStart (the first arc) or InvalidReset
+    (an arc after an impact); the check's (g, d) complete the start's
+    record. Then run_arc(mode, start, t_end, max_step) gives
+    (arc, hit, failed): the `Arc` from the start, the record of its
+    impact at the arc's end or None, and whether a step failed; max_step
+    caps the steps at the last dwell. `_integrator` builds the default
+    runner. An `ArithmeticError` out of the runner (a field or a step
+    size that leaves the float range) raises IntegrationFailure. The
+    loop alone applies the dwell and termination rules, the residual
+    check, the reset and the `Event` record.
     """
     t = float(t0)
     y = np.asarray(y0, float).copy()
@@ -740,9 +746,13 @@ def _execute(mode, t0, y0, t_end, run_arc=None):
 
     while True:
         _, gfun, dfun, reset = mode
-        g0, d0 = _check_arc_start(gfun, dfun, t, y[:n], y[n:], t_end,
-                                  InvalidReset if events else InvalidStart)
-        arc, hit, failed = run_arc(mode, t, y, t_end, max_step, g0, d0)
+        g, d = _check_arc_start(gfun, dfun, t, y[:n], y[n:], t_end,
+                                InvalidReset if events else InvalidStart)
+        try:
+            arc, hit, failed = run_arc(mode, (t, y, g, d), t_end, max_step)
+        except ArithmeticError as exc:
+            raise IntegrationFailure(
+                f"arc from t={t!r} left the float range: {exc!r}") from exc
         arcs.append(arc)
         # the arc's span since the last impact, or since the start
         dwell = arc.t_end - t
@@ -783,14 +793,15 @@ def _integrator(size):
     stages = _StageMatrix(size)
     n = size // 2
 
-    def integrate(mode, t, y, t_end, max_step, g0, d0):
+    def integrate(mode, start, t_end, max_step):
+        t, y, _, _ = start
         if t == t_end:
             # an arc with no time to cover takes no step
             return _close_arc([t], [], t, y), None, False
         rhs, gfun, dfun, _ = mode
         # a step's first scan sample is the last one before it: the arc
-        # start's is the check's
-        ts, ys, gs, ds = [t], [y], [g0], [d0]
+        # start's is the start record
+        samples = [start]
         solver = RK45(rhs, t, y, t_end, max_step, stages)
         if not all(map(math.isfinite, solver.f)):
             # scipy would reject every step of a NaN step size forever
@@ -812,17 +823,15 @@ def _integrator(size):
             # i * ((t - t_old) / (SCAN_POINTS + 1)) + t_old, and t last
             t_old = solver.t_old
             w = (solver.t - t_old) / (SCAN_POINTS + 1)
-            for i in range(1, SCAN_POINTS + 1):
-                ts.append(i * w + t_old)
-                ys.append(dense(ts[-1]))
-            ts.append(solver.t)
-            ys.append(np.array(solver.y))
-            for tt, yy in zip(ts[1:], ys[1:]):
+            times = [i * w + t_old for i in range(1, SCAN_POINTS + 1)]
+            states = [dense(tt) for tt in times]
+            times.append(solver.t)
+            states.append(np.array(solver.y))
+            for tt, yy in zip(times, states):
                 q, v = yy[:n], yy[n:]
-                gs.append(gfun(tt, q, v))
-                ds.append(dfun(tt, q, v))
-            hit = _scan(dense, n, gfun, dfun, t, ts, ys, gs, ds)
-            ts, ys, gs, ds = ts[-1:], ys[-1:], gs[-1:], ds[-1:]
+                samples.append((tt, yy, gfun(tt, q, v), dfun(tt, q, v)))
+            hit = _scan(dense, n, gfun, dfun, t, samples)
+            samples = samples[-1:]
 
         t_arc, y_arc = hit[:2] if hit is not None else (solver.t, solver.y)
         return (_close_arc(breakpoints, blocks, t_arc, y_arc), hit,
@@ -831,14 +840,14 @@ def _integrator(size):
     return integrate
 
 
-def _scan(dense, n, gfun, dfun, start, ts, ys, gs, ds):
-    """The first impact of an accepted step as (tau, y_pre, g, d), the
-    last two the guard and its rate at (tau, y_pre), or None.
+def _scan(dense, n, gfun, dfun, start, samples):
+    """The record (tau, y_pre, g, d) of an accepted step's first impact,
+    g and d the guard and its rate at (tau, y_pre), or None.
 
-    dense is the step's dense output, ts its scan samples, ys the states
-    there, gs and ds the guard g and its rate d there, and
-    start the time the arc starts. One rule reads each interval [a, b]
-    between two samples:
+    dense is the step's dense output, samples the records (t, y, g, d)
+    of its scan samples in time order, and start the time the arc
+    starts. One rule reads each interval [a, b] between two consecutive
+    samples:
 
     * an arc's first interval, where d goes from - to + and g(b) > 0:
       the crossing follows the minimum of g. Where g >= 0 there, the arc
@@ -854,13 +863,16 @@ def _scan(dense, n, gfun, dfun, start, ts, ys, gs, ds):
     between two samples is missed only where g has two maxima between
     them.
 
-    No point is evaluated twice: every Brent call gets its end values
-    from the samples or from the refinement before it, and the impact's
-    state, g and d come from the evaluations that located it
-    (`_step_points`). A step with no bracket builds nothing.
+    No point is evaluated twice: the first bracket seeds a memo, time ->
+    [y, g, d], with the samples, and each refinement evaluates the state,
+    g or d at a new time once, into the memo. So every Brent call gets
+    its end values from the samples or from the refinement before it,
+    and the impact's record comes from the evaluations that located it
+    (Brent's roots are points it evaluated). A step with no bracket
+    builds nothing.
     """
-    g_at = None
-    for a, b, ga, gb, da, db in zip(ts, ts[1:], gs, gs[1:], ds, ds[1:]):
+    points = None
+    for (a, _, ga, da), (b, _, gb, db) in zip(samples, samples[1:]):
         if a == start and da < 0.0 < db and gb > 0.0:
             extremum = "minimum"
         elif da > 0.0 > db and ga <= 0.0 and gb <= 0.0:
@@ -869,26 +881,42 @@ def _scan(dense, n, gfun, dfun, start, ts, ys, gs, ds):
             extremum = None
         else:
             continue
-        if g_at is None:
-            y_at, g_at, d_at = _step_points(dense, n, gfun, dfun, ts, ys, gs,
-                                            ds)
+        if points is None:
+            points = {tt: [yy, gg, dd] for tt, yy, gg, dd in samples}
+
+            def value(t, i, fun):
+                # entry i of the memo at t: 1 for g, 2 for d
+                point = points.get(t)
+                if point is None:
+                    point = points[t] = [dense(t), None, None]
+                if point[i] is None:
+                    y = point[0]
+                    point[i] = fun(t, y[:n], y[n:])
+                return point[i]
+
+            def g(t):
+                return value(t, 1, gfun)
+
+            def d(t):
+                return value(t, 2, dfun)
+
         if extremum is None:
-            tau = _refine(g_at, a, b, ga, gb)
+            tau = _refine(g, a, b, ga, gb)
         else:
-            t_ext = _refine(d_at, a, b, da, db)
-            g_ext = g_at(t_ext)
+            t_ext = _refine(d, a, b, da, db)
+            g_ext = g(t_ext)
             if extremum == "minimum":
-                tau = (_refine(g_at, t_ext, b, g_ext, gb) if g_ext < 0.0
+                tau = (_refine(g, t_ext, b, g_ext, gb) if g_ext < 0.0
                        else t_ext)
             elif g_ext <= 0.0:
                 continue
             else:
-                tau = _refine(g_at, a, t_ext, ga, g_ext)
+                tau = _refine(g, a, t_ext, ga, g_ext)
         if tau == start:
             continue
-        d_tau = d_at(tau)
+        d_tau = d(tau)
         if not _leaving(d_tau):
-            return tau, y_at(tau), g_at(tau), d_tau
+            return tau, points[tau][0], g(tau), d_tau
         # a leaving crossing: the trajectory exits; scan on for a re-entry
     return None
 
@@ -898,41 +926,6 @@ def _leaving(d):
     rate within GUARD_TOL of zero does not. The one admissibility test of
     a rate, at arc starts (`_check_arc_start`) and crossings (`_scan`)."""
     return d < -GUARD_TOL
-
-
-def _step_points(dense, n, gfun, dfun, ts, ys, gs, ds):
-    """The dense state, g and d of one step at the times its refinements
-    visit, as three functions y(t), g(t) and d(t), each value evaluated
-    at most once; the scan samples' are seeded from the scan. Brent's
-    roots are points it evaluated, so the impact is read off here too."""
-    # time -> state, g, d
-    states = dict(zip(ts, ys))
-    g_values = dict(zip(ts, gs))
-    d_values = dict(zip(ts, ds))
-
-    def y(t):
-        state = states.get(t)
-        if state is None:
-            state = states[t] = dense(t)
-        return state
-
-    def g(t):
-        value = g_values.get(t)
-        if value is None:
-            state = states.get(t)
-            if state is None:
-                state = states[t] = dense(t)
-            value = g_values[t] = gfun(t, state[:n], state[n:])
-        return value
-
-    def d(t):
-        value = d_values.get(t)
-        if value is None:
-            state = y(t)
-            value = d_values[t] = dfun(t, state[:n], state[n:])
-        return value
-
-    return y, g, d
 
 
 def _refine(f, a, b, fa, fb):
@@ -1135,7 +1128,9 @@ def _check_arc_start(gfun, dfun, t, q, v, t_end, error):
     inside), d leaving (`_leaving`), or a free step of 1e-7 max(1, |t|)
     lowers g by more than 1e-14. So within b of the guard with a rate
     that does not leave the free step decides: it admits a start moving
-    inward, and rejects one heading out or tangent to a static wall."""
+    inward, and rejects one heading out or tangent to a static wall. A
+    guard whose arithmetic leaves the float range there (an
+    `ArithmeticError`) rejects the start too."""
     if not (math.isfinite(t) and _finite(q) and _finite(v)):
         raise error(f"arc start is not finite (t={t!r}, q={q.tolist()}, "
                     f"v={v.tolist()})")
@@ -1145,14 +1140,18 @@ def _check_arc_start(gfun, dfun, t, q, v, t_end, error):
     if not t_end >= t:
         raise error(f"t_end={t_end!r} precedes the start time t={t!r}; "
                     f"runs go forward in time")
-    g, d = gfun(t, q, v), dfun(t, q, v)
-    bound = GUARD_TOL * max(1.0, abs(d))
-    if g <= bound:
-        if g < -bound or _leaving(d):
-            return g, d
-        eps = 1e-7 * max(1.0, abs(t))
-        if gfun(t + eps, q + eps * v, v) < g - 1e-14:
-            return g, d
+    try:
+        g, d = gfun(t, q, v), dfun(t, q, v)
+        bound = GUARD_TOL * max(1.0, abs(d))
+        if g <= bound:
+            if g < -bound or _leaving(d):
+                return g, d
+            eps = 1e-7 * max(1.0, abs(t))
+            if gfun(t + eps, q + eps * v, v) < g - 1e-14:
+                return g, d
+    except ArithmeticError as exc:
+        raise error(f"the guard at the arc start t={t!r} left the float "
+                    f"range: {exc!r}") from exc
     raise error(f"arc start at t={t!r} has g={g:.3e}, d={d:.3e}; an arc "
                 f"starts strictly inside the guard, or on it and leaving")
 

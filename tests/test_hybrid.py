@@ -687,6 +687,102 @@ def test_non_finite_field_at_arc_start_raises():
         hl.simulate(hs, s0, 1.0)
 
 
+def _from_half(v):
+    """The start (0, (0.5, 0), v)."""
+    return hl.State(0.0, np.array([0.5, 0.0]), np.array(v, float))
+
+
+def _reduced_run(p, v):
+    """The reduced system of the polar billiard `p` at the momentum of
+    `_from_half(v)`, run from its projection to t = 1."""
+    cyc, s0 = hl.polar_cyclic(p), _from_half(v)
+    return hl.simulate(hl.reduce(cyc, hl.momentum_map(cyc, s0)).shape,
+                       cyc.project_state(s0), 1.0)
+
+
+# finite starts and parameters whose arithmetic leaves the float range, run
+# to t = 1 on paper-c025 but for free-particle, and the error each raises;
+# each used to escape as an OverflowError or a ZeroDivisionError
+_OVERFLOWING_RUNS = {
+    # the polar guard squares r = 0.5 + 1e-7 v_r in the start check's
+    # free step
+    "polar-full-vr": (lambda p: hl.simulate(
+        hl.polar_hybrid(p), _from_half([1e300, 1.0]), 1.0), hl.InvalidStart),
+    "resequenced-vr": (lambda p: hl.simulate_resequenced(
+        hl.polar_cyclic(p), _from_half([1e300, 1.0]), 1.0), hl.InvalidStart),
+    # the polar field squares the angle's rate when the solver is built
+    "polar-full-thd": (lambda p: hl.simulate(
+        hl.polar_hybrid(p), _from_half([0.0, 1e160]), 1.0),
+        hl.IntegrationFailure),
+    # the initial step size comes out 0, and the slope norm divides by it
+    "polar-full-thd-1e154": (lambda p: hl.simulate(
+        hl.polar_hybrid(p), _from_half([0.0, 1e154]), 1.0),
+        hl.IntegrationFailure),
+    "cartesian-v-1e154": (lambda p: hl.simulate(
+        hl.cartesian_hybrid(p), _from_half([0.0, 1e154]), 1.0),
+        hl.IntegrationFailure),
+    "cartesian-m-1e-300": (lambda p: hl.simulate(
+        hl.cartesian_hybrid(dataclasses.replace(p, m=1e-300)),
+        hl.get_scenario("paper-c025").initial_cartesian, 1.0),
+        hl.IntegrationFailure),
+    "reduced-thd": (lambda p: _reduced_run(p, [0.1, 1e300]),
+                    hl.IntegrationFailure),
+    "free-particle": (lambda p: hl.simulate(
+        hl.build_model("free-particle").hybrid,
+        hl.State(0.0, np.zeros(2), np.array([1e308, 1e308])), 1.0),
+        hl.IntegrationFailure),
+}
+
+
+@pytest.mark.parametrize("name", list(_OVERFLOWING_RUNS))
+def test_arithmetic_beyond_the_float_range_is_a_typed_error(name,
+                                                            params_c025):
+    # InvalidStart from the start check, IntegrationFailure from the arc
+    # runner, each chained from the arithmetic error. The v = 1e154 runs'
+    # initial-step norms overflow in numpy's dot first, which warns, as
+    # scipy's norm does, and goes on to the division by zero
+    run, error = _OVERFLOWING_RUNS[name]
+    with no_hang(10), np.errstate(over="ignore"), \
+            pytest.raises(error, match="left the float range") as raised:
+        run(params_c025)
+    assert isinstance(raised.value.__cause__, ArithmeticError)
+
+
+def test_arc_runner_gets_the_start_check_record(monkeypatch):
+    # the arc-runner seam: a runner passed to `_execute` gets each arc's
+    # start as one record (t, y, g, d), whose g and d are the values the
+    # start check returned there, bit for bit: on the first arc and on
+    # every arc after an impact
+    from hybridlag import hybrid
+
+    check, checked, starts = hybrid._check_arc_start, [], []
+
+    def recorded_check(*args):
+        checked.append(check(*args))
+        return checked[-1]
+
+    hs, s0 = _paper_c025("cartesian")
+    y0 = hs.system.pack(s0)
+    run_arc = hybrid._integrator(y0.size)
+
+    def stub(mode, start, t_end, max_step):
+        starts.append(start)
+        return run_arc(mode, start, t_end, max_step)
+
+    monkeypatch.setattr(hybrid, "_check_arc_start", recorded_check)
+    flow = hybrid._execute(hybrid._mode(hs), s0.t, y0, 3.0, stub)
+    assert len(flow.events) >= 2
+    assert len(starts) == len(checked) == len(flow.arcs)
+    ends = [(s0.t, y0)] + [(e.tau, np.concatenate([e.post.q, e.post.v]))
+                           for e in flow.events]
+    for (t, y, g, d), (g_check, d_check), (t_end, y_end) in zip(
+            starts, checked, ends):
+        assert t == t_end and _bits(y) == _bits(y_end)
+        assert _bits([g, d]) == _bits([g_check, d_check])
+        assert _bits([g, d]) == _bits([hs.guard.surface(t, y[:2], y[2:]),
+                                       hs.guard.direction(t, y[:2], y[2:])])
+
+
 def test_field_turning_non_finite_ends_integration_failure():
     # q'' = -q until t = 0.5 and NaN after: every step across t = 0.5 is
     # rejected until the step size falls below 10 ulp, and the run ends

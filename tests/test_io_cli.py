@@ -549,6 +549,34 @@ def test_cli_non_finite_field_errors(tmp_path):
     assert "not finite" in record["message"]
 
 
+@pytest.mark.parametrize("model, mode, initial_v, params, error", [
+    # the polar guard overflows in the start check's free step
+    ("billiard-polar", "full", [1e300, 1.0], {}, "InvalidStart"),
+    ("billiard-polar", "resequenced", [1e300, 1.0], {}, "InvalidStart"),
+    # the polar field overflows when the arc's solver is built
+    ("billiard-polar", "full", [0.0, 1e160], {}, "IntegrationFailure"),
+    # the initial step size comes out 0, and the solver divides by it
+    ("billiard-polar", "reduced", [0.1, 1e300], {}, "IntegrationFailure"),
+    ("billiard-cartesian", "full", None,
+     {"scenario": "paper-c025", "m": 1e-300}, "IntegrationFailure"),
+], ids=["polar-full-vr", "polar-resequenced-vr", "polar-full-thd",
+        "polar-reduced-thd", "cartesian-m"])
+def test_cli_arithmetic_beyond_the_float_range_errors(
+        tmp_path, model, mode, initial_v, params, error):
+    # each used to exit 1 with an OverflowError or ZeroDivisionError
+    # traceback and no error record
+    out = str(tmp_path / "out")
+    start = ({} if initial_v is None
+             else {"initial_q": [0.5, 0.0], "initial_v": initial_v})
+    cfg = write_config(tmp_path, model=model, mode=mode, horizon=1,
+                       **start, **params)
+    with no_hang(10):
+        assert run_cli("run", "--config", cfg, "--out", out) == 1
+    record = error_record(out)
+    assert record["error"] == error
+    assert "left the float range" in record["message"]
+
+
 def test_cli_reduced_mode_outputs_theta(tmp_path):
     out = str(tmp_path / "out")
     code = run_cli("run", "--model", "billiard-polar", "--scenario",

@@ -3,20 +3,26 @@
     python tools/output_manifest.py > manifest.txt
 
 Runs a fixed case set through ``python -m hybridlag.cli`` in a temporary
-directory: all five modes of both billiards on both paper scenarios, and
-`full` and `verify` of `free-particle` and `harmonic-1d` (no scenario),
-all at horizon 10. For each case it prints its exit code, then
-``sha256  case/file`` for each file the case wrote, in name order.
+directory: all five modes of both billiards on both paper scenarios;
+`full` and `verify` of `free-particle` and `harmonic-1d` (no scenario);
+and three polar billiard starts whose arithmetic leaves the float range,
+each given as a ``--config`` file written into the temporary directory
+(`full` and `resequenced` at v_r = 1e300, `reduced` at a rate of the
+angle of 1e300); all at horizon 10. For each case it prints its exit
+code, then ``sha256  case/file`` for each file the case wrote, in name
+order.
 `run.json` is hashed without its "out" line, since it records the output
 directory. Two checkouts, or two runs of one, write the same outputs
 when their manifests are equal; `diff` them.
 
 Each case also has an expected outcome: exit 0, or, where the CLI must
-refuse the input (reduction of the Cartesian billiard, which has no
-cyclic coordinate; `verify` of a model without a scenario), exit 1 with
-an error.json naming ParseError. The script exits 1, after printing the
-whole manifest, when any case misses its outcome, and names those cases
-on stderr.
+refuse the input, exit 1 with an error.json naming the error class:
+ParseError for reduction of the Cartesian billiard, which has no cyclic
+coordinate, and for `verify` of a model without a scenario;
+InvalidStart where the guard overflows at the start (`full`,
+`resequenced`), and IntegrationFailure where the arc's solver does
+(`reduced`). The script exits 1, after printing the whole manifest,
+when any case misses its outcome, and names those cases on stderr.
 
 The package is the one the interpreter imports: the installed one, or
 the checkout's `src/` given on PYTHONPATH (made absolute here, since the
@@ -35,8 +41,8 @@ HORIZON = "10"
 
 
 def cases():
-    """(name, CLI arguments, expected error class or None) of each case,
-    in a fixed order."""
+    """(name, CLI arguments, configuration document or None, expected
+    error class or None) of each case, in a fixed order."""
     for model in ("billiard-cartesian", "billiard-polar"):
         for scenario in ("paper-c025", "paper-c010"):
             for mode in MODES:
@@ -44,12 +50,19 @@ def cases():
                            and mode in ("reduced", "resequenced", "compare"))
                 yield (f"{model}-{scenario}-{mode}",
                        ["--model", model, "--scenario", scenario,
-                        "--mode", mode],
+                        "--mode", mode], None,
                        "ParseError" if refused else None)
     for model in ("free-particle", "harmonic-1d"):
         for mode in ("full", "verify"):
             yield (f"{model}-{mode}", ["--model", model, "--mode", mode],
-                   "ParseError" if mode == "verify" else None)
+                   None, "ParseError" if mode == "verify" else None)
+    # finite starts whose arithmetic overflows, each from a --config file
+    for mode, v, error in (("full", [1e300, 1.0], "InvalidStart"),
+                           ("reduced", [0.1, 1e300], "IntegrationFailure"),
+                           ("resequenced", [1e300, 1.0], "InvalidStart")):
+        yield (f"billiard-polar-{mode}-overflow", [],
+               {"model": "billiard-polar", "mode": mode,
+                "initial_q": [0.5, 0.0], "initial_v": v}, error)
 
 
 def digest(path):
@@ -82,7 +95,12 @@ def main():
             os.path.abspath(p) for p in env["PYTHONPATH"].split(os.pathsep))
     failed = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name, args, error in cases():
+        for name, args, doc, error in cases():
+            if doc is not None:
+                config = os.path.join(tmp, f"{name}.json")
+                with open(config, "w") as fh:
+                    json.dump(doc, fh)
+                args = ["--config", config]
             code = subprocess.run(
                 [sys.executable, "-m", "hybridlag.cli", "run", *args,
                  "--horizon", HORIZON, "--out", name],

@@ -370,9 +370,8 @@ def _next_crossing(phi, dphi, t0, t_end):
     its rate, from an admissible arc start (`hybrid._check_arc_start`),
     where dphi(t0) >= 0 comes with phi(t0) < 0: on the guard, such a
     start passes only if a free step lowers the guard, which convexity
-    rules out."""
-    if t_end <= t0:
-        return None
+    rules out. The executor never flies an arc with no time, so
+    t_end > t0."""
     if dphi(t0) >= 0.0:
         # heading out from the start: at most one root ahead
         if phi(t_end) <= 0.0:
@@ -429,10 +428,10 @@ def reference_flow(p: BilliardParams, s0: State, t_end: float) -> HybridFlow:
         times = np.linspace(t, arc_end, REFERENCE_GRID)
         arc = Arc(t, float(arc_end), times, flight(times).T, flight)
         if tau is None:
-            return arc, None, False
+            return arc, None
         y = flight(tau)
         q, v = y[:2], y[2:]
-        return arc, (tau, y, gfun(tau, q, v), dfun(tau, q, v)), False
+        return arc, (tau, y, gfun(tau, q, v), dfun(tau, q, v))
 
     return _execute(_mode(hs), s0.t, hs.system.pack(s0), t_end, flight_arc)
 

@@ -41,8 +41,9 @@ class IntegrationFailure(HybridLagError):
     """The continuous integration of an arc cannot go on: the right-hand
     side is not finite at an arc start, the arc runner's arithmetic
     leaves the float range (an `ArithmeticError`, such as an overflowing
-    field or a division by a zero initial step size, which it is
-    chained from), or a located impact misses the guard by more than its
+    field, a division by a zero initial step size or numpy's overflow,
+    which the runner meets as a `FloatingPointError`; it is chained from
+    the original), or a located impact misses the guard by more than its
     tolerance."""
 
 

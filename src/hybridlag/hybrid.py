@@ -3,39 +3,41 @@ resets.
 
 Every run in the package goes through one loop, `_execute`: full and
 reduced runs, resequenced runs, the momentum-side runs of the
-equivalence checks and the closed-form oracle's flights. Its default arc
-runner (`_integrator`) integrates each arc under the fixed step control
-RTOL = ATOL with the adaptive Dormand-Prince 8(5,3) pair DOP853, whose
-7th-order dense output costs 3 extra right-hand-side calls per accepted
-step (Hairer, Norsett & Wanner, Solving ODEs I, II.5-II.6). The step
-loop is the module's own (`RK45`): it reads its tableau from `_dop853`,
-a copy of scipy's table, and repeats the arithmetic of scipy's `DOP853`
-operation for operation, so it reproduces scipy's steps and dense output
-bit for bit, but it calls the right-hand side directly, on a list of
-Python floats, and gets a list of Python floats back. A step attempt
-and a dense output are one call each of a kernel generated for the
-state size (`_kernels`). A model with a closed-form field hands it to
-the loop as its right-hand side, so each stage is one Python call into
-the model's arithmetic (`LagrangianSystem.rhs`).
+equivalence checks and the closed-form oracle's flights. An arc runner
+only flies an arc and reports its impact; the loop owns every rule
+between arcs, arcs with no time to cover and step collapses included.
+The default arc runner (`_integrator`) integrates each arc under the
+fixed step control RTOL = ATOL with the adaptive Dormand-Prince 8(5,3)
+pair DOP853, whose 7th-order dense output costs 3 extra right-hand-side
+calls per accepted step (Hairer, Norsett & Wanner, Solving ODEs I,
+II.5-II.6). The step loop is the module's own (`RK45`): it reads its
+tableau from `_dop853`, a copy of scipy's table, and repeats the
+arithmetic of scipy's `DOP853` operation for operation, so it reproduces
+scipy's steps and dense output bit for bit, but it calls the right-hand
+side directly, on a list of Python floats, and gets a list of Python
+floats back. A step attempt and a dense output are one call each of a
+kernel generated for the state size (`_kernels`). A model with a
+closed-form field hands it to the loop as its right-hand side, so each
+stage is one Python call into the model's arithmetic
+(`LagrangianSystem.rhs`).
 Wherever the loop knows the guard, it holds the point as one record
 (t, y, g, d): the time, the packed state, the guard surface g and its
 rate d. The arc start is one, with the (g, d) of `_check_arc_start`,
 which every arc start must pass, and so is an impact. After every
 accepted step the scan samples it: its first sample is the last one
-before it (the previous step's end, or the arc start), then come
-SCAN_POINTS interior times, each read with one scalar call of the
-step's dense output, and last the step loop's own end state. g and
-then d are called at each new sample, in time order. One rule on each
-two consecutive records brackets the crossings, including those between
-two samples (`_scan`), which are refined in time to REFINE_XTOL with
-Brent's method on the interpolant (`brentq`, scipy's C routine run
-operation for operation). A crossing counts as an impact only where its
-rate does not leave (`_leaving`: a rate within GUARD_TOL of zero does
-not), and never at the arc's start; leaving crossings are skipped and
-integration continues. No point of an arc is evaluated twice: each scan
-sample once, Brent's bracket ends from the scan samples or the
-refinement before it, and the impact's record from the evaluations that
-located it.
+before it (the previous step's end, or the arc start), then comes the
+step's midpoint, read with one scalar call of the step's dense output,
+and last the step loop's own end state. g and then d are called at each
+new sample, in time order. One rule on each two consecutive records
+brackets the crossings, including those between two samples (`_scan`),
+which are refined in time to REFINE_XTOL with Brent's method on the
+interpolant (`brentq`, scipy's C routine run operation for operation). A
+crossing counts as an impact only where its rate does not leave
+(`_leaving`: a rate within GUARD_TOL of zero does not), and never at the
+arc's start; leaving crossings are skipped and integration continues. No
+point of an arc is evaluated twice: each scan sample once, Brent's
+bracket ends from the scan samples or the refinement before it, and the
+impact's record from the evaluations that located it.
 An arc keeps its dense output as one table of its steps' flat
 coefficient blocks, which the step loop hands over, and evaluates its times in one
 gathered numpy pass with the step interpolants' bits, a scalar time as
@@ -88,7 +90,6 @@ GUARD_TOL = 1e-8     # bound on |g| at an impact or an on-guard arc start,
 MIN_DWELL = 1e-9     # two impacts closer than this end a run as Zeno
 RTOL = ATOL = 1e-10  # the integrator's step control on every arc
 MAX_IMPACTS = 10000  # impact cap; reaching it ends a run as max_impacts
-SCAN_POINTS = 1      # interior dense-output guard samples per accepted step
 EQUIVALENCE_TOL = 1e-6  # state bound of the velocity/momentum-side checks
 EVENT_TIME_TOL = 1e-8   # impact-time bound of check_hybrid_equivalence
 
@@ -561,8 +562,8 @@ class RK45:
 
     Only `_integrator` builds solvers, after the arc-start check, so the
     loop keeps none of scipy's argument checks: y0 must be finite,
-    t_bound > t0 (an arc with no time takes no step and builds no
-    solver) and max_step > 0.
+    t_bound > t0 (`_execute` closes an arc with no time without a
+    runner) and max_step > 0.
 
     Each tableau sum (a stage's K[:s]^T a, the solution's K^T B, the
     error estimates K^T E5 and K^T E3, their norms' dot products, the
@@ -726,14 +727,18 @@ def _execute(mode, t0, y0, t_end, run_arc=None):
     there. Every arc start must pass `_check_arc_start` under the arc's
     guard, or the run raises InvalidStart (the first arc) or InvalidReset
     (an arc after an impact); the check's (g, d) complete the start's
-    record. Then run_arc(mode, start, t_end, max_step) gives
-    (arc, hit, failed): the `Arc` from the start, the record of its
-    impact at the arc's end or None, and whether a step failed; max_step
-    caps the steps at the last dwell. `_integrator` builds the default
-    runner. An `ArithmeticError` out of the runner (a field or a step
-    size that leaves the float range) raises IntegrationFailure. The
-    loop alone applies the dwell and termination rules, the residual
-    check, the reset and the `Event` record.
+    record. An arc that starts at t_end has no time to cover: the loop
+    closes it with its start state alone, without calling the runner,
+    and the run ends horizon_reached. Otherwise
+    run_arc(mode, start, t_end, max_step) flies the arc and gives
+    (arc, hit): the `Arc` from the start and the record of its impact at
+    the arc's end, or None; max_step caps the steps at the last dwell.
+    `_integrator` builds the default runner. An arc that ends before
+    t_end with no impact is a step collapse, which ends the run. An
+    `ArithmeticError` out of the runner (a field or a step size that
+    leaves the float range), numpy's overflow included, raises
+    IntegrationFailure. The loop alone applies the dwell and termination
+    rules, the residual check, the reset and the `Event` record.
     """
     t = float(t0)
     y = np.asarray(y0, float).copy()
@@ -748,8 +753,12 @@ def _execute(mode, t0, y0, t_end, run_arc=None):
         _, gfun, dfun, reset = mode
         g, d = _check_arc_start(gfun, dfun, t, y[:n], y[n:], t_end,
                                 InvalidReset if events else InvalidStart)
+        if t == t_end:
+            arcs.append(_close_arc([t], [], t, y))
+            return HybridFlow(arcs, events, TERM_HORIZON)
         try:
-            arc, hit, failed = run_arc(mode, (t, y, g, d), t_end, max_step)
+            with np.errstate(over="raise"):
+                arc, hit = run_arc(mode, (t, y, g, d), t_end, max_step)
         except ArithmeticError as exc:
             raise IntegrationFailure(
                 f"arc from t={t!r} left the float range: {exc!r}") from exc
@@ -758,11 +767,13 @@ def _execute(mode, t0, y0, t_end, run_arc=None):
         dwell = arc.t_end - t
         piled_up = bool(events) and dwell < MIN_DWELL
 
-        if failed:
-            # a step collapse right after an impact is the impacts piling up
-            return HybridFlow(arcs, events,
-                              TERM_ZENO if piled_up else TERM_FAILURE)
         if hit is None:
+            # arcs close at float(t_end), which an int t_end may round
+            if arc.t_end < float(t_end):
+                # a step collapse; right after an impact, the impacts
+                # piling up
+                return HybridFlow(arcs, events,
+                                  TERM_ZENO if piled_up else TERM_FAILURE)
             return HybridFlow(arcs, events, TERM_HORIZON)
         if piled_up:
             return HybridFlow(arcs, events, TERM_ZENO)
@@ -788,16 +799,13 @@ def _integrator(size):
     """The executor's default arc runner for packed states of `size`
     floats: each arc gets its own solver under the step control RTOL and
     ATOL, on one DOP853 stage matrix (`_StageMatrix`) built here once per
-    run. An arc that starts at t_end takes no step: it is closed with its
-    start state alone, without calling the right-hand side there."""
+    run. A step size that collapses ends the arc at the last accepted
+    step, before t_end."""
     stages = _StageMatrix(size)
     n = size // 2
 
     def integrate(mode, start, t_end, max_step):
         t, y, _, _ = start
-        if t == t_end:
-            # an arc with no time to cover takes no step
-            return _close_arc([t], [], t, y), None, False
         rhs, gfun, dfun, _ = mode
         # a step's first scan sample is the last one before it: the arc
         # start's is the start record
@@ -818,24 +826,18 @@ def _integrator(size):
             dense = solver.dense_output()
             blocks.append(solver._coeffs)
             breakpoints.append(solver.t)
-            # the scan samples of np.linspace(t_old, t, SCAN_POINTS + 2),
-            # in its arithmetic: after the carried t_old,
-            # i * ((t - t_old) / (SCAN_POINTS + 1)) + t_old, and t last
-            t_old = solver.t_old
-            w = (solver.t - t_old) / (SCAN_POINTS + 1)
-            times = [i * w + t_old for i in range(1, SCAN_POINTS + 1)]
-            states = [dense(tt) for tt in times]
-            times.append(solver.t)
-            states.append(np.array(solver.y))
-            for tt, yy in zip(times, states):
+            # the step's midpoint, np.linspace(t_old, t, 3)[1] bit for
+            # bit, and then its end
+            t_mid = (solver.t - solver.t_old) / 2 + solver.t_old
+            for tt, yy in ((t_mid, dense(t_mid)),
+                           (solver.t, np.array(solver.y))):
                 q, v = yy[:n], yy[n:]
                 samples.append((tt, yy, gfun(tt, q, v), dfun(tt, q, v)))
             hit = _scan(dense, n, gfun, dfun, t, samples)
             samples = samples[-1:]
 
         t_arc, y_arc = hit[:2] if hit is not None else (solver.t, solver.y)
-        return (_close_arc(breakpoints, blocks, t_arc, y_arc), hit,
-                solver.status == "failed")
+        return _close_arc(breakpoints, blocks, t_arc, y_arc), hit
 
     return integrate
 

@@ -441,9 +441,10 @@ def test_reference_flow_static_wall_times():
 
 
 # (q0, v0, t_end) of free flights on the static unit wall that end
-# before they reach it, each through another branch of the oracle's
-# crossing search: no time to fly, heading out but short of the wall,
-# and heading in with the bottom of the dip bracketed by t_end
+# before they reach it: no time to fly, which the executor closes without
+# a flight, and two branches of the oracle's crossing search, heading out
+# but short of the wall, and heading in with the bottom of the dip
+# bracketed by t_end
 SHORT_FLIGHTS = {
     "no-time": ((0.5, 0.0), (0.1, 0.0), 0.0),
     "heading-out": ((0.5, 0.0), (0.1, 0.0), 1.0),
@@ -462,6 +463,23 @@ def test_flight_short_of_the_wall_has_no_impact(name):
         assert flow.termination == "horizon_reached" and not flow.events
         assert len(flow.arcs) == 1 and flow.t_final == t_end
         assert np.allclose(flow.arcs[0](t_end), end, rtol=0.0, atol=1e-12)
+
+
+def test_start_at_the_horizon_is_one_point_arc_in_both_pipelines():
+    # the executor closes an arc that starts at t_end without its runner,
+    # so the oracle's arc is the simulator's: one grid time, the start
+    # state, and a constant interpolant
+    p = static_params()
+    s0 = mk_state(1.5, (0.5, 0.0), (0.1, -0.2))
+    y0 = [0.5, 0.0, 0.1, -0.2]
+    for flow in (hl.reference_flow(p, s0, 1.5),
+                 hl.simulate(hl.cartesian_hybrid(p), s0, 1.5)):
+        assert flow.termination == "horizon_reached" and not flow.events
+        (arc,) = flow.arcs
+        assert arc.t_start == arc.t_end == 1.5
+        assert arc.times.tolist() == [1.5] and arc.states.tolist() == [y0]
+        assert isinstance(arc.interpolant, hybrid._ConstantInterpolant)
+        assert arc(1.5).tolist() == y0
 
 
 def test_reference_flow_scenario_counts():

@@ -60,6 +60,67 @@ def test_empty_horizon_is_single_degenerate_arc():
     assert arc(2.0).tolist() == [0.5, 0.0, 1.0, 0.0]
 
 
+def test_arc_at_the_horizon_never_calls_the_runner(unit_wall_hybrid):
+    # the loop closes an arc that starts at t_end itself with its start
+    # state, after the start check, and never calls the arc runner
+    from hybridlag import hybrid
+
+    def never_called(*args):
+        raise AssertionError("the executor called the arc runner")
+
+    hs = unit_wall_hybrid
+    y0 = hs.system.pack(center_start())
+    flow = hybrid._execute(hybrid._mode(hs), 2.0, y0, 2.0, never_called)
+    assert flow.termination == "horizon_reached" and not flow.events
+    (arc,) = flow.arcs
+    assert arc.t_start == arc.t_end == 2.0 and arc.times.tolist() == [2.0]
+    assert _bits(arc.states[0]) == _bits(y0)
+    assert isinstance(arc.interpolant, hybrid._ConstantInterpolant)
+    with pytest.raises(hl.InvalidStart):
+        hybrid._execute(hybrid._mode(hs), 2.0, y0 + [2.0, 0.0, 0.0, 0.0],
+                        2.0, never_called)
+
+
+@pytest.mark.parametrize("impacts, dwell, termination", [
+    (0, 0.5, "integration_failure"), (0, 1e-10, "integration_failure"),
+    (1, 0.5, "integration_failure"), (1, 1e-10, "zeno_suspected")])
+def test_arc_short_of_the_horizon_without_impact_is_a_collapse(
+        unit_wall_hybrid, impacts, dwell, termination):
+    # the loop reads a step collapse off an arc that ends before t_end
+    # with no impact: zeno_suspected within MIN_DWELL of an impact, else
+    # integration_failure. The first `impacts` arcs run to their impact;
+    # the next is the integrator's own arc to `dwell` after its start
+    from hybridlag import hybrid
+
+    hs = unit_wall_hybrid
+    y0 = hs.system.pack(center_start())
+    run_arc, calls = hybrid._integrator(y0.size), []
+
+    def stub(mode, start, t_end, max_step):
+        calls.append(start[0])
+        if len(calls) <= impacts:
+            return run_arc(mode, start, t_end, max_step)
+        arc, hit = run_arc(mode, start, start[0] + dwell, max_step)
+        assert hit is None and arc.t_end == start[0] + dwell
+        return arc, hit
+
+    flow = hybrid._execute(hybrid._mode(hs), 0.0, y0, 4.0, stub)
+    assert flow.termination == termination
+    assert len(flow.events) == impacts and len(flow.arcs) == impacts + 1
+    assert flow.t_final == calls[-1] + dwell
+
+
+def test_integer_horizon_beyond_float_precision_ends_horizon_reached():
+    # the last arc closes at float(t_end) = 2**53, below the int horizon:
+    # it reached the horizon, not a step collapse
+    hs = hl.build_model("free-particle").hybrid
+    s0 = hl.State(0.0, np.zeros(2), np.zeros(2))
+    with no_hang(10):
+        flow = hl.simulate(hs, s0, 2**53 + 1)
+    assert flow.termination == "horizon_reached"
+    assert flow.t_final == float(2**53 + 1)
+
+
 def test_periodic_bounces_static_wall(unit_wall_hybrid):
     # diameter crossings: impacts at t = 1, 3, 5, 7, 9
     flow = hl.simulate(unit_wall_hybrid, center_start(), 10.0)
@@ -714,13 +775,14 @@ _OVERFLOWING_RUNS = {
     "polar-full-thd": (lambda p: hl.simulate(
         hl.polar_hybrid(p), _from_half([0.0, 1e160]), 1.0),
         hl.IntegrationFailure),
-    # the initial step size comes out 0, and the slope norm divides by it
+    # the initial step's norms overflow in numpy's dot
     "polar-full-thd-1e154": (lambda p: hl.simulate(
         hl.polar_hybrid(p), _from_half([0.0, 1e154]), 1.0),
         hl.IntegrationFailure),
     "cartesian-v-1e154": (lambda p: hl.simulate(
         hl.cartesian_hybrid(p), _from_half([0.0, 1e154]), 1.0),
         hl.IntegrationFailure),
+    # the initial step size comes out 0, and the slope norm divides by it
     "cartesian-m-1e-300": (lambda p: hl.simulate(
         hl.cartesian_hybrid(dataclasses.replace(p, m=1e-300)),
         hl.get_scenario("paper-c025").initial_cartesian, 1.0),
@@ -739,10 +801,10 @@ def test_arithmetic_beyond_the_float_range_is_a_typed_error(name,
                                                             params_c025):
     # InvalidStart from the start check, IntegrationFailure from the arc
     # runner, each chained from the arithmetic error. The v = 1e154 runs'
-    # initial-step norms overflow in numpy's dot first, which warns, as
-    # scipy's norm does, and goes on to the division by zero
+    # initial-step norms overflow in numpy's dot, which the executor
+    # turns from a warning into a FloatingPointError
     run, error = _OVERFLOWING_RUNS[name]
-    with no_hang(10), np.errstate(over="ignore"), \
+    with no_hang(10), \
             pytest.raises(error, match="left the float range") as raised:
         run(params_c025)
     assert isinstance(raised.value.__cause__, ArithmeticError)
@@ -939,10 +1001,10 @@ def test_guard_samples_each_breakpoint_at_its_grid_state(chart):
 
 
 def test_scan_evaluates_dense_output_once_per_step(monkeypatch):
-    # the scan makes one scalar call of the dense output per interior
-    # sample of an accepted step, and calls the guard surface and then its
-    # rate at each new sample, in time order: the interior ones and the
-    # step's end, whose state is the step loop's. Every other dense
+    # the scan makes one scalar call of the dense output per accepted
+    # step, at its midpoint np.linspace(t_old, t, 3)[1], and calls the
+    # guard surface and then its rate at each new sample, in time order:
+    # the midpoint and the step's end, whose state is the step loop's. Every other dense
     # evaluation is a Brent iterate: the bracket ends come from the scan
     # and the pre-impact state from the refinement. Outside the scan rule,
     # the only other guard calls are the arc-start checks, whose surface
@@ -953,6 +1015,7 @@ def test_scan_evaluates_dense_output_once_per_step(monkeypatch):
     from hybridlag import billiard, hybrid
 
     counts = dict(steps=0, dense=0, brent_evals=0, refines=0)
+    spans = []
     surface = {}
     loop_calls = []
     where = ["loop"]
@@ -976,6 +1039,7 @@ def test_scan_evaluates_dense_output_once_per_step(monkeypatch):
             return msg
 
         def dense_output(self):
+            spans.append((self.t_old, self.t))
             return CountedDense(super().dense_output())
 
     def inside(label, fun):
@@ -1022,15 +1086,18 @@ def test_scan_evaluates_dense_output_once_per_step(monkeypatch):
         hs.guard, surface=counted_surface, direction=counted_direction))
     flow = hl.simulate(hs, sc.initial_polar, 2.0)
     assert flow.events and counts["refines"] >= len(flow.events)
-    assert counts["dense"] == (hybrid.SCAN_POINTS * counts["steps"]
-                               + counts["brent_evals"])
+    assert counts["dense"] == counts["steps"] + counts["brent_evals"]
     # surface and rate at each new scan sample of a step, and at each
     # arc's start check
-    samples = (hybrid.SCAN_POINTS + 1) * counts["steps"] + len(flow.arcs)
+    samples = 2 * counts["steps"] + len(flow.arcs)
     assert [name for name, _ in loop_calls] == ["surface",
                                                 "direction"] * samples
     times = [t for _, t in loop_calls]
     assert times[::2] == times[1::2]
+    assert len(spans) == counts["steps"]
+    assert set(times) == ({np.linspace(a, b, 3)[1].item() for a, b in spans}
+                          | {b for _, b in spans}
+                          | {arc.t_start for arc in flow.arcs})
     assert surface.pop("loop") == samples
     assert surface.pop("brent") == counts["brent_evals"]
     assert surface == {}
@@ -1114,8 +1181,6 @@ def _assert_steps_like_scipy(ours, ref):
     RHS call counts, statuses, coefficient blocks (scipy's rows F and
     then y_old, flattened row by row) and dense output at the scan times
     and at five seeded interior times per step, each as one float."""
-    from hybridlag import hybrid
-
     def same():
         assert (ours.t, ours.status, ours.nfev) == (ref.t, ref.status,
                                                     ref.nfev)
@@ -1140,7 +1205,7 @@ def _assert_steps_like_scipy(ours, ref):
         block = np.vstack([theirs.F, theirs.y_old])
         assert np.array_equal(np.array(ours._coeffs).view(np.uint64),
                               block.ravel().view(np.uint64))
-        for ts in (np.linspace(ref.t_old, ref.t, hybrid.SCAN_POINTS + 2),
+        for ts in (np.linspace(ref.t_old, ref.t, 3),
                    rng.uniform(ref.t_old, ref.t, 5)):
             assert all(np.array_equal(mine(float(t)), theirs(t)) for t in ts)
     return steps
@@ -1494,7 +1559,7 @@ def _dense_guard_case():
     while solver.status == "running":
         solver.step()
         g = billiard._along(hs.guard.surface, solver.dense_output(), 2)
-        ts = np.linspace(solver.t_old, solver.t, hybrid.SCAN_POINTS + 2)
+        ts = np.linspace(solver.t_old, solver.t, 3)
         for a, b in zip(ts.tolist(), ts[1:].tolist()):
             if g(a) <= 0.0 < g(b):
                 return g, a, b
@@ -2074,8 +2139,8 @@ def test_momentum_side_scan_solves_each_column_once(monkeypatch):
     # surface's solution, so it makes no Hessian solve. Counted over each
     # start check, and from each step's dense output, which the sample
     # calls follow, to the scan rule. A step's first sample is the last
-    # one before it, so the scan calls the guard at its SCAN_POINTS
-    # interior samples and its end
+    # one before it, so the scan calls the guard at its midpoint and its
+    # end
     from hybridlag import hybrid
     from hybridlag.lagrangian import LagrangianSystem
 
@@ -2131,7 +2196,7 @@ def test_momentum_side_scan_solves_each_column_once(monkeypatch):
     assert len(groups) > 3 * len(flow.arcs)
     pair = ["surface", "direction"]
     for kind, calls in groups:
-        samples = 1 if kind == "start" else hybrid.SCAN_POINTS + 1
+        samples = 1 if kind == "start" else 2
         assert [name for name, _ in calls] == pair * samples
     calls = [call for _, group in groups for call in group]
     assert sum(n for name, n in calls if name == "direction") == 0

@@ -559,12 +559,16 @@ def test_cli_non_finite_field_errors(tmp_path):
     ("billiard-polar", "reduced", [0.1, 1e300], {}, "IntegrationFailure"),
     ("billiard-cartesian", "full", None,
      {"scenario": "paper-c025", "m": 1e-300}, "IntegrationFailure"),
+    # the initial step's norms overflow in numpy's dot
+    ("billiard-cartesian", "full", [0.0, 1e154], {}, "IntegrationFailure"),
+    ("billiard-polar", "full", [0.0, 1e154], {}, "IntegrationFailure"),
 ], ids=["polar-full-vr", "polar-resequenced-vr", "polar-full-thd",
-        "polar-reduced-thd", "cartesian-m"])
+        "polar-reduced-thd", "cartesian-m", "cartesian-v-1e154",
+        "polar-thd-1e154"])
 def test_cli_arithmetic_beyond_the_float_range_errors(
-        tmp_path, model, mode, initial_v, params, error):
-    # each used to exit 1 with an OverflowError or ZeroDivisionError
-    # traceback and no error record
+        tmp_path, capsys, model, mode, initial_v, params, error):
+    # each used to exit 1 with an OverflowError, a ZeroDivisionError or
+    # numpy's overflow RuntimeWarning and a traceback, and no error record
     out = str(tmp_path / "out")
     start = ({} if initial_v is None
              else {"initial_q": [0.5, 0.0], "initial_v": initial_v})
@@ -575,6 +579,7 @@ def test_cli_arithmetic_beyond_the_float_range_errors(
     record = error_record(out)
     assert record["error"] == error
     assert "left the float range" in record["message"]
+    assert "RuntimeWarning" not in capsys.readouterr().err
 
 
 def test_cli_reduced_mode_outputs_theta(tmp_path):

@@ -2,13 +2,16 @@
 
     python tools/output_manifest.py > manifest.txt
 
-Runs a fixed case set through ``python -m hybridlag.cli`` in a temporary
-directory: all five modes of both billiards on both paper scenarios;
-`full` and `verify` of `free-particle` and `harmonic-1d` (no scenario);
-and three polar billiard starts whose arithmetic leaves the float range,
-each given as a ``--config`` file written into the temporary directory
-(`full` and `resequenced` at v_r = 1e300, `reduced` at a rate of the
-angle of 1e300); all at horizon 10. For each case it prints its exit
+Runs a fixed case set through
+``python -W error::RuntimeWarning -m hybridlag.cli`` in a temporary
+directory, so that a numpy warning fails its case: all five modes of
+both billiards on both paper scenarios; `full` and `verify` of
+`free-particle` and `harmonic-1d` (no scenario); and four billiard
+starts whose arithmetic leaves the float range, each given as a
+``--config`` file written into the temporary directory (polar `full`
+and `resequenced` at v_r = 1e300, polar `reduced` at a rate of the
+angle of 1e300, Cartesian `full` at v = (0, 1e154)); all at horizon
+10. For each case it prints its exit
 code, then ``sha256  case/file`` for each file the case wrote, in name
 order.
 `run.json` is hashed without its "out" line, since it records the output
@@ -19,9 +22,10 @@ Each case also has an expected outcome: exit 0, or, where the CLI must
 refuse the input, exit 1 with an error.json naming the error class:
 ParseError for reduction of the Cartesian billiard, which has no cyclic
 coordinate, and for `verify` of a model without a scenario;
-InvalidStart where the guard overflows at the start (`full`,
+InvalidStart where the guard overflows at the start (polar `full`,
 `resequenced`), and IntegrationFailure where the arc's solver does
-(`reduced`). The script exits 1, after printing the whole manifest,
+(polar `reduced`, and Cartesian `full`, whose initial-step norms
+overflow in numpy). The script exits 1, after printing the whole manifest,
 when any case misses its outcome, and names those cases on stderr.
 
 The package is the one the interpreter imports: the installed one, or
@@ -57,11 +61,14 @@ def cases():
             yield (f"{model}-{mode}", ["--model", model, "--mode", mode],
                    None, "ParseError" if mode == "verify" else None)
     # finite starts whose arithmetic overflows, each from a --config file
-    for mode, v, error in (("full", [1e300, 1.0], "InvalidStart"),
-                           ("reduced", [0.1, 1e300], "IntegrationFailure"),
-                           ("resequenced", [1e300, 1.0], "InvalidStart")):
-        yield (f"billiard-polar-{mode}-overflow", [],
-               {"model": "billiard-polar", "mode": mode,
+    for model, mode, v, error in (
+            ("billiard-polar", "full", [1e300, 1.0], "InvalidStart"),
+            ("billiard-polar", "reduced", [0.1, 1e300], "IntegrationFailure"),
+            ("billiard-polar", "resequenced", [1e300, 1.0], "InvalidStart"),
+            ("billiard-cartesian", "full", [0.0, 1e154],
+             "IntegrationFailure")):
+        yield (f"{model}-{mode}-overflow", [],
+               {"model": model, "mode": mode,
                 "initial_q": [0.5, 0.0], "initial_v": v}, error)
 
 
@@ -102,7 +109,8 @@ def main():
                     json.dump(doc, fh)
                 args = ["--config", config]
             code = subprocess.run(
-                [sys.executable, "-m", "hybridlag.cli", "run", *args,
+                [sys.executable, "-W", "error::RuntimeWarning", "-m",
+                 "hybridlag.cli", "run", *args,
                  "--horizon", HORIZON, "--out", name],
                 cwd=tmp, env=env, stdout=subprocess.DEVNULL,
                 stderr=subprocess.DEVNULL).returncode

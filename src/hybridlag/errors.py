@@ -20,7 +20,8 @@ class NoConvergence(HybridLagError):
 
 class InvalidStart(HybridLagError):
     """A run cannot start where it was asked to: t_end is not finite or
-    precedes the start time, the start's q or v does not have the
+    precedes the start time, the start time or t_end is an int beyond
+    the float range, the start's q or v does not have the
     system's shape (n,) (`LagrangianSystem.pack`), the start state fails
     the arc-start rule (`hybrid._check_arc_start`: not finite, outside
     the guard, on it and not leaving, or a guard whose arithmetic leaves

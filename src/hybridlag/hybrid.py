@@ -29,15 +29,17 @@ before it (the previous step's end, or the arc start), then comes the
 step's midpoint, read with one scalar call of the step's dense output,
 and last the step loop's own end state. g and then d are called at each
 new sample, in time order. One rule on each two consecutive records
-brackets the crossings, including those between two samples (`_scan`),
-which are refined in time to REFINE_XTOL with Brent's method on the
-interpolant (`brentq`, scipy's C routine run operation for operation). A
+brackets the crossings, including those between two samples (`_scan`).
+Each crossing is refined on the interpolant by Newton steps on the
+guard rate, from the root of the cubic Hermite interpolant of the
+bracket's (g, d), and closed by Brent's method (`brentq`, scipy's C
+routine run operation for operation) to REFINE_XTOL (`_crossing`). A
 crossing counts as an impact only where its rate does not leave
 (`_leaving`: a rate within GUARD_TOL of zero does not), and never at the
 arc's start; leaving crossings are skipped and integration continues. No
-point of an arc is evaluated twice: each scan sample once, Brent's
-bracket ends from the scan samples or the refinement before it, and the
-impact's record from the evaluations that located it.
+point of an arc is evaluated twice: each scan sample once, the bracket
+ends of Newton and Brent from the scan samples or the refinement before
+it, and the impact's record from the evaluations that located it.
 An arc keeps its dense output as one table of its steps' flat
 coefficient blocks, which the step loop hands over, and evaluates its times in one
 gathered numpy pass with the step interpolants' bits, a scalar time as
@@ -107,9 +109,12 @@ class Guard:
     surface: signed g(t, q, v); the admissible region is g < 0 and
         impacts occur on upward crossings of g = 0.
     direction: the rate d = dg/dt of the surface along the flow; the
-        scan reads the extrema of g off its sign changes. A crossing is
+        scan reads the extrema of g off its sign changes, and its
+        crossings are refined by Newton steps on it. A crossing is
         an impact iff d >= -GUARD_TOL there (`_leaving`: a grazing rate,
-        within GUARD_TOL of zero, counts as an impact).
+        within GUARD_TOL of zero, counts as an impact). Any other rate
+        of the same sign costs refinement evaluations, not accuracy
+        (`_crossing`).
 
     The scan calls surface and then direction at each of its samples,
     in time order.
@@ -737,10 +742,15 @@ def _execute(mode, t0, y0, t_end, run_arc=None):
     t_end with no impact is a step collapse, which ends the run. An
     `ArithmeticError` out of the runner (a field or a step size that
     leaves the float range), numpy's overflow included, raises
-    IntegrationFailure. The loop alone applies the dwell and termination
+    IntegrationFailure. A start time t0 beyond the float range (an int)
+    raises InvalidStart. The loop alone applies the dwell and termination
     rules, the residual check, the reset and the `Event` record.
     """
-    t = float(t0)
+    try:
+        t = float(t0)
+    except OverflowError as exc:
+        raise InvalidStart(f"start time t={t0!r} lies beyond the float "
+                           f"range") from exc
     y = np.asarray(y0, float).copy()
     n = y.size // 2
     arcs: List[Arc] = []
@@ -859,19 +869,20 @@ def _scan(dense, n, gfun, dfun, start, samples):
       the crossing precedes it;
     * otherwise, g(a) <= 0 < g(b) brackets the crossing.
 
-    Extrema are located with Brent on d, crossings with Brent on g. A
-    crossing is an impact where its rate is not leaving (`_leaving`),
-    except at the start itself; otherwise the scan goes on. A strike
+    Extrema are located with Brent on d, crossings by Newton steps on
+    g and d closed by Brent on g (`_crossing`). A crossing is an impact
+    where its rate is not leaving (`_leaving`), except at the start
+    itself; otherwise the scan goes on. A strike
     between two samples is missed only where g has two maxima between
     them.
 
     No point is evaluated twice: the first bracket seeds a memo, time ->
     [y, g, d], with the samples, and each refinement evaluates the state,
-    g or d at a new time once, into the memo. So every Brent call gets
-    its end values from the samples or from the refinement before it,
-    and the impact's record comes from the evaluations that located it
-    (Brent's roots are points it evaluated). A step with no bracket
-    builds nothing.
+    g or d at a new time once, into the memo. So every Newton and Brent
+    call gets its end values from the samples or from the refinement
+    before it, and the impact's record comes from the evaluations that
+    located it (Brent's roots are points it evaluated or was given). A
+    step with no bracket builds nothing.
     """
     points = None
     for (a, _, ga, da), (b, _, gb, db) in zip(samples, samples[1:]):
@@ -903,17 +914,17 @@ def _scan(dense, n, gfun, dfun, start, samples):
                 return value(t, 2, dfun)
 
         if extremum is None:
-            tau = _refine(g, a, b, ga, gb)
+            tau = _crossing(g, d, a, b, ga, gb, da, db)
         else:
             t_ext = _refine(d, a, b, da, db)
-            g_ext = g(t_ext)
+            g_ext, d_ext = g(t_ext), d(t_ext)
             if extremum == "minimum":
-                tau = (_refine(g, t_ext, b, g_ext, gb) if g_ext < 0.0
-                       else t_ext)
+                tau = (_crossing(g, d, t_ext, b, g_ext, gb, d_ext, db)
+                       if g_ext < 0.0 else t_ext)
             elif g_ext <= 0.0:
                 continue
             else:
-                tau = _refine(g, a, t_ext, ga, g_ext)
+                tau = _crossing(g, d, a, t_ext, ga, g_ext, da, d_ext)
         if tau == start:
             continue
         d_tau = d(tau)
@@ -928,6 +939,75 @@ def _leaving(d):
     rate within GUARD_TOL of zero does not. The one admissibility test of
     a rate, at arc starts (`_check_arc_start`) and crossings (`_scan`)."""
     return d < -GUARD_TOL
+
+
+def _crossing(g, d, a, b, ga, gb, da, db):
+    """The crossing of g in [a, b], given g(a) <= 0 < g(b) and the rates
+    d(a) and d(b) there: Newton steps on the rate, closed by Brent.
+
+    The first iterate is the root of the cubic Hermite interpolant of
+    (g, d) at the two ends (`_hermite_root`). Each iterate x evaluates
+    g(x), which narrows the bracket, and d(x), and steps to
+    x - g(x)/d(x). The steps stop where g(x) = 0, where d(x) is zero or
+    not finite, or where a step would leave the bracket or not halve the
+    step before it; so a rate that is not dg/dt (a constant, a scaled
+    one) costs evaluations, not accuracy. A step under
+    delta = (REFINE_XTOL + BRENT_RTOL |x|) / 2 puts the root within
+    delta of x, and one probe of g delta past the step's end closes the
+    bracket on that side. Brent then gets the bracket and both end
+    values (`_refine`): under 2 delta wide, or with g = 0 at an end, it
+    returns an end without evaluating g; otherwise it goes on from
+    there. So the crossing is a Brent root, to Brent's tolerance."""
+    lo, hi, glo, ghi = a, b, ga, gb
+    x, last = _hermite_root(a, b, ga, gb, da, db), math.inf
+    probe = False
+    while glo < 0.0 and lo < x < hi:
+        gx = g(x)
+        if gx <= 0.0:
+            lo, glo = x, gx
+        else:
+            hi, ghi = x, gx
+        if probe:
+            break
+        dx = d(x)
+        if gx == 0.0 or dx == 0.0 or not math.isfinite(dx):
+            break
+        step = -gx / dx
+        delta = (REFINE_XTOL + BRENT_RTOL * abs(x)) / 2
+        if abs(step) < delta:
+            x, probe = x + step + math.copysign(delta, step), True
+        elif 2 * abs(step) <= last:
+            x, last = x + step, abs(step)
+        else:
+            break
+    return _refine(g, lo, hi, glo, ghi)
+
+
+def _hermite_root(a, b, ga, gb, da, db):
+    """A root in [a, b] of the cubic Hermite interpolant p of g with
+    p(a) = ga <= 0 < p(b) = gb and p' = da at a and db at b, from no
+    evaluation of g. In the unit time s, the first iterate is the root of
+    the quadratic through ga and gb with slope da at a (exact where g is
+    a parabola, as next to an extremum), or the secant root; then two
+    Newton steps on p, each kept inside the bracket of p by bisection."""
+    h, rise = b - a, gb - ga
+    c1 = h * da
+    c2 = 3 * rise - h * (2 * da + db)
+    c3 = h * (da + db) - 2 * rise
+    den = c1 + math.sqrt(max(0.0, c1 * c1 - 4 * (rise - c1) * ga))
+    lo, hi, s = 0, 1, -2 * ga / den if den > 0 else -ga / rise
+    for _ in range(2):
+        p = ((c3 * s + c2) * s + c1) * s + ga
+        if p <= 0:
+            lo = s
+        else:
+            hi = s
+        slope = (3 * c3 * s + 2 * c2) * s + c1
+        if slope:
+            s -= p / slope
+        if not lo <= s <= hi:
+            s = (lo + hi) / 2
+    return a + s * h
 
 
 def _refine(f, a, b, fa, fb):
@@ -1125,7 +1205,8 @@ def _check_arc_start(gfun, dfun, t, q, v, t_end, error):
     """The guard's (g, d) at the arc start (t, q, v); raises `error`
     unless an arc may start there and run forward to t_end.
 
-    The start and t_end must be finite, t_end not before t, and, with
+    The start and t_end must be finite floats (an int beyond the float
+    range raises `error` too), t_end not before t, and, with
     b = GUARD_TOL max(1, |d|), g <= b and one of: g < -b (strictly
     inside), d leaving (`_leaving`), or a free step of 1e-7 max(1, |t|)
     lowers g by more than 1e-14. So within b of the guard with a rate
@@ -1133,10 +1214,16 @@ def _check_arc_start(gfun, dfun, t, q, v, t_end, error):
     inward, and rejects one heading out or tangent to a static wall. A
     guard whose arithmetic leaves the float range there (an
     `ArithmeticError`) rejects the start too."""
-    if not (math.isfinite(t) and _finite(q) and _finite(v)):
+    try:
+        start_finite = math.isfinite(t) and _finite(q) and _finite(v)
+        end_finite = math.isfinite(t_end)
+    except OverflowError as exc:
+        raise error(f"t={t!r} or t_end={t_end!r} lies beyond the float "
+                    f"range") from exc
+    if not start_finite:
         raise error(f"arc start is not finite (t={t!r}, q={q.tolist()}, "
                     f"v={v.tolist()})")
-    if not math.isfinite(t_end):
+    if not end_finite:
         raise error(f"t_end={t_end!r} is not finite; runs end at a finite "
                     f"horizon")
     if not t_end >= t:

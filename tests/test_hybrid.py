@@ -628,6 +628,115 @@ def test_crossing_rate_within_guard_tol_of_zero_is_an_impact(scale, impacts):
     assert [e.tau for e in flow.events] == pytest.approx([1.0] * impacts)
 
 
+def test_crossings_close_by_newton_before_brent(monkeypatch):
+    # on paper-c025, the Newton steps on the guard rate put each crossing
+    # within Brent's tolerance of a two-sided bracket in three evaluations
+    # on average (Hermite root, one Newton step, the closing probe) and
+    # four at most (one Hermite root here lies 3.4e-6 from the crossing,
+    # and one Newton step leaves 1.4e-11, still beyond delta): at every
+    # crossing's Brent call the bracket is under
+    # REFINE_XTOL + BRENT_RTOL max(|a|, |b|), twice Brent's delta, or g
+    # is exactly 0 at its lower end (a Newton iterate on the root), and
+    # Brent returns an end without evaluating g
+    from hybridlag import hybrid
+
+    newton, brent, where = [], [], []
+
+    class Counted(hybrid.RK45):
+        def dense_output(self):
+            dense = super().dense_output()
+
+            def counted(t):
+                if where == ["crossing"]:
+                    newton[-1] += 1
+                return dense(t)
+            return counted
+
+    crossing, brentq = hybrid._crossing, hybrid.brentq
+
+    def marked_crossing(*args):
+        newton.append(0)
+        where.append("crossing")
+        try:
+            return crossing(*args)
+        finally:
+            where.pop()
+
+    def counted_brentq(f, a, b, *args, **kwargs):
+        evals = [0]
+
+        def counted(x):
+            evals[0] += 1
+            return f(x)
+        where.append("brent")
+        try:
+            return brentq(counted, a, b, *args, **kwargs)
+        finally:
+            where.pop()
+            if where == ["crossing"]:
+                brent.append((a, b, kwargs["fa"], evals[0]))
+
+    monkeypatch.setattr(hybrid, "RK45", Counted)
+    monkeypatch.setattr(hybrid, "_crossing", marked_crossing)
+    monkeypatch.setattr(hybrid, "brentq", counted_brentq)
+    hs, s0 = _paper_c025("cartesian")
+    flow = hl.simulate(hs, s0, 3.0)
+    assert len(flow.events) == 5 and len(brent) == len(newton) >= 5
+    for a, b, fa, evals in brent:
+        assert fa == 0.0 or 0 < b - a < (
+            hybrid.REFINE_XTOL + hybrid.BRENT_RTOL * max(abs(a), abs(b)))
+        assert evals == 0
+    assert max(newton) <= 4 and sum(newton) <= 3 * len(newton)
+
+
+@pytest.mark.parametrize("scale", [10.0, 0.1])
+def test_a_scaled_rate_costs_evaluations_not_accuracy(monkeypatch, scale):
+    # paper-c025's guard with its rate scaled by 10 or 0.1: the same sign,
+    # so the same extrema and the same impacts (its values stay clear of
+    # GUARD_TOL here), but Newton's steps are 10 times too short or too
+    # long. They stop early, and Brent closes the bracket in their place,
+    # at most three times the true rate's guard evaluations in all. Each
+    # crossing lands within 2 REFINE_XTOL of the crossing the true rate
+    # gives on the same bracket (each within Brent's tolerance of the
+    # root). Whole runs are compared on their first impact only: later
+    # ones start from post-impact states that differ in the last bits,
+    # and their differences add up from impact to impact
+    from hybridlag import hybrid
+
+    hs, s0 = _paper_c025("cartesian")
+    surface, rate, calls = hs.guard.surface, hs.guard.direction, []
+
+    def counted(t, q, v):
+        calls.append(t)
+        return surface(t, q, v)
+
+    hs = dataclasses.replace(hs, guard=hl.Guard(surface=counted,
+                                                direction=rate))
+    true_rate = hl.simulate(hs, s0, 10.0)
+    scaled = dataclasses.replace(hs, guard=dataclasses.replace(
+        hs.guard, direction=lambda t, q, v: scale * rate(t, q, v)))
+    true_calls = len(calls)
+    hl.simulate(scaled, s0, 10.0)
+    assert true_calls < len(calls) - true_calls <= 3 * true_calls
+    crossing, pairs = hybrid._crossing, []
+
+    def both(g, d, a, b, ga, gb, da, db):
+        tau = crossing(g, d, a, b, ga, gb, da, db)
+        pairs.append((tau, crossing(g, lambda t: d(t) / scale, a, b, ga,
+                                    gb, da / scale, db / scale)))
+        return tau
+
+    monkeypatch.setattr(hybrid, "_crossing", both)
+    flow = hl.simulate(scaled, s0, 10.0)
+    assert flow.termination == true_rate.termination == "zeno_suspected"
+    assert len(flow.events) == len(true_rate.events) == 41
+    assert len(pairs) >= len(flow.events)
+    for tau, tau_true in pairs:
+        assert abs(tau - tau_true) <= 2 * hybrid.REFINE_XTOL
+    assert abs(flow.events[0].tau - true_rate.events[0].tau) <= (
+        2 * hybrid.REFINE_XTOL)
+
+
 @pytest.mark.parametrize("chart", ["cartesian", "polar"])
 def test_maximum_below_the_wall_is_no_impact(monkeypatch, chart):
     # a particle at rest at r^2 = 0.6 inside the breathing wall
@@ -808,6 +917,36 @@ def test_arithmetic_beyond_the_float_range_is_a_typed_error(name,
             pytest.raises(error, match="left the float range") as raised:
         run(params_c025)
     assert isinstance(raised.value.__cause__, ArithmeticError)
+
+
+# each pipeline's run from paper-c025's start (Cartesian or polar) at the
+# start time t0 to the horizon t_end
+_PIPELINES = {
+    "simulate": lambda p, t0, t_end: hl.simulate(
+        hl.cartesian_hybrid(p), _at(_paper_c025("cartesian")[1], t0), t_end),
+    "reference_flow": lambda p, t0, t_end: hl.reference_flow(
+        p, _at(_paper_c025("cartesian")[1], t0), t_end),
+    "simulate_resequenced": lambda p, t0, t_end: hl.simulate_resequenced(
+        hl.polar_cyclic(p), _at(_paper_c025("polar")[1], t0), t_end),
+}
+
+
+def _at(s0, t):
+    """The state s0 at the time t."""
+    return hl.State(t, s0.q, s0.v)
+
+
+@pytest.mark.parametrize("t0, t_end", [(0.0, 10**400), (10**400, 1.0)],
+                         ids=["horizon", "start"])
+@pytest.mark.parametrize("name", list(_PIPELINES))
+def test_time_beyond_the_float_range_is_invalid_start(name, t0, t_end,
+                                                      params_c025):
+    # an int start time or horizon that no float holds used to escape as
+    # OverflowError: int too large to convert to float
+    with pytest.raises(hl.InvalidStart,
+                       match="beyond the float range") as raised:
+        _PIPELINES[name](params_c025, t0, t_end)
+    assert isinstance(raised.value.__cause__, OverflowError)
 
 
 def test_arc_runner_gets_the_start_check_record(monkeypatch):
@@ -1004,19 +1143,21 @@ def test_scan_evaluates_dense_output_once_per_step(monkeypatch):
     # the scan makes one scalar call of the dense output per accepted
     # step, at its midpoint np.linspace(t_old, t, 3)[1], and calls the
     # guard surface and then its rate at each new sample, in time order:
-    # the midpoint and the step's end, whose state is the step loop's. Every other dense
-    # evaluation is a Brent iterate: the bracket ends come from the scan
-    # and the pre-impact state from the refinement. Outside the scan rule,
-    # the only other guard calls are the arc-start checks, whose surface
-    # and rate are the first sample of the arc's first step, as each
-    # step's end is the next step's first; the rule calls the surface once
-    # per Brent iterate, and the impact's residual is the refinement's.
-    # The oracle's convex search is not called
+    # the midpoint and the step's end, whose state is the step loop's.
+    # Every other dense evaluation is made inside a crossing's
+    # refinement, at a Newton iterate or a Brent iterate: the bracket ends
+    # come from the scan and the pre-impact state from the refinement.
+    # Outside the scan rule, the only other guard calls are the arc-start
+    # checks, whose surface and rate are the first sample of the arc's
+    # first step, as each step's end is the next step's first; the rule
+    # calls the surface once per Newton or Brent iterate, and the impact's
+    # residual is the refinement's. The oracle's convex search is not
+    # called
     from hybridlag import billiard, hybrid
 
     counts = dict(steps=0, dense=0, brent_evals=0, refines=0)
     spans = []
-    surface = {}
+    surface, dense = {}, {}
     loop_calls = []
     where = ["loop"]
 
@@ -1029,6 +1170,7 @@ def test_scan_evaluates_dense_output_once_per_step(monkeypatch):
 
         def __call__(self, t):
             counts["dense"] += 1
+            dense[where[-1]] = dense.get(where[-1], 0) + 1
             return self._inner(t)
 
     class CountedRK45(hybrid.RK45):
@@ -1081,12 +1223,20 @@ def test_scan_evaluates_dense_output_once_per_step(monkeypatch):
     monkeypatch.setattr(hybrid, "RK45", CountedRK45)
     monkeypatch.setattr(hybrid, "brentq", counted_brentq)
     monkeypatch.setattr(hybrid, "_scan", inside("_scan", hybrid._scan))
+    monkeypatch.setattr(hybrid, "_crossing",
+                        inside("newton", hybrid._crossing))
     monkeypatch.setattr(billiard, "_next_crossing", never_called)
     hs = dataclasses.replace(hs, guard=dataclasses.replace(
         hs.guard, surface=counted_surface, direction=counted_direction))
     flow = hl.simulate(hs, sc.initial_polar, 2.0)
     assert flow.events and counts["refines"] >= len(flow.events)
-    assert counts["dense"] == counts["steps"] + counts["brent_evals"]
+    newton_evals = surface.get("newton", 0)
+    assert newton_evals >= len(flow.events)
+    assert counts["dense"] == (counts["steps"] + counts["brent_evals"]
+                               + newton_evals)
+    assert dense == {key: value for key, value in (
+        ("loop", counts["steps"]), ("newton", newton_evals),
+        ("brent", counts["brent_evals"])) if value}
     # surface and rate at each new scan sample of a step, and at each
     # arc's start check
     samples = 2 * counts["steps"] + len(flow.arcs)
@@ -1099,7 +1249,8 @@ def test_scan_evaluates_dense_output_once_per_step(monkeypatch):
                           | {b for _, b in spans}
                           | {arc.t_start for arc in flow.arcs})
     assert surface.pop("loop") == samples
-    assert surface.pop("brent") == counts["brent_evals"]
+    assert surface.pop("newton") == newton_evals
+    assert surface.pop("brent", 0) == counts["brent_evals"]
     assert surface == {}
 
 

@@ -40,8 +40,8 @@ from typing import Callable, List
 import numpy as np
 
 from .errors import ChartSingularity, InvalidReset, WeightOverflow
-from .hybrid import (Arc, Guard, HybridFlow, HybridSystem, ResetMap, _execute,
-                     _mode, brentq)
+from .hybrid import (REFINE_XTOL, Arc, Guard, HybridFlow, HybridSystem,
+                     ResetMap, _execute, _mode, brentq)
 from .lagrangian import LagrangianSystem, State
 from .reduction import CyclicStructure
 
@@ -192,11 +192,17 @@ def guard_polar(p: BilliardParams) -> Guard:
 
 def _open_wall(f, t):
     """f(t), the squared wall radius a reset divides by; InvalidReset
-    where the wall has closed (f(t) <= 0), as at the paper wall's t*."""
-    ft = f(t)
-    if not ft > 0.0:
+    where the wall has closed (f(t) <= 0), as at the paper wall's t*, or
+    closes within REFINE_XTOL after t. An impact time is located only to
+    REFINE_XTOL, so an impact at a closing wall may land on either side
+    of the closing time, and just before it f(t) is a few rounding units:
+    there the reflection, which divides by f, would throw the state off
+    the wall (at the paper wall's t*, one ulp early, a speed of 1e7
+    heading out), and the next arc start would reject it."""
+    ft, late = f(t), f(t + REFINE_XTOL)
+    if not (ft > 0.0 and late > 0.0):
         raise InvalidReset(f"no reset on a closed wall: f(t) = {ft!r} at "
-                           f"t={t!r}")
+                           f"t={t!r} and {late!r} at t + {REFINE_XTOL!r}")
     return ft
 
 

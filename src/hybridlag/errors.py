@@ -44,8 +44,9 @@ class IntegrationFailure(HybridLagError):
     leaves the float range (an `ArithmeticError`, such as an overflowing
     field, a division by a zero initial step size or numpy's overflow,
     which the runner meets as a `FloatingPointError`; it is chained from
-    the original), or a located impact misses the guard by more than its
-    tolerance."""
+    the original), the guard or its rate is NaN where the executor reads
+    it (an arc start's rate, a scan sample, a refinement point), or a
+    located impact misses the guard by more than its tolerance."""
 
 
 class NotInvariant(HybridLagError):

@@ -11,12 +11,13 @@ fixed step control RTOL = ATOL with the adaptive Dormand-Prince 8(5,3)
 pair DOP853, whose 7th-order dense output costs 3 extra right-hand-side
 calls per accepted step (Hairer, Norsett & Wanner, Solving ODEs I,
 II.5-II.6). The step loop is the module's own (`RK45`): it reads its
-tableau from `_dop853`, a copy of scipy's table, and repeats the
-arithmetic of scipy's `DOP853` operation for operation, so it reproduces
-scipy's steps and dense output bit for bit, but it calls the right-hand
-side directly, on a list of Python floats, and gets a list of Python
-floats back. A step attempt and a dense output are one call each of a
-kernel generated for the state size (`_kernels`). A model with a
+tableau from `_dop853`, a copy of scipy's table, and keeps the rule of
+scipy's `DOP853`, but takes every tableau sum on Python floats in one
+fixed order, so its bits depend on no BLAS kernel and stay within a
+measured bound of scipy's. It calls the right-hand side directly, on a
+list of Python floats, and gets a list of Python floats back. A step
+attempt and a dense output are one call each of a kernel generated for
+the state size (`_kernels`). A model with a
 closed-form field hands it to the loop as its right-hand side, so each
 stage is one Python call into the model's arithmetic
 (`LagrangianSystem.rhs`).
@@ -31,15 +32,16 @@ and last the step loop's own end state. g and then d are called at each
 new sample, in time order. One rule on each two consecutive records
 brackets the crossings, including those between two samples (`_scan`).
 Each crossing is refined on the interpolant by Newton steps on the
-guard rate, from the root of the cubic Hermite interpolant of the
-bracket's (g, d), and closed by Brent's method (`brentq`, scipy's C
-routine run operation for operation) to REFINE_XTOL (`_crossing`). A
-crossing counts as an impact only where its rate does not leave
-(`_leaving`: a rate within GUARD_TOL of zero does not), and never at the
-arc's start; leaving crossings are skipped and integration continues. No
-point of an arc is evaluated twice: each scan sample once, the bracket
-ends of Newton and Brent from the scan samples or the refinement before
-it, and the impact's record from the evaluations that located it.
+guard rate, from the root of the quintic Hermite interpolant of the
+(g, d) of the step's three samples, and closed by Brent's method
+(`brentq`, scipy's C routine run operation for operation) to REFINE_XTOL
+(`_crossing`). A crossing counts as an impact only where its rate does
+not leave (`_leaving`: a rate within GUARD_TOL of zero does not), and
+never at the arc's start; leaving crossings are skipped and integration
+continues. No point of an arc is evaluated twice: each scan sample
+once, the bracket ends of Newton and Brent from the scan samples or the
+refinement before it, and the impact's record from the evaluations that
+located it.
 An arc keeps its dense output as one table of its steps' flat
 coefficient blocks, which the step loop hands over, and evaluates its times in one
 gathered numpy pass with the step interpolants' bits, a scalar time as
@@ -68,7 +70,6 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, List, Tuple
@@ -236,171 +237,169 @@ _EXTRA_STAGES = [(s, a[:s], float(c)) for s, (a, c) in enumerate(
     zip(_A_EXTRA, _C_EXTRA), start=_N_STAGES + 1)]
 
 
-# the step loop's kernels: the elementwise passes of a DOP853 step and of
-# its dense output, with the expressions, operand order included, of the
-# loops they unroll, between the stage matrix's tableau sums. `<<p>>`
-# stands for p written once per component i, with `#` replaced by i;
-# trailing blanks are cut (see `_kernels`)
-_KERNEL_TEMPLATE = """\
-def horner(c, x):
-    (<<f0_#, >>
-     <<f1_#, >>
-     <<f2_#, >>
-     <<f3_#, >>
-     <<f4_#, >>
-     <<f5_#, >>
-     <<f6_#, >>
-     <<y#, >>) = c
-    xm = 1 - x
-    return [<<
-        (((((((0.0 + f6_#) * x + f5_#) * xm + f4_#) * x + f3_#)
-           * xm + f2_#) * x + f1_#) * xm + f0_#) * x + y#,>>
-    ]
-
-def bind(K, out, err, dk, row0, stage_sums, solution_sum, row12, error_sum,
-         extra_sums):
-    err_items, err_dot = memoryview(err), err.dot
-    root = len(err) ** 0.5
-
-    def attempt(fun, t, y, f, h):
-        <<row0[#], >> = f
-        <<y#, >> = y
-        for dot, A, c, row in stage_sums:
-            dot(A, out)
-            <<w#, >> = out.tolist()
-            <<row[#], >> = fun(t + c * h, [<<y# + w# * h, >>])
-        solution_sum(B, out)
-        <<w#, >> = out.tolist()
-        y_new = [<<y# + h * w#, >>]
-        f_new = fun(t + h, y_new)
-        <<row12[#], >> = f_new
-        <<a#, >> = map(abs, y)
-        <<b#, >> = map(abs, y_new)<<
-        s# = ATOL + (a# if a# > b# else b#) * RTOL>>
-        error_sum(E5, out)
-        <<w#, >> = out.tolist()
-        <<err_items[#], >> = <<w# / s#, >>
-        err5_norm_2 = sqrt(err_dot(err)) ** 2
-        error_sum(E3, out)
-        <<w#, >> = out.tolist()
-        <<err_items[#], >> = <<w# / s#, >>
-        err3_norm_2 = sqrt(err_dot(err)) ** 2
-        return y_new, f_new, err5_norm_2, err3_norm_2
-
-    def dense(fun, t, y_old, h, y, f_old, f):
-        <<o#, >> = y_old
-        for dot, A, c, row in extra_sums:
-            dot(A, out)
-            <<w#, >> = out.tolist()
-            <<row[#], >> = fun(t + c * h, [<<o# + w# * h, >>])
-        D_dot(K, dk)
-        ((<<e0_#, >>),
-         (<<e1_#, >>),
-         (<<e2_#, >>),
-         (<<e3_#, >>)) = dk.tolist()
-        <<y#, >> = y
-        <<p#, >> = f_old
-        <<f#, >> = f
-        <<d#, >> = <<y# - o#, >>
-        return [<<
-            d#,>><<
-            h * p# - d#,>><<
-            2 * d# - h * (f# + p#),>><<
-            h * e0_#,>><<
-            h * e1_#,>><<
-            h * e2_#,>><<
-            h * e3_#,>><<
-            o#,>>
-        ]
-
-    def scaled_norms(y, f):
-        <<y#, >> = y
-        <<f#, >> = f<<
-        s# = ATOL + abs(y#) * RTOL>>
-        <<err_items[#], >> = <<y# / s#, >>
-        d0 = sqrt(err_dot(err)) / root
-        <<err_items[#], >> = <<f# / s#, >>
-        return d0, sqrt(err_dot(err)) / root
-
-    def slope_norm(fun, t0, y, f, h0):
-        <<y#, >> = y
-        <<f#, >> = f<<
-        s# = ATOL + abs(y#) * RTOL>>
-        <<g#, >> = fun(t0 + h0, [<<y# + h0 * f#, >>])
-        <<err_items[#], >> = <<(g# - f#) / s#, >>
-        return sqrt(err_dot(err)) / root
-
-    return attempt, dense, scaled_norms, slope_norm
-"""
-_Kernels = namedtuple("_Kernels", "horner bind")
-
-
 def _kernel_source(size):
-    """`_KERNEL_TEMPLATE` unrolled for states of `size` components."""
-    return re.sub(r"<<(.*?)>>", lambda m: "".join(
-        m.group(1).replace("#", str(i)) for i in range(size)).rstrip(),
-        _KERNEL_TEMPLATE, flags=re.S)
+    """The step loop's kernels for states of `size` components, as
+    Python source (see `_kernels`)."""
+    def each(pattern, sep=" "):
+        # pattern once per component, with `#` replaced by its index
+        return sep.join(pattern.replace("#", str(i)) for i in range(size))
+
+    def summed(target, terms):
+        # target = the terms' sum, left to right, two terms a line
+        lines = [" + ".join(terms[k:k + 2]) for k in range(0, len(terms), 2)]
+        if len(lines) == 1:
+            return [f"    {target} = {lines[0]}"]
+        pad = " " * (len(target) + 8)
+        return [f"    {target} = ({lines[0]}",
+                *(f"{pad}+ {line}" for line in lines[1:-1]),
+                f"{pad}+ {lines[-1]})"]
+
+    def tableau_sums(target, coefficients):
+        # target = the sum of k{j}_# * coefficients[j] over the columns
+        # j, exact zeros skipped
+        return [line for i in range(size) for line in summed(
+            target.replace("#", str(i)),
+            [f"k{j}_{i} * {a!r}" for j, a in enumerate(coefficients.tolist())
+             if a])]
+
+    def rms(target, quotients):
+        # the square root of the sum of the squared quotients, in
+        # component order, over sqrt(size)
+        return [*(f"    e{i} = {quotients.replace('#', str(i))}"
+                  for i in range(size)),
+                *summed("e", [f"e{i} * e{i}" for i in range(size)]),
+                f"    {target} = sqrt(e) / {size} ** 0.5"]
+
+    src = ["def horner(c, x):",
+           *(f"    {'(' if r == 0 else ' '}{each(f'f{r}_#,')}"
+             for r in range(7)),
+           f"     {each('y#,')}) = c",
+           "    xm = 1 - x",
+           "    return [",
+           *(f"""\
+        (((((((0.0 + f6_{i}) * x + f5_{i}) * xm + f4_{i}) * x + f3_{i})
+           * xm + f2_{i}) * x + f1_{i}) * xm + f0_{i}) * x + y{i},"""
+             for i in range(size)),
+           "    ]",
+           "",
+           "def attempt(fun, t, y, f, h):",
+           f"    {each('y#,')} = y",
+           f"    {each('k0_#,')} = f"]
+    for s, a, c in _STAGES:
+        src += tableau_sums("w#", a)
+        src += [f"    {each(f'k{s}_#,')} = k{s} = fun(t + {c!r} * h, [",
+                f"        {each('y# + w# * h,')}])"]
+    src += tableau_sums("w#", _B)
+    src += [f"    {each('u#,')} = y_new = [",
+            f"        {each('y# + h * w#,')}]",
+            "    f_new = fun(t + h, y_new)"]
+    for i in range(size):
+        src += [f"    a{i} = abs(y{i})", f"    b{i} = abs(u{i})",
+                f"    s{i} = ATOL + (a{i} if a{i} > b{i} else b{i}) * RTOL"]
+    for name, e in (("err5_norm_2", _E5), ("err3_norm_2", _E3)):
+        src += tableau_sums("w#", e)
+        src += [f"    e{i} = w{i} / s{i}" for i in range(size)]
+        src += summed(name, [f"e{i} * e{i}" for i in range(size)])
+    src += ["    return (y_new, f_new, err5_norm_2, err3_norm_2,",
+            f"            (f, {', '.join(f'k{s}' for s, _, _ in _STAGES)},"
+            " f_new))",
+            "",
+            "def dense(fun, t, y_old, h, y, K):",
+            f"    {each('o#,')} = y_old"]
+    read = {j for _, a, _ in _EXTRA_STAGES for j in np.flatnonzero(a)}
+    read |= {j for d in _D for j in np.flatnonzero(d)}
+    src += [f"    {each(f'k{j}_#,')} = K[{j}]" for j in sorted(read)
+            if j <= _N_STAGES]
+    for s, a, c in _EXTRA_STAGES:
+        src += tableau_sums("w#", a)
+        src += [f"    {each(f'k{s}_#,')} = fun(t + {c!r} * h, [",
+                f"        {each('o# + w# * h,')}])"]
+    for r, d in enumerate(_D):
+        src += tableau_sums(f"e{r}_#", d)
+    src += [f"    {each('y#,')} = y",
+            *(f"    d{i} = y{i} - o{i}" for i in range(size)),
+            "    return [",
+            *(f"        {each(p, chr(10) + 8 * ' ')}" for p in (
+                "d#,", "h * k0_# - d#,",
+                f"2 * d# - h * (k{_N_STAGES}_# + k0_#),",
+                *(f"h * e{r}_#," for r in range(len(_D))), "o#,")),
+            "    ]"]
+    head = [f"    {each('y#,')} = y", f"    {each('f#,')} = f",
+            *(f"    s{i} = ATOL + abs(y{i}) * RTOL" for i in range(size))]
+    src += ["",
+            "def scaled_norms(y, f):",
+            *head,
+            *rms("d0", "y# / s#"),
+            *rms("d1", "f# / s#"),
+            "    return d0, d1",
+            "",
+            "def slope_norm(fun, t0, y, f, h0):",
+            *head,
+            f"    {each('g#,')} = fun(t0 + h0, [",
+            f"        {each('y# + h0 * f#,')}])",
+            *rms("d2", "(g# - f#) / s#"),
+            "    return d2"]
+    return "\n".join(src) + "\n"
+
+
+_Kernels = namedtuple("_Kernels", "horner attempt dense scaled_norms "
+                                  "slope_norm")
 
 
 @functools.cache
 def _kernels(size):
     """The step loop's kernels for states of `size` Python floats, built
-    once per size, on the first stage matrix of that size, by exec of
+    once per size, on the first solver of that size, by exec of
     `_kernel_source(size)`, as `dataclasses` and `collections.namedtuple`
-    build their methods.
+    build their methods. They keep nothing between calls, so every
+    solver of a size shares them.
 
     - horner(c, x): the dense output at the scaled time x, where c is
       the step's flat coefficient block, the list of its 8 rows F0-F6
       and y_old one after the other: scipy's Dop853DenseOutput sum;
-    - bind(K, out, err, dk, row0, stage_sums, solution_sum, row12,
-      error_sum, extra_sums): the four kernels of one stage matrix K,
-      bound to its buffers and tableau sums (`_StageMatrix`); a stage's
-      sum comes with its row of A, its node c and its row of K:
+    - attempt(fun, t, y, f, h): one DOP853 attempt of step h from
+      (t, y), f = fun(t, y). Stage s = 1-11 is the call
+      fun(t + c_s h, y + w h), w the stage's sum over the rows before
+      it; then y_new = y + h w, w the sum with B, f_new = fun(t + h,
+      y_new), the error scale ATOL + max(|y|, |y_new|) RTOL, and the
+      error estimates, the sums with E5 and E3, each divided by the
+      scale for its squared norm. Returns y_new and f_new as lists, the
+      two squared norms, and the attempt's 13 stage rows as a tuple: f,
+      the lists the 11 stage calls returned, and f_new;
+    - dense(fun, t, y_old, h, y, K): the dense output of the step h from
+      (t, y_old) to y, K the attempt's 13 rows: the extra stages 13-15
+      from y_old, as above, then the four sums D K. Returns the step's
+      flat coefficient block, F0 = y - y_old, F1 = h K[0] - F0,
+      F2 = 2 F0 - h (K[12] + K[0]), F3-F6 = h (D K) and y_old, as one
+      list of 8 size floats;
+    - scaled_norms(y, f): the first two norms of the initial-step
+      choice (`RK45._initial_step`), under its error scale
+      ATOL + |y| RTOL: the RMS norms of y / scale and of f / scale;
+    - slope_norm(fun, t0, y, f, h0): the third, of the slope change:
+      the call f1 = fun(t0 + h0, y + h0 f), then the RMS norm of
+      (f1 - f) / scale. Its caller divides it by h0.
 
-      - attempt(fun, t, y, f, h): one DOP853 attempt of step h from
-        (t, y), f = fun(t, y). f goes into row 0; then the stage loop
-        runs stages 1-11 from y; then y_new = y + h K[:12]^T B, read
-        back as floats, f_new = fun(t + h, y_new) into row 12, the error scale
-        ATOL + max(|y|, |y_new|) RTOL, and the error estimates
-        K^T E5 / scale and K^T E3 / scale, each a BLAS sum into out whose
-        quotients are written into err for their BLAS norm. Returns
-        y_new and f_new as lists and the two squared norms;
-      - dense(fun, t, y_old, h, y, f_old, f): the dense output of the
-        step h from (t, y_old, f_old) to (y, f): the stage loop runs the
-        extra stages 13-15 from y_old, then D K in one BLAS product into
-        dk. Returns the step's flat coefficient block, F0 = y - y_old,
-        F1 = h f_old - F0, F2 = 2 F0 - h (f + f_old), F3-F6 = h (D K) and
-        y_old, as one list of 8 size floats;
-      - scaled_norms(y, f): the first two norms of the initial-step
-        choice (`RK45._initial_step`), under its error scale
-        ATOL + |y| RTOL: the RMS norms of y / scale and of f / scale,
-        each quotient written into err and each norm
-        sqrt(err . err) / sqrt(size), as scipy's norm computes it;
-      - slope_norm(fun, t0, y, f, h0): the third, of the slope change:
-        the call f1 = fun(t0 + h0, y + h0 f), then the RMS norm of
-        (f1 - f) / scale in the same way. Its caller divides it by h0.
-
-      The stage loop is the same four lines in attempt and dense: for
-      each stage s of its sums in turn, the BLAS sum K[:s]^T A_s into
-      out, read back as floats w, the call fun(t + c_s h, y + w h) and
-      its value written into row s. The stages run as this loop; only the
-      components are unrolled. The loop is written into each kernel,
-      not shared as a closure: the closure's extra call per attempt cost
-      the impact-dense Cartesian sweep about 1% of its run time (on a
-      2-CPU machine).
-
-    The kernels keep the IEEE operations, operand order and numpy
-    products of the array loops they unroll (the tests' references), so
-    their values are those loops' bit for bit (but for which of two NaN
-    operands comes out, which CPython's float arithmetic does not fix:
-    its specialized and generic instructions differ there). The error scale's
-    `a if a > b else b`, on a = |y_i| and b = |y_new_i|, keeps
-    np.maximum's rule that a NaN on either side is the maximum with no
-    clause for it: a NaN in y is a NaN in y_new = y + h w, and a
-    comparison with a NaN is false, so b comes out. The kernels'
-    Python-float arithmetic raises no warning where numpy's would warn of
-    an invalid value, and no division is by zero: each divisor is an
-    error scale, NaN or at least ATOL > 0. For size 2 the source is::
+    Every tableau sum is one Python-float expression over the stage
+    values k{j}_{i} (row j, component i), in one fixed order: the
+    table's columns left to right, exact zeros skipped, each coefficient
+    a literal (its repr, which gives its bits back). Each squared norm
+    is the sum of the squared quotients in component order, and each RMS
+    norm the square root of that sum over sqrt(size). So no kernel calls
+    numpy or BLAS, and their bits depend on no BLAS kernel: they are the
+    bits of the stage rule written as loops over the tableau (the tests'
+    reference), but for which of two NaN operands comes out, which
+    CPython's float arithmetic does not fix (its specialized and generic
+    instructions differ there). Every operation between the sums is
+    scipy's, whose sums are numpy products that add in the order BLAS
+    picks, so the kernels agree with scipy's arithmetic to the rounding
+    of the sums. The error scale's `a if a > b else b`, on a = |y_i| and
+    b = |y_new_i|, keeps np.maximum's rule that a NaN on either side is
+    the maximum with no clause for it: a NaN in y is a NaN in
+    y_new = y + h w, and a comparison with a NaN is false, so b comes
+    out. The kernels raise no warning where numpy's would warn of an
+    invalid value or an overflow, and no division is by zero: each
+    divisor is an error scale, NaN or at least ATOL > 0. For size 2 the
+    source is::
 
         def horner(c, x):
             (f0_0, f0_1,
@@ -419,132 +418,276 @@ def _kernels(size):
                    * xm + f2_1) * x + f1_1) * xm + f0_1) * x + y1,
             ]
 
-        def bind(K, out, err, dk, row0, stage_sums, solution_sum, row12, error_sum,
-                 extra_sums):
-            err_items, err_dot = memoryview(err), err.dot
-            root = len(err) ** 0.5
+        def attempt(fun, t, y, f, h):
+            y0, y1, = y
+            k0_0, k0_1, = f
+            w0 = k0_0 * 0.05260015195876773
+            w1 = k0_1 * 0.05260015195876773
+            k1_0, k1_1, = k1 = fun(t + 0.05260015195876773 * h, [
+                y0 + w0 * h, y1 + w1 * h,])
+            w0 = k0_0 * 0.0197250569845379 + k1_0 * 0.0591751709536137
+            w1 = k0_1 * 0.0197250569845379 + k1_1 * 0.0591751709536137
+            k2_0, k2_1, = k2 = fun(t + 0.0789002279381516 * h, [
+                y0 + w0 * h, y1 + w1 * h,])
+            w0 = k0_0 * 0.02958758547680685 + k2_0 * 0.08876275643042054
+            w1 = k0_1 * 0.02958758547680685 + k2_1 * 0.08876275643042054
+            k3_0, k3_1, = k3 = fun(t + 0.1183503419072274 * h, [
+                y0 + w0 * h, y1 + w1 * h,])
+            w0 = (k0_0 * 0.2413651341592667 + k2_0 * -0.8845494793282861
+                  + k3_0 * 0.924834003261792)
+            w1 = (k0_1 * 0.2413651341592667 + k2_1 * -0.8845494793282861
+                  + k3_1 * 0.924834003261792)
+            k4_0, k4_1, = k4 = fun(t + 0.2816496580927726 * h, [
+                y0 + w0 * h, y1 + w1 * h,])
+            w0 = (k0_0 * 0.037037037037037035 + k3_0 * 0.17082860872947386
+                  + k4_0 * 0.12546768756682242)
+            w1 = (k0_1 * 0.037037037037037035 + k3_1 * 0.17082860872947386
+                  + k4_1 * 0.12546768756682242)
+            k5_0, k5_1, = k5 = fun(t + 0.3333333333333333 * h, [
+                y0 + w0 * h, y1 + w1 * h,])
+            w0 = (k0_0 * 0.037109375 + k3_0 * 0.17025221101954405
+                  + k4_0 * 0.06021653898045596 + k5_0 * -0.017578125)
+            w1 = (k0_1 * 0.037109375 + k3_1 * 0.17025221101954405
+                  + k4_1 * 0.06021653898045596 + k5_1 * -0.017578125)
+            k6_0, k6_1, = k6 = fun(t + 0.25 * h, [
+                y0 + w0 * h, y1 + w1 * h,])
+            w0 = (k0_0 * 0.03709200011850479 + k3_0 * 0.17038392571223998
+                  + k4_0 * 0.10726203044637328 + k5_0 * -0.015319437748624402
+                  + k6_0 * 0.008273789163814023)
+            w1 = (k0_1 * 0.03709200011850479 + k3_1 * 0.17038392571223998
+                  + k4_1 * 0.10726203044637328 + k5_1 * -0.015319437748624402
+                  + k6_1 * 0.008273789163814023)
+            k7_0, k7_1, = k7 = fun(t + 0.3076923076923077 * h, [
+                y0 + w0 * h, y1 + w1 * h,])
+            w0 = (k0_0 * 0.6241109587160757 + k3_0 * -3.3608926294469414
+                  + k4_0 * -0.868219346841726 + k5_0 * 27.59209969944671
+                  + k6_0 * 20.154067550477894 + k7_0 * -43.48988418106996)
+            w1 = (k0_1 * 0.6241109587160757 + k3_1 * -3.3608926294469414
+                  + k4_1 * -0.868219346841726 + k5_1 * 27.59209969944671
+                  + k6_1 * 20.154067550477894 + k7_1 * -43.48988418106996)
+            k8_0, k8_1, = k8 = fun(t + 0.6512820512820513 * h, [
+                y0 + w0 * h, y1 + w1 * h,])
+            w0 = (k0_0 * 0.47766253643826434 + k3_0 * -2.4881146199716677
+                  + k4_0 * -0.590290826836843 + k5_0 * 21.230051448181193
+                  + k6_0 * 15.279233632882423 + k7_0 * -33.28821096898486
+                  + k8_0 * -0.020331201708508627)
+            w1 = (k0_1 * 0.47766253643826434 + k3_1 * -2.4881146199716677
+                  + k4_1 * -0.590290826836843 + k5_1 * 21.230051448181193
+                  + k6_1 * 15.279233632882423 + k7_1 * -33.28821096898486
+                  + k8_1 * -0.020331201708508627)
+            k9_0, k9_1, = k9 = fun(t + 0.6 * h, [
+                y0 + w0 * h, y1 + w1 * h,])
+            w0 = (k0_0 * -0.9371424300859873 + k3_0 * 5.186372428844064
+                  + k4_0 * 1.0914373489967295 + k5_0 * -8.149787010746927
+                  + k6_0 * -18.52006565999696 + k7_0 * 22.739487099350505
+                  + k8_0 * 2.4936055526796523 + k9_0 * -3.0467644718982196)
+            w1 = (k0_1 * -0.9371424300859873 + k3_1 * 5.186372428844064
+                  + k4_1 * 1.0914373489967295 + k5_1 * -8.149787010746927
+                  + k6_1 * -18.52006565999696 + k7_1 * 22.739487099350505
+                  + k8_1 * 2.4936055526796523 + k9_1 * -3.0467644718982196)
+            k10_0, k10_1, = k10 = fun(t + 0.8571428571428571 * h, [
+                y0 + w0 * h, y1 + w1 * h,])
+            w0 = (k0_0 * 2.273310147516538 + k3_0 * -10.53449546673725
+                  + k4_0 * -2.0008720582248625 + k5_0 * -17.9589318631188
+                  + k6_0 * 27.94888452941996 + k7_0 * -2.8589982771350235
+                  + k8_0 * -8.87285693353063 + k9_0 * 12.360567175794303
+                  + k10_0 * 0.6433927460157636)
+            w1 = (k0_1 * 2.273310147516538 + k3_1 * -10.53449546673725
+                  + k4_1 * -2.0008720582248625 + k5_1 * -17.9589318631188
+                  + k6_1 * 27.94888452941996 + k7_1 * -2.8589982771350235
+                  + k8_1 * -8.87285693353063 + k9_1 * 12.360567175794303
+                  + k10_1 * 0.6433927460157636)
+            k11_0, k11_1, = k11 = fun(t + 1.0 * h, [
+                y0 + w0 * h, y1 + w1 * h,])
+            w0 = (k0_0 * 0.054293734116568765 + k5_0 * 4.450312892752409
+                  + k6_0 * 1.8915178993145003 + k7_0 * -5.801203960010585
+                  + k8_0 * 0.3111643669578199 + k9_0 * -0.1521609496625161
+                  + k10_0 * 0.20136540080403034 + k11_0 * 0.04471061572777259)
+            w1 = (k0_1 * 0.054293734116568765 + k5_1 * 4.450312892752409
+                  + k6_1 * 1.8915178993145003 + k7_1 * -5.801203960010585
+                  + k8_1 * 0.3111643669578199 + k9_1 * -0.1521609496625161
+                  + k10_1 * 0.20136540080403034 + k11_1 * 0.04471061572777259)
+            u0, u1, = y_new = [
+                y0 + h * w0, y1 + h * w1,]
+            f_new = fun(t + h, y_new)
+            a0 = abs(y0)
+            b0 = abs(u0)
+            s0 = ATOL + (a0 if a0 > b0 else b0) * RTOL
+            a1 = abs(y1)
+            b1 = abs(u1)
+            s1 = ATOL + (a1 if a1 > b1 else b1) * RTOL
+            w0 = (k0_0 * 0.01312004499419488 + k5_0 * -1.2251564463762044
+                  + k6_0 * -0.4957589496572502 + k7_0 * 1.6643771824549864
+                  + k8_0 * -0.35032884874997366 + k9_0 * 0.3341791187130175
+                  + k10_0 * 0.08192320648511571 + k11_0 * -0.022355307863886294)
+            w1 = (k0_1 * 0.01312004499419488 + k5_1 * -1.2251564463762044
+                  + k6_1 * -0.4957589496572502 + k7_1 * 1.6643771824549864
+                  + k8_1 * -0.35032884874997366 + k9_1 * 0.3341791187130175
+                  + k10_1 * 0.08192320648511571 + k11_1 * -0.022355307863886294)
+            e0 = w0 / s0
+            e1 = w1 / s1
+            err5_norm_2 = e0 * e0 + e1 * e1
+            w0 = (k0_0 * -0.18980075407240762 + k5_0 * 4.450312892752409
+                  + k6_0 * 1.8915178993145003 + k7_0 * -5.801203960010585
+                  + k8_0 * -0.4226823213237919 + k9_0 * -0.1521609496625161
+                  + k10_0 * 0.20136540080403034 + k11_0 * 0.02265179219836082)
+            w1 = (k0_1 * -0.18980075407240762 + k5_1 * 4.450312892752409
+                  + k6_1 * 1.8915178993145003 + k7_1 * -5.801203960010585
+                  + k8_1 * -0.4226823213237919 + k9_1 * -0.1521609496625161
+                  + k10_1 * 0.20136540080403034 + k11_1 * 0.02265179219836082)
+            e0 = w0 / s0
+            e1 = w1 / s1
+            err3_norm_2 = e0 * e0 + e1 * e1
+            return (y_new, f_new, err5_norm_2, err3_norm_2,
+                    (f, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, f_new))
 
-            def attempt(fun, t, y, f, h):
-                row0[0], row0[1], = f
-                y0, y1, = y
-                for dot, A, c, row in stage_sums:
-                    dot(A, out)
-                    w0, w1, = out.tolist()
-                    row[0], row[1], = fun(t + c * h, [y0 + w0 * h, y1 + w1 * h,])
-                solution_sum(B, out)
-                w0, w1, = out.tolist()
-                y_new = [y0 + h * w0, y1 + h * w1,]
-                f_new = fun(t + h, y_new)
-                row12[0], row12[1], = f_new
-                a0, a1, = map(abs, y)
-                b0, b1, = map(abs, y_new)
-                s0 = ATOL + (a0 if a0 > b0 else b0) * RTOL
-                s1 = ATOL + (a1 if a1 > b1 else b1) * RTOL
-                error_sum(E5, out)
-                w0, w1, = out.tolist()
-                err_items[0], err_items[1], = w0 / s0, w1 / s1,
-                err5_norm_2 = sqrt(err_dot(err)) ** 2
-                error_sum(E3, out)
-                w0, w1, = out.tolist()
-                err_items[0], err_items[1], = w0 / s0, w1 / s1,
-                err3_norm_2 = sqrt(err_dot(err)) ** 2
-                return y_new, f_new, err5_norm_2, err3_norm_2
+        def dense(fun, t, y_old, h, y, K):
+            o0, o1, = y_old
+            k0_0, k0_1, = K[0]
+            k5_0, k5_1, = K[5]
+            k6_0, k6_1, = K[6]
+            k7_0, k7_1, = K[7]
+            k8_0, k8_1, = K[8]
+            k9_0, k9_1, = K[9]
+            k10_0, k10_1, = K[10]
+            k11_0, k11_1, = K[11]
+            k12_0, k12_1, = K[12]
+            w0 = (k0_0 * 0.056167502283047954 + k6_0 * 0.25350021021662483
+                  + k7_0 * -0.2462390374708025 + k8_0 * -0.12419142326381637
+                  + k9_0 * 0.15329179827876568 + k10_0 * 0.00820105229563469
+                  + k11_0 * 0.007567897660545699 + k12_0 * -0.008298)
+            w1 = (k0_1 * 0.056167502283047954 + k6_1 * 0.25350021021662483
+                  + k7_1 * -0.2462390374708025 + k8_1 * -0.12419142326381637
+                  + k9_1 * 0.15329179827876568 + k10_1 * 0.00820105229563469
+                  + k11_1 * 0.007567897660545699 + k12_1 * -0.008298)
+            k13_0, k13_1, = fun(t + 0.1 * h, [
+                o0 + w0 * h, o1 + w1 * h,])
+            w0 = (k0_0 * 0.03183464816350214 + k5_0 * 0.028300909672366776
+                  + k6_0 * 0.053541988307438566 + k7_0 * -0.05492374857139099
+                  + k10_0 * -0.00010834732869724932 + k11_0 * 0.0003825710908356584
+                  + k12_0 * -0.00034046500868740456 + k13_0 * 0.1413124436746325)
+            w1 = (k0_1 * 0.03183464816350214 + k5_1 * 0.028300909672366776
+                  + k6_1 * 0.053541988307438566 + k7_1 * -0.05492374857139099
+                  + k10_1 * -0.00010834732869724932 + k11_1 * 0.0003825710908356584
+                  + k12_1 * -0.00034046500868740456 + k13_1 * 0.1413124436746325)
+            k14_0, k14_1, = fun(t + 0.2 * h, [
+                o0 + w0 * h, o1 + w1 * h,])
+            w0 = (k0_0 * -0.42889630158379194 + k5_0 * -4.697621415361164
+                  + k6_0 * 7.683421196062599 + k7_0 * 4.06898981839711
+                  + k8_0 * 0.3567271874552811 + k12_0 * -0.0013990241651590145
+                  + k13_0 * 2.9475147891527724 + k14_0 * -9.15095847217987)
+            w1 = (k0_1 * -0.42889630158379194 + k5_1 * -4.697621415361164
+                  + k6_1 * 7.683421196062599 + k7_1 * 4.06898981839711
+                  + k8_1 * 0.3567271874552811 + k12_1 * -0.0013990241651590145
+                  + k13_1 * 2.9475147891527724 + k14_1 * -9.15095847217987)
+            k15_0, k15_1, = fun(t + 0.7777777777777778 * h, [
+                o0 + w0 * h, o1 + w1 * h,])
+            e0_0 = (k0_0 * -8.428938276109013 + k5_0 * 0.5667149535193777
+                    + k6_0 * -3.0689499459498917 + k7_0 * 2.38466765651207
+                    + k8_0 * 2.117034582445028 + k9_0 * -0.871391583777973
+                    + k10_0 * 2.2404374302607883 + k11_0 * 0.6315787787694688
+                    + k12_0 * -0.08899033645133331 + k13_0 * 18.148505520854727
+                    + k14_0 * -9.194632392478356 + k15_0 * -4.436036387594894)
+            e0_1 = (k0_1 * -8.428938276109013 + k5_1 * 0.5667149535193777
+                    + k6_1 * -3.0689499459498917 + k7_1 * 2.38466765651207
+                    + k8_1 * 2.117034582445028 + k9_1 * -0.871391583777973
+                    + k10_1 * 2.2404374302607883 + k11_1 * 0.6315787787694688
+                    + k12_1 * -0.08899033645133331 + k13_1 * 18.148505520854727
+                    + k14_1 * -9.194632392478356 + k15_1 * -4.436036387594894)
+            e1_0 = (k0_0 * 10.427508642579134 + k5_0 * 242.28349177525817
+                    + k6_0 * 165.20045171727028 + k7_0 * -374.5467547226902
+                    + k8_0 * -22.113666853125306 + k9_0 * 7.733432668472264
+                    + k10_0 * -30.674084731089398 + k11_0 * -9.332130526430229
+                    + k12_0 * 15.697238121770845 + k13_0 * -31.139403219565178
+                    + k14_0 * -9.35292435884448 + k15_0 * 35.81684148639408)
+            e1_1 = (k0_1 * 10.427508642579134 + k5_1 * 242.28349177525817
+                    + k6_1 * 165.20045171727028 + k7_1 * -374.5467547226902
+                    + k8_1 * -22.113666853125306 + k9_1 * 7.733432668472264
+                    + k10_1 * -30.674084731089398 + k11_1 * -9.332130526430229
+                    + k12_1 * 15.697238121770845 + k13_1 * -31.139403219565178
+                    + k14_1 * -9.35292435884448 + k15_1 * 35.81684148639408)
+            e2_0 = (k0_0 * 19.985053242002433 + k5_0 * -387.0373087493518
+                    + k6_0 * -189.17813819516758 + k7_0 * 527.8081592054236
+                    + k8_0 * -11.57390253995963 + k9_0 * 6.8812326946963
+                    + k10_0 * -1.0006050966910838 + k11_0 * 0.7777137798053443
+                    + k12_0 * -2.778205752353508 + k13_0 * -60.19669523126412
+                    + k14_0 * 84.32040550667716 + k15_0 * 11.99229113618279)
+            e2_1 = (k0_1 * 19.985053242002433 + k5_1 * -387.0373087493518
+                    + k6_1 * -189.17813819516758 + k7_1 * 527.8081592054236
+                    + k8_1 * -11.57390253995963 + k9_1 * 6.8812326946963
+                    + k10_1 * -1.0006050966910838 + k11_1 * 0.7777137798053443
+                    + k12_1 * -2.778205752353508 + k13_1 * -60.19669523126412
+                    + k14_1 * 84.32040550667716 + k15_1 * 11.99229113618279)
+            e3_0 = (k0_0 * -25.69393346270375 + k5_0 * -154.18974869023643
+                    + k6_0 * -231.5293791760455 + k7_0 * 357.6391179106141
+                    + k8_0 * 93.40532418362432 + k9_0 * -37.45832313645163
+                    + k10_0 * 104.0996495089623 + k11_0 * 29.8402934266605
+                    + k12_0 * -43.53345659001114 + k13_0 * 96.32455395918828
+                    + k14_0 * -39.17726167561544 + k15_0 * -149.72683625798564)
+            e3_1 = (k0_1 * -25.69393346270375 + k5_1 * -154.18974869023643
+                    + k6_1 * -231.5293791760455 + k7_1 * 357.6391179106141
+                    + k8_1 * 93.40532418362432 + k9_1 * -37.45832313645163
+                    + k10_1 * 104.0996495089623 + k11_1 * 29.8402934266605
+                    + k12_1 * -43.53345659001114 + k13_1 * 96.32455395918828
+                    + k14_1 * -39.17726167561544 + k15_1 * -149.72683625798564)
+            y0, y1, = y
+            d0 = y0 - o0
+            d1 = y1 - o1
+            return [
+                d0,
+                d1,
+                h * k0_0 - d0,
+                h * k0_1 - d1,
+                2 * d0 - h * (k12_0 + k0_0),
+                2 * d1 - h * (k12_1 + k0_1),
+                h * e0_0,
+                h * e0_1,
+                h * e1_0,
+                h * e1_1,
+                h * e2_0,
+                h * e2_1,
+                h * e3_0,
+                h * e3_1,
+                o0,
+                o1,
+            ]
 
-            def dense(fun, t, y_old, h, y, f_old, f):
-                o0, o1, = y_old
-                for dot, A, c, row in extra_sums:
-                    dot(A, out)
-                    w0, w1, = out.tolist()
-                    row[0], row[1], = fun(t + c * h, [o0 + w0 * h, o1 + w1 * h,])
-                D_dot(K, dk)
-                ((e0_0, e0_1,),
-                 (e1_0, e1_1,),
-                 (e2_0, e2_1,),
-                 (e3_0, e3_1,)) = dk.tolist()
-                y0, y1, = y
-                p0, p1, = f_old
-                f0, f1, = f
-                d0, d1, = y0 - o0, y1 - o1,
-                return [
-                    d0,
-                    d1,
-                    h * p0 - d0,
-                    h * p1 - d1,
-                    2 * d0 - h * (f0 + p0),
-                    2 * d1 - h * (f1 + p1),
-                    h * e0_0,
-                    h * e0_1,
-                    h * e1_0,
-                    h * e1_1,
-                    h * e2_0,
-                    h * e2_1,
-                    h * e3_0,
-                    h * e3_1,
-                    o0,
-                    o1,
-                ]
+        def scaled_norms(y, f):
+            y0, y1, = y
+            f0, f1, = f
+            s0 = ATOL + abs(y0) * RTOL
+            s1 = ATOL + abs(y1) * RTOL
+            e0 = y0 / s0
+            e1 = y1 / s1
+            e = e0 * e0 + e1 * e1
+            d0 = sqrt(e) / 2 ** 0.5
+            e0 = f0 / s0
+            e1 = f1 / s1
+            e = e0 * e0 + e1 * e1
+            d1 = sqrt(e) / 2 ** 0.5
+            return d0, d1
 
-            def scaled_norms(y, f):
-                y0, y1, = y
-                f0, f1, = f
-                s0 = ATOL + abs(y0) * RTOL
-                s1 = ATOL + abs(y1) * RTOL
-                err_items[0], err_items[1], = y0 / s0, y1 / s1,
-                d0 = sqrt(err_dot(err)) / root
-                err_items[0], err_items[1], = f0 / s0, f1 / s1,
-                return d0, sqrt(err_dot(err)) / root
-
-            def slope_norm(fun, t0, y, f, h0):
-                y0, y1, = y
-                f0, f1, = f
-                s0 = ATOL + abs(y0) * RTOL
-                s1 = ATOL + abs(y1) * RTOL
-                g0, g1, = fun(t0 + h0, [y0 + h0 * f0, y1 + h0 * f1,])
-                err_items[0], err_items[1], = (g0 - f0) / s0, (g1 - f1) / s1,
-                return sqrt(err_dot(err)) / root
-
-            return attempt, dense, scaled_norms, slope_norm
+        def slope_norm(fun, t0, y, f, h0):
+            y0, y1, = y
+            f0, f1, = f
+            s0 = ATOL + abs(y0) * RTOL
+            s1 = ATOL + abs(y1) * RTOL
+            g0, g1, = fun(t0 + h0, [
+                y0 + h0 * f0, y1 + h0 * f1,])
+            e0 = (g0 - f0) / s0
+            e1 = (g1 - f1) / s1
+            e = e0 * e0 + e1 * e1
+            d2 = sqrt(e) / 2 ** 0.5
+            return d2
     """
-    namespace = {"ATOL": ATOL, "RTOL": RTOL, "B": _B, "E5": _E5, "E3": _E3,
-                 "D_dot": _D.dot, "sqrt": math.sqrt}
-    exec(compile(_kernel_source(size), f"<DOP853 kernels, size {size}>",
-                 "exec"), namespace)
+    namespace = {"ATOL": ATOL, "RTOL": RTOL, "sqrt": math.sqrt}
+    # one kernel at a time: compiling the whole source at once took
+    # twice the compiler's memory (1.6 MB at size 4), which stayed in
+    # the process's peak resident size
+    for kernel in _kernel_source(size).split("\n\n"):
+        exec(compile(kernel, f"<DOP853 kernels, size {size}>", "exec"),
+             namespace)
     return _Kernels(*(namespace[name] for name in _Kernels._fields))
-
-
-class _StageMatrix:
-    """The DOP853 stage matrix of a solver on 2n-vectors, and the step
-    loop's kernels bound to it (`_kernels`).
-
-    `K_extended` holds the 16 stage rows of a step and its dense output
-    in one C-ordered array, and `K` the 13 a step reads. The kernels
-    write each row through a flat memoryview of its buffer, one item per
-    component, and take each tableau sum as `ndarray.dot` of a
-    transposed view of its leading rows into the one preallocated (2n,)
-    output `out`, so a stage allocates nothing but its lists of floats;
-    an attempt leaves each error estimate, divided by the error scale,
-    in `err` for its norm's dot product, as the initial-step kernels
-    leave each of their quotients, and a dense output leaves D K in a
-    (4, 2n) array. A stage's sum, row of A, node and row go to the
-    kernels as one (dot, A, c, row) tuple, in stage order.
-    A solver writes every row of the matrix before it reads it, in each
-    step attempt and in each dense output, so one matrix serves the
-    solvers of consecutive arcs; `_integrator` builds one per run."""
-
-    def __init__(self, size):
-        K = self.K_extended = np.empty(
-            (_N_STAGES + 1 + len(_EXTRA_STAGES), size))
-        self.K = K[:_N_STAGES + 1]
-        self.out, self.err = np.empty(size), np.empty(size)
-        flat = memoryview(K.reshape(-1))
-        rows = [flat[r * size:(r + 1) * size] for r in range(len(K))]
-        self.kernels = _kernels(size)
-        (self.attempt, self.dense, self.scaled_norms,
-         self.slope_norm) = self.kernels.bind(
-            K, self.out, self.err, np.empty((len(_D), size)), rows[0],
-            [(K[:s].T.dot, a, c, rows[s]) for s, a, c in _STAGES],
-            K[:_N_STAGES].T.dot, rows[_N_STAGES], self.K.T.dot,
-            [(K[:s].T.dot, a, c, rows[s]) for s, a, c in _EXTRA_STAGES])
 
 
 # the name RK45 is the benchmark tracer's seam: it subclasses hybrid.RK45
@@ -554,70 +697,67 @@ class RK45:
 
     The step loop of scipy's `DOP853` without its wrapper layers: its
     initial-step choice, Runge-Kutta step, step-size control, 5/3 error
-    norm and 7th-order dense output, operation for operation on the same
-    tableau, so steps, states and interpolants agree with scipy's bit
-    for bit (scipy's solver given rtol=RTOL, atol=ATOL). `fun` is called
-    directly, on a list of 2n Python floats that it must not modify, and
-    returns a list of 2n floats; `nfev` counts its calls: two at
-    construction, n_stages per attempt in `step`, three in
-    `dense_output`. `y` and `f` are kept as those lists, and so are the
-    last step's `y_old` and `f_old`. A step size below 10 ulp(t) ends
-    the arc with status "failed" (a step clamped up to that size is
-    taken first).
+    norm and 7th-order dense output on the same tableau, each operation
+    between the tableau sums scipy's. The sums themselves (a stage's sum
+    over the rows before it, the solution's with B, the error estimates
+    with E5 and E3, their norms, the dense output's D K) are not
+    scipy's numpy products, whose order of addition BLAS picks, but
+    Python-float expressions in one fixed order (`_kernels`). So the
+    solver's bits depend on no BLAS kernel, and they stay within a
+    measured bound of those of scipy's solver given rtol=RTOL,
+    atol=ATOL (tests/test_hybrid.py: the same attempts on every arc that
+    does not collapse, and states and dense output within 1e-3 of its
+    error scale on closed-form fields). `fun` is called directly, on a
+    list of 2n Python floats that it must not modify, and returns a list
+    of 2n floats, which it must not modify later either: the solver
+    keeps the lists of the accepted attempt's stage rows in `K` for the
+    step's dense output. `nfev` counts its calls: two at construction,
+    n_stages per attempt in `step`, three in `dense_output`. `y` and `f`
+    are kept as lists, and so are the last step's `y_old` and `f_old`. A
+    step size below 10 ulp(t) ends the arc with status "failed" (a step
+    clamped up to that size is taken first).
 
     Only `_integrator` builds solvers, after the arc-start check, so the
     loop keeps none of scipy's argument checks: y0 must be finite,
     t_bound > t0 (`_execute` closes an arc with no time without a
     runner) and max_step > 0.
 
-    Each tableau sum (a stage's K[:s]^T a, the solution's K^T B, the
-    error estimates K^T E5 and K^T E3, their norms' dot products, the
-    dense output's D K) stays the numpy product scipy takes: a BLAS sum
-    need not add in a Python loop's order (a sequential Python sum
-    differed from `dot` in 45,411 of the 132,000 stage sums of 3,000
-    standard-normal 4-column stage matrices), so only numpy reproduces
-    scipy's bits there; nor does one merged product for two sums
-    (K^T [E5 E3] differed from the two products in most of 5,000 random
-    13 x 4 stage matrices). Everything between the sums runs on Python
-    floats, where IEEE +, -, * and / give numpy's bits without its
-    per-call overhead on 2- and 4-element arrays. An attempt is one
-    `attempt` call and a dense output one `dense` call of the kernels
-    bound to the stage matrix `stages` (a `_StageMatrix`, built once per
-    run and handed to each arc's solver by `_integrator`). The
-    initial-step choice, once per arc, keeps its rule and constants in
-    `_initial_step`; its error scale, quotients and third right-hand-side
-    call run in two kernels of the same stage matrix, `scaled_norms` and
-    `slope_norm`, and each of its three RMS norms is the `ndarray.dot`
-    scipy takes.
+    An attempt is one `attempt` call and a dense output one `dense`
+    call of the kernels for the state size, and every operation between
+    them runs on Python floats, without numpy's per-call overhead on 2-
+    and 4-element arrays. The initial-step choice, once per arc, keeps
+    its rule and constants in `_initial_step`; its error scale,
+    quotients, norms and third right-hand-side call run in the kernels
+    `scaled_norms` and `slope_norm`.
     """
 
     n_stages = _N_STAGES
 
-    def __init__(self, fun, t0, y0, t_bound, max_step, stages):
+    def __init__(self, fun, t0, y0, t_bound, max_step):
         self.fun = fun
         self.t = t0
         self.y = y = np.asarray(y0, float).tolist()
         self.t_bound = t_bound
         self.max_step = max_step
         self.status = "running"
-        self.stages = stages
+        self.kernels = _kernels(len(y))
         self.f = fun(t0, y)
         self.nfev = 1
         self.h_abs = self._initial_step()
 
     def _initial_step(self):
         """scipy's select_initial_step (Hairer, Norsett & Wanner, II.4):
-        its rule here, its three RMS norms from the stage matrix's
-        `scaled_norms` and `slope_norm` kernels."""
-        t0, y0, f0, stages = self.t, self.y, self.f, self.stages
+        its rule here, its three RMS norms from the `scaled_norms` and
+        `slope_norm` kernels."""
+        t0, y0, f0, kernels = self.t, self.y, self.f, self.kernels
         interval_length = abs(self.t_bound - t0)
-        d0, d1 = stages.scaled_norms(y0, f0)
+        d0, d1 = kernels.scaled_norms(y0, f0)
         if d0 < 1e-5 or d1 < 1e-5:
             h0 = 1e-6
         else:
             h0 = 0.01 * d0 / d1
         h0 = min(h0, interval_length)
-        d2 = stages.slope_norm(self.fun, t0, y0, f0, h0) / h0
+        d2 = kernels.slope_norm(self.fun, t0, y0, f0, h0) / h0
         self.nfev += 1
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
@@ -629,7 +769,7 @@ class RK45:
         """Advance by one accepted step; set status to "finished" at
         t_bound, or to "failed" when the step size falls below 10 ulp."""
         t, y, f, fun = self.t, self.y, self.f, self.fun
-        attempt = self.stages.attempt
+        attempt = self.kernels.attempt
         t_bound = self.t_bound
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = self.h_abs
@@ -647,7 +787,8 @@ class RK45:
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            y_new, f_new, err5_norm_2, err3_norm_2 = attempt(fun, t, y, f, h)
+            y_new, f_new, err5_norm_2, err3_norm_2, K = attempt(fun, t, y,
+                                                                f, h)
             self.nfev += self.n_stages
             if err5_norm_2 == 0 and err3_norm_2 == 0:
                 error_norm = 0.0
@@ -669,6 +810,7 @@ class RK45:
         self.h_previous = h
         self.t_old, self.y_old, self.f_old = t, y, f
         self.t, self.y, self.f = t_new, y_new, f_new
+        self.K = K
         self.h_abs = h_abs
         if t_new - t_bound >= 0:
             self.status = "finished"
@@ -679,13 +821,12 @@ class RK45:
         `_coeffs`, where the executor reads it for the arc's table: a
         traced solver's dense output passes on no more than a
         `_StepInterpolant`'s times and calls."""
-        stages = self.stages
-        coeffs = self._coeffs = stages.dense(
+        coeffs = self._coeffs = self.kernels.dense(
             self.fun, self.t_old, self.y_old, self.h_previous, self.y,
-            self.f_old, self.f)
+            self.K)
         self.nfev += len(_EXTRA_STAGES)
         return _StepInterpolant(self.t_old, self.t, coeffs,
-                                stages.kernels.horner)
+                                self.kernels.horner)
 
 
 class _StepInterpolant:
@@ -808,10 +949,10 @@ def _execute(mode, t0, y0, t_end, run_arc=None):
 def _integrator(size):
     """The executor's default arc runner for packed states of `size`
     floats: each arc gets its own solver under the step control RTOL and
-    ATOL, on one DOP853 stage matrix (`_StageMatrix`) built here once per
-    run. A step size that collapses ends the arc at the last accepted
-    step, before t_end."""
-    stages = _StageMatrix(size)
+    ATOL. A step size that collapses ends the arc at the last accepted
+    step, before t_end. A NaN guard value or rate at a scan sample or a
+    refinement point raises IntegrationFailure, since it would hide or
+    break a crossing."""
     n = size // 2
 
     def integrate(mode, start, t_end, max_step):
@@ -820,7 +961,7 @@ def _integrator(size):
         # a step's first scan sample is the last one before it: the arc
         # start's is the start record
         samples = [start]
-        solver = RK45(rhs, t, y, t_end, max_step, stages)
+        solver = RK45(rhs, t, y, t_end, max_step)
         if not all(map(math.isfinite, solver.f)):
             # scipy would reject every step of a NaN step size forever
             raise IntegrationFailure(
@@ -842,7 +983,12 @@ def _integrator(size):
             for tt, yy in ((t_mid, dense(t_mid)),
                            (solver.t, np.array(solver.y))):
                 q, v = yy[:n], yy[n:]
-                samples.append((tt, yy, gfun(tt, q, v), dfun(tt, q, v)))
+                g, d = gfun(tt, q, v), dfun(tt, q, v)
+                if g != g or d != d:
+                    raise IntegrationFailure(
+                        f"guard value {g!r} and rate {d!r} at the scan "
+                        f"sample t={tt!r}: a NaN hides the crossings")
+                samples.append((tt, yy, g, d))
             hit = _scan(dense, n, gfun, dfun, t, samples)
             samples = samples[-1:]
 
@@ -857,7 +1003,7 @@ def _scan(dense, n, gfun, dfun, start, samples):
     g and d the guard and its rate at (tau, y_pre), or None.
 
     dense is the step's dense output, samples the records (t, y, g, d)
-    of its scan samples in time order, and start the time the arc
+    of its three scan samples in time order, and start the time the arc
     starts. One rule reads each interval [a, b] between two consecutive
     samples:
 
@@ -870,7 +1016,8 @@ def _scan(dense, n, gfun, dfun, start, samples):
     * otherwise, g(a) <= 0 < g(b) brackets the crossing.
 
     Extrema are located with Brent on d, crossings by Newton steps on
-    g and d closed by Brent on g (`_crossing`). A crossing is an impact
+    g and d closed by Brent on g (`_crossing`), which also reads the
+    (g, d) of the step's third sample, c. A crossing is an impact
     where its rate is not leaving (`_leaving`), except at the start
     itself; otherwise the scan goes on. A strike
     between two samples is missed only where g has two maxima between
@@ -878,14 +1025,17 @@ def _scan(dense, n, gfun, dfun, start, samples):
 
     No point is evaluated twice: the first bracket seeds a memo, time ->
     [y, g, d], with the samples, and each refinement evaluates the state,
-    g or d at a new time once, into the memo. So every Newton and Brent
+    g or d at a new time once, into the memo; a NaN value there raises
+    IntegrationFailure. So every Newton and Brent
     call gets its end values from the samples or from the refinement
     before it, and the impact's record comes from the evaluations that
     located it (Brent's roots are points it evaluated or was given). A
     step with no bracket builds nothing.
     """
     points = None
-    for (a, _, ga, da), (b, _, gb, db) in zip(samples, samples[1:]):
+    s0, s1, s2 = samples
+    for (a, _, ga, da), (b, _, gb, db), (c, _, gc, dc) in (
+            (s0, s1, s2), (s1, s2, s0)):
         if a == start and da < 0.0 < db and gb > 0.0:
             extremum = "minimum"
         elif da > 0.0 > db and ga <= 0.0 and gb <= 0.0:
@@ -905,6 +1055,10 @@ def _scan(dense, n, gfun, dfun, start, samples):
                 if point[i] is None:
                     y = point[0]
                     point[i] = fun(t, y[:n], y[n:])
+                    if point[i] != point[i]:
+                        raise IntegrationFailure(
+                            f"the guard {'value' if i == 1 else 'rate'} "
+                            f"is NaN at the refinement point t={t!r}")
                 return point[i]
 
             def g(t):
@@ -914,17 +1068,19 @@ def _scan(dense, n, gfun, dfun, start, samples):
                 return value(t, 2, dfun)
 
         if extremum is None:
-            tau = _crossing(g, d, a, b, ga, gb, da, db)
+            tau = _crossing(g, d, a, b, ga, gb, da, db, c, gc, dc)
         else:
             t_ext = _refine(d, a, b, da, db)
             g_ext, d_ext = g(t_ext), d(t_ext)
             if extremum == "minimum":
-                tau = (_crossing(g, d, t_ext, b, g_ext, gb, d_ext, db)
+                tau = (_crossing(g, d, t_ext, b, g_ext, gb, d_ext, db, c,
+                                 gc, dc)
                        if g_ext < 0.0 else t_ext)
             elif g_ext <= 0.0:
                 continue
             else:
-                tau = _crossing(g, d, a, t_ext, ga, g_ext, da, d_ext)
+                tau = _crossing(g, d, a, t_ext, ga, g_ext, da, d_ext, c,
+                                gc, dc)
         if tau == start:
             continue
         d_tau = d(tau)
@@ -941,14 +1097,15 @@ def _leaving(d):
     return d < -GUARD_TOL
 
 
-def _crossing(g, d, a, b, ga, gb, da, db):
+def _crossing(g, d, a, b, ga, gb, da, db, c, gc, dc):
     """The crossing of g in [a, b], given g(a) <= 0 < g(b) and the rates
     d(a) and d(b) there: Newton steps on the rate, closed by Brent.
 
-    The first iterate is the root of the cubic Hermite interpolant of
-    (g, d) at the two ends (`_hermite_root`). Each iterate x evaluates
-    g(x), which narrows the bracket, and d(x), and steps to
-    x - g(x)/d(x). The steps stop where g(x) = 0, where d(x) is zero or
+    The first iterate is the root of the quintic Hermite interpolant of
+    (g, d) at the two ends and at a third time c outside [a, b]
+    (`_hermite_root`). Each iterate x evaluates g(x), which narrows the
+    bracket, and d(x), and steps to x - g(x)/d(x). The steps stop where
+    g(x) = 0, where d(x) is zero or
     not finite, or where a step would leave the bracket or not halve the
     step before it; so a rate that is not dg/dt (a constant, a scaled
     one) costs evaluations, not accuracy. A step under
@@ -959,7 +1116,7 @@ def _crossing(g, d, a, b, ga, gb, da, db):
     returns an end without evaluating g; otherwise it goes on from
     there. So the crossing is a Brent root, to Brent's tolerance."""
     lo, hi, glo, ghi = a, b, ga, gb
-    x, last = _hermite_root(a, b, ga, gb, da, db), math.inf
+    x, last = _hermite_root(a, b, ga, gb, da, db, c, gc, dc), math.inf
     probe = False
     while glo < 0.0 and lo < x < hi:
         gx = g(x)
@@ -983,26 +1140,45 @@ def _crossing(g, d, a, b, ga, gb, da, db):
     return _refine(g, lo, hi, glo, ghi)
 
 
-def _hermite_root(a, b, ga, gb, da, db):
-    """A root in [a, b] of the cubic Hermite interpolant p of g with
-    p(a) = ga <= 0 < p(b) = gb and p' = da at a and db at b, from no
-    evaluation of g. In the unit time s, the first iterate is the root of
-    the quadratic through ga and gb with slope da at a (exact where g is
-    a parabola, as next to an extremum), or the secant root; then two
+def _hermite_root(a, b, ga, gb, da, db, c, gc, dc):
+    """A root in [a, b] of the quintic Hermite interpolant p of g with
+    p(a) = ga <= 0 < p(b) = gb and p' = da at a and db at b, and
+    p = gc, p' = dc at c, outside [a, b], from no evaluation of g.
+
+    In the unit time s = (t - a) / (b - a), p is the cubic Hermite
+    interpolant of the two ends plus (s (s - 1))^2 (alpha + beta s),
+    whose two coefficients match p and p' at c. Next to the cubic's
+    error, of fourth order in the step, the quintic's is of sixth: on
+    paper-c025, its roots lie 1e-13 to 2e-8 from the crossings, against
+    3e-10 to 1e-5 for the cubic's, so one Newton step on g mostly ends
+    within Brent's tolerance. Where c lies on a or b (a step too short to
+    split), p is the cubic. The first iterate is the root of the
+    quadratic through ga and gb with slope da at a (exact where g is a
+    parabola, as next to an extremum), or the secant root; then two
     Newton steps on p, each kept inside the bracket of p by bisection."""
     h, rise = b - a, gb - ga
     c1 = h * da
     c2 = 3 * rise - h * (2 * da + db)
     c3 = h * (da + db) - 2 * rise
+    u = (c - a) / h
+    q = (u * (u - 1)) ** 2
+    alpha = beta = 0.0
+    if q:
+        r0 = gc - (((c3 * u + c2) * u + c1) * u + ga)
+        r1 = h * dc - ((3 * c3 * u + 2 * c2) * u + c1)
+        beta = (r1 - 2 * u * (u - 1) * (2 * u - 1) * r0 / q) / q
+        alpha = r0 / q - beta * u
     den = c1 + math.sqrt(max(0.0, c1 * c1 - 4 * (rise - c1) * ga))
     lo, hi, s = 0, 1, -2 * ga / den if den > 0 else -ga / rise
     for _ in range(2):
-        p = ((c3 * s + c2) * s + c1) * s + ga
+        e, w = s * (s - 1), alpha + beta * s
+        p = ((c3 * s + c2) * s + c1) * s + ga + e * e * w
         if p <= 0:
             lo = s
         else:
             hi = s
-        slope = (3 * c3 * s + 2 * c2) * s + c1
+        slope = ((3 * c3 * s + 2 * c2) * s + c1
+                 + e * (2 * (2 * s - 1) * w + e * beta))
         if slope:
             s -= p / slope
         if not lo <= s <= hi:
@@ -1213,7 +1389,8 @@ def _check_arc_start(gfun, dfun, t, q, v, t_end, error):
     that does not leave the free step decides: it admits a start moving
     inward, and rejects one heading out or tangent to a static wall. A
     guard whose arithmetic leaves the float range there (an
-    `ArithmeticError`) rejects the start too."""
+    `ArithmeticError`) rejects the start too; a NaN rate there raises
+    IntegrationFailure."""
     try:
         start_finite = math.isfinite(t) and _finite(q) and _finite(v)
         end_finite = math.isfinite(t_end)
@@ -1231,6 +1408,9 @@ def _check_arc_start(gfun, dfun, t, q, v, t_end, error):
                     f"runs go forward in time")
     try:
         g, d = gfun(t, q, v), dfun(t, q, v)
+        if d != d:
+            raise IntegrationFailure(f"the guard rate is NaN at the arc "
+                                     f"start t={t!r}")
         bound = GUARD_TOL * max(1.0, abs(d))
         if g <= bound:
             if g < -bound or _leaving(d):

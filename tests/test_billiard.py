@@ -366,6 +366,18 @@ def test_reset_on_closed_wall_is_invalid_reset(reset):
                        np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("reset", [hl.reset_cartesian, hl.reset_polar])
+def test_reset_on_a_wall_closing_within_refine_xtol_is_invalid_reset(reset):
+    # one ulp before t*, f is a rounding unit, 2.2e-16, and the wall closes
+    # well within the impact's time tolerance: the reflection would divide
+    # by that unit, so the reset refuses the wall as closed
+    p = hl.BilliardParams(c=COLLAPSE_IMPACT_C)
+    t = math.nextafter(WALL_COLLAPSE_TIME, 0.0)
+    assert 0.0 < p.wall(t) and p.wall(t + hybrid.REFINE_XTOL) < 0.0
+    with pytest.raises(hl.InvalidReset, match="closed wall.*t=6.93147"):
+        reset(p).apply(t, np.array([1e-8, 0.0]), np.array([-1.0, 0.0]))
+
+
 def test_impact_at_wall_collapse_raises_typed_error():
     # the run locates an impact at t*, where the reset would divide by
     # f(t*) = 0; it must end in a HybridLagError, not a ZeroDivisionError

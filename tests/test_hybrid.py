@@ -720,10 +720,11 @@ def test_a_scaled_rate_costs_evaluations_not_accuracy(monkeypatch, scale):
     assert true_calls < len(calls) - true_calls <= 3 * true_calls
     crossing, pairs = hybrid._crossing, []
 
-    def both(g, d, a, b, ga, gb, da, db):
-        tau = crossing(g, d, a, b, ga, gb, da, db)
+    def both(g, d, a, b, ga, gb, da, db, c, gc, dc):
+        tau = crossing(g, d, a, b, ga, gb, da, db, c, gc, dc)
         pairs.append((tau, crossing(g, lambda t: d(t) / scale, a, b, ga,
-                                    gb, da / scale, db / scale)))
+                                    gb, da / scale, db / scale, c, gc,
+                                    dc / scale)))
         return tau
 
     monkeypatch.setattr(hybrid, "_crossing", both)
@@ -1003,6 +1004,31 @@ def test_field_turning_non_finite_ends_integration_failure():
     assert flow.t_final < 0.5
     assert flow.arcs[0].states[-1, 0] == pytest.approx(math.cos(0.5),
                                                        abs=1e-9)
+
+
+def _rate_one(t, q, v):
+    return 1.0
+
+
+@pytest.mark.parametrize("surface, rate, where", [
+    (lambda t, q, v: t - 0.5 if t < 0.7 else math.nan, _rate_one,
+     "scan sample"),
+    (lambda t, q, v: math.nan if 0.45 < t < 0.55 else t - 0.5, _rate_one,
+     "refinement point t=0.5"),
+    (lambda t, q, v: t - 0.5, lambda t, q, v: math.nan, "arc start t=0.0"),
+], ids=["nan-after-the-crossing", "nan-around-the-crossing",
+        "nan-rate-at-the-start"])
+def test_nan_guard_raises_integration_failure(surface, rate, where):
+    # g = t - 0.5 crosses at t = 0.5 on the free particle's flight. A NaN
+    # guard value or rate at a scan sample, at a refinement point or at
+    # an arc start ends the run with IntegrationFailure naming the time:
+    # read as no bracket, a NaN after the crossing hid the impact, and a
+    # NaN at the crossing broke Brent's method with a ValueError
+    hs = dataclasses.replace(hl.build_model("free-particle").hybrid,
+                             guard=hl.Guard(surface, rate))
+    s0 = hl.State(0.0, np.zeros(2), np.array([1.0, 0.0]))
+    with no_hang(10), pytest.raises(hl.IntegrationFailure, match=where):
+        hl.simulate(hs, s0, 2.0)
 
 
 def test_located_impact_off_the_guard_raises():
@@ -1327,38 +1353,52 @@ def test_no_point_is_evaluated_twice_in_an_arc(monkeypatch, kind, t_end,
 # the DOP853 step loop against scipy's DOP853
 # ---------------------------------------------------------------------------
 
-def _assert_steps_like_scipy(ours, ref):
-    """Step both solvers to the end and require bit-identical states,
-    RHS call counts, statuses, coefficient blocks (scipy's rows F and
-    then y_old, flattened row by row) and dense output at the scan times
-    and at five seeded interior times per step, each as one float."""
-    def same():
-        assert (ours.t, ours.status, ours.nfev) == (ref.t, ref.status,
-                                                    ref.nfev)
-        assert np.array_equal(ours.y, ref.y)
-        assert np.array_equal(ours.f, ref.f)
+# the largest difference between the step loop and scipy's DOP853, in
+# units of the error scale ATOL + RTOL |y| times max(1, |y|) (two
+# solutions of y' = y^2 part as y^2): measured 3.6e-4 at most on the
+# closed-form fields, and 4.4 on the fields that solve for their values
+# (finite differences; the momentum side's warm-started Newton solve)
+_SCIPY_BOUND = 1e-3
+_SCIPY_BOUND_SOLVED = {"finite-difference": 10.0, "momentum-side": 10.0}
 
+
+def _assert_near_scipy(ours, theirs, bound):
+    from hybridlag import hybrid
+
+    theirs = np.asarray(theirs)
+    scale = ((hybrid.ATOL + hybrid.RTOL * np.abs(theirs))
+             * np.maximum(1.0, np.abs(theirs)))
+    assert np.all(np.abs(np.asarray(ours) - theirs) <= bound * scale)
+
+
+def _assert_steps_like_scipy(ours, ref, bound):
+    """Step both solvers while they make the same attempts (the same RHS
+    call counts) and return the number of steps they take so. At each of
+    these steps the statuses are the same, and the state at our step's
+    end and the dense output at the step's scan times and at five seeded
+    interior times are within `bound` of scipy's (see `_SCIPY_BOUND`)."""
     rng = np.random.default_rng(5)
-    same()
+    assert ours.nfev == ref.nfev
+    _assert_near_scipy(ours.y, ref.y, bound)
     steps = 0
     while ref.status == "running":
         ours.step()
         ref.step()
-        same()
+        if ours.nfev != ref.nfev:
+            return steps
+        assert ours.status == ref.status
         if ref.status == "failed":
-            break
+            return steps
         steps += 1
         mine, theirs = ours.dense_output(), ref.dense_output()
         assert ours.nfev == ref.nfev
-        assert ((mine.t_old, mine.t, mine.t_min, mine.t_max)
-                == (theirs.t_old, theirs.t, theirs.t_min, theirs.t_max))
-        assert isinstance(ours._coeffs, list)
-        block = np.vstack([theirs.F, theirs.y_old])
-        assert np.array_equal(np.array(ours._coeffs).view(np.uint64),
-                              block.ravel().view(np.uint64))
+        assert isinstance(ours._coeffs, list) and len(ours._coeffs) == (
+            8 * len(ours.y))
+        _assert_near_scipy(ours.y, theirs(ours.t), bound)
         for ts in (np.linspace(ref.t_old, ref.t, 3),
                    rng.uniform(ref.t_old, ref.t, 5)):
-            assert all(np.array_equal(mine(float(t)), theirs(t)) for t in ts)
+            for t in ts:
+                _assert_near_scipy(mine(float(t)), theirs(t), bound)
     return steps
 
 
@@ -1412,22 +1452,32 @@ def _step_loop_case(name):
     ("cartesian", "finished", 5), ("finite-difference", "finished", 20),
     ("momentum-side", "finished", 20), ("blow-up", "failed", 260)])
 def test_step_loop_reproduces_scipy_dop853(name, status, steps):
-    # the executor's step loop repeats scipy's DOP853 arithmetic under the
-    # executor's step control; a change of scipy's arithmetic fails here
-    # instead of drifting the outputs. Each solver gets its own case, so
-    # the two never share the momentum-side field's warm start
+    # the executor's step loop against scipy's DOP853 under the executor's
+    # step control: the same attempts, so the same accepted steps and RHS
+    # calls, through at least the first `steps` steps and on every step of
+    # an arc that finishes, with states and dense output within a bound of
+    # scipy's (`_assert_steps_like_scipy`). Where the step size collapses
+    # at a singularity, the last bits of the error estimates decide how
+    # many attempts the collapse takes: there both solvers fail, at the
+    # same time. Each solver gets its own case, so the two never share
+    # the momentum-side field's warm start
     from scipy.integrate import DOP853
 
     from hybridlag import hybrid
 
-    fun, t0, y0, t_bound, max_step = _step_loop_case(name)
-    ours = hybrid.RK45(fun, t0, y0, t_bound, max_step,
-                       hybrid._StageMatrix(len(y0)))
+    ours = hybrid.RK45(*_step_loop_case(name))
     fun, t0, y0, t_bound, max_step = _step_loop_case(name)
     ref = DOP853(fun, t0, y0, t_bound=t_bound, rtol=hybrid.RTOL,
                  atol=hybrid.ATOL, max_step=max_step)
-    taken = _assert_steps_like_scipy(ours, ref)
-    assert ours.status == status and taken >= steps
+    bound = _SCIPY_BOUND_SOLVED.get(name, _SCIPY_BOUND)
+    assert _assert_steps_like_scipy(ours, ref, bound) >= steps
+    if status == "finished":
+        assert ours.status == ref.status and ours.nfev == ref.nfev
+    for solver in (ours, ref):
+        while solver.status == "running":
+            solver.step()
+    assert ours.status == ref.status == status
+    assert ours.t == pytest.approx(ref.t, rel=1e-14)
 
 
 def _initial_step_case(name):
@@ -1460,8 +1510,7 @@ def test_initial_step_reproduces_scipy_dop853(name):
     from hybridlag import hybrid
 
     fun, t0, y0, t_bound, max_step, h_abs = _initial_step_case(name)
-    ours = hybrid.RK45(fun, t0, y0, t_bound, max_step,
-                       hybrid._StageMatrix(len(y0)))
+    ours = hybrid.RK45(fun, t0, y0, t_bound, max_step)
     ref = DOP853(fun, t0, y0, t_bound=t_bound, rtol=hybrid.RTOL,
                  atol=hybrid.ATOL, max_step=max_step)
     assert ours.h_abs.hex() == float(ref.h_abs).hex()
@@ -1516,12 +1565,12 @@ def test_kernels_match_the_list_comprehensions_bit_for_bit(size, rng):
 
 
 def _stage_loop(fun, K, t, y, f, h):
-    """The step loop's passes as they were before its kernels, kept as
-    the reference: one attempt of step h from (t, y), f = fun(t, y), with
-    scipy's error estimates, then the dense output of that step. Returns
-    y_new, f_new, the squared norms of the 5th- and 3rd-order error
-    estimates, the 3rd-order estimate and the coefficient block,
-    flattened row by row."""
+    """scipy's DOP853 arithmetic for one attempt of step h from (t, y),
+    f = fun(t, y), with its error estimates, then the dense output of
+    that step: each tableau sum the numpy product scipy takes, into the
+    stage matrix K. Returns y_new, f_new, the squared norms of the 5th-
+    and 3rd-order error estimates, the 3rd-order estimate and the
+    coefficient block, flattened row by row."""
     from hybridlag import hybrid
 
     K[0] = f
@@ -1553,50 +1602,214 @@ def _stage_loop(fun, K, t, y, f, h):
     return y_new, f_new, norms, err3, block.ravel().tolist()
 
 
-@pytest.mark.parametrize("size", range(1, 7))
-def test_stage_kernels_match_the_stage_loop_bit_for_bit(size, rng):
-    # the bound `attempt` and `dense` kernels against the loops they
-    # replaced (`_stage_loop`): the same right-hand-side calls with the
-    # same arguments, the same stage matrix rows, and the same (y_new,
-    # f_new), error estimates and coefficient block, on special floats too
+def _python_stage_loop(fun, t, y, f, h):
+    """The step loop's stage rule on Python floats, as loops over
+    `_dop853`'s arrays: one attempt of step h from (t, y), f = fun(t, y),
+    then the dense output of that step. Each tableau sum runs over the
+    table's columns left to right, exact zeros skipped, and each squared
+    error norm is the sum of the squared quotients in component order.
+    Returns y_new, f_new, the two squared norms, the attempt's 13 stage
+    rows and the coefficient block, flattened row by row."""
+    from hybridlag import _dop853, hybrid
+
+    A, B, C, D = (x.tolist() for x in (_dop853.A, _dop853.B, _dop853.C,
+                                       _dop853.D))
+    n, n_stages = len(y), _dop853.N_STAGES
+
+    def tableau_sum(coefficients, K, i):
+        total = None
+        for a, row in zip(coefficients, K):
+            if a:
+                term = row[i] * a
+                total = term if total is None else total + term
+        return total
+
+    def stage(K, s, y0):
+        w = [tableau_sum(A[s][:s], K, i) for i in range(n)]
+        return fun(t + C[s] * h, [v + d * h for v, d in zip(y0, w)])
+
+    K = [f]
+    for s in range(1, n_stages):
+        K.append(stage(K, s, y))
+    y_new = [v + h * tableau_sum(B, K, i) for i, v in enumerate(y)]
+    f_new = fun(t + h, y_new)
+    K.append(f_new)
+    scale = [hybrid.ATOL + (a if a > b else b) * hybrid.RTOL
+             for a, b in zip(map(abs, y), map(abs, y_new))]
+    norms = []
+    for E in (_dop853.E5.tolist(), _dop853.E3.tolist()):
+        total = 0.0
+        for i in range(n):
+            q = tableau_sum(E, K, i) / scale[i]
+            total += q * q
+        norms.append(total)
+    rows = tuple(K)
+    for s in range(n_stages + 1, _dop853.N_STAGES_EXTENDED):
+        K.append(stage(K, s, y))
+    delta = [a - b for a, b in zip(y_new, y)]
+    block = [delta,
+             [h * fo - d for fo, d in zip(f, delta)],
+             [2 * d - h * (fn + fo) for d, fn, fo in zip(delta, f_new, f)]]
+    block += [[h * tableau_sum(d, K, i) for i in range(n)] for d in D]
+    block.append(y)
+    return y_new, f_new, norms, rows, [v for row in block for v in row]
+
+
+def _python_initial_norms(fun, t0, y, f, h0):
+    """The three RMS norms of the initial-step choice on Python floats:
+    of y, of f and of the slope change fun(t0 + h0, y + h0 f) - f, each
+    over the error scale ATOL + |y| RTOL, as the square root of the sum
+    of the squared quotients in component order over sqrt(n)."""
     from hybridlag import hybrid
 
-    stages = hybrid._StageMatrix(size)
-    K = np.empty_like(stages.K_extended)
+    scale = [hybrid.ATOL + abs(v) * hybrid.RTOL for v in y]
+
+    def rms(values):
+        total = 0.0
+        for v, s in zip(values, scale):
+            q = v / s
+            total += q * q
+        return math.sqrt(total) / len(values) ** 0.5
+
+    g = fun(t0 + h0, [v + h0 * d for v, d in zip(y, f)])
+    return rms(y), rms(f), rms([a - b for a, b in zip(g, f)])
+
+
+def _recording(values, calls):
+    """A right-hand side that returns `values` in call order and records
+    the bits of each call's arguments in `calls`."""
+    def fun(tt, yy):
+        calls.append(_bits([tt] + yy))
+        return values[len(calls) - 1]
+    return fun
+
+
+@pytest.mark.parametrize("size", range(1, 7))
+def test_stage_kernels_match_the_stage_loop_bit_for_bit(size, rng):
+    # the `attempt`, `dense`, `scaled_norms` and `slope_norm` kernels
+    # against the stage rule written as loops (`_python_stage_loop`,
+    # `_python_initial_norms`): the same right-hand-side calls with the
+    # same arguments, the same stage rows, and the same (y_new, f_new),
+    # squared error norms, coefficient block and initial-step norms, on
+    # special floats too
+    from hybridlag import hybrid
+
+    k = hybrid._kernels(size)
     for _ in range(100):
         t, h = _draws(rng, 2)
         y, f = _draws(rng, size), _draws(rng, size)
         values = [_draws(rng, size) for _ in range(hybrid._N_STAGES + 3)]
-
-        def recording(calls):
-            # returns the drawn values in call order, and records each
-            # call's arguments
-            def fun(tt, yy):
-                calls.append(_bits([tt] + yy))
-                return values[len(calls) - 1]
-            return fun
-
         calls, ref_calls = [], []
-        fun = recording(calls)
-        # numpy's products warn of inf - inf, and its error estimates of
-        # inf / inf, as scipy's do; the kernels' divisions on Python
-        # floats are silent
-        with np.errstate(invalid="ignore", over="ignore"):
-            y_new, f_new, *norms = stages.attempt(fun, t, y, f, h)
-            err3 = stages.err.copy()
-            block = stages.dense(fun, t, y, h, y_new, f, f_new)
-            ref = _stage_loop(recording(ref_calls), K, t, y, f, h)
+        fun = _recording(values, calls)
+        y_new, f_new, *norms, K = k.attempt(fun, t, y, f, h)
+        block = k.dense(fun, t, y, h, y_new, K)
+        ref = _python_stage_loop(_recording(values, ref_calls), t, y, f, h)
         assert calls == ref_calls
         assert len(calls) == hybrid.RK45.n_stages + 3
         assert _bits(y_new) == _bits(ref[0])
         assert f_new is values[hybrid._N_STAGES - 1]
         assert _bits(norms) == _bits(ref[2])
-        assert _bits(err3) == _bits(ref[3])
+        # the rows: f and the values of the 12 stage calls, as returned
+        assert isinstance(K, tuple) and len(K) == hybrid._N_STAGES + 1
+        assert all(a is b for a, b in zip(K, ref[3]))
+        assert K[0] is f and K[-1] is f_new
         assert isinstance(block, list) and len(block) == 8 * size
         assert _bits(block) == _bits(ref[4])
-        # every row: f, the values of the 12 stage calls and the 3 extra
-        assert _bits(stages.K_extended.ravel()) == _bits(K.ravel())
-        assert _bits(K.ravel()) == _bits(np.ravel([f] + values))
+
+        calls, ref_calls = [], []
+        norms = [*k.scaled_norms(y, f),
+                 k.slope_norm(_recording(values, calls), t, y, f, h)]
+        ref = _python_initial_norms(_recording(values, ref_calls), t, y, f,
+                                    h)
+        assert calls == ref_calls and len(calls) == 1
+        assert _bits(norms) == _bits(ref)
+
+
+@pytest.mark.parametrize("size", range(1, 7))
+def test_stage_kernels_stay_within_rounding_of_scipys_products(size, rng):
+    # against scipy's arithmetic (`_stage_loop`, its numpy products) on
+    # finite values: the same calls and rows, and y_new and the dense
+    # output's D K rows within the rounding of their tableau sums (two
+    # orders of a sum of m <= 16 terms differ by at most 2 m eps times
+    # the sum of the terms' magnitudes)
+    from hybridlag import hybrid
+
+    k = hybrid._kernels(size)
+    eps = np.finfo(float).eps
+    reach = 2 * 16 * eps
+    for _ in range(100):
+        t, h, *y = (rng.standard_normal(size + 2)
+                    * 10.0 ** rng.integers(-3, 4, size + 2)).tolist()
+        stages = (rng.standard_normal((hybrid._N_STAGES + 4, size))
+                  * 10.0 ** rng.integers(-3, 4, size))
+        f, *values = stages.tolist()
+        calls, ref_calls = [], []
+        fun = _recording(values, calls)
+        y_new, f_new, *_, K = k.attempt(fun, t, y, f, h)
+        block = np.array(k.dense(fun, t, y, h, y_new, K)).reshape(8, size)
+        ref = _stage_loop(_recording(values, ref_calls),
+                          np.empty_like(stages), t, y, f, h)
+        assert len(calls) == len(ref_calls) == hybrid.RK45.n_stages + 3
+        assert f_new is values[hybrid._N_STAGES - 1]
+        magnitude = abs(h) * (np.abs(hybrid._B) @ np.abs(
+            stages[:hybrid._N_STAGES]))
+        assert np.all(np.abs(np.subtract(y_new, ref[0]))
+                      <= reach * magnitude + 4 * eps * np.abs(ref[0]))
+        magnitude = abs(h) * (np.abs(hybrid._D) @ np.abs(stages))
+        ref_block = np.array(ref[4]).reshape(8, size)
+        assert np.all(np.abs(block[3:7] - ref_block[3:7])
+                      <= reach * magnitude + 2 * eps * np.abs(ref_block[3:7]))
+        assert _bits(block[7]) == _bits(y)
+
+
+# one paper-c010 polar run and one reduced run with its reconstruction, in
+# a fresh interpreter: the impact times and the reconstruction's worst
+# angle error at them, as float.hex
+_KERNEL_PROBE = """
+import sys
+sys.path.insert(0, {src!r})
+import hybridlag as hl
+
+sc = hl.get_scenario("paper-c010")
+cyc = hl.polar_cyclic(sc.params)
+full = hl.simulate(cyc.full, sc.initial_polar, 10.0)
+mu = hl.momentum_map(cyc, sc.initial_polar)
+reduced = hl.simulate(hl.reduce(cyc, mu).shape,
+                      cyc.project_state(sc.initial_polar), 10.0)
+rec = hl.reconstruct(cyc, reduced, mu, float(sc.initial_polar.q[1]))
+worst = max(abs(float(rec.theta[k][-1]) - float(full.arcs[k](ev.tau)[1]))
+            for k, ev in enumerate(reduced.events))
+print(len(full.events), len(reduced.events))
+print(*(ev.tau.hex() for ev in full.events + reduced.events))
+print(worst.hex())
+"""
+
+
+def test_polar_and_reduced_runs_keep_their_bits_under_two_blas_kernels():
+    # no tableau sum of the step loop goes through BLAS, so the polar and
+    # reduced pipelines give the same bits under any OpenBLAS kernel: the
+    # one the CPU selects, and Nehalem's (SSE2-era, runs on any x86-64)
+    import os
+    import subprocess
+    import sys
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in blas.get("name", "").lower():
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hl.__file__)))
+    outputs = []
+    for coretype in (None, "Nehalem"):
+        env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype is not None:
+            env["OPENBLAS_CORETYPE"] = coretype
+        result = subprocess.run(
+            [sys.executable, "-c", _KERNEL_PROBE.format(src=src)], env=env,
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0].split()[:2] == ["99", "99"]
+    assert outputs[0] == outputs[1]
 
 
 def test_kernel_docstring_shows_the_generated_source():
@@ -1705,8 +1918,7 @@ def _dense_guard_case():
 
     hs, s0 = _paper_c025("polar")
     y0 = hs.system.pack(s0)
-    solver = hybrid.RK45(hs.system.rhs, s0.t, y0, 2.0, math.inf,
-                         hybrid._StageMatrix(len(y0)))
+    solver = hybrid.RK45(hs.system.rhs, s0.t, y0, 2.0, math.inf)
     while solver.status == "running":
         solver.step()
         g = billiard._along(hs.guard.surface, solver.dense_output(), 2)
@@ -2006,113 +2218,54 @@ def test_arc_table_with_non_finite_coefficients_sums_like_the_kernel():
 
 
 # ---------------------------------------------------------------------------
-# one DOP853 stage matrix per run
+# solvers that share nothing
 # ---------------------------------------------------------------------------
 
-def _flow_bits(flow):
-    """Every number of a flow, as bytes, and its termination."""
-    bits = [flow.termination]
-    for arc in flow.arcs:
-        bits += [arc.times.tobytes(), arc.states.tobytes(),
-                 np.asarray(arc(arc.times)).tobytes()]
-        table = getattr(arc.interpolant, "table", None)
-        if table is not None:
-            bits.append(table.tobytes())
-    for e in flow.events:
-        bits += [np.array([e.tau, e.guard_residual]).tobytes()]
-        bits += [x.tobytes() for x in (e.pre.q, e.pre.v, e.post.q, e.post.v)]
-    return bits
+def _step_bits(solver):
+    """The status and bits of `solver`'s last step: its end, RHS call
+    count, state, slope, and its dense output's coefficient block and
+    midpoint value (the dense output made here)."""
+    if solver.status == "failed":
+        return [solver.status, _bits([solver.t, solver.nfev])]
+    dense = solver.dense_output()
+    t_mid = (solver.t - solver.t_old) / 2 + solver.t_old
+    return [solver.status, _bits([solver.t, solver.nfev, *solver.y,
+                                  *solver.f, *solver._coeffs,
+                                  *dense(t_mid)])]
 
 
-def _stage_sharing_run(kind):
-    """A run of `kind` as a zero-argument callable returning its bits."""
+@pytest.mark.parametrize("first, second", [
+    ("cartesian", "paper-c025"), ("paper-c025", "max-step"),
+    ("reduced", "cartesian"), ("momentum-side", "reduced")])
+def test_solvers_stepped_in_alternation_match_solo_runs(first, second):
+    # a solver keeps its stage rows itself, and the kernels it shares with
+    # every solver of its size hold no state: two solvers stepped in
+    # alternation, both steps taken before either dense output, give the
+    # bits of the two run one after the other
     from hybridlag import hybrid
 
-    sc = hl.get_scenario("paper-c025")
-    if kind == "cartesian":
-        # a start of the cartesian sweep's kind: its own dissipation, an
-        # oblique start inside the paper wall
-        hs = hl.cartesian_hybrid(hl.BilliardParams(c=0.17))
-        s0 = hl.State(0.0, np.array([0.31, -0.52]), np.array([1.9, 0.8]))
-        return lambda: _flow_bits(hl.simulate(hs, s0, 5.0))
-    if kind == "polar":
-        hs, s0 = _paper_c025("polar")
-        return lambda: _flow_bits(hl.simulate(hs, s0, 5.0))
-    if kind == "resequenced":
-        cyc = hl.polar_cyclic(sc.params)
+    def solo(name):
+        solver = hybrid.RK45(*_step_loop_case(name))
+        steps = []
+        while solver.status == "running":
+            solver.step()
+            steps.append(_step_bits(solver))
+        return steps
 
-        def run():
-            rec = hl.simulate_resequenced(cyc, sc.initial_polar, 5.0)
-            return (_flow_bits(rec.reduced) + rec.mu_sequence
-                    + [th.tobytes() for th in rec.theta])
-        return run
-    hs, s0 = _paper_c025("cartesian")
-    cs0 = hs.system.legendre(s0)
-
-    def run():
-        # the momentum side alone, then inside the check with its
-        # velocity side
-        flow = hybrid._execute(hybrid._momentum_mode(hs, s0.v), cs0.t,
-                               np.concatenate([cs0.q, cs0.p]), 5.0)
-        rep = hl.check_hybrid_equivalence(hs, s0, 5.0)
-        return _flow_bits(flow) + [dataclasses.astuple(rep)]
-    return run
-
-
-@pytest.mark.parametrize("kind", ["cartesian", "polar", "resequenced",
-                                  "momentum-side"])
-def test_arcs_of_a_run_share_one_stage_matrix(monkeypatch, kind):
-    # each run builds one stage matrix and hands it to the solver of
-    # every arc; a run with a fresh matrix per arc is the same bit for bit
-    from hybridlag import hybrid, reduction
-
-    log = []
-
-    class Recording(hybrid.RK45):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            log.append(self.stages.K_extended)
-
-    class Fresh(Recording):
-        def __init__(self, fun, t0, y0, t_bound, max_step, stages):
-            super().__init__(fun, t0, y0, t_bound, max_step,
-                             hybrid._StageMatrix(len(y0)))
-
-    def marked(execute):
-        def run(*args):
-            log.append("run")
-            return execute(*args)
-        return run
-
-    for module in (hybrid, reduction):
-        monkeypatch.setattr(module, "_execute", marked(module._execute))
-    run = _stage_sharing_run(kind)
-
-    def solvers_by_run(cls):
-        # the bits of two repeats, and the matrices of each run's solvers
-        monkeypatch.setattr(hybrid, "RK45", cls)
-        log.clear()
-        with no_hang(20):
-            bits = [run(), run()]
-        runs = []
-        for entry in log:
-            if isinstance(entry, str):
-                runs.append([])
-            else:
-                runs[-1].append(entry)
-        assert bits[0] == bits[1]
-        return bits[0], runs
-
-    shared, runs = solvers_by_run(Recording)
-    assert len(runs) == (6 if kind == "momentum-side" else 2)
-    assert max(map(len, runs)) > 1
-    for matrices in runs:
-        assert matrices and all(k is matrices[0] for k in matrices)
-    assert len({id(matrices[0]) for matrices in runs}) == len(runs)
-    fresh, runs = solvers_by_run(Fresh)
-    matrices = [k for m in runs for k in m]
-    assert len({id(k) for k in matrices}) == len(matrices)
-    assert fresh == shared
+    expected = [solo(first), solo(second)]
+    solvers = [hybrid.RK45(*_step_loop_case(name)) for name in (first,
+                                                                 second)]
+    alternated = [[], []]
+    while any(solver.status == "running" for solver in solvers):
+        stepped = [solver.status == "running" for solver in solvers]
+        for solver, step in zip(solvers, stepped):
+            if step:
+                solver.step()
+        for steps, solver, step in zip(alternated, solvers, stepped):
+            if step:
+                steps.append(_step_bits(solver))
+    assert min(map(len, expected)) > 1
+    assert alternated == expected
 
 
 def test_arcs_take_blocks_from_the_step_loop_not_its_dense_output(

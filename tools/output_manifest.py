@@ -24,8 +24,9 @@ ParseError for reduction of the Cartesian billiard, which has no cyclic
 coordinate, and for `verify` of a model without a scenario;
 InvalidStart where the guard overflows at the start (polar `full`,
 `resequenced`), and IntegrationFailure where the arc's solver does
-(polar `reduced`, and Cartesian `full`, whose initial-step norms
-overflow in numpy). The script exits 1, after printing the whole manifest,
+(polar `reduced`, and Cartesian `full`, whose initial-step norm of
+f overflows to inf, so that the first step size is 0 and its slope norm
+divides by it). The script exits 1, after printing the whole manifest,
 when any case misses its outcome, and names those cases on stderr.
 
 The package is the one the interpreter imports: the installed one, or

@@ -113,7 +113,8 @@ def cartesian_system(p: BilliardParams) -> LagrangianSystem:
     m, c = p.m, p.c
 
     def lag(t, q, v):
-        return _weight(c, t, m) * 0.5 * m * float(v.dot(v))
+        vx, vy = v.tolist()
+        return _weight(c, t, m) * 0.5 * m * (vx * vx + vy * vy)
 
     def dq(t, q, v):
         return np.zeros(2)
@@ -170,10 +171,13 @@ def guard_cartesian(p: BilliardParams) -> Guard:
     f, fdot = p.wall, p.wall_rate
 
     def surface(t, q, v):
-        return float(q.dot(q)) - f(t)
+        x, y = q
+        return x * x + y * y - f(t)
 
     def direction(t, q, v):
-        return 2.0 * float(q.dot(v)) - fdot(t)
+        x, y = q
+        vx, vy = v
+        return 2.0 * (x * vx + y * vy) - fdot(t)
 
     return Guard(surface=surface, direction=direction)
 
@@ -182,10 +186,10 @@ def guard_polar(p: BilliardParams) -> Guard:
     f, fdot = p.wall, p.wall_rate
 
     def surface(t, q, v):
-        return q.item(0)**2 - f(t)
+        return q[0]**2 - f(t)
 
     def direction(t, q, v):
-        return 2.0 * q.item(0) * v.item(0) - fdot(t)
+        return 2.0 * q[0] * v[0] - fdot(t)
 
     return Guard(surface=surface, direction=direction)
 
@@ -211,10 +215,10 @@ def reset_cartesian(p: BilliardParams) -> ResetMap:
 
     def apply(t, q, v):
         ft = _open_wall(f, t)
-        lam = (fdot(t) - 2.0 * float(q.dot(v))) / ft
-        x, y = q.tolist()
-        vx, vy = v.tolist()
-        return q.copy(), np.array([vx + lam * x, vy + lam * y])
+        x, y = q
+        vx, vy = v
+        lam = (fdot(t) - 2.0 * (x * vx + y * vy)) / ft
+        return q, [vx + lam * x, vy + lam * y]
 
     return ResetMap(apply=apply)
 
@@ -225,10 +229,9 @@ def reset_polar(p: BilliardParams) -> ResetMap:
     f, fdot = p.wall, p.wall_rate
 
     def apply(t, q, v):
-        r, rd = q.item(0), v.item(0)
+        r, rd = q[0], v[0]
         ft = _open_wall(f, t)
-        return q.copy(), np.array([rd + (fdot(t) - 2.0 * r * rd) * r / ft,
-                                   v[1]])
+        return q, [rd + (fdot(t) - 2.0 * r * rd) * r / ft, v[1]]
 
     return ResetMap(apply=apply)
 
@@ -363,9 +366,10 @@ class _FlightInterpolant:
 
 
 def _along(fun, dense, n):
-    """fun(t, q, v) along a dense output of n-dimensional states."""
+    """fun(t, q, v) along a dense output of n-dimensional states, q and
+    v as lists of floats, as the guard takes them."""
     def f(tt):
-        y = dense(tt)
+        y = dense(tt).tolist()
         return fun(tt, y[:n], y[n:])
 
     return f
@@ -435,7 +439,7 @@ def reference_flow(p: BilliardParams, s0: State, t_end: float) -> HybridFlow:
         arc = Arc(t, float(arc_end), times, flight(times).T, flight)
         if tau is None:
             return arc, None
-        y = flight(tau)
+        y = flight(tau).tolist()
         q, v = y[:2], y[2:]
         return arc, (tau, y, gfun(tau, q, v), dfun(tau, q, v))
 

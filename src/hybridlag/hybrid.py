@@ -48,11 +48,14 @@ gathered numpy pass with the step interpolants' bits, a scalar time as
 an array of one (`_ArcInterpolant`).
 The module imports nothing from scipy.
 
-The loop runs in a mode (rhs, guard, direction, reset) on packed arrays;
-`State` appears only at the API edge. The mode's reset returns the
-post-impact state together with the mode of the next arc, so a run can
-change its dynamics at an impact; resequenced runs use this to rebuild
-the reduced system at the post-impact momentum.
+The loop runs in a mode (rhs, guard, direction, reset) on packed states,
+each one list of Python floats; `State` appears only at the API edge,
+and arrays only per arc and per impact. The guard and the reset get the
+two halves of a packed state as lists of floats, so no guard sample
+calls numpy or BLAS. The mode's reset returns the post-impact halves
+together with the mode of the next arc, so a run can change its
+dynamics at an impact; resequenced runs use this to rebuild the reduced
+system at the post-impact momentum.
 
 Two rules shape the behaviour in impact-accumulation regimes:
 
@@ -72,7 +75,7 @@ import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -102,10 +105,11 @@ class Guard:
     """Switching surface: zero set of `surface` filtered by `direction`.
 
     Both functions are defined on the extended space R x TQ and take
-    (t, q, v), like the Lagrangian: a float t, and q and v as 1-D
-    float64 `ndarray` views of shape (n,), so `ndarray` methods such as
-    `dot` and `item` apply; they return a float. The executor calls them
-    on views of its packed state, which they must not modify.
+    (t, q, v): a float t, and q and v as lists of n Python floats, which
+    they must not modify; they return a float. The
+    executor calls them on the halves of its packed state, so a guard
+    written on Python floats (`x * x + y * y`, `q[0]`) costs no numpy
+    call and its bits depend on no BLAS kernel.
 
     surface: signed g(t, q, v); the admissible region is g < 0 and
         impacts occur on upward crossings of g = 0.
@@ -121,18 +125,21 @@ class Guard:
     in time order.
     """
 
-    surface: Callable[[float, np.ndarray, np.ndarray], float]
-    direction: Callable[[float, np.ndarray, np.ndarray], float]
+    surface: Callable[[float, List[float], List[float]], float]
+    direction: Callable[[float, List[float], List[float]], float]
 
 
 @dataclass(frozen=True)
 class ResetMap:
     """Impact map on the guard: apply(t, q, v) -> (q_post, v_post) at
-    the same t. Like the guard, it gets q and v as 1-D float64 `ndarray`
-    views of the executor's packed state, which it must not modify."""
+    the same t. Like the guard, it gets q and v as lists of n Python
+    floats, which it must not modify, and returns q_post and v_post as
+    sequences of n floats each (lists, or 1-D arrays); the executor
+    joins them into the next arc's packed state and raises InvalidReset
+    when either has another length."""
 
-    apply: Callable[[float, np.ndarray, np.ndarray],
-                    Tuple[np.ndarray, np.ndarray]]
+    apply: Callable[[float, List[float], List[float]],
+                    Tuple[Sequence[float], Sequence[float]]]
 
 
 @dataclass(frozen=True)
@@ -736,7 +743,7 @@ class RK45:
     def __init__(self, fun, t0, y0, t_bound, max_step):
         self.fun = fun
         self.t = t0
-        self.y = y = np.asarray(y0, float).tolist()
+        self.y = y = [*map(float, y0)]
         self.t_bound = t_bound
         self.max_step = max_step
         self.status = "running"
@@ -834,8 +841,9 @@ class _StepInterpolant:
     scipy's Dop853DenseOutput, operation for operation. `block` is the
     step's flat coefficient block, a list of Python floats (rows F and
     y_old, as the step loop's `dense` kernel builds it), and a call is
-    the `horner` kernel at the scaled time: at the few times of a step's
-    scan and refinement, Python floats beat numpy's per-call overhead.
+    the `horner` kernel at the scaled time, which returns the packed
+    state as a list of 2n floats: at the few times of a step's scan and
+    refinement, Python floats beat numpy's per-call overhead.
     An arc keeps the blocks of its steps, not these objects
     (`_ArcInterpolant`). Callers read t_old, t, t_min and t_max and call
     it; the tracer's proxy passes on nothing else."""
@@ -848,8 +856,7 @@ class _StepInterpolant:
         self._horner = horner
 
     def __call__(self, t):
-        x = (t - self.t_old) / self.h
-        return np.array(self._horner(self._block, x))
+        return self._horner(self._block, (t - self.t_old) / self.h)
 
 
 # ---------------------------------------------------------------------------
@@ -862,11 +869,18 @@ def _execute(mode, t0, y0, t_end, run_arc=None):
     mode: (rhs, gfun, dfun, reset) with rhs: (t, y) -> y', called on a
     list of 2n floats and returning a list of 2n floats (see `RK45`),
     gfun/dfun: a `Guard`'s surface and direction on the halves of y, and
-    reset: (tau, y_pre) -> (y_post, next_mode); the arc after the impact
-    runs in next_mode. Returns the `HybridFlow`: its events' states split
-    each packed y into its halves, which are (q, v) for a velocity-side
-    mode and (q, p) for the momentum-side mode of
+    reset: (tau, y_pre) -> (q_post, v_post, next_mode); the arc after the
+    impact runs in next_mode. Returns the `HybridFlow`: its events' states
+    split each packed y into its halves, which are (q, v) for a
+    velocity-side mode and (q, p) for the momentum-side mode of
     `check_hybrid_equivalence`.
+
+    The loop carries each packed state as one list of 2n Python floats:
+    y0 is read into one, the guard gets its halves as list slices, and
+    the reset's halves, each of n floats, are joined into the next one
+    as [*q_post, *v_post] (a half of another length raises
+    InvalidReset). Arrays are built per arc (`_close_arc`) and per
+    impact (the two `State`s of its `Event`), never per guard sample.
 
     A point where the loop knows the guard is one record (t, y, g, d):
     the time, the packed state there, and the guard g and its rate d
@@ -892,13 +906,13 @@ def _execute(mode, t0, y0, t_end, run_arc=None):
     except OverflowError as exc:
         raise InvalidStart(f"start time t={t0!r} lies beyond the float "
                            f"range") from exc
-    y = np.asarray(y0, float).copy()
-    n = y.size // 2
+    y = np.asarray(y0, float).tolist()
+    n = len(y) // 2
     arcs: List[Arc] = []
     events: List[Event] = []
     max_step = math.inf
     if run_arc is None:
-        run_arc = _integrator(y.size)
+        run_arc = _integrator(len(y))
 
     while True:
         _, gfun, dfun, reset = mode
@@ -935,15 +949,21 @@ def _execute(mode, t0, y0, t_end, run_arc=None):
             raise IntegrationFailure(
                 f"guard residual {residual:.3e} at located impact exceeds "
                 f"tolerance; event refinement failed")
-        ypost, mode = reset(tau, ypre)
-        pre, post = ypre.copy(), ypost.copy()
+        q_post, v_post, mode = reset(tau, ypre)
+        if len(q_post) != n or len(v_post) != n:
+            raise InvalidReset(
+                f"reset at t={tau!r} returned q_post of length "
+                f"{len(q_post)} and v_post of length {len(v_post)}; the "
+                f"state has {n} coordinates")
+        y = [*map(float, q_post), *map(float, v_post)]
+        pre, post = np.array([ypre, y])
         events.append(Event(tau, State(tau, pre[:n], pre[n:]),
                             State(tau, post[:n], post[n:]), residual))
         max_step = dwell
 
         if len(events) >= MAX_IMPACTS:
             return HybridFlow(arcs, events, TERM_MAX_IMPACTS)
-        t, y = tau, ypost
+        t = tau
 
 
 def _integrator(size):
@@ -952,7 +972,13 @@ def _integrator(size):
     ATOL. A step size that collapses ends the arc at the last accepted
     step, before t_end. A NaN guard value or rate at a scan sample or a
     refinement point raises IntegrationFailure, since it would hide or
-    break a crossing."""
+    break a crossing.
+
+    Every state of a record is a list of `size` Python floats, which
+    the guard gets as two slices: the start's, the step loop's own end
+    state `solver.y`, and each dense output (`_StepInterpolant`, the
+    `horner` list) at the midpoint and in the refinement. The arc's
+    arrays are built once, when it closes (`_close_arc`)."""
     n = size // 2
 
     def integrate(mode, start, t_end, max_step):
@@ -980,8 +1006,7 @@ def _integrator(size):
             # the step's midpoint, np.linspace(t_old, t, 3)[1] bit for
             # bit, and then its end
             t_mid = (solver.t - solver.t_old) / 2 + solver.t_old
-            for tt, yy in ((t_mid, dense(t_mid)),
-                           (solver.t, np.array(solver.y))):
+            for tt, yy in ((t_mid, dense(t_mid)), (solver.t, solver.y)):
                 q, v = yy[:n], yy[n:]
                 g, d = gfun(tt, q, v), dfun(tt, q, v)
                 if g != g or d != d:
@@ -1371,26 +1396,28 @@ def _mode(hs: HybridSystem):
 
     def reset(tau, ypre):
         q, v = hs.reset.apply(tau, ypre[:n], ypre[n:])
-        return np.concatenate([q, v]), mode
+        return q, v, mode
 
     mode = (hs.system.rhs, hs.guard.surface, hs.guard.direction, reset)
     return mode
 
 
 def _check_arc_start(gfun, dfun, t, q, v, t_end, error):
-    """The guard's (g, d) at the arc start (t, q, v); raises `error`
-    unless an arc may start there and run forward to t_end.
+    """The guard's (g, d) at the arc start (t, q, v), q and v lists of
+    n Python floats as the guard takes them; raises `error` unless an
+    arc may start there and run forward to t_end.
 
     The start and t_end must be finite floats (an int beyond the float
     range raises `error` too), t_end not before t, and, with
     b = GUARD_TOL max(1, |d|), g <= b and one of: g < -b (strictly
     inside), d leaving (`_leaving`), or a free step of 1e-7 max(1, |t|)
-    lowers g by more than 1e-14. So within b of the guard with a rate
-    that does not leave the free step decides: it admits a start moving
-    inward, and rejects one heading out or tangent to a static wall. A
-    guard whose arithmetic leaves the float range there (an
-    `ArithmeticError`) rejects the start too; a NaN rate there raises
-    IntegrationFailure."""
+    lowers g by more than 1e-14. The free step's position q + eps v is
+    taken per component, the IEEE operations of the array expression.
+    So within b of the guard with a rate that does not leave the free
+    step decides: it admits a start moving inward, and rejects one
+    heading out or tangent to a static wall. A guard whose arithmetic
+    leaves the float range there (an `ArithmeticError`) rejects the
+    start too; a NaN rate there raises IntegrationFailure."""
     try:
         start_finite = math.isfinite(t) and _finite(q) and _finite(v)
         end_finite = math.isfinite(t_end)
@@ -1398,8 +1425,7 @@ def _check_arc_start(gfun, dfun, t, q, v, t_end, error):
         raise error(f"t={t!r} or t_end={t_end!r} lies beyond the float "
                     f"range") from exc
     if not start_finite:
-        raise error(f"arc start is not finite (t={t!r}, q={q.tolist()}, "
-                    f"v={v.tolist()})")
+        raise error(f"arc start is not finite (t={t!r}, q={q}, v={v})")
     if not end_finite:
         raise error(f"t_end={t_end!r} is not finite; runs end at a finite "
                     f"horizon")
@@ -1416,7 +1442,8 @@ def _check_arc_start(gfun, dfun, t, q, v, t_end, error):
             if g < -bound or _leaving(d):
                 return g, d
             eps = 1e-7 * max(1.0, abs(t))
-            if gfun(t + eps, q + eps * v, v) < g - 1e-14:
+            ahead = [x + eps * w for x, w in zip(q, v)]
+            if gfun(t + eps, ahead, v) < g - 1e-14:
                 return g, d
     except ArithmeticError as exc:
         raise error(f"the guard at the arc start t={t!r} left the float "
@@ -1426,8 +1453,8 @@ def _check_arc_start(gfun, dfun, t, q, v, t_end, error):
 
 
 def _finite(x):
-    """Whether every entry of the 1-D array x is finite."""
-    for value in x.tolist():
+    """Whether every float of the list x is finite."""
+    for value in x:
         if not math.isfinite(value):
             return False
     return True
@@ -1515,8 +1542,11 @@ def _momentum_mode(hs: HybridSystem, v0):
     warm = {"v": np.array(v0, float)}
 
     def velocity(t, q, p):
-        warm["v"] = sys._velocity(t, q, p, v0=warm["v"])
-        return warm["v"]
+        # the loop's halves are lists; the Newton solve takes arrays, and
+        # the guard and reset get its velocity back as a list
+        warm["v"] = sys._velocity(t, np.array(q), np.array(p),
+                                  v0=warm["v"])
+        return warm["v"].tolist()
 
     def rhs_h(t, y):
         y = np.asarray(y, float)
@@ -1533,8 +1563,9 @@ def _momentum_mode(hs: HybridSystem, v0):
     def reset_h(tau, ypre):
         q = ypre[:n]
         q_post, v_post = hs.reset.apply(tau, q, velocity(tau, q, ypre[n:]))
-        p_post = sys.dL_dv(tau, q_post, v_post)
-        return np.concatenate([q_post, p_post]), mode_h
+        p_post = sys.dL_dv(tau, np.array(q_post, float),
+                           np.array(v_post, float))
+        return q_post, p_post, mode_h
 
     mode_h = (rhs_h, on_momenta(hs.guard.surface),
               on_momenta(hs.guard.direction), reset_h)

@@ -198,35 +198,40 @@ class CyclicStructure:
             """x differs from base by more than tol, relative."""
             return abs(x - base) > tol * max(1.0, abs(base))
 
+        # the guard and the reset take lists of floats (`Guard`)
         for s in self.sample_states:
+            q, v = s.q.tolist(), s.v.tolist()
             base_l = sys.lagrangian(s.t, s.q, s.v)
-            base_g = guard.surface(s.t, s.q, s.v)
-            base_d = guard.direction(s.t, s.q, s.v)
+            base_g = guard.surface(s.t, q, v)
+            base_d = guard.direction(s.t, q, v)
             if self.reduced_guard_factory is not None:
                 red = self.reduced_guard_factory(momentum_map(self, s))
-                x, xdot = self.drop(s.q), self.drop(s.v)
+                x, xdot = self.drop(s.q).tolist(), self.drop(s.v).tolist()
                 if (off(red.surface(s.t, x, xdot), base_g)
                         or off(red.direction(s.t, x, xdot), base_d)):
                     raise NotInvariant(
                         f"closed-form reduced guard disagrees with the full "
                         f"guard at t={s.t:.6g}")
             for a in DEFAULT_SHIFTS:
-                q = self.shift(s.q, a)
-                if off(sys.lagrangian(s.t, q, s.v), base_l):
+                shifted = self.shift(s.q, a)
+                if off(sys.lagrangian(s.t, shifted, s.v), base_l):
                     raise NotInvariant(
                         f"Lagrangian varies along the cyclic shift by more "
                         f"than {tol:g} at t={s.t:.6g}")
-                if off(guard.surface(s.t, q, s.v), base_g):
+                q = shifted.tolist()
+                if off(guard.surface(s.t, q, v), base_g):
                     raise NotInvariant("guard surface is not cyclic-invariant")
-                if off(guard.direction(s.t, q, s.v), base_d):
+                if off(guard.direction(s.t, q, v), base_d):
                     raise NotInvariant("guard direction is not cyclic-invariant")
         reset = self.full.reset
         for s in self.guard_sample_states:
-            q_post, v_post = reset.apply(s.t, s.q, s.v)
+            v = s.v.tolist()
+            q_post, v_post = reset.apply(s.t, s.q.tolist(), v)
             for a in DEFAULT_SHIFTS:
-                q_sh, v_sh = reset.apply(s.t, self.shift(s.q, a), s.v)
-                err = max(float(np.max(np.abs(q_sh - self.shift(q_post, a)))),
-                          float(np.max(np.abs(v_sh - v_post))))
+                q_sh, v_sh = reset.apply(s.t, self.shift(s.q, a).tolist(), v)
+                dq = np.subtract(q_sh, self.shift(q_post, a))
+                err = max(float(np.max(np.abs(dq))),
+                          float(np.max(np.abs(np.subtract(v_sh, v_post)))))
                 if err > tol * max(1.0, float(np.max(np.abs(v_post)))):
                     raise NotInvariant(
                         f"reset map is not equivariant under the cyclic "
@@ -316,7 +321,8 @@ def reduce(cs: CyclicStructure, mu: float,
         def lifted(fun):
             """A full guard function fun(t, q, v) on the lifted state."""
             def f(t, x, xdot):
-                return fun(t, *cs.embed(t, x, xdot, mu))
+                q, v = cs.embed(t, x, xdot, mu)
+                return fun(t, q.tolist(), v.tolist())
             return f
 
         guard = Guard(surface=lifted(cs.full.guard.surface),
@@ -338,9 +344,13 @@ def reduce(cs: CyclicStructure, mu: float,
 def _lifted_reset(cs: CyclicStructure, mu: float, t, x, xdot):
     """The full reset at the lift of (x, xdot) to momentum mu and cyclic
     angle 0: (x_post, xdot_post, mu_post, theta_post), the projected post
-    state, its momentum and its cyclic angle."""
-    q_post, v_post = cs.full.reset.apply(t, *cs.embed(t, x, xdot, mu))
-    return (cs.drop(q_post), cs.drop(v_post),
+    state as two lists of floats, its momentum and its cyclic angle. The
+    reset gets and gives lists (`ResetMap`); the lift and the momentum
+    take arrays."""
+    q, v = cs.embed(t, x, xdot, mu)
+    q_post, v_post = (np.asarray(y, float) for y in cs.full.reset.apply(
+        t, q.tolist(), v.tolist()))
+    return (cs.drop(q_post).tolist(), cs.drop(v_post).tolist(),
             cs.momentum_value(t, q_post, v_post),
             float(q_post[cs.cyclic_index]))
 
@@ -443,7 +453,7 @@ def simulate_resequenced(cs: CyclicStructure, s0: State,
     relative; `test_resequenced_elastic_matches_reduce_once`, 1e-9).
     """
     guard, n = cs.full.guard, cs.full.system.dim
-    y0 = cs.full.system.pack(s0)
+    y0 = cs.full.system.pack(s0).tolist()
     _check_arc_start(guard.surface, guard.direction, s0.t, y0[:n], y0[n:],
                      t_end, InvalidStart)
     m = cs.dim_reduced
@@ -458,7 +468,7 @@ def simulate_resequenced(cs: CyclicStructure, s0: State,
                                                     ypre[m:])
             mus.append(mu_next)
             jumps.append(theta)
-            return np.concatenate([x, xdot]), mode_at(mu_next)
+            return x, xdot, mode_at(mu_next)
 
         return (shape.system.rhs, shape.guard.surface, shape.guard.direction,
                 reset)

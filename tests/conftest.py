@@ -44,8 +44,9 @@ def sample_states(rng, model_id, count, dim=2):
 
 
 def reset_state(reset, s):
-    """The post-impact State of `reset` applied at the State s."""
-    return hl.State(s.t, *reset.apply(s.t, s.q, s.v))
+    """The post-impact State of `reset` applied at the State s, whose q
+    and v it gets as lists of floats (`hl.ResetMap`)."""
+    return hl.State(s.t, *reset.apply(s.t, s.q.tolist(), s.v.tolist()))
 
 
 @contextlib.contextmanager

@@ -197,20 +197,20 @@ def test_inverse_weights_beyond_float_range_raise(part):
 
 def test_guard_inside_value():
     g = hl.guard_cartesian(hl.BilliardParams(c=0.25))
-    s = mk_state(0.0, [0.25, 0.5], [0, 0])
-    assert g.surface(s.t, s.q, s.v) == pytest.approx(-0.6875, abs=1e-15)
+    assert g.surface(0.0, [0.25, 0.5], [0.0, 0.0]) == pytest.approx(
+        -0.6875, abs=1e-15)
 
 
 def test_guard_zero_on_wall():
     g = hl.guard_cartesian(hl.BilliardParams())
-    s = mk_state(0.0, [1.0, 0.0], [0, 0])
-    assert g.surface(s.t, s.q, s.v) == pytest.approx(0.0, abs=1e-15)
+    assert g.surface(0.0, [1.0, 0.0], [0.0, 0.0]) == pytest.approx(
+        0.0, abs=1e-15)
 
 
 def test_guard_tangential_static_direction_zero():
     g = hl.guard_cartesian(static_params())
-    s = mk_state(0.0, [1.0, 0.0], [0.0, 1.0])
-    assert g.direction(s.t, s.q, s.v) == 0.0  # impact by the closed inequality
+    # impact by the closed inequality
+    assert g.direction(0.0, [1.0, 0.0], [0.0, 1.0]) == 0.0
 
 
 def test_shrinking_wall_catches_slow_inward_particle():
@@ -230,14 +230,14 @@ def test_shrinking_wall_catches_slow_inward_particle():
 
 def test_reset_cartesian_specular():
     r = hl.reset_cartesian(static_params())
-    q, v = r.apply(0.0, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    q, v = r.apply(0.0, [1.0, 0.0], [1.0, 0.0])
     assert np.allclose(v, [-1.0, 0.0], atol=1e-15)
     assert np.array_equal(q, [1.0, 0.0])
 
 
 def test_reset_cartesian_tangential_unchanged():
     r = hl.reset_cartesian(static_params())
-    _, v = r.apply(0.0, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    _, v = r.apply(0.0, [1.0, 0.0], [0.0, 1.0])
     assert np.allclose(v, [0.0, 1.0], atol=1e-15)
 
 
@@ -246,20 +246,20 @@ def test_reset_cartesian_moving_wall():
     rate = lambda t: 0.5
     r = hl.reset_cartesian(hl.BilliardParams(c=0.0, wall=wall,
                                              wall_rate=rate))
-    _, v = r.apply(0.0, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    _, v = r.apply(0.0, [1.0, 0.0], [1.0, 0.0])
     assert v[0] == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_reset_polar_specular():
     r = hl.reset_polar(static_params())
-    _, v = r.apply(0.0, np.array([1.0, 0.7]), np.array([1.0, 2.0]))
+    _, v = r.apply(0.0, [1.0, 0.7], [1.0, 2.0])
     assert v[0] == pytest.approx(-1.0, abs=1e-14)
     assert v[1] == 2.0  # angular velocity untouched
 
 
 def test_reset_polar_resting_state():
     r = hl.reset_polar(static_params())
-    _, v = r.apply(0.0, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    _, v = r.apply(0.0, [1.0, 0.0], [0.0, 1.0])
     assert v[0] == 0.0
 
 
@@ -293,16 +293,17 @@ def test_reset_equivalence_on_guard(rng):
 
 
 def _bits(x):
-    """The IEEE bytes of x, a float or a float64 array: equal bits,
-    signs of zeros included."""
+    """The IEEE bytes of x, a float, a list of floats or a float64 array:
+    equal bits, signs of zeros included."""
     return np.asarray(x, np.float64).tobytes()
 
 
-def test_guards_and_resets_keep_the_array_expressions_bits(rng):
-    # the guards and resets read their 1-D float64 arguments through
-    # ndarray.dot and .item(); each result must equal the expression on
-    # numpy operators, written out here, bit for bit, on the paper wall
-    # before its collapse (t* = 6.93), with signed zeros among the draws
+def test_guards_and_resets_keep_the_float_expressions_bits(rng):
+    # the guards and resets take q and v as lists of Python floats and
+    # compute on them, and `lag` reads its array v as floats; each result
+    # must equal the Python-float expression written out here, bit for
+    # bit, on the paper wall before its collapse (t* = 6.93), with signed
+    # zeros among the draws
     p = hl.BilliardParams(c=0.25)
     f, fdot = p.wall, p.wall_rate
     gc, rc = hl.guard_cartesian(p), hl.reset_cartesian(p)
@@ -311,27 +312,30 @@ def test_guards_and_resets_keep_the_array_expressions_bits(rng):
     signed_zeros = 0
     for _ in range(10_000):
         t = float(rng.uniform(0.0, 6.9))
-        q, v = rng.standard_normal(2), rng.standard_normal(2)
+        qa, va = rng.standard_normal(2), rng.standard_normal(2)
         zero = rng.uniform(size=4) < 0.1
         signs = np.where(rng.uniform(size=4) < 0.5, -0.0, 0.0)
-        q[zero[:2]], v[zero[2:]] = signs[:2][zero[:2]], signs[2:][zero[2:]]
+        qa[zero[:2]], va[zero[2:]] = signs[:2][zero[:2]], signs[2:][zero[2:]]
+        q, v = qa.tolist(), va.tolist()
+        (x, y), (vx, vy) = q, v
         ft = f(t)
         # Cartesian: |q|^2 - f, 2 q.v - fdot and v + lam q
-        lam = (fdot(t) - 2.0 * float(q @ v)) / ft
-        old = {"surface": float(q @ q) - ft,
-               "direction": 2.0 * float(q @ v) - fdot(t)}
+        lam = (fdot(t) - 2.0 * (x * vx + y * vy)) / ft
+        old = {"surface": x * x + y * y - ft,
+               "direction": 2.0 * (x * vx + y * vy) - fdot(t),
+               "lag": hl.billiard._weight(p.c, t, p.m) * 0.5 * p.m
+               * (vx * vx + vy * vy)}
         new = {"surface": gc.surface(t, q, v),
-               "direction": gc.direction(t, q, v)}
+               "direction": gc.direction(t, q, v),
+               "lag": lag(t, qa, va)}
         q_post, v_post = rc.apply(t, q, v)
         assert _bits(q_post) == _bits(q)
-        assert _bits(v_post) == _bits(v + lam * q)
-        assert v_post.shape == (2,) and v_post.dtype == np.float64
-        assert _bits(lag(t, q, v)) == _bits(
-            hl.billiard._weight(p.c, t, p.m) * 0.5 * p.m * float(v @ v))
+        assert _bits(v_post) == _bits([vx + lam * x, vy + lam * y])
+        assert [type(e) for e in v_post] == [float, float]
         # polar, on the full state and as the reduced guard on (r, rdot)
-        r, rd = q[0], v[0]
-        old["polar surface"] = q[0]**2 - ft
-        old["polar direction"] = 2.0 * q[0] * v[0] - fdot(t)
+        r, rd = x, vx
+        old["polar surface"] = r**2 - ft
+        old["polar direction"] = 2.0 * r * rd - fdot(t)
         new["polar surface"] = gp.surface(t, q, v)
         new["polar direction"] = gp.direction(t, q, v)
         old["reduced surface"] = old["polar surface"]
@@ -341,7 +345,8 @@ def test_guards_and_resets_keep_the_array_expressions_bits(rng):
         q_post, v_post = rp.apply(t, q, v)
         assert _bits(q_post) == _bits(q)
         assert _bits(v_post) == _bits(
-            np.array([rd + (fdot(t) - 2.0 * r * rd) * r / ft, v[1]]))
+            [rd + (fdot(t) - 2.0 * r * rd) * r / ft, vy])
+        assert [type(e) for e in v_post] == [float, float]
         for key, value in new.items():
             assert type(value) is float, key
             assert _bits(value) == _bits(old[key]), (key, t, q, v)
@@ -362,8 +367,7 @@ def test_reset_on_closed_wall_is_invalid_reset(reset):
     p = hl.BilliardParams(c=COLLAPSE_IMPACT_C)
     assert p.wall(WALL_COLLAPSE_TIME) == 0.0
     with pytest.raises(hl.InvalidReset, match="closed wall.*t=6.93147"):
-        reset(p).apply(WALL_COLLAPSE_TIME, np.array([0.0, 0.0]),
-                       np.array([1.0, 0.0]))
+        reset(p).apply(WALL_COLLAPSE_TIME, [0.0, 0.0], [1.0, 0.0])
 
 
 @pytest.mark.parametrize("reset", [hl.reset_cartesian, hl.reset_polar])
@@ -375,7 +379,7 @@ def test_reset_on_a_wall_closing_within_refine_xtol_is_invalid_reset(reset):
     t = math.nextafter(WALL_COLLAPSE_TIME, 0.0)
     assert 0.0 < p.wall(t) and p.wall(t + hybrid.REFINE_XTOL) < 0.0
     with pytest.raises(hl.InvalidReset, match="closed wall.*t=6.93147"):
-        reset(p).apply(t, np.array([1e-8, 0.0]), np.array([-1.0, 0.0]))
+        reset(p).apply(t, [1e-8, 0.0], [-1.0, 0.0])
 
 
 def test_impact_at_wall_collapse_raises_typed_error():

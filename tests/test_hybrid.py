@@ -220,11 +220,12 @@ def test_flow_invariants(unit_wall_hybrid, run):
             continue
         # impact lies on the guard and is admissible
         pre, guard = ev.pre, hs.guard
-        assert abs(guard.surface(pre.t, pre.q, pre.v)) <= 1e-8 * max(
-            1.0, abs(guard.direction(pre.t, pre.q, pre.v)))
-        assert guard.direction(pre.t, pre.q, pre.v) >= 0.0
+        q, v = pre.q.tolist(), pre.v.tolist()
+        assert abs(guard.surface(pre.t, q, v)) <= 1e-8 * max(
+            1.0, abs(guard.direction(pre.t, q, v)))
+        assert guard.direction(pre.t, q, v) >= 0.0
         # stored post state is exactly the reset image
-        q_post, v_post = hs.reset.apply(ev.tau, pre.q, pre.v)
+        q_post, v_post = hs.reset.apply(ev.tau, q, v)
         assert np.array_equal(q_post, ev.post.q)
         assert np.array_equal(v_post, ev.post.v)
 
@@ -565,7 +566,8 @@ def test_strike_between_scan_samples_is_found(chart, start):
         ts = np.linspace(arc.t_start, arc.t_end, 2000)
         ys = arc(ts)
         assert max(hs.guard.surface(t, y[:2], y[2:])
-                   for t, y in zip(ts.tolist(), ys.T)) <= hybrid.GUARD_TOL
+                   for t, y in zip(ts.tolist(), ys.T.tolist())
+                   ) <= hybrid.GUARD_TOL
 
 
 def _recorded_refines(monkeypatch):
@@ -1063,7 +1065,7 @@ def test_reset_retrigger_rejected(unit_wall_hybrid):
 def _outward_reset(hs):
     """`hs` with a reset that moves q outside the wall: (1.2 q, -v)."""
     return dataclasses.replace(hs, reset=hl.ResetMap(
-        apply=lambda t, q, v: (1.2 * q, -v)))
+        apply=lambda t, q, v: ([1.2 * x for x in q], [-x for x in v])))
 
 
 def test_reset_outside_the_wall_rejected(unit_wall_hybrid):
@@ -1083,6 +1085,25 @@ def test_momentum_side_reset_outside_the_wall_rejected(unit_wall_hybrid):
     with no_hang(10), pytest.raises(hl.InvalidReset):
         hybrid._execute(hybrid._momentum_mode(hs, s0.v), cs0.t,
                         np.concatenate([cs0.q, cs0.p]), 2.5)
+
+
+@pytest.mark.parametrize("wrong, lengths", [
+    (lambda q, v: (np.append(q, 0.0), v), (3, 2)),
+    (lambda q, v: (q, v[:1]), (2, 1)),
+    (lambda q, v: (q, np.reshape(v, (1, 2))), (2, 1)),
+], ids=["q-of-3", "v-of-1", "v-of-shape-1x2"])
+def test_reset_of_the_wrong_length_is_invalid_reset(wrong, lengths):
+    # the loop joins the reset's q_post and v_post into the next arc's
+    # packed state; a half with another length than n is refused at the
+    # impact, naming both lengths, before any arc starts from it
+    sc = hl.get_scenario("paper-c025")
+    hs = hl.cartesian_hybrid(sc.params)
+    wall = hs.reset.apply
+    bad = dataclasses.replace(hs, reset=hl.ResetMap(
+        apply=lambda t, q, v: wrong(*wall(t, q, v))))
+    match = "q_post of length {} and v_post of length {}".format(*lengths)
+    with pytest.raises(hl.InvalidReset, match=match):
+        hl.simulate(bad, sc.initial_cartesian, 10.0)
 
 
 @pytest.mark.parametrize("c, q0, v0", [
@@ -1124,7 +1145,7 @@ def _guard_calls_of_run(chart):
 
     def recorded(name, fun):
         def f(t, q, v):
-            key = (name, t, *q.tolist(), *v.tolist())
+            key = (name, t, *q, *v)
             calls[key] = calls.get(key, 0) + 1
             return fun(t, q, v)
         return f
@@ -1317,7 +1338,7 @@ def test_no_point_is_evaluated_twice_in_an_arc(monkeypatch, kind, t_end,
 
     def recorded(name, fun):
         def wrapped(t, q, v):
-            note(name, (t, *q.tolist(), *v.tolist()))
+            note(name, (t, *q, *v))
             return fun(t, q, v)
         return wrapped
 
@@ -1762,9 +1783,9 @@ def test_stage_kernels_stay_within_rounding_of_scipys_products(size, rng):
         assert _bits(block[7]) == _bits(y)
 
 
-# one paper-c010 polar run and one reduced run with its reconstruction, in
-# a fresh interpreter: the impact times and the reconstruction's worst
-# angle error at them, as float.hex
+# the paper-c010 Cartesian and polar runs and one reduced run with its
+# reconstruction, in a fresh interpreter: the impact counts and times and
+# the reconstruction's worst angle error at them, as float.hex
 _KERNEL_PROBE = """
 import sys
 sys.path.insert(0, {src!r})
@@ -1772,6 +1793,7 @@ import hybridlag as hl
 
 sc = hl.get_scenario("paper-c010")
 cyc = hl.polar_cyclic(sc.params)
+cart = hl.simulate(hl.cartesian_hybrid(sc.params), sc.initial_cartesian, 10.0)
 full = hl.simulate(cyc.full, sc.initial_polar, 10.0)
 mu = hl.momentum_map(cyc, sc.initial_polar)
 reduced = hl.simulate(hl.reduce(cyc, mu).shape,
@@ -1779,16 +1801,17 @@ reduced = hl.simulate(hl.reduce(cyc, mu).shape,
 rec = hl.reconstruct(cyc, reduced, mu, float(sc.initial_polar.q[1]))
 worst = max(abs(float(rec.theta[k][-1]) - float(full.arcs[k](ev.tau)[1]))
             for k, ev in enumerate(reduced.events))
-print(len(full.events), len(reduced.events))
-print(*(ev.tau.hex() for ev in full.events + reduced.events))
+print(len(cart.events), len(full.events), len(reduced.events))
+print(*(ev.tau.hex() for ev in cart.events + full.events + reduced.events))
 print(worst.hex())
 """
 
 
-def test_polar_and_reduced_runs_keep_their_bits_under_two_blas_kernels():
-    # no tableau sum of the step loop goes through BLAS, so the polar and
-    # reduced pipelines give the same bits under any OpenBLAS kernel: the
-    # one the CPU selects, and Nehalem's (SSE2-era, runs on any x86-64)
+def test_every_pipeline_keeps_its_bits_under_two_blas_kernels():
+    # no tableau sum of the step loop and no guard or reset goes through
+    # BLAS, so the Cartesian, polar and reduced pipelines give the same
+    # bits under any OpenBLAS kernel: the one the CPU selects, and
+    # Nehalem's (SSE2-era, runs on any x86-64)
     import os
     import subprocess
     import sys
@@ -1808,7 +1831,7 @@ def test_polar_and_reduced_runs_keep_their_bits_under_two_blas_kernels():
             capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         outputs.append(result.stdout)
-    assert outputs[0].split()[:2] == ["99", "99"]
+    assert outputs[0].split()[:3] == ["99", "99", "99"]
     assert outputs[0] == outputs[1]
 
 
@@ -1914,14 +1937,18 @@ def _dense_guard_case():
     """g along the dense output of a real step, on the first interval
     between two of its scan samples that brackets a crossing: the paper
     polar run's first step out of the wall, with impacts left out."""
-    from hybridlag import billiard, hybrid
+    from hybridlag import hybrid
 
     hs, s0 = _paper_c025("polar")
     y0 = hs.system.pack(s0)
     solver = hybrid.RK45(hs.system.rhs, s0.t, y0, 2.0, math.inf)
     while solver.status == "running":
         solver.step()
-        g = billiard._along(hs.guard.surface, solver.dense_output(), 2)
+        dense = solver.dense_output()
+
+        def g(t, dense=dense):
+            y = dense(t)
+            return hs.guard.surface(t, y[:2], y[2:])
         ts = np.linspace(solver.t_old, solver.t, 3)
         for a, b in zip(ts.tolist(), ts[1:].tolist()):
             if g(a) <= 0.0 < g(b):
@@ -2210,7 +2237,7 @@ def test_arc_table_with_non_finite_coefficients_sums_like_the_kernel():
     for i, t in enumerate(ts.tolist()):
         t = min(max(t, 0.0), 2.0)
         j = min(max(bisect.bisect_left(ends, t) - 1, 0), len(steps) - 1)
-        expected = steps[j](t)
+        expected = np.array(steps[j](t))
         for got in (cols[:, i], interp(t)):
             assert np.array_equal(np.isnan(got), np.isnan(expected)), t
             numbers = ~np.isnan(expected)
@@ -2374,7 +2401,7 @@ def test_arc_interpolant_array_contract(build, dim):
 
 def test_runs_build_states_per_impact_not_per_sample(monkeypatch):
     # State is the API edge: the executor calls the guard, the reset and
-    # the RHS on its packed arrays, so a run builds the two States of each
+    # the RHS on its packed lists, so a run builds the two States of each
     # Event record and nothing per step, guard sample or reset; the
     # passes after a run read arcs as columns and build none per grid
     # point either
@@ -2431,6 +2458,69 @@ def test_runs_build_states_per_impact_not_per_sample(monkeypatch):
                                       sc.initial_cartesian, 10.0)
     assert rep.events_momentum_side == 41
     assert built[hl.CoState] == 1, built[hl.CoState]
+
+
+def test_guards_and_resets_get_lists_of_floats_in_every_run(monkeypatch):
+    # the loop hands the guard and the reset the halves of its packed
+    # state as lists of Python floats: in the Cartesian, polar, reduced,
+    # resequenced and momentum-side runs, the oracle's flights, and the
+    # reduction's one-time symmetry checks. Each function is called, and
+    # never on anything else
+    from hybridlag import billiard
+
+    sc = hl.get_scenario("paper-c025")
+    calls, bad = {}, []
+
+    def floats(x):
+        return type(x) is list and all(type(e) is float for e in x)
+
+    def checked(name, fun):
+        def f(t, q, v):
+            calls[name] = calls.get(name, 0) + 1
+            if not (floats(q) and floats(v)):
+                bad.append((name, type(q), type(v)))
+            return fun(t, q, v)
+        return f
+
+    def wrapped_guard(guard, label):
+        return hl.Guard(surface=checked(f"{label} surface", guard.surface),
+                        direction=checked(f"{label} direction",
+                                          guard.direction))
+
+    def wrapped(hs, label):
+        return dataclasses.replace(
+            hs, guard=wrapped_guard(hs.guard, label),
+            reset=hl.ResetMap(apply=checked(f"{label} reset",
+                                            hs.reset.apply)))
+
+    polar = hl.polar_cyclic(sc.params)
+    cyc = dataclasses.replace(
+        polar, full=wrapped(polar.full, "polar"),
+        reduced_guard_factory=lambda mu: wrapped_guard(
+            polar.reduced_guard_factory(mu), "reduced"))
+    mu = hl.momentum_map(cyc, sc.initial_polar)
+    cart = wrapped(hl.cartesian_hybrid(sc.params), "cartesian")
+    runs = {
+        "polar": lambda: hl.simulate(cyc.full, sc.initial_polar, 10.0),
+        "reduced": lambda: hl.simulate(
+            wrapped(hl.reduce(cyc, mu).shape, "reduced"),
+            cyc.project_state(sc.initial_polar), 10.0),
+        "resequenced": lambda: hl.simulate_resequenced(
+            cyc, sc.initial_polar, 10.0).reduced,
+        "cartesian": lambda: hl.simulate(cart, sc.initial_cartesian, 10.0),
+    }
+    for name, run in runs.items():
+        assert len(run().events) == 41, name
+    rep = hl.check_hybrid_equivalence(cart, sc.initial_cartesian, 5.0)
+    assert rep.passed and rep.events_momentum_side > 0
+    # the oracle builds its Cartesian system from the parameters
+    monkeypatch.setattr(billiard, "cartesian_hybrid", lambda p: cart)
+    assert len(hl.reference_flow(sc.params, sc.initial_cartesian,
+                                 10.0).events) == 41
+    assert bad == []
+    assert sorted(calls) == sorted(
+        f"{label} {part}" for label in ("cartesian", "polar", "reduced")
+        for part in ("surface", "direction", "reset"))
 
 
 # ---------------------------------------------------------------------------
@@ -2492,7 +2582,7 @@ def test_momentum_side_scan_solves_each_column_once(monkeypatch):
     hs, s0 = _paper_c025("cartesian")
     rhs, g, d, reset = hybrid._momentum_mode(hs, s0.v)
     mode = (rhs, labelled("surface", g), labelled("direction", d),
-            lambda tau, y: (reset(tau, y)[0], mode))
+            lambda tau, y: (*reset(tau, y)[:2], mode))
     cs0 = hs.system.legendre(s0)
     flow = hybrid._execute(mode, cs0.t, np.concatenate([cs0.q, cs0.p]), 5.0)
     kinds = [kind for kind, _ in groups]

@@ -224,11 +224,10 @@ def test_reduce_guard_is_radial_wall(cyc025, scenario):
     mu = hl.momentum_map(cyc025, scenario.initial_polar)
     red = hl.reduce(cyc025, mu)
     p = hl.BilliardParams(c=0.25)
-    s = mk_state(0.4, [0.8], [1.1])
-    assert red.shape.guard.surface(s.t, s.q, s.v) == pytest.approx(
+    assert red.shape.guard.surface(0.4, [0.8], [1.1]) == pytest.approx(
         0.8**2 - p.wall(0.4), abs=1e-14)
     # admissibility matches the co-moving radial condition
-    assert red.shape.guard.direction(s.t, s.q, s.v) == pytest.approx(
+    assert red.shape.guard.direction(0.4, [0.8], [1.1]) == pytest.approx(
         2 * 0.8 * 1.1 - p.wall_rate(0.4), abs=1e-13)
 
 
@@ -241,11 +240,10 @@ def test_reduce_reset_matches_full_radial_part(cyc025, scenario, rng):
         t = float(rng.uniform(0, 3))
         r = math.sqrt(p.wall(t))
         rd = float(rng.uniform(0.1, 3.0))
-        x_post, xdot_post = red.shape.reset.apply(t, np.array([r]),
-                                                  np.array([rd]))
+        x_post, xdot_post = red.shape.reset.apply(t, [r], [rd])
         thd = cyc025.solve_cyclic_velocity(t, np.array([r]), np.array([rd]),
                                            mu)
-        _, v_post = rp.apply(t, np.array([r, 0.0]), np.array([rd, thd]))
+        _, v_post = rp.apply(t, [r, 0.0], [rd, thd])
         assert xdot_post[0] == pytest.approx(v_post[0], abs=1e-13)
         assert x_post[0] == r
 
@@ -298,7 +296,7 @@ def test_reduce_rejects_non_equivariant_reset(cyc025):
     broken = dataclasses.replace(
         base,
         reset=hl.ResetMap(apply=lambda t, q, v: (
-            np.array([q[0], 0.5 * q[1]]), -v)))
+            [q[0], 0.5 * q[1]], [-x for x in v])))
     cs = dataclasses.replace(cyc025, full=broken)
     with pytest.raises(hl.NotInvariant):
         hl.reduce(cs, -0.9)
